@@ -96,10 +96,12 @@ main(int argc, char **argv)
     std::string json_path = bench::statsJsonPath(argc, argv);
     apps::Scale scale = tiny ? apps::Scale::kTiny : apps::Scale::kDefault;
 
-    SimOptions dense;
+    SimOptions dense; // the reference oracle: dense tick, interpreter
     dense.mode = SimOptions::Mode::kDense;
-    SimOptions activity; // default: activity scheduler, interpreter
-    SimOptions specialized;
+    dense.simMode = SimMode::kInterp;
+    SimOptions activity;
+    activity.simMode = SimMode::kInterp;
+    SimOptions specialized; // the production default
     specialized.simMode = SimMode::kSpecialized;
 
     std::printf("=== Simulation-phase cost: dense+interp vs "

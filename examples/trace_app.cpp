@@ -39,7 +39,7 @@ usage()
         "usage: trace_app <app> [options]\n"
         "  --mode=activity|dense   simulation mode (default activity)\n"
         "  --sim-mode=interp|specialized\n"
-        "                          datapath engine (default interp)\n"
+        "                          datapath engine (default specialized)\n"
         "  --scale=tiny|default    workload size (default tiny)\n"
         "  --trace=<path>          write Chrome trace-event JSON\n"
         "  --util-csv=<path>       write epoch utilization CSV\n"
@@ -88,8 +88,8 @@ main(int argc, char **argv)
             opts.mode = v == "dense" ? SimOptions::Mode::kDense
                                      : SimOptions::Mode::kActivity;
         } else if (!(v = flagValue(arg, "--sim-mode")).empty()) {
-            opts.simMode = v == "specialized" ? SimMode::kSpecialized
-                                              : SimMode::kInterp;
+            opts.simMode = v == "interp" ? SimMode::kInterp
+                                         : SimMode::kSpecialized;
         } else if (!(v = flagValue(arg, "--scale")).empty()) {
             scale = v == "default" ? apps::Scale::kDefault
                                    : apps::Scale::kTiny;

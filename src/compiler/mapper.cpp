@@ -1383,9 +1383,16 @@ Mapper::createAgs()
                     ? wordToInt(prog_.args[x.rowWordsArg].value)
                     : x.rowWords;
             // A command may not exceed the coalescing unit's
-            // outstanding-burst budget; split long rows into the
-            // largest dividing block of at most 256 words.
-            int64_t block = std::min<int64_t>(row_words, 256);
+            // outstanding-burst budget. B words at any word offset span
+            // at most (B + 14) / 16 + 1 bursts, so blocks of up to
+            // 16 * (budget - 1) + 1 words always fit; split long rows
+            // into the largest dividing block within that and 256.
+            const int64_t burst_words = kBurstBytes / 4;
+            const int64_t max_block = std::max<int64_t>(
+                1, std::min<int64_t>(
+                       256, burst_words * (int64_t{P_.coalescerMaxOutstanding}
+                                           - 1) + 1));
+            int64_t block = std::min<int64_t>(row_words, max_block);
             while (block > 1 && row_words % block)
                 --block;
             CounterCfg rows, wblk;

@@ -11,7 +11,9 @@ namespace plast::resilience
 namespace
 {
 constexpr const char *kMagic = "plasticine_checkpoint";
-constexpr uint32_t kVersion = 1;
+/** Version 2: the memory system saves its burst slab (slot indices and
+ *  free list) instead of an id-keyed burst map. */
+constexpr uint32_t kVersion = 2;
 } // namespace
 
 void

@@ -43,10 +43,12 @@ struct SimOptions
         kDense,    ///< tick every unit and stream each cycle
     };
     Mode mode = Mode::kActivity;
-    /** Datapath engine (sim/execplan.hpp): re-interpret the config per
-     *  lane, or run the pre-lowered execution plans. Orthogonal to
-     *  `mode`; every combination is bit-exact with every other. */
-    SimMode simMode = SimMode::kInterp;
+    /** Datapath engine (sim/execplan.hpp): run the pre-lowered
+     *  execution plans (default), or re-interpret the config per lane —
+     *  kInterp is the reference oracle tests, the fuzzer and bench legs
+     *  name explicitly. Orthogonal to `mode`; every combination is
+     *  bit-exact with every other. */
+    SimMode simMode = SimMode::kSpecialized;
     /** Dense mode only: fatal after this many cycles without progress.
      *  (Activity mode detects deadlock exactly: empty active set.) */
     uint32_t deadlockWindow = 50'000;

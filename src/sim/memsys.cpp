@@ -375,12 +375,53 @@ MemSystem::MemSystem(const ArchParams &params)
 {
 }
 
-uint64_t
-MemSystem::allocBurst(Addr lineAddr, bool write)
+uint32_t
+MemSystem::allocBurst(uint32_t cu, Addr lineAddr, bool write)
 {
-    uint64_t id = nextBurst_++;
-    bursts_[id] = Burst{lineAddr, write, false, {}};
-    return id;
+    uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<uint32_t>(slab_.size());
+        slab_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    Burst &b = slab_[slot];
+    b.lineAddr = lineAddr;
+    b.id = nextBurst_++;
+    b.write = write;
+    b.issued = false;
+    b.live = true;
+    b.cu = cu;
+    b.issuedAt = 0;
+    b.retries = 0;
+    b.notBefore = 0;
+    return slot;
+}
+
+void
+MemSystem::freeBurst(uint32_t slot)
+{
+    Burst &b = slab_[slot];
+    b.live = false;
+    b.waiters.clear();
+    freeSlots_.push_back(slot);
+    if (freeSlots_.size() == slab_.size()) {
+        // Drained: give the memory back (a design sweep keeps many
+        // finished fabrics alive).
+        std::vector<Burst>().swap(slab_);
+        std::vector<uint32_t>().swap(freeSlots_);
+    }
+}
+
+void
+MemSystem::park(CuState &c, AgSim *ag)
+{
+    // Dense ticking re-evaluates every AG each cycle anyway.
+    if (!sched())
+        return;
+    if (std::find(c.parked.begin(), c.parked.end(), ag) == c.parked.end())
+        c.parked.push_back(ag);
 }
 
 bool
@@ -388,12 +429,12 @@ MemSystem::submitDense(uint32_t cu, AgSim *ag, uint64_t cmdId,
                        Addr byteAddr, uint32_t words, bool write,
                        const Word *data)
 {
-    // A submit means the memory system has work this cycle, and a
-    // rejected AG must poll again next cycle (it gets no other event).
+    // A submit means the memory system has work this cycle.
     if (sched())
         sched()->memWork();
     CuState &c = cus_.at(cu);
     if (c.acceptedThisCycle) {
+        // The port frees next cycle: retry then, as dense ticking does.
         ag->requestWake();
         return false;
     }
@@ -406,7 +447,7 @@ MemSystem::submitDense(uint32_t cu, AgSim *ag, uint64_t cmdId,
              "outstanding budget (%u)",
              n_bursts, params_.coalescerMaxOutstanding);
     if (c.outstanding + n_bursts > params_.coalescerMaxOutstanding) {
-        ag->requestWake();
+        park(c, ag);
         return false;
     }
     c.acceptedThisCycle = true;
@@ -427,7 +468,7 @@ MemSystem::submitDense(uint32_t cu, AgSim *ag, uint64_t cmdId,
         Addr startB = std::max<Addr>(line_byte, byteAddr);
         Addr endB = std::min<Addr>(line_byte + kBurstBytes,
                                    byteAddr + static_cast<Addr>(words) * 4);
-        uint64_t id = allocBurst(line_byte, write);
+        uint32_t slot = allocBurst(cu, line_byte, write);
         Waiter w{};
         w.ag = ag;
         w.cmdId = cmdId;
@@ -435,9 +476,8 @@ MemSystem::submitDense(uint32_t cu, AgSim *ag, uint64_t cmdId,
         w.wordOffset = static_cast<uint32_t>((startB - byteAddr) / 4);
         w.wordCount = static_cast<uint32_t>((endB - startB) / 4);
         w.lineOffset = startB;
-        bursts_[id].waiters.push_back(w);
-        bursts_[id].cu = cu;
-        c.issueQueue.push_back(id);
+        slab_[slot].waiters.push_back(w);
+        c.issueQueue.push_back(slot);
     }
     return true;
 }
@@ -466,10 +506,8 @@ MemSystem::submitSparse(uint32_t cu, AgSim *ag, uint64_t cmdId,
         auto it = c.mergeTable.find(line);
         bool mergeable = false;
         if (it != c.mergeTable.end()) {
-            auto bit = bursts_.find(it->second);
-            if (bit != bursts_.end() && bit->second.write == write &&
-                !(write && bit->second.issued))
-                mergeable = true;
+            const Burst &b = slab_[it->second];
+            mergeable = b.live && b.write == write && !(write && b.issued);
         }
         if (!mergeable &&
             (c.mergeTable.size() >= params_.coalescerCacheLines ||
@@ -485,15 +523,14 @@ MemSystem::submitSparse(uint32_t cu, AgSim *ag, uint64_t cmdId,
             stats_.bytesRead += 4;
         }
 
-        uint64_t id;
+        uint32_t slot;
         if (mergeable) {
-            id = it->second;
+            slot = it->second;
             ++stats_.coalescedLanes;
         } else {
-            id = allocBurst(line, write);
-            bursts_[id].cu = cu;
-            c.mergeTable[line] = id;
-            c.issueQueue.push_back(id);
+            slot = allocBurst(cu, line, write);
+            c.mergeTable[line] = slot;
+            c.issueQueue.push_back(slot);
             ++c.outstanding;
         }
         Waiter w{};
@@ -503,14 +540,14 @@ MemSystem::submitSparse(uint32_t cu, AgSim *ag, uint64_t cmdId,
         w.lane = l;
         w.byteAddr = byte_addr;
         w.wordCount = 1;
-        bursts_[id].waiters.push_back(w);
+        slab_[slot].waiters.push_back(w);
         accepted |= (1u << l);
     }
     if (accepted) {
         c.acceptedThisCycle = true;
         ++stats_.sparseCmds;
     } else {
-        ag->requestWake();
+        park(c, ag);
     }
     return accepted;
 }
@@ -525,14 +562,14 @@ MemSystem::step(Cycles now)
     for (auto &c : cus_) {
         if (c.issueQueue.empty())
             continue;
-        uint64_t id = c.issueQueue.front();
-        Burst &b = bursts_.at(id);
+        uint32_t slot = c.issueQueue.front();
+        Burst &b = slab_[slot];
         if (b.notBefore > now)
             continue; // error-retry backoff window still open
         DramChannel &ch = dram_.channel(dram_.channelOf(b.lineAddr));
         if (!ch.canSubmit())
             continue;
-        ch.submit(DramReq{b.lineAddr, b.write, id}, now);
+        ch.submit(DramReq{b.lineAddr, b.write, slot}, now);
         b.issued = true;
         b.issuedAt = now;
         c.issueQueue.pop_front();
@@ -543,9 +580,11 @@ MemSystem::step(Cycles now)
     dram_.step(now, completed_);
 
     for (const DramReq &req : completed_) {
-        auto it = bursts_.find(req.tag);
-        panic_if(it == bursts_.end(), "DRAM completed unknown burst");
-        Burst &b = it->second;
+        panic_if(req.tag >= slab_.size() || !slab_[req.tag].live,
+                 "DRAM completed unknown burst");
+        const auto slot = static_cast<uint32_t>(req.tag);
+        Burst &b = slab_[slot];
+        CuState &c = cus_.at(b.cu);
 
         // Consult the fault model on read responses. Write data rides
         // the command path (CRC-protected, committed at submit), so
@@ -573,7 +612,7 @@ MemSystem::step(Cycles now)
                     now + (Cycles{params_.dram.tBurst} << std::min(
                                                             b.retries, 8u));
                 ++b.retries;
-                cus_.at(b.cu).issueQueue.push_back(req.tag);
+                c.issueQueue.push_back(slot);
                 continue;
               }
             }
@@ -603,16 +642,19 @@ MemSystem::step(Cycles now)
                                    w.wordCount);
             }
         }
-        CuState &c = cus_.at(b.cu);
         panic_if(c.outstanding == 0, "coalescer outstanding underflow");
         --c.outstanding;
+        // Capacity freed: the AGs it refused try again next cycle.
+        for (AgSim *ag : c.parked)
+            ag->requestWake();
+        c.parked.clear();
         if (b.cu < cuTracks_.size())
             traceAsync(trace_, cuTracks_[b.cu], TraceName::kBurst,
-                       b.issuedAt, now + 1, req.tag);
+                       b.issuedAt, now + 1, b.id);
         auto mit = c.mergeTable.find(b.lineAddr);
-        if (mit != c.mergeTable.end() && mit->second == req.tag)
+        if (mit != c.mergeTable.end() && mit->second == slot)
             c.mergeTable.erase(mit);
-        bursts_.erase(it);
+        freeBurst(slot);
     }
 
     // Outstanding-burst counter per coalescing unit, on change only.
@@ -631,8 +673,8 @@ MemSystem::step(Cycles now)
 bool
 MemSystem::quiescent() const
 {
-    if (!bursts_.empty())
-        return false;
+    if (freeSlots_.size() != slab_.size())
+        return false; // bursts in flight
     for (const auto &c : cus_) {
         if (!c.issueQueue.empty() || c.outstanding != 0)
             return false;

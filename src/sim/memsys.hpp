@@ -229,7 +229,7 @@ class MemSystem : public SimObject
      * Sparse command: per-lane word addresses (gather or scatter).
      * May accept only a subset of the requested lanes when the
      * coalescing cache is full; returns the accepted-lane mask (the AG
-     * retries the remainder next cycle).
+     * retries the remainder once the coalescing unit frees capacity).
      */
     uint32_t submitSparse(uint32_t cu, AgSim *ag, uint64_t cmdId,
                           const Vec &addrs, uint32_t lanes, bool write,
@@ -295,11 +295,16 @@ class MemSystem : public SimObject
         Addr lineOffset;     ///< dense: first byte within the line
     };
 
+    /** One slab slot: a burst from coalescer acceptance to retirement.
+     *  The slot index is the burst's DramReq::tag. A freed slot keeps
+     *  its waiters' capacity for the next burst that takes it. */
     struct Burst
     {
         Addr lineAddr = 0;
+        uint64_t id = 0;       ///< monotonic burst id (trace events)
         bool write = false;
         bool issued = false;
+        bool live = false;
         std::vector<Waiter> waiters;
         uint32_t cu = 0;
         Cycles issuedAt = 0;   ///< cycle submitted to the DRAM channel
@@ -312,16 +317,25 @@ class MemSystem : public SimObject
         bool acceptedThisCycle = false;
         uint32_t outstanding = 0;
         /** coalescing cache: pending line -> burst slot */
-        std::map<Addr, uint64_t> mergeTable;
-        Ring<uint64_t> issueQueue;
+        std::map<Addr, uint32_t> mergeTable;
+        Ring<uint32_t> issueQueue;
+        /** AGs refused for outstanding budget or cache lines. Only a
+         *  burst retiring on this unit frees either, so they sleep
+         *  until then. Scheduler bookkeeping: never checkpointed. */
+        std::vector<AgSim *> parked;
     };
 
-    uint64_t allocBurst(Addr lineAddr, bool write);
+    uint32_t allocBurst(uint32_t cu, Addr lineAddr, bool write);
+    void freeBurst(uint32_t slot);
+    void park(CuState &c, AgSim *ag);
 
     ArchParams params_;
     DramModel dram_;
     std::vector<CuState> cus_;
-    std::map<uint64_t, Burst> bursts_;
+    /** Burst slab. Released when the last burst retires, so a drained
+     *  memory system holds no burst memory. */
+    std::vector<Burst> slab_;
+    std::vector<uint32_t> freeSlots_;
     uint64_t nextBurst_ = 1;
     std::vector<DramReq> completed_;
     std::vector<uint16_t> cuTracks_;     ///< empty when tracing is off
@@ -334,6 +348,8 @@ class MemSystem : public SimObject
      * Checkpoint the memory system. Waiters hold AgSim pointers, so the
      * caller (the fabric) provides the pointer <-> index mapping:
      * `agIndexOf(AgSim*) -> uint64_t` and `agPtrOf(uint64_t) -> AgSim*`.
+     * The slab size and free list are saved so every slot index (the
+     * DRAM tags in flight) restores unchanged.
      */
     template <class Ar, class AgToIdx, class IdxToAg>
     void
@@ -345,28 +361,23 @@ class MemSystem : public SimObject
             io(ar, c.outstanding);
             io(ar, c.mergeTable);
             io(ar, c.issueQueue);
+            // A restore re-arms every unit; AGs still refused re-park.
+            if constexpr (!Ar::kSaving)
+                c.parked.clear();
         }
-        uint64_t n = bursts_.size();
-        io(ar, n);
+        uint64_t slots = slab_.size();
+        io(ar, slots);
+        io(ar, freeSlots_);
         if constexpr (!Ar::kSaving)
-            bursts_.clear();
-        if constexpr (Ar::kSaving)
         {
-            for (auto &kv : bursts_)
-            {
-                uint64_t id = kv.first;
-                io(ar, id);
-                serializeBurst(ar, kv.second, agIndexOf, agPtrOf);
-            }
+            slab_.clear();
+            slab_.resize(slots);
         }
-        else
+        for (Burst &b : slab_)
         {
-            for (uint64_t i = 0; i < n; ++i)
-            {
-                uint64_t id = 0;
-                io(ar, id);
-                serializeBurst(ar, bursts_[id], agIndexOf, agPtrOf);
-            }
+            io(ar, b.live);
+            if (b.live)
+                serializeBurst(ar, b, agIndexOf, agPtrOf);
         }
         io(ar, nextBurst_);
         io(ar, stats_);
@@ -379,6 +390,7 @@ class MemSystem : public SimObject
     serializeBurst(Ar &ar, Burst &b, AgToIdx agIndexOf, IdxToAg agPtrOf)
     {
         io(ar, b.lineAddr);
+        io(ar, b.id);
         io(ar, b.write);
         io(ar, b.issued);
         io(ar, b.cu);

@@ -6,7 +6,13 @@
  *  - units evaluate only while they report kActive; a kBlocked unit
  *    sleeps until a stream attached to one of its ports delivers
  *    (consumer wake) or drains (producer wake), or the memory system
- *    wakes it directly;
+ *    wakes it directly. The memory system wakes an AG when a response
+ *    or write ack reaches it; when its coalescing unit refused a
+ *    command because the port already took one this cycle (retry next
+ *    cycle, as under dense ticking); and, for a refusal on outstanding
+ *    budget or cache lines, when a burst on that coalescing unit
+ *    retires — nothing else frees that capacity, so the AG sleeps
+ *    instead of polling;
  *  - the memory system runs on cycles where an AG submitted a command
  *    and then polls itself while non-quiescent (DRAM timing is
  *    cycle-driven);
@@ -55,8 +61,8 @@ class Scheduler
 
     // ---- wake rules --------------------------------------------------
     /** Evaluate `u` starting next cycle. Inline: this is the hottest
-     *  scheduler entry point (every stream delivery and every rejected
-     *  memory submit lands here). */
+     *  scheduler entry point (every stream delivery and memory response
+     *  lands here). */
     void
     wakeUnit(SimObject *u)
     {

@@ -74,7 +74,8 @@ class SimObject
 
     /** Ask the scheduler (when attached) to evaluate this object next
      *  cycle. No-op under dense ticking. Used by the memory system to
-     *  wake AGs on response delivery and submit-retry. */
+     *  wake AGs on response delivery, port-busy retry, and freed
+     *  coalescer capacity. */
     void requestWake();
 
     /** Attach the fabric's trace sink (null = tracing off). */

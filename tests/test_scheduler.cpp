@@ -1,11 +1,19 @@
-/** @file Activity-driven scheduler: bit-exact cycle parity against the
- *  dense-tick baseline on every benchmark, traffic-counter parity,
- *  fast-forward behavior, and exact deadlock detection (empty active
- *  set) on a stalled credit loop. */
+/** @file Activity-driven scheduler: bit-exact cycle parity of the
+ *  production default (activity + specialized) against the dense +
+ *  interpreter oracle on every benchmark, traffic-counter parity,
+ *  AGs sleeping on coalescer capacity, fast-forward behavior, and
+ *  exact deadlock detection (empty active set) on a stalled credit
+ *  loop. */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <optional>
+
 #include "apps/apps.hpp"
+#include "base/logging.hpp"
+#include "resilience/fault.hpp"
 #include "sim/fabric.hpp"
 
 using namespace plast;
@@ -13,11 +21,13 @@ using namespace plast;
 namespace
 {
 
+/** The reference oracle: dense tick over the interpreter. */
 SimOptions
 denseOpts()
 {
     SimOptions o;
     o.mode = SimOptions::Mode::kDense;
+    o.simMode = SimMode::kInterp;
     return o;
 }
 
@@ -30,14 +40,8 @@ struct ModeResult
 };
 
 ModeResult
-runApp(const apps::AppSpec &spec, SimOptions opts)
+harvest(const Runner &r, const Runner::Result &res)
 {
-    setVerbose(false);
-    apps::AppInstance app = spec.make(apps::Scale::kTiny);
-    Runner r(std::move(app.prog), ArchParams::plasticineFinal(), opts);
-    app.load(r);
-    Runner::Result res = r.run();
-
     ModeResult out;
     out.cycles = res.cycles;
     out.argOuts = res.argOuts;
@@ -50,12 +54,25 @@ runApp(const apps::AppSpec &spec, SimOptions opts)
     return out;
 }
 
+ModeResult
+runApp(const apps::AppSpec &spec, SimOptions opts)
+{
+    setVerbose(false);
+    apps::AppInstance app = spec.make(apps::Scale::kTiny);
+    Runner r(std::move(app.prog), ArchParams::plasticineFinal(), opts);
+    app.load(r);
+    Runner::Result res = r.run();
+    return harvest(r, res);
+}
+
 } // namespace
 
-/** Both modes must agree on the completion cycle, every argOut stream,
- *  every DRAM buffer, and the traffic counters (stream pushes/pops,
- *  memory bursts, DRAM timing) — i.e. activity scheduling changes only
- *  the host's work per simulated cycle, never the simulated machine. */
+/** The production default (activity scheduling, specialized engine)
+ *  and the dense + interpreter oracle must agree on the completion
+ *  cycle, every argOut stream, every DRAM buffer, and the traffic
+ *  counters (stream pushes/pops, memory bursts, DRAM timing) — i.e. the
+ *  fast paths change only the host's work per simulated cycle, never
+ *  the simulated machine. */
 class CycleParity : public ::testing::TestWithParam<std::string>
 {
 };
@@ -247,3 +264,255 @@ TEST(SchedulerStats, StreamCountersAreWired)
     EXPECT_GT(res.stats.get("net.vector.pushes"), 0u);
     EXPECT_GT(res.stats.sumPrefix("stream."), 0u);
 }
+
+// ---- AGs sleeping on coalescer capacity -------------------------------
+
+namespace
+{
+
+/** Two outstanding bursts and two coalescing-cache lines per unit:
+ *  dense and sparse AGs alike are refused for capacity most cycles.
+ *  DRAM ECC turns injected double-bit responses into retries. */
+ArchParams
+pressuredParams()
+{
+    ArchParams p = ArchParams::plasticineFinal();
+    p.coalescerMaxOutstanding = 2;
+    p.coalescerCacheLines = 2;
+    p.dram.ecc = true;
+    return p;
+}
+
+const apps::AppSpec &
+specByName(const std::string &name)
+{
+    for (const auto &spec : apps::allApps()) {
+        if (spec.name == name)
+            return spec;
+    }
+    panic("no such app '%s'", name.c_str());
+}
+
+struct PressuredRun
+{
+    ModeResult result;
+    uint64_t dramRetries = 0;
+    /** AG cycles classified dramWait: evaluated, and in total. */
+    uint64_t agDramWaitSteps = 0, agDramWait = 0;
+};
+
+/** Run under pressuredParams(), checked against the reference
+ *  evaluator, optionally with DRAM faults injected. */
+PressuredRun
+runPressured(const std::string &name, SimOptions opts,
+             const resilience::FaultPlan *faults = nullptr)
+{
+    setVerbose(false);
+    ArchParams params = pressuredParams();
+    apps::AppInstance app = specByName(name).make(apps::Scale::kTiny);
+    Runner r(std::move(app.prog), params, opts);
+    app.load(r);
+    std::optional<resilience::FaultInjector> inj;
+    if (faults) {
+        inj.emplace(*faults, params.dram.ecc);
+        r.setFaultInjector(&*inj);
+    }
+    Runner::Result res;
+    Status st = r.tryRunValidated(res);
+    EXPECT_TRUE(st.ok()) << name << ": " << st.message();
+    PressuredRun out;
+    out.result = harvest(r, res);
+    out.dramRetries = r.fabric()->mem().stats().dramRetries;
+    for (uint32_t i = 0; i < params.numAgs; ++i) {
+        if (const AgSim *ag = r.fabric()->agPtr(i)) {
+            const CycleAcct &a = ag->acct();
+            out.agDramWaitSteps +=
+                a.by[static_cast<size_t>(CycleClass::kDramWait)];
+            out.agDramWait += a.blocked(CycleClass::kDramWait);
+        }
+    }
+    return out;
+}
+
+bool
+endsWith(const std::string &s, const std::string &suffix)
+{
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/**
+ * Per-unit ledger parity. Dense ticking classifies every cycle; the
+ * activity scheduler attributes a sleep to the class that began it
+ * when the unit next evaluates, and leaves the run's final sleep
+ * unattributed (`cycles.asleep`). So every `cycles.<class>` key must
+ * match exactly, except that one class per unit may fall short by
+ * exactly that tail.
+ */
+void
+expectSameLedgers(const StatSet &oracle, const StatSet &fast)
+{
+    std::map<std::string, std::array<int64_t, kNumCycleClasses>> gap;
+    for (size_t c = 0; c < kNumCycleClasses; ++c) {
+        std::string key = std::string(".cycles.") +
+                          cycleClassName(static_cast<CycleClass>(c));
+        for (const auto &[name, value] : oracle.all()) {
+            if (endsWith(name, key))
+                gap[name.substr(0, name.size() - key.size())][c] =
+                    static_cast<int64_t>(value) -
+                    static_cast<int64_t>(fast.get(name));
+        }
+    }
+    ASSERT_FALSE(gap.empty()) << "no cycle ledger compared";
+    for (const auto &[unit, d] : gap) {
+        int64_t tail =
+            static_cast<int64_t>(fast.get(unit + ".cycles.asleep")) -
+            static_cast<int64_t>(oracle.get(unit + ".cycles.asleep"));
+        int64_t sum = 0;
+        int differing = 0;
+        for (int64_t v : d) {
+            EXPECT_GE(v, 0) << unit;
+            sum += v;
+            differing += v != 0;
+        }
+        EXPECT_LE(differing, 1) << unit << ": more than one class moved";
+        EXPECT_EQ(sum, tail) << unit << ": ledger gap is not the tail";
+    }
+}
+
+/** Everything the simulated machine did, compared bit for bit: the
+ *  completion cycle, argOuts, DRAM, every counter and the per-unit
+ *  cycle ledgers. Only host-side step and sleep tallies may differ. */
+void
+expectSameMachine(const ModeResult &oracle, const ModeResult &fast)
+{
+    EXPECT_EQ(oracle.cycles, fast.cycles) << "completion cycle";
+    EXPECT_EQ(oracle.argOuts, fast.argOuts) << "argOuts";
+    EXPECT_EQ(oracle.dramBufs, fast.dramBufs) << "DRAM buffers";
+    expectSameLedgers(oracle.stats, fast.stats);
+    for (const auto &[name, value] : oracle.stats.all()) {
+        if (name.find(".cycles.") == std::string::npos) {
+            EXPECT_EQ(value, fast.stats.get(name)) << name;
+        }
+    }
+}
+
+uint64_t
+agStepped(const StatSet &stats)
+{
+    uint64_t n = 0;
+    for (const auto &[name, value] : stats.all()) {
+        if (name.rfind("ag", 0) == 0 && endsWith(name, ".cycles.stepped"))
+            n += value;
+    }
+    return n;
+}
+
+} // namespace
+
+/** Capacity refusals park the AG on its coalescing unit until a burst
+ *  there retires, instead of re-polling every cycle. Parameter: an
+ *  app with dense (InnerProduct) or sparse (SMDV) AGs. */
+class CapacityCycleParity : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(CapacityCycleParity, SleepingAgsMatchDenseInterpBitExactly)
+{
+    PressuredRun oracle = runPressured(GetParam(), denseOpts());
+    PressuredRun fast = runPressured(GetParam(), SimOptions{});
+    expectSameMachine(oracle.result, fast.result);
+
+    // Under dense ticking every AG steps every cycle; asleep AGs cost
+    // nothing, so capacity waits must not be polled.
+    uint64_t dense = agStepped(oracle.result.stats);
+    uint64_t activity = agStepped(fast.result.stats);
+    ASSERT_GT(dense, 0u);
+    EXPECT_LE(2 * activity, dense)
+        << "AG steps: activity " << activity << " vs dense " << dense;
+    // Sharper: most DRAM-wait cycles pass asleep. A polling AG
+    // evaluates nearly every one of them.
+    ASSERT_GT(fast.agDramWait, 0u);
+    EXPECT_EQ(fast.agDramWait, oracle.agDramWait);
+    EXPECT_LE(2 * fast.agDramWaitSteps, fast.agDramWait)
+        << "AG dramWait cycles evaluated: " << fast.agDramWaitSteps
+        << " of " << fast.agDramWait;
+}
+
+/** A mid-run snapshot holds live slab slots: it must restore into a
+ *  fresh fabric and re-save to the identical tape, and rolling a
+ *  running fabric back onto it (AGs parked, parked lists cleared by
+ *  the restore) must finish bit-exactly. */
+TEST_P(CapacityCycleParity, MidRunCheckpointRoundTrips)
+{
+    setVerbose(false);
+    Cycles total = runPressured(GetParam(), SimOptions{}).result.cycles;
+    ASSERT_GT(total, 0u);
+
+    SimOptions so;
+    so.checkpointEvery = std::max<Cycles>(1, total / 8);
+    so.keepCheckpoints = 16;
+    apps::AppInstance app = specByName(GetParam()).make(apps::Scale::kTiny);
+    Runner r(app.prog, pressuredParams(), so);
+    app.load(r);
+    Runner::Result out;
+    ASSERT_TRUE(r.tryRun(out).ok());
+    Fabric *orig = r.mutableFabric();
+
+    // The first snapshot past the midpoint that has bursts in flight.
+    std::optional<FabricCheckpoint> cp;
+    for (const FabricCheckpoint &c : orig->autoCheckpoints()) {
+        if (c.cycle < total / 2)
+            continue;
+        Fabric probe(r.mapResult().fabric, so);
+        ASSERT_TRUE(probe.restoreCheckpoint(c).ok());
+        if (!probe.mem().quiescent()) {
+            cp = c;
+            break;
+        }
+    }
+    ASSERT_TRUE(cp.has_value()) << "no mid-run snapshot with live bursts";
+
+    Fabric fresh(r.mapResult().fabric, so);
+    ASSERT_TRUE(fresh.restoreCheckpoint(*cp).ok());
+    EXPECT_EQ(fresh.saveCheckpoint().tape, cp->tape)
+        << "the slab must re-save to the tape it was restored from";
+
+    for (int i = 0; i < 64; ++i)
+        fresh.step();
+    ASSERT_TRUE(fresh.restoreCheckpoint(*cp).ok());
+    RunResult rr = fresh.runChecked();
+    ASSERT_TRUE(rr.status.ok()) << rr.status.message();
+    EXPECT_EQ(fresh.now(), orig->now());
+    for (uint32_t s = 0; s < app.prog.numArgOuts; ++s)
+        EXPECT_EQ(fresh.argOut(s), orig->argOut(s)) << "argOut " << s;
+    ASSERT_EQ(fresh.dram().sizeBytes(), orig->dram().sizeBytes());
+    for (Addr a = 0; a < orig->dram().sizeBytes(); a += sizeof(Word))
+        ASSERT_EQ(fresh.dram().readWord(a), orig->dram().readWord(a))
+            << "DRAM word at byte " << a;
+}
+
+/** Detected-uncorrectable DRAM responses re-queue their burst in its
+ *  slab slot while AGs sit parked on the full coalescing unit. The
+ *  result must still match the oracle under the same faults, and the
+ *  reference evaluator. */
+TEST_P(CapacityCycleParity, DramRetryReissuesThroughTheSlab)
+{
+    resilience::FaultPlan plan;
+    for (uint32_t i = 0; i < 3; ++i) {
+        resilience::FaultEvent e;
+        e.kind = resilience::FaultKind::kDramResponse;
+        e.cycle = 1 + 40 * i;
+        e.bits = 2; // detected, uncorrectable: retry
+        e.bit = 7 + i;
+        plan.events.push_back(e);
+    }
+    PressuredRun oracle = runPressured(GetParam(), denseOpts(), &plan);
+    PressuredRun fast = runPressured(GetParam(), SimOptions{}, &plan);
+    expectSameMachine(oracle.result, fast.result);
+    EXPECT_EQ(oracle.dramRetries, fast.dramRetries);
+    EXPECT_GE(fast.dramRetries, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(DenseAndSparseAgs, CapacityCycleParity,
+                         ::testing::Values("InnerProduct", "SMDV"));

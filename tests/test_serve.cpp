@@ -1095,14 +1095,18 @@ TEST(ServeCache, CancelledLeaderHandsOffToWaitingFollower)
     CacheKey k{9, 9, 9, 9};
     std::mutex mu;
     std::condition_variable cv;
+    bool leaderBuilding = false;
     bool followerEngaged = false;
     std::atomic<int> built{0};
 
     std::thread leader([&] {
         auto a = cache.acquire(k, [&]() -> std::shared_ptr<const int> {
-            // Hold the single-flight slot until the follower is (very
-            // likely) parked on the pending entry, then abandon.
+            // The leader owns the single-flight slot from here on. Hold
+            // it until the follower is (very likely) parked on the
+            // pending entry, then abandon.
             std::unique_lock<std::mutex> lk(mu);
+            leaderBuilding = true;
+            cv.notify_all();
             cv.wait(lk, [&] { return followerEngaged; });
             lk.unlock();
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -1113,10 +1117,13 @@ TEST(ServeCache, CancelledLeaderHandsOffToWaitingFollower)
     });
     std::thread follower([&] {
         {
-            std::lock_guard<std::mutex> lk(mu);
+            // Only a follower that arrives after the leader claimed the
+            // slot can be handed it; otherwise it would build first.
+            std::unique_lock<std::mutex> lk(mu);
+            cv.wait(lk, [&] { return leaderBuilding; });
             followerEngaged = true;
         }
-        cv.notify_one();
+        cv.notify_all();
         auto a = cache.acquire(k, [&] {
             built.fetch_add(1);
             return std::make_shared<const int>(42);
