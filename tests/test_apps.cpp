@@ -72,6 +72,14 @@ struct Envelope
     Cycles lo, hi;
 };
 
+/** Prints the bounds only. The default printer dumps the struct's raw
+ *  bytes, including the address of `name`, which gives the test a
+ *  different listed name on every run. */
+void PrintTo(const Envelope &env, std::ostream *os)
+{
+    *os << env.lo << ".." << env.hi << " cycles";
+}
+
 class CycleEnvelope : public ::testing::TestWithParam<Envelope>
 {
 };
