@@ -52,6 +52,16 @@ class Ring
         ++count_;
     }
 
+    /** Append one slot and return it to be filled in place, saving a
+     *  copy of large elements. The slot may still hold an earlier
+     *  element's bytes: the caller assigns every field it reads. */
+    T &
+    push_slot()
+    {
+        reserveOne();
+        return buf_[wrap(head_ + count_++)];
+    }
+
     void
     pop_front()
     {

@@ -126,6 +126,15 @@ class Mapper
     std::vector<StageCfg> addrStages(ExprId expr,
                                      const std::vector<CtrId> &chainCtrs,
                                      const UnitRef &unit, uint8_t &reg);
+    /** Row length and per-command block of a dense tile load. The
+     *  AG's command size and the PMU write port's vector framing both
+     *  come from here, so the two always agree. */
+    struct LoadBlock
+    {
+        int64_t rowWords = 0;
+        int64_t block = 0;
+    };
+    LoadBlock loadBlock(const TransferDesc &x) const;
 
     void fail(const std::string &msg)
     {
@@ -1254,18 +1263,12 @@ Mapper::createPmus()
                   }
                   case WriterDesc::Kind::kXferLoad: {
                     const TransferDesc &x = prog_.nodes[wd.node].xfer;
+                    const LoadBlock lb = loadBlock(x);
                     CounterCfg rows, wordsc;
                     rows.max = x.rows;
                     wordsc.vectorized = true;
-                    if (x.rowWordsArg != kNone)
-                        wordsc.max = wordToInt(
-                            prog_.args[x.rowWordsArg].value);
-                    else
-                        wordsc.max = x.rowWords;
-                    wp.chain.ctrs = {rows, wordsc};
                     wp.vecLinear = true;
                     StageCfg st;
-                    st.op = FuOp::kIMul;
                     st.a = Operand::ctr(0);
                     st.b = Operand::immInt(
                         static_cast<int32_t>(x.sramRowStride));
@@ -1273,8 +1276,27 @@ Mapper::createPmus()
                     StageCfg st2;
                     st2.op = FuOp::kIAdd;
                     st2.a = Operand::reg(0);
-                    st2.b = Operand::ctr(1);
                     st2.dstReg = 1;
+                    if (lb.block < lb.rowWords &&
+                        lb.block % P_.pcu.lanes != 0) {
+                        // The AG frames each block into its own
+                        // vectors (the last one partial), so walk the
+                        // row block by block:
+                        // addr = row * stride + blk + lane.
+                        CounterCfg blk;
+                        blk.max = lb.rowWords;
+                        blk.step = lb.block;
+                        wordsc.max = lb.block;
+                        wp.chain.ctrs = {rows, blk, wordsc};
+                        st.op = FuOp::kIMA;
+                        st.c = Operand::ctr(1);
+                        st2.b = Operand::ctr(2);
+                    } else {
+                        wordsc.max = lb.rowWords;
+                        wp.chain.ctrs = {rows, wordsc};
+                        st.op = FuOp::kIMul;
+                        st2.b = Operand::ctr(1);
+                    }
                     wp.addrStages = {st, st2};
                     wp.addrReg = 1;
                     wp.dataVecIn =
@@ -1333,6 +1355,29 @@ Mapper::createPmus()
 // AG construction
 // =====================================================================
 
+Mapper::LoadBlock
+Mapper::loadBlock(const TransferDesc &x) const
+{
+    LoadBlock lb;
+    lb.rowWords = x.rowWordsArg != kNone
+                      ? wordToInt(prog_.args[x.rowWordsArg].value)
+                      : x.rowWords;
+    // A command may not exceed the coalescing unit's outstanding-burst
+    // budget. B words at any word offset span at most (B + 14) / 16 + 1
+    // bursts, so blocks of up to 16 * (budget - 1) + 1 words always
+    // fit; split long rows into the largest dividing block within that
+    // and 256.
+    const int64_t burst_words = kBurstBytes / 4;
+    const int64_t max_block = std::max<int64_t>(
+        1, std::min<int64_t>(
+               256, burst_words * (int64_t{P_.coalescerMaxOutstanding} - 1) +
+                        1));
+    lb.block = std::min<int64_t>(lb.rowWords, max_block);
+    while (lb.block > 1 && lb.rowWords % lb.block)
+        --lb.block;
+    return lb;
+}
+
 void
 Mapper::createAgs()
 {
@@ -1378,29 +1423,13 @@ Mapper::createAgs()
             }
         } else if (x.load) {
             cfg.mode = AgMode::kDenseLoad;
-            int64_t row_words =
-                x.rowWordsArg != kNone
-                    ? wordToInt(prog_.args[x.rowWordsArg].value)
-                    : x.rowWords;
-            // A command may not exceed the coalescing unit's
-            // outstanding-burst budget. B words at any word offset span
-            // at most (B + 14) / 16 + 1 bursts, so blocks of up to
-            // 16 * (budget - 1) + 1 words always fit; split long rows
-            // into the largest dividing block within that and 256.
-            const int64_t burst_words = kBurstBytes / 4;
-            const int64_t max_block = std::max<int64_t>(
-                1, std::min<int64_t>(
-                       256, burst_words * (int64_t{P_.coalescerMaxOutstanding}
-                                           - 1) + 1));
-            int64_t block = std::min<int64_t>(row_words, max_block);
-            while (block > 1 && row_words % block)
-                --block;
+            const LoadBlock lb = loadBlock(x);
             CounterCfg rows, wblk;
             rows.max = x.rows;
-            wblk.max = row_words;
-            wblk.step = block;
+            wblk.max = lb.rowWords;
+            wblk.step = lb.block;
             cfg.chain.ctrs = {rows, wblk};
-            cfg.wordsPerCmd = static_cast<uint32_t>(block);
+            cfg.wordsPerCmd = static_cast<uint32_t>(lb.block);
             // addr = base expr + row * dramRowStride + wblk
             uint8_t base_reg = 0;
             cfg.addrStages =

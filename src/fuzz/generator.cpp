@@ -161,7 +161,12 @@ void
 genTileMap(Builder &b, NodeId root, Rng &rng, int k)
 {
     const bool isFloat = rng.nextBounded(2) == 0;
-    const int64_t rt = 16 * (2 + static_cast<int64_t>(rng.nextBounded(3)));
+    // Rows off the 16-lane grid end in a partial vector and, under a
+    // small outstanding-burst budget, load as blocks that are not a
+    // multiple of the lane count.
+    static const int64_t rowTail[] = {0, 2, 9};
+    const int64_t rt = 16 * (2 + static_cast<int64_t>(rng.nextBounded(3))) +
+                       pick(rng, rowTail);
     const int64_t nT = 1 + static_cast<int64_t>(rng.nextBounded(3));
     const int64_t n = rt * nT;
     const CtrlScheme scheme = rng.nextBounded(2) == 0
@@ -303,6 +308,7 @@ sampleArch(Rng &rng)
     static const uint32_t vtr[] = {3, 4, 6};
     static const uint32_t str[] = {6, 8};
     static const uint32_t ags[] = {16, 34};
+    static const uint32_t budget[] = {2, 3, 64};
     p.gridCols = pick(rng, cols);
     p.gridRows = pick(rng, rows);
     p.pcu.stages = pick(rng, stages);
@@ -314,6 +320,7 @@ sampleArch(Rng &rng)
     p.vectorTracks = pick(rng, vtr);
     p.scalarTracks = pick(rng, str);
     p.numAgs = pick(rng, ags);
+    p.coalescerMaxOutstanding = pick(rng, budget);
     return p;
 }
 

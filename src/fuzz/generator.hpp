@@ -24,7 +24,9 @@ namespace plast::fuzz
 /**
  * Sample a legal ArchParams point. Lanes and banks stay at 16 (the
  * compiler's vectorization width); everything else varies within the
- * design-space bounds swept by the paper's Figure 7.
+ * design-space bounds swept by the paper's Figure 7, plus the
+ * coalescing units' outstanding-burst budget (2, 3 or the default 64),
+ * whose small values split long tile-load rows into short commands.
  */
 ArchParams sampleArch(Rng &rng);
 

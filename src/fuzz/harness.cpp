@@ -137,7 +137,8 @@ writeSeedFile(std::ostream &os, const FuzzCase &c)
        << p.pcu.stages << ' ' << p.pcu.fifoDepth << ' '
        << p.pmu.bankKilobytes << ' ' << p.dram.channels << ' '
        << p.dram.queueDepth << ' ' << p.vectorTracks << ' '
-       << p.scalarTracks << ' ' << p.numAgs << '\n';
+       << p.scalarTracks << ' ' << p.numAgs << ' '
+       << p.coalescerMaxOutstanding << '\n';
     os << "inject " << c.inject << '\n';
     if (c.expectDiagnosed)
         os << "expect diagnosed\n";
@@ -175,6 +176,16 @@ readSeedFile(std::istream &is, FuzzCase &out, std::string *err)
           p.dram.queueDepth >> p.vectorTracks >> p.scalarTracks >>
           p.numAgs))
         return fail("seed file must start with an 'arch' line");
+    // Optional 11th field: the outstanding-burst budget. Seed files
+    // written before it existed replay at the default of 64.
+    uint32_t budget = 0;
+    if (arch >> budget) {
+        if (budget == 0)
+            return fail("'arch' outstanding-burst budget must be >= 1");
+        p.coalescerMaxOutstanding = budget;
+    } else if (!arch.eof()) {
+        return fail("bad outstanding-burst budget in 'arch' line");
+    }
     p.pmu.fifoDepth = p.pcu.fifoDepth;
     uint32_t inj = 0;
     if (!nextLine(line))

@@ -66,6 +66,11 @@ DiffResult runCase(const FuzzCase &c, bool checkDense = true);
 
 // ---- seed files -----------------------------------------------------
 
+/** Seed-file header: `arch <cols> <rows> <pcu stages> <fifo depth>
+ *  <bank KB> <dram channels> <queue depth> <vector tracks> <scalar
+ *  tracks> <AGs> [<outstanding-burst budget>]` (an absent budget reads
+ *  as 64), then `inject <mode>`, an optional `expect diagnosed`, and
+ *  the program text. */
 void writeSeedFile(std::ostream &os, const FuzzCase &c);
 bool readSeedFile(std::istream &is, FuzzCase &out,
                   std::string *err = nullptr);

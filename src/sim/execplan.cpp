@@ -227,6 +227,17 @@ class SlotProgram
         return op(FuOp::kIMul, a, b, 0);
     }
 
+    /** slots[a] * slots[b] + slots[c] as one multiply-add slot. */
+    uint32_t
+    ima(uint32_t a, uint32_t b, uint32_t c)
+    {
+        if (a == 0 || b == 0)
+            return c;
+        if (c == 0)
+            return mul(a, b);
+        return op(FuOp::kIMA, a, b, c);
+    }
+
     std::vector<Slot> take() { return std::move(slots_); }
 
   private:
@@ -337,6 +348,18 @@ lowerAddrProgram(const std::vector<StageCfg> &stages, uint8_t resultReg,
             res.base = prog.mul(affn.base, k.base);
             for (uint32_t i = 0; i < kMaxCtrs; ++i)
                 res.coeff[i] = prog.mul(affn.coeff[i], k.base);
+            break;
+          }
+          case FuOp::kIMA: {
+            // a*b + c: the product term as for kIMul, then c added
+            // slot-wise, all in one mod-2^32 multiply-add per slot.
+            if (!a.runConst() && !b.runConst())
+                return false;
+            const AbsVal &affn = a.runConst() ? b : a;
+            const AbsVal &k = a.runConst() ? a : b;
+            res.base = prog.ima(affn.base, k.base, c.base);
+            for (uint32_t i = 0; i < kMaxCtrs; ++i)
+                res.coeff[i] = prog.ima(affn.coeff[i], k.base, c.coeff[i]);
             break;
           }
           case FuOp::kShl:

@@ -107,8 +107,9 @@ PcuExecPlan buildPcuPlan(const PcuCfg &cfg);
  * scalar inputs, values computed purely from them) is *run-constant* —
  * scalar inputs are popped only when a run completes, so they cannot
  * change between accesses of one run. When every stage preserves
- * affinity (add/sub always; mul/shl when one side is run-constant; any
- * op when all operands are run-constant), the whole program collapses
+ * affinity (add/sub always; mul and the multiply-add ima(a, b, c) when
+ * a multiplicand is run-constant; shl when the shift is; any op when
+ * all operands are run-constant), the whole program collapses
  * to
  *
  *     addr = slots[base] + sum_i slots[coeff[i]] * ctr[i]   (mod 2^32)

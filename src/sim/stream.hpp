@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "base/logging.hpp"
 #include "base/ring.hpp"
@@ -132,8 +133,7 @@ class Stream : public StreamBase
     bool
     canPush() const
     {
-        return inFlight_.size() + queue_.size() + stagedPushes_ <
-               latency_ + capacity_;
+        return ring_.size() < latency_ + capacity_;
     }
 
     /** Stage a push; the element arrives `latency` cycles later. */
@@ -142,7 +142,7 @@ class Stream : public StreamBase
     {
         panic_if(!canPush(), "stream %s: push on full stream",
                  name_.c_str());
-        pushBuf_.push_back(v);
+        ring_.push_slot().value = v; // arrival is stamped at commit
         ++stagedPushes_;
         ++stats_.pushes;
         markDirty();
@@ -152,14 +152,13 @@ class Stream : public StreamBase
     bool
     canPop() const
     {
-        return queue_.size() > stagedPops_;
+        return delivered_ > stagedPops_;
     }
 
     size_t
     available() const override
     {
-        return queue_.size() > stagedPops_ ? queue_.size() - stagedPops_
-                                           : 0;
+        return canPop() ? delivered_ - stagedPops_ : 0;
     }
 
     const T &
@@ -167,7 +166,7 @@ class Stream : public StreamBase
     {
         panic_if(!canPop(), "stream %s: front on empty stream",
                  name_.c_str());
-        return queue_[stagedPops_];
+        return ring_[stagedPops_].value;
     }
 
     void
@@ -184,32 +183,35 @@ class Stream : public StreamBase
     void
     preload(const T &v)
     {
-        queue_.push_back(v);
+        panic_if(delivered_ != ring_.size(),
+                 "stream %s: preload behind in-flight traffic",
+                 name_.c_str());
+        ring_.push_slot().value = v;
+        ++delivered_;
     }
 
-    /** Commit phase: apply staged pops/pushes and advance arrivals. */
+    /** Commit phase: apply staged pops/pushes and advance arrivals.
+     *  Elements never move: pops drop ring heads, pushes get their
+     *  arrival stamped in place, and delivery grows the FIFO segment. */
     CommitResult
     commit(Cycles now) override
     {
         CommitResult res;
         if (stagedPops_ > 0)
             res.drained = true;
-        while (stagedPops_ > 0) {
-            queue_.pop_front();
-            --stagedPops_;
-        }
-        for (auto &v : pushBuf_)
-            inFlight_.push_back({now + latency_, std::move(v)});
-        pushBuf_.clear();
+        for (; stagedPops_ > 0; --stagedPops_, --delivered_)
+            ring_.pop_front();
+        for (size_t i = ring_.size() - stagedPushes_; i < ring_.size(); ++i)
+            ring_[i].arrival = now + latency_;
         stagedPushes_ = 0;
-        while (!inFlight_.empty() && inFlight_.front().arrival <= now + 1 &&
-               queue_.size() < capacity_) {
-            stats_.fullStallCycles += now + 1 - inFlight_.front().arrival;
-            queue_.push_back(std::move(inFlight_.front().value));
-            inFlight_.pop_front();
+        while (delivered_ < ring_.size() &&
+               ring_[delivered_].arrival <= now + 1 &&
+               delivered_ < capacity_) {
+            stats_.fullStallCycles += now + 1 - ring_[delivered_].arrival;
+            ++delivered_;
             res.delivered = true;
         }
-        uint64_t occ = inFlight_.size() + queue_.size();
+        uint64_t occ = ring_.size();
         if (occ > stats_.peakOccupancy)
             stats_.peakOccupancy = occ;
         if (trace_ && occ != lastTracedOcc_) {
@@ -219,9 +221,10 @@ class Stream : public StreamBase
         }
         // A stalled arrival (due but the FIFO is full) needs no timer:
         // the consumer's pop dirties the stream and the same commit
-        // both frees the slot and moves the element in.
-        if (!inFlight_.empty() && inFlight_.front().arrival > now + 1)
-            res.nextArrival = inFlight_.front().arrival - 1;
+        // both frees the slot and delivers the element.
+        if (delivered_ < ring_.size() &&
+            ring_[delivered_].arrival > now + 1)
+            res.nextArrival = ring_[delivered_].arrival - 1;
         return res;
     }
 
@@ -231,7 +234,7 @@ class Stream : public StreamBase
     bool
     quiescent() const override
     {
-        return inFlight_.empty() && queue_.empty() && stagedPushes_ == 0;
+        return ring_.empty();
     }
 
     /**
@@ -242,31 +245,31 @@ class Stream : public StreamBase
     bool
     injectDrop()
     {
-        if (!queue_.empty())
-        {
-            queue_.pop_front();
+        if (delivered_ > 0) {
+            ring_.pop_front();
+            --delivered_;
             return true;
         }
-        if (!inFlight_.empty())
-        {
-            inFlight_.pop_front();
+        if (inFlightEnd() > delivered_) {
+            ring_.pop_front();
             return true;
         }
         return false;
     }
 
-    /** Fault injection: replay (duplicate) the head element. */
+    /** Fault injection: replay one element. While the receiver FIFO
+     *  has room its head is duplicated onto its tail; otherwise the
+     *  last in-flight element is re-sent right behind itself. */
     bool
     injectDuplicate()
     {
-        if (!queue_.empty() && queue_.size() < capacity_)
-        {
-            queue_.push_back(queue_.front());
+        if (delivered_ > 0 && delivered_ < capacity_) {
+            insertAt(delivered_, ring_[0]);
+            ++delivered_;
             return true;
         }
-        if (!inFlight_.empty())
-        {
-            inFlight_.push_back(inFlight_.back());
+        if (inFlightEnd() > delivered_) {
+            insertAt(inFlightEnd(), ring_[inFlightEnd() - 1]);
             return true;
         }
         return false;
@@ -275,25 +278,49 @@ class Stream : public StreamBase
     /**
      * Checkpoint the stream. Only legal at a cycle boundary, where
      * staged traffic is provably empty (every push/pop commits in the
-     * same cycle it was staged).
+     * same cycle it was staged). The tape holds the in-flight segment
+     * ({arrival, value} each), then the receiver FIFO (values), each
+     * prefixed by its length.
      */
     template <class Ar>
     void
     serializeState(Ar &ar)
     {
-        panic_if(stagedPushes_ != 0 || stagedPops_ != 0 ||
-                     !pushBuf_.empty(),
+        panic_if(stagedPushes_ != 0 || stagedPops_ != 0,
                  "stream %s: checkpoint with staged traffic",
                  name_.c_str());
-        io(ar, inFlight_);
-        io(ar, queue_);
+        uint64_t flying = ring_.size() - delivered_;
+        io(ar, flying);
+        if constexpr (Ar::kSaving) {
+            for (size_t i = delivered_; i < ring_.size(); ++i)
+                io(ar, ring_[i]);
+            uint64_t fifo = delivered_;
+            io(ar, fifo);
+            for (size_t i = 0; i < delivered_; ++i)
+                io(ar, ring_[i].value);
+        } else {
+            std::vector<Item> inFlight(flying);
+            for (Item &it : inFlight)
+                io(ar, it);
+            uint64_t fifo = 0;
+            io(ar, fifo);
+            ring_.clear();
+            ring_.resize(fifo);
+            for (size_t i = 0; i < fifo; ++i)
+                io(ar, ring_[i].value);
+            delivered_ = fifo;
+            for (Item &it : inFlight)
+                ring_.push_back(std::move(it));
+        }
         io(ar, stats_);
     }
 
   private:
-    struct InFlight
+    /** One element. `arrival` is stamped at commit and is meaningful
+     *  only while the element is in flight. */
+    struct Item
     {
-        Cycles arrival;
+        Cycles arrival = 0;
         T value;
 
         template <class Ar>
@@ -305,9 +332,27 @@ class Stream : public StreamBase
         }
     };
 
-    Ring<InFlight> inFlight_;
-    Ring<T> queue_;
-    Ring<T> pushBuf_;
+    /** End of the in-flight segment (staged pushes follow it). */
+    size_t inFlightEnd() const { return ring_.size() - stagedPushes_; }
+
+    /** Insert a copy of `it` before ring index `idx` (fault path). */
+    void
+    insertAt(size_t idx, Item it)
+    {
+        ring_.push_back(it);
+        for (size_t i = ring_.size() - 1; i > idx; --i)
+            ring_[i] = ring_[i - 1];
+        ring_[idx] = std::move(it);
+    }
+
+    /**
+     * Every element, front to back: the first `delivered_` items are
+     * the receiver FIFO (the first `stagedPops_` of them already
+     * popped this cycle), then the in-flight items in arrival order,
+     * then the last `stagedPushes_` items pushed this cycle.
+     */
+    Ring<Item> ring_;
+    size_t delivered_ = 0;
     uint32_t stagedPushes_ = 0;
     uint32_t stagedPops_ = 0;
 };

@@ -12,12 +12,23 @@ namespace
 {
 
 Runner::Result
-runValidated(apps::AppInstance app)
+runValidated(apps::AppInstance app,
+             ArchParams params = ArchParams::plasticineFinal())
 {
     setVerbose(false);
-    Runner r(std::move(app.prog));
+    Runner r(std::move(app.prog), params);
     app.load(r);
     return r.runValidated();
+}
+
+const apps::AppSpec *
+findApp(const std::string &name)
+{
+    for (const auto &spec : apps::allApps()) {
+        if (spec.name == name)
+            return &spec;
+    }
+    return nullptr;
 }
 
 } // namespace
@@ -28,14 +39,25 @@ class EndToEnd : public ::testing::TestWithParam<std::string>
 
 TEST_P(EndToEnd, FabricMatchesReferenceBitExactly)
 {
-    for (const auto &spec : apps::allApps()) {
-        if (spec.name != GetParam())
-            continue;
-        Runner::Result res = runValidated(spec.make(apps::Scale::kTiny));
-        EXPECT_GT(res.cycles, 0u);
-        return;
-    }
-    FAIL() << "unknown benchmark";
+    const apps::AppSpec *spec = findApp(GetParam());
+    ASSERT_NE(spec, nullptr) << "unknown benchmark";
+    Runner::Result res = runValidated(spec->make(apps::Scale::kTiny));
+    EXPECT_GT(res.cycles, 0u);
+}
+
+/** With an outstanding-burst budget of 2, long tile-load rows split
+ *  into blocks that are not a multiple of the lane count (CNN's input
+ *  rows among them); the scratchpad must still receive every word at
+ *  its own address. */
+TEST_P(EndToEnd, MatchesReferenceAtTwoOutstandingBursts)
+{
+    const apps::AppSpec *spec = findApp(GetParam());
+    ASSERT_NE(spec, nullptr) << "unknown benchmark";
+    ArchParams params = ArchParams::plasticineFinal();
+    params.coalescerMaxOutstanding = 2;
+    Runner::Result res =
+        runValidated(spec->make(apps::Scale::kTiny), params);
+    EXPECT_GT(res.cycles, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -69,6 +91,17 @@ TEST_P(InnerProductPar, ValidatesAtEveryUnrollFactor)
 
 INSTANTIATE_TEST_SUITE_P(Factors, InnerProductPar,
                          ::testing::Values(1u, 2u, 4u, 8u));
+
+/** CNN at default scale loads 324-word input rows as two 162-word
+ *  commands each, so its scratchpad write port walks the rows block by
+ *  block. */
+TEST(EndToEndExtra, CnnMatchesReferenceAtDefaultScale)
+{
+    const apps::AppSpec *cnn = findApp("CNN");
+    ASSERT_NE(cnn, nullptr);
+    Runner::Result res = runValidated(cnn->make(apps::Scale::kDefault));
+    EXPECT_GT(res.cycles, 0u);
+}
 
 TEST(EndToEndExtra, MoreParallelismIsNotSlower)
 {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -125,7 +126,58 @@ TEST(Fuzz, SeedFileRoundTrip)
     EXPECT_EQ(back.params.dram.channels, c.params.dram.channels);
     EXPECT_EQ(back.params.vectorTracks, c.params.vectorTracks);
     EXPECT_EQ(back.params.numAgs, c.params.numAgs);
+    EXPECT_EQ(back.params.coalescerMaxOutstanding,
+              c.params.coalescerMaxOutstanding);
     EXPECT_EQ(programToText(back.prog), programToText(c.prog));
+}
+
+TEST(Fuzz, SeedFileCarriesOutstandingBudget)
+{
+    FuzzCase c = caseForSeed(9);
+    c.params.coalescerMaxOutstanding = 3;
+    std::ostringstream os;
+    writeSeedFile(os, c);
+    std::string text = os.str();
+
+    FuzzCase back;
+    std::string err;
+    std::istringstream is(text);
+    ASSERT_TRUE(readSeedFile(is, back, &err)) << err;
+    EXPECT_EQ(back.params.coalescerMaxOutstanding, 3u);
+
+    // Without the 11th field (every seed written before the fuzzer
+    // varied the budget) the file replays at the default of 64.
+    size_t arch = text.find("\narch ");
+    ASSERT_NE(arch, std::string::npos);
+    size_t eol = text.find('\n', arch + 1);
+    size_t last = text.rfind(' ', eol);
+    std::string legacy = text.substr(0, last) + text.substr(eol);
+    std::istringstream lis(legacy);
+    ASSERT_TRUE(readSeedFile(lis, back, &err)) << err;
+    EXPECT_EQ(back.params.coalescerMaxOutstanding, 64u);
+    EXPECT_EQ(programToText(back.prog), programToText(c.prog));
+
+    // A malformed or zero budget is an error, not a silent default.
+    for (const char *bad : {" x", " 0"}) {
+        std::string t = text.substr(0, last) + bad + text.substr(eol);
+        std::istringstream bis(t);
+        EXPECT_FALSE(readSeedFile(bis, back, &err)) << bad;
+    }
+}
+
+TEST(Fuzz, SamplerReachesSmallBudgetsAndOffGridRows)
+{
+    std::set<uint32_t> budgets;
+    bool offGridRow = false;
+    for (uint64_t s = 1; s <= 80; ++s) {
+        FuzzCase c = caseForSeed(s);
+        budgets.insert(c.params.coalescerMaxOutstanding);
+        for (const MemDecl &m : c.prog.mems)
+            offGridRow |= m.kind == MemKind::kSram && m.name[0] == 't' &&
+                          m.sizeWords % 16 != 0;
+    }
+    EXPECT_EQ(budgets, (std::set<uint32_t>{2, 3, 64}));
+    EXPECT_TRUE(offGridRow) << "tile rows of 16k + {2, 9} words";
 }
 
 TEST(Fuzz, SoakFindsNoMismatches)
