@@ -9,6 +9,13 @@
  * multicast trees are source-shortest by construction, so a regression
  * here means a router bug, and the run exits nonzero.
  *
+ * A second, negotiated-only leg compiles every benchmark at one vector
+ * track (the starved point of the compile sweep), where some designs
+ * are rejected. Per app it reports `rejected`, routed hops, route
+ * rounds summed over all placement attempts, attempts and compile
+ * time; CI gates these against the committed BENCH_mapper.json with
+ * bench_compare (counters exactly, `*compile_us` as wall-clock).
+ *
  *   bench_mapper [--tiny] [--stats-json=PATH]
  */
 
@@ -103,9 +110,9 @@ main(int argc, char **argv)
             auto put = [&](const std::string &k, uint64_t v) {
                 json_stats.set(app.name + "." + k, v);
             };
-            put("greedy.compileUs",
+            put("greedy.compile_us",
                 static_cast<uint64_t>(g.micros));
-            put("negotiated.compileUs",
+            put("negotiated.compile_us",
                 static_cast<uint64_t>(n.micros));
             put("greedy.routedHops", gd.routedHops);
             put("negotiated.routedHops", nd.routedHops);
@@ -127,6 +134,44 @@ main(int argc, char **argv)
                 "negotiated router is hop-optimal per multicast "
                 "terminal when uncongested, so n_hops <= g_hops must "
                 "hold on every benchmark.\n");
+
+    // Negotiated only, one vector track: rejections must be typed.
+    ArchParams starved = params;
+    starved.vectorTracks = 1;
+    std::printf("\n=== Negotiated routing at %u vector track ===\n",
+                starved.vectorTracks);
+    std::printf("%-14s | %9s | %8s | %7s | %6s | %8s\n", "benchmark",
+                "negot_us", "rejected", "n_hops", "rounds", "attempts");
+    for (const auto &spec : apps::allApps()) {
+        apps::AppInstance app = spec.make(scale);
+        CompileSample n = compileWith(app.prog, starved,
+                                      compiler::RouterMode::kNegotiated);
+        const auto &nd = n.map.report;
+        uint64_t rounds = 0;
+        for (const auto &a : nd.diag.attempts)
+            rounds += a.rounds;
+        if (!nd.ok && nd.diag.binding.empty()) {
+            std::printf("%s: untyped rejection: %s\n", app.name.c_str(),
+                        nd.error.c_str());
+            ++regressions;
+        }
+        std::printf("%-14s | %9.0f | %8s | %7llu | %6llu | %8u\n",
+                    app.name.c_str(), n.micros,
+                    nd.ok ? "-" : nd.diag.binding.c_str(),
+                    static_cast<unsigned long long>(nd.routedHops),
+                    static_cast<unsigned long long>(rounds),
+                    nd.diag.placementAttempts);
+        if (!json_path.empty()) {
+            auto put = [&](const std::string &k, uint64_t v) {
+                json_stats.set(app.name + ".vtracks1." + k, v);
+            };
+            put("compile_us", static_cast<uint64_t>(n.micros));
+            put("rejected", nd.ok ? 0 : 1);
+            put("routedHops", nd.routedHops);
+            put("routeRounds", rounds);
+            put("placementAttempts", nd.diag.placementAttempts);
+        }
+    }
     bench::writeStatsJson(json_path, json_stats, "mapper", params);
     return regressions == 0 ? 0 : 1;
 }

@@ -25,22 +25,23 @@ Geometry::unitIndexAt(uint32_t c, uint32_t r) const
 void
 Geometry::siteOf(UnitClass cls, uint32_t idx, uint32_t &c, uint32_t &r) const
 {
-    bool want_pcu = (cls == UnitClass::kPcu);
-    uint32_t seen = 0;
-    for (uint32_t rr = 0; rr < rows(); ++rr) {
-        for (uint32_t cc = 0; cc < cols(); ++cc) {
-            if (siteIsPcu(cc, rr) == want_pcu) {
-                if (seen == idx) {
-                    c = cc;
-                    r = rr;
-                    return;
-                }
-                ++seen;
-            }
-        }
+    // Each pair of rows holds `cols` units of either class: an even row
+    // has ceil(cols/2) PCUs and floor(cols/2) PMUs, an odd row the
+    // reverse. Within a row the class alternates, starting at column
+    // (r & 1) for PCUs and (~r & 1) for PMUs.
+    const bool pcu = cls == UnitClass::kPcu;
+    const uint32_t evenRowCount = pcu ? (cols() + 1) / 2 : cols() / 2;
+    const uint32_t pair = idx / cols();
+    uint32_t k = idx % cols();
+    uint32_t rr = 2 * pair;
+    if (k >= evenRowCount) {
+        k -= evenRowCount;
+        ++rr;
     }
-    panic("siteOf: %s index %u out of range", unitClassName(cls).c_str(),
-          idx);
+    panic_if(rr >= rows(), "siteOf: %s index %u out of range",
+             unitClassName(cls).c_str(), idx);
+    r = rr;
+    c = 2 * k + ((rr + (pcu ? 0u : 1u)) & 1u);
 }
 
 SwitchCoord

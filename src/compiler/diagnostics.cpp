@@ -93,6 +93,11 @@ CompileDiagnostics::summary() const
             s += "\n  check " + c.describe();
     }
     for (const RouteAttempt &a : attempts) {
+        if (!a.proof.empty()) {
+            s += strfmt("\n  attempt %u: proven unroutable: %s",
+                        a.placement, a.proof.c_str());
+            continue;
+        }
         s += strfmt("\n  attempt %u: %s after %u round(s), %u overused "
                     "link(s), %llu hops",
                     a.placement, a.routed ? "routed" : "congested",

@@ -55,6 +55,9 @@ struct RouteAttempt
     uint32_t overusedLinks = 0; ///< links still over capacity at the end
     uint64_t routedHops = 0;    ///< sum of per-channel hops
     bool routed = false;
+    /** Saturated switch side or cut when routing was proven impossible
+     *  before negotiation (rounds == 0); not part of the JSON dump. */
+    std::string proof;
 };
 
 /** One capacity spill the compiler applied instead of failing. */

@@ -1961,8 +1961,26 @@ Mapper::placeAndRoute(FabricConfig &fab)
     Rng rng(opts_.seed);
     uint64_t noiseMag = 0;
 
+    // Site -> switch per class, and each site's distance to the grid
+    // centre (central sites win when a unit is unconstrained).
+    const SwitchCoord centre{static_cast<int>(P_.gridCols / 2),
+                             static_cast<int>(P_.gridRows / 2)};
+    auto siteTable = [&](UnitClass cls, uint32_t capacity) {
+        std::vector<std::pair<SwitchCoord, uint32_t>> t(capacity);
+        for (uint32_t site = 0; site < capacity; ++site) {
+            SwitchCoord sc = geom_.switchOf(cls, site);
+            t[site] = {sc, Geometry::manhattan(sc, centre)};
+        }
+        return t;
+    };
+    const auto pcuSites = siteTable(UnitClass::kPcu, P_.numPcus());
+    const auto pmuSites = siteTable(UnitClass::kPmu, P_.numPmus());
+
     auto greedyPlace = [&](UnitClass cls, size_t count,
-                           std::vector<int> &phys, uint32_t capacity) {
+                           std::vector<int> &phys) {
+        const auto &sites =
+            cls == UnitClass::kPcu ? pcuSites : pmuSites;
+        const uint32_t capacity = static_cast<uint32_t>(sites.size());
         std::vector<bool> taken(capacity, false);
         // Faulted sites are permanently occupied (degraded re-mapping).
         const std::vector<uint32_t> &masked =
@@ -1971,26 +1989,26 @@ Mapper::placeAndRoute(FabricConfig &fab)
             if (m < capacity)
                 taken[m] = true;
         }
+        std::vector<SwitchCoord> placedNbs;
         for (size_t u = 0; u < count; ++u) {
             std::pair<UnitClass, uint16_t> key{
                 cls, static_cast<uint16_t>(u)};
+            placedNbs.clear();
+            for (const auto &nb : adj[key]) {
+                SwitchCoord nc = placedSwitch(nb);
+                if (nc.col >= 0)
+                    placedNbs.push_back(nc);
+            }
             int best = -1;
             uint64_t best_cost = ~0ull;
             for (uint32_t site = 0; site < capacity; ++site) {
                 if (taken[site])
                     continue;
-                SwitchCoord sc = geom_.switchOf(cls, site);
+                const auto &[sc, toCentre] = sites[site];
                 uint64_t cost = 0;
-                for (const auto &nb : adj[key]) {
-                    SwitchCoord nc = placedSwitch(nb);
-                    if (nc.col >= 0)
-                        cost += Geometry::manhattan(sc, nc);
-                }
-                // Prefer central sites when unconstrained.
-                cost = cost * 64 +
-                       Geometry::manhattan(
-                           sc, {static_cast<int>(P_.gridCols / 2),
-                                static_cast<int>(P_.gridRows / 2)});
+                for (const SwitchCoord &nc : placedNbs)
+                    cost += Geometry::manhattan(sc, nc);
+                cost = cost * 64 + toCentre;
                 if (noiseMag)
                     cost += rng.nextBounded(noiseMag);
                 if (cost < best_cost) {
@@ -2029,10 +2047,8 @@ Mapper::placeAndRoute(FabricConfig &fab)
         std::fill(pmuPhys.begin(), pmuPhys.end(), -1);
         std::fill(boxPhys.begin(), boxPhys.end(), -1);
 
-        greedyPlace(UnitClass::kPcu, pcus_.size(), pcuPhys,
-                    P_.numPcus());
-        greedyPlace(UnitClass::kPmu, pmus_.size(), pmuPhys,
-                    P_.numPmus());
+        greedyPlace(UnitClass::kPcu, pcus_.size(), pcuPhys);
+        greedyPlace(UnitClass::kPmu, pmus_.size(), pmuPhys);
 
         // Boxes: nearest free switch to the centroid of their neighbors.
         std::set<int> box_sites;
@@ -2067,6 +2083,16 @@ Mapper::placeAndRoute(FabricConfig &fab)
                         best = site;
                     }
                 }
+            }
+            if (best < 0) {
+                // Every switch already hosts a box: one box per outer
+                // controller cannot fit (the pre-check's "box" rule).
+                failBinding("box",
+                            strfmt("needs %zu control boxes, chip has "
+                                   "%u switches",
+                                   boxes_.size(),
+                                   P_.switchCols() * P_.switchRows()));
+                return false;
             }
             boxPhys[b] = best;
             box_sites.insert(best);
@@ -2110,6 +2136,7 @@ Mapper::placeAndRoute(FabricConfig &fab)
         ra.overusedLinks = outcome.overusedLinks;
         ra.routedHops = outcome.totalHops;
         ra.routed = outcome.routed;
+        ra.proof = outcome.proof;
         diag_.attempts.push_back(ra);
         diag_.placementAttempts = attempt + 1;
 
@@ -2123,6 +2150,9 @@ Mapper::placeAndRoute(FabricConfig &fab)
                 chans_[static_cast<size_t>(outcome.failedNet)]
                     .describe()
                     .c_str());
+        } else if (!outcome.proof.empty()) {
+            lastFail = "routing failed: proven unroutable: " +
+                       outcome.proof;
         } else {
             lastFail = strfmt("routing failed: %u links over capacity "
                               "after %u rip-up rounds",

@@ -37,10 +37,12 @@ precheckProgram(const Program &prog, const ArchParams &params,
 
     // ---- walk the controller tree --------------------------------
     std::vector<NodeId> leaves, xfers;
+    uint64_t outers = 0;
     std::function<void(NodeId)> walk = [&](NodeId id) {
         const Node &n = prog.nodes[id];
         switch (n.kind) {
           case NodeKind::kOuter:
+            ++outers;
             for (NodeId c : n.children)
                 walk(c);
             return;
@@ -175,6 +177,11 @@ precheckProgram(const Program &prog, const ArchParams &params,
               maskedPmus ? strfmt("%u masked as faulted", maskedPmus)
                          : "");
     pushCheck("ag", agDemand, params.numAgs, "");
+    // One control box per outer controller, each on its own switch.
+    pushCheck("box", outers,
+              static_cast<uint64_t>(params.switchCols()) *
+                  params.switchRows(),
+              "");
 
     // ---- per-port channel pressure (chunk maxima vs PCU ports) ---
     pushCheck("pcu.vectorIns", maxVi, params.pcu.vectorIns, "");

@@ -1,13 +1,15 @@
 /**
  * @file
- * Compile feasibility pre-check: totals the virtual PCU / PMU / AG
- * demand, scratchpad bytes and per-port channel pressure of a program
- * against the target ArchParams *before* running placement and
- * routing, and names the binding resource when the design cannot fit.
+ * Compile feasibility pre-check: totals the virtual PCU / PMU / AG /
+ * control-box demand, scratchpad bytes and per-port channel pressure
+ * of a program against the target ArchParams *before* running
+ * placement and routing, and names the binding resource when the
+ * design cannot fit.
  *
  * The counting rules mirror the mapper's unit-construction phases
  * exactly (one PCU per partition chunk, one PMU per (memory, reader)
- * pair, one AG per transfer / DRAM stream / stream-out sink), so a
+ * pair, one AG per transfer / DRAM stream / stream-out sink, one
+ * control box per outer controller on a switch of its own), so a
  * design the pre-check rejects would necessarily fail the full
  * pipeline — the pre-check just fails in microseconds with a
  * structured report instead of deep inside placement. Scratchpad

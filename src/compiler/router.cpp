@@ -1,10 +1,12 @@
 #include "compiler/router.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
-#include <queue>
 #include <set>
 #include <tuple>
+
+#include "base/logging.hpp"
 
 namespace plast::compiler
 {
@@ -123,6 +125,226 @@ struct Group
     std::vector<size_t> nets;
 };
 
+/** A link over capacity: `over` tracks beyond the per-link limit. */
+struct Hot
+{
+    uint32_t over;
+    int k;
+    size_t link;
+};
+
+/** Worst eight hot links (stable in link order) into `out.hotspots`. */
+void
+reportHotspots(std::vector<Hot> &hots, const RouterGrid &grid,
+               RouteOutcome &out)
+{
+    std::stable_sort(hots.begin(), hots.end(),
+                     [](const Hot &a, const Hot &b) {
+                         return a.over > b.over;
+                     });
+    if (hots.size() > 8)
+        hots.resize(8);
+    for (const Hot &h : hots) {
+        CongestionHotspot spot;
+        size_t node = h.link / 4;
+        int dir = static_cast<int>(h.link % 4);
+        spot.fromCol = static_cast<int>(node) % grid.cols;
+        spot.fromRow = static_cast<int>(node) / grid.cols;
+        spot.toCol = spot.fromCol + kDc[dir];
+        spot.toRow = spot.fromRow + kDr[dir];
+        spot.kind = static_cast<NetKind>(h.k);
+        spot.capacity = grid.trackCap(spot.kind);
+        spot.demand = spot.capacity + h.over;
+        out.hotspots.push_back(spot);
+    }
+}
+
+/**
+ * Counting proof run before negotiation. A group with a terminal off
+ * its source switch holds a track of its own on at least one link of
+ * each of these sets, in any legal routing:
+ *   - the out-links of its source switch;
+ *   - the in-links of each terminal switch;
+ *   - the links crossing each column or row cut between the source and
+ *     a terminal, in the source-to-terminal direction.
+ * L links carry at most L x trackCap groups, so a set asked to carry
+ * more proves the placement unroutable however rip-up reroutes. On
+ * proof, `out` gets the saturated links as hotspots (demand =
+ * ceil(groups / L)), their count as overusedLinks, and a one-line
+ * reason naming the first saturated switch or cut.
+ */
+bool
+proveUnroutable(const std::vector<Group> &groups,
+                const std::vector<RouterNet> &nets, const RouterGrid &grid,
+                RouteOutcome &out)
+{
+    const int W = grid.cols;
+    const int H = grid.rows;
+    const size_t numNodes = static_cast<size_t>(W * H);
+    const size_t numLinks = numNodes * 4;
+
+    std::vector<uint32_t> hot(3 * numLinks, 0); // demand, 0 = not hot
+    std::vector<size_t> lastGroup(numNodes, 0); // terminal dedup stamp
+    std::string reason;
+    uint32_t saturated = 0;
+
+    for (int k = 0; k < 3; ++k) {
+        const NetKind kind = static_cast<NetKind>(k);
+        const uint32_t cap = grid.trackCap(kind);
+        // Groups leaving / entering each switch, and crossing each cut
+        // per direction as difference arrays over the cut index (cut c
+        // lies between column or row c and c + 1).
+        std::vector<uint32_t> outCnt(numNodes, 0), inCnt(numNodes, 0);
+        std::vector<int32_t> east(W, 0), west(W, 0), south(H, 0),
+            north(H, 0);
+        for (size_t gi = 0; gi < groups.size(); ++gi) {
+            const Group &g = groups[gi];
+            if (g.kind != kind)
+                continue;
+            int minC = g.src.col, maxC = g.src.col;
+            int minR = g.src.row, maxR = g.src.row;
+            bool leaves = false;
+            for (size_t n : g.nets) {
+                const SwitchCoord &d = nets[n].dst;
+                if (d == g.src)
+                    continue;
+                leaves = true;
+                size_t dn = static_cast<size_t>(d.row * W + d.col);
+                if (lastGroup[dn] != gi + 1) {
+                    lastGroup[dn] = gi + 1;
+                    ++inCnt[dn];
+                }
+                minC = std::min(minC, d.col);
+                maxC = std::max(maxC, d.col);
+                minR = std::min(minR, d.row);
+                maxR = std::max(maxR, d.row);
+            }
+            if (!leaves)
+                continue;
+            ++outCnt[static_cast<size_t>(g.src.row * W + g.src.col)];
+            ++east[g.src.col], --east[maxC];
+            ++west[minC], --west[g.src.col];
+            ++south[g.src.row], --south[maxR];
+            ++north[minR], --north[g.src.row];
+        }
+
+        // One bound: `count` groups over `links` links, link(i) for
+        // i < links. On saturation, mark the links and keep the first
+        // reason; describe() words it around "N <kind> groups".
+        auto bound = [&](uint32_t count, uint32_t links, auto link,
+                         auto describe) {
+            if (count <= static_cast<uint64_t>(links) * cap)
+                return;
+            const uint32_t demand = (count + links - 1) / links;
+            for (uint32_t i = 0; i < links; ++i) {
+                uint32_t &h = hot[static_cast<size_t>(k) * numLinks +
+                                  link(i)];
+                h = std::max(h, demand);
+            }
+            if (saturated++ == 0)
+                reason = describe(strfmt("%u %s groups", count,
+                                         netKindName(kind).c_str())) +
+                         strfmt(" of %u track(s) each", cap);
+        };
+
+        for (int r = 0; r < H; ++r) {
+            for (int c = 0; c < W; ++c) {
+                const size_t v = static_cast<size_t>(r * W + c);
+                uint32_t dirs[4], deg = 0;
+                for (uint32_t dir = 0; dir < 4; ++dir) {
+                    int nc = c + kDc[dir], nr = r + kDr[dir];
+                    if (nc >= 0 && nc < W && nr >= 0 && nr < H)
+                        dirs[deg++] = dir;
+                }
+                bound(outCnt[v], deg,
+                      [&](uint32_t i) { return v * 4 + dirs[i]; },
+                      [&](const std::string &what) {
+                          return strfmt("switch (%d,%d) must send %s over "
+                                        "%u out-links",
+                                        c, r, what.c_str(), deg);
+                      });
+                // The in-link from the neighbour in `dir` is that
+                // neighbour's link in the opposite direction.
+                bound(inCnt[v], deg,
+                      [&](uint32_t i) {
+                          size_t nb = static_cast<size_t>(
+                              (r + kDr[dirs[i]]) * W + c + kDc[dirs[i]]);
+                          return nb * 4 + (dirs[i] ^ 1u);
+                      },
+                      [&](const std::string &what) {
+                          return strfmt("switch (%d,%d) must receive %s "
+                                        "over %u in-links",
+                                        c, r, what.c_str(), deg);
+                      });
+            }
+        }
+        int32_t eastSum = 0, westSum = 0;
+        for (int c = 0; c + 1 < W; ++c) {
+            eastSum += east[c];
+            westSum += west[c];
+            auto cut = [&](const char *dir) {
+                return [=](const std::string &what) {
+                    return strfmt("column cut %d|%d must carry %s %s over "
+                                  "%d links",
+                                  c, c + 1, what.c_str(), dir, H);
+                };
+            };
+            bound(static_cast<uint32_t>(eastSum), static_cast<uint32_t>(H),
+                  [&](uint32_t r) {
+                      return static_cast<size_t>(r * W + c) * 4 + 0;
+                  },
+                  cut("eastward"));
+            bound(static_cast<uint32_t>(westSum), static_cast<uint32_t>(H),
+                  [&](uint32_t r) {
+                      return static_cast<size_t>(r * W + c + 1) * 4 + 1;
+                  },
+                  cut("westward"));
+        }
+        int32_t southSum = 0, northSum = 0;
+        for (int r = 0; r + 1 < H; ++r) {
+            southSum += south[r];
+            northSum += north[r];
+            auto cut = [&](const char *dir) {
+                return [=](const std::string &what) {
+                    return strfmt("row cut %d|%d must carry %s %s over %d "
+                                  "links",
+                                  r, r + 1, what.c_str(), dir, W);
+                };
+            };
+            bound(static_cast<uint32_t>(southSum), static_cast<uint32_t>(W),
+                  [&](uint32_t c) {
+                      return static_cast<size_t>(r * W + c) * 4 + 2;
+                  },
+                  cut("southward"));
+            bound(static_cast<uint32_t>(northSum), static_cast<uint32_t>(W),
+                  [&](uint32_t c) {
+                      return static_cast<size_t>((r + 1) * W + c) * 4 +
+                             3;
+                  },
+                  cut("northward"));
+        }
+    }
+    if (saturated == 0)
+        return false;
+
+    std::vector<Hot> hots;
+    for (int k = 0; k < 3; ++k) {
+        const uint32_t cap = grid.trackCap(static_cast<NetKind>(k));
+        for (size_t l = 0; l < numLinks; ++l) {
+            uint32_t d = hot[static_cast<size_t>(k) * numLinks + l];
+            if (d)
+                hots.push_back({d - cap, k, l});
+        }
+    }
+    out.overusedLinks = static_cast<uint32_t>(hots.size());
+    out.proof = saturated == 1
+                    ? reason
+                    : strfmt("%s (and %u more saturated bounds)",
+                             reason.c_str(), saturated - 1);
+    reportHotspots(hots, grid, out);
+    return true;
+}
+
 RouteOutcome
 routeNegotiated(std::vector<RouterNet> &nets, const RouterGrid &grid,
                 const RouterOptions &opts)
@@ -145,6 +367,9 @@ routeNegotiated(std::vector<RouterNet> &nets, const RouterGrid &grid,
         groups[it->second].nets.push_back(n);
     }
 
+    if (proveUnroutable(groups, nets, grid, out))
+        return out; // rounds == 0: nothing was negotiated
+
     // Per-kind present usage and cross-round history, indexed by
     // directed link id (node * 4 + direction).
     std::vector<uint32_t> usage[3], hist[3];
@@ -157,12 +382,18 @@ routeNegotiated(std::vector<RouterNet> &nets, const RouterGrid &grid,
         return static_cast<size_t>(c.row * W + c.col);
     };
 
-    // Dijkstra scratch, reused across terminals.
+    // Dijkstra scratch, reused across terminals, groups and rounds.
+    // The heap pops in (cost, node) order; entries are distinct, so
+    // the pop sequence does not depend on how the heap is laid out.
     constexpr uint64_t kInf = ~0ull;
+    using QE = std::pair<uint64_t, size_t>; // (cost, node)
+    const std::greater<QE> later;
+    std::vector<QE> heap;
     std::vector<uint64_t> dist(numNodes);
     std::vector<uint32_t> hopCnt(numNodes);
     std::vector<int32_t> prevLink(numNodes);
-    std::vector<int32_t> depth(numNodes);
+    std::vector<int32_t> depth(numNodes, -1);
+    std::vector<size_t> tree; // the group's tree nodes, source first
     std::vector<uint8_t> claimed(numLinks);
 
     const uint32_t maxRounds = std::max(1u, opts.maxRounds);
@@ -175,7 +406,9 @@ routeNegotiated(std::vector<RouterNet> &nets, const RouterGrid &grid,
         for (const Group &g : groups) {
             const int k = kindIdx(g.kind);
             const uint32_t cap = grid.trackCap(g.kind);
-            std::fill(depth.begin(), depth.end(), -1);
+            for (size_t v : tree)
+                depth[v] = -1;
+            tree.assign(1, nodeOf(g.src));
             std::fill(claimed.begin(), claimed.end(),
                       static_cast<uint8_t>(0));
             depth[nodeOf(g.src)] = 0;
@@ -196,21 +429,17 @@ routeNegotiated(std::vector<RouterNet> &nets, const RouterGrid &grid,
                 // source-shortest — never longer than the greedy BFS.
                 std::fill(dist.begin(), dist.end(), kInf);
                 std::fill(prevLink.begin(), prevLink.end(), -1);
-                using QE = std::pair<uint64_t, size_t>; // (cost, node)
-                std::priority_queue<QE, std::vector<QE>,
-                                    std::greater<QE>>
-                    pq;
-                for (size_t v = 0; v < numNodes; ++v) {
-                    if (depth[v] >= 0) {
-                        dist[v] = static_cast<uint64_t>(depth[v]) *
-                                  kBaseCost;
-                        hopCnt[v] = static_cast<uint32_t>(depth[v]);
-                        pq.push({dist[v], v});
-                    }
+                heap.clear();
+                for (size_t v : tree) {
+                    dist[v] = static_cast<uint64_t>(depth[v]) * kBaseCost;
+                    hopCnt[v] = static_cast<uint32_t>(depth[v]);
+                    heap.push_back({dist[v], v});
                 }
-                while (!pq.empty()) {
-                    auto [cost, v] = pq.top();
-                    pq.pop();
+                std::make_heap(heap.begin(), heap.end(), later);
+                while (!heap.empty()) {
+                    std::pop_heap(heap.begin(), heap.end(), later);
+                    auto [cost, v] = heap.back();
+                    heap.pop_back();
                     if (cost != dist[v])
                         continue;
                     if (v == dstNode)
@@ -240,7 +469,9 @@ routeNegotiated(std::vector<RouterNet> &nets, const RouterGrid &grid,
                             dist[nb] = cost + c;
                             hopCnt[nb] = hopCnt[v] + 1;
                             prevLink[nb] = static_cast<int32_t>(link);
-                            pq.push({dist[nb], nb});
+                            heap.push_back({dist[nb], nb});
+                            std::push_heap(heap.begin(), heap.end(),
+                                           later);
                         }
                     }
                 }
@@ -249,6 +480,7 @@ routeNegotiated(std::vector<RouterNet> &nets, const RouterGrid &grid,
                 size_t v = dstNode;
                 while (depth[v] < 0) {
                     depth[v] = static_cast<int32_t>(hopCnt[v]);
+                    tree.push_back(v);
                     size_t link = static_cast<size_t>(prevLink[v]);
                     if (!claimed[link]) {
                         claimed[link] = 1;
@@ -293,12 +525,6 @@ routeNegotiated(std::vector<RouterNet> &nets, const RouterGrid &grid,
 
     // Round budget exhausted: report the surviving hotspots.
     out.routed = false;
-    struct Hot
-    {
-        uint32_t over;
-        int k;
-        size_t link;
-    };
     std::vector<Hot> hots;
     for (int k = 0; k < 3; ++k) {
         const uint32_t cap = grid.trackCap(static_cast<NetKind>(k));
@@ -308,25 +534,7 @@ routeNegotiated(std::vector<RouterNet> &nets, const RouterGrid &grid,
                 hots.push_back({usage[k][l] - cap, k, l});
         }
     }
-    std::stable_sort(hots.begin(), hots.end(),
-                     [](const Hot &a, const Hot &b) {
-                         return a.over > b.over;
-                     });
-    if (hots.size() > 8)
-        hots.resize(8);
-    for (const Hot &h : hots) {
-        CongestionHotspot spot;
-        size_t node = h.link / 4;
-        int dir = static_cast<int>(h.link % 4);
-        spot.fromCol = static_cast<int>(node) % W;
-        spot.fromRow = static_cast<int>(node) / W;
-        spot.toCol = spot.fromCol + kDc[dir];
-        spot.toRow = spot.fromRow + kDr[dir];
-        spot.kind = static_cast<NetKind>(h.k);
-        spot.capacity = grid.trackCap(spot.kind);
-        spot.demand = spot.capacity + h.over;
-        out.hotspots.push_back(spot);
-    }
+    reportHotspots(hots, grid, out);
     return out;
 }
 

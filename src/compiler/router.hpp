@@ -15,7 +15,10 @@
  *    iterate rip-up-and-reroute with an escalating present-congestion
  *    penalty plus an accumulating per-link history cost until no link
  *    is oversubscribed (or the round budget runs out, reporting the
- *    surviving hotspots).
+ *    surviving hotspots). Before the first round a counting proof
+ *    checks every switch side and every row / column cut against the
+ *    groups that must cross it; a placement it proves unroutable
+ *    returns at once with rounds == 0 and the saturated links.
  *
  * Multicast: nets carrying the same `group` id fan out from one source
  * port, so a switch forks the bus instead of spending extra tracks —
@@ -97,13 +100,18 @@ struct RouterOptions
 struct RouteOutcome
 {
     bool routed = false;
-    uint32_t rounds = 0;        ///< rounds consumed (greedy: 1)
+    /** Rounds consumed (greedy: 1; 0 when proven unroutable). */
+    uint32_t rounds = 0;
     uint32_t overusedLinks = 0; ///< links still over capacity at the end
     uint64_t totalHops = 0;     ///< sum of per-net hops
     /** Greedy mode: index of the net that found no path (-1 otherwise). */
     int failedNet = -1;
-    /** Worst oversubscribed links of the final round (negotiated). */
+    /** Worst oversubscribed links of the final round, or the links a
+     *  proof saturated (negotiated). */
     std::vector<CongestionHotspot> hotspots;
+    /** Why the placement is unroutable when proven before negotiation
+     *  (names the saturated switch side or cut); empty otherwise. */
+    std::string proof;
     /** Claimed track-links per network kind (utilization numerator). */
     uint64_t linkLoad[3] = {0, 0, 0};
 

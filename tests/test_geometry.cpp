@@ -36,17 +36,33 @@ TEST(Geometry, NeighborsAlternate)
 
 TEST(Geometry, SiteOfIsInverseOfUnitIndexAt)
 {
-    ArchParams p;
-    Geometry g(p);
-    for (uint32_t r = 0; r < p.gridRows; ++r) {
-        for (uint32_t c = 0; c < p.gridCols; ++c) {
-            UnitClass cls = g.siteIsPcu(c, r) ? UnitClass::kPcu
-                                              : UnitClass::kPmu;
-            uint32_t idx = g.unitIndexAt(c, r);
-            uint32_t cc = 0, rr = 0;
-            g.siteOf(cls, idx, cc, rr);
-            EXPECT_EQ(cc, c);
-            EXPECT_EQ(rr, r);
+    // siteOf is closed-form; the row-major scan in unitIndexAt is the
+    // oracle. Every shape up to 10 x 10 covers both column parities and
+    // single-row / single-column grids.
+    for (uint32_t cols = 1; cols <= 10; ++cols) {
+        for (uint32_t rows = 1; rows <= 10; ++rows) {
+            ArchParams p;
+            p.gridCols = cols;
+            p.gridRows = rows;
+            Geometry g(p);
+            uint32_t seen[2] = {0, 0};
+            for (uint32_t r = 0; r < rows; ++r) {
+                for (uint32_t c = 0; c < cols; ++c) {
+                    bool pcu = g.siteIsPcu(c, r);
+                    UnitClass cls =
+                        pcu ? UnitClass::kPcu : UnitClass::kPmu;
+                    uint32_t idx = g.unitIndexAt(c, r);
+                    EXPECT_EQ(idx, seen[pcu ? 0 : 1]++);
+                    uint32_t cc = 0, rr = 0;
+                    g.siteOf(cls, idx, cc, rr);
+                    EXPECT_EQ(cc, c) << cols << "x" << rows << " "
+                                     << unitClassName(cls) << " " << idx;
+                    EXPECT_EQ(rr, r) << cols << "x" << rows << " "
+                                     << unitClassName(cls) << " " << idx;
+                }
+            }
+            EXPECT_EQ(seen[0], p.numPcus()) << cols << "x" << rows;
+            EXPECT_EQ(seen[1], p.numPmus()) << cols << "x" << rows;
         }
     }
 }

@@ -52,6 +52,34 @@ spillProgram(MemId *dramOut = nullptr)
     return b.finish(root);
 }
 
+/** A root plus `nested` sequential outer controllers wrapped around
+ *  one 16-iteration fold leaf: nested + 1 control boxes. */
+Program
+nestedOutersProgram(int nested)
+{
+    Builder b("nested");
+    int32_t out = b.argOut();
+    NodeId root = b.outer("root", CtrlScheme::kSequential, {}, kNone);
+    NodeId parent = root;
+    for (int k = 0; k < nested; ++k)
+        parent = b.outer("o" + std::to_string(k), CtrlScheme::kSequential,
+                         {}, parent);
+    CtrId i = b.ctr("i", 0, 16, 1, true);
+    b.compute("sum", parent, {i}, {}, {},
+              {Builder::fold(FuOp::kIAdd, b.ctrE(i), i, out)});
+    return b.finish(root);
+}
+
+/** A 1x2 unit grid: one PCU, one PMU and 2 x 3 = 6 switches. */
+ArchParams
+sixSwitchArch()
+{
+    ArchParams p = ArchParams::plasticineFinal();
+    p.gridCols = 1;
+    p.gridRows = 2;
+    return p;
+}
+
 /** Final architecture with the scratchpad shrunk to 4096 words: one
  *  tile fits 4x over, the hinted 8 buffers do not. */
 ArchParams
@@ -124,6 +152,50 @@ TEST(Precheck, AgreesWithTheFullPipelineWhenSkipped)
     EXPECT_FALSE(res.report.ok);
     EXPECT_FALSE(res.report.diag.binding.empty());
     EXPECT_FALSE(res.report.diag.feasible);
+}
+
+TEST(Precheck, CountsOneControlBoxPerOuterController)
+{
+    // Eight outer controllers need eight boxes; six switches hold six.
+    Runner r(nestedOutersProgram(7), sixSwitchArch());
+    Status st = r.tryCompile();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kCompileError);
+    const CompileDiagnostics &d = r.mapResult().report.diag;
+    EXPECT_EQ(d.binding, "box");
+    EXPECT_TRUE(d.attempts.empty()) << "rejected before placement";
+    bool found = false;
+    for (const ResourceCheck &c : d.checks) {
+        if (c.resource != "box")
+            continue;
+        found = true;
+        EXPECT_EQ(c.demand, 8u);
+        EXPECT_EQ(c.capacity, 6u);
+        EXPECT_TRUE(c.over);
+    }
+    EXPECT_TRUE(found);
+
+    // Six boxes on six switches fit, and the program maps.
+    Runner fits(nestedOutersProgram(5), sixSwitchArch());
+    EXPECT_TRUE(fits.tryCompile().ok())
+        << fits.mapResult().report.error;
+}
+
+TEST(Precheck, BoxPlacementFailsTypedWhenSkipped)
+{
+    // Without the pre-check, box placement itself runs out of switches
+    // and must name the binding resource instead of placing a box at
+    // no switch.
+    Runner r(nestedOutersProgram(7), sixSwitchArch());
+    CompileOptions opts;
+    opts.runPrecheck = false;
+    r.setCompileOptions(opts);
+    Status st = r.tryCompile();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kCompileError);
+    EXPECT_EQ(r.mapResult().report.diag.binding, "box");
+    EXPECT_NE(st.message().find("8 control boxes"), std::string::npos)
+        << st.message();
 }
 
 // ---------------------------------------------------------------------
@@ -305,6 +377,39 @@ TEST(Restarts, UnroutableFabricExhaustsThePlacementBudget)
     }
     EXPECT_TRUE(sawFailure)
         << "every benchmark mapped on a one-track fabric?";
+}
+
+TEST(Restarts, ProvenUnroutableAttemptsSkipNegotiation)
+{
+    // Black-Scholes at one vector track: every placement puts more
+    // vector groups through some switch side than its links carry, so
+    // each attempt is proven unroutable before its first round.
+    apps::AppInstance app = apps::makeBlackScholes(apps::Scale::kTiny);
+    ArchParams params = ArchParams::plasticineFinal();
+    params.vectorTracks = 1;
+    MapResult res = compileProgram(app.prog, params);
+    ASSERT_FALSE(res.report.ok);
+    const CompileDiagnostics &d = res.report.diag;
+    EXPECT_EQ(d.binding, "routing");
+    EXPECT_EQ(d.placementAttempts, 4u);
+    ASSERT_EQ(d.attempts.size(), 4u);
+    for (const RouteAttempt &a : d.attempts) {
+        EXPECT_EQ(a.rounds, 0u) << "attempt " << a.placement;
+        EXPECT_FALSE(a.routed);
+        EXPECT_FALSE(a.proof.empty()) << "attempt " << a.placement;
+    }
+    ASSERT_FALSE(d.hotspots.empty());
+    for (const CongestionHotspot &h : d.hotspots) {
+        EXPECT_EQ(h.kind, NetKind::kVector);
+        EXPECT_EQ(h.capacity, 1u);
+        EXPECT_GT(h.demand, h.capacity);
+    }
+    EXPECT_NE(res.report.error.find("proven unroutable"),
+              std::string::npos)
+        << res.report.error;
+    EXPECT_NE(d.summary().find("attempt 3: proven unroutable: "),
+              std::string::npos)
+        << d.summary();
 }
 
 TEST(Restarts, SameSeedSameMap)

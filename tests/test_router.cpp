@@ -1,7 +1,9 @@
 /** @file Switch-network router: negotiated congestion must rip up and
  *  converge where one-shot routing thrashes, stay deterministic, never
  *  lose to the greedy baseline on hops, and keep mapping benchmarks on
- *  fabrics with fewer tracks than the greedy router can handle. */
+ *  fabrics with fewer tracks than the greedy router can handle. The
+ *  routability proof must catch each bound it checks and never reject
+ *  a routable placement. */
 
 #include <gtest/gtest.h>
 
@@ -36,6 +38,20 @@ route(std::vector<RouterNet> &nets, const RouterGrid &grid,
     opts.mode = mode;
     opts.maxRounds = maxRounds;
     return routeNets(nets, grid, opts);
+}
+
+/** Route with a one-round budget and require a proof naming `where`. */
+RouteOutcome
+expectProven(std::vector<RouterNet> &nets, const RouterGrid &grid,
+             const std::string &where)
+{
+    RouteOutcome out = route(nets, grid, RouterMode::kNegotiated, 1);
+    EXPECT_FALSE(out.routed);
+    EXPECT_EQ(out.rounds, 0u);
+    EXPECT_NE(out.proof.find(where), std::string::npos) << out.proof;
+    EXPECT_FALSE(out.hotspots.empty());
+    EXPECT_EQ(out.overusedLinks, out.hotspots.size());
+    return out;
 }
 
 MapResult
@@ -73,8 +89,9 @@ TEST(Router, RipUpResolvesContention)
 TEST(Router, ReportsHotspotsWhenInfeasible)
 {
     // Two single-track nets over the mesh's only row-0 edge: no
-    // assignment exists, so the router must exhaust its rounds and
-    // name the oversubscribed link instead of looping forever.
+    // assignment exists. Switch (0,0) has one out-link for two groups,
+    // so the proof rejects the placement without a single round and
+    // names the oversubscribed link.
     RouterGrid grid = uniformGrid(2, 1, 1);
     std::vector<RouterNet> nets;
     nets.push_back({{0, 0}, {1, 0}, NetKind::kVector, 1});
@@ -82,11 +99,204 @@ TEST(Router, ReportsHotspotsWhenInfeasible)
 
     RouteOutcome out = route(nets, grid, RouterMode::kNegotiated, 6);
     EXPECT_FALSE(out.routed);
-    EXPECT_EQ(out.rounds, 6u);
+    EXPECT_EQ(out.rounds, 0u);
     EXPECT_GE(out.overusedLinks, 1u);
-    ASSERT_FALSE(out.hotspots.empty());
-    EXPECT_EQ(out.hotspots[0].capacity, 1u);
-    EXPECT_GE(out.hotspots[0].demand, 2u);
+    ASSERT_EQ(out.hotspots.size(), 1u);
+    const CongestionHotspot &h = out.hotspots[0];
+    EXPECT_EQ(h.fromCol, 0);
+    EXPECT_EQ(h.fromRow, 0);
+    EXPECT_EQ(h.toCol, 1);
+    EXPECT_EQ(h.toRow, 0);
+    EXPECT_EQ(h.capacity, 1u);
+    EXPECT_EQ(h.demand, 2u);
+}
+
+TEST(Router, ExhaustedBudgetReportsHotspots)
+{
+    // The rip-up instance passes every bound of the proof, so with a
+    // one-round budget negotiation runs, fails, and reports the two
+    // links both nets still share.
+    RouterGrid grid = uniformGrid(5, 2, 1);
+    std::vector<RouterNet> nets;
+    nets.push_back({{0, 0}, {4, 0}, NetKind::kVector, 1});
+    nets.push_back({{1, 0}, {3, 0}, NetKind::kVector, 2});
+
+    RouteOutcome out = route(nets, grid, RouterMode::kNegotiated, 1);
+    EXPECT_FALSE(out.routed);
+    EXPECT_EQ(out.rounds, 1u);
+    EXPECT_TRUE(out.proof.empty()) << out.proof;
+    ASSERT_EQ(out.hotspots.size(), 2u);
+    for (int i = 0; i < 2; ++i) {
+        const CongestionHotspot &h = out.hotspots[static_cast<size_t>(i)];
+        EXPECT_EQ(h.fromCol, 1 + i);
+        EXPECT_EQ(h.fromRow, 0);
+        EXPECT_EQ(h.toCol, 2 + i);
+        EXPECT_EQ(h.toRow, 0);
+        EXPECT_EQ(h.capacity, 1u);
+        EXPECT_EQ(h.demand, 2u);
+    }
+}
+
+TEST(Router, ProofNeverRejectsRoutableInstances)
+{
+    // Instances routable by construction: each group's tree is a union
+    // of random walks from its source (a walk may have no steps, which
+    // puts the terminal on the source switch), and each kind gets
+    // exactly the tracks the busiest link of the construction uses. A
+    // legal routing exists, so the proof must never fire; negotiation
+    // gets one round and may or may not converge in it.
+    Rng rng(0x5eed);
+    const int kDc[4] = {1, -1, 0, 0};
+    const int kDr[4] = {0, 0, 1, -1};
+    for (int inst = 0; inst < 2000; ++inst) {
+        const int W = 1 + static_cast<int>(rng.nextBounded(17));
+        const int H = 1 + static_cast<int>(rng.nextBounded(9));
+        const size_t numLinks = static_cast<size_t>(W * H) * 4;
+        std::vector<uint32_t> usage(3 * numLinks, 0);
+        std::vector<RouterNet> nets;
+        const uint32_t groups = 1 + static_cast<uint32_t>(
+                                        rng.nextBounded(40));
+        for (uint32_t g = 0; g < groups; ++g) {
+            const NetKind kind = static_cast<NetKind>(rng.nextBounded(3));
+            const SwitchCoord src{static_cast<int>(rng.nextBounded(W)),
+                                  static_cast<int>(rng.nextBounded(H))};
+            std::vector<bool> inTree(numLinks, false);
+            const uint32_t terminals =
+                1 + static_cast<uint32_t>(rng.nextBounded(4));
+            for (uint32_t t = 0; t < terminals; ++t) {
+                SwitchCoord at = src;
+                const uint64_t steps = rng.nextBounded(2 * (W + H));
+                for (uint64_t st = 0; st < steps; ++st) {
+                    int dir = static_cast<int>(rng.nextBounded(4));
+                    SwitchCoord nx{at.col + kDc[dir], at.row + kDr[dir]};
+                    if (nx.col < 0 || nx.col >= W || nx.row < 0 ||
+                        nx.row >= H)
+                        continue;
+                    inTree[static_cast<size_t>(at.row * W + at.col) * 4 +
+                           static_cast<size_t>(dir)] = true;
+                    at = nx;
+                }
+                nets.push_back({src, at, kind, g});
+            }
+            for (size_t l = 0; l < numLinks; ++l)
+                if (inTree[l])
+                    ++usage[static_cast<size_t>(kind) * numLinks + l];
+        }
+        uint32_t caps[3] = {0, 0, 0};
+        for (int k = 0; k < 3; ++k)
+            for (size_t l = 0; l < numLinks; ++l)
+                caps[k] = std::max(
+                    caps[k], usage[static_cast<size_t>(k) * numLinks + l]);
+        RouterGrid grid;
+        grid.cols = W;
+        grid.rows = H;
+        grid.scalarTracks = caps[static_cast<int>(NetKind::kScalar)];
+        grid.vectorTracks = caps[static_cast<int>(NetKind::kVector)];
+        grid.controlTracks = caps[static_cast<int>(NetKind::kControl)];
+
+        RouteOutcome out = route(nets, grid, RouterMode::kNegotiated, 1);
+        ASSERT_EQ(out.rounds, 1u)
+            << "instance " << inst << " (" << W << "x" << H << ", "
+            << groups << " groups) proven unroutable: " << out.proof;
+    }
+}
+
+TEST(Router, ProofCatchesCornerOutDegree)
+{
+    // Corner switch (0,0) has two out-links; three groups leave it.
+    RouterGrid grid = uniformGrid(3, 3, 1);
+    std::vector<RouterNet> nets;
+    nets.push_back({{0, 0}, {2, 2}, NetKind::kVector, 1});
+    nets.push_back({{0, 0}, {2, 1}, NetKind::kVector, 2});
+    nets.push_back({{0, 0}, {1, 2}, NetKind::kVector, 3});
+    RouteOutcome out =
+        expectProven(nets, grid, "switch (0,0) must send 3 vector groups "
+                                 "over 2 out-links");
+    ASSERT_EQ(out.hotspots.size(), 2u);
+    for (const CongestionHotspot &h : out.hotspots) {
+        EXPECT_EQ(h.fromCol, 0);
+        EXPECT_EQ(h.fromRow, 0);
+        EXPECT_EQ(h.capacity, 1u);
+        EXPECT_EQ(h.demand, 2u);
+    }
+}
+
+TEST(Router, ProofCatchesTerminalInDegree)
+{
+    // Corner switch (2,2) has two in-links; three groups end there.
+    RouterGrid grid = uniformGrid(3, 3, 1);
+    std::vector<RouterNet> nets;
+    nets.push_back({{0, 0}, {2, 2}, NetKind::kScalar, 1});
+    nets.push_back({{1, 0}, {2, 2}, NetKind::kScalar, 2});
+    nets.push_back({{0, 1}, {2, 2}, NetKind::kScalar, 3});
+    RouteOutcome out = expectProven(
+        nets, grid, "switch (2,2) must receive 3 scalar groups over 2 "
+                    "in-links");
+    ASSERT_EQ(out.hotspots.size(), 2u);
+    for (const CongestionHotspot &h : out.hotspots) {
+        EXPECT_EQ(h.toCol, 2);
+        EXPECT_EQ(h.toRow, 2);
+        EXPECT_EQ(h.kind, NetKind::kScalar);
+    }
+}
+
+TEST(Router, ProofCatchesColumnCut)
+{
+    // Three groups cross from column 0 eastward over the two links of
+    // cut 0|1; no switch side is saturated.
+    RouterGrid grid = uniformGrid(3, 2, 1);
+    std::vector<RouterNet> nets;
+    nets.push_back({{0, 0}, {2, 1}, NetKind::kVector, 1});
+    nets.push_back({{0, 0}, {1, 1}, NetKind::kVector, 2});
+    nets.push_back({{0, 1}, {2, 0}, NetKind::kVector, 3});
+    RouteOutcome out = expectProven(
+        nets, grid, "column cut 0|1 must carry 3 vector groups eastward "
+                    "over 2 links");
+    ASSERT_EQ(out.hotspots.size(), 2u);
+    for (const CongestionHotspot &h : out.hotspots) {
+        EXPECT_EQ(h.fromCol, 0);
+        EXPECT_EQ(h.toCol, 1);
+        EXPECT_EQ(h.fromRow, h.toRow);
+    }
+}
+
+TEST(Router, ProofCatchesRowCut)
+{
+    // The transpose: three groups cross row cut 0|1 southward over its
+    // two links.
+    RouterGrid grid = uniformGrid(2, 3, 1);
+    std::vector<RouterNet> nets;
+    nets.push_back({{0, 0}, {1, 2}, NetKind::kControl, 1});
+    nets.push_back({{0, 0}, {1, 1}, NetKind::kControl, 2});
+    nets.push_back({{1, 0}, {0, 2}, NetKind::kControl, 3});
+    RouteOutcome out = expectProven(
+        nets, grid, "row cut 0|1 must carry 3 control groups southward "
+                    "over 2 links");
+    ASSERT_EQ(out.hotspots.size(), 2u);
+    for (const CongestionHotspot &h : out.hotspots) {
+        EXPECT_EQ(h.fromRow, 0);
+        EXPECT_EQ(h.toRow, 1);
+        EXPECT_EQ(h.fromCol, h.toCol);
+    }
+}
+
+TEST(Router, ProofCatchesZeroCapacityKind)
+{
+    // A kind with no tracks cannot leave any switch; same-switch
+    // fan-out of the other kinds still needs nothing.
+    RouterGrid grid = uniformGrid(2, 2, 4);
+    grid.controlTracks = 0;
+    std::vector<RouterNet> nets;
+    nets.push_back({{0, 0}, {0, 0}, NetKind::kVector, 1});
+    nets.push_back({{0, 0}, {1, 1}, NetKind::kControl, 2});
+    RouteOutcome out = expectProven(
+        nets, grid, "switch (0,0) must send 1 control groups over 2 "
+                    "out-links of 0 track(s)");
+    for (const CongestionHotspot &h : out.hotspots) {
+        EXPECT_EQ(h.kind, NetKind::kControl);
+        EXPECT_EQ(h.capacity, 0u);
+        EXPECT_EQ(h.demand, 1u);
+    }
 }
 
 TEST(Router, MulticastGroupSharesTracks)
