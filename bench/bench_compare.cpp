@@ -23,12 +23,13 @@
  * manifests diff as naturally as flat bench stats). String/bool/null
  * values and arrays are provenance, not measurements — skipped. A key
  * is wall-clock-like when it contains "wall", "seconds" or "_us";
- * everything else is deterministic. Only keys present in BOTH files
- * are gated; disappeared keys are reported (a metric silently vanishing
- * is itself suspicious) but do not fail the gate, since baselines
- * predating a schema addition must keep working.
+ * everything else is deterministic. A baseline key missing from the
+ * current run fails the gate: a gated metric that silently vanishes
+ * would otherwise stop being gated. Keys only in the current run (a
+ * schema addition) are not gated until the baseline is regenerated.
  *
- * Exit codes: 0 pass, 1 regression(s), 2 usage / parse error.
+ * Exit codes: 0 pass, 1 regression(s) or missing key(s), 2 usage /
+ * parse error.
  */
 
 #include <cctype>
@@ -319,5 +320,5 @@ main(int argc, char **argv)
                 "time-slack-us=%g)\n",
                 compared, regressions, improved, missing, tol, timeTol,
                 timeSlackUs);
-    return regressions ? 1 : 0;
+    return regressions || missing ? 1 : 0;
 }

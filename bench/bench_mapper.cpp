@@ -1,20 +1,18 @@
 /**
  * @file
  * Compile-pipeline QoR benchmark: maps the 13 evaluation benchmarks
- * with both routers — the legacy one-shot greedy BFS and the
- * negotiated-congestion (PathFinder) default — and reports compile
- * time, routed hop counts and switch-track utilization side by side.
+ * with the negotiated-congestion (PathFinder) router and reports
+ * compile time, routed hop counts, route rounds and switch-track
+ * utilization per benchmark.
  *
- * The negotiated router must never be worse on hops: uncongested
- * multicast trees are source-shortest by construction, so a regression
- * here means a router bug, and the run exits nonzero.
- *
- * A second, negotiated-only leg compiles every benchmark at one vector
- * track (the starved point of the compile sweep), where some designs
- * are rejected. Per app it reports `rejected`, routed hops, route
- * rounds summed over all placement attempts, attempts and compile
- * time; CI gates these against the committed BENCH_mapper.json with
- * bench_compare (counters exactly, `*compile_us` as wall-clock).
+ * A second leg compiles every benchmark at one vector track (the
+ * starved point of the compile sweep), where some designs are
+ * rejected. Per app it reports `rejected`, routed hops, route rounds
+ * summed over all placement attempts, attempts and compile time. A
+ * rejection without a binding resource is a compiler bug, and the run
+ * exits nonzero. CI gates every key against the committed
+ * BENCH_mapper.json with bench_compare (counters exactly,
+ * `*compile_us` as wall-clock).
  *
  *   bench_mapper [--tiny] [--stats-json=PATH]
  */
@@ -41,14 +39,11 @@ struct CompileSample
 };
 
 CompileSample
-compileWith(const pir::Program &prog, const ArchParams &params,
-            compiler::RouterMode mode)
+timedCompile(const pir::Program &prog, const ArchParams &params)
 {
-    compiler::CompileOptions opts;
-    opts.router = mode;
     auto t0 = std::chrono::steady_clock::now();
     CompileSample s;
-    s.map = compiler::compileProgram(prog, params, {}, opts);
+    s.map = compiler::compileProgram(prog, params);
     auto dt = std::chrono::steady_clock::now() - t0;
     s.micros = std::chrono::duration_cast<std::chrono::microseconds>(dt)
                    .count();
@@ -67,39 +62,19 @@ main(int argc, char **argv)
     ArchParams params = ArchParams::plasticineFinal();
     StatSet json_stats;
 
-    std::printf("=== Mapper QoR: greedy BFS vs negotiated congestion "
-                "===\n");
-    std::printf("%-14s | %9s %9s | %7s %7s | %6s | %5s %5s %5s\n",
-                "benchmark", "greedy_us", "negot_us", "g_hops",
-                "n_hops", "rounds", "vec%", "scl%", "ctl%");
+    std::printf("=== Mapper QoR: negotiated congestion ===\n");
+    std::printf("%-14s | %9s | %7s | %6s | %5s %5s %5s\n", "benchmark",
+                "negot_us", "n_hops", "rounds", "vec%", "scl%", "ctl%");
 
-    int regressions = 0;
     for (const auto &spec : apps::allApps()) {
         apps::AppInstance app = spec.make(scale);
-        CompileSample g = compileWith(app.prog, params,
-                                      compiler::RouterMode::kGreedy);
-        CompileSample n = compileWith(app.prog, params,
-                                      compiler::RouterMode::kNegotiated);
-        fatal_if(!g.map.report.ok, "%s: greedy compile failed: %s",
-                 app.name.c_str(), g.map.report.error.c_str());
-        fatal_if(!n.map.report.ok, "%s: negotiated compile failed: %s",
+        CompileSample n = timedCompile(app.prog, params);
+        fatal_if(!n.map.report.ok, "%s: compile failed: %s",
                  app.name.c_str(), n.map.report.error.c_str());
-        const auto &gd = g.map.report;
         const auto &nd = n.map.report;
 
-        if (nd.routedHops > gd.routedHops) {
-            std::printf("%s: REGRESSION — negotiated %llu hops > "
-                        "greedy %llu\n",
-                        app.name.c_str(),
-                        static_cast<unsigned long long>(nd.routedHops),
-                        static_cast<unsigned long long>(gd.routedHops));
-            ++regressions;
-        }
-
-        std::printf("%-14s | %9.0f %9.0f | %7llu %7llu | %6u | %5.1f "
-                    "%5.1f %5.1f\n",
-                    app.name.c_str(), g.micros, n.micros,
-                    static_cast<unsigned long long>(gd.routedHops),
+        std::printf("%-14s | %9.0f | %7llu | %6u | %5.1f %5.1f %5.1f\n",
+                    app.name.c_str(), n.micros,
                     static_cast<unsigned long long>(nd.routedHops),
                     nd.diag.routeRounds,
                     100.0 * nd.diag.vectorTrackUtil,
@@ -108,44 +83,36 @@ main(int argc, char **argv)
 
         if (!json_path.empty()) {
             auto put = [&](const std::string &k, uint64_t v) {
-                json_stats.set(app.name + "." + k, v);
+                json_stats.set(app.name + ".negotiated." + k, v);
             };
-            put("greedy.compile_us",
-                static_cast<uint64_t>(g.micros));
-            put("negotiated.compile_us",
-                static_cast<uint64_t>(n.micros));
-            put("greedy.routedHops", gd.routedHops);
-            put("negotiated.routedHops", nd.routedHops);
-            put("negotiated.routeRounds", nd.diag.routeRounds);
-            put("negotiated.placementAttempts",
-                nd.diag.placementAttempts);
+            put("compile_us", static_cast<uint64_t>(n.micros));
+            put("routedHops", nd.routedHops);
+            put("routeRounds", nd.diag.routeRounds);
+            put("placementAttempts", nd.diag.placementAttempts);
             // Utilizations as basis points (StatSet holds integers).
-            put("negotiated.vectorTrackBp",
+            put("vectorTrackBp",
                 static_cast<uint64_t>(nd.diag.vectorTrackUtil * 1e4));
-            put("negotiated.scalarTrackBp",
+            put("scalarTrackBp",
                 static_cast<uint64_t>(nd.diag.scalarTrackUtil * 1e4));
-            put("negotiated.controlTrackBp",
+            put("controlTrackBp",
                 static_cast<uint64_t>(nd.diag.controlTrackUtil * 1e4));
         }
     }
 
-    std::printf("\nNotes: both compiles run the full pipeline; hops "
-                "are summed routed switch-to-switch links. The "
-                "negotiated router is hop-optimal per multicast "
-                "terminal when uncongested, so n_hops <= g_hops must "
-                "hold on every benchmark.\n");
+    std::printf("\nNotes: compiles run the full pipeline; hops are "
+                "summed routed switch-to-switch links.\n");
 
-    // Negotiated only, one vector track: rejections must be typed.
+    // One vector track: rejections must be typed.
     ArchParams starved = params;
     starved.vectorTracks = 1;
     std::printf("\n=== Negotiated routing at %u vector track ===\n",
                 starved.vectorTracks);
     std::printf("%-14s | %9s | %8s | %7s | %6s | %8s\n", "benchmark",
                 "negot_us", "rejected", "n_hops", "rounds", "attempts");
+    int untyped = 0;
     for (const auto &spec : apps::allApps()) {
         apps::AppInstance app = spec.make(scale);
-        CompileSample n = compileWith(app.prog, starved,
-                                      compiler::RouterMode::kNegotiated);
+        CompileSample n = timedCompile(app.prog, starved);
         const auto &nd = n.map.report;
         uint64_t rounds = 0;
         for (const auto &a : nd.diag.attempts)
@@ -153,7 +120,7 @@ main(int argc, char **argv)
         if (!nd.ok && nd.diag.binding.empty()) {
             std::printf("%s: untyped rejection: %s\n", app.name.c_str(),
                         nd.error.c_str());
-            ++regressions;
+            ++untyped;
         }
         std::printf("%-14s | %9.0f | %8s | %7llu | %6llu | %8u\n",
                     app.name.c_str(), n.micros,
@@ -173,5 +140,5 @@ main(int argc, char **argv)
         }
     }
     bench::writeStatsJson(json_path, json_stats, "mapper", params);
-    return regressions == 0 ? 0 : 1;
+    return untyped == 0 ? 0 : 1;
 }

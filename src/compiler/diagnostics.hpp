@@ -75,7 +75,7 @@ struct SpillAction
  * The full compile report. `feasible` mirrors MappingReport::ok;
  * `binding` names the resource that blocked compilation ("" when the
  * design mapped). All vectors are populated best-effort: a design
- * rejected by the pre-checker has checks but no attempts; a routable
+ * rejected by the demand check has checks but no attempts; a routable
  * design has attempts but no hotspots.
  */
 struct CompileDiagnostics

@@ -10,7 +10,6 @@
 #include "base/logging.hpp"
 #include "base/profile.hpp"
 #include "base/rng.hpp"
-#include "compiler/precheck.hpp"
 #include "compiler/router.hpp"
 #include "compiler/vleaf.hpp"
 
@@ -21,6 +20,10 @@ using namespace pir;
 
 namespace
 {
+
+/** Rip-up-and-reroute rounds of the first placement attempt; each
+ *  later attempt gets 8 more (cost backoff). */
+constexpr uint32_t kRouteRounds = 24;
 
 /** Per-unit port-allocation cursors. */
 struct PortAlloc
@@ -90,6 +93,10 @@ class Mapper
   private:
     // ---- analysis ----------------------------------------------------
     void analyze();
+    /** Total unit, port and scratchpad demand of the analysed program
+     *  against the architecture; infeasible when any check is over,
+     *  naming the first as the binding resource. */
+    CompileDiagnostics checkDemand() const;
     std::vector<NodeId> ancestors(NodeId n) const;
     NodeId lca(NodeId a, NodeId b) const;
     int64_t ctrTrips(CtrId c) const;
@@ -427,27 +434,25 @@ Mapper::analyze()
     };
     walk(prog_.root);
 
-    // Lower + partition every compute leaf.
+    // Lower + partition every compute leaf. A leaf whose lowering
+    // fails is left out of every count; a failed partition stays in
+    // parts_ for checkDemand to report.
     for (NodeId l : leaves_) {
         VirtualLeaf vl = lowerLeaf(prog_, l, P_.pcu.lanes);
         if (!vl.error.empty()) {
             failBinding("pcu.pipeline", vl.error);
-            return;
+            continue;
         }
-        PartitionResult pr = partitionLeaf(vl, P_.pcu);
-        if (!pr.ok) {
-            failBinding("pcu.pipeline",
-                        strfmt("leaf '%s': %s", vl.name.c_str(),
-                               pr.error.c_str()));
-            return;
-        }
+        parts_.emplace(l, partitionLeaf(vl, P_.pcu));
         vleaves_.emplace(l, std::move(vl));
-        parts_.emplace(l, std::move(pr));
     }
 
-    // Memory readers and writers.
+    // Memory readers and writers, in controller-tree order.
     for (NodeId l : leaves_) {
-        const VirtualLeaf &vl = vleaves_[l];
+        auto it = vleaves_.find(l);
+        if (it == vleaves_.end())
+            continue;
+        const VirtualLeaf &vl = it->second;
         for (size_t v = 0; v < vl.vecSources.size(); ++v) {
             const VecSource &src = vl.vecSources[v];
             if (src.kind == VecSource::Kind::kDramStream)
@@ -512,6 +517,138 @@ Mapper::analyze()
         nbuf_[mid] = std::max<uint32_t>(nbuf, 1);
         rotNode_[mid] = rot;
     }
+}
+
+CompileDiagnostics
+Mapper::checkDemand() const
+{
+    // The counts mirror unit construction: one PCU per partition
+    // chunk, one PMU per (memory, reader), one AG per transfer, DRAM
+    // stream and stream-out sink, one control box per outer controller.
+    CompileDiagnostics diag;
+    auto pushCheck = [&](const char *res, uint64_t demand,
+                         uint64_t capacity, const std::string &detail) {
+        ResourceCheck c;
+        c.resource = res;
+        c.demand = demand;
+        c.capacity = capacity;
+        c.over = demand > capacity;
+        c.detail = detail;
+        diag.checks.push_back(c);
+    };
+
+    uint64_t pcuDemand = 0, agDemand = xfers_.size();
+    uint32_t maxVi = 0, maxVo = 0, maxSi = 0, maxSo = 0;
+    for (NodeId l : leaves_) {
+        auto it = vleaves_.find(l);
+        if (it == vleaves_.end())
+            continue; // lowering failed; analyze() reported it
+        const VirtualLeaf &vl = it->second;
+        const PartitionResult &pr = parts_.at(l);
+        if (pr.ok) {
+            pcuDemand += pr.chunks.size();
+            for (const Chunk &ch : pr.chunks) {
+                maxVi = std::max(maxVi, ch.metrics.vectorIns);
+                maxVo = std::max(maxVo, ch.metrics.vectorOuts);
+                maxSi = std::max(maxSi, ch.metrics.scalarIns);
+                maxSo = std::max(maxSo, ch.metrics.scalarOuts);
+            }
+        } else {
+            ResourceCheck c;
+            c.resource = "pcu.pipeline";
+            c.over = true;
+            c.detail = strfmt("leaf '%s': %s", vl.name.c_str(),
+                              pr.error.c_str());
+            diag.checks.push_back(c);
+        }
+        for (const VecSource &src : vl.vecSources)
+            if (src.kind == VecSource::Kind::kDramStream)
+                ++agDemand;
+        for (const Sink &sk : prog_.nodes[l].sinks)
+            if (sk.kind == SinkKind::kStreamOut ||
+                sk.kind == SinkKind::kScatterOut)
+                ++agDemand;
+    }
+
+    // SRAM memories some unit reads or writes, in declaration order.
+    auto count = [](const auto &byMem, MemId m) -> uint64_t {
+        auto it = byMem.find(m);
+        return it == byMem.end() ? 0 : it->second.size();
+    };
+    std::vector<MemId> srams;
+    uint64_t pmuDemand = 0;
+    for (size_t m = 0; m < prog_.mems.size(); ++m) {
+        MemId mid = static_cast<MemId>(m);
+        uint64_t rds = count(readers_, mid), wrs = count(writers_, mid);
+        if (prog_.mems[m].kind != MemKind::kSram || (rds == 0 && wrs == 0))
+            continue;
+        srams.push_back(mid);
+        if (wrs > 2)
+            pushCheck("pmu.writePorts", wrs, 2,
+                      strfmt("memory '%s'", prog_.mems[m].name.c_str()));
+        pmuDemand += std::max<uint64_t>(rds, 1);
+    }
+
+    auto maskedCount = [](const std::vector<uint32_t> &masked,
+                          uint32_t capacity) {
+        uint32_t n = 0;
+        for (uint32_t m : masked)
+            n += m < capacity ? 1 : 0;
+        return n;
+    };
+    uint32_t maskedPcus = maskedCount(mask_.pcus, P_.numPcus());
+    uint32_t maskedPmus = maskedCount(mask_.pmus, P_.numPmus());
+    pushCheck("pcu", pcuDemand, P_.numPcus() - maskedPcus,
+              maskedPcus ? strfmt("%u masked as faulted", maskedPcus)
+                         : "");
+    pushCheck("pmu", pmuDemand, P_.numPmus() - maskedPmus,
+              maskedPmus ? strfmt("%u masked as faulted", maskedPmus)
+                         : "");
+    pushCheck("ag", agDemand, P_.numAgs, "");
+    pushCheck("box", outers_.size(),
+              static_cast<uint64_t>(P_.switchCols()) * P_.switchRows(),
+              "");
+    pushCheck("pcu.vectorIns", maxVi, P_.pcu.vectorIns, "");
+    pushCheck("pcu.vectorOuts", maxVo, P_.pcu.vectorOuts, "");
+    pushCheck("pcu.scalarIns", maxSi, P_.pcu.scalarIns, "");
+    pushCheck("pcu.scalarOuts", maxSo, P_.pcu.scalarOuts, "");
+
+    // Scratchpad bytes at the N-buffer floor: capacity spilling can
+    // shrink a memory down to nbufMin, so only a memory whose floor
+    // exceeds the physical scratchpad is infeasible here.
+    uint64_t worstWords = 0;
+    std::string worstMem;
+    bool scratchOver = false;
+    for (MemId mid : srams) {
+        const MemDecl &md = prog_.mems[mid];
+        uint64_t effective = md.mode == BankingMode::kDup
+                                 ? P_.pmu.totalWords() / P_.pmu.banks
+                                 : P_.pmu.totalWords();
+        uint32_t floorBufs = std::max<uint32_t>(md.nbufMin, 1);
+        uint64_t floorWords =
+            static_cast<uint64_t>(floorBufs) * md.sizeWords;
+        if (floorWords > effective) {
+            pushCheck("pmu.scratchpad", floorWords, effective,
+                      strfmt("memory '%s' (%u words x %u bufs min)",
+                             md.name.c_str(),
+                             static_cast<uint32_t>(md.sizeWords),
+                             floorBufs));
+            scratchOver = true;
+        } else if (floorWords > worstWords) {
+            worstWords = floorWords;
+            worstMem = md.name;
+        }
+    }
+    if (!scratchOver && worstWords > 0)
+        pushCheck("pmu.scratchpad", worstWords, P_.pmu.totalWords(),
+                  strfmt("largest memory '%s'", worstMem.c_str()));
+
+    for (const ResourceCheck &c : diag.checks) {
+        if (c.over && diag.binding.empty())
+            diag.binding = c.resource;
+    }
+    diag.feasible = diag.binding.empty();
+    return diag;
 }
 
 // =====================================================================
@@ -975,12 +1112,8 @@ Mapper::createPmus()
         std::vector<WriterDesc> &wrs = writers_[mid];
         if (rds.empty() && wrs.empty())
             continue;
-        if (wrs.size() > 2) {
-            failBinding("pmu.writePorts",
-                        strfmt("memory '%s' has %zu writers (max 2)",
-                               md.name.c_str(), wrs.size()));
-            return;
-        }
+        panic_if(wrs.size() > 2, "memory '%s' has %zu writers",
+                 md.name.c_str(), wrs.size());
         if (rds.empty()) {
             warn("memory '%s' is written but never read", md.name.c_str());
             rds.push_back({ReaderDesc::Kind::kLeafLoad, kNone, -1});
@@ -1863,42 +1996,11 @@ Mapper::wireControl()
 bool
 Mapper::placeAndRoute(FabricConfig &fab)
 {
-    auto maskedCount = [](const std::vector<uint32_t> &masked,
-                          uint32_t capacity) {
-        uint32_t n = 0;
-        for (uint32_t m : masked)
-            n += m < capacity ? 1 : 0;
-        return n;
-    };
-    uint32_t masked_pcus = maskedCount(mask_.pcus, P_.numPcus());
-    uint32_t masked_pmus = maskedCount(mask_.pmus, P_.numPmus());
-    if (pcus_.size() > P_.numPcus() - masked_pcus) {
-        failBinding(
-            "pcu",
-            strfmt("needs %zu PCUs, chip has %u%s", pcus_.size(),
-                   P_.numPcus() - masked_pcus,
-                   masked_pcus ? strfmt(" (%u masked as faulted)",
-                                        masked_pcus)
-                                     .c_str()
-                               : ""));
-        return false;
-    }
-    if (pmus_.size() > P_.numPmus() - masked_pmus) {
-        failBinding(
-            "pmu",
-            strfmt("needs %zu PMUs, chip has %u%s", pmus_.size(),
-                   P_.numPmus() - masked_pmus,
-                   masked_pmus ? strfmt(" (%u masked as faulted)",
-                                        masked_pmus)
-                                     .c_str()
-                               : ""));
-        return false;
-    }
-    if (ags_.size() > P_.numAgs) {
-        failBinding("ag", strfmt("needs %zu AGs, chip has %u",
-                                 ags_.size(), P_.numAgs));
-        return false;
-    }
+    // checkDemand() has proven that every unit has a site: the PCUs
+    // and PMUs fit the unmasked sites, the AGs their edge slots and
+    // the control boxes the switches.
+    panic_if(ags_.size() > P_.numAgs, "%zu AGs passed the demand check",
+             ags_.size());
 
     // Adjacency from channels (logical unit pairs).
     auto keyOf = [](const UnitRef &u) {
@@ -1954,11 +2056,10 @@ Mapper::placeAndRoute(FabricConfig &fab)
     };
 
     // Placement-perturbation state for restart attempts: attempt 0 is
-    // noise-free (bit-identical to the legacy greedy placement); later
-    // attempts add seeded noise to the site cost, growing with the
-    // attempt index so restarts explore progressively farther from the
-    // greedy optimum.
-    Rng rng(opts_.seed);
+    // noise-free; attempt k adds noise seeded with k to the site cost,
+    // growing with k so restarts explore progressively farther from
+    // the greedy optimum.
+    Rng rng(0);
     uint64_t noiseMag = 0;
 
     // Site -> switch per class, and each site's distance to the grid
@@ -2016,6 +2117,7 @@ Mapper::placeAndRoute(FabricConfig &fab)
                     best = static_cast<int>(site);
                 }
             }
+            panic_if(best < 0, "no free site for unit %zu", u);
             phys[u] = best;
             taken[static_cast<size_t>(best)] = true;
         }
@@ -2030,18 +2132,15 @@ Mapper::placeAndRoute(FabricConfig &fab)
     grid.scalarTracks = P_.scalarTracks;
     grid.controlTracks = P_.controlTracks;
 
-    // The greedy baseline is one-shot by definition; negotiated mode
-    // retries with perturbed placements and a growing round budget.
-    const uint32_t attempts = opts_.router == RouterMode::kGreedy
-                                  ? 1
-                                  : std::max(1u,
-                                             opts_.maxPlacementAttempts);
+    // Unroutable placements are retried with perturbed placements and
+    // a growing round budget.
+    const uint32_t attempts = std::max(1u, opts_.maxPlacementAttempts);
 
     std::vector<RouterNet> nets;
     RouteOutcome outcome;
     std::string lastFail;
     for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-        rng = Rng(opts_.seed + attempt);
+        rng = Rng(attempt);
         noiseMag = static_cast<uint64_t>(attempt) * 96;
         std::fill(pcuPhys.begin(), pcuPhys.end(), -1);
         std::fill(pmuPhys.begin(), pmuPhys.end(), -1);
@@ -2084,16 +2183,7 @@ Mapper::placeAndRoute(FabricConfig &fab)
                     }
                 }
             }
-            if (best < 0) {
-                // Every switch already hosts a box: one box per outer
-                // controller cannot fit (the pre-check's "box" rule).
-                failBinding("box",
-                            strfmt("needs %zu control boxes, chip has "
-                                   "%u switches",
-                                   boxes_.size(),
-                                   P_.switchCols() * P_.switchRows()));
-                return false;
-            }
+            panic_if(best < 0, "no free switch for control box %zu", b);
             boxPhys[b] = best;
             box_sites.insert(best);
         }
@@ -2125,9 +2215,7 @@ Mapper::placeAndRoute(FabricConfig &fab)
         }
 
         RouterOptions ro;
-        ro.mode = opts_.router;
-        ro.maxRounds = opts_.maxRouteRounds + attempt * 8;
-        ro.seed = opts_.seed;
+        ro.maxRounds = kRouteRounds + attempt * 8;
         outcome = routeNets(nets, grid, ro);
 
         RouteAttempt ra;
@@ -2144,13 +2232,7 @@ Mapper::placeAndRoute(FabricConfig &fab)
             break;
         if (!outcome.hotspots.empty())
             diag_.hotspots = outcome.hotspots;
-        if (outcome.failedNet >= 0) {
-            lastFail = strfmt(
-                "routing failed: %s",
-                chans_[static_cast<size_t>(outcome.failedNet)]
-                    .describe()
-                    .c_str());
-        } else if (!outcome.proof.empty()) {
+        if (!outcome.proof.empty()) {
             lastFail = "routing failed: proven unroutable: " +
                        outcome.proof;
         } else {
@@ -2235,6 +2317,22 @@ Mapper::run()
         analyze();
     }
     {
+        // Fast structured rejection: total demand vs capacity, before
+        // any codegen or placement work and with every check reported.
+        ScopedSpan span("compile.precheck");
+        CompileDiagnostics demand = checkDemand();
+        if (!demand.feasible) {
+            for (const ResourceCheck &c : demand.checks) {
+                if (c.over) {
+                    result.report.error = c.describe();
+                    break;
+                }
+            }
+            result.report.diag = std::move(demand);
+            return result;
+        }
+    }
+    {
         ScopedSpan span("compile.codegen");
         if (ok_)
             createPcus();
@@ -2272,8 +2370,11 @@ Mapper::run()
         rep_.fuActive +=
             static_cast<uint32_t>(p.stages.size()) * P_.pcu.lanes;
     }
-    for (const auto &[node, part] : parts_) {
-        for (const auto &ch : part.chunks)
+    for (NodeId l : leaves_) {
+        auto it = parts_.find(l);
+        if (it == parts_.end())
+            break; // a failed lowering counts only the leaves before it
+        for (const auto &ch : it->second.chunks)
             rep_.regsUsed += ch.metrics.regs;
     }
     for (const PmuCfg &p : pmus_)
@@ -2290,42 +2391,10 @@ Mapper::run()
 } // namespace
 
 MapResult
-compileProgram(const Program &prog, const ArchParams &params)
-{
-    return compileProgram(prog, params, UnitMask{}, CompileOptions{});
-}
-
-MapResult
-compileProgram(const Program &prog, const ArchParams &params,
-               const UnitMask &mask)
-{
-    return compileProgram(prog, params, mask, CompileOptions{});
-}
-
-MapResult
 compileProgram(const Program &prog, const ArchParams &params,
                const UnitMask &mask, const CompileOptions &opts)
 {
     ScopedSpan compileSpan("compile");
-
-    // Fast structured rejection: total demand vs capacity, before any
-    // placement work and with the binding resource named.
-    if (opts.runPrecheck) {
-        ScopedSpan span("compile.precheck");
-        CompileDiagnostics pre = precheckProgram(prog, params, mask);
-        if (!pre.feasible) {
-            MapResult r;
-            r.report.ok = false;
-            for (const ResourceCheck &c : pre.checks) {
-                if (c.over) {
-                    r.report.error = c.describe();
-                    break;
-                }
-            }
-            r.report.diag = std::move(pre);
-            return r;
-        }
-    }
 
     // Capacity-spill loop: when a memory's N-buffer demand exceeds the
     // physical scratchpad, cap the metapipe depths that drive it (the

@@ -7,9 +7,12 @@
  *   2. partition virtual units into physical PCUs  (partition)
  *   3. plan memories: one PMU per (memory, reader), N-buffering and
  *      swap/clear cadence from the controller hierarchy
- *   4. generate unit configurations, data channels and the token /
+ *   4. check total unit, port and scratchpad demand against the
+ *      architecture; an infeasible design stops here, every check
+ *      reported and the binding resource named
+ *   5. generate unit configurations, data channels and the token /
  *      credit control graph (control boxes in switches, §3.5)
- *   5. place units on the 16x8 grid and route every channel over the
+ *   6. place units on the 16x8 grid and route every channel over the
  *      switch network with per-link track capacities; routed hop counts
  *      become channel latencies
  *
@@ -29,7 +32,6 @@
 #include "arch/params.hpp"
 #include "compiler/diagnostics.hpp"
 #include "compiler/partition.hpp"
-#include "compiler/router.hpp"
 #include "pir/ir.hpp"
 
 namespace plast::compiler
@@ -50,28 +52,18 @@ struct UnitMask
 };
 
 /**
- * Compile-pipeline knobs. The defaults give the robust pipeline —
- * negotiated-congestion routing, seeded placement restarts and
- * capacity spilling; kGreedy restores the legacy one-shot BFS (single
- * placement, no retries) as a QoR / regression baseline.
+ * Compile-pipeline knobs: the budgets of the placement-restart and
+ * capacity-spill rungs (DESIGN.md §12).
  */
 struct CompileOptions
 {
-    RouterMode router = RouterMode::kNegotiated;
-    /** Rip-up-and-reroute round budget per placement attempt; later
-     *  attempts get a larger budget (cost backoff). */
-    uint32_t maxRouteRounds = 24;
     /** Placement attempts: 0 is the deterministic greedy placement,
-     *  later ones perturb site costs with seeded noise. */
+     *  later ones perturb site costs with seeded noise and get a
+     *  larger rip-up-and-reroute round budget. */
     uint32_t maxPlacementAttempts = 4;
     /** Shrink N-buffer depths (with the matching metapipe throttle)
      *  when a memory exceeds the physical scratchpad. */
     bool allowSpill = true;
-    /** Perturbation seed: same seed -> identical placement + routes. */
-    uint64_t seed = 0;
-    /** Skip the feasibility pre-check (used by harnesses that want to
-     *  cross-validate the pre-check against the full pipeline). */
-    bool runPrecheck = true;
 };
 
 struct MappingReport
@@ -110,24 +102,17 @@ struct MapResult
 
 /**
  * Compile a program (arguments already bound) for the given
- * architecture. Malformed programs and capacity overruns are reported
- * via report.ok/error (with structured report.diag) so design-space
- * sweeps, fuzzers and recovery can observe infeasible points; nothing
- * reachable from user-supplied PIR is fatal.
+ * architecture, with faulted physical units masked out of placement
+ * (graceful degradation after a hard fault). Malformed programs and
+ * capacity overruns are reported via report.ok/error (with structured
+ * report.diag) so design-space sweeps, fuzzers and recovery can
+ * observe infeasible points; nothing reachable from user-supplied PIR
+ * is fatal.
  */
 MapResult compileProgram(const pir::Program &prog,
-                         const ArchParams &params);
-
-/** Compile with faulted physical units masked out of placement
- *  (graceful degradation after a hard fault). */
-MapResult compileProgram(const pir::Program &prog,
-                         const ArchParams &params, const UnitMask &mask);
-
-/** Compile with explicit pipeline options (router mode, restart /
- *  spill budgets, perturbation seed). */
-MapResult compileProgram(const pir::Program &prog,
-                         const ArchParams &params, const UnitMask &mask,
-                         const CompileOptions &opts);
+                         const ArchParams &params,
+                         const UnitMask &mask = UnitMask{},
+                         const CompileOptions &opts = CompileOptions{});
 
 } // namespace plast::compiler
 

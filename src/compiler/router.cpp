@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <set>
-#include <tuple>
 
 #include "base/logging.hpp"
 
@@ -14,7 +12,7 @@ namespace plast::compiler
 namespace
 {
 
-// Neighbor order matches the legacy BFS exactly: E, W, S, N.
+// Neighbor order: E, W, S, N.
 const int kDc[4] = {1, -1, 0, 0};
 const int kDr[4] = {0, 0, 1, -1};
 
@@ -29,92 +27,6 @@ int
 kindIdx(NetKind k)
 {
     return static_cast<int>(k);
-}
-
-/**
- * The legacy router: per-net BFS in order over capacity-free links,
- * claiming tracks as it goes, with multicast groups riding already
- * claimed links for free. Kept bit-for-bit compatible with the
- * original mapper so it remains a trustworthy QoR baseline.
- */
-RouteOutcome
-routeGreedy(std::vector<RouterNet> &nets, const RouterGrid &grid)
-{
-    RouteOutcome out;
-    const int W = grid.cols;
-    const int H = grid.rows;
-
-    std::map<std::tuple<int, int, int, int, int>, uint32_t> usage;
-    std::map<uint32_t, std::set<std::tuple<int, int, int, int>>>
-        groupLinks;
-
-    for (size_t n = 0; n < nets.size(); ++n) {
-        RouterNet &net = nets[n];
-        auto &shared = groupLinks[net.group];
-        const SwitchCoord s = net.src;
-        const SwitchCoord d = net.dst;
-
-        std::vector<int> prev(static_cast<size_t>(W * H), -2);
-        std::vector<int> queue;
-        auto idx = [&](int c, int r) { return r * W + c; };
-        queue.push_back(idx(s.col, s.row));
-        prev[static_cast<size_t>(queue[0])] = -1;
-        bool found = (s == d);
-        for (size_t qi = 0; qi < queue.size() && !found; ++qi) {
-            int cur = queue[qi];
-            int cc = cur % W, cr = cur / W;
-            for (int dir = 0; dir < 4; ++dir) {
-                int nc = cc + kDc[dir], nr = cr + kDr[dir];
-                if (nc < 0 || nc >= W || nr < 0 || nr >= H)
-                    continue;
-                int nxt = idx(nc, nr);
-                if (prev[static_cast<size_t>(nxt)] != -2)
-                    continue;
-                auto link = std::make_tuple(cc, cr, nc, nr);
-                auto key = std::make_tuple(cc, cr, nc, nr,
-                                           static_cast<int>(net.kind));
-                if (!shared.count(link) &&
-                    usage[key] >= grid.trackCap(net.kind))
-                    continue;
-                prev[static_cast<size_t>(nxt)] = cur;
-                if (nc == d.col && nr == d.row) {
-                    found = true;
-                    break;
-                }
-                queue.push_back(nxt);
-            }
-        }
-        if (!found) {
-            out.routed = false;
-            out.failedNet = static_cast<int>(n);
-            out.rounds = 1;
-            for (const auto &[key, u] : usage)
-                out.linkLoad[std::get<4>(key)] += u;
-            return out;
-        }
-        // Walk back, claiming tracks (shared links are free).
-        uint32_t hops = 0;
-        int cur = idx(d.col, d.row);
-        while (prev[static_cast<size_t>(cur)] >= 0) {
-            int pr = prev[static_cast<size_t>(cur)];
-            auto link =
-                std::make_tuple(pr % W, pr / W, cur % W, cur / W);
-            if (!shared.count(link)) {
-                usage[std::make_tuple(pr % W, pr / W, cur % W, cur / W,
-                                      static_cast<int>(net.kind))]++;
-                shared.insert(link);
-            }
-            cur = pr;
-            ++hops;
-        }
-        net.hops = hops;
-        out.totalHops += hops;
-    }
-    out.routed = true;
-    out.rounds = 1;
-    for (const auto &[key, u] : usage)
-        out.linkLoad[std::get<4>(key)] += u;
-    return out;
 }
 
 /** One multicast group: a source and its terminals in net order. */
@@ -345,9 +257,11 @@ proveUnroutable(const std::vector<Group> &groups,
     return true;
 }
 
+} // namespace
+
 RouteOutcome
-routeNegotiated(std::vector<RouterNet> &nets, const RouterGrid &grid,
-                const RouterOptions &opts)
+routeNets(std::vector<RouterNet> &nets, const RouterGrid &grid,
+          const RouterOptions &opts)
 {
     RouteOutcome out;
     const int W = grid.cols;
@@ -426,7 +340,7 @@ routeNegotiated(std::vector<RouterNet> &nets, const RouterGrid &grid,
                 // Dijkstra from the whole tree: seeding each tree node
                 // at cost depth*base makes a terminal's final cost its
                 // hop count from the source, so uncongested routes are
-                // source-shortest — never longer than the greedy BFS.
+                // source-shortest.
                 std::fill(dist.begin(), dist.end(), kInf);
                 std::fill(prevLink.begin(), prevLink.end(), -1);
                 heap.clear();
@@ -536,17 +450,6 @@ routeNegotiated(std::vector<RouterNet> &nets, const RouterGrid &grid,
     }
     reportHotspots(hots, grid, out);
     return out;
-}
-
-} // namespace
-
-RouteOutcome
-routeNets(std::vector<RouterNet> &nets, const RouterGrid &grid,
-          const RouterOptions &opts)
-{
-    if (opts.mode == RouterMode::kGreedy)
-        return routeGreedy(nets, grid);
-    return routeNegotiated(nets, grid, opts);
 }
 
 } // namespace plast::compiler

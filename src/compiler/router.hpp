@@ -4,21 +4,15 @@
  * over the (gridCols+1) x (gridRows+1) switch mesh under per-link,
  * per-network track capacities.
  *
- * Two algorithms share one entry point:
- *
- *  - kGreedy: the original one-shot first-fit BFS, kept as the QoR
- *    baseline. Nets route once, in order, over capacity-free links
- *    only; the first net with no feasible path fails the whole map.
- *
- *  - kNegotiated: PathFinder-style negotiated congestion. Every net
- *    routes every round — overuse is allowed mid-flight — and rounds
- *    iterate rip-up-and-reroute with an escalating present-congestion
- *    penalty plus an accumulating per-link history cost until no link
- *    is oversubscribed (or the round budget runs out, reporting the
- *    surviving hotspots). Before the first round a counting proof
- *    checks every switch side and every row / column cut against the
- *    groups that must cross it; a placement it proves unroutable
- *    returns at once with rounds == 0 and the saturated links.
+ * The router is PathFinder-style negotiated congestion. Every net
+ * routes every round — overuse is allowed mid-flight — and rounds
+ * iterate rip-up-and-reroute with an escalating present-congestion
+ * penalty plus an accumulating per-link history cost until no link is
+ * oversubscribed (or the round budget runs out, reporting the
+ * surviving hotspots). Before the first round a counting proof checks
+ * every switch side and every row / column cut against the groups that
+ * must cross it; a placement it proves unroutable returns at once with
+ * rounds == 0 and the saturated links.
  *
  * Multicast: nets carrying the same `group` id fan out from one source
  * port, so a switch forks the bus instead of spending extra tracks —
@@ -81,33 +75,21 @@ struct RouterGrid
     }
 };
 
-enum class RouterMode : uint8_t
-{
-    kGreedy,     ///< legacy one-shot first-fit BFS
-    kNegotiated, ///< PathFinder rip-up-and-reroute
-};
-
 struct RouterOptions
 {
-    RouterMode mode = RouterMode::kNegotiated;
     /** Negotiation round budget (>= 1). */
     uint32_t maxRounds = 24;
-    /** Reserved for tie-break perturbation; the router is fully
-     *  deterministic for a given seed. */
-    uint64_t seed = 0;
 };
 
 struct RouteOutcome
 {
     bool routed = false;
-    /** Rounds consumed (greedy: 1; 0 when proven unroutable). */
+    /** Rounds consumed (0 when proven unroutable). */
     uint32_t rounds = 0;
     uint32_t overusedLinks = 0; ///< links still over capacity at the end
     uint64_t totalHops = 0;     ///< sum of per-net hops
-    /** Greedy mode: index of the net that found no path (-1 otherwise). */
-    int failedNet = -1;
     /** Worst oversubscribed links of the final round, or the links a
-     *  proof saturated (negotiated). */
+     *  proof saturated. */
     std::vector<CongestionHotspot> hotspots;
     /** Why the placement is unroutable when proven before negotiation
      *  (names the saturated switch side or cut); empty otherwise. */
@@ -127,7 +109,7 @@ struct RouteOutcome
 
 /**
  * Route all nets; fills each net's `hops` on success. Deterministic:
- * identical inputs (and seed) produce identical paths.
+ * identical inputs produce identical paths.
  */
 RouteOutcome routeNets(std::vector<RouterNet> &nets,
                        const RouterGrid &grid,

@@ -34,7 +34,7 @@ ArchParams sampleArch(Rng &rng);
  * Sample a deliberately undersized ArchParams point: tiny grids, few
  * AGs, one or two tracks per link, kilobyte scratchpads. Programs from
  * generateProgram frequently exceed these fabrics, exercising the
- * compiler's pre-check / spill / diagnosed-failure paths (the
+ * compiler's demand-check / spill / diagnosed-failure paths (the
  * `fuzz_pir --oversize` mode).
  */
 ArchParams sampleTightArch(Rng &rng);

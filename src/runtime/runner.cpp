@@ -52,13 +52,6 @@ Runner::setUnitMask(compiler::UnitMask mask)
 }
 
 void
-Runner::setCompileOptions(compiler::CompileOptions opts)
-{
-    panic_if(compiled_, "setCompileOptions after compilation");
-    copts_ = opts;
-}
-
-void
 Runner::setFaultInjector(resilience::FaultInjector *inj)
 {
     injector_ = inj;
@@ -101,7 +94,7 @@ Runner::tryCompile()
                              prog_.name.c_str(), problems[0].c_str()));
     }
     compiler::MapResult mr =
-        compiler::compileProgram(prog_, params_, mask_, copts_);
+        compiler::compileProgram(prog_, params_, mask_);
     if (!mr.report.ok) {
         map_ = std::move(mr);
         return Status(StatusCode::kCompileError,

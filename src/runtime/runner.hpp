@@ -123,10 +123,10 @@ class Runner
      * another runner for the *same* (program, ArchParams) pair — this
      * is how a config-cache hit avoids paying place-and-route twice.
      * Must be called before the first compile; incompatible with
-     * setConfigTweak/setUnitMask/setCompileOptions (those exist to
-     * perturb a fresh compile). The caller owns the content-address
-     * discipline: adopting a result compiled from a different program
-     * is undefined behavior by construction.
+     * setConfigTweak/setUnitMask (those exist to perturb a fresh
+     * compile). The caller owns the content-address discipline:
+     * adopting a result compiled from a different program is undefined
+     * behavior by construction.
      */
     void adoptCompiled(std::shared_ptr<const compiler::MapResult> map);
 
@@ -143,9 +143,6 @@ class Runner
     /** Compile with faulted physical units masked out of placement.
      *  Must be called before compilation. */
     void setUnitMask(compiler::UnitMask mask);
-    /** Compile-pipeline knobs (router mode, restart / spill budgets).
-     *  Must be called before compilation. */
-    void setCompileOptions(compiler::CompileOptions opts);
     /** Fault injector armed on every fabric the runner builds (and
      *  installed as the DRAM fault hook). */
     void setFaultInjector(resilience::FaultInjector *inj);
@@ -186,7 +183,6 @@ class Runner
     SimOptions simOpts_;
     bool compiled_ = false;
     compiler::UnitMask mask_;
-    compiler::CompileOptions copts_;
     resilience::FaultInjector *injector_ = nullptr;
     const CancelToken *cancel_ = nullptr;
     /** Failed-compile diagnostics only; successful compiles freeze

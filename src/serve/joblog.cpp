@@ -17,7 +17,6 @@ namespace
 {
 
 constexpr const char *kHeader = "plast.joblog.v2";
-constexpr const char *kHeaderV1 = "plast.joblog.v1"; ///< still readable
 
 /** Outcomes shaped by wall clock / queue pressure, not job content. */
 bool
@@ -189,7 +188,7 @@ readJobLog(std::istream &is, std::vector<JobLogEntry> &out,
         lines.push_back(all.substr(pos, nl - pos));
         pos = nl + 1;
     }
-    if (lines.empty() || (lines[0] != kHeader && lines[0] != kHeaderV1))
+    if (lines.empty() || lines[0] != kHeader)
         return fail("missing '" + std::string(kHeader) + "' header");
     for (size_t i = 1; i < lines.size(); ++i) {
         const std::string &line = lines[i];

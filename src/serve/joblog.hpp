@@ -45,8 +45,8 @@ struct JobLogEntry
     bool resultHit = false;
     uint64_t resultHash = 0;
     Cycles cycles = 0;
-    bool executed = true; ///< v2 `exe=`; v1 logs default to true
-    uint32_t retries = 0; ///< v2 `retries=`; v1 logs default to 0
+    bool executed = true; ///< `exe=`
+    uint32_t retries = 0; ///< `retries=`
     std::string outcome;
     std::string source; ///< replay join key (free-form, last on the line)
 };

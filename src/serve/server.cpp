@@ -98,7 +98,7 @@ hashOptions(const ServeOptions &opts, const JobSpec &job)
 {
     uint64_t base = hashOptions(opts, job.maxCycles);
     if (!opts.resilient && job.faultSeed == 0)
-        return base; // plain jobs stay bit-compatible with v1 logs
+        return base; // plain jobs keep the hash recorded logs carry
     Fnv f;
     f.u64(base);
     f.byte(opts.resilient ? 1 : 0);

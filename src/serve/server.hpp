@@ -243,8 +243,8 @@ uint64_t hashOptions(const ServeOptions &opts, Cycles jobMaxCycles);
 /** Job-aware overload: additionally folds the resilient flag and the
  *  job's fault-plan parameters (a faulted or recovery-orchestrated
  *  execution is a different execution). Bit-identical to the base
- *  overload for plain jobs, so v1 logs stay addressable. Deadlines
- *  are deliberately NOT hashed — see JobSpec::deadlineMs. */
+ *  overload for plain jobs, so recorded logs stay addressable.
+ *  Deadlines are deliberately NOT hashed — see JobSpec::deadlineMs. */
 uint64_t hashOptions(const ServeOptions &opts, const JobSpec &job);
 /** The bit-exactness witness over a finished outcome. */
 uint64_t hashOutcome(const JobOutcome &out);

@@ -1,4 +1,4 @@
-/** @file Never-fail compilation: the feasibility pre-checker, capacity
+/** @file Never-fail compilation: the mapper's demand check, capacity
  *  spilling, placement restarts and the diagnosed-error paths that
  *  replaced fatal aborts. Every way a user program can fail to map
  *  must come back as a structured CompileDiagnostics, and a spilled
@@ -10,7 +10,6 @@
 
 #include "apps/apps.hpp"
 #include "compiler/mapper.hpp"
-#include "compiler/precheck.hpp"
 #include "compiler/vleaf.hpp"
 #include "pir/builder.hpp"
 #include "runtime/runner.hpp"
@@ -50,6 +49,26 @@ spillProgram(MemId *dramOut = nullptr)
     if (dramOut)
         *dramOut = a;
     return b.finish(root);
+}
+
+/** spillProgram() with its fold retargeted at the metapipe's counter
+ *  iT, which the leaf does not own. validateProgram rejects it; the
+ *  mapper, which skips validation, must fail to lower the leaf. */
+Program
+foldOutsideLeafProgram()
+{
+    Program prog = spillProgram();
+    NodeId leaf = kNone;
+    CtrId outerCtr = kNone;
+    for (size_t n = 0; n < prog.nodes.size(); ++n) {
+        if (prog.nodes[n].kind == NodeKind::kCompute)
+            leaf = static_cast<NodeId>(n);
+        if (prog.nodes[n].kind == NodeKind::kOuter &&
+            !prog.nodes[n].ctrs.empty())
+            outerCtr = prog.nodes[n].ctrs[0]; // the metapipe's iT
+    }
+    prog.nodes.at(leaf).sinks.at(0).foldLevel = outerCtr;
+    return prog;
 }
 
 /** A root plus `nested` sequential outer controllers wrapped around
@@ -93,31 +112,23 @@ smallScratchArch()
 } // namespace
 
 // ---------------------------------------------------------------------
-// Feasibility pre-check
+// Demand check
 // ---------------------------------------------------------------------
-
-TEST(Precheck, AcceptsEveryBenchmark)
-{
-    ArchParams params = ArchParams::plasticineFinal();
-    for (const auto &spec : apps::allApps()) {
-        apps::AppInstance app = spec.make(apps::Scale::kTiny);
-        CompileDiagnostics d = precheckProgram(app.prog, params);
-        EXPECT_TRUE(d.feasible) << spec.name << ": " << d.binding;
-        EXPECT_FALSE(d.checks.empty()) << spec.name;
-    }
-}
 
 TEST(Precheck, RejectsOversizedDesignNamingTheBindingResource)
 {
     // 32-way InnerProduct wants ~70 AGs / more PCUs than the chip has.
     apps::AppInstance app =
         apps::makeInnerProduct(apps::Scale::kTiny, 32);
-    ArchParams params = ArchParams::plasticineFinal();
-    CompileDiagnostics d = precheckProgram(app.prog, params);
+    MapResult res =
+        compileProgram(app.prog, ArchParams::plasticineFinal());
+    EXPECT_FALSE(res.report.ok);
+    const CompileDiagnostics &d = res.report.diag;
     ASSERT_FALSE(d.feasible);
     ASSERT_FALSE(d.binding.empty());
     // The binding resource is the first check that came back over,
-    // with demand/capacity numbers a caller can act on.
+    // with demand/capacity numbers a caller can act on; the error
+    // describes it. The design never reached placement.
     bool found = false;
     for (const ResourceCheck &c : d.checks) {
         if (!c.over)
@@ -125,33 +136,45 @@ TEST(Precheck, RejectsOversizedDesignNamingTheBindingResource)
         if (!found) {
             EXPECT_EQ(c.resource, d.binding);
             EXPECT_GT(c.demand, c.capacity);
+            EXPECT_EQ(res.report.error, c.describe());
         }
         found = true;
     }
     EXPECT_TRUE(found);
-
-    // compileProgram surfaces the same verdict without running
-    // placement: the report carries the pre-check's diagnostics.
-    MapResult res = compileProgram(app.prog, params);
-    EXPECT_FALSE(res.report.ok);
-    EXPECT_EQ(res.report.diag.binding, d.binding);
-    EXPECT_TRUE(res.report.diag.attempts.empty());
+    EXPECT_TRUE(d.attempts.empty());
 }
 
-TEST(Precheck, AgreesWithTheFullPipelineWhenSkipped)
+TEST(Precheck, CapacityVerdictComesBeforeLeafErrors)
 {
-    // Cross-validation: a design the pre-check rejects must also fail
-    // the full pipeline (the counting rules mirror unit construction).
-    apps::AppInstance app =
-        apps::makeInnerProduct(apps::Scale::kTiny, 32);
-    CompileOptions opts;
-    opts.runPrecheck = false;
-    MapResult res = compileProgram(app.prog,
-                                   ArchParams::plasticineFinal(), {},
-                                   opts);
-    EXPECT_FALSE(res.report.ok);
-    EXPECT_FALSE(res.report.diag.binding.empty());
-    EXPECT_FALSE(res.report.diag.feasible);
+    // A leaf that fails to lower counts toward no resource. When the
+    // rest of the design fits, its lowering error is the diagnosis and
+    // no check is reported.
+    Program prog = foldOutsideLeafProgram();
+    MapResult fits = compileProgram(prog, ArchParams::plasticineFinal());
+    ASSERT_FALSE(fits.report.ok);
+    EXPECT_EQ(fits.report.diag.binding, "pcu.pipeline");
+    EXPECT_EQ(fits.report.error, "sum: fold level is not a leaf counter");
+    EXPECT_TRUE(fits.report.diag.checks.empty());
+
+    // When the rest does not fit, the capacity verdict wins and the
+    // failed leaf still adds nothing: no PCU, and `buf` needs only the
+    // PMU its tile load writes.
+    ArchParams noAgs = ArchParams::plasticineFinal();
+    noAgs.numAgs = 0;
+    MapResult over = compileProgram(prog, noAgs);
+    ASSERT_FALSE(over.report.ok);
+    const CompileDiagnostics &d = over.report.diag;
+    EXPECT_EQ(d.binding, "ag");
+    EXPECT_EQ(over.report.error, "ag: 1 needed, 0 available [OVER]");
+    EXPECT_EQ(d.checks.size(), 9u);
+    auto demandOf = [&](const std::string &res) -> uint64_t {
+        for (const ResourceCheck &c : d.checks)
+            if (c.resource == res)
+                return c.demand;
+        return ~0ull;
+    };
+    EXPECT_EQ(demandOf("pcu"), 0u);
+    EXPECT_EQ(demandOf("pmu"), 1u);
 }
 
 TEST(Precheck, CountsOneControlBoxPerOuterController)
@@ -179,23 +202,6 @@ TEST(Precheck, CountsOneControlBoxPerOuterController)
     Runner fits(nestedOutersProgram(5), sixSwitchArch());
     EXPECT_TRUE(fits.tryCompile().ok())
         << fits.mapResult().report.error;
-}
-
-TEST(Precheck, BoxPlacementFailsTypedWhenSkipped)
-{
-    // Without the pre-check, box placement itself runs out of switches
-    // and must name the binding resource instead of placing a box at
-    // no switch.
-    Runner r(nestedOutersProgram(7), sixSwitchArch());
-    CompileOptions opts;
-    opts.runPrecheck = false;
-    r.setCompileOptions(opts);
-    Status st = r.tryCompile();
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), StatusCode::kCompileError);
-    EXPECT_EQ(r.mapResult().report.diag.binding, "box");
-    EXPECT_NE(st.message().find("8 control boxes"), std::string::npos)
-        << st.message();
 }
 
 // ---------------------------------------------------------------------
@@ -265,20 +271,7 @@ TEST(DiagnosedErrors, FoldLevelOutsideTheLeafIsACompileError)
     // Corrupt a valid program post-validation: retarget the fold at an
     // outer counter the leaf does not own. The mapper (which trusts
     // its caller and skips validateProgram) must diagnose, not abort.
-    Program prog = spillProgram();
-    NodeId leaf = kNone;
-    CtrId outerCtr = kNone;
-    for (size_t n = 0; n < prog.nodes.size(); ++n) {
-        if (prog.nodes[n].kind == NodeKind::kCompute)
-            leaf = static_cast<NodeId>(n);
-        if (prog.nodes[n].kind == NodeKind::kOuter &&
-            !prog.nodes[n].ctrs.empty())
-            outerCtr = prog.nodes[n].ctrs[0]; // the metapipe's iT
-    }
-    ASSERT_NE(leaf, kNone);
-    ASSERT_NE(outerCtr, kNone);
-    prog.nodes[leaf].sinks[0].foldLevel = outerCtr;
-
+    Program prog = foldOutsideLeafProgram();
     MapResult res =
         compileProgram(prog, ArchParams::plasticineFinal());
     ASSERT_FALSE(res.report.ok);
@@ -410,26 +403,6 @@ TEST(Restarts, ProvenUnroutableAttemptsSkipNegotiation)
     EXPECT_NE(d.summary().find("attempt 3: proven unroutable: "),
               std::string::npos)
         << d.summary();
-}
-
-TEST(Restarts, SameSeedSameMap)
-{
-    apps::AppInstance app = apps::makeGemm(apps::Scale::kTiny);
-    CompileOptions opts;
-    opts.seed = 42;
-    MapResult a = compileProgram(app.prog,
-                                 ArchParams::plasticineFinal(), {},
-                                 opts);
-    MapResult b = compileProgram(app.prog,
-                                 ArchParams::plasticineFinal(), {},
-                                 opts);
-    ASSERT_TRUE(a.report.ok);
-    EXPECT_EQ(a.report.routedHops, b.report.routedHops);
-    EXPECT_EQ(a.report.diag.placementAttempts,
-              b.report.diag.placementAttempts);
-    ASSERT_EQ(a.fabric.pcus.size(), b.fabric.pcus.size());
-    for (size_t i = 0; i < a.fabric.pcus.size(); ++i)
-        EXPECT_EQ(a.fabric.pcus[i].name, b.fabric.pcus[i].name);
 }
 
 TEST(Diagnostics, JsonDumpCarriesTheSchema)

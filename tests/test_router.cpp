@@ -1,11 +1,13 @@
 /** @file Switch-network router: negotiated congestion must rip up and
  *  converge where one-shot routing thrashes, stay deterministic, never
- *  lose to the greedy baseline on hops, and keep mapping benchmarks on
- *  fabrics with fewer tracks than the greedy router can handle. The
- *  routability proof must catch each bound it checks and never reject
- *  a routable placement. */
+ *  spend more hops than the recorded one-shot greedy counts, and keep
+ *  mapping benchmarks on fabrics with fewer tracks than one-shot
+ *  routing can handle. The routability proof must catch each bound it
+ *  checks and never reject a routable placement. */
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "apps/apps.hpp"
 #include "base/rng.hpp"
@@ -32,10 +34,9 @@ uniformGrid(int cols, int rows, uint32_t tracks)
 
 RouteOutcome
 route(std::vector<RouterNet> &nets, const RouterGrid &grid,
-      RouterMode mode, uint32_t maxRounds = 24)
+      uint32_t maxRounds = 24)
 {
     RouterOptions opts;
-    opts.mode = mode;
     opts.maxRounds = maxRounds;
     return routeNets(nets, grid, opts);
 }
@@ -45,7 +46,7 @@ RouteOutcome
 expectProven(std::vector<RouterNet> &nets, const RouterGrid &grid,
              const std::string &where)
 {
-    RouteOutcome out = route(nets, grid, RouterMode::kNegotiated, 1);
+    RouteOutcome out = route(nets, grid, 1);
     EXPECT_FALSE(out.routed);
     EXPECT_EQ(out.rounds, 0u);
     EXPECT_NE(out.proof.find(where), std::string::npos) << out.proof;
@@ -55,13 +56,10 @@ expectProven(std::vector<RouterNet> &nets, const RouterGrid &grid,
 }
 
 MapResult
-compileApp(const apps::AppSpec &spec, const ArchParams &params,
-           RouterMode mode)
+compileApp(const apps::AppSpec &spec, const ArchParams &params)
 {
     apps::AppInstance app = spec.make(apps::Scale::kTiny);
-    CompileOptions opts;
-    opts.router = mode;
-    return compileProgram(app.prog, params, {}, opts);
+    return compileProgram(app.prog, params);
 }
 
 } // namespace
@@ -77,7 +75,7 @@ TEST(Router, RipUpResolvesContention)
     nets.push_back({{0, 0}, {4, 0}, NetKind::kVector, 1});
     nets.push_back({{1, 0}, {3, 0}, NetKind::kVector, 2});
 
-    RouteOutcome out = route(nets, grid, RouterMode::kNegotiated);
+    RouteOutcome out = route(nets, grid);
     ASSERT_TRUE(out.routed);
     EXPECT_GE(out.rounds, 2u) << "contended start must trigger rip-up";
     EXPECT_EQ(out.overusedLinks, 0u);
@@ -97,7 +95,7 @@ TEST(Router, ReportsHotspotsWhenInfeasible)
     nets.push_back({{0, 0}, {1, 0}, NetKind::kVector, 1});
     nets.push_back({{0, 0}, {1, 0}, NetKind::kVector, 2});
 
-    RouteOutcome out = route(nets, grid, RouterMode::kNegotiated, 6);
+    RouteOutcome out = route(nets, grid, 6);
     EXPECT_FALSE(out.routed);
     EXPECT_EQ(out.rounds, 0u);
     EXPECT_GE(out.overusedLinks, 1u);
@@ -121,7 +119,7 @@ TEST(Router, ExhaustedBudgetReportsHotspots)
     nets.push_back({{0, 0}, {4, 0}, NetKind::kVector, 1});
     nets.push_back({{1, 0}, {3, 0}, NetKind::kVector, 2});
 
-    RouteOutcome out = route(nets, grid, RouterMode::kNegotiated, 1);
+    RouteOutcome out = route(nets, grid, 1);
     EXPECT_FALSE(out.routed);
     EXPECT_EQ(out.rounds, 1u);
     EXPECT_TRUE(out.proof.empty()) << out.proof;
@@ -194,7 +192,7 @@ TEST(Router, ProofNeverRejectsRoutableInstances)
         grid.vectorTracks = caps[static_cast<int>(NetKind::kVector)];
         grid.controlTracks = caps[static_cast<int>(NetKind::kControl)];
 
-        RouteOutcome out = route(nets, grid, RouterMode::kNegotiated, 1);
+        RouteOutcome out = route(nets, grid, 1);
         ASSERT_EQ(out.rounds, 1u)
             << "instance " << inst << " (" << W << "x" << H << ", "
             << groups << " groups) proven unroutable: " << out.proof;
@@ -308,7 +306,7 @@ TEST(Router, MulticastGroupSharesTracks)
     std::vector<RouterNet> fanout;
     fanout.push_back({{0, 0}, {1, 0}, NetKind::kVector, 7});
     fanout.push_back({{0, 0}, {2, 0}, NetKind::kVector, 7});
-    RouteOutcome out = route(fanout, grid, RouterMode::kNegotiated);
+    RouteOutcome out = route(fanout, grid);
     ASSERT_TRUE(out.routed);
     EXPECT_EQ(fanout[0].hops, 1u);
     EXPECT_EQ(fanout[1].hops, 2u);
@@ -319,7 +317,7 @@ TEST(Router, MulticastGroupSharesTracks)
     unicast.push_back({{0, 0}, {1, 0}, NetKind::kVector, 1});
     unicast.push_back({{0, 0}, {2, 0}, NetKind::kVector, 2});
     EXPECT_FALSE(
-        route(unicast, grid, RouterMode::kNegotiated, 6).routed);
+        route(unicast, grid, 6).routed);
 }
 
 TEST(Router, DeterministicAcrossRuns)
@@ -342,8 +340,8 @@ TEST(Router, DeterministicAcrossRuns)
     }
     std::vector<RouterNet> b = a;
 
-    RouteOutcome oa = route(a, grid, RouterMode::kNegotiated);
-    RouteOutcome ob = route(b, grid, RouterMode::kNegotiated);
+    RouteOutcome oa = route(a, grid);
+    RouteOutcome ob = route(b, grid);
     ASSERT_TRUE(oa.routed);
     EXPECT_EQ(oa.rounds, ob.rounds);
     EXPECT_EQ(oa.totalHops, ob.totalHops);
@@ -354,16 +352,21 @@ TEST(Router, DeterministicAcrossRuns)
 TEST(Router, NegotiatedNeverWorseThanGreedyOnBenchmarks)
 {
     // Per-terminal searches seeded from the whole multicast tree make
-    // every uncongested route source-shortest, so on fabrics where the
-    // greedy router succeeds the negotiated one may not spend a single
-    // extra hop.
+    // every uncongested route source-shortest, so no benchmark may
+    // spend more hops than the one-shot greedy BFS router, whose last
+    // recorded counts on the final architecture these are.
+    const std::map<std::string, uint64_t> greedyHops = {
+        {"InnerProduct", 90}, {"OuterProduct", 98},
+        {"Black-Scholes", 634}, {"TPC-H Query 6", 218},
+        {"GEMM", 253}, {"GDA", 285}, {"LogReg", 222}, {"SGD", 220},
+        {"Kmeans", 253}, {"CNN", 366}, {"SMDV", 133},
+        {"PageRank", 177}, {"BFS", 224}};
     ArchParams params = ArchParams::plasticineFinal();
     for (const auto &spec : apps::allApps()) {
-        MapResult g = compileApp(spec, params, RouterMode::kGreedy);
-        MapResult n = compileApp(spec, params, RouterMode::kNegotiated);
-        ASSERT_TRUE(g.report.ok) << spec.name << ": " << g.report.error;
+        MapResult n = compileApp(spec, params);
         ASSERT_TRUE(n.report.ok) << spec.name << ": " << n.report.error;
-        EXPECT_LE(n.report.routedHops, g.report.routedHops) << spec.name;
+        EXPECT_LE(n.report.routedHops, greedyHops.at(spec.name))
+            << spec.name;
         EXPECT_GE(n.report.diag.routeRounds, 1u) << spec.name;
     }
 }
@@ -371,34 +374,22 @@ TEST(Router, NegotiatedNeverWorseThanGreedyOnBenchmarks)
 TEST(Router, ReducedTrackSweepOnlyNegotiatedMaps)
 {
     // Starve the switch fabric of tracks and sweep the benchmarks.
-    // The negotiated router must dominate: wherever greedy maps,
-    // negotiated maps too, and at least one (app, tracks) point must
-    // exist where ONLY rip-up-and-reroute (plus placement restarts)
-    // finds a legal map — the never-fail machinery earning its keep.
-    int onlyNegotiated = 0;
-    int greedyWins = 0;
+    // Black-Scholes at 2 vector tracks, and Kmeans and CNN at 1, need
+    // rip-up-and-reroute plus placement restarts: one-shot greedy
+    // routing fails all three. Only Black-Scholes at 1 track is out of
+    // reach, and it fails diagnosed.
+    std::vector<std::string> failed;
     for (uint32_t vec = 2; vec >= 1; --vec) {
         ArchParams params = ArchParams::plasticineFinal();
         params.vectorTracks = vec;
         params.scalarTracks = 2 * vec;
         for (const auto &spec : apps::allApps()) {
-            MapResult g = compileApp(spec, params, RouterMode::kGreedy);
-            MapResult n =
-                compileApp(spec, params, RouterMode::kNegotiated);
-            if (g.report.ok && !n.report.ok)
-                ++greedyWins;
-            if (!g.report.ok && n.report.ok)
-                ++onlyNegotiated;
-            if (!n.report.ok) {
-                // Failures still come out diagnosed, never silent.
-                EXPECT_FALSE(n.report.diag.binding.empty())
-                    << spec.name;
-            }
+            MapResult n = compileApp(spec, params);
+            if (n.report.ok)
+                continue;
+            failed.push_back(spec.name + "@" + std::to_string(vec));
+            EXPECT_EQ(n.report.diag.binding, "routing") << spec.name;
         }
     }
-    EXPECT_EQ(greedyWins, 0)
-        << "negotiated router lost a design the greedy router mapped";
-    EXPECT_GE(onlyNegotiated, 1)
-        << "expected a starved-track design only the negotiated "
-           "router can map";
+    EXPECT_EQ(failed, std::vector<std::string>{"Black-Scholes@1"});
 }

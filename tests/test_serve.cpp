@@ -784,10 +784,15 @@ TEST(ServeJoblog, RejectsMalformedLogs)
     std::istringstream noHeader("job id=1 src=x\n");
     EXPECT_FALSE(readJobLog(noHeader, log, &err));
     std::istringstream badKey(
-        "plast.joblog.v1\njob id=1 wat=2 src=x\n");
+        "plast.joblog.v2\njob id=1 wat=2 src=x\n");
     EXPECT_FALSE(readJobLog(badKey, log, &err));
-    std::istringstream noSrc("plast.joblog.v1\njob id=1 seq=0\n");
+    EXPECT_NE(err.find("unknown key 'wat'"), std::string::npos) << err;
+    std::istringstream noSrc("plast.joblog.v2\njob id=1 seq=0\n");
     EXPECT_FALSE(readJobLog(noSrc, log, &err));
+    EXPECT_NE(err.find("missing src="), std::string::npos) << err;
+    std::istringstream v1("plast.joblog.v1\njob id=1 seq=0 src=x\n");
+    EXPECT_FALSE(readJobLog(v1, log, &err));
+    EXPECT_NE(err.find("header"), std::string::npos) << err;
 }
 
 TEST(ServeJoblog, TornFinalLineIsDroppedWithWarningNotError)
@@ -1598,22 +1603,6 @@ TEST(ServeJoblog, V2RoundTripsExecutedFlagAndRetries)
     EXPECT_EQ(parsed[1].id, 7u);
     EXPECT_FALSE(parsed[1].executed);
     EXPECT_EQ(parsed[1].outcome, "shed");
-}
-
-TEST(ServeJoblog, V1LogsStillParseWithDefaults)
-{
-    std::stringstream ss;
-    ss << "plast.joblog.v1\n"
-       << "job id=1 seq=0 worker=0 pir=0000000000000001 "
-          "arch=0000000000000002 inputs=0000000000000003 "
-          "options=0000000000000004 chit=0 rhit=0 "
-          "result=0000000000000005 cycles=10 outcome=ok src=x\n";
-    std::vector<JobLogEntry> parsed;
-    std::string err;
-    ASSERT_TRUE(readJobLog(ss, parsed, &err)) << err;
-    ASSERT_EQ(parsed.size(), 1u);
-    EXPECT_TRUE(parsed[0].executed) << "v1 defaults to executed";
-    EXPECT_EQ(parsed[0].retries, 0u);
 }
 
 TEST(ServeReplay, AccountsForRejectedAndAbortedJobs)
