@@ -127,7 +127,6 @@ main(int argc, char **argv)
     // Leg 2: the daemon, 1 worker — isolates the cache win.
     serve::ServeOptions o1;
     o1.workers = 1;
-    o1.logAccesses = false;
     Leg cached1 = runServerLeg(specs, o1, nullptr, nullptr);
 
     // Leg 3: the daemon at full width.

@@ -222,35 +222,4 @@ analyzePcu(const PcuCfg &cfg)
     return lv;
 }
 
-FabricLiveness
-analyzeFabric(const FabricConfig &cfg)
-{
-    FabricLiveness fl;
-    fl.pcus.reserve(cfg.pcus.size());
-    for (const PcuCfg &pcu : cfg.pcus)
-        fl.pcus.push_back(analyzePcu(pcu));
-
-    auto routed = [&cfg](NetKind kind, uint16_t pcu, uint8_t port) {
-        UnitRef self{UnitClass::kPcu, pcu};
-        for (const ChannelCfg &ch : cfg.channels) {
-            if (ch.kind == kind && ch.src.unit == self &&
-                ch.src.port == port)
-                return true;
-        }
-        return false;
-    };
-    for (size_t i = 0; i < cfg.pcus.size(); ++i) {
-        if (!cfg.pcus[i].used)
-            continue;
-        uint16_t idx = static_cast<uint16_t>(i);
-        for (uint8_t p : fl.pcus[i].liveVecOuts)
-            fl.unroutedPcuOuts += routed(NetKind::kVector, idx, p) ? 0 : 1;
-        for (uint8_t p : fl.pcus[i].liveScalOuts)
-            fl.unroutedPcuOuts += routed(NetKind::kScalar, idx, p) ? 0 : 1;
-        for (uint8_t p : fl.pcus[i].countScalOuts)
-            fl.unroutedPcuOuts += routed(NetKind::kScalar, idx, p) ? 0 : 1;
-    }
-    return fl;
-}
-
 } // namespace plast

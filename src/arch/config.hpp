@@ -447,18 +447,6 @@ struct PcuLiveness
 
 PcuLiveness analyzePcu(const PcuCfg &cfg);
 
-/** Per-unit liveness for a whole mapped fabric, plus cross-checks that
- *  only make sense with channel routing in view. */
-struct FabricLiveness
-{
-    std::vector<PcuLiveness> pcus; ///< indexed like FabricConfig::pcus
-    /** Enabled PCU output ports with no routed channel: data the unit
-     *  computes but the fabric provably drops (suspicious mappings). */
-    uint32_t unroutedPcuOuts = 0;
-};
-
-FabricLiveness analyzeFabric(const FabricConfig &cfg);
-
 } // namespace plast
 
 #endif // PLAST_ARCH_CONFIG_HPP

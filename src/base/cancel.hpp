@@ -10,12 +10,12 @@
  *     daemon's per-job latency budget).
  *
  * The token is polled, never delivered: Fabric::runChecked checks it
- * every SimOptions::cancelPollCycles simulated cycles, so a worker
- * thread aborts a hung or oversized simulation within a bounded wall
- * slice and returns a typed kCancelled / kDeadlineExceeded status
- * instead of occupying its worker forever. Polling costs one relaxed
- * atomic load per window (plus a clock read only when a deadline is
- * armed), which is why it is safe to leave enabled on the hot path.
+ * every 2,048 simulated cycles, so a worker thread aborts a hung or
+ * oversized simulation within a bounded wall slice and returns a typed
+ * kCancelled / kDeadlineExceeded status instead of occupying its
+ * worker forever. Polling costs one relaxed atomic load per window
+ * (plus a clock read only when a deadline is armed), which is why it
+ * is safe to leave enabled on the hot path.
  *
  * Tokens are shared by pointer between the requesting thread and the
  * executing thread; both sides only touch atomics, so there is no

@@ -13,17 +13,6 @@ namespace plast::compiler
 
 using namespace pir;
 
-std::string
-accessClassName(AccessClass c)
-{
-    switch (c) {
-      case AccessClass::kVecLinear: return "vec-linear";
-      case AccessClass::kBroadcast: return "broadcast";
-      case AccessClass::kGather: return "gather";
-    }
-    return "?";
-}
-
 namespace
 {
 

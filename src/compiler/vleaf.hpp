@@ -31,8 +31,6 @@ enum class AccessClass : uint8_t
     kGather,    ///< computed per-lane addresses (needs an addr stream)
 };
 
-std::string accessClassName(AccessClass c);
-
 /** A vector input of the virtual unit. */
 struct VecSource
 {

@@ -165,7 +165,6 @@ ResilientRunner::run(const FaultPlan &plan)
         rep.cls = RunClass::kCompileError;
         rep.finalStatus = st;
         harvestOutputs(*runner, Runner::Result{});
-        recordManifest(*runner, Runner::Result{}, rep);
         return rep;
     }
 
@@ -282,7 +281,6 @@ ResilientRunner::run(const FaultPlan &plan)
 
     if (!st.ok()) {
         rep.cls = RunClass::kDetectedUnrecoverable;
-        recordManifest(*runner, res, rep);
         return rep;
     }
 
@@ -299,7 +297,6 @@ ResilientRunner::run(const FaultPlan &plan)
     } else {
         rep.cls = RunClass::kClean;
     }
-    recordManifest(*runner, res, rep);
     return rep;
 }
 
@@ -316,27 +313,6 @@ ResilientRunner::harvestOutputs(Runner &runner, const Runner::Result &res)
         auto mid = static_cast<pir::MemId>(m);
         lastDram_[mid] = runner.readDram(mid);
     }
-}
-
-void
-ResilientRunner::recordManifest(const Runner &runner,
-                                const Runner::Result &res,
-                                const ResilienceReport &rep)
-{
-    RunManifest m = runner.buildManifest(res, rep.finalStatus);
-    // The classification is the outcome that matters for a resilience
-    // run; the typed status survives in `detail` via buildManifest.
-    m.outcome = runClassName(rep.cls);
-    m.metrics["resilience.eventsPlanned"] = rep.eventsPlanned;
-    m.metrics["resilience.eventsFired"] = rep.eventsFired;
-    m.metrics["resilience.firedUnprotected"] = rep.firedUnprotected;
-    m.metrics["resilience.rollbacks"] = rep.rollbacks;
-    m.metrics["resilience.restarts"] = rep.restarts;
-    m.metrics["resilience.remaps"] = rep.remaps;
-    m.metrics["resilience.eccCorrected"] = rep.eccCorrected;
-    m.metrics["resilience.dramCorrected"] = rep.dramCorrected;
-    m.metrics["resilience.dramRetries"] = rep.dramRetries;
-    lastManifest_ = std::move(m);
 }
 
 } // namespace plast::resilience

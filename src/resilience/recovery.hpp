@@ -120,18 +120,6 @@ class ResilientRunner
     /** Execute under `plan`, recovering as needed, and classify. */
     ResilienceReport run(const FaultPlan &plan);
 
-    /**
-     * Manifest of the most recent run(): the standard Runner manifest
-     * with the outcome replaced by the resilience classification and
-     * the recovery/correction counters folded into the metric
-     * snapshot under "resilience.*". Empty before the first run().
-     */
-    const RunManifest &lastManifest() const { return lastManifest_; }
-    void writeLastManifest(std::ostream &os) const
-    {
-        lastManifest_.writeJson(os);
-    }
-
     /** Outputs of the most recent run()'s final attempt — what a
      *  serving layer returns to the tenant. Valid whenever the final
      *  attempt built a fabric (empty on compile errors). */
@@ -153,14 +141,11 @@ class ResilientRunner
     ResilienceOptions opts_;
     std::map<pir::MemId, std::vector<Word>> inputs_;
     const CancelToken *cancel_ = nullptr;
-    void recordManifest(const Runner &runner, const Runner::Result &res,
-                        const ResilienceReport &rep);
     void harvestOutputs(Runner &runner, const Runner::Result &res);
 
     GoldenOutputs golden_;
     Cycles goldenCycles_ = 0;
     bool haveGolden_ = false;
-    RunManifest lastManifest_;
     Runner::Result lastResult_;
     std::map<pir::MemId, std::vector<Word>> lastDram_;
 };

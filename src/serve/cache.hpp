@@ -23,10 +23,11 @@
  *    the entire point: identical kernels never pay place-and-route
  *    twice, identical jobs never simulate twice).
  *  - deterministic accounting: every acquire() is assigned a sequence
- *    number under the cache lock; the (seq, key, hit) access log
- *    replayed serially through a fresh cache of the same capacity
- *    reproduces the hit/miss sequence exactly (the deterministic-
- *    replay test). Eviction decisions happen at miss time (placeholder
+ *    number under the cache lock (Acquired::seq, which the server
+ *    records as JobResult::seq); replaying the jobs serially in seq
+ *    order through a fresh cache of the same capacity reproduces the
+ *    hit/miss sequence exactly (the deterministic-replay test,
+ *    joblog.hpp). Eviction decisions happen at miss time (placeholder
  *    insertion), not at build completion, precisely so the access
  *    order fully determines them.
  *  - LRU eviction: capacity is counted in entries; pending entries are
@@ -60,7 +61,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "base/cancel.hpp"
 #include "base/profile.hpp"
@@ -93,14 +93,6 @@ struct CacheKey
         return pir == o.pir && arch == o.arch && inputs == o.inputs &&
                options == o.options;
     }
-};
-
-/** One acquire() in cache-lock order (the deterministic replay log). */
-struct CacheAccess
-{
-    uint64_t seq = 0;
-    CacheKey key;
-    bool hit = false;
 };
 
 struct CacheStats
@@ -158,7 +150,6 @@ class SingleFlightCache
             Entry &e = it->second;
             ++hits_;
             out.hit = true;
-            recordAccess(out.seq, key, true);
             touch(key, e);
             if (e.ready) {
                 out.value = e.value;
@@ -195,8 +186,8 @@ class SingleFlightCache
                 if (!e.building) {
                     // Leader abandoned; this follower inherits the
                     // single-flight slot and pays for the build. The
-                    // access stays logged as a hit — the extra build is
-                    // charged to the cancellation, not the access log.
+                    // access still counts as a hit — the extra build is
+                    // charged to the cancellation, not the access.
                     e.building = true;
                     --e.waiters;
                     break;
@@ -207,7 +198,6 @@ class SingleFlightCache
             // so the access order alone determines cache contents
             // (replay determinism), then build outside the lock.
             ++misses_;
-            recordAccess(out.seq, key, false);
             Entry &e = entries_[key];
             e.ready = false;
             e.building = true;
@@ -269,21 +259,6 @@ class SingleFlightCache
         return s;
     }
 
-    /** The (seq, key, hit) log in lock order; enable before first use.
-     *  Drives the deterministic-replay machinery (joblog.hpp). */
-    void
-    setLogging(bool on)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        logging_ = on;
-    }
-    std::vector<CacheAccess>
-    accessLog() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return log_;
-    }
-
   private:
     struct Entry
     {
@@ -307,13 +282,6 @@ class SingleFlightCache
             lru_.erase(e.lruPos);
             entries_.erase(it);
         }
-    }
-
-    void
-    recordAccess(uint64_t seq, const CacheKey &key, bool hit)
-    {
-        if (logging_)
-            log_.push_back({seq, key, hit});
     }
 
     void
@@ -358,8 +326,6 @@ class SingleFlightCache
     uint64_t evictions_ = 0;
     uint64_t abandoned_ = 0;
     uint64_t nextSeq_ = 0;
-    bool logging_ = false;
-    std::vector<CacheAccess> log_;
 };
 
 } // namespace plast::serve

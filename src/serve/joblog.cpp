@@ -238,7 +238,6 @@ replayLog(const std::vector<JobLogEntry> &log,
 
     ServeOptions ropts = opts;
     ropts.workers = 1;
-    ropts.logAccesses = false;
     // Replay is store-free by definition: it must re-derive every
     // result from scratch, so a replay that matches a store-served
     // run proves the persisted configs were bit-identical to fresh

@@ -12,12 +12,13 @@
  *   serve_app --traffic --metrics=serve.json  # unified metric dump
  *
  * Fault campaign (DESIGN.md §16): --faults=K injects a seeded fault
- * plan into every Kth job, --deadline-sweep subjects submissions to a
- * cycle of wall-clock budgets, --resilient routes execution through
- * the checkpoint-rollback orchestrator, and --tolerate-failures flips
- * the exit criterion from "every job ok" to "every job finished with
- * a typed outcome and the robustness counters match the job log" —
- * the overload-safety proof, not the happy-path proof.
+ * plan into every Kth job, which then runs under the checkpoint-
+ * rollback orchestrator and is checked against its fault-free golden
+ * run; --deadline-sweep subjects submissions to a cycle of wall-clock
+ * budgets; and --tolerate-failures flips the exit criterion from
+ * "every job ok" to "every job finished with a typed outcome and the
+ * robustness counters match the job log" — the overload-safety proof,
+ * not the happy-path proof.
  *
  * Exit status: 0 = every job ok and (for --replay) the replay
  * matched; 1 = some job failed or the replay diverged; 2 = usage or
@@ -56,7 +57,8 @@ usage()
         "  --result-cache=N   result cache capacity (default 256)\n"
         "  --no-result-cache  always re-execute duplicate jobs\n"
         "  --validate         run the reference evaluator on every\n"
-        "                     executed job (mismatch = typed outcome)\n"
+        "                     executed unfaulted job (mismatch = typed\n"
+        "                     outcome)\n"
         "  --max-cycles=N     default per-job cycle budget\n"
         "  --repeat=N         submit each .pir file N times (default 1)\n"
         "  --traffic          generate seeded synthetic traffic from\n"
@@ -81,16 +83,13 @@ usage()
         "  --quiet            suppress the per-job report\n"
         "robustness (DESIGN.md §16):\n"
         "  --deadline-ms=N    default wall-clock budget per job\n"
-        "  --max-retries=N    transient-failure re-runs per job\n"
-        "  --shed-depth=N     queue depth that arms load shedding\n"
-        "  --shed-cost-us=N   estimated-cost threshold for shedding\n"
-        "  --submit-wait-us=N bounded admission wait on a full queue\n"
+        "  --submit-wait-us=N bounded admission wait on a full queue,\n"
+        "                     then the job is shed (default 1000000)\n"
         "  --breaker=N        consecutive compile failures that open\n"
         "                     a tenant's circuit breaker\n"
-        "  --resilient        run jobs under checkpoint-rollback\n"
-        "                     recovery (resilience/recovery.hpp)\n"
         "  --faults=K         traffic: inject a seeded fault plan\n"
-        "                     into every Kth job\n"
+        "                     into every Kth job and run it under\n"
+        "                     checkpoint-rollback recovery\n"
         "  --fault-rate=R     traffic: fault events per 1M cycles\n"
         "  --fault-hard       traffic: include stuck-unit faults\n"
         "  --deadline-sweep=a,b,c  traffic: per-job deadlines (ms),\n"
@@ -203,18 +202,6 @@ main(int argc, char **argv)
             if (!parseU64(vd, n) || n == 0)
                 return usage(), 2;
             sopts.defaultDeadlineMs = n;
-        } else if (const char *vr = val("--max-retries=")) {
-            if (!parseU64(vr, n))
-                return usage(), 2;
-            sopts.maxRetries = static_cast<uint32_t>(n);
-        } else if (const char *vs = val("--shed-depth=")) {
-            if (!parseU64(vs, n))
-                return usage(), 2;
-            sopts.shedDepth = n;
-        } else if (const char *vc = val("--shed-cost-us=")) {
-            if (!parseU64(vc, n))
-                return usage(), 2;
-            sopts.shedCostUs = n;
         } else if (const char *vw = val("--submit-wait-us=")) {
             if (!parseU64(vw, n))
                 return usage(), 2;
@@ -223,8 +210,6 @@ main(int argc, char **argv)
             if (!parseU64(vb, n))
                 return usage(), 2;
             sopts.breakerThreshold = static_cast<uint32_t>(n);
-        } else if (a == "--resilient") {
-            sopts.resilient = true;
         } else if (const char *vf = val("--faults=")) {
             if (!parseU64(vf, n) || n == 0)
                 return usage(), 2;

@@ -1,8 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "base/logging.hpp"
 #include "base/profile.hpp"
@@ -97,11 +95,10 @@ uint64_t
 hashOptions(const ServeOptions &opts, const JobSpec &job)
 {
     uint64_t base = hashOptions(opts, job.maxCycles);
-    if (!opts.resilient && job.faultSeed == 0)
+    if (job.faultSeed == 0)
         return base; // plain jobs keep the hash recorded logs carry
     Fnv f;
     f.u64(base);
-    f.byte(opts.resilient ? 1 : 0);
     f.u64(job.faultSeed);
     f.u64(static_cast<uint64_t>(job.faultRate * 1000.0));
     f.u64(job.faultHorizon);
@@ -135,8 +132,6 @@ Server::Server(ServeOptions opts)
       configCache_(opts.configCacheCapacity),
       resultCache_(opts.resultCacheCapacity)
 {
-    configCache_.setLogging(opts_.logAccesses);
-    resultCache_.setLogging(opts_.logAccesses);
     if (!opts_.storeDir.empty()) {
         StoreOptions so;
         so.dir = opts_.storeDir;
@@ -188,22 +183,6 @@ Server::submit(JobSpec spec)
                    "compile failures)",
                    spec.tenant.c_str(), opts_.breakerThreshold)));
         return id;
-    }
-
-    // Cost-aware shedding: once the queue is deep, jobs whose past
-    // executions of the same (pir, arch) key were expensive are shed.
-    if (opts_.shedDepth && queue_.size() >= opts_.shedDepth) {
-        double est =
-            estimateCostUs(hashProgram(spec.prog), hashArch(spec.params));
-        if (opts_.shedCostUs == 0 ||
-            est >= static_cast<double>(opts_.shedCostUs)) {
-            finishJob(rejectionRecord(
-                spec, StatusCode::kShed,
-                strfmt("queue depth %zu >= shed depth %zu "
-                       "(estimated cost %.0fus)",
-                       queue_.size(), opts_.shedDepth, est)));
-            return id;
-        }
     }
 
     Queued q;
@@ -340,17 +319,13 @@ Server::finishJob(JobResult rec)
         deadlineMisses_.fetch_add(1, std::memory_order_relaxed);
     retries_.fetch_add(rec.retries, std::memory_order_relaxed);
 
-    if (rec.executed) {
-        // Only executed jobs teach the cost model and the breaker —
-        // rejections observing themselves would feed back.
-        if (rec.pirHash && rec.execUs > 0)
-            learnCost(rec.pirHash, rec.archHash, rec.execUs);
-        if (opts_.breakerThreshold)
-            breakerObserve(
-                rec.tenant,
-                oc == statusCodeName(StatusCode::kCompileError) ||
-                    oc == statusCodeName(StatusCode::kValidationError));
-    }
+    // Only executed jobs teach the breaker — rejections observing
+    // themselves would feed back.
+    if (rec.executed && opts_.breakerThreshold)
+        breakerObserve(
+            rec.tenant,
+            oc == statusCodeName(StatusCode::kCompileError) ||
+                oc == statusCodeName(StatusCode::kValidationError));
     std::lock_guard<std::mutex> lk(resultsMu_);
     if (resultHook_)
         resultHook_(rec);
@@ -367,22 +342,6 @@ Server::robustness() const
     c.deadlineMisses = deadlineMisses_.load(std::memory_order_relaxed);
     c.retries = retries_.load(std::memory_order_relaxed);
     return c;
-}
-
-double
-Server::estimateCostUs(uint64_t pirHash, uint64_t archHash) const
-{
-    std::lock_guard<std::mutex> lk(costMu_);
-    auto it = costUs_.find({pirHash, archHash});
-    return it == costUs_.end() ? 0.0 : it->second;
-}
-
-void
-Server::learnCost(uint64_t pirHash, uint64_t archHash, double execUs)
-{
-    std::lock_guard<std::mutex> lk(costMu_);
-    double &c = costUs_[{pirHash, archHash}];
-    c = c == 0.0 ? execUs : 0.7 * c + 0.3 * execUs;
 }
 
 bool
@@ -416,31 +375,6 @@ Server::breakerObserve(const std::string &tenant, bool compileFailed)
     }
 }
 
-bool
-Server::backoffBeforeRetry(uint32_t attempt, uint64_t jobId,
-                           const CancelToken *cancel) const
-{
-    uint64_t us = opts_.retryBackoffUs
-                  << std::min<uint32_t>(attempt, 16);
-    // Deterministic per-(job, attempt) jitter decorrelates retry herds
-    // without a wall-clock RNG.
-    Fnv f;
-    f.u64(jobId);
-    f.u64(attempt);
-    us += f.h % (opts_.retryBackoffUs + 1);
-    us = std::min(us, opts_.retryBackoffCapUs);
-    uint64_t wakeUs = HostProfiler::instance().nowUs() + us;
-    if (cancel && cancel->hasDeadline() && cancel->deadlineUs() <= wakeUs)
-        return false; // the budget would die during the wait
-    while (HostProfiler::instance().nowUs() < wakeUs) {
-        if (cancel && cancel->cancelRequested())
-            return false;
-        std::this_thread::sleep_for(std::chrono::microseconds(
-            std::min<uint64_t>(us, 500)));
-    }
-    return true;
-}
-
 namespace
 {
 
@@ -451,26 +385,6 @@ isAbortOutcome(const std::string &outcome)
 {
     return outcome == statusCodeName(StatusCode::kCancelled) ||
            outcome == statusCodeName(StatusCode::kDeadlineExceeded);
-}
-
-/** Failures a clean re-run can fix: hangs blamed on transient token
- *  loss and uncorrectable upsets. One-shot fault events make the
- *  retry fault-free. A deadlock only retries when faults were armed —
- *  a program's genuine deadlock is deterministic and retrying it just
- *  burns the budget. */
-bool
-isRetryable(StatusCode code, bool faultsArmed)
-{
-    switch (code) {
-      case StatusCode::kWatchdog:
-      case StatusCode::kLivelock:
-      case StatusCode::kUncorrectable:
-        return true;
-      case StatusCode::kDeadlock:
-        return faultsArmed;
-      default:
-        return false;
-    }
 }
 
 } // namespace
@@ -535,39 +449,12 @@ Server::computeOutcome(Runner &runner, const JobSpec &job, JobResult &rec,
         // daemon incarnation compiled).
         if (acq.hit || fromStore)
             runner.adoptCompiled(cc.map);
-        if (opts_.resilient)
+        if (job.faultSeed)
             return computeResilient(runner, job, rec, cancel);
 
-        // A seeded fault plan over the compiled fabric; the injector
-        // is shared across retries so fired one-shot events stay fired
-        // and the re-run is clean.
-        std::unique_ptr<resilience::FaultInjector> inj;
-        if (job.faultSeed) {
-            resilience::FaultPlan plan = resilience::FaultPlan::random(
-                job.faultSeed, job.faultRate, job.faultHorizon,
-                runner.mapResult().fabric, resilience::FaultMix::kAll,
-                job.faultHard);
-            inj = std::make_unique<resilience::FaultInjector>(
-                std::move(plan), job.params.dram.ecc);
-            runner.setFaultInjector(inj.get());
-        }
-
         Cycles mc = job.maxCycles ? job.maxCycles : opts_.maxCycles;
-        for (uint32_t attempt = 0;; ++attempt) {
-            res = Runner::Result{};
-            st = opts_.validate ? runner.tryRunValidated(res, mc)
-                                : runner.tryRun(res, mc);
-            if (st.ok() || attempt >= opts_.maxRetries ||
-                !isRetryable(st.code(), job.faultSeed != 0))
-                break;
-            if (!backoffBeforeRetry(attempt, job.id, cancel))
-                break;
-            ++rec.retries;
-        }
-        // The injector dies with this scope; disarm the runner so no
-        // dangling hook survives in the fabric.
-        if (inj)
-            runner.setFaultInjector(nullptr);
+        st = opts_.validate ? runner.tryRunValidated(res, mc)
+                            : runner.tryRun(res, mc);
     }
     out->outcome = statusCodeName(st.code());
     out->detail = st.ok() ? "" : st.message();
@@ -610,13 +497,10 @@ Server::computeResilient(Runner &runner, const JobSpec &job,
     if (cancel)
         rr.setCancelToken(cancel);
 
-    resilience::FaultPlan plan;
-    if (job.faultSeed) {
-        plan = resilience::FaultPlan::random(
-            job.faultSeed, job.faultRate, job.faultHorizon,
-            runner.mapResult().fabric, resilience::FaultMix::kAll,
-            job.faultHard);
-    }
+    resilience::FaultPlan plan = resilience::FaultPlan::random(
+        job.faultSeed, job.faultRate, job.faultHorizon,
+        runner.mapResult().fabric, resilience::FaultMix::kAll,
+        job.faultHard);
     resilience::ResilienceReport rep = rr.run(plan);
     rec.retries += rep.rollbacks + rep.restarts + rep.remaps;
 

@@ -29,20 +29,18 @@
  *
  * Robustness layer (DESIGN.md §16): every job is bounded, cancellable
  * and recoverable. Submission passes admission control — a per-tenant
- * circuit breaker over repeated compile failures, cost-aware load
- * shedding once the queue is deep, and a bounded wait on the full
- * queue — and rejected work still produces a typed record (kShed /
- * kCircuitOpen) instead of silently vanishing. Admitted jobs carry a
- * CancelToken armed with their wall-clock deadline; the fabric polls
- * it mid-simulation, so a stuck or slow job returns kCancelled /
+ * circuit breaker over repeated compile failures, then a bounded wait
+ * on the full queue — and rejected work still produces a typed record
+ * (kCircuitOpen / kShed) instead of silently vanishing. Admitted jobs
+ * carry a CancelToken armed with their wall-clock deadline; the fabric
+ * polls it mid-simulation, so a stuck or slow job returns kCancelled /
  * kDeadlineExceeded within its budget and the worker moves on.
  * Deadline-typed outcomes are never published to the result cache
  * (they depend on wall clock, not content); an abandoned single-flight
- * build is handed off to a waiting follower. Transient failures —
- * watchdog/livelock trips and uncorrectable upsets from injected
- * faults — retry with capped exponential backoff; `resilient` mode
- * routes jobs through the PR 4 checkpoint-rollback orchestrator
- * instead.
+ * build is handed off to a waiting follower. A job with a fault plan
+ * runs under the checkpoint-rollback recovery orchestrator
+ * (resilience/recovery.hpp), which checks its outputs against a
+ * fault-free golden run; every other job runs exactly once.
  */
 
 #ifndef PLAST_SERVE_SERVER_HPP
@@ -100,8 +98,9 @@ struct JobSpec
      *  a job is abandoned, never what it computes. */
     uint64_t deadlineMs = 0;
     /** Fault-injection campaign: a non-zero seed arms a seeded random
-     *  fault plan over the compiled fabric for this job. Part of the
-     *  options hash — a faulted execution is a different execution. */
+     *  fault plan over the compiled fabric and runs the job under the
+     *  recovery orchestrator. Part of the options hash — a faulted
+     *  execution is a different execution. */
     uint64_t faultSeed = 0;
     double faultRate = 200.0; ///< events per million cycles
     Cycles faultHorizon = 100'000;
@@ -146,8 +145,8 @@ struct JobResult
      *  records never touched the caches and are excluded from replay
      *  determinism checks (their seq lives in a disjoint band). */
     bool executed = true;
-    /** Same-job re-runs after transient failures (backoff retries, or
-     *  rollback+restart+remap recoveries in resilient mode). */
+    /** Recovery actions the orchestrator took for a faulted job
+     *  (rollbacks + restarts + remaps); 0 for plain jobs. */
     uint32_t retries = 0;
     std::string tenant;
     std::shared_ptr<const JobOutcome> outcome;
@@ -163,41 +162,26 @@ struct ServeOptions
      *  the config cache is always on). */
     bool resultCache = true;
     /** Run the reference evaluator and compare bit-exactly on every
-     *  executed job (kMismatch outcome on divergence). Expensive;
+     *  executed plain job (kMismatch outcome on divergence; faulted
+     *  jobs are already checked against their golden run). Expensive;
      *  off in production-shaped runs, on in paranoid ones. */
     bool validate = false;
     Cycles maxCycles = 500'000'000;
     SimOptions simOpts;
-    /** Record cache access logs for deterministic replay. */
-    bool logAccesses = true;
 
     // ---- robustness (DESIGN.md §16) ----------------------------------
     /** Deadline applied to jobs that do not set their own (0 = none). */
     uint64_t defaultDeadlineMs = 0;
     /** Bounded admission wait on a full queue before the job is shed
-     *  with a typed rejection instead of blocking the submitter. */
+     *  with a typed rejection instead of blocking the submitter (the
+     *  only source of a kShed outcome). */
     uint64_t submitWaitUs = 1'000'000;
-    /** Queue depth at which cost-aware shedding arms (0 = never). */
-    size_t shedDepth = 0;
-    /** Estimated-cost threshold (EWMA of past exec times for the same
-     *  (pir, arch) key) above which a job is shed once shedDepth is
-     *  reached; 0 sheds on depth alone. */
-    uint64_t shedCostUs = 0;
-    /** Transient-failure re-runs per job (watchdog/livelock trips,
-     *  uncorrectable upsets; one-shot fault events make the re-run
-     *  clean). */
-    uint32_t maxRetries = 0;
-    uint64_t retryBackoffUs = 2'000; ///< base backoff (exponential)
-    uint64_t retryBackoffCapUs = 50'000;
     /** Consecutive compile failures that open a tenant's circuit
      *  breaker (0 = breaker off). */
     uint32_t breakerThreshold = 0;
     /** Every Nth submission from an open-breaker tenant is admitted as
      *  a probe; a healthy compile closes the breaker. */
     uint32_t breakerProbeEvery = 8;
-    /** Route executed jobs through the checkpoint-rollback recovery
-     *  orchestrator (resilience/recovery.hpp) instead of plain runs. */
-    bool resilient = false;
 
     // ---- persistent config store (DESIGN.md §17) ---------------------
     /** Directory for the crash-safe compiled-config store; empty
@@ -240,11 +224,11 @@ uint64_t hashInputs(const std::map<pir::MemId, std::vector<Word>> &bufs);
 /** FNV-1a over the execution options that shape a result: scheduler
  *  mode, sim mode, cycle budget, validate flag. */
 uint64_t hashOptions(const ServeOptions &opts, Cycles jobMaxCycles);
-/** Job-aware overload: additionally folds the resilient flag and the
- *  job's fault-plan parameters (a faulted or recovery-orchestrated
- *  execution is a different execution). Bit-identical to the base
- *  overload for plain jobs, so recorded logs stay addressable.
- *  Deadlines are deliberately NOT hashed — see JobSpec::deadlineMs. */
+/** Job-aware overload: additionally folds the job's fault-plan
+ *  parameters (a faulted execution is a different execution).
+ *  Bit-identical to the base overload for plain jobs, so recorded logs
+ *  stay addressable. Deadlines are deliberately NOT hashed — see
+ *  JobSpec::deadlineMs. */
 uint64_t hashOptions(const ServeOptions &opts, const JobSpec &job);
 /** The bit-exactness witness over a finished outcome. */
 uint64_t hashOutcome(const JobOutcome &out);
@@ -346,6 +330,8 @@ class Server
     std::shared_ptr<const JobOutcome>
     computeOutcome(Runner &runner, const JobSpec &job, JobResult &rec,
                    const CancelToken *cancel);
+    /** A faulted job: run its fault plan under the recovery
+     *  orchestrator and classify against the fault-free golden run. */
     std::shared_ptr<const JobOutcome>
     computeResilient(Runner &runner, const JobSpec &job, JobResult &rec,
                      const CancelToken *cancel);
@@ -354,13 +340,9 @@ class Server
     JobResult rejectionRecord(const JobSpec &spec, StatusCode code,
                               const std::string &why);
     /** Single choke point every record passes through: unregisters the
-     *  cancel token, updates the robustness counters, feeds the cost
-     *  model and the circuit breaker, then appends to results_. */
+     *  cancel token, updates the robustness counters, feeds the circuit
+     *  breaker, then appends to results_. */
     void finishJob(JobResult rec);
-    bool backoffBeforeRetry(uint32_t attempt, uint64_t jobId,
-                            const CancelToken *cancel) const;
-    double estimateCostUs(uint64_t pirHash, uint64_t archHash) const;
-    void learnCost(uint64_t pirHash, uint64_t archHash, double execUs);
     bool breakerRejects(const std::string &tenant);
     void breakerObserve(const std::string &tenant, bool compileFailed);
 
@@ -389,11 +371,6 @@ class Server
     };
     mutable std::mutex breakerMu_;
     std::map<std::string, Breaker> breakers_;
-
-    /** (pirHash, archHash) -> EWMA of exec time, the shed-policy cost
-     *  estimator (unknown keys are admitted). */
-    mutable std::mutex costMu_;
-    std::map<std::pair<uint64_t, uint64_t>, double> costUs_;
 
     /** Seq band for records that never touched the caches — disjoint
      *  from (and sorting after) every real cache seq. */

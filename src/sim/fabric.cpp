@@ -12,6 +12,19 @@
 namespace plast
 {
 
+namespace
+{
+
+/** Post-completion drain stops after this many quiet cycles. */
+constexpr Cycles kDrainQuietWindow = 128;
+/** Hard cap on post-completion drain cycles. */
+constexpr Cycles kDrainMaxCycles = 100'000;
+/** How often (in simulated cycles) runChecked polls the armed
+ *  CancelToken for cooperative cancellation / deadline expiry. */
+constexpr Cycles kCancelPollCycles = 2048;
+
+} // namespace
+
 Fabric::Fabric(const FabricConfig &cfg, SimOptions opts)
     : cfg_(cfg), opts_(opts), mem_(cfg.params)
 {
@@ -490,8 +503,8 @@ Fabric::runDenseChecked(Cycles maxCycles)
     // has moved for a full window (covers the longest routed channel).
     // anyProgress() already covers memory-system activity.
     Cycles quiet_since = now_;
-    while (now_ - quiet_since < opts_.drainQuietWindow &&
-           now_ - done_at < opts_.drainMaxCycles) {
+    while (now_ - quiet_since < kDrainQuietWindow &&
+           now_ - done_at < kDrainMaxCycles) {
         step();
         if (anyProgress())
             quiet_since = now_;
@@ -564,8 +577,8 @@ Fabric::runActivityChecked(Cycles maxCycles)
     // under dense ticking and the final cycle count (the "cycles"
     // stat) is identical. Idle drain cycles are O(1).
     Cycles quiet_since = now_;
-    while (now_ - quiet_since < opts_.drainQuietWindow &&
-           now_ - done_at < opts_.drainMaxCycles) {
+    while (now_ - quiet_since < kDrainQuietWindow &&
+           now_ - done_at < kDrainMaxCycles) {
         step();
         if (sched_.progressLastCycle())
             quiet_since = now_;
@@ -650,7 +663,7 @@ Fabric::checkCancel()
 {
     if (!cancel_ || now_ < nextCancelCheckAt_)
         return Status();
-    nextCancelCheckAt_ = now_ + std::max<uint32_t>(1, opts_.cancelPollCycles);
+    nextCancelCheckAt_ = now_ + kCancelPollCycles;
     if (cancel_->cancelRequested()) {
         return Status(StatusCode::kCancelled,
                       strfmt("run cancelled cooperatively at cycle %llu",

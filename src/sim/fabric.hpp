@@ -52,10 +52,6 @@ struct SimOptions
     /** Dense mode only: fatal after this many cycles without progress.
      *  (Activity mode detects deadlock exactly: empty active set.) */
     uint32_t deadlockWindow = 50'000;
-    /** Post-completion drain stops after this many quiet cycles. */
-    uint32_t drainQuietWindow = 128;
-    /** Hard cap on post-completion drain cycles. */
-    Cycles drainMaxCycles = 100'000;
     /** Event tracing and utilization sampling (off by default). */
     TraceOptions trace;
 
@@ -74,11 +70,6 @@ struct SimOptions
      *  completes no iteration for this many cycles while the fabric is
      *  still active (0 = off). */
     Cycles livelockCycles = 0;
-    /** How often (in simulated cycles) runChecked polls the armed
-     *  CancelToken for cooperative cancellation / deadline expiry.
-     *  Bounds the wall-clock reaction latency to roughly
-     *  `cancelPollCycles / simulated-cycles-per-second`. */
-    uint32_t cancelPollCycles = 2048;
 };
 
 /**
@@ -156,11 +147,11 @@ class Fabric
     void armFaults(resilience::FaultInjector *inj);
     /**
      * Arm (or disarm with nullptr) a cooperative cancellation token.
-     * runChecked polls it every SimOptions::cancelPollCycles simulated
-     * cycles and returns kCancelled / kDeadlineExceeded the moment the
-     * token fires — the fabric state stays intact at the abort cycle,
-     * so post-mortems (analyzeDeadlock / analyzeBottlenecks) and
-     * checkpoints remain valid on a cancelled fabric.
+     * runChecked polls it every 2,048 simulated cycles and returns
+     * kCancelled / kDeadlineExceeded the moment the token fires — the
+     * fabric state stays intact at the abort cycle, so post-mortems
+     * (analyzeDeadlock / analyzeBottlenecks) and checkpoints remain
+     * valid on a cancelled fabric.
      */
     void setCancelToken(const CancelToken *tok);
     /** Earliest ECC-uncorrectable corruption cycle across all PMU

@@ -16,7 +16,6 @@
 #include "model/area.hpp"
 #include "model/power.hpp"
 #include "resilience/campaign.hpp"
-#include "resilience/checkpoint.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/recovery.hpp"
 #include "runtime/bottleneck.hpp"
@@ -615,35 +614,6 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(simModeName(info.param.first)) + "_to_" +
                std::string(simModeName(info.param.second));
     });
-
-// ---- checkpoint text round trip -------------------------------------
-
-TEST(Resilience, CheckpointTextRoundTrip)
-{
-    setVerbose(false);
-    apps::AppInstance app = appByName("InnerProduct");
-    Runner r(app.prog, eccParams(true));
-    app.load(r);
-    Runner::Result out;
-    ASSERT_TRUE(r.tryRun(out).ok());
-
-    FabricCheckpoint cp = r.mutableFabric()->saveCheckpoint();
-    ASSERT_FALSE(cp.tape.empty());
-
-    std::stringstream ss;
-    writeCheckpoint(ss, cp);
-    FabricCheckpoint back;
-    std::string err;
-    ASSERT_TRUE(readCheckpoint(ss, back, &err)) << err;
-    EXPECT_EQ(back.cycle, cp.cycle);
-    EXPECT_EQ(back.cfgHash, cp.cfgHash);
-    EXPECT_EQ(back.tape, cp.tape);
-
-    std::stringstream bad("not_a_checkpoint 1\n");
-    FabricCheckpoint junk;
-    EXPECT_FALSE(readCheckpoint(bad, junk, &err));
-    EXPECT_NE(err.find("magic"), std::string::npos);
-}
 
 // ---- report classification helpers ----------------------------------
 
