@@ -37,29 +37,6 @@ statsJsonPath(int argc, char **argv)
     return argValue(argc, argv, "--stats-json");
 }
 
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += strfmt("\\u%04x", c);
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 void
 writeStatsJson(const std::string &path, const StatSet &stats,
                const std::string &benchName, const ArchParams &params)

@@ -1,527 +1,273 @@
 #include "arch/cfgio.hpp"
 
-#include <istream>
-#include <ostream>
+#include <algorithm>
 #include <sstream>
 
-#include "base/logging.hpp"
+#include "base/textio.hpp"
 
 namespace plast
 {
 
+// --------------------------------------------------------------------
+// The .pcfg field walks (base/textio.hpp). Format properties: "-"
+// stands for an empty unit name, every number is decimal, and a unit
+// array lists only its used units, each behind its index.
+// --------------------------------------------------------------------
+
 namespace
 {
 
-// --------------------------------------------------------------------
-// Writer: fixed field order, one logical record per line. The parser
-// below consumes the exact same token sequence ('#' to end of line is
-// a comment), which makes write -> read -> write a string fixpoint.
-// --------------------------------------------------------------------
+/** UnitRef::index is 16 bits; no unit array is longer. */
+constexpr uint64_t kMaxUnits = uint64_t{1} << 16;
 
-/** Unit names come from PIR node names; keep them one token. */
-std::string
-token(const std::string &s)
+template <class S>
+Name<S>
+name(S &s)
 {
-    if (s.empty())
-        return "-";
-    std::string t = s;
-    for (char &c : t)
-        if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-            c = '_';
-    return t;
-}
-
-void
-writeOperand(std::ostream &os, const Operand &o)
-{
-    os << ' ' << static_cast<int>(o.kind) << ' '
-       << static_cast<int>(o.index) << ' ' << o.imm;
-}
-
-void
-writeStage(std::ostream &os, const StageCfg &s)
-{
-    os << "    stage " << static_cast<int>(s.kind) << ' '
-       << static_cast<int>(s.op);
-    writeOperand(os, s.a);
-    writeOperand(os, s.b);
-    writeOperand(os, s.c);
-    os << ' ' << static_cast<int>(s.dstReg) << ' ' << (s.setsMask ? 1 : 0)
-       << ' ' << static_cast<int>(s.reduceDist) << ' '
-       << static_cast<int>(s.accLevel) << ' '
-       << static_cast<int>(s.shiftAmt) << '\n';
-}
-
-void
-writeChain(std::ostream &os, const ChainCfg &c)
-{
-    os << "   chain " << c.ctrs.size() << '\n';
-    for (const CounterCfg &k : c.ctrs)
-        os << "    ctr " << k.min << ' ' << k.step << ' ' << k.max << ' '
-           << (k.vectorized ? 1 : 0) << ' '
-           << static_cast<int>(k.maxFromScalarIn) << ' ' << k.boundScale
-           << '\n';
-}
-
-void
-writeStages(std::ostream &os, const char *label,
-            const std::vector<StageCfg> &stages)
-{
-    os << "   " << label << ' ' << stages.size() << '\n';
-    for (const StageCfg &s : stages)
-        writeStage(os, s);
-}
-
-void
-writeCtrl(std::ostream &os, const ControlCfg &c)
-{
-    os << "   ctrl " << c.tokenIns.size();
-    for (uint8_t t : c.tokenIns)
-        os << ' ' << static_cast<int>(t);
-    os << ' ' << c.doneOuts.size();
-    for (uint8_t t : c.doneOuts)
-        os << ' ' << static_cast<int>(t);
-    os << '\n';
-}
-
-void
-writeCond(std::ostream &os, const EmitCond &c)
-{
-    os << ' ' << (c.always ? 1 : 0) << ' ' << static_cast<int>(c.level);
-}
-
-void
-writePort(std::ostream &os, const char *label, const PmuPortCfg &p)
-{
-    os << "  " << label << ' ' << (p.enabled ? 1 : 0) << ' '
-       << static_cast<int>(p.addrReg) << ' '
-       << static_cast<int>(p.addrVecIn) << ' '
-       << static_cast<int>(p.dataVecIn) << ' '
-       << static_cast<int>(p.dataVecOut) << ' '
-       << (p.accumulate ? 1 : 0) << ' ' << static_cast<int>(p.accumOp)
-       << ' ' << p.swapEvery << ' ' << (p.vecLinear ? 1 : 0) << ' '
-       << p.clearEvery << ' ' << (p.broadcast ? 1 : 0) << ' '
-       << (p.appendMode ? 1 : 0) << '\n';
-    writeChain(os, p.chain);
-    writeStages(os, "addrstages", p.addrStages);
-    writeCtrl(os, p.ctrl);
-}
-
-void
-writeEndpoint(std::ostream &os, const Endpoint &e)
-{
-    os << ' ' << static_cast<int>(e.unit.cls) << ' ' << e.unit.index
-       << ' ' << static_cast<int>(e.port);
-}
-
-// --------------------------------------------------------------------
-// Reader
-// --------------------------------------------------------------------
-
-struct Reader
-{
-    std::istream &is;
-    std::string err;
-
-    explicit Reader(std::istream &s) : is(s) {}
-
-    bool
-    fail(const std::string &msg)
-    {
-        if (err.empty())
-            err = msg;
-        return false;
-    }
-
-    /** Next token; skips '#' comments to end of line. */
-    bool
-    tok(std::string &out)
-    {
-        while (is >> out) {
-            if (out[0] == '#') {
-                std::string rest;
-                std::getline(is, rest);
-                continue;
-            }
-            return true;
-        }
-        return fail("unexpected end of input");
-    }
-
-    bool
-    expect(const char *kw)
-    {
-        std::string t;
-        if (!tok(t))
-            return false;
-        if (t != kw)
-            return fail(strfmt("expected '%s', got '%s'", kw, t.c_str()));
-        return true;
-    }
-
-    template <typename T>
-    bool
-    num(T &out)
-    {
-        std::string t;
-        if (!tok(t))
-            return false;
-        std::istringstream ss(t);
-        int64_t v = 0;
-        if (!(ss >> v) || !ss.eof())
-            return fail(strfmt("expected number, got '%s'", t.c_str()));
-        out = static_cast<T>(v);
-        return true;
-    }
-
-    bool
-    u64(uint64_t &out)
-    {
-        std::string t;
-        if (!tok(t))
-            return false;
-        std::istringstream ss(t);
-        if (!(ss >> out) || !ss.eof())
-            return fail(strfmt("expected number, got '%s'", t.c_str()));
-        return true;
-    }
-
-    bool
-    flag(bool &out)
-    {
-        int v = 0;
-        if (!num(v))
-            return false;
-        out = v != 0;
-        return true;
-    }
-
-    bool
-    name(std::string &out)
-    {
-        if (!tok(out))
-            return false;
-        if (out == "-")
-            out.clear();
-        return true;
-    }
-
-    bool
-    operand(Operand &o)
-    {
-        int kind = 0, index = 0;
-        if (!num(kind) || !num(index) || !num(o.imm))
-            return false;
-        if (kind < 0 || kind > static_cast<int>(OperandKind::kLaneId))
-            return fail("operand kind out of range");
-        o.kind = static_cast<OperandKind>(kind);
-        o.index = static_cast<uint8_t>(index);
-        return true;
-    }
-
-    bool
-    stage(StageCfg &s)
-    {
-        if (!expect("stage"))
-            return false;
-        int kind = 0, op = 0, dst = 0, mask = 0, dist = 0, lvl = 0,
-            shift = 0;
-        if (!num(kind) || !num(op) || !operand(s.a) || !operand(s.b) ||
-            !operand(s.c) || !num(dst) || !num(mask) || !num(dist) ||
-            !num(lvl) || !num(shift))
-            return false;
-        if (kind < 0 || kind > static_cast<int>(StageKind::kShift))
-            return fail("stage kind out of range");
-        if (op < 0 || op >= static_cast<int>(FuOp::kNumOps))
-            return fail("stage op out of range");
-        s.kind = static_cast<StageKind>(kind);
-        s.op = static_cast<FuOp>(op);
-        s.dstReg = static_cast<uint8_t>(dst);
-        s.setsMask = mask != 0;
-        s.reduceDist = static_cast<uint8_t>(dist);
-        s.accLevel = static_cast<uint8_t>(lvl);
-        s.shiftAmt = static_cast<int8_t>(shift);
-        return true;
-    }
-
-    bool
-    chain(ChainCfg &c)
-    {
-        size_t n = 0;
-        if (!expect("chain") || !num(n))
-            return false;
-        c.ctrs.assign(n, CounterCfg{});
-        for (CounterCfg &k : c.ctrs) {
-            int vec = 0, dyn = 0;
-            if (!expect("ctr") || !num(k.min) || !num(k.step) ||
-                !num(k.max) || !num(vec) || !num(dyn) ||
-                !num(k.boundScale))
-                return false;
-            k.vectorized = vec != 0;
-            k.maxFromScalarIn = static_cast<int8_t>(dyn);
-        }
-        return true;
-    }
-
-    bool
-    stages(const char *label, std::vector<StageCfg> &out)
-    {
-        size_t n = 0;
-        if (!expect(label) || !num(n))
-            return false;
-        out.assign(n, StageCfg{});
-        for (StageCfg &s : out)
-            if (!stage(s))
-                return false;
-        return true;
-    }
-
-    bool
-    ctrl(ControlCfg &c)
-    {
-        size_t n = 0;
-        if (!expect("ctrl") || !num(n))
-            return false;
-        c.tokenIns.assign(n, 0);
-        for (uint8_t &t : c.tokenIns) {
-            int v = 0;
-            if (!num(v))
-                return false;
-            t = static_cast<uint8_t>(v);
-        }
-        if (!num(n))
-            return false;
-        c.doneOuts.assign(n, 0);
-        for (uint8_t &t : c.doneOuts) {
-            int v = 0;
-            if (!num(v))
-                return false;
-            t = static_cast<uint8_t>(v);
-        }
-        return true;
-    }
-
-    bool
-    cond(EmitCond &c)
-    {
-        int lvl = 0;
-        if (!flag(c.always) || !num(lvl))
-            return false;
-        c.level = static_cast<uint8_t>(lvl);
-        return true;
-    }
-
-    bool
-    port(const char *label, PmuPortCfg &p)
-    {
-        int areg = 0, avin = 0, dvin = 0, dvout = 0, aop = 0;
-        if (!expect(label) || !flag(p.enabled) || !num(areg) ||
-            !num(avin) || !num(dvin) || !num(dvout) ||
-            !flag(p.accumulate) || !num(aop) || !num(p.swapEvery) ||
-            !flag(p.vecLinear) || !num(p.clearEvery) ||
-            !flag(p.broadcast) || !flag(p.appendMode))
-            return false;
-        if (aop < 0 || aop >= static_cast<int>(FuOp::kNumOps))
-            return fail("port accumOp out of range");
-        p.addrReg = static_cast<uint8_t>(areg);
-        p.addrVecIn = static_cast<int8_t>(avin);
-        p.dataVecIn = static_cast<int8_t>(dvin);
-        p.dataVecOut = static_cast<int8_t>(dvout);
-        p.accumOp = static_cast<FuOp>(aop);
-        return chain(p.chain) && stages("addrstages", p.addrStages) &&
-               ctrl(p.ctrl);
-    }
-
-    bool
-    endpoint(Endpoint &e)
-    {
-        int cls = 0, idx = 0, prt = 0;
-        if (!num(cls) || !num(idx) || !num(prt))
-            return false;
-        if (cls < 0 || cls > static_cast<int>(UnitClass::kHost))
-            return fail("endpoint class out of range");
-        e.unit.cls = static_cast<UnitClass>(cls);
-        e.unit.index = static_cast<uint16_t>(idx);
-        e.port = static_cast<uint8_t>(prt);
-        return true;
-    }
-};
-
-void
-writeParams(std::ostream &os, const ArchParams &p)
-{
-    os << "params " << p.gridCols << ' ' << p.gridRows << ' ' << p.numAgs
-       << ' ' << p.coalescerCacheLines << ' '
-       << p.coalescerMaxOutstanding << ' ' << p.vectorTracks << ' '
-       << p.scalarTracks << ' ' << p.controlTracks << '\n';
-    const PcuParams &c = p.pcu;
-    os << "pcu_params " << c.lanes << ' ' << c.stages << ' '
-       << c.regsPerStage << ' ' << c.scalarIns << ' ' << c.scalarOuts
-       << ' ' << c.vectorIns << ' ' << c.vectorOuts << ' ' << c.counters
-       << ' ' << c.fifoDepth << '\n';
-    const PmuParams &m = p.pmu;
-    os << "pmu_params " << m.banks << ' ' << m.bankKilobytes << ' '
-       << m.stages << ' ' << m.regsPerStage << ' ' << m.scalarIns << ' '
-       << m.scalarOuts << ' ' << m.vectorIns << ' ' << m.vectorOuts
-       << ' ' << m.counters << ' ' << m.fifoDepth << ' '
-       << (m.ecc ? 1 : 0) << '\n';
-    const DramParams &d = p.dram;
-    os << "dram_params " << d.channels << ' ' << d.burstBytes << ' '
-       << d.banksPerChannel << ' ' << d.rowBytes << ' ' << d.tRcd << ' '
-       << d.tCas << ' ' << d.tRp << ' ' << d.tRas << ' ' << d.tBurst
-       << ' ' << d.queueDepth << ' ' << (d.ecc ? 1 : 0) << '\n';
-}
-
-bool
-readParams(Reader &r, ArchParams &p)
-{
-    PcuParams &c = p.pcu;
-    PmuParams &m = p.pmu;
-    DramParams &d = p.dram;
-    int pmuEcc = 0, dramEcc = 0;
-    bool ok = r.expect("params") && r.num(p.gridCols) &&
-           r.num(p.gridRows) && r.num(p.numAgs) &&
-           r.num(p.coalescerCacheLines) &&
-           r.num(p.coalescerMaxOutstanding) && r.num(p.vectorTracks) &&
-           r.num(p.scalarTracks) && r.num(p.controlTracks) &&
-           r.expect("pcu_params") && r.num(c.lanes) && r.num(c.stages) &&
-           r.num(c.regsPerStage) && r.num(c.scalarIns) &&
-           r.num(c.scalarOuts) && r.num(c.vectorIns) &&
-           r.num(c.vectorOuts) && r.num(c.counters) &&
-           r.num(c.fifoDepth) && r.expect("pmu_params") &&
-           r.num(m.banks) && r.num(m.bankKilobytes) && r.num(m.stages) &&
-           r.num(m.regsPerStage) && r.num(m.scalarIns) &&
-           r.num(m.scalarOuts) && r.num(m.vectorIns) &&
-           r.num(m.vectorOuts) && r.num(m.counters) &&
-           r.num(m.fifoDepth) && r.num(pmuEcc) &&
-           r.expect("dram_params") &&
-           r.num(d.channels) && r.num(d.burstBytes) &&
-           r.num(d.banksPerChannel) && r.num(d.rowBytes) &&
-           r.num(d.tRcd) && r.num(d.tCas) && r.num(d.tRp) &&
-           r.num(d.tRas) && r.num(d.tBurst) && r.num(d.queueDepth) &&
-           r.num(dramEcc);
-    m.ecc = pmuEcc != 0;
-    d.ecc = dramEcc != 0;
-    return ok;
+    return {s, "-"};
 }
 
 } // namespace
 
+template <class Ar, Is<Operand> O>
+void
+fields(Ar &ar, O &o)
+{
+    ar(o.kind, o.index, o.imm);
+}
+
+template <class Ar, Is<StageCfg> S>
+void
+fields(Ar &ar, S &s)
+{
+    ar.line("    stage", s.kind, s.op, s.a, s.b, s.c, s.dstReg, s.setsMask,
+            s.reduceDist, s.accLevel, s.shiftAmt);
+}
+
+template <class Ar, Is<CounterCfg> K>
+void
+fields(Ar &ar, K &k)
+{
+    ar.line("    ctr", k.min, k.step, k.max, k.vectorized, k.maxFromScalarIn,
+            k.boundScale);
+}
+
+template <class Ar, Is<ChainCfg> C>
+void
+fields(Ar &ar, C &c)
+{
+    ar.list("   chain", c.ctrs);
+}
+
+template <class Ar, Is<ControlCfg> C>
+void
+fields(Ar &ar, C &c)
+{
+    ar.line("   ctrl", c.tokenIns, c.doneOuts);
+}
+
+template <class Ar, Is<EmitCond> E>
+void
+fields(Ar &ar, E &c)
+{
+    ar(c.always, c.level);
+}
+
+template <class Ar, Is<VecOutCfg> V>
+void
+fields(Ar &ar, V &v)
+{
+    ar.line("    vecout", v.enabled, v.srcReg, v.cond, v.coalesce);
+}
+
+template <class Ar, Is<ScalOutCfg> V>
+void
+fields(Ar &ar, V &v)
+{
+    ar.line("    scalout", v.enabled, v.srcReg, v.cond, v.countOfVecOut);
+}
+
+template <class Ar, Is<PcuCfg> U>
+void
+fields(Ar &ar, U &u)
+{
+    ar.line(name(u.name));
+    fields(ar, u.chain);
+    ar.list("   stages", u.stages);
+    ar.list("   vecouts", u.vecOuts);
+    ar.list("   scalouts", u.scalOuts);
+    fields(ar, u.ctrl);
+}
+
+template <class Ar, Is<PmuPortCfg> P>
+void
+fields(Ar &ar, P &p)
+{
+    ar.line(p.enabled, p.addrReg, p.addrVecIn, p.dataVecIn, p.dataVecOut,
+            p.accumulate, p.accumOp, p.swapEvery, p.vecLinear, p.clearEvery,
+            p.broadcast, p.appendMode);
+    fields(ar, p.chain);
+    ar.list("   addrstages", p.addrStages);
+    fields(ar, p.ctrl);
+}
+
+template <class Ar, Is<PmuCfg> U>
+void
+fields(Ar &ar, U &u)
+{
+    ar.line(name(u.name));
+    ar.line("  scratch", u.scratch.mode, u.scratch.numBufs,
+            u.scratch.sizeWords);
+    ar("  write", u.write);
+    ar("  write2", u.write2);
+    ar("  read", u.read);
+}
+
+template <class Ar, Is<AgCfg> U>
+void
+fields(Ar &ar, U &u)
+{
+    ar.line(name(u.name), u.mode, u.addrReg, u.base, u.wordsPerCmd,
+            u.addrVecIn, u.dataVecIn, u.dataVecOut, u.channel);
+    fields(ar, u.chain);
+    ar.list("   addrstages", u.addrStages);
+    fields(ar, u.ctrl);
+}
+
+template <class Ar, Is<ControlBoxCfg::CtrExport> E>
+void
+fields(Ar &ar, E &e)
+{
+    ar.line("    export", e.ctrIdx, e.scalarOutPort);
+}
+
+template <class Ar, Is<ControlBoxCfg> U>
+void
+fields(Ar &ar, U &u)
+{
+    ar.line(name(u.name), u.scheme, u.depth);
+    fields(ar, u.chain);
+    fields(ar, u.ctrl);
+    ar.line("   starts", u.childStartOuts);
+    ar.line("   dones", u.childDoneIns);
+    ar.list("   exports", u.exports);
+}
+
+template <class Ar, Is<Endpoint> E>
+void
+fields(Ar &ar, E &e)
+{
+    ar(e.unit.cls, e.unit.index, e.port);
+}
+
+template <class Ar, Is<ChannelCfg> C>
+void
+fields(Ar &ar, C &c)
+{
+    ar.line(" channel", c.kind, c.src, c.dst, c.latency, c.initialTokens,
+            c.capacity, c.dstPopEvery);
+}
+
+template <class Ar, Is<ConstScalar> C>
+void
+fields(Ar &ar, C &c)
+{
+    ar.line(" constant", c.dst, c.value);
+}
+
+template <class Ar, Is<ArchParams> P>
+void
+fields(Ar &ar, P &p)
+{
+    ar.line("params", p.gridCols, p.gridRows, p.numAgs,
+            p.coalescerCacheLines, p.coalescerMaxOutstanding,
+            p.vectorTracks, p.scalarTracks, p.controlTracks);
+    auto &c = p.pcu;
+    ar.line("pcu_params", c.lanes, c.stages, c.regsPerStage, c.scalarIns,
+            c.scalarOuts, c.vectorIns, c.vectorOuts, c.counters,
+            c.fifoDepth);
+    auto &m = p.pmu;
+    ar.line("pmu_params", m.banks, m.bankKilobytes, m.stages,
+            m.regsPerStage, m.scalarIns, m.scalarOuts, m.vectorIns,
+            m.vectorOuts, m.counters, m.fifoDepth, m.ecc);
+    auto &d = p.dram;
+    ar.line("dram_params", d.channels, d.burstBytes, d.banksPerChannel,
+            d.rowBytes, d.tRcd, d.tCas, d.tRp, d.tRas, d.tBurst,
+            d.queueDepth, d.ecc);
+}
+
+/** `kw total used`, then `unitKw index` and the unit's fields for each
+ *  used unit in index order (the reader takes any order). */
+template <class Ar, class V>
+void
+units(Ar &ar, const char *kw, const char *unitKw, V &v)
+{
+    if constexpr (Ar::kSaving) {
+        auto used = std::count_if(v.begin(), v.end(),
+                                  [](const auto &u) { return u.used; });
+        ar.line(kw, v.size(), used);
+        for (size_t i = 0; i < v.size(); ++i) {
+            if (v[i].used) {
+                ar(unitKw, i);
+                fields(ar, v[i]);
+            }
+        }
+    } else {
+        uint64_t total = 0, used = 0;
+        ar.line(kw, total, used);
+        if (total > kMaxUnits)
+            ar.fail(strfmt("%llu units", static_cast<unsigned long long>(
+                                             total)));
+        v.assign(ar.ok() ? total : 0, {});
+        for (uint64_t k = 0; k < used && ar.ok(); ++k) {
+            uint64_t i = 0;
+            ar(unitKw, i);
+            if (ar.ok() && i >= total)
+                ar.fail(strfmt("index %llu of %llu",
+                               static_cast<unsigned long long>(i),
+                               static_cast<unsigned long long>(total)));
+            if (!ar.ok())
+                break;
+            v[i].used = true;
+            fields(ar, v[i]);
+        }
+    }
+}
+
+template <class Ar, Is<FabricConfig> C>
+void
+fields(Ar &ar, C &cfg)
+{
+    ar.version("fabriccfg", 1);
+    fields(ar, cfg.params);
+    ar.line("rootbox", cfg.rootBox);
+    ar.line("hostargouts", cfg.hostArgOuts);
+    units(ar, "pcus", " pcu", cfg.pcus);
+    units(ar, "pmus", " pmu", cfg.pmus);
+    units(ar, "ags", " ag", cfg.ags);
+    units(ar, "boxes", " box", cfg.boxes);
+    ar.list("channels", cfg.channels);
+    ar.list("constants", cfg.constants);
+    ar.line("end");
+}
+
+void
+configFields(TextWriter &ar, const FabricConfig &cfg)
+{
+    fields(ar, cfg);
+}
+
+void
+configFields(TextReader &ar, FabricConfig &cfg)
+{
+    fields(ar, cfg);
+}
+
 void
 writeConfig(std::ostream &os, const FabricConfig &cfg)
 {
-    os << "fabriccfg 1\n";
-    writeParams(os, cfg.params);
-    os << "rootbox " << cfg.rootBox << '\n';
-    os << "hostargouts " << cfg.hostArgOuts << '\n';
-
-    size_t used = 0;
-    for (const PcuCfg &u : cfg.pcus)
-        used += u.used ? 1 : 0;
-    os << "pcus " << cfg.pcus.size() << ' ' << used << '\n';
-    for (size_t i = 0; i < cfg.pcus.size(); ++i) {
-        const PcuCfg &u = cfg.pcus[i];
-        if (!u.used)
-            continue;
-        os << " pcu " << i << ' ' << token(u.name) << '\n';
-        writeChain(os, u.chain);
-        writeStages(os, "stages", u.stages);
-        os << "   vecouts " << u.vecOuts.size() << '\n';
-        for (const VecOutCfg &v : u.vecOuts) {
-            os << "    vecout " << (v.enabled ? 1 : 0) << ' '
-               << static_cast<int>(v.srcReg);
-            writeCond(os, v.cond);
-            os << ' ' << (v.coalesce ? 1 : 0) << '\n';
-        }
-        os << "   scalouts " << u.scalOuts.size() << '\n';
-        for (const ScalOutCfg &v : u.scalOuts) {
-            os << "    scalout " << (v.enabled ? 1 : 0) << ' '
-               << static_cast<int>(v.srcReg);
-            writeCond(os, v.cond);
-            os << ' ' << static_cast<int>(v.countOfVecOut) << '\n';
-        }
-        writeCtrl(os, u.ctrl);
-    }
-
-    used = 0;
-    for (const PmuCfg &u : cfg.pmus)
-        used += u.used ? 1 : 0;
-    os << "pmus " << cfg.pmus.size() << ' ' << used << '\n';
-    for (size_t i = 0; i < cfg.pmus.size(); ++i) {
-        const PmuCfg &u = cfg.pmus[i];
-        if (!u.used)
-            continue;
-        os << " pmu " << i << ' ' << token(u.name) << '\n';
-        os << "  scratch " << static_cast<int>(u.scratch.mode) << ' '
-           << static_cast<int>(u.scratch.numBufs) << ' '
-           << u.scratch.sizeWords << '\n';
-        writePort(os, "write", u.write);
-        writePort(os, "write2", u.write2);
-        writePort(os, "read", u.read);
-    }
-
-    used = 0;
-    for (const AgCfg &u : cfg.ags)
-        used += u.used ? 1 : 0;
-    os << "ags " << cfg.ags.size() << ' ' << used << '\n';
-    for (size_t i = 0; i < cfg.ags.size(); ++i) {
-        const AgCfg &u = cfg.ags[i];
-        if (!u.used)
-            continue;
-        os << " ag " << i << ' ' << token(u.name) << ' '
-           << static_cast<int>(u.mode) << ' '
-           << static_cast<int>(u.addrReg) << ' ' << u.base << ' '
-           << u.wordsPerCmd << ' ' << static_cast<int>(u.addrVecIn)
-           << ' ' << static_cast<int>(u.dataVecIn) << ' '
-           << static_cast<int>(u.dataVecOut) << ' '
-           << static_cast<int>(u.channel) << '\n';
-        writeChain(os, u.chain);
-        writeStages(os, "addrstages", u.addrStages);
-        writeCtrl(os, u.ctrl);
-    }
-
-    used = 0;
-    for (const ControlBoxCfg &u : cfg.boxes)
-        used += u.used ? 1 : 0;
-    os << "boxes " << cfg.boxes.size() << ' ' << used << '\n';
-    for (size_t i = 0; i < cfg.boxes.size(); ++i) {
-        const ControlBoxCfg &u = cfg.boxes[i];
-        if (!u.used)
-            continue;
-        os << " box " << i << ' ' << token(u.name) << ' '
-           << static_cast<int>(u.scheme) << ' ' << u.depth << '\n';
-        writeChain(os, u.chain);
-        writeCtrl(os, u.ctrl);
-        os << "   starts " << u.childStartOuts.size();
-        for (uint8_t t : u.childStartOuts)
-            os << ' ' << static_cast<int>(t);
-        os << '\n';
-        os << "   dones " << u.childDoneIns.size();
-        for (uint8_t t : u.childDoneIns)
-            os << ' ' << static_cast<int>(t);
-        os << '\n';
-        os << "   exports " << u.exports.size() << '\n';
-        for (const ControlBoxCfg::CtrExport &e : u.exports)
-            os << "    export " << static_cast<int>(e.ctrIdx) << ' '
-               << static_cast<int>(e.scalarOutPort) << '\n';
-    }
-
-    os << "channels " << cfg.channels.size() << '\n';
-    for (const ChannelCfg &c : cfg.channels) {
-        os << " channel " << static_cast<int>(c.kind);
-        writeEndpoint(os, c.src);
-        writeEndpoint(os, c.dst);
-        os << ' ' << c.latency << ' ' << c.initialTokens << ' '
-           << c.capacity << ' ' << c.dstPopEvery << '\n';
-    }
-
-    os << "constants " << cfg.constants.size() << '\n';
-    for (const ConstScalar &c : cfg.constants) {
-        os << " constant";
-        writeEndpoint(os, c.dst);
-        os << ' ' << c.value << '\n';
-    }
-    os << "end\n";
+    TextWriter ar(os);
+    fields(ar, cfg);
 }
 
 std::string
@@ -535,198 +281,16 @@ configToText(const FabricConfig &cfg)
 bool
 readConfig(std::istream &is, FabricConfig &out, std::string *err)
 {
-    Reader r(is);
+    TextReader ar(is);
     FabricConfig cfg;
-    auto done = [&](bool ok) {
-        if (!ok && err)
-            *err = r.err.empty() ? "parse error" : r.err;
-        if (ok)
-            out = std::move(cfg);
-        return ok;
-    };
-
-    int version = 0;
-    if (!r.expect("fabriccfg") || !r.num(version))
-        return done(false);
-    if (version != 1)
-        return done(r.fail(strfmt("unsupported version %d", version)));
-    if (!readParams(r, cfg.params))
-        return done(false);
-    if (!r.expect("rootbox") || !r.num(cfg.rootBox) ||
-        !r.expect("hostargouts") || !r.num(cfg.hostArgOuts))
-        return done(false);
-
-    size_t total = 0, used = 0;
-    if (!r.expect("pcus") || !r.num(total) || !r.num(used))
-        return done(false);
-    cfg.pcus.assign(total, PcuCfg{});
-    for (size_t k = 0; k < used; ++k) {
-        size_t idx = 0;
-        if (!r.expect("pcu") || !r.num(idx))
-            return done(false);
-        if (idx >= total)
-            return done(r.fail("pcu index out of range"));
-        PcuCfg &u = cfg.pcus[idx];
-        u.used = true;
-        size_t n = 0;
-        if (!r.name(u.name) || !r.chain(u.chain) ||
-            !r.stages("stages", u.stages))
-            return done(false);
-        if (!r.expect("vecouts") || !r.num(n))
-            return done(false);
-        u.vecOuts.assign(n, VecOutCfg{});
-        for (VecOutCfg &v : u.vecOuts) {
-            int reg = 0;
-            if (!r.expect("vecout") || !r.flag(v.enabled) ||
-                !r.num(reg) || !r.cond(v.cond) || !r.flag(v.coalesce))
-                return done(false);
-            v.srcReg = static_cast<uint8_t>(reg);
-        }
-        if (!r.expect("scalouts") || !r.num(n))
-            return done(false);
-        u.scalOuts.assign(n, ScalOutCfg{});
-        for (ScalOutCfg &v : u.scalOuts) {
-            int reg = 0, cnt = 0;
-            if (!r.expect("scalout") || !r.flag(v.enabled) ||
-                !r.num(reg) || !r.cond(v.cond) || !r.num(cnt))
-                return done(false);
-            v.srcReg = static_cast<uint8_t>(reg);
-            v.countOfVecOut = static_cast<int8_t>(cnt);
-        }
-        if (!r.ctrl(u.ctrl))
-            return done(false);
+    fields(ar, cfg);
+    if (!ar.ok()) {
+        if (err)
+            *err = ar.error();
+        return false;
     }
-
-    if (!r.expect("pmus") || !r.num(total) || !r.num(used))
-        return done(false);
-    cfg.pmus.assign(total, PmuCfg{});
-    for (size_t k = 0; k < used; ++k) {
-        size_t idx = 0;
-        if (!r.expect("pmu") || !r.num(idx))
-            return done(false);
-        if (idx >= total)
-            return done(r.fail("pmu index out of range"));
-        PmuCfg &u = cfg.pmus[idx];
-        u.used = true;
-        int mode = 0, nbufs = 0;
-        if (!r.name(u.name) || !r.expect("scratch") || !r.num(mode) ||
-            !r.num(nbufs) || !r.num(u.scratch.sizeWords))
-            return done(false);
-        if (mode < 0 || mode > static_cast<int>(BankingMode::kDup))
-            return done(r.fail("banking mode out of range"));
-        u.scratch.mode = static_cast<BankingMode>(mode);
-        u.scratch.numBufs = static_cast<uint8_t>(nbufs);
-        if (!r.port("write", u.write) || !r.port("write2", u.write2) ||
-            !r.port("read", u.read))
-            return done(false);
-    }
-
-    if (!r.expect("ags") || !r.num(total) || !r.num(used))
-        return done(false);
-    cfg.ags.assign(total, AgCfg{});
-    for (size_t k = 0; k < used; ++k) {
-        size_t idx = 0;
-        if (!r.expect("ag") || !r.num(idx))
-            return done(false);
-        if (idx >= total)
-            return done(r.fail("ag index out of range"));
-        AgCfg &u = cfg.ags[idx];
-        u.used = true;
-        int mode = 0, areg = 0, avin = 0, dvin = 0, dvout = 0, chan = 0;
-        if (!r.name(u.name) || !r.num(mode) || !r.num(areg) ||
-            !r.u64(u.base) || !r.num(u.wordsPerCmd) || !r.num(avin) ||
-            !r.num(dvin) || !r.num(dvout) || !r.num(chan))
-            return done(false);
-        if (mode < 0 || mode > static_cast<int>(AgMode::kSparseStore))
-            return done(r.fail("ag mode out of range"));
-        u.mode = static_cast<AgMode>(mode);
-        u.addrReg = static_cast<uint8_t>(areg);
-        u.addrVecIn = static_cast<int8_t>(avin);
-        u.dataVecIn = static_cast<int8_t>(dvin);
-        u.dataVecOut = static_cast<int8_t>(dvout);
-        u.channel = static_cast<uint8_t>(chan);
-        if (!r.chain(u.chain) ||
-            !r.stages("addrstages", u.addrStages) || !r.ctrl(u.ctrl))
-            return done(false);
-    }
-
-    if (!r.expect("boxes") || !r.num(total) || !r.num(used))
-        return done(false);
-    cfg.boxes.assign(total, ControlBoxCfg{});
-    for (size_t k = 0; k < used; ++k) {
-        size_t idx = 0;
-        if (!r.expect("box") || !r.num(idx))
-            return done(false);
-        if (idx >= total)
-            return done(r.fail("box index out of range"));
-        ControlBoxCfg &u = cfg.boxes[idx];
-        u.used = true;
-        int scheme = 0;
-        size_t n = 0;
-        if (!r.name(u.name) || !r.num(scheme) || !r.num(u.depth))
-            return done(false);
-        if (scheme < 0 || scheme > static_cast<int>(CtrlScheme::kStream))
-            return done(r.fail("ctrl scheme out of range"));
-        u.scheme = static_cast<CtrlScheme>(scheme);
-        if (!r.chain(u.chain) || !r.ctrl(u.ctrl))
-            return done(false);
-        if (!r.expect("starts") || !r.num(n))
-            return done(false);
-        u.childStartOuts.assign(n, 0);
-        for (uint8_t &t : u.childStartOuts) {
-            int v = 0;
-            if (!r.num(v))
-                return done(false);
-            t = static_cast<uint8_t>(v);
-        }
-        if (!r.expect("dones") || !r.num(n))
-            return done(false);
-        u.childDoneIns.assign(n, 0);
-        for (uint8_t &t : u.childDoneIns) {
-            int v = 0;
-            if (!r.num(v))
-                return done(false);
-            t = static_cast<uint8_t>(v);
-        }
-        if (!r.expect("exports") || !r.num(n))
-            return done(false);
-        u.exports.assign(n, ControlBoxCfg::CtrExport{0, 0});
-        for (ControlBoxCfg::CtrExport &e : u.exports) {
-            int ci = 0, po = 0;
-            if (!r.expect("export") || !r.num(ci) || !r.num(po))
-                return done(false);
-            e.ctrIdx = static_cast<uint8_t>(ci);
-            e.scalarOutPort = static_cast<uint8_t>(po);
-        }
-    }
-
-    size_t n = 0;
-    if (!r.expect("channels") || !r.num(n))
-        return done(false);
-    cfg.channels.assign(n, ChannelCfg{});
-    for (ChannelCfg &c : cfg.channels) {
-        int kind = 0;
-        if (!r.expect("channel") || !r.num(kind) || !r.endpoint(c.src) ||
-            !r.endpoint(c.dst) || !r.num(c.latency) ||
-            !r.num(c.initialTokens) || !r.num(c.capacity) ||
-            !r.num(c.dstPopEvery))
-            return done(false);
-        if (kind < 0 || kind > static_cast<int>(NetKind::kControl))
-            return done(r.fail("channel kind out of range"));
-        c.kind = static_cast<NetKind>(kind);
-    }
-
-    if (!r.expect("constants") || !r.num(n))
-        return done(false);
-    cfg.constants.assign(n, ConstScalar{});
-    for (ConstScalar &c : cfg.constants) {
-        if (!r.expect("constant") || !r.endpoint(c.dst) ||
-            !r.num(c.value))
-            return done(false);
-    }
-    if (!r.expect("end"))
-        return done(false);
-    return done(true);
+    out = std::move(cfg);
+    return true;
 }
 
 } // namespace plast

@@ -4,7 +4,9 @@
  * the configuration "bitstream". Every field of every structure in
  * arch/config.hpp round-trips: write -> read -> write is a string
  * fixpoint (property-tested over the compiled benchmarks), so saved
- * configurations can be diffed, archived and reloaded exactly.
+ * configurations can be diffed, archived and reloaded exactly. One
+ * field walk per structure (base/textio.hpp) drives both directions;
+ * configToText's bytes are the configHash input.
  */
 
 #ifndef PLAST_ARCH_CFGIO_HPP
@@ -18,6 +20,9 @@
 namespace plast
 {
 
+class TextWriter;
+class TextReader;
+
 /** Write `cfg` as a .pcfg text document. */
 void writeConfig(std::ostream &os, const FabricConfig &cfg);
 
@@ -28,6 +33,11 @@ std::string configToText(const FabricConfig &cfg);
  *  returns false and, when `err` is non-null, stores a diagnostic. */
 bool readConfig(std::istream &is, FabricConfig &out,
                 std::string *err = nullptr);
+
+/** The .pcfg field walk itself, for formats that embed a config
+ *  (serve store records). */
+void configFields(TextWriter &ar, const FabricConfig &cfg);
+void configFields(TextReader &ar, FabricConfig &cfg);
 
 } // namespace plast
 

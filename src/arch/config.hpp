@@ -42,6 +42,7 @@ enum class OperandKind : uint8_t
     kImm,       ///< immediate word
     kLaneId,    ///< this lane's index (0..lanes-1)
 };
+constexpr OperandKind enumLast(OperandKind) { return OperandKind::kLaneId; }
 
 struct Operand
 {
@@ -79,6 +80,7 @@ enum class StageKind : uint8_t
     kAccum,      ///< dst = op(dst, a); reset/emit at counter boundaries
     kShift,      ///< dst[l] = a[l - shiftAmt] (cross-lane shift network)
 };
+constexpr StageKind enumLast(StageKind) { return StageKind::kShift; }
 
 /**
  * One pipeline stage of a PCU (SIMD across lanes) or of a PMU/AG scalar
@@ -212,6 +214,7 @@ enum class BankingMode : uint8_t
     kLineBuffer, ///< circular row buffer for sliding windows
     kDup,        ///< contents duplicated per bank: parallel random reads
 };
+constexpr BankingMode enumLast(BankingMode) { return BankingMode::kDup; }
 
 std::string bankingModeName(BankingMode mode);
 
@@ -280,6 +283,7 @@ enum class AgMode : uint8_t
     kSparseLoad,  ///< gather
     kSparseStore, ///< scatter
 };
+constexpr AgMode enumLast(AgMode) { return AgMode::kSparseStore; }
 
 std::string agModeName(AgMode mode);
 
@@ -310,6 +314,7 @@ enum class CtrlScheme : uint8_t
     kMetapipe,   ///< up to `depth` iterations in flight (tokens+credits)
     kStream,     ///< children run concurrently, FIFO flow control
 };
+constexpr CtrlScheme enumLast(CtrlScheme) { return CtrlScheme::kStream; }
 
 std::string ctrlSchemeName(CtrlScheme scheme);
 
@@ -338,10 +343,12 @@ struct ControlBoxCfg
 // --------------------------------------------------------------------
 
 enum class NetKind : uint8_t { kScalar, kVector, kControl };
+constexpr NetKind enumLast(NetKind) { return NetKind::kControl; }
 
 std::string netKindName(NetKind kind);
 
 enum class UnitClass : uint8_t { kPcu, kPmu, kAg, kBox, kHost };
+constexpr UnitClass enumLast(UnitClass) { return UnitClass::kHost; }
 
 std::string unitClassName(UnitClass cls);
 

@@ -45,6 +45,10 @@ enum class FuOp : uint8_t
     kNumOps
 };
 
+/** Each serialized enum declares its last value; text readers reject
+ *  anything outside `0..enumLast(E{})` (base/textio.hpp). */
+constexpr FuOp enumLast(FuOp) { return FuOp::kIMA; }
+
 /** True for ops whose reduction identity/semantics are floating point. */
 bool fuOpIsFloat(FuOp op);
 

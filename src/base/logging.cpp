@@ -53,6 +53,27 @@ strfmt(const char *fmt, ...)
     return out;
 }
 
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += strfmt("\\u%04x", c);
+            else
+                out += c;
+        }
+    }
+    return out;
+}
+
 namespace detail
 {
 

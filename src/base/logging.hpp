@@ -24,6 +24,10 @@ namespace plast
 std::string strfmt(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 std::string vstrfmt(const char *fmt, va_list ap);
 
+/** `s` as a JSON string body: `"`, `\\`, newline and tab spelled out,
+ *  other control characters as \u00XX. */
+std::string jsonEscape(const std::string &s);
+
 namespace detail
 {
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);

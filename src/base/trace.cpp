@@ -59,30 +59,6 @@ TraceSink::size() const
     return wrapped_ ? cap_ : buf_.size();
 }
 
-namespace
-{
-
-/** Minimal JSON string escaping (track names are plain ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += strfmt("\\u%04x", c);
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 void
 TraceSink::writeChromeJson(std::ostream &os,
                            const HostProfiler *host) const

@@ -61,11 +61,62 @@ firstDiff(const char *what, const std::vector<Word> &want,
     return {};
 }
 
-std::vector<Word>
-argOutWords(const Runner::Result &res, uint32_t slot)
+/** What one execution produced: argOut streams and DRAM images (empty
+ *  for SRAM ids). */
+struct Outputs
 {
-    const auto &dq = res.argOuts[slot];
-    return std::vector<Word>(dq.begin(), dq.end());
+    std::vector<std::vector<Word>> argOuts;
+    std::vector<std::vector<Word>> dram;
+};
+
+Outputs
+outputsOf(const Evaluator &ref, const Program &prog)
+{
+    Outputs o;
+    for (uint32_t s = 0; s < prog.numArgOuts; ++s)
+        o.argOuts.push_back(ref.argOuts(static_cast<int32_t>(s)));
+    o.dram.resize(prog.mems.size());
+    for (size_t m = 0; m < prog.mems.size(); ++m)
+        if (prog.mems[m].kind == MemKind::kDram)
+            o.dram[m] = ref.dramBuf(static_cast<MemId>(m));
+    return o;
+}
+
+Outputs
+outputsOf(const Runner &r, const Runner::Result &res, const Program &prog)
+{
+    Outputs o;
+    for (uint32_t s = 0; s < prog.numArgOuts; ++s)
+        o.argOuts.emplace_back(res.argOuts[s].begin(), res.argOuts[s].end());
+    o.dram.resize(prog.mems.size());
+    for (size_t m = 0; m < prog.mems.size(); ++m)
+        if (prog.mems[m].kind == MemKind::kDram)
+            o.dram[m] = r.readDram(static_cast<MemId>(m));
+    return o;
+}
+
+/** First difference between two executions' outputs, prefixed with
+ *  `legs` ("ref vs fabric"); empty when they agree. */
+std::string
+diffOutputs(const char *legs, const Program &prog, const Outputs &want,
+            const Outputs &got)
+{
+    for (uint32_t s = 0; s < prog.numArgOuts; ++s) {
+        auto d = firstDiff(strfmt("argOut[%u]", s).c_str(),
+                           want.argOuts[s], got.argOuts[s]);
+        if (!d.empty())
+            return strfmt("%s %s", legs, d.c_str());
+    }
+    for (size_t m = 0; m < prog.mems.size(); ++m) {
+        if (prog.mems[m].kind != MemKind::kDram)
+            continue;
+        auto d = firstDiff(
+            strfmt("dram '%s'", prog.mems[m].name.c_str()).c_str(),
+            want.dram[m], got.dram[m]);
+        if (!d.empty())
+            return strfmt("%s %s", legs, d.c_str());
+    }
+    return {};
 }
 
 /** Per-unit cycle accounting: every evaluated cycle classified, every
@@ -188,124 +239,53 @@ diffRun(const Program &prog, const ArchParams &params,
     Evaluator ref = activity->runReference();
     Runner::Result ares = activity->run(opts.maxCycles);
     out.cycles = ares.cycles;
-
-    // 1. Reference vs fabric: argOut streams and DRAM images.
-    for (uint32_t s = 0; s < prog.numArgOuts; ++s) {
-        auto d = firstDiff(strfmt("argOut[%u]", s).c_str(),
-                           ref.argOuts(static_cast<int32_t>(s)),
-                           argOutWords(ares, s));
-        if (!d.empty()) {
-            out.status = DiffResult::Status::kMismatch;
-            out.detail = "ref vs fabric " + d;
-            return out;
-        }
-    }
-    for (size_t m = 0; m < prog.mems.size(); ++m) {
-        if (prog.mems[m].kind != MemKind::kDram)
-            continue;
-        MemId mid = static_cast<MemId>(m);
-        auto d = firstDiff(
-            strfmt("dram '%s'", prog.mems[m].name.c_str()).c_str(),
-            ref.dramBuf(mid), activity->readDram(mid));
-        if (!d.empty()) {
-            out.status = DiffResult::Status::kMismatch;
-            out.detail = "ref vs fabric " + d;
-            return out;
-        }
-    }
-
-    // 2. Cycle-ledger invariant on the activity-mode fabric.
-    if (auto e = checkLedger(*activity->fabric()); !e.empty()) {
+    const Outputs aout = outputsOf(*activity, ares, prog);
+    auto mismatch = [&](std::string detail) {
         out.status = DiffResult::Status::kMismatch;
-        out.detail = e;
+        out.detail = std::move(detail);
         return out;
-    }
+    };
 
-    // 3. Scheduler-mode parity: dense must be bit- and cycle-exact.
+    // 1. Reference vs fabric: argOut streams and DRAM images; then the
+    //    cycle-ledger invariant on the activity-mode fabric.
+    if (auto d = diffOutputs("ref vs fabric", prog, outputsOf(ref, prog),
+                             aout);
+        !d.empty())
+        return mismatch(d);
+    if (auto e = checkLedger(*activity->fabric()); !e.empty())
+        return mismatch(e);
+
+    // 2. Re-runs must be bit- and cycle-exact against the activity-mode
+    //    interpreter run, ledgers included.
+    auto parity = [&](const char *what, const char *base, const char *leg,
+                      SimOptions::Mode mode, SimMode simMode) {
+        auto r = runMode(mode, simMode);
+        Runner::Result res = r->run(opts.maxCycles);
+        if (res.cycles != ares.cycles)
+            return strfmt("%s parity: %s %llu cycles vs %s %llu", what, leg,
+                          static_cast<unsigned long long>(res.cycles), base,
+                          static_cast<unsigned long long>(ares.cycles));
+        std::string legs = strfmt("%s vs %s", base, leg);
+        if (auto d = diffOutputs(legs.c_str(), prog, aout,
+                                 outputsOf(*r, res, prog));
+            !d.empty())
+            return d;
+        if (auto e = checkLedger(*r->fabric()); !e.empty())
+            return strfmt("%s %s", leg, e.c_str());
+        return std::string();
+    };
+    // Scheduler mode: dense evaluation of every unit every cycle.
     if (opts.checkDense) {
-        auto dense = runMode(SimOptions::Mode::kDense);
-        Runner::Result dres = dense->run(opts.maxCycles);
-        if (dres.cycles != ares.cycles) {
-            out.status = DiffResult::Status::kMismatch;
-            out.detail = strfmt(
-                "scheduler parity: dense %llu cycles vs activity %llu",
-                static_cast<unsigned long long>(dres.cycles),
-                static_cast<unsigned long long>(ares.cycles));
-            return out;
-        }
-        for (uint32_t s = 0; s < prog.numArgOuts; ++s) {
-            auto d = firstDiff(strfmt("argOut[%u]", s).c_str(),
-                               argOutWords(ares, s),
-                               argOutWords(dres, s));
-            if (!d.empty()) {
-                out.status = DiffResult::Status::kMismatch;
-                out.detail = "activity vs dense " + d;
-                return out;
-            }
-        }
-        for (size_t m = 0; m < prog.mems.size(); ++m) {
-            if (prog.mems[m].kind != MemKind::kDram)
-                continue;
-            MemId mid = static_cast<MemId>(m);
-            auto d = firstDiff(
-                strfmt("dram '%s'", prog.mems[m].name.c_str()).c_str(),
-                activity->readDram(mid), dense->readDram(mid));
-            if (!d.empty()) {
-                out.status = DiffResult::Status::kMismatch;
-                out.detail = "activity vs dense " + d;
-                return out;
-            }
-        }
-        if (auto e = checkLedger(*dense->fabric()); !e.empty()) {
-            out.status = DiffResult::Status::kMismatch;
-            out.detail = "dense " + e;
-            return out;
-        }
+        if (auto d = parity("scheduler", "activity", "dense",
+                            SimOptions::Mode::kDense, SimMode::kInterp);
+            !d.empty())
+            return mismatch(d);
     }
-
-    // 4. Datapath parity: the specialized execution plans must be bit-
-    //    and cycle-exact against the interpreter.
-    if (opts.checkSpecialized) {
-        auto spec =
-            runMode(SimOptions::Mode::kActivity, SimMode::kSpecialized);
-        Runner::Result sres = spec->run(opts.maxCycles);
-        if (sres.cycles != ares.cycles) {
-            out.status = DiffResult::Status::kMismatch;
-            out.detail = strfmt(
-                "datapath parity: specialized %llu cycles vs interp %llu",
-                static_cast<unsigned long long>(sres.cycles),
-                static_cast<unsigned long long>(ares.cycles));
-            return out;
-        }
-        for (uint32_t s = 0; s < prog.numArgOuts; ++s) {
-            auto d = firstDiff(strfmt("argOut[%u]", s).c_str(),
-                               argOutWords(ares, s),
-                               argOutWords(sres, s));
-            if (!d.empty()) {
-                out.status = DiffResult::Status::kMismatch;
-                out.detail = "interp vs specialized " + d;
-                return out;
-            }
-        }
-        for (size_t m = 0; m < prog.mems.size(); ++m) {
-            if (prog.mems[m].kind != MemKind::kDram)
-                continue;
-            MemId mid = static_cast<MemId>(m);
-            auto d = firstDiff(
-                strfmt("dram '%s'", prog.mems[m].name.c_str()).c_str(),
-                activity->readDram(mid), spec->readDram(mid));
-            if (!d.empty()) {
-                out.status = DiffResult::Status::kMismatch;
-                out.detail = "interp vs specialized " + d;
-                return out;
-            }
-        }
-        if (auto e = checkLedger(*spec->fabric()); !e.empty()) {
-            out.status = DiffResult::Status::kMismatch;
-            out.detail = "specialized " + e;
-            return out;
-        }
-    }
+    // Datapath: the specialized execution plans.
+    if (auto d = parity("datapath", "interp", "specialized",
+                        SimOptions::Mode::kActivity, SimMode::kSpecialized);
+        !d.empty())
+        return mismatch(d);
     return out;
 }
 

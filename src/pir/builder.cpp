@@ -1,5 +1,7 @@
 #include "pir/builder.hpp"
 
+#include <algorithm>
+
 #include "base/logging.hpp"
 #include "pir/validate.hpp"
 
@@ -417,18 +419,33 @@ Program::dump() const
         NodeId id;
         int depth;
     };
+    // Parsed programs are not validated yet: a dangling id, or a node
+    // that is its own ancestor, is printed and not followed.
+    auto nameOf = [](const auto &decls, int32_t id) {
+        return id >= 0 && id < static_cast<int32_t>(decls.size())
+                   ? decls[id].name.c_str()
+                   : "?";
+    };
+    std::vector<NodeId> path; // ancestors of the node being printed
     std::vector<Rec> stack{{root, 1}};
     while (!stack.empty()) {
         Rec r = stack.back();
         stack.pop_back();
-        const Node &n = nodes[r.id];
         out += std::string(static_cast<size_t>(r.depth) * 2, ' ');
+        path.resize(static_cast<size_t>(r.depth) - 1);
+        if (r.id < 0 || r.id >= static_cast<NodeId>(nodes.size()) ||
+            std::find(path.begin(), path.end(), r.id) != path.end()) {
+            out += strfmt("<node %d>\n", r.id);
+            continue;
+        }
+        path.push_back(r.id);
+        const Node &n = nodes[r.id];
         switch (n.kind) {
           case NodeKind::kOuter:
             out += strfmt("%s [%s", n.name.c_str(),
                           ctrlSchemeName(n.scheme).c_str());
             for (CtrId c : n.ctrs)
-                out += strfmt(" %s", ctrs[c].name.c_str());
+                out += strfmt(" %s", nameOf(ctrs, c));
             out += "]\n";
             for (auto it = n.children.rbegin(); it != n.children.rend();
                  ++it)
@@ -443,10 +460,9 @@ Program::dump() const
             out += strfmt("%s %s %s<->%s\n",
                           n.xfer.sparse ? "gather" : "tile",
                           n.name.c_str(),
-                          mems[n.xfer.dram].name.c_str(),
-                          n.xfer.sram != kNone
-                              ? mems[n.xfer.sram].name.c_str()
-                              : "-");
+                          nameOf(mems, n.xfer.dram),
+                          n.xfer.sram != kNone ? nameOf(mems, n.xfer.sram)
+                                               : "-");
             break;
         }
     }

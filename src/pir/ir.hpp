@@ -45,6 +45,7 @@ constexpr int32_t kNeverClear = -2;
 // --------------------------------------------------------------------
 
 enum class MemKind : uint8_t { kDram, kSram };
+constexpr MemKind enumLast(MemKind) { return MemKind::kSram; }
 
 struct MemDecl
 {
@@ -99,6 +100,7 @@ enum class ExprKind : uint8_t
     kScalarIn, ///< cross-leaf scalar stream `scalar`
     kLaneId,   ///< SIMD lane index
 };
+constexpr ExprKind enumLast(ExprKind) { return ExprKind::kLaneId; }
 
 struct Expr
 {
@@ -143,8 +145,10 @@ enum class SinkKind : uint8_t
     kStreamOut,   ///< dense DRAM store stream
     kScatterOut,  ///< sparse DRAM store (addr per lane)
 };
+constexpr SinkKind enumLast(SinkKind) { return SinkKind::kScatterOut; }
 
 enum class FoldDest : uint8_t { kArgOut, kSramAddr, kScalarStream };
+constexpr FoldDest enumLast(FoldDest) { return FoldDest::kScalarStream; }
 
 struct Sink
 {
@@ -193,6 +197,7 @@ struct Sink
 // --------------------------------------------------------------------
 
 enum class NodeKind : uint8_t { kOuter, kCompute, kTransfer };
+constexpr NodeKind enumLast(NodeKind) { return NodeKind::kTransfer; }
 
 struct TransferDesc
 {

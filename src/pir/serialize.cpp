@@ -1,242 +1,155 @@
 #include "pir/serialize.hpp"
 
-#include <istream>
-#include <ostream>
 #include <sstream>
 
-#include "base/logging.hpp"
+#include "base/textio.hpp"
 
 namespace plast::pir
 {
 
+// --------------------------------------------------------------------
+// The .pir field walks (base/textio.hpp). Format properties: "_"
+// stands for an empty name, literal words and argument values are
+// spelled 0x-hex, and the controller tree is appended as '#' comments.
+// --------------------------------------------------------------------
+
 namespace
 {
 
-/** Names become single tokens: whitespace is folded to '_'. */
+template <class S>
+Name<S>
+name(S &s)
+{
+    return {s, "_"};
+}
+
+/** Program::dump() as trailing comment lines. */
 std::string
-token(const std::string &name)
+treeComment(const Program &prog)
 {
-    std::string out = name.empty() ? std::string("_") : name;
-    for (char &c : out) {
-        if (c == ' ' || c == '\t' || c == '\n')
-            c = '_';
-    }
+    std::string out = "#\n# controller tree:\n";
+    std::istringstream pretty(prog.dump());
+    std::string line;
+    while (std::getline(pretty, line))
+        out += "#   " + line + '\n';
     return out;
-}
-
-void
-writeSink(std::ostream &os, const Sink &s)
-{
-    os << "sink " << static_cast<int>(s.kind) << ' ' << s.value << ' '
-       << s.mem << ' ' << s.addr << ' ' << (s.accumulate ? 1 : 0) << ' '
-       << static_cast<int>(s.accumOp) << ' ' << static_cast<int>(s.foldOp)
-       << ' ' << s.foldLevel << ' ' << (s.crossLane ? 1 : 0) << ' '
-       << s.postScale << ' ' << s.postOffset << ' '
-       << static_cast<int>(s.dest) << ' ' << s.argOut << ' ' << s.pred
-       << ' ' << s.countArgOut << ' ' << s.dram << ' ' << s.dramAddr
-       << ' ' << s.scatterPred << '\n';
-}
-
-/** Pull the next token, skipping '#' comments to end of line. */
-bool
-nextTok(std::istream &is, std::string &tok)
-{
-    while (is >> tok) {
-        if (tok[0] != '#')
-            return true;
-        std::string rest;
-        std::getline(is, rest);
-    }
-    return false;
-}
-
-/** Token-stream reader with keyword expectations and typed fields. */
-struct Reader
-{
-    std::istream &is;
-    std::string err;
-
-    bool
-    fail(const std::string &msg)
-    {
-        if (err.empty())
-            err = msg;
-        return false;
-    }
-
-    bool
-    word(std::string &out)
-    {
-        if (!nextTok(is, out))
-            return fail("unexpected end of input");
-        return true;
-    }
-
-    bool
-    expect(const char *kw)
-    {
-        std::string tok;
-        if (!word(tok))
-            return false;
-        if (tok != kw)
-            return fail(strfmt("expected '%s', got '%s'", kw,
-                               tok.c_str()));
-        return true;
-    }
-
-    template <typename T>
-    bool
-    num(T &out)
-    {
-        std::string tok;
-        if (!word(tok))
-            return false;
-        errno = 0;
-        char *end = nullptr;
-        long long v = std::strtoll(tok.c_str(), &end, 0);
-        if (end == tok.c_str() || *end != '\0' || errno != 0)
-            return fail(strfmt("bad number '%s'", tok.c_str()));
-        out = static_cast<T>(v);
-        return true;
-    }
-
-    bool
-    u32hex(uint32_t &out)
-    {
-        std::string tok;
-        if (!word(tok))
-            return false;
-        errno = 0;
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(tok.c_str(), &end, 0);
-        if (end == tok.c_str() || *end != '\0' || errno != 0)
-            return fail(strfmt("bad word '%s'", tok.c_str()));
-        out = static_cast<uint32_t>(v);
-        return true;
-    }
-
-    bool
-    flag(bool &out)
-    {
-        int v = 0;
-        if (!num(v))
-            return false;
-        out = v != 0;
-        return true;
-    }
-};
-
-bool
-readSink(Reader &r, Sink &s)
-{
-    int kind = 0, accumOp = 0, foldOp = 0, dest = 0;
-    if (!r.expect("sink") || !r.num(kind) || !r.num(s.value) ||
-        !r.num(s.mem) || !r.num(s.addr) || !r.flag(s.accumulate) ||
-        !r.num(accumOp) || !r.num(foldOp) || !r.num(s.foldLevel) ||
-        !r.flag(s.crossLane) || !r.num(s.postScale) ||
-        !r.num(s.postOffset) || !r.num(dest) || !r.num(s.argOut) ||
-        !r.num(s.pred) || !r.num(s.countArgOut) || !r.num(s.dram) ||
-        !r.num(s.dramAddr) || !r.num(s.scatterPred))
-        return false;
-    if (kind < 0 || kind > static_cast<int>(SinkKind::kScatterOut))
-        return r.fail("sink kind out of range");
-    if (dest < 0 || dest > static_cast<int>(FoldDest::kScalarStream))
-        return r.fail("fold dest out of range");
-    s.kind = static_cast<SinkKind>(kind);
-    s.accumOp = static_cast<FuOp>(accumOp);
-    s.foldOp = static_cast<FuOp>(foldOp);
-    s.dest = static_cast<FoldDest>(dest);
-    return true;
 }
 
 } // namespace
 
+template <class Ar, Is<ArgDecl> A>
+void
+fields(Ar &ar, A &a)
+{
+    ar.line("arg", hex(a.value), name(a.name));
+}
+
+template <class Ar, Is<MemDecl> M>
+void
+fields(Ar &ar, M &m)
+{
+    ar.line("mem", m.kind, m.sizeWords, m.mode, m.nbufMin, m.clearAt,
+            name(m.name));
+}
+
+template <class Ar, Is<CtrDecl> C>
+void
+fields(Ar &ar, C &c)
+{
+    ar.line("ctr", c.min, c.step, c.max, c.boundArg, c.boundSinkNode,
+            c.boundSinkIdx, c.boundScale, c.vectorized, name(c.name));
+}
+
+template <class Ar, Is<Expr> E>
+void
+fields(Ar &ar, E &e)
+{
+    ar.line("expr", e.kind, hex(e.cval), e.arg, e.ctr, e.alu, e.a, e.b, e.c,
+            e.mem, e.addr, e.stream, e.scalar);
+}
+
+template <class Ar, Is<StreamIn> S>
+void
+fields(Ar &ar, S &s)
+{
+    ar(s.dram, s.addr);
+}
+
+template <class Ar, Is<ScalarIn> S>
+void
+fields(Ar &ar, S &s)
+{
+    ar(s.fromNode, s.fromSink);
+}
+
+template <class Ar, Is<Sink> S>
+void
+fields(Ar &ar, S &s)
+{
+    ar.line("sink", s.kind, s.value, s.mem, s.addr, s.accumulate, s.accumOp,
+            s.foldOp, s.foldLevel, s.crossLane, s.postScale, s.postOffset,
+            s.dest, s.argOut, s.pred, s.countArgOut, s.dram, s.dramAddr,
+            s.scatterPred);
+}
+
+template <class Ar, Is<TransferDesc> X>
+void
+fields(Ar &ar, X &x)
+{
+    ar.line("xfer", x.load, x.sparse, x.dram, x.sram, x.base, x.rows,
+            x.rowWords, x.rowWordsArg, x.dramRowStride, x.sramRowStride,
+            x.addrMem, x.countSinkNode, x.countSinkIdx, x.countScale);
+}
+
+template <class Ar, Is<Node> N>
+void
+fields(Ar &ar, N &n)
+{
+    ar.line("node", n.kind, n.parent, name(n.name));
+    switch (n.kind) {
+      case NodeKind::kOuter:
+        ar.line("outer", n.scheme, n.depthHint, "ctrs", n.ctrs, "children",
+                n.children);
+        break;
+      case NodeKind::kCompute:
+        ar.line("leafctrs", n.leafCtrs);
+        ar.line("streamins", n.streamIns);
+        ar.line("scalarins", n.scalarIns);
+        ar.list("sinks", n.sinks);
+        break;
+      case NodeKind::kTransfer:
+        fields(ar, n.xfer);
+        break;
+    }
+}
+
+template <class Ar, Is<Program> P>
+void
+fields(Ar &ar, P &prog)
+{
+    ar.note("# pir seed file (see src/pir/serialize.hpp)\n");
+    ar.version("pir", 1);
+    ar.line("program", name(prog.name));
+    ar.line("argouts", prog.numArgOuts);
+    ar.list("args", prog.args);
+    ar.list("mems", prog.mems);
+    ar.list("ctrs", prog.ctrs);
+    ar.list("exprs", prog.exprs);
+    ar.list("nodes", prog.nodes);
+    ar.line("root", prog.root);
+    ar.line("end");
+    if constexpr (Ar::kSaving) {
+        if (prog.root != kNone &&
+            prog.root < static_cast<NodeId>(prog.nodes.size()))
+            ar.note(treeComment(prog));
+    }
+}
+
 void
 writeProgram(std::ostream &os, const Program &prog)
 {
-    os << "# pir seed file (see src/pir/serialize.hpp)\n";
-    os << "pir 1\n";
-    os << "program " << token(prog.name) << '\n';
-    os << "argouts " << prog.numArgOuts << '\n';
-    os << "args " << prog.args.size() << '\n';
-    for (const ArgDecl &a : prog.args)
-        os << "arg 0x" << std::hex << a.value << std::dec << ' '
-           << token(a.name) << '\n';
-    os << "mems " << prog.mems.size() << '\n';
-    for (const MemDecl &m : prog.mems)
-        os << "mem " << static_cast<int>(m.kind) << ' ' << m.sizeWords
-           << ' ' << static_cast<int>(m.mode) << ' ' << m.nbufMin << ' '
-           << m.clearAt << ' ' << token(m.name) << '\n';
-    os << "ctrs " << prog.ctrs.size() << '\n';
-    for (const CtrDecl &c : prog.ctrs)
-        os << "ctr " << c.min << ' ' << c.step << ' ' << c.max << ' '
-           << c.boundArg << ' ' << c.boundSinkNode << ' '
-           << c.boundSinkIdx << ' ' << c.boundScale << ' '
-           << (c.vectorized ? 1 : 0) << ' ' << token(c.name) << '\n';
-    os << "exprs " << prog.exprs.size() << '\n';
-    for (const Expr &e : prog.exprs)
-        os << "expr " << static_cast<int>(e.kind) << " 0x" << std::hex
-           << e.cval << std::dec << ' ' << e.arg << ' ' << e.ctr << ' '
-           << static_cast<int>(e.alu) << ' ' << e.a << ' ' << e.b << ' '
-           << e.c << ' ' << e.mem << ' ' << e.addr << ' ' << e.stream
-           << ' ' << e.scalar << '\n';
-    os << "nodes " << prog.nodes.size() << '\n';
-    for (const Node &n : prog.nodes) {
-        os << "node " << static_cast<int>(n.kind) << ' ' << n.parent
-           << ' ' << token(n.name) << '\n';
-        switch (n.kind) {
-          case NodeKind::kOuter: {
-            os << "outer " << static_cast<int>(n.scheme) << ' '
-               << n.depthHint << " ctrs " << n.ctrs.size();
-            for (CtrId c : n.ctrs)
-                os << ' ' << c;
-            os << " children " << n.children.size();
-            for (NodeId c : n.children)
-                os << ' ' << c;
-            os << '\n';
-            break;
-          }
-          case NodeKind::kCompute: {
-            os << "leafctrs " << n.leafCtrs.size();
-            for (CtrId c : n.leafCtrs)
-                os << ' ' << c;
-            os << '\n';
-            os << "streamins " << n.streamIns.size();
-            for (const StreamIn &si : n.streamIns)
-                os << ' ' << si.dram << ' ' << si.addr;
-            os << '\n';
-            os << "scalarins " << n.scalarIns.size();
-            for (const ScalarIn &si : n.scalarIns)
-                os << ' ' << si.fromNode << ' ' << si.fromSink;
-            os << '\n';
-            os << "sinks " << n.sinks.size() << '\n';
-            for (const Sink &s : n.sinks)
-                writeSink(os, s);
-            break;
-          }
-          case NodeKind::kTransfer: {
-            const TransferDesc &x = n.xfer;
-            os << "xfer " << (x.load ? 1 : 0) << ' '
-               << (x.sparse ? 1 : 0) << ' ' << x.dram << ' ' << x.sram
-               << ' ' << x.base << ' ' << x.rows << ' ' << x.rowWords
-               << ' ' << x.rowWordsArg << ' ' << x.dramRowStride << ' '
-               << x.sramRowStride << ' ' << x.addrMem << ' '
-               << x.countSinkNode << ' ' << x.countSinkIdx << ' '
-               << x.countScale << '\n';
-            break;
-          }
-        }
-    }
-    os << "root " << prog.root << '\n';
-    os << "end\n";
-    if (prog.root != kNone &&
-        prog.root < static_cast<NodeId>(prog.nodes.size())) {
-        os << "#\n# controller tree:\n";
-        std::istringstream pretty(prog.dump());
-        std::string line;
-        while (std::getline(pretty, line))
-            os << "#   " << line << '\n';
-    }
+    TextWriter ar(os);
+    fields(ar, prog);
 }
 
 std::string
@@ -250,178 +163,15 @@ programToText(const Program &prog)
 bool
 readProgram(std::istream &is, Program &out, std::string *err)
 {
-    Reader r{is, {}};
-    out = Program{};
-    auto bail = [&]() {
+    TextReader ar(is);
+    Program prog;
+    fields(ar, prog);
+    if (!ar.ok()) {
         if (err)
-            *err = r.err.empty() ? "parse error" : r.err;
+            *err = ar.error();
         return false;
-    };
-
-    int version = 0;
-    if (!r.expect("pir") || !r.num(version))
-        return bail();
-    if (version != 1) {
-        r.fail(strfmt("unsupported pir version %d", version));
-        return bail();
     }
-    if (!r.expect("program") || !r.word(out.name))
-        return bail();
-    if (!r.expect("argouts") || !r.num(out.numArgOuts))
-        return bail();
-
-    size_t count = 0;
-    if (!r.expect("args") || !r.num(count))
-        return bail();
-    for (size_t i = 0; i < count; ++i) {
-        ArgDecl a;
-        if (!r.expect("arg") || !r.u32hex(a.value) || !r.word(a.name))
-            return bail();
-        out.args.push_back(a);
-    }
-
-    if (!r.expect("mems") || !r.num(count))
-        return bail();
-    for (size_t i = 0; i < count; ++i) {
-        MemDecl m;
-        int kind = 0, mode = 0;
-        if (!r.expect("mem") || !r.num(kind) || !r.num(m.sizeWords) ||
-            !r.num(mode) || !r.num(m.nbufMin) || !r.num(m.clearAt) ||
-            !r.word(m.name))
-            return bail();
-        if (kind < 0 || kind > static_cast<int>(MemKind::kSram) ||
-            mode < 0 || mode > static_cast<int>(BankingMode::kDup)) {
-            r.fail("mem kind/mode out of range");
-            return bail();
-        }
-        m.kind = static_cast<MemKind>(kind);
-        m.mode = static_cast<BankingMode>(mode);
-        out.mems.push_back(m);
-    }
-
-    if (!r.expect("ctrs") || !r.num(count))
-        return bail();
-    for (size_t i = 0; i < count; ++i) {
-        CtrDecl c;
-        if (!r.expect("ctr") || !r.num(c.min) || !r.num(c.step) ||
-            !r.num(c.max) || !r.num(c.boundArg) ||
-            !r.num(c.boundSinkNode) || !r.num(c.boundSinkIdx) ||
-            !r.num(c.boundScale) || !r.flag(c.vectorized) ||
-            !r.word(c.name))
-            return bail();
-        out.ctrs.push_back(c);
-    }
-
-    if (!r.expect("exprs") || !r.num(count))
-        return bail();
-    for (size_t i = 0; i < count; ++i) {
-        Expr e;
-        int kind = 0, alu = 0;
-        if (!r.expect("expr") || !r.num(kind) || !r.u32hex(e.cval) ||
-            !r.num(e.arg) || !r.num(e.ctr) || !r.num(alu) ||
-            !r.num(e.a) || !r.num(e.b) || !r.num(e.c) || !r.num(e.mem) ||
-            !r.num(e.addr) || !r.num(e.stream) || !r.num(e.scalar))
-            return bail();
-        if (kind < 0 || kind > static_cast<int>(ExprKind::kLaneId) ||
-            alu < 0 || alu >= static_cast<int>(FuOp::kNumOps)) {
-            r.fail("expr kind/op out of range");
-            return bail();
-        }
-        e.kind = static_cast<ExprKind>(kind);
-        e.alu = static_cast<FuOp>(alu);
-        out.exprs.push_back(e);
-    }
-
-    if (!r.expect("nodes") || !r.num(count))
-        return bail();
-    for (size_t i = 0; i < count; ++i) {
-        Node n;
-        int kind = 0;
-        if (!r.expect("node") || !r.num(kind) || !r.num(n.parent) ||
-            !r.word(n.name))
-            return bail();
-        if (kind < 0 || kind > static_cast<int>(NodeKind::kTransfer)) {
-            r.fail("node kind out of range");
-            return bail();
-        }
-        n.kind = static_cast<NodeKind>(kind);
-        switch (n.kind) {
-          case NodeKind::kOuter: {
-            int scheme = 0;
-            size_t nc = 0;
-            if (!r.expect("outer") || !r.num(scheme) ||
-                !r.num(n.depthHint) || !r.expect("ctrs") || !r.num(nc))
-                return bail();
-            if (scheme < 0 ||
-                scheme > static_cast<int>(CtrlScheme::kStream)) {
-                r.fail("ctrl scheme out of range");
-                return bail();
-            }
-            n.scheme = static_cast<CtrlScheme>(scheme);
-            n.ctrs.resize(nc);
-            for (CtrId &c : n.ctrs) {
-                if (!r.num(c))
-                    return bail();
-            }
-            if (!r.expect("children") || !r.num(nc))
-                return bail();
-            n.children.resize(nc);
-            for (NodeId &c : n.children) {
-                if (!r.num(c))
-                    return bail();
-            }
-            break;
-          }
-          case NodeKind::kCompute: {
-            size_t nc = 0;
-            if (!r.expect("leafctrs") || !r.num(nc))
-                return bail();
-            n.leafCtrs.resize(nc);
-            for (CtrId &c : n.leafCtrs) {
-                if (!r.num(c))
-                    return bail();
-            }
-            if (!r.expect("streamins") || !r.num(nc))
-                return bail();
-            n.streamIns.resize(nc);
-            for (StreamIn &si : n.streamIns) {
-                if (!r.num(si.dram) || !r.num(si.addr))
-                    return bail();
-            }
-            if (!r.expect("scalarins") || !r.num(nc))
-                return bail();
-            n.scalarIns.resize(nc);
-            for (ScalarIn &si : n.scalarIns) {
-                if (!r.num(si.fromNode) || !r.num(si.fromSink))
-                    return bail();
-            }
-            if (!r.expect("sinks") || !r.num(nc))
-                return bail();
-            n.sinks.resize(nc);
-            for (Sink &s : n.sinks) {
-                if (!readSink(r, s))
-                    return bail();
-            }
-            break;
-          }
-          case NodeKind::kTransfer: {
-            TransferDesc &x = n.xfer;
-            if (!r.expect("xfer") || !r.flag(x.load) ||
-                !r.flag(x.sparse) || !r.num(x.dram) || !r.num(x.sram) ||
-                !r.num(x.base) || !r.num(x.rows) || !r.num(x.rowWords) ||
-                !r.num(x.rowWordsArg) || !r.num(x.dramRowStride) ||
-                !r.num(x.sramRowStride) || !r.num(x.addrMem) ||
-                !r.num(x.countSinkNode) || !r.num(x.countSinkIdx) ||
-                !r.num(x.countScale))
-                return bail();
-            break;
-          }
-        }
-        out.nodes.push_back(std::move(n));
-    }
-
-    if (!r.expect("root") || !r.num(out.root) || !r.expect("end"))
-        return bail();
+    out = std::move(prog);
     return true;
 }
 

@@ -223,6 +223,10 @@ class Validator
                                     sk.mem));
                 if (sk.kind == SinkKind::kFold && !ctrIdOk(sk.foldLevel))
                     err(sw + ": dangling fold level");
+                if (sk.kind == SinkKind::kFold &&
+                    !fuOpIsReducible(sk.foldOp))
+                    err(sw + strfmt(": fold op %s is not a combiner",
+                                    fuOpName(sk.foldOp).c_str()));
                 if ((sk.kind == SinkKind::kStreamOut ||
                      sk.kind == SinkKind::kScatterOut) &&
                     (!memIdOk(sk.dram) ||

@@ -26,35 +26,6 @@ mixName(FaultMix m)
     return "?";
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strfmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 CampaignResult
@@ -90,10 +61,7 @@ runCampaign(const CampaignOptions &opts)
         Runner stage(inst.prog, params);
         inst.load(stage);
 
-        ResilienceOptions ropts = opts.resilience;
-        if (opts.maxCycles)
-            ropts.maxCycles = opts.maxCycles;
-        ResilientRunner rr(inst.prog, params, ropts);
+        ResilientRunner rr(inst.prog, params, opts.maxCycles);
         rr.setInputs(stage.hostBuffers());
 
         auto record = [&](uint64_t seed, ResilienceReport rep) {

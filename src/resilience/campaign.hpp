@@ -31,7 +31,6 @@ struct CampaignOptions
     /** Benchmark names (apps::allApps subset); empty = all 13. */
     std::vector<std::string> apps;
     Cycles maxCycles = 0; ///< per attempt; 0 = derived per app
-    ResilienceOptions resilience;
 };
 
 struct CampaignRun

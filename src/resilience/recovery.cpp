@@ -29,9 +29,20 @@ runClassName(RunClass c)
     return "?";
 }
 
+namespace
+{
+
+/** Snapshots kept for rollback. */
+constexpr uint32_t kKeepCheckpoints = 4;
+/** Recovery attempts (rollbacks + restarts + remaps) before giving up
+ *  with detected-unrecoverable. */
+constexpr uint32_t kMaxRecoveries = 4;
+
+} // namespace
+
 ResilientRunner::ResilientRunner(pir::Program prog, ArchParams params,
-                                 ResilienceOptions opts)
-    : prog_(std::move(prog)), params_(params), opts_(opts)
+                                 Cycles maxCycles)
+    : prog_(std::move(prog)), params_(params), maxCycles_(maxCycles)
 {
 }
 
@@ -72,27 +83,18 @@ ResilientRunner::simOptions() const
     // than a legitimate memory-bound stall would trip on healthy runs,
     // and a checkpoint interval near the horizon never builds a ring.
     SimOptions so;
-    so.checkpointEvery = opts_.checkpointEvery
-                             ? opts_.checkpointEvery
-                             : std::max<Cycles>(1'000, goldenCycles_ / 5);
-    so.keepCheckpoints = opts_.keepCheckpoints;
-    so.watchdogCycles =
-        opts_.watchdogCycles
-            ? opts_.watchdogCycles
-            : std::max<Cycles>(20'000, 2 * goldenCycles_);
-    so.livelockCycles =
-        opts_.livelockCycles
-            ? opts_.livelockCycles
-            : std::max<Cycles>(40'000, 4 * goldenCycles_);
+    so.checkpointEvery = std::max<Cycles>(1'000, goldenCycles_ / 5);
+    so.keepCheckpoints = kKeepCheckpoints;
+    so.watchdogCycles = std::max<Cycles>(20'000, 2 * goldenCycles_);
+    so.livelockCycles = std::max<Cycles>(40'000, 4 * goldenCycles_);
     return so;
 }
 
 Cycles
 ResilientRunner::attemptCap() const
 {
-    return opts_.maxCycles
-               ? opts_.maxCycles
-               : std::max<Cycles>(1'000'000, 50 * goldenCycles_);
+    return maxCycles_ ? maxCycles_
+                      : std::max<Cycles>(1'000'000, 50 * goldenCycles_);
 }
 
 bool
@@ -181,9 +183,9 @@ ResilientRunner::run(const FaultPlan &plan)
             rep.detail += "aborted by caller: " + st.message() + "\n";
             break;
         }
-        if (++attempts > opts_.maxRecoveries) {
+        if (++attempts > kMaxRecoveries) {
             rep.detail += strfmt("recovery budget (%u) exhausted\n",
-                                 opts_.maxRecoveries);
+                                 kMaxRecoveries);
             break;
         }
 

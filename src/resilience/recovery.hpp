@@ -37,21 +37,6 @@
 namespace plast::resilience
 {
 
-struct ResilienceOptions
-{
-    /** Hard cap per attempt; 0 derives ~50x the golden cycle count. */
-    Cycles maxCycles = 0;
-    /** Checkpoint interval; 0 derives ~1/5 of the golden cycle count. */
-    Cycles checkpointEvery = 0;
-    uint32_t keepCheckpoints = 4;
-    /** Watchdog / livelock windows; 0 derives from the golden count. */
-    Cycles watchdogCycles = 0;
-    Cycles livelockCycles = 0;
-    /** Recovery attempts (rollbacks + restarts + remaps) before giving
-     *  up with detected-unrecoverable. */
-    uint32_t maxRecoveries = 4;
-};
-
 enum class RunClass : uint8_t
 {
     kClean,
@@ -98,8 +83,11 @@ struct GoldenOutputs
 class ResilientRunner
 {
   public:
+    /** `maxCycles` caps each attempt; 0 derives ~50x the golden cycle
+     *  count. Checkpoint, watchdog and livelock windows always derive
+     *  from the golden run (recovery.cpp). */
     ResilientRunner(pir::Program prog, ArchParams params,
-                    ResilienceOptions opts = {});
+                    Cycles maxCycles = 0);
 
     /** Input staging (before runGolden / run). */
     void setInputs(std::map<pir::MemId, std::vector<Word>> bufs);
@@ -138,7 +126,7 @@ class ResilientRunner
 
     pir::Program prog_;
     ArchParams params_;
-    ResilienceOptions opts_;
+    Cycles maxCycles_;
     std::map<pir::MemId, std::vector<Word>> inputs_;
     const CancelToken *cancel_ = nullptr;
     void harvestOutputs(Runner &runner, const Runner::Result &res);

@@ -69,26 +69,6 @@ namespace
 {
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (c == '\n') {
-            out += "\\n";
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += strfmt("\\u%04x", c);
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
-
-std::string
 hex64(uint64_t v)
 {
     return strfmt("0x%016llx", (unsigned long long)v);

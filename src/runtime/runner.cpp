@@ -38,13 +38,6 @@ Runner::setConfigTweak(std::function<void(FabricConfig &)> tweak)
 }
 
 void
-Runner::setSimMode(SimMode mode)
-{
-    panic_if(fabric_ != nullptr, "setSimMode after the fabric was built");
-    simOpts_.simMode = mode;
-}
-
-void
 Runner::setUnitMask(compiler::UnitMask mask)
 {
     panic_if(compiled_, "setUnitMask after compilation");

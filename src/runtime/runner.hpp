@@ -106,11 +106,6 @@ class Runner
      *  cycle ledgers for post-run analysis. */
     const Fabric *fabric() const { return fabric_.get(); }
 
-    /** Select the datapath engine (interpreted or specialized plans)
-     *  for fabrics this runner builds. Must be called before the first
-     *  run; both engines are bit-exact (see DESIGN.md §13). */
-    void setSimMode(SimMode mode);
-
     // ---- compiled-config sharing (the serve daemon's config cache) ---
     /** The frozen compile result, shareable across runners without
      *  copying the FabricConfig. Null until tryCompile succeeded. */

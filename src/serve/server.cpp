@@ -490,9 +490,8 @@ Server::computeResilient(Runner &runner, const JobSpec &job,
     // The recovery orchestrator owns its own runners; this worker's
     // runner only contributes the staged inputs and the compiled
     // fabric config (for the fault plan).
-    resilience::ResilienceOptions ropts;
-    ropts.maxCycles = job.maxCycles; // 0 derives from the golden run
-    resilience::ResilientRunner rr(job.prog, job.params, ropts);
+    // maxCycles 0 derives the cap from the golden run.
+    resilience::ResilientRunner rr(job.prog, job.params, job.maxCycles);
     rr.setInputs(runner.hostBuffers());
     if (cancel)
         rr.setCancelToken(cancel);

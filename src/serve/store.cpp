@@ -14,6 +14,7 @@
 
 #include "arch/cfgio.hpp"
 #include "base/logging.hpp"
+#include "base/textio.hpp"
 #include "runtime/manifest.hpp"
 
 namespace plast::serve
@@ -137,25 +138,38 @@ toMapResult(StoredConfig &&rec)
     return mr;
 }
 
+namespace
+{
+
+/** The record payload's one field list (DESIGN.md §17): the content
+ *  address as 16-digit hex hashes, the DRAM layout, the report
+ *  counters as `key=value`, then the .pcfg config. */
+template <class Ar, Is<StoredConfig> R>
+void
+fields(Ar &ar, R &rec)
+{
+    auto &r = rec.report;
+    ar.line(kPayloadHeader);
+    ar.line("pir", hash(rec.pirHash));
+    ar.line("arch", hash(rec.archHash));
+    ar.line("drambase", rec.dramBase);
+    ar.line("report", keyed("pcus", r.pcusUsed), keyed("pmus", r.pmusUsed),
+            keyed("ags", r.agsUsed), keyed("boxes", r.boxesUsed),
+            keyed("channels", r.channels), keyed("hops", r.routedHops),
+            keyed("stages", r.stagesUsed), keyed("regs", r.regsUsed),
+            keyed("sram", r.sramWordsUsed), keyed("fu", r.fuActive));
+    ar.line("config");
+    configFields(ar, rec.fabric);
+}
+
+} // namespace
+
 std::string
 encodeRecord(const StoredConfig &rec)
 {
     std::ostringstream p;
-    p << kPayloadHeader << "\n";
-    p << "pir " << hex64(rec.pirHash) << "\n";
-    p << "arch " << hex64(rec.archHash) << "\n";
-    p << "drambase " << rec.dramBase.size();
-    for (Addr a : rec.dramBase)
-        p << " " << a;
-    p << "\n";
-    const compiler::MappingReport &r = rec.report;
-    p << "report pcus=" << r.pcusUsed << " pmus=" << r.pmusUsed
-      << " ags=" << r.agsUsed << " boxes=" << r.boxesUsed
-      << " channels=" << r.channels << " hops=" << r.routedHops
-      << " stages=" << r.stagesUsed << " regs=" << r.regsUsed
-      << " sram=" << r.sramWordsUsed << " fu=" << r.fuActive << "\n";
-    p << "config\n";
-    writeConfig(p, rec.fabric);
+    TextWriter ar(p);
+    fields(ar, rec);
     std::string payload = p.str();
 
     std::string out;
@@ -201,85 +215,11 @@ decodeRecord(const std::string &bytes, StoredConfig &out)
     // The payload validated bit-for-bit; parse failures past this
     // point would mean a writer bug, but they still come back typed.
     std::istringstream is(payload);
-    std::string line;
-    if (!std::getline(is, line) || line != kPayloadHeader)
-        return corrupt("payload header mismatch");
-    auto expectKey = [&](const char *key, std::string &val) {
-        if (!std::getline(is, line))
-            return false;
-        std::istringstream ls(line);
-        std::string k;
-        ls >> k >> val;
-        return k == key && !val.empty();
-    };
-    std::string val;
-    if (!expectKey("pir", val))
-        return corrupt("missing pir line");
-    out.pirHash = std::strtoull(val.c_str(), nullptr, 16);
-    if (!expectKey("arch", val))
-        return corrupt("missing arch line");
-    out.archHash = std::strtoull(val.c_str(), nullptr, 16);
-
-    if (!std::getline(is, line))
-        return corrupt("missing drambase line");
-    {
-        std::istringstream ls(line);
-        std::string k;
-        size_t n = 0;
-        if (!(ls >> k >> n) || k != "drambase")
-            return corrupt("missing drambase line");
-        out.dramBase.assign(n, 0);
-        for (size_t i = 0; i < n; ++i) {
-            if (!(ls >> out.dramBase[i]))
-                return corrupt("short drambase line");
-        }
-    }
-    if (!std::getline(is, line))
-        return corrupt("missing report line");
-    {
-        std::istringstream ls(line);
-        std::string k;
-        ls >> k;
-        if (k != "report")
-            return corrupt("missing report line");
-        compiler::MappingReport &r = out.report;
-        std::string tok;
-        while (ls >> tok) {
-            size_t eq = tok.find('=');
-            if (eq == std::string::npos)
-                return corrupt("bad report token '" + tok + "'");
-            std::string key = tok.substr(0, eq);
-            uint64_t v = std::strtoull(tok.c_str() + eq + 1, nullptr, 10);
-            if (key == "pcus")
-                r.pcusUsed = static_cast<uint32_t>(v);
-            else if (key == "pmus")
-                r.pmusUsed = static_cast<uint32_t>(v);
-            else if (key == "ags")
-                r.agsUsed = static_cast<uint32_t>(v);
-            else if (key == "boxes")
-                r.boxesUsed = static_cast<uint32_t>(v);
-            else if (key == "channels")
-                r.channels = static_cast<uint32_t>(v);
-            else if (key == "hops")
-                r.routedHops = v;
-            else if (key == "stages")
-                r.stagesUsed = static_cast<uint32_t>(v);
-            else if (key == "regs")
-                r.regsUsed = static_cast<uint32_t>(v);
-            else if (key == "sram")
-                r.sramWordsUsed = v;
-            else if (key == "fu")
-                r.fuActive = static_cast<uint32_t>(v);
-            else
-                return corrupt("unknown report key '" + key + "'");
-        }
-        r.ok = true;
-    }
-    if (!std::getline(is, line) || line != "config")
-        return corrupt("missing config section");
-    std::string err;
-    if (!readConfig(is, out.fabric, &err))
-        return corrupt("config parse: " + err);
+    TextReader ar(is);
+    fields(ar, out);
+    if (!ar.ok())
+        return corrupt("payload parse: " + ar.error());
+    out.report.ok = true;
     return Status();
 }
 

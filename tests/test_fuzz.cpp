@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -238,6 +239,35 @@ TEST(Fuzz, InjectionSweepDetectsFaults)
     o.shrink = false;
     FuzzStats st = plast::fuzz::fuzz(o);
     EXPECT_GE(st.mismatches, 1u);
+}
+
+TEST(Fuzz, NonCombinerFoldOpIsInvalidNotAPanic)
+{
+    // clean_seed_3's second sink is a kFold; its fold op is the
+    // seventh field. Out of the FuOp range the reader rejects it; fexp
+    // (35) parses but has no reduction identity, so validation does.
+    std::ifstream f(PLAST_CORPUS_DIR "/clean_seed_3.pir");
+    ASSERT_TRUE(f) << "no corpus under " PLAST_CORPUS_DIR;
+    std::stringstream text;
+    text << f.rdbuf();
+    std::string t = text.str();
+    size_t line = t.find("\nsink ", t.find("\nsink ") + 1);
+    ASSERT_NE(line, std::string::npos);
+    size_t at = line + 1;
+    for (int field = 0; field < 7; ++field)
+        at = t.find(' ', at) + 1;
+    size_t len = t.find(' ', at) - at;
+    ASSERT_EQ(t.substr(at, len), "1"); // iadd
+    for (const char *op : {"99", "-3", "35"}) {
+        std::string path = ::testing::TempDir() + "fold_op_" + op + ".pir";
+        std::ofstream(path) << t.substr(0, at) + op + t.substr(at + len);
+        DiffResult d = replayFile(path);
+        EXPECT_EQ(static_cast<int>(d.status),
+                  static_cast<int>(DiffResult::Status::kInvalid))
+            << op << ": " << d.detail;
+        EXPECT_FALSE(d.detail.empty()) << op;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(Fuzz, CorpusReplaysDeterministically)

@@ -163,23 +163,6 @@ TEST(Specialized, ValidatedAgainstReference)
     EXPECT_GT(res.cycles, 0u);
 }
 
-/** Runner::setSimMode selects the engine before the fabric exists. */
-TEST(Specialized, RunnerSetSimMode)
-{
-    setVerbose(false);
-    apps::AppInstance app = apps::makeInnerProduct(apps::Scale::kTiny);
-
-    apps::AppInstance ref = apps::makeInnerProduct(apps::Scale::kTiny);
-    Runner rref(std::move(ref.prog));
-    ref.load(rref);
-    Cycles want = rref.run().cycles;
-
-    Runner r(std::move(app.prog));
-    r.setSimMode(SimMode::kSpecialized);
-    app.load(r);
-    EXPECT_EQ(r.run().cycles, want);
-}
-
 // --------------------------------------------------------------------
 // Plan-construction invariants
 // --------------------------------------------------------------------
