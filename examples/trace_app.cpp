@@ -170,7 +170,8 @@ main(int argc, char **argv)
         // The unified exposition: simulator counters plus host phase
         // timings through one MetricRegistry, scrape-ready.
         MetricRegistry reg;
-        reg.importStats(res.stats, "sim.");
+        for (const auto &[name, value] : res.stats.all())
+            reg.setCounter("sim." + name, value);
         for (const auto &[phase, us] :
              HostProfiler::instance().totalsUs())
             reg.setCounter("host.phase_us." + phase, us);

@@ -72,14 +72,6 @@ MetricRegistry::findHistogram(const std::string &name) const
 }
 
 void
-MetricRegistry::importStats(const StatSet &stats,
-                            const std::string &prefix)
-{
-    for (const auto &[name, value] : stats.all())
-        counters_[prefix + name] = value;
-}
-
-void
 MetricRegistry::writeJson(std::ostream &os) const
 {
     // One sorted key space: materialize histogram components as flat

@@ -34,8 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "base/stats.hpp"
-
 namespace plast
 {
 
@@ -113,14 +111,6 @@ class MetricRegistry
     {
         return histograms_;
     }
-
-    /**
-     * Absorb a StatSet dump as counters, each key prefixed with
-     * `prefix` (pass e.g. "sim." or "" verbatim). This is the bridge
-     * from the simulator's scattered per-run StatSets into the unified
-     * model; set() semantics, so importing twice is idempotent.
-     */
-    void importStats(const StatSet &stats, const std::string &prefix = "");
 
     /**
      * Flat JSON object, keys sorted (stable schema). Counters and

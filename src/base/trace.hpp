@@ -68,18 +68,18 @@ enum class TraceName : uint16_t
 
 const char *traceNameStr(TraceName n);
 
-/** Trace tuning knobs (part of SimOptions). */
+/** Trace tuning knobs (part of SimOptions). Every stream gets its own
+ *  occupancy counter track. */
 struct TraceOptions
 {
+    /** Ring capacity in events (32 B each). */
+    static constexpr size_t kCapacity = 1u << 20;
+
     /** Master switch; no sink is created (and no overhead is paid)
      *  when false. */
     bool enabled = false;
-    /** Ring capacity in events (32 B each). */
-    size_t capacity = 1u << 20;
     /** Utilization time-series sampling period in cycles (0 = off). */
     uint32_t epochCycles = 1024;
-    /** Emit per-stream occupancy counter tracks. */
-    bool streams = true;
 };
 
 class TraceSink

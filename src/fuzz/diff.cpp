@@ -125,9 +125,9 @@ std::string
 checkLedger(const Fabric &fab)
 {
     const Cycles total = fab.now();
-    const FabricConfig &cfg = fab.config();
-    auto check = [&](const std::string &label,
-                     const CycleAcct &a) -> std::string {
+    for (const SimUnit *u : fab.units()) {
+        const std::string label = u->ref().describe() + " ledger";
+        const CycleAcct &a = u->acct();
         uint64_t by_sum = 0, slept_sum = 0;
         for (size_t c = 0; c < kNumCycleClasses; ++c) {
             by_sum += a.by[c];
@@ -150,28 +150,7 @@ checkLedger(const Fabric &fab)
                 static_cast<unsigned long long>(a.stepped),
                 static_cast<unsigned long long>(a.slept),
                 static_cast<unsigned long long>(total));
-        return {};
-    };
-    for (size_t i = 0; i < cfg.pcus.size(); ++i)
-        if (const auto *u = fab.pcuPtr(static_cast<uint32_t>(i)))
-            if (auto e = check(strfmt("pcu%zu ledger", i), u->acct());
-                !e.empty())
-                return e;
-    for (size_t i = 0; i < cfg.pmus.size(); ++i)
-        if (const auto *u = fab.pmuPtr(static_cast<uint32_t>(i)))
-            if (auto e = check(strfmt("pmu%zu ledger", i), u->acct());
-                !e.empty())
-                return e;
-    for (size_t i = 0; i < cfg.ags.size(); ++i)
-        if (const auto *u = fab.agPtr(static_cast<uint32_t>(i)))
-            if (auto e = check(strfmt("ag%zu ledger", i), u->acct());
-                !e.empty())
-                return e;
-    for (size_t i = 0; i < cfg.boxes.size(); ++i)
-        if (const auto *u = fab.boxPtr(static_cast<uint32_t>(i)))
-            if (auto e = check(strfmt("box%zu ledger", i), u->acct());
-                !e.empty())
-                return e;
+    }
     return {};
 }
 
@@ -190,14 +169,19 @@ diffRun(const Program &prog, const ArchParams &params,
         return out;
     }
 
-    // Pre-flight the mapping: capacity overruns are a legal outcome of
-    // random (program, arch) pairs, not a finding. Runner would fatal.
+    // Compile once; every leg adopts the result. Capacity overruns are
+    // a legal outcome of random (program, arch) pairs, not a finding
+    // (Runner::run would fatal on them).
     compiler::MapResult probe = compiler::compileProgram(prog, params);
     if (!probe.report.ok) {
         out.status = DiffResult::Status::kUnmappable;
         out.detail = probe.report.error;
         return out;
     }
+    if (opts.tweak)
+        opts.tweak(probe.fabric);
+    auto compiled =
+        std::make_shared<const compiler::MapResult>(std::move(probe));
 
     // Fault-library injection: one plan, targeted at the mapped config;
     // every scheduler mode gets a fresh injector over the same plan so
@@ -210,7 +194,7 @@ diffRun(const Program &prog, const ArchParams &params,
         plan = resilience::FaultPlan::random(
             0x5eedfa17ull + opts.injectMode,
             /*eventsPerMillion=*/20000.0,
-            /*horizon=*/300, probe.fabric,
+            /*horizon=*/300, compiled->fabric,
             opts.injectMode == 2 ? resilience::FaultMix::kProtected
                                  : resilience::FaultMix::kDatapath,
             /*includeHard=*/false);
@@ -223,8 +207,7 @@ diffRun(const Program &prog, const ArchParams &params,
         so.mode = mode;
         so.simMode = simMode;
         auto r = std::make_unique<Runner>(prog, params, so);
-        if (opts.tweak)
-            r->setConfigTweak(opts.tweak);
+        r->adoptCompiled(compiled);
         if (opts.injectMode >= 2) {
             injectors.push_back(
                 std::make_unique<resilience::FaultInjector>(

@@ -17,44 +17,12 @@ refKey(const UnitRef &r)
     return (static_cast<uint64_t>(r.cls) << 32) | r.index;
 }
 
-const SimUnit *
-unitOf(const Fabric &f, const UnitRef &r)
-{
-    switch (r.cls) {
-      case UnitClass::kPcu:
-        return f.pcuPtr(r.index);
-      case UnitClass::kPmu:
-        return f.pmuPtr(r.index);
-      case UnitClass::kAg:
-        return f.agPtr(r.index);
-      case UnitClass::kBox:
-        return f.boxPtr(r.index);
-      case UnitClass::kHost:
-        return nullptr;
-    }
-    return nullptr;
-}
-
+/** "pcu03 (dot.mul)" */
 std::string
-labelOf(const Fabric &f, const UnitRef &r)
+describe(const SimUnit &u)
 {
-    switch (r.cls) {
-      case UnitClass::kPcu:
-        return strfmt("pcu%02u (%s)", r.index,
-                      f.pcuPtr(r.index)->name().c_str());
-      case UnitClass::kPmu:
-        return strfmt("pmu%02u (%s)", r.index,
-                      f.pmuPtr(r.index)->name().c_str());
-      case UnitClass::kAg:
-        return strfmt("ag%02u (%s)", r.index,
-                      f.agPtr(r.index)->name().c_str());
-      case UnitClass::kBox:
-        return strfmt("box%02u (%s)", r.index,
-                      f.boxPtr(r.index)->name().c_str());
-      case UnitClass::kHost:
-        return "host";
-    }
-    return "?";
+    return strfmt("%s%02u (%s)", unitClassName(u.ref().cls).c_str(),
+                  u.ref().index, u.name().c_str());
 }
 
 /** Largest ledger bucket; earlier class wins ties (kActive first). */
@@ -78,7 +46,7 @@ dominantOf(const CycleAcct &a)
 uint64_t
 loadOf(const Fabric &f, const UnitRef &r)
 {
-    const SimUnit *u = unitOf(f, r);
+    const SimUnit *u = f.unit(r);
     if (!u)
         return 0;
     const CycleAcct &a = u->acct();
@@ -129,32 +97,20 @@ analyzeBottlenecks(const Fabric &fabric)
     BottleneckReport rep;
     rep.cycles = fabric.now();
 
-    auto add_row = [&](UnitClass cls, uint16_t idx) {
-        UnitRef ref{cls, idx};
-        const SimUnit *u = unitOf(fabric, ref);
-        if (!u)
-            return;
+    for (const SimUnit *u : fabric.units()) {
         BottleneckReport::UnitRow row;
-        row.ref = ref;
-        row.label = labelOf(fabric, ref);
+        row.ref = u->ref();
+        row.label = describe(*u);
         row.acct = u->acct();
         uint64_t accounted = row.acct.stepped + row.acct.slept;
         row.asleep = rep.cycles > accounted ? rep.cycles - accounted : 0;
         row.dominant = dominantOf(row.acct);
         rep.units.push_back(std::move(row));
-    };
-    for (size_t i = 0; i < cfg.pcus.size(); ++i)
-        add_row(UnitClass::kPcu, static_cast<uint16_t>(i));
-    for (size_t i = 0; i < cfg.pmus.size(); ++i)
-        add_row(UnitClass::kPmu, static_cast<uint16_t>(i));
-    for (size_t i = 0; i < cfg.ags.size(); ++i)
-        add_row(UnitClass::kAg, static_cast<uint16_t>(i));
-    for (size_t i = 0; i < cfg.boxes.size(); ++i)
-        add_row(UnitClass::kBox, static_cast<uint16_t>(i));
+    }
 
     // ---- blame walk from the root controller -------------------------
     UnitRef cur{UnitClass::kBox, static_cast<uint16_t>(cfg.rootBox)};
-    const SimUnit *root = unitOf(fabric, cur);
+    const SimUnit *root = fabric.unit(cur);
     if (!root)
         return rep;
     uint64_t root_non_active = 0;
@@ -172,18 +128,17 @@ analyzeBottlenecks(const Fabric &fabric)
 
     std::set<uint64_t> visited;
     while (true) {
-        const SimUnit *u = unitOf(fabric, cur);
+        const SimUnit *u = fabric.unit(cur);
         if (!u)
             break;
+        std::string label = describe(*u);
         if (!visited.insert(refKey(cur)).second) {
-            rep.critical = strfmt("cyclic wait through %s",
-                                  labelOf(fabric, cur).c_str());
+            rep.critical = strfmt("cyclic wait through %s", label.c_str());
             break;
         }
         const CycleAcct &a = u->acct();
         CycleClass dom = dominantOf(a);
         uint64_t dom_cycles = a.blocked(dom);
-        std::string label = labelOf(fabric, cur);
         rep.blamePath.push_back(
             strfmt("%s: dominant %s, %llu cycles (%.0f%% of run)",
                    label.c_str(), cycleClassName(dom),
@@ -204,7 +159,7 @@ analyzeBottlenecks(const Fabric &fabric)
         if (dom == CycleClass::kDramWait) {
             double ch_pct = 0.0;
             uint32_t ch = cur.cls == UnitClass::kAg
-                              ? fabric.ag(cur.index).cfg().channel
+                              ? fabric.agPtr(cur.index)->cfg().channel
                               : busiestDramChannel(fabric, ch_pct);
             if (cur.cls == UnitClass::kAg) {
                 const auto &cs =
@@ -269,31 +224,19 @@ analyzeBottlenecks(const Fabric &fabric)
 DeadlockReport
 analyzeDeadlock(const Fabric &fabric)
 {
-    const FabricConfig &cfg = fabric.config();
     DeadlockReport rep;
     rep.bottlenecks = analyzeBottlenecks(fabric);
 
-    auto scan = [&](UnitClass cls, const SimUnit *u, uint16_t idx) {
-        if (!u || !u->busy())
-            return;
+    for (const SimUnit *u : fabric.units()) {
+        if (!u->busy())
+            continue;
         DeadlockReport::WaitingUnit w;
-        w.ref = UnitRef{cls, idx};
-        w.label = labelOf(fabric, w.ref);
+        w.ref = u->ref();
+        w.label = describe(*u);
         w.stuck = u->stuck();
         w.stalledFor = fabric.now() - u->lastProgressAt();
         rep.waiting.push_back(std::move(w));
-    };
-    for (size_t i = 0; i < cfg.pcus.size(); ++i)
-        scan(UnitClass::kPcu, fabric.pcuPtr(i),
-             static_cast<uint16_t>(i));
-    for (size_t i = 0; i < cfg.pmus.size(); ++i)
-        scan(UnitClass::kPmu, fabric.pmuPtr(i),
-             static_cast<uint16_t>(i));
-    for (size_t i = 0; i < cfg.ags.size(); ++i)
-        scan(UnitClass::kAg, fabric.agPtr(i), static_cast<uint16_t>(i));
-    for (size_t i = 0; i < cfg.boxes.size(); ++i)
-        scan(UnitClass::kBox, fabric.boxPtr(i),
-             static_cast<uint16_t>(i));
+    }
     std::sort(rep.waiting.begin(), rep.waiting.end(),
               [](const auto &a, const auto &b) {
                   return a.stalledFor > b.stalledFor;

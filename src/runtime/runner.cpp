@@ -24,17 +24,8 @@ Runner::adoptCompiled(std::shared_ptr<const compiler::MapResult> map)
     panic_if(compiled_, "adoptCompiled after compilation");
     panic_if(!map || !map->report.ok,
              "adoptCompiled with a null or failed compile result");
-    panic_if(configTweak_ != nullptr,
-             "adoptCompiled would discard a pending config tweak");
     shared_ = std::move(map);
     compiled_ = true;
-}
-
-void
-Runner::setConfigTweak(std::function<void(FabricConfig &)> tweak)
-{
-    panic_if(compiled_, "setConfigTweak after compilation");
-    configTweak_ = std::move(tweak);
 }
 
 void
@@ -96,8 +87,6 @@ Runner::tryCompile()
                              map_.report.error.c_str(),
                              map_.report.diag.summary().c_str()));
     }
-    if (configTweak_)
-        configTweak_(mr.fabric);
     // Freeze: the compile result is immutable from here on, so the
     // serve config cache can hand it to other runners without copying.
     shared_ = std::make_shared<const compiler::MapResult>(std::move(mr));

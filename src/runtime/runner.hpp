@@ -11,7 +11,6 @@
 #define PLAST_RUNTIME_RUNNER_HPP
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -115,24 +114,15 @@ class Runner
     }
     /**
      * Skip compilation entirely and reuse a compile result produced by
-     * another runner for the *same* (program, ArchParams) pair — this
-     * is how a config-cache hit avoids paying place-and-route twice.
-     * Must be called before the first compile; incompatible with
-     * setConfigTweak/setUnitMask (those exist to perturb a fresh
-     * compile). The caller owns the content-address discipline:
-     * adopting a result compiled from a different program is undefined
-     * behavior by construction.
+     * another runner (or compileProgram) for the *same* (program,
+     * ArchParams) pair — this is how a config-cache hit avoids paying
+     * place-and-route twice, and how the fuzz differential runs every
+     * leg on one compile. Must be called before the first compile.
+     * The caller owns the content-address discipline: adopting a
+     * result compiled from a different program is undefined behavior
+     * by construction.
      */
     void adoptCompiled(std::shared_ptr<const compiler::MapResult> map);
-
-    /**
-     * Install a hook that mutates the compiled FabricConfig before the
-     * fabric is instantiated. Used by the fuzz harness to inject
-     * hardware faults (e.g. flipping a reduction-stage opcode) and by
-     * tests that want to probe specific mis-configurations. Must be
-     * called before the first run.
-     */
-    void setConfigTweak(std::function<void(FabricConfig &)> tweak);
 
     // ---- resilience plumbing -----------------------------------------
     /** Compile with faulted physical units masked out of placement.
@@ -194,7 +184,6 @@ class Runner
     std::unique_ptr<Fabric> fabric_;
     bool haveCounts_ = false;
     pir::Evaluator::Counts counts_;
-    std::function<void(FabricConfig &)> configTweak_;
 };
 
 } // namespace plast

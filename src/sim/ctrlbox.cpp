@@ -9,7 +9,8 @@ namespace plast
 
 CtrlBoxSim::CtrlBoxSim(const ArchParams &params, uint32_t index,
                        const ControlBoxCfg &cfg)
-    : params_(params), index_(index), cfg_(cfg)
+    : SimUnit({UnitClass::kBox, static_cast<uint16_t>(index)}, cfg.name),
+      params_(params), cfg_(cfg)
 {
     // Scalar and control switches share a control block and counters;
     // port counts are generous because boxes are routing hotspots.

@@ -39,34 +39,20 @@ Fabric::Fabric(const FabricConfig &cfg, SimOptions opts)
                              ? "sim.plan-build"
                              : "sim.build-units");
 
-    for (size_t i = 0; i < cfg_.pcus.size(); ++i) {
-        pcus_.push_back(cfg_.pcus[i].used
-                            ? std::make_unique<PcuSim>(
-                                  cfg_.params, static_cast<uint32_t>(i),
-                                  cfg_.pcus[i], opts_.simMode)
-                            : nullptr);
-    }
-    for (size_t i = 0; i < cfg_.pmus.size(); ++i) {
-        pmus_.push_back(cfg_.pmus[i].used
-                            ? std::make_unique<PmuSim>(
-                                  cfg_.params, static_cast<uint32_t>(i),
-                                  cfg_.pmus[i], opts_.simMode)
-                            : nullptr);
-    }
-    for (size_t i = 0; i < cfg_.ags.size(); ++i) {
-        ags_.push_back(cfg_.ags[i].used
-                           ? std::make_unique<AgSim>(
-                                 cfg_.params, static_cast<uint32_t>(i),
-                                 cfg_.ags[i], mem_, opts_.simMode)
-                           : nullptr);
-    }
-    for (size_t i = 0; i < cfg_.boxes.size(); ++i) {
-        boxes_.push_back(cfg_.boxes[i].used
-                             ? std::make_unique<CtrlBoxSim>(
-                                   cfg_.params, static_cast<uint32_t>(i),
-                                   cfg_.boxes[i])
-                             : nullptr);
-    }
+    const ArchParams &ap = cfg_.params;
+    const SimMode sm = opts_.simMode;
+    buildUnits(pcus_, cfg_.pcus, [&](uint32_t i, const PcuCfg &c) {
+        return std::make_unique<PcuSim>(ap, i, c, sm);
+    });
+    buildUnits(pmus_, cfg_.pmus, [&](uint32_t i, const PmuCfg &c) {
+        return std::make_unique<PmuSim>(ap, i, c, sm);
+    });
+    buildUnits(ags_, cfg_.ags, [&](uint32_t i, const AgCfg &c) {
+        return std::make_unique<AgSim>(ap, i, c, mem_, sm);
+    });
+    buildUnits(boxes_, cfg_.boxes, [&](uint32_t i, const ControlBoxCfg &c) {
+        return std::make_unique<CtrlBoxSim>(ap, i, c);
+    });
     argOuts_.resize(cfg_.hostArgOuts);
 
     // SECDED ECC on the scratchpads is an architecture parameter, not a
@@ -87,13 +73,13 @@ Fabric::Fabric(const FabricConfig &cfg, SimOptions opts)
 
     // Pin host constants (argIn registers) to scalar input ports.
     for (const ConstScalar &cs : cfg_.constants) {
-        UnitPorts *ports = portsOf(cs.dst.unit);
-        fatal_if(!ports, "constant bound to missing unit %s",
+        SimUnit *dst = mutableUnit(cs.dst.unit);
+        fatal_if(!dst, "constant bound to missing unit %s",
                  cs.dst.unit.describe().c_str());
-        fatal_if(cs.dst.port >= ports->scalIn.size(),
+        fatal_if(cs.dst.port >= dst->ports.scalIn.size(),
                  "constant bound to out-of-range scalar port %u on %s",
                  cs.dst.port, cs.dst.unit.describe().c_str());
-        ScalarInPort &p = ports->scalIn[cs.dst.port];
+        ScalarInPort &p = dst->ports.scalIn[cs.dst.port];
         fatal_if(p.isConst || p.stream,
                  "scalar input %s.%u doubly driven",
                  cs.dst.unit.describe().c_str(), cs.dst.port);
@@ -105,6 +91,21 @@ Fabric::Fabric(const FabricConfig &cfg, SimOptions opts)
         registerSimObjects();
 
     setupTrace();
+}
+
+/** Instantiate one unit per used site of `cfgs` (null for an unused
+ *  one) and append it to the dense-order unit list. */
+template <class Sim, class Cfg, class Make>
+void
+Fabric::buildUnits(std::vector<std::unique_ptr<Sim>> &owned,
+                   const std::vector<Cfg> &cfgs, Make make)
+{
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+        owned.push_back(cfgs[i].used ? make(static_cast<uint32_t>(i), cfgs[i])
+                                     : nullptr);
+        if (owned.back())
+            units_.push_back(owned.back().get());
+    }
 }
 
 /**
@@ -122,46 +123,31 @@ Fabric::setupTrace()
     if (!kTracingCompiled || !opts_.trace.enabled)
         return;
 
-    trace_ = std::make_unique<TraceSink>(opts_.trace.capacity);
+    trace_ = std::make_unique<TraceSink>(TraceOptions::kCapacity);
     TraceSink *t = trace_.get();
     schedTrack_ = t->addTrack("scheduler");
     sched_.setTrace(t, schedTrack_);
 
-    for (size_t i = 0; i < pcus_.size(); ++i) {
-        if (pcus_[i])
-            pcus_[i]->bindTrace(
-                t, t->addTrack(strfmt("pcu%02zu %s", i,
-                                      pcus_[i]->name().c_str())));
-    }
-    for (size_t i = 0; i < pmus_.size(); ++i) {
-        if (!pmus_[i])
+    for (SimUnit *u : units_) {
+        const UnitRef r = u->ref();
+        std::string label = strfmt("%s%02u %s", unitClassName(r.cls).c_str(),
+                                   r.index, u->name().c_str());
+        if (r.cls != UnitClass::kPmu) {
+            u->bindTrace(t, t->addTrack(label));
             continue;
+        }
         // Read/write port runs overlap in time, so each enabled port
         // gets its own track; the unit track carries nothing itself.
+        const PmuCfg &pc = cfg_.pmus[r.index];
         uint16_t wr = 0, wr2 = 0, rd = 0;
-        if (cfg_.pmus[i].write.enabled)
-            wr = t->addTrack(strfmt("pmu%02zu %s wr", i,
-                                    pmus_[i]->name().c_str()));
-        if (cfg_.pmus[i].write2.enabled)
-            wr2 = t->addTrack(strfmt("pmu%02zu %s wr2", i,
-                                     pmus_[i]->name().c_str()));
-        if (cfg_.pmus[i].read.enabled)
-            rd = t->addTrack(strfmt("pmu%02zu %s rd", i,
-                                    pmus_[i]->name().c_str()));
-        pmus_[i]->bindTrace(t, cfg_.pmus[i].write.enabled ? wr : rd);
-        pmus_[i]->bindPortTracks(wr, wr2, rd);
-    }
-    for (size_t i = 0; i < ags_.size(); ++i) {
-        if (ags_[i])
-            ags_[i]->bindTrace(
-                t, t->addTrack(strfmt("ag%02zu %s", i,
-                                      ags_[i]->name().c_str())));
-    }
-    for (size_t i = 0; i < boxes_.size(); ++i) {
-        if (boxes_[i])
-            boxes_[i]->bindTrace(
-                t, t->addTrack(strfmt("box%02zu %s", i,
-                                      boxes_[i]->name().c_str())));
+        if (pc.write.enabled)
+            wr = t->addTrack(label + " wr");
+        if (pc.write2.enabled)
+            wr2 = t->addTrack(label + " wr2");
+        if (pc.read.enabled)
+            rd = t->addTrack(label + " rd");
+        u->bindTrace(t, pc.write.enabled ? wr : rd);
+        pmus_[r.index]->bindPortTracks(wr, wr2, rd);
     }
 
     std::vector<uint16_t> cu_tracks;
@@ -170,71 +156,25 @@ Fabric::setupTrace()
     mem_.bindTrace(t, cu_tracks.empty() ? 0 : cu_tracks[0]);
     mem_.bindCuTracks(std::move(cu_tracks));
 
-    if (opts_.trace.streams) {
-        auto bind_streams = [&](auto &streams) {
-            for (auto &s : streams)
-                s->bindTrace(t, t->addTrack("stream " + s->name()));
-        };
-        bind_streams(scalarStreams_);
-        bind_streams(vectorStreams_);
-        bind_streams(controlStreams_);
-    }
+    for (StreamBase *s : streams_)
+        s->bindTrace(t, t->addTrack("stream " + s->name()));
 }
 
-/**
- * Attach everything to the scheduler. Unit registration order must
- * match the dense iteration order (PCUs, PMUs, AGs, boxes) so that
- * order-sensitive races (two AGs submitting to one coalescing unit in
- * the same cycle) resolve identically in both modes.
- */
+/** Attach everything to the scheduler: units in dense order, so
+ *  order-sensitive races (two AGs submitting to one coalescing unit in
+ *  the same cycle) resolve identically in both modes. */
 void
 Fabric::registerSimObjects()
 {
-    for (auto &u : pcus_) {
-        if (u)
-            sched_.addUnit(u.get());
-    }
-    for (auto &u : pmus_) {
-        if (u)
-            sched_.addUnit(u.get());
-    }
-    for (auto &u : ags_) {
-        if (u)
-            sched_.addUnit(u.get());
-    }
-    for (auto &u : boxes_) {
-        if (u)
-            sched_.addUnit(u.get());
-    }
+    for (SimUnit *u : units_)
+        sched_.addUnit(u);
     sched_.addMem(&mem_);
-    for (auto &s : scalarStreams_)
-        sched_.addStream(s.get());
-    for (auto &s : vectorStreams_)
-        sched_.addStream(s.get());
-    for (auto &s : controlStreams_)
-        sched_.addStream(s.get());
+    for (StreamBase *s : streams_)
+        sched_.addStream(s);
 }
 
-UnitPorts *
-Fabric::portsOf(const UnitRef &ref)
-{
-    switch (ref.cls) {
-      case UnitClass::kPcu:
-        return pcus_.at(ref.index) ? &pcus_[ref.index]->ports : nullptr;
-      case UnitClass::kPmu:
-        return pmus_.at(ref.index) ? &pmus_[ref.index]->ports : nullptr;
-      case UnitClass::kAg:
-        return ags_.at(ref.index) ? &ags_[ref.index]->ports : nullptr;
-      case UnitClass::kBox:
-        return boxes_.at(ref.index) ? &boxes_[ref.index]->ports : nullptr;
-      case UnitClass::kHost:
-        return nullptr;
-    }
-    return nullptr;
-}
-
-SimUnit *
-Fabric::unitOf(const UnitRef &ref)
+const SimUnit *
+Fabric::unit(const UnitRef &ref) const
 {
     switch (ref.cls) {
       case UnitClass::kPcu:
@@ -267,12 +207,12 @@ Fabric::buildChannels()
                      name.c_str());
             auto s = std::make_unique<ScalarStream>(name, ch.latency,
                                                     ch.capacity);
-            UnitPorts *src = portsOf(ch.src.unit);
+            SimUnit *src = mutableUnit(ch.src.unit);
             fatal_if(!src, "channel %s: missing source", name.c_str());
-            fatal_if(ch.src.port >= src->scalOut.size(),
+            fatal_if(ch.src.port >= src->ports.scalOut.size(),
                      "channel %s: bad source port", name.c_str());
-            src->scalOut[ch.src.port].sinks.push_back(s.get());
-            s->bindProducer(unitOf(ch.src.unit));
+            src->ports.scalOut[ch.src.port].sinks.push_back(s.get());
+            s->bindProducer(src);
             s->bindHostSlot(static_cast<int32_t>(ch.dst.port));
             hostSinks_.push_back(
                 {static_cast<uint32_t>(ch.dst.port), s.get()});
@@ -282,10 +222,12 @@ Fabric::buildChannels()
             continue;
         }
 
-        UnitPorts *src = portsOf(ch.src.unit);
-        UnitPorts *dst = portsOf(ch.dst.unit);
-        fatal_if(!src || !dst, "channel %s: missing endpoint",
+        SimUnit *srcUnit = mutableUnit(ch.src.unit);
+        SimUnit *dstUnit = mutableUnit(ch.dst.unit);
+        fatal_if(!srcUnit || !dstUnit, "channel %s: missing endpoint",
                  name.c_str());
+        UnitPorts *src = &srcUnit->ports;
+        UnitPorts *dst = &dstUnit->ports;
 
         switch (ch.kind) {
           case NetKind::kScalar: {
@@ -301,8 +243,8 @@ Fabric::buildChannels()
             dst->scalIn[ch.dst.port].stream = s.get();
             dst->scalIn[ch.dst.port].popEvery =
                 ch.dstPopEvery == 0 ? 1 : ch.dstPopEvery;
-            s->bindProducer(unitOf(ch.src.unit));
-            s->bindConsumer(unitOf(ch.dst.unit));
+            s->bindProducer(srcUnit);
+            s->bindConsumer(dstUnit);
             scalarStreams_.push_back(std::move(s));
             break;
           }
@@ -316,8 +258,8 @@ Fabric::buildChannels()
                      "channel %s: input doubly driven", name.c_str());
             src->vecOut[ch.src.port].sinks.push_back(s.get());
             dst->vecIn[ch.dst.port].stream = s.get();
-            s->bindProducer(unitOf(ch.src.unit));
-            s->bindConsumer(unitOf(ch.dst.unit));
+            s->bindProducer(srcUnit);
+            s->bindConsumer(dstUnit);
             vectorStreams_.push_back(std::move(s));
             break;
           }
@@ -333,13 +275,20 @@ Fabric::buildChannels()
                      "channel %s: input doubly driven", name.c_str());
             src->ctlOut[ch.src.port].sinks.push_back(s.get());
             dst->ctlIn[ch.dst.port].stream = s.get();
-            s->bindProducer(unitOf(ch.src.unit));
-            s->bindConsumer(unitOf(ch.dst.unit));
+            s->bindProducer(srcUnit);
+            s->bindConsumer(dstUnit);
             controlStreams_.push_back(std::move(s));
             break;
           }
         }
     }
+    auto list = [this](const auto &owned) {
+        for (const auto &s : owned)
+            streams_.push_back(s.get());
+    };
+    list(scalarStreams_);
+    list(vectorStreams_);
+    list(controlStreams_);
 }
 
 void
@@ -350,57 +299,28 @@ Fabric::step()
     // cycle in both modes (dense/activity parity).
     if (injector_)
         applyDueFaults();
-    if (opts_.mode == SimOptions::Mode::kDense)
-        stepDense();
-    else
-        stepActivity();
+    if (opts_.mode == SimOptions::Mode::kDense) {
+        // Tick every unit, the memory system and every stream; record
+        // the progress bit the scheduler computes from the same reports.
+        progress_ = false;
+        for (SimUnit *u : units_)
+            progress_ |= u->evaluate(now_) == Activity::kActive;
+        progress_ |= mem_.evaluate(now_) == Activity::kActive;
+        for (StreamBase *s : streams_)
+            s->commit(now_);
+        drainHostSinks();
+    } else {
+        sched_.runCycle(now_);
+        progress_ = sched_.progressLastCycle();
+        // A host sink delivered: capture argOuts this cycle, exactly
+        // when the dense tick would (canPop() turns true only on
+        // delivery).
+        if (!sched_.deliveredHost().empty())
+            drainHostSinks();
+    }
+    ++now_;
     if (epochsOn_ && now_ >= nextEpochAt_)
         sampleEpoch();
-}
-
-void
-Fabric::stepDense()
-{
-    // evaluate() (not step()) so cycle accounting runs; the activity
-    // report is ignored under dense ticking.
-    for (auto &u : pcus_) {
-        if (u)
-            u->evaluate(now_);
-    }
-    for (auto &u : pmus_) {
-        if (u)
-            u->evaluate(now_);
-    }
-    for (auto &u : ags_) {
-        if (u)
-            u->evaluate(now_);
-    }
-    for (auto &u : boxes_) {
-        if (u)
-            u->evaluate(now_);
-    }
-    mem_.step(now_);
-
-    for (auto &s : scalarStreams_)
-        s->tick(now_);
-    for (auto &s : vectorStreams_)
-        s->tick(now_);
-    for (auto &s : controlStreams_)
-        s->tick(now_);
-
-    drainHostSinks();
-    ++now_;
-}
-
-void
-Fabric::stepActivity()
-{
-    sched_.runCycle(now_);
-    // A host sink delivered: capture argOuts this cycle, exactly when
-    // the dense tick would (canPop() turns true only on delivery).
-    if (!sched_.deliveredHost().empty())
-        drainHostSinks();
-    ++now_;
 }
 
 /** Capture host-bound scalars (argOut registers). */
@@ -415,26 +335,17 @@ Fabric::drainHostSinks()
     }
 }
 
-bool
-Fabric::anyProgress() const
+Cycles
+Fabric::nextBusyCycle() const
 {
-    for (const auto &u : pcus_) {
-        if (u && u->madeProgress())
-            return true;
-    }
-    for (const auto &u : pmus_) {
-        if (u && u->madeProgress())
-            return true;
-    }
-    for (const auto &u : ags_) {
-        if (u && u->madeProgress())
-            return true;
-    }
-    for (const auto &u : boxes_) {
-        if (u && u->madeProgress())
-            return true;
-    }
-    return !mem_.quiescent();
+    if (sched_.workPending())
+        return now_;
+    // Pending fault events bound a jump so injections land on their
+    // exact cycle.
+    Cycles next = sched_.nextEventCycle();
+    if (injector_)
+        next = std::min(next, injector_->nextDue(now_));
+    return next;
 }
 
 Cycles
@@ -449,28 +360,58 @@ Fabric::run(Cycles maxCycles)
     return r.cycles;
 }
 
+/**
+ * The one run loop. The two modes differ only in how step() advances a
+ * cycle, in that activity mode skips cycles on which nothing can
+ * happen (every skipped cycle is a no-op under dense ticking), and in
+ * how a deadlock is recognised: activity mode the cycle the active set
+ * empties, dense mode after `deadlockWindow` cycles without progress.
+ */
 RunResult
 Fabric::runChecked(Cycles maxCycles)
 {
     ScopedSpan span("sim.run");
-    return opts_.mode == SimOptions::Mode::kDense
-               ? runDenseChecked(maxCycles)
-               : runActivityChecked(maxCycles);
-}
-
-RunResult
-Fabric::runDenseChecked(Cycles maxCycles)
-{
     CtrlBoxSim *root = boxes_.at(cfg_.rootBox).get();
     fatal_if(!root, "root controller not instantiated");
+    const bool dense = opts_.mode == SimOptions::Mode::kDense;
+    auto stop = [this](Status st) {
+        return RunResult{std::move(st), now_, kNeverCycle};
+    };
+    auto capped = [&] {
+        return stop(Status(StatusCode::kMaxCycles,
+                           strfmt("fabric exceeded max cycles (%llu)",
+                                  static_cast<unsigned long long>(
+                                      maxCycles))));
+    };
 
     if (Status c = checkCancel(); !c.ok())
-        return {c, now_, kNeverCycle};
+        return stop(c);
+    if (root->runsCompleted() == 0 && now_ >= maxCycles)
+        return capped();
     Cycles last_progress = now_;
     while (root->runsCompleted() == 0) {
+        if (!dense) {
+            // Nothing can ever happen again: the deadlock is reported
+            // the cycle it forms.
+            Cycles next = nextBusyCycle();
+            if (next == kNeverCycle) {
+                return stop(Status(
+                    StatusCode::kDeadlock,
+                    strfmt("fabric deadlock: empty active set at cycle "
+                           "%llu",
+                           static_cast<unsigned long long>(now_))));
+            }
+            // A jump that reaches the cap stops there without stepping,
+            // where dense ticking stops too.
+            if (next >= maxCycles) {
+                now_ = maxCycles;
+                return capped();
+            }
+            now_ = next;
+        }
         maybeAutoCheckpoint();
         step();
-        if (anyProgress())
+        if (progress_)
             last_progress = now_;
         if (injector_) {
             Status ecc = checkUncorrectable();
@@ -478,109 +419,31 @@ Fabric::runDenseChecked(Cycles maxCycles)
                 return {ecc, now_, eccCorruptedAt()};
         }
         if (Status c = checkCancel(); !c.ok())
-            return {c, now_, kNeverCycle};
-        Status hang = scanHangs(*root);
-        if (!hang.ok())
-            return {hang, now_, kNeverCycle};
-        if (now_ - last_progress > opts_.deadlockWindow &&
+            return stop(c);
+        if (Status hang = scanHangs(*root); !hang.ok())
+            return stop(hang);
+        if (dense && now_ - last_progress > opts_.deadlockWindow &&
             (!injector_ || injector_->nextDue(now_) == kNeverCycle)) {
-            return {Status(StatusCode::kDeadlock,
-                           strfmt("fabric deadlock: no progress for %u "
-                                  "cycles at cycle %llu",
-                                  opts_.deadlockWindow,
-                                  static_cast<unsigned long long>(now_))),
-                    now_, kNeverCycle};
+            return stop(Status(
+                StatusCode::kDeadlock,
+                strfmt("fabric deadlock: no progress for %u cycles at "
+                       "cycle %llu",
+                       opts_.deadlockWindow,
+                       static_cast<unsigned long long>(now_))));
         }
         if (now_ >= maxCycles)
-            return {Status(StatusCode::kMaxCycles,
-                           strfmt("fabric exceeded max cycles (%llu)",
-                                  static_cast<unsigned long long>(
-                                      maxCycles))),
-                    now_, kNeverCycle};
+            return capped();
     }
     Cycles done_at = now_;
-    // Drain in-flight writes and host-bound scalars: run until nothing
-    // has moved for a full window (covers the longest routed channel).
-    // anyProgress() already covers memory-system activity.
+    // Drain in-flight writes and host-bound scalars: step (no skipping)
+    // until nothing has moved for a full window, which covers the
+    // longest routed channel, so the final cycle count is the same in
+    // both modes. Idle drain cycles are O(1) under activity.
     Cycles quiet_since = now_;
     while (now_ - quiet_since < kDrainQuietWindow &&
            now_ - done_at < kDrainMaxCycles) {
         step();
-        if (anyProgress())
-            quiet_since = now_;
-    }
-    return {Status(), done_at, kNeverCycle};
-}
-
-RunResult
-Fabric::runActivityChecked(Cycles maxCycles)
-{
-    CtrlBoxSim *root = boxes_.at(cfg_.rootBox).get();
-    fatal_if(!root, "root controller not instantiated");
-
-    if (Status c = checkCancel(); !c.ok())
-        return {c, now_, kNeverCycle};
-    while (root->runsCompleted() == 0) {
-        if (sched_.idle()) {
-            // Nothing can ever happen again: no runnable unit, quiet
-            // memory, no stream traffic, no pending arrival. This is
-            // the deadlock condition, detected the cycle it forms —
-            // unless a future clock-triggered fault event could still
-            // perturb the fabric, in which case jump straight to it.
-            Cycles nd =
-                injector_ ? injector_->nextDue(now_) : kNeverCycle;
-            if (nd == kNeverCycle) {
-                return {Status(StatusCode::kDeadlock,
-                               strfmt("fabric deadlock: empty active "
-                                      "set at cycle %llu",
-                                      static_cast<unsigned long long>(
-                                          now_))),
-                        now_, kNeverCycle};
-            }
-            now_ = nd < maxCycles ? nd : maxCycles;
-        } else if (sched_.canFastForward()) {
-            // The only pending work is a future stream arrival; every
-            // skipped cycle would have been a no-op under dense ticking.
-            // Pending fault events bound the jump so injections land on
-            // their exact cycle.
-            Cycles target = sched_.nextEventCycle();
-            if (injector_) {
-                Cycles nd = injector_->nextDue(now_);
-                if (nd < target)
-                    target = nd;
-            }
-            if (target > now_)
-                now_ = target < maxCycles ? target : maxCycles;
-        }
-        maybeAutoCheckpoint();
-        step();
-        if (injector_) {
-            Status ecc = checkUncorrectable();
-            if (!ecc.ok())
-                return {ecc, now_, eccCorruptedAt()};
-        }
-        if (Status c = checkCancel(); !c.ok())
-            return {c, now_, kNeverCycle};
-        Status hang = scanHangs(*root);
-        if (!hang.ok())
-            return {hang, now_, kNeverCycle};
-        if (now_ >= maxCycles)
-            return {Status(StatusCode::kMaxCycles,
-                           strfmt("fabric exceeded max cycles (%llu)",
-                                  static_cast<unsigned long long>(
-                                      maxCycles))),
-                    now_, kNeverCycle};
-    }
-    Cycles done_at = now_;
-    // Same drain policy as dense mode, cycle for cycle — no idle break
-    // and no fast-forward, so the quiet window expires exactly as
-    // under dense ticking and the final cycle count (the "cycles"
-    // stat) is identical. Idle drain cycles are O(1).
-    Cycles quiet_since = now_;
-    while (now_ - quiet_since < kDrainQuietWindow &&
-           now_ - done_at < kDrainMaxCycles) {
-        step();
-        if (sched_.progressLastCycle())
+        if (progress_)
             quiet_since = now_;
     }
     return {Status(), done_at, kNeverCycle};
@@ -618,17 +481,9 @@ Fabric::dumpDeadlock() const
                          (unsigned long long)boxes_[i]->stats().iterations);
     }
     // Streams still holding data pinpoint the wait cycle.
-    auto stream_lines = [](const auto &streams) {
-        for (const auto &s : streams) {
-            if (!s->quiescent())
-                std::fprintf(stderr,
-                             "  stream %s holds %zu poppable element(s)\n",
-                             s->name().c_str(), s->available());
-        }
-    };
-    stream_lines(scalarStreams_);
-    stream_lines(vectorStreams_);
-    stream_lines(controlStreams_);
+    for (const StreamBase *s : heldStreams())
+        std::fprintf(stderr, "  stream %s holds %zu poppable element(s)\n",
+                     s->name().c_str(), s->available());
     if (opts_.mode == SimOptions::Mode::kActivity)
         std::fprintf(stderr, "  scheduler: %zu awake unit(s)\n",
                      sched_.awakeUnits());
@@ -757,36 +612,25 @@ Fabric::scanHangs(const CtrlBoxSim &root)
         window = std::min(window, opts_.livelockCycles);
     nextHangScanAt_ = now_ + std::max<Cycles>(64, window / 8);
 
-    Status st;
-    if (opts_.watchdogCycles) {
-        auto scan = [&](const auto &units) {
-            for (const auto &u : units) {
-                if (!u || !st.ok() || !u->busy())
-                    continue;
-                if (now_ - u->lastProgressAt() > opts_.watchdogCycles) {
-                    st = Status(
-                        StatusCode::kWatchdog,
-                        strfmt("watchdog: unit %s made no progress for "
-                               "%llu cycles (cycle %llu)",
-                               u->name().c_str(),
-                               static_cast<unsigned long long>(
-                                   now_ - u->lastProgressAt()),
-                               static_cast<unsigned long long>(now_)));
-                }
-            }
-        };
-        scan(pcus_);
-        scan(pmus_);
-        scan(ags_);
-        scan(boxes_);
+    for (const SimUnit *u : units_) {
+        if (opts_.watchdogCycles && u->busy() &&
+            now_ - u->lastProgressAt() > opts_.watchdogCycles)
+            return Status(
+                StatusCode::kWatchdog,
+                strfmt("watchdog: unit %s made no progress for %llu "
+                       "cycles (cycle %llu)",
+                       u->name().c_str(),
+                       static_cast<unsigned long long>(
+                           now_ - u->lastProgressAt()),
+                       static_cast<unsigned long long>(now_)));
     }
-    if (st.ok() && opts_.livelockCycles) {
+    if (opts_.livelockCycles) {
         uint64_t iters = root.stats().iterations + root.stats().runs;
         if (iters != lastRootIters_) {
             lastRootIters_ = iters;
             lastRootProgressAt_ = now_;
         } else if (now_ - lastRootProgressAt_ > opts_.livelockCycles) {
-            st = Status(
+            return Status(
                 StatusCode::kLivelock,
                 strfmt("livelock: root controller stuck at %llu "
                        "iterations for %llu cycles (cycle %llu)",
@@ -796,7 +640,7 @@ Fabric::scanHangs(const CtrlBoxSim &root)
                        static_cast<unsigned long long>(now_)));
         }
     }
-    return st;
+    return Status();
 }
 
 Cycles
@@ -827,15 +671,10 @@ std::vector<const StreamBase *>
 Fabric::heldStreams() const
 {
     std::vector<const StreamBase *> held;
-    auto collect = [&held](const auto &streams) {
-        for (const auto &s : streams) {
-            if (!s->quiescent())
-                held.push_back(s.get());
-        }
-    };
-    collect(scalarStreams_);
-    collect(vectorStreams_);
-    collect(controlStreams_);
+    for (const StreamBase *s : streams_) {
+        if (!s->quiescent())
+            held.push_back(s);
+    }
     return held;
 }
 
@@ -910,26 +749,10 @@ Fabric::classSums(std::array<uint64_t, kNumCycleClasses> &by,
                   uint64_t &dramBusy) const
 {
     by.fill(0);
-    auto accumulate = [&by](const SimUnit &u) {
-        const CycleAcct &a = u.acct();
+    for (const SimUnit *u : units_) {
+        const CycleAcct &a = u->acct();
         for (size_t c = 0; c < kNumCycleClasses; ++c)
             by[c] += a.by[c] + a.sleptBy[c];
-    };
-    for (const auto &u : pcus_) {
-        if (u)
-            accumulate(*u);
-    }
-    for (const auto &u : pmus_) {
-        if (u)
-            accumulate(*u);
-    }
-    for (const auto &u : ags_) {
-        if (u)
-            accumulate(*u);
-    }
-    for (const auto &u : boxes_) {
-        if (u)
-            accumulate(*u);
     }
     dramBusy = 0;
     for (uint32_t c = 0; c < mem_.dram().numChannels(); ++c)

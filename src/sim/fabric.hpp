@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -105,11 +106,11 @@ class Fabric
     DramModel &dram() { return mem_.dram(); }
 
     /**
-     * Run until the root controller completes (plus drain) or maxCycles
-     * elapse. Returns the cycle count at completion. Fatals on deadlock:
-     * in activity mode the moment the active set empties with the root
-     * incomplete; in dense mode after `deadlockWindow` cycles without
-     * progress.
+     * Run until the root controller completes (plus drain) or the clock
+     * reaches maxCycles. Returns the cycle count at completion. Fatals
+     * on deadlock: in activity mode the moment the active set empties
+     * with the root incomplete; in dense mode after `deadlockWindow`
+     * cycles without progress.
      */
     Cycles run(Cycles maxCycles = 500'000'000);
 
@@ -118,7 +119,9 @@ class Fabric
      * watchdog/livelock trips, ECC-uncorrectable latches and the
      * max-cycle cap come back as a typed Status. This is the entry
      * point the resilience layer drives; run() is a thin wrapper that
-     * preserves the historical fatal messages.
+     * preserves the historical fatal messages. Cycle maxCycles is never
+     * simulated: both modes stop with kMaxCycles at now() == maxCycles
+     * (or at once when the clock is already there) in the same state.
      */
     RunResult runChecked(Cycles maxCycles = 500'000'000);
 
@@ -168,21 +171,18 @@ class Fabric
     /** Aggregate post-run statistics. */
     void dumpStats(StatSet &out) const;
 
-    const PcuSim &pcu(uint32_t i) const { return *pcus_[i]; }
-    const PmuSim &pmu(uint32_t i) const { return *pmus_[i]; }
-    const AgSim &ag(uint32_t i) const { return *ags_[i]; }
     const MemSystem &mem() const { return mem_; }
-
-    // Nullable accessors (unit may be unused) and the mapped config,
-    // for post-run analysis (bottleneck report) and tooling.
     const FabricConfig &config() const { return cfg_; }
-    const PcuSim *pcuPtr(uint32_t i) const { return pcus_.at(i).get(); }
+
+    /** Every instantiated unit in dense order: PCUs, PMUs, AGs, boxes,
+     *  each by index. This is also the scheduler's registration order
+     *  and the checkpoint tape's unit order. */
+    std::span<const SimUnit *const> units() const { return units_; }
+    /** The unit at `ref`; null for the host and for unused sites. */
+    const SimUnit *unit(const UnitRef &ref) const;
+    // Typed accessors (null when the site is unused).
     const PmuSim *pmuPtr(uint32_t i) const { return pmus_.at(i).get(); }
     const AgSim *agPtr(uint32_t i) const { return ags_.at(i).get(); }
-    const CtrlBoxSim *boxPtr(uint32_t i) const
-    {
-        return boxes_.at(i).get();
-    }
 
     /** The event-trace sink (null when tracing is off). */
     const TraceSink *trace() const { return trace_.get(); }
@@ -196,18 +196,22 @@ class Fabric
     uint64_t totalLaneOps() const;
 
   private:
+    template <class Sim, class Cfg, class Make>
+    void buildUnits(std::vector<std::unique_ptr<Sim>> &owned,
+                    const std::vector<Cfg> &cfgs, Make make);
     void buildChannels();
     void registerSimObjects();
     void setupTrace();
     void sampleEpoch();
-    UnitPorts *portsOf(const UnitRef &ref);
-    SimUnit *unitOf(const UnitRef &ref);
-    bool anyProgress() const;
-    void stepDense();
-    void stepActivity();
+    SimUnit *mutableUnit(const UnitRef &ref)
+    {
+        return const_cast<SimUnit *>(unit(ref));
+    }
+    /** Activity mode: the next cycle on which anything can happen —
+     *  now() while work is pending, else the next stream arrival or
+     *  fault event; kNeverCycle when nothing ever will. */
+    Cycles nextBusyCycle() const;
     void drainHostSinks();
-    RunResult runDenseChecked(Cycles maxCycles);
-    RunResult runActivityChecked(Cycles maxCycles);
     void dumpDeadlock() const;
 
     // ---- resilience internals ----------------------------------------
@@ -278,10 +282,14 @@ class Fabric
     std::vector<std::unique_ptr<PmuSim>> pmus_;
     std::vector<std::unique_ptr<AgSim>> ags_;
     std::vector<std::unique_ptr<CtrlBoxSim>> boxes_;
+    std::vector<SimUnit *> units_; ///< see units()
 
     std::vector<std::unique_ptr<ScalarStream>> scalarStreams_;
     std::vector<std::unique_ptr<VectorStream>> vectorStreams_;
     std::vector<std::unique_ptr<ControlStream>> controlStreams_;
+    /** Every stream: scalar, vector, then control (registration and
+     *  tape order). */
+    std::vector<StreamBase *> streams_;
 
     /** Host argOut capture: streams whose dst is the host unit. */
     struct HostSink
@@ -326,6 +334,9 @@ class Fabric
     Cycles lastRootProgressAt_ = 0;
 
     Cycles now_ = 0;
+    /** Did the last step() see a unit report kActive or a busy memory
+     *  system? (Dense and activity stepping record the same bit.) */
+    bool progress_ = false;
 };
 
 } // namespace plast

@@ -14,8 +14,9 @@ namespace plast
 
 AgSim::AgSim(const ArchParams &params, uint32_t index, const AgCfg &cfg,
              MemSystem &mem, SimMode mode)
-    : params_(params), index_(index), cfg_(cfg), lanes_(params.pcu.lanes),
-      mem_(mem), mode_(mode)
+    : SimUnit({UnitClass::kAg, static_cast<uint16_t>(index)}, cfg.name),
+      params_(params), cfg_(cfg), lanes_(params.pcu.lanes), mem_(mem),
+      mode_(mode)
 {
     // AG datapaths mirror the PMU scalar datapath (§3.4).
     ports.size(params.pmu.scalarIns, 2, 32, 1, 1, 32);
@@ -330,11 +331,11 @@ AgSim::deliverWords(uint64_t cmdId, uint32_t wordOffset, const Word *data,
         dense_.begin(), dense_.end(), cmdId,
         [](const DenseCmd &cmd, uint64_t id) { return cmd.id < id; });
     panic_if(it == dense_.end() || it->id != cmdId,
-             "AG %u: deliverWords for unknown command %llu", index_,
+             "AG %u: deliverWords for unknown command %llu", ref().index,
              static_cast<unsigned long long>(cmdId));
     DenseCmd &cmd = *it;
     panic_if(wordOffset + count > cmd.words,
-             "AG %u: burst overflows command", index_);
+             "AG %u: burst overflows command", ref().index);
     std::copy(data, data + count, cmd.data.begin() + wordOffset);
     cmd.received += count;
     requestWake();
@@ -347,11 +348,11 @@ AgSim::deliverLane(uint64_t cmdId, uint32_t lane, Word data)
         sparse_.begin(), sparse_.end(), cmdId,
         [](const SparseCmd &cmd, uint64_t id) { return cmd.id < id; });
     panic_if(it == sparse_.end() || it->id != cmdId,
-             "AG %u: deliverLane for unknown command %llu", index_,
+             "AG %u: deliverLane for unknown command %llu", ref().index,
              static_cast<unsigned long long>(cmdId));
     SparseCmd &cmd = *it;
     cmd.data.lane[lane] = data;
-    panic_if(cmd.remaining == 0, "AG %u: extra lane delivery", index_);
+    panic_if(cmd.remaining == 0, "AG %u: extra lane delivery", ref().index);
     --cmd.remaining;
     requestWake();
 }
@@ -361,7 +362,7 @@ AgSim::ackWrite(uint64_t cmdId, uint32_t count)
 {
     (void)cmdId;
     panic_if(outstandingWrites_ < count, "AG %u: spurious write ack",
-             index_);
+             ref().index);
     outstandingWrites_ -= count;
     requestWake();
 }

@@ -80,7 +80,6 @@ class AgSim : public SimUnit
         uint64_t wordsLoaded = 0, wordsStored = 0;
     };
     const Stats &stats() const { return stats_; }
-    const std::string &name() const { return cfg_.name; }
     const AgCfg &cfg() const { return cfg_; }
 
     template <class Ar>
@@ -166,7 +165,6 @@ class AgSim : public SimUnit
     bool finishRun(Cycles now);
 
     ArchParams params_;
-    uint32_t index_;
     AgCfg cfg_;
     uint32_t lanes_;
     MemSystem &mem_;

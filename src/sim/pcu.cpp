@@ -23,7 +23,8 @@ constexpr auto kLaneIdLanes = [] {
 
 PcuSim::PcuSim(const ArchParams &params, uint32_t index, const PcuCfg &cfg,
                SimMode mode)
-    : params_(params), index_(index), cfg_(cfg),
+    : SimUnit({UnitClass::kPcu, static_cast<uint16_t>(index)}, cfg.name),
+      params_(params), cfg_(cfg),
       lanes_(params.pcu.lanes), mode_(mode), plan_(buildPcuPlan(cfg))
 {
     fatal_if(cfg_.stages.empty(), "PCU %u configured with no stages",
@@ -62,7 +63,8 @@ PcuSim::PcuSim(const ArchParams &params, uint32_t index, const PcuCfg &cfg,
 std::unique_ptr<Wavefront>
 PcuSim::grabSlot()
 {
-    panic_if(wfPool_.empty(), "PCU %u: wavefront pool exhausted", index_);
+    panic_if(wfPool_.empty(), "PCU %u: wavefront pool exhausted",
+             ref().index);
     std::unique_ptr<Wavefront> wf = std::move(wfPool_.back());
     wfPool_.pop_back();
     // Reset only the registers this config (or an injected fault) can

@@ -48,7 +48,6 @@ class PcuSim : public SimUnit
         uint64_t laneOps = 0; ///< FU-lane operations executed
     };
     const Stats &stats() const { return stats_; }
-    const std::string &name() const { return cfg_.name; }
     const PcuExecPlan &plan() const { return plan_; }
 
     /**
@@ -113,7 +112,6 @@ class PcuSim : public SimUnit
     void recycleSlot(std::unique_ptr<Wavefront> wf);
 
     ArchParams params_;
-    uint32_t index_;
     PcuCfg cfg_;
     uint32_t lanes_;
     SimMode mode_;

@@ -11,8 +11,8 @@ namespace plast
 
 PmuSim::PmuSim(const ArchParams &params, uint32_t index, const PmuCfg &cfg,
                SimMode mode)
-    : params_(params), index_(index), cfg_(cfg), lanes_(params.pcu.lanes),
-      mode_(mode)
+    : SimUnit({UnitClass::kPmu, static_cast<uint16_t>(index)}, cfg.name),
+      params_(params), cfg_(cfg), lanes_(params.pcu.lanes), mode_(mode)
 {
     ports.size(params.pmu.scalarIns, params.pmu.vectorIns, 64,
                params.pmu.scalarOuts, params.pmu.vectorOuts, 64);

@@ -39,7 +39,6 @@ class PmuSim : public SimUnit
         uint64_t wordsRead = 0, wordsWritten = 0;
     };
     const Stats &stats() const { return stats_; }
-    const std::string &name() const { return cfg_.name; }
 
     /** Per-port trace tracks: read/write port runs overlap in time, so
      *  each port gets its own display track. */
@@ -129,7 +128,6 @@ class PmuSim : public SimUnit
     bool portAccessPlanned(Port &port);
 
     ArchParams params_;
-    uint32_t index_;
     PmuCfg cfg_;
     uint32_t lanes_;
     SimMode mode_;

@@ -184,24 +184,4 @@ Scheduler::runCycle(Cycles now)
     }
 }
 
-bool
-Scheduler::idle() const
-{
-    return run_.empty() && wakePending_.empty() && dirty_.empty() &&
-           timers_.empty() && !memBusy_ && !memWork_;
-}
-
-bool
-Scheduler::canFastForward() const
-{
-    return run_.empty() && wakePending_.empty() && dirty_.empty() &&
-           !memBusy_ && !memWork_ && !timers_.empty();
-}
-
-Cycles
-Scheduler::nextEventCycle() const
-{
-    return timers_.empty() ? kNeverCycle : timers_.front().first;
-}
-
 } // namespace plast

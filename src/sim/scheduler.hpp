@@ -26,11 +26,11 @@
  * arrival) while the root controller is incomplete IS the deadlock
  * condition — no windowed no-progress scan required.
  *
- * Determinism: units evaluate in registration order, which the fabric
- * keeps identical to the dense tick order (PCUs, PMUs, AGs, boxes), so
- * order-sensitive interactions (e.g. two AGs racing for one coalescing
- * unit) resolve exactly as under dense ticking. Cycle-level results
- * are bit-identical to the dense-tick baseline.
+ * Determinism: units evaluate in registration order, which is the
+ * fabric's one unit list (PCUs, PMUs, AGs, boxes) that dense ticking
+ * also walks, so order-sensitive interactions (e.g. two AGs racing for
+ * one coalescing unit) resolve exactly as under dense ticking.
+ * Cycle-level results are bit-identical to the dense-tick baseline.
  */
 
 #ifndef PLAST_SIM_SCHEDULER_HPP
@@ -83,17 +83,24 @@ class Scheduler
     void runCycle(Cycles now);
 
     // ---- queries -----------------------------------------------------
-    /** True when nothing can ever happen again without external input:
-     *  no awake unit, no pending wake, quiet memory, no dirty stream,
-     *  no scheduled arrival. */
-    bool idle() const;
-    /** True when the only pending work is a future stream arrival, so
-     *  the clock can jump straight to nextEventCycle(). */
-    bool canFastForward() const;
+    /** True when the next cycle has work: an awake unit, a pending
+     *  wake, a dirty stream or memory work. Otherwise the clock can
+     *  jump to nextEventCycle(), and with no event scheduled nothing
+     *  can ever happen again without external input. */
+    bool
+    workPending() const
+    {
+        return !run_.empty() || !wakePending_.empty() || !dirty_.empty() ||
+               memBusy_ || memWork_;
+    }
     /** Earliest scheduled arrival commit (kNeverCycle when none). */
-    Cycles nextEventCycle() const;
-    /** Did the last runCycle see unit or memory activity? (Equivalent
-     *  of the dense tick's anyProgress().) */
+    Cycles
+    nextEventCycle() const
+    {
+        return timers_.empty() ? kNeverCycle : timers_.front().first;
+    }
+    /** Did the last runCycle see unit or memory activity? (The same
+     *  progress bit dense ticking records from every unit's report.) */
     bool progressLastCycle() const { return progress_; }
     /** Host-bound streams that delivered during the last runCycle. */
     const std::vector<StreamBase *> &deliveredHost() const

@@ -8,6 +8,7 @@
 #ifndef PLAST_SIM_UNITCOMMON_HPP
 #define PLAST_SIM_UNITCOMMON_HPP
 
+#include <string>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -56,13 +57,22 @@ struct UnitPorts
 class SimUnit : public SimObject
 {
   public:
+    SimUnit(UnitRef ref, std::string name)
+        : ref_(ref), name_(std::move(name))
+    {
+    }
+
     UnitPorts ports;
+
+    /** The configured unit this simulates (class and index). */
+    UnitRef ref() const { return ref_; }
+    /** The unit's configured name ("dot.mul"). */
+    const std::string &name() const { return name_; }
 
     /** One cycle of the unit's state machine; must set progress_. */
     virtual void step(Cycles now) = 0;
     /** Mid-run (diagnostics and deadlock dumps). */
     virtual bool busy() const = 0;
-    bool madeProgress() const { return progress_; }
 
     /** Per-cycle stall-attribution ledger (see stall.hpp). Updated only
      *  through evaluate(); driving step() directly bypasses it. */
@@ -161,6 +171,8 @@ class SimUnit : public SimObject
     bool progress_ = false;
 
   private:
+    UnitRef ref_;
+    std::string name_;
     CycleAcct acct_;
     Cycles lastEval_ = kNeverCycle;
     CycleClass lastClass_ = CycleClass::kIdle;

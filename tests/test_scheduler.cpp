@@ -1,6 +1,7 @@
 /** @file Activity-driven scheduler: bit-exact cycle parity of the
  *  production default (activity + specialized) against the dense +
- *  interpreter oracle on every benchmark, traffic-counter parity,
+ *  interpreter oracle on every benchmark, the same stop cycle at every
+ *  max-cycle cap, traffic-counter parity,
  *  AGs sleeping on coalescer capacity, fast-forward behavior, and
  *  exact deadlock detection (empty active set) on a stalled credit
  *  loop. */
@@ -128,6 +129,122 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return n;
     });
+
+namespace
+{
+
+/** A fabric for `map` with the runner's staged DRAM image loaded. */
+std::unique_ptr<Fabric>
+loadedFabric(const Runner &r, const compiler::MapResult &map,
+             SimOptions opts)
+{
+    auto f = std::make_unique<Fabric>(map.fabric, opts);
+    const pir::Program &prog = r.program();
+    Addr extent = 0;
+    for (size_t m = 0; m < prog.mems.size(); ++m) {
+        if (prog.mems[m].kind == pir::MemKind::kDram)
+            extent = std::max(extent, map.dramBase[m] +
+                                          prog.mems[m].sizeWords * 4 + 64);
+    }
+    f->dram().reserve(extent);
+    for (const auto &[mid, data] : r.hostBuffers()) {
+        for (size_t w = 0; w < data.size(); ++w)
+            f->dram().writeWord(map.dramBase[mid] + w * 4, data[w]);
+    }
+    return f;
+}
+
+std::vector<Word>
+dramImage(Fabric &f, const Runner &r, const compiler::MapResult &map)
+{
+    std::vector<Word> out;
+    const pir::Program &prog = r.program();
+    for (size_t m = 0; m < prog.mems.size(); ++m) {
+        if (prog.mems[m].kind != pir::MemKind::kDram)
+            continue;
+        for (uint32_t w = 0; w < prog.mems[m].sizeWords; ++w)
+            out.push_back(f.dram().readWord(map.dramBase[m] + w * 4));
+    }
+    return out;
+}
+
+} // namespace
+
+/** Both schedulers stop on the same cycle: the dense + interpreter
+ *  oracle and the production default (activity + specialized), built
+ *  from one compile, advance with runChecked(cap) for cap = 1, 2, 3, …
+ *  and must report the same status and clock at every stop — a clock
+ *  jump that reaches the cap stops there instead of simulating it —
+ *  then the same completion cycle, argOuts and DRAM image. */
+class RunLoopParity : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(RunLoopParity, EveryCapStopsBothSchedulersOnTheSameCycle)
+{
+    setVerbose(false);
+    const apps::AppSpec *spec = nullptr;
+    for (const auto &s : apps::allApps()) {
+        if (s.name == GetParam())
+            spec = &s;
+    }
+    ASSERT_NE(spec, nullptr) << "unknown benchmark";
+    apps::AppInstance app = spec->make(apps::Scale::kTiny);
+    Runner r(app.prog);
+    app.load(r);
+    ASSERT_TRUE(r.tryCompile().ok());
+    const compiler::MapResult &map = r.mapResult();
+
+    auto dense = loadedFabric(r, map, denseOpts());
+    auto activity = loadedFabric(r, map, SimOptions{});
+    RunResult d, a;
+    for (Cycles cap = 1;; ++cap) {
+        d = dense->runChecked(cap);
+        a = activity->runChecked(cap);
+        ASSERT_EQ(d.status.code(), a.status.code()) << "cap " << cap;
+        ASSERT_EQ(dense->now(), activity->now()) << "cap " << cap;
+        if (d.status.ok())
+            break;
+        ASSERT_EQ(d.status.code(), StatusCode::kMaxCycles) << "cap " << cap;
+        ASSERT_EQ(dense->now(), cap);
+    }
+    EXPECT_EQ(d.cycles, a.cycles) << "completion cycle";
+    for (uint32_t s = 0; s < r.program().numArgOuts; ++s)
+        EXPECT_EQ(dense->argOut(s), activity->argOut(s)) << "argOut " << s;
+    EXPECT_EQ(dramImage(*dense, r, map), dramImage(*activity, r, map));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBenchmarks, RunLoopParity,
+    ::testing::Values("InnerProduct", "OuterProduct", "Black-Scholes",
+                      "TPC-H Query 6", "GEMM", "GDA", "LogReg", "SGD",
+                      "Kmeans", "CNN", "SMDV", "PageRank", "BFS"),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string n = info.param;
+        for (char &c : n) {
+            if (!isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return n;
+    });
+
+/** A cap the clock has already reached simulates nothing in either
+ *  mode, and a lower cap never moves the clock back. */
+TEST(RunLoop, ReachedCapSimulatesNothing)
+{
+    setVerbose(false);
+    apps::AppInstance app = apps::makeInnerProduct(apps::Scale::kTiny);
+    Runner r(app.prog);
+    app.load(r);
+    ASSERT_TRUE(r.tryCompile().ok());
+    for (const SimOptions &opts : {denseOpts(), SimOptions{}}) {
+        auto f = loadedFabric(r, r.mapResult(), opts);
+        EXPECT_EQ(f->runChecked(100).status.code(), StatusCode::kMaxCycles);
+        EXPECT_EQ(f->runChecked(100).status.code(), StatusCode::kMaxCycles);
+        EXPECT_EQ(f->runChecked(50).status.code(), StatusCode::kMaxCycles);
+        EXPECT_EQ(f->now(), 100u);
+    }
+}
 
 namespace
 {

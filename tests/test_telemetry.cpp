@@ -109,19 +109,6 @@ TEST(MetricRegistry, HistogramGetOrCreateIsStable)
     EXPECT_EQ(reg.findHistogram("nope"), nullptr);
 }
 
-TEST(MetricRegistry, ImportStatsIsIdempotentAndPrefixed)
-{
-    StatSet s;
-    s.set("cycles", 100);
-    s.set("pcu00.laneOps", 7);
-    MetricRegistry reg;
-    reg.importStats(s, "sim.");
-    reg.importStats(s, "sim."); // set-semantics: no double counting
-    EXPECT_EQ(reg.counterValue("sim.cycles"), 100u);
-    EXPECT_EQ(reg.counterValue("sim.pcu00.laneOps"), 7u);
-    EXPECT_FALSE(reg.hasCounter("cycles"));
-}
-
 TEST(MetricRegistry, JsonExpositionGolden)
 {
     MetricRegistry reg;

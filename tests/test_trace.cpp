@@ -250,23 +250,8 @@ runTraced(const std::string &name, SimOptions::Mode mode,
         out.report = analyzeBottlenecks(*fab);
     }
     // Unused fabric slots have no sim object; collect only live units.
-    const FabricConfig &cfg = fab->config();
-    for (size_t i = 0; i < cfg.pcus.size(); ++i) {
-        if (const auto *u = fab->pcuPtr(static_cast<uint32_t>(i)))
-            out.accts.emplace_back("pcu" + std::to_string(i), u->acct());
-    }
-    for (size_t i = 0; i < cfg.pmus.size(); ++i) {
-        if (const auto *u = fab->pmuPtr(static_cast<uint32_t>(i)))
-            out.accts.emplace_back("pmu" + std::to_string(i), u->acct());
-    }
-    for (size_t i = 0; i < cfg.ags.size(); ++i) {
-        if (const auto *u = fab->agPtr(static_cast<uint32_t>(i)))
-            out.accts.emplace_back("ag" + std::to_string(i), u->acct());
-    }
-    for (size_t i = 0; i < cfg.boxes.size(); ++i) {
-        if (const auto *u = fab->boxPtr(static_cast<uint32_t>(i)))
-            out.accts.emplace_back("box" + std::to_string(i), u->acct());
-    }
+    for (const SimUnit *u : fab->units())
+        out.accts.emplace_back(u->ref().describe(), u->acct());
     EXPECT_FALSE(out.accts.empty());
     return out;
 }
