@@ -6,8 +6,9 @@
  * scheduling + specialized execution plans — and reports the
  * wall-clock speedups of the *simulation phase* (compile, place &
  * route and input loading are engine-independent and timed
- * separately). All combinations produce bit-identical cycle results
- * (enforced here fatally and by the test suite); the activity win
+ * separately). All combinations simulate the same machine — outputs,
+ * cycles, counters and cycle ledgers (checkWholeRun, enforced here
+ * fatally and by the test suite); the activity win
  * comes from not ticking blocked units, and the specialization win
  * from flat pre-resolved stage plans, monomorphic vectorized kernels
  * and elided dead machinery (DESIGN.md §13).
@@ -34,7 +35,8 @@ struct ModeRun
 {
     double setupSeconds = 0; ///< compile + place-and-route + load
     double simSeconds = 0;   ///< Runner::run() only
-    Cycles cycles = 0;
+    pir::Program prog;
+    Runner::Result rec; ///< DRAM read back after the timed run
 };
 
 ModeRun
@@ -54,10 +56,12 @@ timeApp(const apps::AppSpec &spec, apps::Scale scale, SimOptions opts,
         for (const auto &[name, value] : res.stats.all())
             statsOut->set(spec.name + "." + name, value);
     }
+    runner.readBack(res);
     ModeRun out;
     out.setupSeconds = std::chrono::duration<double>(t1 - t0).count();
     out.simSeconds = std::chrono::duration<double>(t2 - t1).count();
-    out.cycles = res.cycles;
+    out.prog = runner.program();
+    out.rec = std::move(res);
     return out;
 }
 
@@ -117,20 +121,18 @@ main(int argc, char **argv)
         ModeRun a = timeApp(spec, scale, activity);
         ModeRun s = timeApp(spec, scale, specialized,
                             json_path.empty() ? nullptr : &json_stats);
-        fatal_if(d.cycles != a.cycles,
-                 "%s: scheduler cycle mismatch (%llu vs %llu)",
-                 spec.name.c_str(), (unsigned long long)d.cycles,
-                 (unsigned long long)a.cycles);
-        fatal_if(s.cycles != a.cycles,
-                 "%s: datapath cycle mismatch (%llu vs %llu)",
-                 spec.name.c_str(), (unsigned long long)s.cycles,
-                 (unsigned long long)a.cycles);
+        for (const Status &st :
+             {checkWholeRun(d.prog, d.rec, a.rec,
+                            spec.name + " dense vs activity"),
+              checkWholeRun(d.prog, a.rec, s.rec,
+                            spec.name + " interp vs specialized")})
+            fatal_if(!st.ok(), "%s", st.message().c_str());
         dense_total += d.simSeconds;
         act_total += a.simSeconds;
         spec_total += s.simSeconds;
         std::printf("%-14s | %10llu | %8.4f | %9.4f %9.4f %9.4f | "
                     "%6.2fx %6.2fx\n",
-                    spec.name.c_str(), (unsigned long long)d.cycles,
+                    spec.name.c_str(), (unsigned long long)d.rec.cycles,
                     s.setupSeconds, d.simSeconds, a.simSeconds,
                     s.simSeconds, d.simSeconds / a.simSeconds,
                     d.simSeconds / s.simSeconds);

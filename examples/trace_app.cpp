@@ -128,10 +128,6 @@ main(int argc, char **argv)
     // per-unit ledgers feeding the bottleneck report.
     opts.trace.enabled =
         !trace_path.empty() || !csv_path.empty() || report;
-    if (!kTracingCompiled && opts.trace.enabled) {
-        std::printf("built with PLAST_TRACING=0; tracing unavailable\n");
-        return 1;
-    }
 
     apps::AppInstance app = spec->make(scale);
     Runner runner(app.prog, ArchParams::plasticineFinal(), opts);

@@ -16,9 +16,8 @@
  *   counter  a sampled value (FIFO occupancy, scheduler active set).
  *
  * Records are 32-byte PODs with table-indexed names, so an emission is
- * a bounds check and a struct store. The whole facility compiles away
- * when PLAST_TRACING is 0: the emit helpers become empty inlines and
- * no sink is ever constructed.
+ * a bounds check and a struct store; with tracing disabled no sink
+ * exists and an emission is a null-pointer check.
  *
  * The ring exports Chrome trace-event JSON ("X"/"b"/"e"/"i"/"C"
  * phases, one thread per track), which Perfetto and chrome://tracing
@@ -36,17 +35,10 @@
 
 #include "base/types.hpp"
 
-#ifndef PLAST_TRACING
-#define PLAST_TRACING 1
-#endif
-
 namespace plast
 {
 
 class HostProfiler;
-
-/** Compile-time switch; runtime code gates sink creation on this. */
-inline constexpr bool kTracingCompiled = PLAST_TRACING != 0;
 
 /** Fixed event-name table (no per-event string handling). */
 enum class TraceName : uint16_t
@@ -181,10 +173,8 @@ class TraceSink
 };
 
 // ---- emit helpers --------------------------------------------------
-// All instrumentation sites go through these; with PLAST_TRACING=0 the
-// calls are empty inlines and vanish entirely.
-
-#if PLAST_TRACING
+// All instrumentation sites go through these; a null sink (tracing
+// disabled) makes each one a single branch.
 
 inline void
 traceSpan(TraceSink *s, uint16_t track, TraceName n, Cycles b, Cycles e)
@@ -215,20 +205,6 @@ traceCounter(TraceSink *s, uint16_t track, TraceName n, Cycles ts,
     if (s)
         s->counter(track, n, ts, value);
 }
-
-#else
-
-inline void traceSpan(TraceSink *, uint16_t, TraceName, Cycles, Cycles) {}
-inline void
-traceAsync(TraceSink *, uint16_t, TraceName, Cycles, Cycles, uint64_t)
-{
-}
-inline void traceInstant(TraceSink *, uint16_t, TraceName, Cycles) {}
-inline void traceCounter(TraceSink *, uint16_t, TraceName, Cycles, uint64_t)
-{
-}
-
-#endif // PLAST_TRACING
 
 } // namespace plast
 

@@ -9,6 +9,7 @@
 #include "pir/eval.hpp"
 #include "pir/validate.hpp"
 #include "resilience/fault.hpp"
+#include "runtime/record.hpp"
 #include "runtime/runner.hpp"
 #include "sim/fabric.hpp"
 
@@ -43,81 +44,6 @@ fillInputs(Runner &r, const Program &prog)
 
 namespace
 {
-
-/** First difference between two word sequences, or empty string. */
-std::string
-firstDiff(const char *what, const std::vector<Word> &want,
-          const std::vector<Word> &got)
-{
-    if (want.size() != got.size())
-        return strfmt("%s: size %zu vs %zu", what, want.size(),
-                      got.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-        if (want[i] != got[i])
-            return strfmt("%s[%zu]: 0x%08x (%f) vs 0x%08x (%f)", what,
-                          i, want[i], wordToFloat(want[i]), got[i],
-                          wordToFloat(got[i]));
-    }
-    return {};
-}
-
-/** What one execution produced: argOut streams and DRAM images (empty
- *  for SRAM ids). */
-struct Outputs
-{
-    std::vector<std::vector<Word>> argOuts;
-    std::vector<std::vector<Word>> dram;
-};
-
-Outputs
-outputsOf(const Evaluator &ref, const Program &prog)
-{
-    Outputs o;
-    for (uint32_t s = 0; s < prog.numArgOuts; ++s)
-        o.argOuts.push_back(ref.argOuts(static_cast<int32_t>(s)));
-    o.dram.resize(prog.mems.size());
-    for (size_t m = 0; m < prog.mems.size(); ++m)
-        if (prog.mems[m].kind == MemKind::kDram)
-            o.dram[m] = ref.dramBuf(static_cast<MemId>(m));
-    return o;
-}
-
-Outputs
-outputsOf(const Runner &r, const Runner::Result &res, const Program &prog)
-{
-    Outputs o;
-    for (uint32_t s = 0; s < prog.numArgOuts; ++s)
-        o.argOuts.emplace_back(res.argOuts[s].begin(), res.argOuts[s].end());
-    o.dram.resize(prog.mems.size());
-    for (size_t m = 0; m < prog.mems.size(); ++m)
-        if (prog.mems[m].kind == MemKind::kDram)
-            o.dram[m] = r.readDram(static_cast<MemId>(m));
-    return o;
-}
-
-/** First difference between two executions' outputs, prefixed with
- *  `legs` ("ref vs fabric"); empty when they agree. */
-std::string
-diffOutputs(const char *legs, const Program &prog, const Outputs &want,
-            const Outputs &got)
-{
-    for (uint32_t s = 0; s < prog.numArgOuts; ++s) {
-        auto d = firstDiff(strfmt("argOut[%u]", s).c_str(),
-                           want.argOuts[s], got.argOuts[s]);
-        if (!d.empty())
-            return strfmt("%s %s", legs, d.c_str());
-    }
-    for (size_t m = 0; m < prog.mems.size(); ++m) {
-        if (prog.mems[m].kind != MemKind::kDram)
-            continue;
-        auto d = firstDiff(
-            strfmt("dram '%s'", prog.mems[m].name.c_str()).c_str(),
-            want.dram[m], got.dram[m]);
-        if (!d.empty())
-            return strfmt("%s %s", legs, d.c_str());
-    }
-    return {};
-}
 
 /** Per-unit cycle accounting: every evaluated cycle classified, every
  *  slept cycle attributed, and nothing exceeds the fabric clock. */
@@ -199,76 +125,86 @@ diffRun(const Program &prog, const ArchParams &params,
                                  : resilience::FaultMix::kDatapath,
             /*includeHard=*/false);
     }
-    std::vector<std::unique_ptr<resilience::FaultInjector>> injectors;
 
-    auto runMode = [&](SimOptions::Mode mode,
-                       SimMode simMode = SimMode::kInterp) {
+    // One leg: the shared compile under one engine combination, run to
+    // completion or to whatever stopped it, DRAM read back.
+    struct Leg
+    {
+        std::unique_ptr<resilience::FaultInjector> injector;
+        std::unique_ptr<Runner> runner;
+        Status status;
+        Runner::Result rec;
+    };
+    auto runLeg = [&](SimOptions::Mode mode, SimMode simMode) {
         SimOptions so;
         so.mode = mode;
         so.simMode = simMode;
-        auto r = std::make_unique<Runner>(prog, params, so);
-        r->adoptCompiled(compiled);
+        Leg leg;
+        leg.runner = std::make_unique<Runner>(prog, params, so);
+        leg.runner->adoptCompiled(compiled);
         if (opts.injectMode >= 2) {
-            injectors.push_back(
-                std::make_unique<resilience::FaultInjector>(
-                    plan, params.dram.ecc));
-            r->setFaultInjector(injectors.back().get());
+            leg.injector = std::make_unique<resilience::FaultInjector>(
+                plan, params.dram.ecc);
+            leg.runner->setFaultInjector(leg.injector.get());
         }
-        fillInputs(*r, prog);
-        return r;
+        fillInputs(*leg.runner, prog);
+        leg.status = leg.runner->tryRun(leg.rec, opts.maxCycles);
+        leg.runner->readBack(leg.rec);
+        return leg;
     };
-
-    auto activity = runMode(SimOptions::Mode::kActivity);
-    Evaluator ref = activity->runReference();
-    Runner::Result ares = activity->run(opts.maxCycles);
-    out.cycles = ares.cycles;
-    const Outputs aout = outputsOf(*activity, ares, prog);
     auto mismatch = [&](std::string detail) {
         out.status = DiffResult::Status::kMismatch;
         out.detail = std::move(detail);
         return out;
     };
 
-    // 1. Reference vs fabric: argOut streams and DRAM images; then the
-    //    cycle-ledger invariant on the activity-mode fabric.
-    if (auto d = diffOutputs("ref vs fabric", prog, outputsOf(ref, prog),
-                             aout);
-        !d.empty())
-        return mismatch(d);
-    if (auto e = checkLedger(*activity->fabric()); !e.empty())
+    // 1. Reference vs fabric: the activity-mode interpreter run must
+    //    complete with the evaluator's argOut streams and DRAM images;
+    //    then the cycle-ledger invariant on its fabric.
+    Leg activity = runLeg(SimOptions::Mode::kActivity, SimMode::kInterp);
+    out.cycles = activity.rec.cycles;
+    if (!activity.status.ok())
+        return mismatch("ref vs fabric: fabric stopped: " +
+                        activity.status.message());
+    if (Status st = checkOutputs(
+            prog, recordOf(activity.runner->runReference(), prog),
+            activity.rec, "ref vs fabric");
+        !st.ok())
+        return mismatch(st.message());
+    if (auto e = checkLedger(*activity.runner->fabric()); !e.empty())
         return mismatch(e);
 
-    // 2. Re-runs must be bit- and cycle-exact against the activity-mode
-    //    interpreter run, ledgers included.
-    auto parity = [&](const char *what, const char *base, const char *leg,
-                      SimOptions::Mode mode, SimMode simMode) {
-        auto r = runMode(mode, simMode);
-        Runner::Result res = r->run(opts.maxCycles);
-        if (res.cycles != ares.cycles)
-            return strfmt("%s parity: %s %llu cycles vs %s %llu", what, leg,
-                          static_cast<unsigned long long>(res.cycles), base,
-                          static_cast<unsigned long long>(ares.cycles));
-        std::string legs = strfmt("%s vs %s", base, leg);
-        if (auto d = diffOutputs(legs.c_str(), prog, aout,
-                                 outputsOf(*r, res, prog));
-            !d.empty())
-            return d;
-        if (auto e = checkLedger(*r->fabric()); !e.empty())
-            return strfmt("%s %s", leg, e.c_str());
-        return std::string();
+    // 2. Re-runs stop as that run did and simulate the same machine:
+    //    outputs, cycles, counters and cycle ledgers (checkWholeRun,
+    //    with dense ticking as the ledger oracle).
+    auto parity = [&](const char *legs, const Leg &oracle,
+                      const Leg &fast) -> std::string {
+        if (oracle.status.code() != fast.status.code())
+            return strfmt("%s: stopped as %s vs %s", legs,
+                          statusCodeName(oracle.status.code()),
+                          statusCodeName(fast.status.code()));
+        Status st = checkWholeRun(prog, oracle.rec, fast.rec, legs);
+        return st.ok() ? std::string() : st.message();
     };
     // Scheduler mode: dense evaluation of every unit every cycle.
     if (opts.checkDense) {
-        if (auto d = parity("scheduler", "activity", "dense",
-                            SimOptions::Mode::kDense, SimMode::kInterp);
+        Leg dense = runLeg(SimOptions::Mode::kDense, SimMode::kInterp);
+        if (auto d = parity("scheduler parity: dense vs activity", dense,
+                            activity);
             !d.empty())
             return mismatch(d);
+        if (auto e = checkLedger(*dense.runner->fabric()); !e.empty())
+            return mismatch("dense " + e);
     }
     // Datapath: the specialized execution plans.
-    if (auto d = parity("datapath", "interp", "specialized",
-                        SimOptions::Mode::kActivity, SimMode::kSpecialized);
+    Leg specialized =
+        runLeg(SimOptions::Mode::kActivity, SimMode::kSpecialized);
+    if (auto d = parity("datapath parity: interp vs specialized", activity,
+                        specialized);
         !d.empty())
         return mismatch(d);
+    if (auto e = checkLedger(*specialized.runner->fabric()); !e.empty())
+        return mismatch("specialized " + e);
     return out;
 }
 

@@ -63,15 +63,8 @@ ResilientRunner::runGolden()
     Status st = runner.tryRun(res);
     if (!st.ok())
         return st;
-    golden_.argOuts = res.argOuts;
-    golden_.dram.clear();
-    for (size_t m = 0; m < prog_.mems.size(); ++m) {
-        if (prog_.mems[m].kind != pir::MemKind::kDram)
-            continue;
-        auto mid = static_cast<pir::MemId>(m);
-        golden_.dram[mid] = runner.readDram(mid);
-    }
-    goldenCycles_ = res.cycles;
+    runner.readBack(res);
+    golden_ = std::move(res);
     haveGolden_ = true;
     return st;
 }
@@ -83,10 +76,10 @@ ResilientRunner::simOptions() const
     // than a legitimate memory-bound stall would trip on healthy runs,
     // and a checkpoint interval near the horizon never builds a ring.
     SimOptions so;
-    so.checkpointEvery = std::max<Cycles>(1'000, goldenCycles_ / 5);
+    so.checkpointEvery = std::max<Cycles>(1'000, golden_.cycles / 5);
     so.keepCheckpoints = kKeepCheckpoints;
-    so.watchdogCycles = std::max<Cycles>(20'000, 2 * goldenCycles_);
-    so.livelockCycles = std::max<Cycles>(40'000, 4 * goldenCycles_);
+    so.watchdogCycles = std::max<Cycles>(20'000, 2 * golden_.cycles);
+    so.livelockCycles = std::max<Cycles>(40'000, 4 * golden_.cycles);
     return so;
 }
 
@@ -94,24 +87,7 @@ Cycles
 ResilientRunner::attemptCap() const
 {
     return maxCycles_ ? maxCycles_
-                      : std::max<Cycles>(1'000'000, 50 * goldenCycles_);
-}
-
-bool
-ResilientRunner::matchesGolden(Runner &runner,
-                               const Runner::Result &res) const
-{
-    if (res.argOuts.size() != golden_.argOuts.size())
-        return false;
-    for (size_t s = 0; s < golden_.argOuts.size(); ++s) {
-        if (res.argOuts[s] != golden_.argOuts[s])
-            return false;
-    }
-    for (const auto &[mid, want] : golden_.dram) {
-        if (runner.readDram(mid) != want)
-            return false;
-    }
-    return true;
+                      : std::max<Cycles>(1'000'000, 50 * golden_.cycles);
 }
 
 void
@@ -146,6 +122,8 @@ ResilientRunner::run(const FaultPlan &plan)
                           : RunClass::kDetectedUnrecoverable;
             rep.finalStatus = st;
             rep.detail = "golden run failed: " + st.message();
+            last_ = Runner::Result{};
+            last_.dram.resize(prog_.mems.size()); // no attempt ran
             return rep;
         }
     }
@@ -166,7 +144,8 @@ ResilientRunner::run(const FaultPlan &plan)
     if (!st.ok()) {
         rep.cls = RunClass::kCompileError;
         rep.finalStatus = st;
-        harvestOutputs(*runner, Runner::Result{});
+        last_ = Runner::Result{};
+        runner->readBack(last_);
         return rep;
     }
 
@@ -253,11 +232,8 @@ ResilientRunner::run(const FaultPlan &plan)
                 ++rep.rollbacks;
                 RunResult rr = fab->runChecked(cap);
                 st = rr.status;
-                if (st.ok()) {
-                    res = Runner::Result{};
-                    res.cycles = rr.cycles;
-                    runner->collectResult(res);
-                }
+                if (st.ok())
+                    res = captureRun(*fab, prog_, rr.cycles);
                 continue;
             }
             // No usable checkpoint: restart from cycle 0 (rebuilds the
@@ -279,17 +255,20 @@ ResilientRunner::run(const FaultPlan &plan)
 
     harvestCounters(rep, *runner, injector);
     rep.finalStatus = st;
-    harvestOutputs(*runner, res);
+    runner->readBack(res);
+    last_ = std::move(res);
 
     if (!st.ok()) {
         rep.cls = RunClass::kDetectedUnrecoverable;
         return rep;
     }
 
-    rep.cycles = res.cycles;
-    if (!matchesGolden(*runner, res)) {
+    rep.cycles = last_.cycles;
+    if (Status diff = checkOutputs(prog_, golden_, last_, "golden vs run");
+        !diff.ok()) {
         rep.cls = RunClass::kSilentCorruption;
-        rep.detail += "output diverges from the fault-free golden run\n";
+        rep.detail += "output diverges from the fault-free golden run: " +
+                      diff.message() + "\n";
     } else if (rep.rollbacks || rep.restarts || rep.remaps) {
         rep.cls = RunClass::kRecovered;
     } else if (rep.eccCorrected || rep.dramCorrected || rep.dramRetries) {
@@ -300,21 +279,6 @@ ResilientRunner::run(const FaultPlan &plan)
         rep.cls = RunClass::kClean;
     }
     return rep;
-}
-
-void
-ResilientRunner::harvestOutputs(Runner &runner, const Runner::Result &res)
-{
-    lastResult_ = res;
-    lastDram_.clear();
-    if (!runner.fabric())
-        return; // compile error or never built — nothing to read back
-    for (size_t m = 0; m < prog_.mems.size(); ++m) {
-        if (prog_.mems[m].kind != pir::MemKind::kDram)
-            continue;
-        auto mid = static_cast<pir::MemId>(m);
-        lastDram_[mid] = runner.readDram(mid);
-    }
 }
 
 } // namespace plast::resilience

@@ -73,13 +73,6 @@ struct ResilienceReport
     bool explainedSdc() const { return firedUnprotected > 0; }
 };
 
-/** Bit-exact outputs of a fault-free execution. */
-struct GoldenOutputs
-{
-    std::vector<std::deque<Word>> argOuts;
-    std::map<pir::MemId, std::vector<Word>> dram;
-};
-
 class ResilientRunner
 {
   public:
@@ -99,28 +92,23 @@ class ResilientRunner
      *  kDetectedUnrecoverable with the typed status in finalStatus. */
     void setCancelToken(const CancelToken *tok) { cancel_ = tok; }
 
-    /** Fault-free reference execution: records golden outputs and the
-     *  cycle horizon the recovery thresholds derive from. */
+    /** Fault-free reference execution: records the golden run (its
+     *  outputs, and the cycle horizon the recovery thresholds derive
+     *  from). */
     Status runGolden();
-    const GoldenOutputs &golden() const { return golden_; }
-    Cycles goldenCycles() const { return goldenCycles_; }
+    Cycles goldenCycles() const { return golden_.cycles; }
 
     /** Execute under `plan`, recovering as needed, and classify. */
     ResilienceReport run(const FaultPlan &plan);
 
-    /** Outputs of the most recent run()'s final attempt — what a
-     *  serving layer returns to the tenant. Valid whenever the final
-     *  attempt built a fabric (empty on compile errors). */
-    const Runner::Result &lastResult() const { return lastResult_; }
-    const std::map<pir::MemId, std::vector<Word>> &lastDram() const
-    {
-        return lastDram_;
-    }
+    /** The record of the most recent run()'s final attempt, DRAM read
+     *  back — what a serving layer returns to the tenant. Every image
+     *  is empty when no attempt built a fabric. */
+    const Runner::Result &lastRun() const { return last_; }
 
   private:
     SimOptions simOptions() const;
     Cycles attemptCap() const;
-    bool matchesGolden(Runner &runner, const Runner::Result &res) const;
     void harvestCounters(ResilienceReport &rep, const Runner &runner,
                          const FaultInjector &inj) const;
 
@@ -129,13 +117,10 @@ class ResilientRunner
     Cycles maxCycles_;
     std::map<pir::MemId, std::vector<Word>> inputs_;
     const CancelToken *cancel_ = nullptr;
-    void harvestOutputs(Runner &runner, const Runner::Result &res);
 
-    GoldenOutputs golden_;
-    Cycles goldenCycles_ = 0;
+    Runner::Result golden_;
     bool haveGolden_ = false;
-    Runner::Result lastResult_;
-    std::map<pir::MemId, std::vector<Word>> lastDram_;
+    Runner::Result last_;
 };
 
 } // namespace plast::resilience

@@ -1,0 +1,182 @@
+#include "runtime/record.hpp"
+
+#include <map>
+
+#include "base/logging.hpp"
+#include "compiler/mapper.hpp"
+#include "pir/eval.hpp"
+#include "sim/fabric.hpp"
+
+namespace plast
+{
+
+using namespace pir;
+
+RunRecord
+captureRun(const Fabric &fab, const Program &prog, Cycles cycles)
+{
+    RunRecord rec;
+    rec.cycles = cycles;
+    fab.dumpStats(rec.stats);
+    for (uint32_t s = 0; s < prog.numArgOuts; ++s)
+        rec.argOuts.push_back(fab.argOut(s));
+    return rec;
+}
+
+void
+readBackDram(const Fabric &fab, const Program &prog,
+             const compiler::MapResult &map, RunRecord &rec)
+{
+    rec.dram.assign(prog.mems.size(), {});
+    for (size_t m = 0; m < prog.mems.size(); ++m) {
+        if (prog.mems[m].kind != MemKind::kDram)
+            continue;
+        std::vector<Word> &buf = rec.dram[m];
+        buf.resize(prog.mems[m].sizeWords);
+        for (size_t w = 0; w < buf.size(); ++w)
+            buf[w] = fab.mem().dram().readWord(map.dramBase[m] + w * 4);
+    }
+}
+
+RunRecord
+recordOf(const Evaluator &ev, const Program &prog)
+{
+    RunRecord rec;
+    for (uint32_t s = 0; s < prog.numArgOuts; ++s) {
+        const std::vector<Word> &v = ev.argOuts(static_cast<int32_t>(s));
+        rec.argOuts.emplace_back(v.begin(), v.end());
+    }
+    rec.dram.resize(prog.mems.size());
+    for (size_t m = 0; m < prog.mems.size(); ++m) {
+        if (prog.mems[m].kind == MemKind::kDram)
+            rec.dram[m] = ev.dramBuf(static_cast<MemId>(m));
+    }
+    return rec;
+}
+
+namespace
+{
+
+Status
+mismatch(std::string what)
+{
+    return Status(StatusCode::kMismatch, std::move(what));
+}
+
+/** The first differing element of two word sequences, or ok. */
+template <class Seq>
+Status
+compareWords(const std::string &what, const Seq &want, const Seq &got)
+{
+    if (want.size() != got.size())
+        return mismatch(strfmt("%s: size %zu vs %zu", what.c_str(),
+                               want.size(), got.size()));
+    for (size_t i = 0; i < want.size(); ++i) {
+        if (want[i] != got[i])
+            return mismatch(strfmt("%s[%zu]: 0x%08x (%f) vs 0x%08x (%f)",
+                                   what.c_str(), i, want[i],
+                                   wordToFloat(want[i]), got[i],
+                                   wordToFloat(got[i])));
+    }
+    return Status();
+}
+
+unsigned long long
+ull(uint64_t v)
+{
+    return static_cast<unsigned long long>(v);
+}
+
+} // namespace
+
+Status
+checkOutputs(const Program &prog, const RunRecord &want,
+             const RunRecord &got, const std::string &legs)
+{
+    panic_if(want.dram.size() != prog.mems.size() ||
+                 got.dram.size() != prog.mems.size(),
+             "comparing a run record whose DRAM was never read back");
+    for (uint32_t s = 0; s < prog.numArgOuts; ++s) {
+        if (Status st =
+                compareWords(strfmt("%s argOut[%u]", legs.c_str(), s),
+                             want.argOuts.at(s), got.argOuts.at(s));
+            !st.ok())
+            return st;
+    }
+    for (size_t m = 0; m < prog.mems.size(); ++m) {
+        if (Status st = compareWords(strfmt("%s dram '%s'", legs.c_str(),
+                                            prog.mems[m].name.c_str()),
+                                     want.dram[m], got.dram[m]);
+            !st.ok())
+            return st;
+    }
+    return Status();
+}
+
+Status
+checkWholeRun(const Program &prog, const RunRecord &oracle,
+              const RunRecord &got, const std::string &legs)
+{
+    if (Status st = checkOutputs(prog, oracle, got, legs); !st.ok())
+        return st;
+    if (oracle.cycles != got.cycles)
+        return mismatch(strfmt("%s completion cycle: %llu vs %llu",
+                               legs.c_str(), ull(oracle.cycles),
+                               ull(got.cycles)));
+
+    auto traced = [](const std::string &key) {
+        return key.rfind("trace.", 0) == 0;
+    };
+    for (const auto &[key, have] : got.stats.all()) {
+        if (!traced(key) && !oracle.stats.has(key))
+            return mismatch(strfmt("%s counter %s: absent vs %llu",
+                                   legs.c_str(), key.c_str(), ull(have)));
+    }
+    // Per unit: how far its ledger falls short of the oracle's, and in
+    // how many classes.
+    struct Gap
+    {
+        uint64_t cycles = 0;
+        int classes = 0;
+    };
+    std::map<std::string, Gap> gaps;
+    for (const auto &[key, want] : oracle.stats.all()) {
+        if (traced(key))
+            continue;
+        if (!got.stats.has(key))
+            return mismatch(strfmt("%s counter %s: %llu vs absent",
+                                   legs.c_str(), key.c_str(), ull(want)));
+        const uint64_t have = got.stats.get(key);
+        const size_t at = key.find(".cycles.");
+        if (at == std::string::npos) {
+            if (want != have)
+                return mismatch(strfmt("%s counter %s: %llu vs %llu",
+                                       legs.c_str(), key.c_str(),
+                                       ull(want), ull(have)));
+            continue;
+        }
+        const std::string cls = key.substr(at + 8);
+        if (cls == "stepped" || cls == "asleep")
+            continue; // host tallies
+        if (have > want)
+            return mismatch(strfmt("%s ledger %s: %llu vs %llu",
+                                   legs.c_str(), key.c_str(), ull(want),
+                                   ull(have)));
+        Gap &g = gaps[key.substr(0, at)];
+        g.cycles += want - have;
+        g.classes += want != have;
+    }
+    for (const auto &[unit, g] : gaps) {
+        const uint64_t tail = oracle.stats.get(unit + ".cycles.asleep");
+        const uint64_t gotTail = got.stats.get(unit + ".cycles.asleep");
+        if (g.classes > 1 || gotTail < tail || g.cycles != gotTail - tail)
+            return mismatch(strfmt(
+                "%s ledger %s: %llu cycles short in %d class(es), "
+                "unattributed tail %llu vs %llu",
+                legs.c_str(), unit.c_str(), ull(g.cycles), g.classes,
+                ull(tail), ull(gotTail)));
+    }
+    return Status();
+}
+
+} // namespace plast

@@ -5,6 +5,7 @@
 #include "base/profile.hpp"
 #include "pir/serialize.hpp"
 #include "pir/validate.hpp"
+#include "runtime/bottleneck.hpp"
 
 namespace plast
 {
@@ -98,13 +99,6 @@ Runner::tryCompile()
 }
 
 void
-Runner::ensureCompiled()
-{
-    Status st = tryCompile();
-    fatal_if(!st.ok(), "%s", st.message().c_str());
-}
-
-void
 Runner::buildFabric()
 {
     ScopedSpan span("host.build-fabric");
@@ -132,23 +126,19 @@ Runner::buildFabric()
     }
 }
 
-void
-Runner::collectResult(Result &out) const
-{
-    fabric_->dumpStats(out.stats);
-    out.argOuts.resize(prog_.numArgOuts);
-    for (uint32_t s = 0; s < prog_.numArgOuts; ++s)
-        out.argOuts[s] = fabric_->argOut(s);
-}
-
 Runner::Result
 Runner::run(Cycles maxCycles)
 {
-    ensureCompiled();
-    buildFabric();
     Result res;
-    res.cycles = fabric_->run(maxCycles);
-    collectResult(res);
+    Status st = tryRun(res, maxCycles);
+    if (!st.ok()) {
+        std::string why = st.message();
+        if (st.code() == StatusCode::kDeadlock ||
+            st.code() == StatusCode::kWatchdog ||
+            st.code() == StatusCode::kLivelock)
+            why += "\n" + analyzeDeadlock(*fabric_).render();
+        fatal("%s", why.c_str());
+    }
     return res;
 }
 
@@ -160,21 +150,25 @@ Runner::tryRun(Result &out, Cycles maxCycles)
         return st;
     buildFabric();
     RunResult rr = fabric_->runChecked(maxCycles);
-    out.cycles = rr.cycles;
-    collectResult(out);
+    out = captureRun(*fabric_, prog_, rr.cycles);
     return rr.status;
+}
+
+void
+Runner::readBack(Result &out) const
+{
+    if (fabric_)
+        readBackDram(*fabric_, prog_, mapResult(), out);
+    else
+        out.dram.assign(prog_.mems.size(), {});
 }
 
 Status
 Runner::tryRunValidated(Result &out, Cycles maxCycles)
 {
     Status st = tryRun(out, maxCycles);
-    if (!st.ok())
-        return st;
-    Evaluator ev = runReference();
-    counts_ = ev.counts();
-    haveCounts_ = true;
-    return compareWithReference(ev, out);
+    readBack(out);
+    return st.ok() ? checkReference(out) : st;
 }
 
 std::vector<Word>
@@ -213,54 +207,13 @@ Runner::referenceCounts()
 }
 
 Status
-Runner::compareWithReference(const Evaluator &ev, const Result &res) const
+Runner::checkReference(const Result &res)
 {
-    // argOut streams must match exactly (the evaluator is
-    // wavefront-faithful, so float folds are bit-identical).
-    for (uint32_t s = 0; s < prog_.numArgOuts; ++s) {
-        const auto &want = ev.argOuts(static_cast<int32_t>(s));
-        const auto &got = res.argOuts[s];
-        if (want.size() != got.size()) {
-            return Status(
-                StatusCode::kMismatch,
-                strfmt("%s argOut[%u]: expected %zu values, fabric "
-                       "produced %zu",
-                       prog_.name.c_str(), s, want.size(), got.size()));
-        }
-        for (size_t i = 0; i < want.size(); ++i) {
-            if (want[i] != got[i]) {
-                return Status(
-                    StatusCode::kMismatch,
-                    strfmt("%s argOut[%u][%zu]: expected 0x%08x (%f) "
-                           "got 0x%08x (%f)",
-                           prog_.name.c_str(), s, i, want[i],
-                           wordToFloat(want[i]), got[i],
-                           wordToFloat(got[i])));
-            }
-        }
-    }
-
-    // Output DRAM buffers must match where the reference wrote them.
-    for (size_t m = 0; m < prog_.mems.size(); ++m) {
-        if (prog_.mems[m].kind != MemKind::kDram)
-            continue;
-        MemId mid = static_cast<MemId>(m);
-        const auto &want = ev.dramBuf(mid);
-        std::vector<Word> got = readDram(mid);
-        for (size_t w = 0; w < want.size(); ++w) {
-            if (want[w] != got[w]) {
-                return Status(
-                    StatusCode::kMismatch,
-                    strfmt("%s dram '%s'[%zu]: expected 0x%08x (%f) "
-                           "got 0x%08x (%f)",
-                           prog_.name.c_str(),
-                           prog_.mems[m].name.c_str(), w, want[w],
-                           wordToFloat(want[w]), got[w],
-                           wordToFloat(got[w])));
-            }
-        }
-    }
-    return Status();
+    Evaluator ev = runReference();
+    counts_ = ev.counts();
+    haveCounts_ = true;
+    return checkOutputs(prog_, recordOf(ev, prog_), res,
+                        prog_.name + " ref vs fabric");
 }
 
 RunManifest
@@ -307,11 +260,9 @@ Runner::writeManifest(std::ostream &os, const Result &res, Status st) const
 Runner::Result
 Runner::runValidated(Cycles maxCycles)
 {
-    Evaluator ev = runReference();
-    counts_ = ev.counts();
-    haveCounts_ = true;
     Result res = run(maxCycles);
-    Status st = compareWithReference(ev, res);
+    readBack(res);
+    Status st = checkReference(res);
     fatal_if(!st.ok(), "%s", st.message().c_str());
     return res;
 }

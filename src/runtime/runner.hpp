@@ -10,7 +10,6 @@
 #ifndef PLAST_RUNTIME_RUNNER_HPP
 #define PLAST_RUNTIME_RUNNER_HPP
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "pir/eval.hpp"
 #include "pir/ir.hpp"
 #include "runtime/manifest.hpp"
+#include "runtime/record.hpp"
 #include "sim/fabric.hpp"
 
 namespace plast
@@ -41,14 +41,11 @@ class Runner
     }
     const pir::Program &program() const { return prog_; }
 
-    struct Result
-    {
-        Cycles cycles = 0;
-        StatSet stats;
-        std::vector<std::deque<Word>> argOuts;
-    };
+    using Result = RunRecord;
 
-    /** Compile (once) and run the cycle simulator. */
+    /** Compile (once) and run the cycle simulator; fatal with the
+     *  typed status when the run does not complete, plus the deadlock
+     *  post-mortem (analyzeDeadlock) for a hang. */
     Result run(Cycles maxCycles = 500'000'000);
 
     // ---- non-fatal variants ------------------------------------------
@@ -61,15 +58,18 @@ class Runner
     /** Compile (once); kCompileError instead of fatal on failure. */
     Status tryCompile();
     /** Compile + run; failures come back as a Status. `out` carries
-     *  stats and partial argOuts even when the run failed. */
+     *  stats and partial argOuts even when the run failed. Reads no
+     *  DRAM back: that is readBack's job. */
     Status tryRun(Result &out, Cycles maxCycles = 500'000'000);
-    /** tryRun plus bit-exact comparison against the reference
-     *  evaluator; a divergence is kMismatch. */
+    /** tryRun, readBack, then checkReference; a divergence is
+     *  kMismatch. */
     Status tryRunValidated(Result &out, Cycles maxCycles = 500'000'000);
-    /** Compare a fabric result with a finished reference evaluation
-     *  (argOut streams and output DRAM buffers, bit for bit). */
-    Status compareWithReference(const pir::Evaluator &ev,
-                                const Result &res) const;
+    /** Fill `out.dram` from the last run's fabric (every entry empty
+     *  when no fabric was built). */
+    void readBack(Result &out) const;
+    /** Run the reference evaluator and compare its argOut streams and
+     *  DRAM buffers with a read-back result, bit for bit. */
+    Status checkReference(const Result &res);
 
     /** Run the reference evaluator on the same inputs. */
     pir::Evaluator runReference() const;
@@ -77,7 +77,7 @@ class Runner
     /**
      * Run both fabric and reference; fatal unless every argOut stream
      * and every output DRAM buffer matches bit for bit. Returns the
-     * fabric result.
+     * fabric result with its DRAM read back.
      */
     Result runValidated(Cycles maxCycles = 500'000'000);
 
@@ -154,12 +154,8 @@ class Runner
     }
     /** Mutable fabric access for checkpoint/rollback orchestration. */
     Fabric *mutableFabric() { return fabric_.get(); }
-    /** Harvest stats and argOuts from the finished (or failed) run —
-     *  public so recovery can re-harvest after a direct rollback. */
-    void collectResult(Result &out) const;
 
   private:
-    void ensureCompiled();
     /** Instantiate the fabric and load the DRAM image. */
     void buildFabric();
 

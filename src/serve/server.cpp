@@ -439,11 +439,8 @@ Server::computeOutcome(Runner &runner, const JobSpec &job, JobResult &rec,
 
     auto out = std::make_shared<JobOutcome>();
     const CompiledConfig &cc = *acq.value;
-    Status st;
-    Runner::Result res;
-    if (!cc.status.ok()) {
-        st = cc.status;
-    } else {
+    Status st = cc.status;
+    if (st.ok()) {
         // Adopt whenever this runner did not compile itself: a cache
         // hit (another worker compiled) or a store hit (a previous
         // daemon incarnation compiled).
@@ -451,11 +448,12 @@ Server::computeOutcome(Runner &runner, const JobSpec &job, JobResult &rec,
             runner.adoptCompiled(cc.map);
         if (job.faultSeed)
             return computeResilient(runner, job, rec, cancel);
-
-        Cycles mc = job.maxCycles ? job.maxCycles : opts_.maxCycles;
-        st = opts_.validate ? runner.tryRunValidated(res, mc)
-                            : runner.tryRun(res, mc);
+        st = runner.tryRun(*out, job.maxCycles ? job.maxCycles
+                                               : opts_.maxCycles);
     }
+    runner.readBack(*out);
+    if (st.ok() && opts_.validate)
+        st = runner.checkReference(*out);
     out->outcome = statusCodeName(st.code());
     out->detail = st.ok() ? "" : st.message();
     // A job that stopped without completing gets a partial post-mortem:
@@ -467,17 +465,6 @@ Server::computeOutcome(Runner &runner, const JobSpec &job, JobResult &rec,
          st.code() == StatusCode::kDeadlock)) {
         DeadlockReport dr = analyzeDeadlock(*runner.fabric());
         out->detail += "\npost-mortem: " + dr.verdict;
-    }
-    out->cycles = res.cycles;
-    out->stats = res.stats;
-    out->argOuts = res.argOuts;
-    out->dram.resize(job.prog.mems.size());
-    if (runner.fabric()) {
-        for (size_t m = 0; m < job.prog.mems.size(); ++m) {
-            if (job.prog.mems[m].kind == pir::MemKind::kDram)
-                out->dram[m] =
-                    runner.readDram(static_cast<pir::MemId>(m));
-        }
     }
     out->resultHash = hashOutcome(*out);
     return out;
@@ -504,6 +491,7 @@ Server::computeResilient(Runner &runner, const JobSpec &job,
     rec.retries += rep.rollbacks + rep.restarts + rep.remaps;
 
     auto out = std::make_shared<JobOutcome>();
+    static_cast<RunRecord &>(*out) = rr.lastRun();
     switch (rep.cls) {
       case resilience::RunClass::kClean:
       case resilience::RunClass::kMasked:
@@ -524,13 +512,6 @@ Server::computeResilient(Runner &runner, const JobSpec &job,
     out->detail = rep.finalStatus.ok()
                       ? rep.detail
                       : rep.finalStatus.message() + "\n" + rep.detail;
-    const Runner::Result &res = rr.lastResult();
-    out->cycles = res.cycles;
-    out->stats = res.stats;
-    out->argOuts = res.argOuts;
-    out->dram.resize(job.prog.mems.size());
-    for (const auto &[mid, data] : rr.lastDram())
-        out->dram[mid] = data;
     out->resultHash = hashOutcome(*out);
     return out;
 }

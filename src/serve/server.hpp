@@ -60,6 +60,7 @@
 #include "base/status.hpp"
 #include "compiler/mapper.hpp"
 #include "pir/ir.hpp"
+#include "runtime/record.hpp"
 #include "serve/cache.hpp"
 #include "serve/queue.hpp"
 #include "serve/store.hpp"
@@ -108,20 +109,17 @@ struct JobSpec
 };
 
 /** The memoized, shareable part of a finished job: everything a
- *  bit-identical resubmission should be served without re-running. */
-struct JobOutcome
+ *  bit-identical resubmission should be served without re-running.
+ *  An executed job's run record has its DRAM read back (every image
+ *  empty when no fabric was built, e.g. compile errors); a job that
+ *  never ran has no images at all. */
+struct JobOutcome : RunRecord
 {
     std::string outcome; ///< statusCodeName of the final status
     std::string detail;  ///< status message ("" when ok)
-    Cycles cycles = 0;
-    StatSet stats; ///< architectural counters (Fabric::dumpStats)
-    std::vector<std::deque<Word>> argOuts;
-    /** Post-run DRAM readback per program DRAM mem (empty when the
-     *  fabric was never built, e.g. compile errors). Index i holds
-     *  the buffer for the i-th DRAM MemDecl, in MemId order. */
-    std::vector<std::vector<Word>> dram;
-    /** FNV-1a over outcome + argOuts + DRAM image (the compact
-     *  bit-exactness witness the stress/replay tests compare). */
+    /** FNV-1a over outcome + cycles + argOuts + DRAM image (the
+     *  compact bit-exactness witness the stress/replay tests
+     *  compare). */
     uint64_t resultHash = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "sim/fabric.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 
 #include "arch/cfgio.hpp"
@@ -110,17 +109,15 @@ Fabric::buildUnits(std::vector<std::unique_ptr<Sim>> &owned,
 
 /**
  * Create the trace sink and hand every emitting component its display
- * track. Compiled out entirely with PLAST_TRACING=0; with tracing
- * compiled but disabled no sink exists and every emit site stays a
- * null-pointer check.
+ * track. With tracing disabled no sink exists and every emit site
+ * stays a null-pointer check.
  */
 void
 Fabric::setupTrace()
 {
-    epochsOn_ = kTracingCompiled && opts_.trace.enabled &&
-                opts_.trace.epochCycles > 0;
+    epochsOn_ = opts_.trace.enabled && opts_.trace.epochCycles > 0;
     nextEpochAt_ = opts_.trace.epochCycles;
-    if (!kTracingCompiled || !opts_.trace.enabled)
+    if (!opts_.trace.enabled)
         return;
 
     trace_ = std::make_unique<TraceSink>(TraceOptions::kCapacity);
@@ -348,18 +345,6 @@ Fabric::nextBusyCycle() const
     return next;
 }
 
-Cycles
-Fabric::run(Cycles maxCycles)
-{
-    RunResult r = runChecked(maxCycles);
-    if (!r.status.ok()) {
-        if (r.status.code() != StatusCode::kMaxCycles)
-            dumpDeadlock();
-        fatal("%s", r.status.message().c_str());
-    }
-    return r.cycles;
-}
-
 /**
  * The one run loop. The two modes differ only in how step() advances a
  * cycle, in that activity mode skips cycles on which nothing can
@@ -447,46 +432,6 @@ Fabric::runChecked(Cycles maxCycles)
             quiet_since = now_;
     }
     return {Status(), done_at, kNeverCycle};
-}
-
-void
-Fabric::dumpDeadlock() const
-{
-    std::fprintf(stderr, "--- deadlock diagnostic (cycle %llu) ---\n",
-                 static_cast<unsigned long long>(now_));
-    for (size_t i = 0; i < pcus_.size(); ++i) {
-        if (pcus_[i] && pcus_[i]->busy())
-            std::fprintf(stderr, "  pcu%zu (%s) busy, runs=%llu wf=%llu\n",
-                         i, pcus_[i]->name().c_str(),
-                         (unsigned long long)pcus_[i]->stats().runs,
-                         (unsigned long long)pcus_[i]->stats().wavefronts);
-    }
-    for (size_t i = 0; i < pmus_.size(); ++i) {
-        if (pmus_[i] && pmus_[i]->busy())
-            std::fprintf(stderr, "  pmu%zu (%s) busy, r=%llu w=%llu\n", i,
-                         pmus_[i]->name().c_str(),
-                         (unsigned long long)pmus_[i]->stats().readRuns,
-                         (unsigned long long)pmus_[i]->stats().writeRuns);
-    }
-    for (size_t i = 0; i < ags_.size(); ++i) {
-        if (ags_[i] && ags_[i]->busy())
-            std::fprintf(stderr, "  ag%zu (%s) busy, runs=%llu\n", i,
-                         ags_[i]->name().c_str(),
-                         (unsigned long long)ags_[i]->stats().runs);
-    }
-    for (size_t i = 0; i < boxes_.size(); ++i) {
-        if (boxes_[i] && boxes_[i]->busy())
-            std::fprintf(stderr, "  box%zu (%s) busy, iters=%llu\n", i,
-                         boxes_[i]->name().c_str(),
-                         (unsigned long long)boxes_[i]->stats().iterations);
-    }
-    // Streams still holding data pinpoint the wait cycle.
-    for (const StreamBase *s : heldStreams())
-        std::fprintf(stderr, "  stream %s holds %zu poppable element(s)\n",
-                     s->name().c_str(), s->available());
-    if (opts_.mode == SimOptions::Mode::kActivity)
-        std::fprintf(stderr, "  scheduler: %zu awake unit(s)\n",
-                     sched_.awakeUnits());
 }
 
 const std::deque<Word> &

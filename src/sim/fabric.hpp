@@ -107,21 +107,15 @@ class Fabric
 
     /**
      * Run until the root controller completes (plus drain) or the clock
-     * reaches maxCycles. Returns the cycle count at completion. Fatals
-     * on deadlock: in activity mode the moment the active set empties
-     * with the root incomplete; in dense mode after `deadlockWindow`
-     * cycles without progress.
-     */
-    Cycles run(Cycles maxCycles = 500'000'000);
-
-    /**
-     * Non-fatal variant of run(): instead of fatal()ing, deadlock,
-     * watchdog/livelock trips, ECC-uncorrectable latches and the
-     * max-cycle cap come back as a typed Status. This is the entry
-     * point the resilience layer drives; run() is a thin wrapper that
-     * preserves the historical fatal messages. Cycle maxCycles is never
-     * simulated: both modes stop with kMaxCycles at now() == maxCycles
-     * (or at once when the clock is already there) in the same state.
+     * reaches maxCycles. Everything that stops a run early comes back
+     * as a typed Status: a deadlock (in activity mode the cycle the
+     * active set empties with the root incomplete, in dense mode after
+     * `deadlockWindow` cycles without progress), watchdog/livelock
+     * trips, ECC-uncorrectable latches and the cap. Cycle maxCycles is
+     * never simulated: both modes stop with kMaxCycles at now() ==
+     * maxCycles (or at once when the clock is already there) in the
+     * same state. analyzeDeadlock (runtime/bottleneck.hpp) explains a
+     * run that stopped.
      */
     RunResult runChecked(Cycles maxCycles = 500'000'000);
 
@@ -212,7 +206,6 @@ class Fabric
      *  fault event; kNeverCycle when nothing ever will. */
     Cycles nextBusyCycle() const;
     void drainHostSinks();
-    void dumpDeadlock() const;
 
     // ---- resilience internals ----------------------------------------
     void applyDueFaults();

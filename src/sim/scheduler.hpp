@@ -107,9 +107,6 @@ class Scheduler
     {
         return deliveredHost_;
     }
-    /** Awake-unit count (diagnostics). */
-    size_t awakeUnits() const { return run_.size(); }
-
     /**
      * Re-arm everything after a checkpoint restore or a fault
      * injection: every unit re-enters the active set and every stream

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/disasm.hpp"
+#include "runtime/bottleneck.hpp"
 #include "sim/fabric.hpp"
 
 using namespace plast;
@@ -88,8 +89,9 @@ handDesign(Word offset)
 TEST(Fabric, HandMappedLoopProducesAllIterations)
 {
     Fabric fab(handDesign(intToWord(10)));
-    Cycles done = fab.run(100000);
-    EXPECT_GT(done, 0u);
+    RunResult rr = fab.runChecked(100000);
+    ASSERT_TRUE(rr.status.ok()) << rr.status.message();
+    EXPECT_GT(rr.cycles, 0u);
     const auto &out = fab.argOut(0);
     ASSERT_EQ(out.size(), 3u); // one result per iteration
     EXPECT_EQ(wordToInt(out[0]), 100); // (0+10)^2
@@ -101,7 +103,7 @@ TEST(Fabric, HostConstantsAreSticky)
 {
     // The constant is read on every run without being consumed.
     Fabric fab(handDesign(intToWord(2)));
-    fab.run(100000);
+    ASSERT_TRUE(fab.runChecked(100000).status.ok());
     const auto &out = fab.argOut(0);
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(wordToInt(out[2]), 16); // (2+2)^2
@@ -110,7 +112,7 @@ TEST(Fabric, HostConstantsAreSticky)
 TEST(Fabric, StatsReportRunsAndCycles)
 {
     Fabric fab(handDesign(0));
-    fab.run(100000);
+    ASSERT_TRUE(fab.runChecked(100000).status.ok());
     StatSet stats;
     fab.dumpStats(stats);
     EXPECT_EQ(stats.get("pcu00.runs"), 3u);
@@ -120,14 +122,22 @@ TEST(Fabric, StatsReportRunsAndCycles)
 TEST(FabricDeath, DeadlockIsDiagnosedNotHung)
 {
     // The PCU waits for a token that never arrives (no channel).
-    FabricConfig fab = handDesign(0);
-    fab.channels.erase(fab.channels.begin()); // drop the start token
-    EXPECT_EXIT(
-        {
-            Fabric f(fab);
-            f.run(10'000'000);
-        },
-        ::testing::ExitedWithCode(1), "deadlock");
+    FabricConfig cfg = handDesign(0);
+    cfg.channels.erase(cfg.channels.begin()); // drop the start token
+    Fabric f(cfg);
+    RunResult rr = f.runChecked(10'000'000);
+    EXPECT_EQ(rr.status.code(), StatusCode::kDeadlock);
+    EXPECT_EQ(rr.status.message(),
+              strfmt("fabric deadlock: empty active set at cycle %llu",
+                     static_cast<unsigned long long>(f.now())));
+    // The loop box is mid-iteration; its exported index waits in front
+    // of the PCU that was never started.
+    DeadlockReport rep = analyzeDeadlock(f);
+    ASSERT_EQ(rep.waiting.size(), 1u) << rep.render();
+    EXPECT_EQ(rep.waiting[0].ref, (UnitRef{UnitClass::kBox, 0}));
+    ASSERT_EQ(rep.held.size(), 1u) << rep.render();
+    EXPECT_EQ(rep.held[0].name, "scalar#1:box0.0->pcu0.0");
+    EXPECT_EQ(rep.held[0].tokens, 1u);
 }
 
 TEST(Disasm, RendersEveryConfiguredStructure)

@@ -405,6 +405,33 @@ TEST(Restarts, ProvenUnroutableAttemptsSkipNegotiation)
         << d.summary();
 }
 
+TEST(Restarts, MaskedDesignMapsOnALaterAttemptAndValidates)
+{
+    // What restarts are for: CNN at one vector track with three PCUs
+    // and two PMUs masked off, as after hard faults. The deterministic
+    // first placement does not route; a seeded restart does, and the
+    // design it maps computes the reference's outputs bit for bit.
+    apps::AppInstance app = apps::makeCnn(apps::Scale::kTiny);
+    ArchParams params = ArchParams::plasticineFinal();
+    params.vectorTracks = 1;
+    const UnitMask mask{{9, 19, 40}, {43, 53}};
+    CompileOptions once;
+    once.maxPlacementAttempts = 1;
+    EXPECT_FALSE(compileProgram(app.prog, params, mask, once).report.ok);
+
+    Runner r(app.prog, params);
+    r.setUnitMask(mask);
+    app.load(r);
+    Runner::Result res;
+    Status st = r.tryRunValidated(res);
+    ASSERT_TRUE(st.ok()) << st.message();
+    const CompileDiagnostics &d = r.report().diag;
+    EXPECT_EQ(d.placementAttempts, 2u);
+    ASSERT_EQ(d.attempts.size(), 2u);
+    EXPECT_FALSE(d.attempts[0].routed);
+    EXPECT_TRUE(d.attempts[1].routed);
+}
+
 TEST(Diagnostics, JsonDumpCarriesTheSchema)
 {
     apps::AppInstance app = apps::makeGemm(apps::Scale::kTiny);

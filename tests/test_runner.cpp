@@ -1,6 +1,7 @@
-/** @file Host runtime: DRAM staging, result readback, reference
- *  instrumentation, architecture-parameter generality (lane counts,
- *  channel counts), and the PCU shift network. */
+/** @file Host runtime: DRAM staging, result readback, the run
+ *  record's two comparisons, reference instrumentation,
+ *  architecture-parameter generality (lane counts, channel counts),
+ *  and the PCU shift network. */
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 
 #include "apps/apps.hpp"
 #include "pir/builder.hpp"
+#include "runtime/record.hpp"
 #include "runtime/runner.hpp"
 #include "sim/pcu.hpp"
 
@@ -45,6 +47,74 @@ TEST(Runner, StagesInputsAndReadsBackOutputs)
     std::vector<Word> got = r.readDram(out);
     for (int k = 0; k < 256; ++k)
         EXPECT_FLOAT_EQ(wordToFloat(got[k]), 3.0f * k);
+}
+
+/** The two comparisons every oracle uses name the first difference,
+ *  and the whole-run rule forgives only the host tallies, `trace.*`
+ *  and the activity scheduler's unattributed sleep tail. */
+TEST(RunRecord, ComparisonsNameTheFirstDifference)
+{
+    setVerbose(false);
+    MemId in, out;
+    Program prog = scaleProgram(64, in, out);
+    auto run = [&](SimOptions opts) {
+        Runner r(prog, ArchParams::plasticineFinal(), opts);
+        auto &buf = r.dram(in);
+        for (size_t k = 0; k < buf.size(); ++k)
+            buf[k] = floatToWord(static_cast<float>(k));
+        Runner::Result res = r.run();
+        r.readBack(res);
+        return res;
+    };
+    SimOptions dense;
+    dense.mode = SimOptions::Mode::kDense;
+    dense.simMode = SimMode::kInterp;
+    const Runner::Result oracle = run(dense), fast = run(SimOptions{});
+    auto whole = [&](const Runner::Result &want, const Runner::Result &got) {
+        return checkWholeRun(prog, want, got, "a vs b").message();
+    };
+    EXPECT_EQ(whole(oracle, fast), "");
+
+    Runner::Result got = fast;
+    got.dram[out][5] ^= 1;
+    EXPECT_EQ(checkOutputs(prog, oracle, got, "a vs b").message(),
+              whole(oracle, got));
+    EXPECT_EQ(whole(oracle, got).rfind("a vs b dram 'out'[5]: ", 0), 0u)
+        << whole(oracle, got);
+
+    got = fast;
+    got.stats.add("mem.bursts");
+    EXPECT_NE(whole(oracle, got).find("counter mem.bursts: "),
+              std::string::npos)
+        << whole(oracle, got);
+
+    // Ledgers: a unit may fall short in one class by exactly its extra
+    // unattributed tail, and nowhere else.
+    std::string unit;
+    for (const auto &[key, v] : fast.stats.all()) {
+        const std::string suffix = ".cycles.active";
+        if (unit.empty() && v >= 2 && key.size() > suffix.size() &&
+            key.compare(key.size() - suffix.size(), suffix.size(),
+                        suffix) == 0)
+            unit = key.substr(0, key.size() - suffix.size());
+    }
+    ASSERT_FALSE(unit.empty());
+    got = fast;
+    got.stats.set(unit + ".cycles.active",
+                  fast.stats.get(unit + ".cycles.active") - 2);
+    got.stats.add(unit + ".cycles.asleep", 2);
+    got.stats.add(unit + ".cycles.stepped", 5);
+    got.stats.set("trace.events", 9);
+    EXPECT_EQ(whole(fast, got), "");
+    got.stats.add(unit + ".cycles.idle");
+    EXPECT_NE(whole(fast, got).find("ledger " + unit + ".cycles.idle"),
+              std::string::npos)
+        << whole(fast, got);
+    got.stats.set(unit + ".cycles.idle", fast.stats.get(unit + ".cycles.idle"));
+    got.stats.add(unit + ".cycles.asleep");
+    EXPECT_NE(whole(fast, got).find("ledger " + unit + ": 2 cycles short"),
+              std::string::npos)
+        << whole(fast, got);
 }
 
 TEST(Runner, ReferenceCountsMatchAnalytics)

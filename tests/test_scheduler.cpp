@@ -1,20 +1,19 @@
-/** @file Activity-driven scheduler: bit-exact cycle parity of the
+/** @file Activity-driven scheduler: whole-run parity of the
  *  production default (activity + specialized) against the dense +
  *  interpreter oracle on every benchmark, the same stop cycle at every
- *  max-cycle cap, traffic-counter parity,
- *  AGs sleeping on coalescer capacity, fast-forward behavior, and
- *  exact deadlock detection (empty active set) on a stalled credit
- *  loop. */
+ *  max-cycle cap, AGs sleeping on coalescer capacity, fast-forward
+ *  behavior, and exact deadlock detection (empty active set) on a
+ *  stalled credit loop. */
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <map>
 #include <optional>
 
 #include "apps/apps.hpp"
 #include "base/logging.hpp"
 #include "resilience/fault.hpp"
+#include "runtime/bottleneck.hpp"
+#include "runtime/record.hpp"
 #include "sim/fabric.hpp"
 
 using namespace plast;
@@ -32,88 +31,56 @@ denseOpts()
     return o;
 }
 
-struct ModeResult
+const apps::AppSpec &
+specByName(const std::string &name)
 {
-    Cycles cycles = 0;
-    std::vector<std::deque<Word>> argOuts;
-    std::vector<std::vector<Word>> dramBufs;
-    StatSet stats;
-};
-
-ModeResult
-harvest(const Runner &r, const Runner::Result &res)
-{
-    ModeResult out;
-    out.cycles = res.cycles;
-    out.argOuts = res.argOuts;
-    out.stats = res.stats;
-    for (size_t m = 0; m < r.program().mems.size(); ++m) {
-        if (r.program().mems[m].kind == pir::MemKind::kDram)
-            out.dramBufs.push_back(
-                r.readDram(static_cast<pir::MemId>(m)));
+    for (const auto &spec : apps::allApps()) {
+        if (spec.name == name)
+            return spec;
     }
-    return out;
+    panic("no such app '%s'", name.c_str());
 }
 
-ModeResult
-runApp(const apps::AppSpec &spec, SimOptions opts)
+/** A tiny-scale run of app `name` under `opts`, DRAM read back. */
+Runner::Result
+runApp(const std::string &name, SimOptions opts)
 {
     setVerbose(false);
-    apps::AppInstance app = spec.make(apps::Scale::kTiny);
+    apps::AppInstance app = specByName(name).make(apps::Scale::kTiny);
     Runner r(std::move(app.prog), ArchParams::plasticineFinal(), opts);
     app.load(r);
     Runner::Result res = r.run();
-    return harvest(r, res);
+    r.readBack(res);
+    return res;
+}
+
+/** The dense + interpreter oracle and a production-default run of app
+ *  `name` simulated the same machine (checkWholeRun). */
+void
+expectSameRun(const std::string &name, const Runner::Result &oracle,
+              const Runner::Result &fast)
+{
+    Status st = checkWholeRun(specByName(name).make(apps::Scale::kTiny).prog,
+                              oracle, fast,
+                              "dense+interp vs activity+specialized");
+    EXPECT_TRUE(st.ok()) << name << ": " << st.message();
 }
 
 } // namespace
 
 /** The production default (activity scheduling, specialized engine)
- *  and the dense + interpreter oracle must agree on the completion
- *  cycle, every argOut stream, every DRAM buffer, and the traffic
- *  counters (stream pushes/pops, memory bursts, DRAM timing) — i.e. the
- *  fast paths change only the host's work per simulated cycle, never
- *  the simulated machine. */
+ *  and the dense + interpreter oracle simulate the same machine:
+ *  completion and post-drain cycles, every argOut stream and DRAM
+ *  buffer, every counter and the per-unit cycle ledgers — the fast
+ *  paths change only the host's work per simulated cycle. */
 class CycleParity : public ::testing::TestWithParam<std::string>
 {
 };
 
 TEST_P(CycleParity, ActivityModeMatchesDenseBitExactly)
 {
-    for (const auto &spec : apps::allApps()) {
-        if (spec.name != GetParam())
-            continue;
-
-        ModeResult dense = runApp(spec, denseOpts());
-        ModeResult activity = runApp(spec, SimOptions{});
-
-        EXPECT_EQ(dense.cycles, activity.cycles) << "completion cycle";
-        EXPECT_EQ(dense.stats.get("cycles"), activity.stats.get("cycles"))
-            << "post-drain cycle count";
-
-        ASSERT_EQ(dense.argOuts.size(), activity.argOuts.size());
-        for (size_t s = 0; s < dense.argOuts.size(); ++s)
-            EXPECT_EQ(dense.argOuts[s], activity.argOuts[s])
-                << "argOut slot " << s;
-
-        ASSERT_EQ(dense.dramBufs.size(), activity.dramBufs.size());
-        for (size_t m = 0; m < dense.dramBufs.size(); ++m)
-            EXPECT_EQ(dense.dramBufs[m], activity.dramBufs[m])
-                << "DRAM buffer " << m;
-
-        // Architectural activity counters agree; only host-side idle
-        // accounting (starve/idle cycles of sleeping units) may differ.
-        for (const auto &[name, value] : dense.stats.all()) {
-            if (name.rfind("stream.", 0) == 0 ||
-                name.rfind("net.", 0) == 0 ||
-                name.rfind("mem.", 0) == 0 ||
-                name.rfind("dram", 0) == 0) {
-                EXPECT_EQ(value, activity.stats.get(name)) << name;
-            }
-        }
-        return;
-    }
-    FAIL() << "unknown benchmark";
+    expectSameRun(GetParam(), runApp(GetParam(), denseOpts()),
+                  runApp(GetParam(), SimOptions{}));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,20 +121,6 @@ loadedFabric(const Runner &r, const compiler::MapResult &map,
     return f;
 }
 
-std::vector<Word>
-dramImage(Fabric &f, const Runner &r, const compiler::MapResult &map)
-{
-    std::vector<Word> out;
-    const pir::Program &prog = r.program();
-    for (size_t m = 0; m < prog.mems.size(); ++m) {
-        if (prog.mems[m].kind != pir::MemKind::kDram)
-            continue;
-        for (uint32_t w = 0; w < prog.mems[m].sizeWords; ++w)
-            out.push_back(f.dram().readWord(map.dramBase[m] + w * 4));
-    }
-    return out;
-}
-
 } // namespace
 
 /** Both schedulers stop on the same cycle: the dense + interpreter
@@ -175,7 +128,7 @@ dramImage(Fabric &f, const Runner &r, const compiler::MapResult &map)
  *  from one compile, advance with runChecked(cap) for cap = 1, 2, 3, …
  *  and must report the same status and clock at every stop — a clock
  *  jump that reaches the cap stops there instead of simulating it —
- *  then the same completion cycle, argOuts and DRAM image. */
+ *  then simulate the same machine (checkWholeRun). */
 class RunLoopParity : public ::testing::TestWithParam<std::string>
 {
 };
@@ -183,13 +136,7 @@ class RunLoopParity : public ::testing::TestWithParam<std::string>
 TEST_P(RunLoopParity, EveryCapStopsBothSchedulersOnTheSameCycle)
 {
     setVerbose(false);
-    const apps::AppSpec *spec = nullptr;
-    for (const auto &s : apps::allApps()) {
-        if (s.name == GetParam())
-            spec = &s;
-    }
-    ASSERT_NE(spec, nullptr) << "unknown benchmark";
-    apps::AppInstance app = spec->make(apps::Scale::kTiny);
+    apps::AppInstance app = specByName(GetParam()).make(apps::Scale::kTiny);
     Runner r(app.prog);
     app.load(r);
     ASSERT_TRUE(r.tryCompile().ok());
@@ -208,10 +155,15 @@ TEST_P(RunLoopParity, EveryCapStopsBothSchedulersOnTheSameCycle)
         ASSERT_EQ(d.status.code(), StatusCode::kMaxCycles) << "cap " << cap;
         ASSERT_EQ(dense->now(), cap);
     }
-    EXPECT_EQ(d.cycles, a.cycles) << "completion cycle";
-    for (uint32_t s = 0; s < r.program().numArgOuts; ++s)
-        EXPECT_EQ(dense->argOut(s), activity->argOut(s)) << "argOut " << s;
-    EXPECT_EQ(dramImage(*dense, r, map), dramImage(*activity, r, map));
+    auto record = [&](const Fabric &f, const RunResult &rr) {
+        RunRecord rec = captureRun(f, app.prog, rr.cycles);
+        readBackDram(f, app.prog, map, rec);
+        return rec;
+    };
+    Status st = checkWholeRun(app.prog, record(*dense, d),
+                              record(*activity, a),
+                              "dense+interp vs activity+specialized");
+    EXPECT_TRUE(st.ok()) << st.message();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -316,52 +268,58 @@ creditLoopDesign()
     return fab;
 }
 
+/** The start token undelivered in front of the gated PCU: the one
+ *  stream analyzeDeadlock finds holding anything. */
+void
+expectStartTokenHeld(const Fabric &f)
+{
+    DeadlockReport rep = analyzeDeadlock(f);
+    ASSERT_EQ(rep.held.size(), 1u) << rep.render();
+    EXPECT_EQ(rep.held[0].name, "control#0:box0.0->pcu0.0");
+    EXPECT_EQ(rep.held[0].tokens, 1u);
+}
+
 } // namespace
 
 /** The empty active set diagnoses the circular wait exactly — and the
- *  diagnostic pinpoints the wait: the root box is mid-iteration and
- *  the start token sits undelivered in front of the gated PCU. */
+ *  post-mortem pinpoints the wait: the start token sits undelivered in
+ *  front of the gated PCU. */
 TEST(SchedulerDeath, CreditLoopDeadlockIsDiagnosedExactly)
 {
-    EXPECT_EXIT(
-        {
-            Fabric f(creditLoopDesign());
-            f.run(10'000'000);
-        },
-        ::testing::ExitedWithCode(1), "deadlock");
-    EXPECT_EXIT(
-        {
-            Fabric f(creditLoopDesign());
-            f.run(10'000'000);
-        },
-        ::testing::ExitedWithCode(1),
-        "box0.0->pcu0.0 holds 1 poppable element");
+    Fabric f(creditLoopDesign());
+    RunResult rr = f.runChecked(10'000'000);
+    EXPECT_EQ(rr.status.code(), StatusCode::kDeadlock);
+    EXPECT_NE(rr.status.message().find("deadlock"), std::string::npos)
+        << rr.status.message();
+    expectStartTokenHeld(f);
 }
 
 /** Activity mode needs no no-progress window: the deadlock fires the
  *  cycle the active set empties, long before the dense window expires. */
 TEST(SchedulerDeath, DeadlockFiresWithoutWaitingForWindow)
 {
-    EXPECT_EXIT(
-        {
-            Fabric f(creditLoopDesign());
-            f.run(10'000'000);
-            // unreachable: run() must have fataled by now
-        },
-        ::testing::ExitedWithCode(1), "empty active set at cycle [0-9]");
+    Fabric f(creditLoopDesign());
+    RunResult rr = f.runChecked(10'000'000);
+    EXPECT_EQ(rr.status.code(), StatusCode::kDeadlock);
+    EXPECT_EQ(rr.status.message(),
+              strfmt("fabric deadlock: empty active set at cycle %llu",
+                     static_cast<unsigned long long>(f.now())));
+    EXPECT_LT(f.now(), SimOptions{}.deadlockWindow);
+    expectStartTokenHeld(f);
 }
 
 /** Dense mode keeps the windowed scan, now constructor-configurable. */
 TEST(SchedulerDeath, DenseWindowIsConfigurable)
 {
-    EXPECT_EXIT(
-        {
-            SimOptions opts = denseOpts();
-            opts.deadlockWindow = 200;
-            Fabric f(creditLoopDesign(), opts);
-            f.run(10'000'000);
-        },
-        ::testing::ExitedWithCode(1), "no progress for 200 cycles");
+    SimOptions opts = denseOpts();
+    opts.deadlockWindow = 200;
+    Fabric f(creditLoopDesign(), opts);
+    RunResult rr = f.runChecked(10'000'000);
+    EXPECT_EQ(rr.status.code(), StatusCode::kDeadlock);
+    EXPECT_NE(rr.status.message().find("no progress for 200 cycles"),
+              std::string::npos)
+        << rr.status.message();
+    expectStartTokenHeld(f);
 }
 
 /** Stream statistics are live (not the dead counters they replace):
@@ -400,19 +358,9 @@ pressuredParams()
     return p;
 }
 
-const apps::AppSpec &
-specByName(const std::string &name)
-{
-    for (const auto &spec : apps::allApps()) {
-        if (spec.name == name)
-            return spec;
-    }
-    panic("no such app '%s'", name.c_str());
-}
-
 struct PressuredRun
 {
-    ModeResult result;
+    Runner::Result result;
     uint64_t dramRetries = 0;
     /** AG cycles classified dramWait: evaluated, and in total. */
     uint64_t agDramWaitSteps = 0, agDramWait = 0;
@@ -438,7 +386,7 @@ runPressured(const std::string &name, SimOptions opts,
     Status st = r.tryRunValidated(res);
     EXPECT_TRUE(st.ok()) << name << ": " << st.message();
     PressuredRun out;
-    out.result = harvest(r, res);
+    out.result = std::move(res);
     out.dramRetries = r.fabric()->mem().stats().dramRetries;
     for (uint32_t i = 0; i < params.numAgs; ++i) {
         if (const AgSim *ag = r.fabric()->agPtr(i)) {
@@ -456,62 +404,6 @@ endsWith(const std::string &s, const std::string &suffix)
 {
     return s.size() >= suffix.size() &&
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/**
- * Per-unit ledger parity. Dense ticking classifies every cycle; the
- * activity scheduler attributes a sleep to the class that began it
- * when the unit next evaluates, and leaves the run's final sleep
- * unattributed (`cycles.asleep`). So every `cycles.<class>` key must
- * match exactly, except that one class per unit may fall short by
- * exactly that tail.
- */
-void
-expectSameLedgers(const StatSet &oracle, const StatSet &fast)
-{
-    std::map<std::string, std::array<int64_t, kNumCycleClasses>> gap;
-    for (size_t c = 0; c < kNumCycleClasses; ++c) {
-        std::string key = std::string(".cycles.") +
-                          cycleClassName(static_cast<CycleClass>(c));
-        for (const auto &[name, value] : oracle.all()) {
-            if (endsWith(name, key))
-                gap[name.substr(0, name.size() - key.size())][c] =
-                    static_cast<int64_t>(value) -
-                    static_cast<int64_t>(fast.get(name));
-        }
-    }
-    ASSERT_FALSE(gap.empty()) << "no cycle ledger compared";
-    for (const auto &[unit, d] : gap) {
-        int64_t tail =
-            static_cast<int64_t>(fast.get(unit + ".cycles.asleep")) -
-            static_cast<int64_t>(oracle.get(unit + ".cycles.asleep"));
-        int64_t sum = 0;
-        int differing = 0;
-        for (int64_t v : d) {
-            EXPECT_GE(v, 0) << unit;
-            sum += v;
-            differing += v != 0;
-        }
-        EXPECT_LE(differing, 1) << unit << ": more than one class moved";
-        EXPECT_EQ(sum, tail) << unit << ": ledger gap is not the tail";
-    }
-}
-
-/** Everything the simulated machine did, compared bit for bit: the
- *  completion cycle, argOuts, DRAM, every counter and the per-unit
- *  cycle ledgers. Only host-side step and sleep tallies may differ. */
-void
-expectSameMachine(const ModeResult &oracle, const ModeResult &fast)
-{
-    EXPECT_EQ(oracle.cycles, fast.cycles) << "completion cycle";
-    EXPECT_EQ(oracle.argOuts, fast.argOuts) << "argOuts";
-    EXPECT_EQ(oracle.dramBufs, fast.dramBufs) << "DRAM buffers";
-    expectSameLedgers(oracle.stats, fast.stats);
-    for (const auto &[name, value] : oracle.stats.all()) {
-        if (name.find(".cycles.") == std::string::npos) {
-            EXPECT_EQ(value, fast.stats.get(name)) << name;
-        }
-    }
 }
 
 uint64_t
@@ -538,7 +430,7 @@ TEST_P(CapacityCycleParity, SleepingAgsMatchDenseInterpBitExactly)
 {
     PressuredRun oracle = runPressured(GetParam(), denseOpts());
     PressuredRun fast = runPressured(GetParam(), SimOptions{});
-    expectSameMachine(oracle.result, fast.result);
+    expectSameRun(GetParam(), oracle.result, fast.result);
 
     // Under dense ticking every AG steps every cycle; asleep AGs cost
     // nothing, so capacity waits must not be polled.
@@ -626,7 +518,7 @@ TEST_P(CapacityCycleParity, DramRetryReissuesThroughTheSlab)
     }
     PressuredRun oracle = runPressured(GetParam(), denseOpts(), &plan);
     PressuredRun fast = runPressured(GetParam(), SimOptions{}, &plan);
-    expectSameMachine(oracle.result, fast.result);
+    expectSameRun(GetParam(), oracle.result, fast.result);
     EXPECT_EQ(oracle.dramRetries, fast.dramRetries);
     EXPECT_GE(fast.dramRetries, 1u);
 }

@@ -362,17 +362,8 @@ TEST(ServeHash, InputsHashCoversEveryWord)
 namespace
 {
 
-struct Baseline
-{
-    std::string outcome;
-    Cycles cycles = 0;
-    std::vector<std::deque<Word>> argOuts;
-    std::vector<std::vector<Word>> dram;
-    std::map<std::string, uint64_t> stats;
-};
-
 /** One job, fresh Runner, no caches — the serial reference. */
-Baseline
+JobOutcome
 runSerialBaseline(const JobSpec &spec, const ServeOptions &opts)
 {
     Runner r(spec.prog, spec.params, opts.simOpts);
@@ -380,26 +371,16 @@ runSerialBaseline(const JobSpec &spec, const ServeOptions &opts)
         spec.load(r);
     else
         fuzz::fillInputs(r, spec.prog);
-    Runner::Result res;
-    Status st = r.tryRun(
-        res, spec.maxCycles ? spec.maxCycles : opts.maxCycles);
-    Baseline b;
+    JobOutcome b;
+    Status st =
+        r.tryRun(b, spec.maxCycles ? spec.maxCycles : opts.maxCycles);
+    r.readBack(b);
     b.outcome = statusCodeName(st.code());
-    b.cycles = res.cycles;
-    b.argOuts = res.argOuts;
-    b.stats = res.stats.all();
-    b.dram.resize(spec.prog.mems.size());
-    if (r.fabric()) {
-        for (size_t m = 0; m < spec.prog.mems.size(); ++m) {
-            if (spec.prog.mems[m].kind == pir::MemKind::kDram)
-                b.dram[m] = r.readDram(static_cast<pir::MemId>(m));
-        }
-    }
     return b;
 }
 
 void
-expectMatchesBaseline(const JobResult &r, const Baseline &b)
+expectMatchesBaseline(const JobResult &r, const JobOutcome &b)
 {
     ASSERT_NE(r.outcome, nullptr) << r.source;
     EXPECT_EQ(r.outcome->outcome, b.outcome) << r.source;
@@ -420,7 +401,7 @@ TEST(ServeStress, WorkersMatchSerialBaselineWithResultCache)
 
     ServeOptions o;
     o.workers = 4;
-    std::map<std::string, Baseline> baselines;
+    std::map<std::string, JobOutcome> baselines;
     for (size_t u = 0; u < t.uniques; ++u)
         baselines[specs[u].source] = runSerialBaseline(specs[u], o);
 
@@ -458,7 +439,7 @@ TEST(ServeStress, WorkersMatchSerialBaselineWhenEveryJobExecutes)
     ServeOptions o;
     o.workers = 4;
     o.resultCache = false;
-    std::map<std::string, Baseline> baselines;
+    std::map<std::string, JobOutcome> baselines;
     for (size_t u = 0; u < t.uniques; ++u)
         baselines[specs[u].source] = runSerialBaseline(specs[u], o);
 
@@ -471,10 +452,10 @@ TEST(ServeStress, WorkersMatchSerialBaselineWhenEveryJobExecutes)
     std::vector<JobResult> results = server.results();
     ASSERT_EQ(results.size(), t.jobs);
     for (const JobResult &r : results) {
-        const Baseline &b = baselines.at(r.source);
+        const JobOutcome &b = baselines.at(r.source);
         expectMatchesBaseline(r, b);
         EXPECT_FALSE(r.resultHit);
-        EXPECT_EQ(r.outcome->stats.all(), b.stats) << r.source;
+        EXPECT_EQ(r.outcome->stats.all(), b.stats.all()) << r.source;
     }
     // The config cache still collapses compilation: one compile per
     // unique program, every other job adopts the frozen config.
@@ -576,7 +557,7 @@ TEST(ServeStress, EvictionUnderTinyCapacityStaysCorrect)
     o.workers = 2;
     o.configCacheCapacity = 2;
     o.resultCacheCapacity = 2;
-    std::map<std::string, Baseline> baselines;
+    std::map<std::string, JobOutcome> baselines;
     for (size_t u = 0; u < t.uniques; ++u)
         baselines[specs[u].source] = runSerialBaseline(specs[u], o);
 
@@ -628,7 +609,7 @@ TEST(ServeStress, CommittedCorpusMatchesSerialBaselineAcrossWorkers)
 
     ServeOptions o;
     o.workers = 4;
-    std::map<std::string, Baseline> baselines;
+    std::map<std::string, JobOutcome> baselines;
     for (const JobSpec &s : uniques)
         baselines[s.source] = runSerialBaseline(s, o);
 
@@ -1245,7 +1226,7 @@ TEST(ServeCancel, CancelledJobNeverPoisonsTheResultCache)
     ServeOptions o;
     Server server(o);
     JobSpec spec = tinyAppSpec("victim");
-    Baseline base = runSerialBaseline(spec, o);
+    JobOutcome base = runSerialBaseline(spec, o);
 
     CancelToken tok;
     tok.requestCancel();
@@ -1270,7 +1251,7 @@ TEST(ServeCancel, CancelQueuedJobProducesTypedRecordAndCounters)
     o.workers = 1;
     Server server(o); // not started: jobs stay queued
     JobSpec healthy = tinyAppSpec("healthy");
-    Baseline base = runSerialBaseline(healthy, o);
+    JobOutcome base = runSerialBaseline(healthy, o);
     uint64_t id1 = server.submit(std::move(healthy));
     uint64_t id2 = server.submit(tinyAppSpec("doomed"));
     ASSERT_NE(id1, 0u);
@@ -1298,7 +1279,7 @@ TEST(ServeDeadline, QueuedExpiryIsTypedAndHealthyJobsAreExact)
     o.workers = 2;
     Server server(o); // not started yet
     JobSpec healthy = tinyAppSpec("healthy");
-    Baseline base = runSerialBaseline(healthy, o);
+    JobOutcome base = runSerialBaseline(healthy, o);
 
     JobSpec doomed = tinyAppSpec("doomed");
     doomed.deadlineMs = 1;
@@ -1457,7 +1438,7 @@ TEST(ServeRetry, TransientFaultsRetryCleanViaOneShotEvents)
     ServeOptions o;
     // The fault-free outcome of each identity (source minus "/f<seed>"):
     // a job served as ok or recovered must equal it bit for bit.
-    std::map<std::string, Baseline> baselines;
+    std::map<std::string, JobOutcome> baselines;
     auto identity = [](const std::string &source) {
         return source.substr(0, source.rfind("/f"));
     };
@@ -1478,7 +1459,7 @@ TEST(ServeRetry, TransientFaultsRetryCleanViaOneShotEvents)
         ++byOutcome[r.outcome->outcome];
         if (r.outcome->outcome == "ok" ||
             r.outcome->outcome == "recovered") {
-            const Baseline &b = baselines.at(identity(r.source));
+            const JobOutcome &b = baselines.at(identity(r.source));
             EXPECT_TRUE(r.outcome->argOuts == b.argOuts)
                 << r.source << " served " << r.outcome->outcome
                 << " with wrong argOuts";
@@ -1509,7 +1490,7 @@ TEST(ServeResilient, EveryJobFinishesTypedUnderFaultTraffic)
 
     ServeOptions o;
     o.workers = 4;
-    std::map<std::string, Baseline> baselines;
+    std::map<std::string, JobOutcome> baselines;
     for (const JobSpec &s : specs) {
         if (s.faultSeed == 0 && baselines.count(s.source) == 0)
             baselines[s.source] = runSerialBaseline(s, o);

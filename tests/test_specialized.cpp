@@ -1,9 +1,9 @@
-/** @file Specialized datapath engine (sim/execplan.hpp): bit-exact
- *  parity against the interpreter on every benchmark — completion
- *  cycle, argOut streams, DRAM images and architectural counters —
- *  plus plan-construction invariants (dead-port elision, kernel
- *  coverage, PMU address lowering and its port coverage) and the
- *  interaction with the dense scheduler. */
+/** @file Specialized datapath engine (sim/execplan.hpp): whole-run
+ *  parity against the interpreter on every benchmark — cycles, argOut
+ *  streams, DRAM images, counters and cycle ledgers — plus
+ *  plan-construction invariants (dead-port elision, kernel coverage,
+ *  PMU address lowering and its port coverage) and the interaction
+ *  with the dense scheduler. */
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "apps/apps.hpp"
 #include "base/rng.hpp"
+#include "runtime/record.hpp"
 #include "sim/execplan.hpp"
 #include "sim/fabric.hpp"
 #include "sim/unitcommon.hpp"
@@ -31,109 +32,65 @@ withEngine(SimMode simMode,
     return o;
 }
 
-struct ModeResult
+/** A tiny-scale run under `opts`, DRAM read back. */
+Runner::Result
+runApp(const apps::AppInstance &app, SimOptions opts)
 {
-    Cycles cycles = 0;
-    std::vector<std::deque<Word>> argOuts;
-    std::vector<std::vector<Word>> dramBufs;
-    StatSet stats;
-    uint64_t laneOps = 0;
-};
-
-ModeResult
-runApp(const apps::AppSpec &spec, SimOptions opts)
-{
-    setVerbose(false);
-    apps::AppInstance app = spec.make(apps::Scale::kTiny);
-    Runner r(std::move(app.prog), ArchParams::plasticineFinal(), opts);
+    Runner r(app.prog, ArchParams::plasticineFinal(), opts);
     app.load(r);
     Runner::Result res = r.run();
-
-    ModeResult out;
-    out.cycles = res.cycles;
-    out.argOuts = res.argOuts;
-    out.stats = res.stats;
-    out.laneOps = r.fabric()->totalLaneOps();
-    for (size_t m = 0; m < r.program().mems.size(); ++m) {
-        if (r.program().mems[m].kind == pir::MemKind::kDram)
-            out.dramBufs.push_back(
-                r.readDram(static_cast<pir::MemId>(m)));
-    }
-    return out;
-}
-
-void
-expectBitExact(const ModeResult &interp, const ModeResult &spec)
-{
-    EXPECT_EQ(interp.cycles, spec.cycles) << "completion cycle";
-    EXPECT_EQ(interp.stats.get("cycles"), spec.stats.get("cycles"))
-        << "post-drain cycle count";
-    EXPECT_EQ(interp.laneOps, spec.laneOps) << "FU lane-op count";
-
-    ASSERT_EQ(interp.argOuts.size(), spec.argOuts.size());
-    for (size_t s = 0; s < interp.argOuts.size(); ++s)
-        EXPECT_EQ(interp.argOuts[s], spec.argOuts[s])
-            << "argOut slot " << s;
-
-    ASSERT_EQ(interp.dramBufs.size(), spec.dramBufs.size());
-    for (size_t m = 0; m < interp.dramBufs.size(); ++m)
-        EXPECT_EQ(interp.dramBufs[m], spec.dramBufs[m])
-            << "DRAM buffer " << m;
-
-    // Every architectural activity counter must agree: specialization
-    // may only change host wall-clock, never the simulated machine.
-    // Per-unit host accounting (".cycles." stepped/asleep split) is
-    // excluded: it is scheduler-dependent, not engine-dependent, and
-    // this helper also serves the cross-scheduler combination.
-    for (const auto &[name, value] : interp.stats.all()) {
-        bool unitWork = (name.rfind("pcu", 0) == 0 ||
-                         name.rfind("pmu", 0) == 0 ||
-                         name.rfind("ag", 0) == 0 ||
-                         name.rfind("box", 0) == 0) &&
-                        name.find(".cycles.") == std::string::npos;
-        if (name.rfind("stream.", 0) == 0 || name.rfind("net.", 0) == 0 ||
-            name.rfind("mem.", 0) == 0 || name.rfind("dram", 0) == 0 ||
-            unitWork) {
-            EXPECT_EQ(value, spec.stats.get(name)) << name;
-        }
-    }
+    r.readBack(res);
+    return res;
 }
 
 } // namespace
 
-/** Interp and specialized engines must be indistinguishable at the
- *  architectural level on every benchmark. */
+/** Interp and specialized engines must simulate the same machine on
+ *  every benchmark (checkWholeRun): specialization may only change
+ *  host wall-clock. */
 class SpecializedParity : public ::testing::TestWithParam<std::string>
 {
   protected:
-    const apps::AppSpec &
-    spec() const
+    void
+    SetUp() override
     {
+        setVerbose(false);
         for (const auto &s : apps::allApps()) {
             if (s.name == GetParam())
-                return s;
+                app = s.make(apps::Scale::kTiny);
         }
-        ADD_FAILURE() << "unknown benchmark";
-        return apps::allApps().front();
+        ASSERT_FALSE(app.name.empty()) << "unknown benchmark";
     }
+
+    apps::AppInstance app;
 };
 
 TEST_P(SpecializedParity, MatchesInterpBitExactly)
 {
-    ModeResult interp = runApp(spec(), withEngine(SimMode::kInterp));
-    ModeResult specd = runApp(spec(), withEngine(SimMode::kSpecialized));
-    expectBitExact(interp, specd);
+    Runner::Result interp = runApp(app, withEngine(SimMode::kInterp));
+    Runner::Result specd = runApp(app, withEngine(SimMode::kSpecialized));
+    Status st =
+        checkWholeRun(app.prog, interp, specd, "interp vs specialized");
+    EXPECT_TRUE(st.ok()) << st.message();
+    // One scheduler: the host's step and sleep tallies agree as well.
+    for (const auto &[key, value] : interp.stats.all()) {
+        if (key.find(".cycles.stepped") != std::string::npos ||
+            key.find(".cycles.asleep") != std::string::npos) {
+            EXPECT_EQ(value, specd.stats.get(key)) << key;
+        }
+    }
 }
 
 /** The engine axis is orthogonal to the scheduler axis: specialized
  *  under the dense scheduler matches interp under activity. */
 TEST_P(SpecializedParity, DenseSpecializedMatchesActivityInterp)
 {
-    ModeResult interp = runApp(spec(), withEngine(SimMode::kInterp));
-    ModeResult specd = runApp(
-        spec(),
-        withEngine(SimMode::kSpecialized, SimOptions::Mode::kDense));
-    expectBitExact(interp, specd);
+    Runner::Result interp = runApp(app, withEngine(SimMode::kInterp));
+    Runner::Result specd = runApp(
+        app, withEngine(SimMode::kSpecialized, SimOptions::Mode::kDense));
+    Status st = checkWholeRun(app.prog, specd, interp,
+                              "dense+specialized vs activity+interp");
+    EXPECT_TRUE(st.ok()) << st.message();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,7 +1,7 @@
 /** @file Unified telemetry: MetricRegistry semantics (histogram
  *  bucket edges, counter wrap, expositions), host-phase profiling
- *  spans and the merged Perfetto timeline, RunManifest schema
- *  stability, and interp-vs-specialized stats parity. */
+ *  spans and the merged Perfetto timeline, and RunManifest schema
+ *  stability. */
 
 #include <gtest/gtest.h>
 
@@ -271,8 +271,6 @@ TEST(HostProfiler, HostSpanJsonFragmentsAreWellFormed)
 
 TEST(Telemetry, TraceMergesHostSpansWithSimCycles)
 {
-    if (!kTracingCompiled)
-        GTEST_SKIP() << "tracing compiled out";
     setVerbose(false);
     HostProfiler::instance().clear();
     apps::AppInstance app = apps::allApps()[0].make(apps::Scale::kTiny);
@@ -399,68 +397,4 @@ TEST(RunManifest, ArchParamsTextCoversTuningKnobs)
     q = p;
     q.dram.ecc = !q.dram.ecc;
     EXPECT_NE(archParamsText(q), base);
-}
-
-// ---- interp vs specialized stats parity ----------------------------
-
-namespace
-{
-
-/**
- * Counters whose values legitimately depend on the datapath engine.
- * Everything else in Fabric::dumpStats is architectural — it counts
- * events of the simulated machine, which is bit-exact across engines —
- * and must match between interp and specialized runs.
- *
- *   trace.*   the specialized engine elides per-stage trace emission
- *             when tracing is disabled at build time and may batch
- *             events differently when enabled.
- */
-bool
-engineSpecific(const std::string &key)
-{
-    return key.rfind("trace.", 0) == 0;
-}
-
-StatSet
-runWithEngine(const apps::AppSpec &spec, SimMode engine)
-{
-    apps::AppInstance app = spec.make(apps::Scale::kTiny);
-    SimOptions opts;
-    opts.simMode = engine;
-    Runner runner(app.prog, ArchParams::plasticineFinal(), opts);
-    app.load(runner);
-    return runner.run().stats;
-}
-
-} // namespace
-
-TEST(Telemetry, StatsParityInterpVsSpecialized)
-{
-    setVerbose(false);
-    for (const char *name : {"InnerProduct", "GEMM", "BFS"}) {
-        const apps::AppSpec *spec = nullptr;
-        for (const auto &s : apps::allApps()) {
-            if (s.name == name)
-                spec = &s;
-        }
-        ASSERT_NE(spec, nullptr) << name;
-        StatSet interp = runWithEngine(*spec, SimMode::kInterp);
-        StatSet special = runWithEngine(*spec, SimMode::kSpecialized);
-
-        for (const auto &[key, val] : interp.all()) {
-            if (engineSpecific(key))
-                continue;
-            EXPECT_TRUE(special.has(key))
-                << name << ": " << key << " missing from specialized";
-            EXPECT_EQ(special.get(key), val)
-                << name << ": " << key << " diverges between engines";
-        }
-        for (const auto &[key, val] : special.all()) {
-            if (engineSpecific(key))
-                continue;
-            EXPECT_TRUE(interp.has(key))
-                << name << ": " << key << " missing from interp";
-        }
-    }
 }

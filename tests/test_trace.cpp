@@ -238,7 +238,7 @@ runTraced(const std::string &name, SimOptions::Mode mode,
     out.stats = res.stats;
     const Fabric *fab = runner.fabric();
     out.simCycles = fab->now();
-    if (tracing && kTracingCompiled) {
+    if (tracing) {
         std::ostringstream os, csv;
         fab->writeTrace(os);
         out.traceJson = os.str();
@@ -377,8 +377,6 @@ TEST_P(TracedApp, AccountingInvariantDenseMode)
 
 TEST_P(TracedApp, TraceJsonAndSpans)
 {
-    if (!kTracingCompiled)
-        GTEST_SKIP() << "built with PLAST_TRACING=0";
     AppRun run = runTraced(GetParam(), SimOptions::Mode::kActivity);
     EXPECT_TRUE(jsonWellFormed(run.traceJson)) << GetParam();
     EXPECT_FALSE(run.events.empty());
@@ -400,8 +398,6 @@ TEST_P(TracedApp, TracingDoesNotPerturbCycles)
 
 TEST_P(TracedApp, UtilizationCsvAndReport)
 {
-    if (!kTracingCompiled)
-        GTEST_SKIP() << "built with PLAST_TRACING=0";
     AppRun run = runTraced(GetParam(), SimOptions::Mode::kActivity);
     ASSERT_FALSE(run.utilCsv.empty());
     EXPECT_EQ(run.utilCsv.rfind("cycle,active,", 0), 0u)
