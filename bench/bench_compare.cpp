@@ -2,14 +2,14 @@
  * @file
  * The perf-regression gate: diffs two stats-JSON / manifest files and
  * exits nonzero when the current run regressed past the noise
- * thresholds. This is what turns the committed BENCH_*.json baselines
+ * thresholds, or moved a deterministic counter either way. This is what turns the committed BENCH_*.json baselines
  * from decoration into a contract — a PR that slows a gated metric
  * fails CI instead of silently rotting the perf trajectory.
  *
  *   bench_compare BASELINE.json CURRENT.json [options]
- *     --tol=F            relative slack for deterministic counters
- *                        (default 0: cycle counts and op counters must
- *                        match the baseline exactly)
+ *     --tol=F            relative slack, either way, for deterministic
+ *                        counters (default 0: cycle counts and op
+ *                        counters must match the baseline exactly)
  *     --time-tol=F       relative slack for wall-clock keys
  *                        (default 2.0: up to 3x slower still passes —
  *                        CI machines are noisy; catch order-of-
@@ -23,13 +23,16 @@
  * manifests diff as naturally as flat bench stats). String/bool/null
  * values and arrays are provenance, not measurements — skipped. A key
  * is wall-clock-like when it contains "wall", "seconds" or "_us";
- * everything else is deterministic. A baseline key missing from the
+ * everything else is deterministic. A wall-clock key fails only when
+ * it rises past its slack; a deterministic counter that falls is a
+ * changed machine or compiler too, so it fails as well until the
+ * baseline is regenerated with the change. A baseline key missing from the
  * current run fails the gate: a gated metric that silently vanishes
  * would otherwise stop being gated. Keys only in the current run (a
  * schema addition) are not gated until the baseline is regenerated.
  *
- * Exit codes: 0 pass, 1 regression(s) or missing key(s), 2 usage /
- * parse error.
+ * Exit codes: 0 pass, 1 regression(s), changed counter(s) or missing
+ * key(s), 2 usage / parse error.
  */
 
 #include <cctype>
@@ -283,7 +286,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    int regressions = 0, improved = 0, compared = 0, missing = 0;
+    int regressions = 0, changed = 0, improved = 0, compared = 0,
+        missing = 0;
     for (const auto &[key, bval] : base) {
         auto it = cur.find(key);
         if (it == cur.end()) {
@@ -304,6 +308,12 @@ main(int argc, char **argv)
                         key.c_str(), bval, cval, limit,
                         bval > 0 ? 100.0 * (cval - bval) / bval : 0.0);
             ++regressions;
+        } else if (!timey && cval < bval * (1.0 - relTol)) {
+            std::printf("CHANGED   %s: %.0f -> %.0f (floor %.0f, "
+                        "%+.1f%%)\n",
+                        key.c_str(), bval, cval, bval * (1.0 - relTol),
+                        bval > 0 ? 100.0 * (cval - bval) / bval : 0.0);
+            ++changed;
         } else if (cval < bval) {
             ++improved;
             if (verbose)
@@ -316,9 +326,9 @@ main(int argc, char **argv)
     }
 
     std::printf("bench_compare: %d compared, %d regressions, "
-                "%d improved, %d missing (tol=%g, time-tol=%g, "
-                "time-slack-us=%g)\n",
-                compared, regressions, improved, missing, tol, timeTol,
-                timeSlackUs);
-    return regressions || missing ? 1 : 0;
+                "%d changed, %d improved, %d missing (tol=%g, "
+                "time-tol=%g, time-slack-us=%g)\n",
+                compared, regressions, changed, improved, missing, tol,
+                timeTol, timeSlackUs);
+    return regressions || changed || missing ? 1 : 0;
 }

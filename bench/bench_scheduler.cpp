@@ -4,9 +4,9 @@
  * end to end under three engine combinations — dense tick +
  * interpreter, activity scheduling + interpreter, and activity
  * scheduling + specialized execution plans — and reports the
- * wall-clock speedups of the *simulation phase* (compile, place &
- * route and input loading are engine-independent and timed
- * separately). All combinations simulate the same machine — outputs,
+ * wall-clock speedups of the *simulation phase* (input staging and
+ * compile with place & route are engine-independent and timed in
+ * columns of their own). All combinations simulate the same machine — outputs,
  * cycles, counters and cycle ledgers (checkWholeRun, enforced here
  * fatally and by the test suite); the activity win
  * comes from not ticking blocked units, and the specialization win
@@ -33,33 +33,52 @@ namespace
 
 struct ModeRun
 {
-    double setupSeconds = 0; ///< compile + place-and-route + load
-    double simSeconds = 0;   ///< Runner::run() only
+    double setupSeconds = 0;   ///< build the program, stage its inputs
+    double compileSeconds = 0; ///< compile + place-and-route
+    double simSeconds = 0;     ///< Runner::run() only
     pir::Program prog;
     Runner::Result rec; ///< DRAM read back after the timed run
 };
+
+double
+secondsSince(std::chrono::steady_clock::time_point &t)
+{
+    auto now = std::chrono::steady_clock::now();
+    double s = std::chrono::duration<double>(now - t).count();
+    t = now;
+    return s;
+}
+
+/** Compile `runner`'s program now, so that run() times only the
+ *  simulation; fatal when it does not map. */
+void
+compileOrDie(Runner &runner)
+{
+    Status st = runner.tryCompile();
+    fatal_if(!st.ok(), "%s", st.message().c_str());
+}
 
 ModeRun
 timeApp(const apps::AppSpec &spec, apps::Scale scale, SimOptions opts,
         StatSet *statsOut = nullptr)
 {
-    auto t0 = std::chrono::steady_clock::now();
+    ModeRun out;
+    auto t = std::chrono::steady_clock::now();
     apps::AppInstance app = spec.make(scale);
     Runner runner(std::move(app.prog), ArchParams::plasticineFinal(),
                   opts);
     app.load(runner);
-    auto t1 = std::chrono::steady_clock::now();
+    out.setupSeconds = secondsSince(t);
+    compileOrDie(runner);
+    out.compileSeconds = secondsSince(t);
     Runner::Result res = runner.run();
-    auto t2 = std::chrono::steady_clock::now();
+    out.simSeconds = secondsSince(t);
 
     if (statsOut) {
         for (const auto &[name, value] : res.stats.all())
             statsOut->set(spec.name + "." + name, value);
     }
     runner.readBack(res);
-    ModeRun out;
-    out.setupSeconds = std::chrono::duration<double>(t1 - t0).count();
-    out.simSeconds = std::chrono::duration<double>(t2 - t1).count();
     out.prog = runner.program();
     out.rec = std::move(res);
     return out;
@@ -70,7 +89,7 @@ runPaperScaleInnerProduct()
 {
     std::printf("\n=== Paper-scale InnerProduct (768 M elements, "
                 "Table 7) — activity + specialized ===\n");
-    auto t0 = std::chrono::steady_clock::now();
+    auto t = std::chrono::steady_clock::now();
     apps::AppInstance app =
         apps::makeInnerProduct(apps::Scale::kPaper);
     SimOptions opts;
@@ -78,14 +97,14 @@ runPaperScaleInnerProduct()
     Runner runner(std::move(app.prog), ArchParams::plasticineFinal(),
                   opts);
     app.load(runner);
-    auto t1 = std::chrono::steady_clock::now();
+    double setup = secondsSince(t);
+    compileOrDie(runner);
+    double compile = secondsSince(t);
     Runner::Result res = runner.run();
-    auto t2 = std::chrono::steady_clock::now();
-    double setup = std::chrono::duration<double>(t1 - t0).count();
-    double sim = std::chrono::duration<double>(t2 - t1).count();
-    std::printf("completed: %llu cycles | setup %.1f s | sim %.1f s "
-                "(%.2f Mcycles/s)\n",
-                (unsigned long long)res.cycles, setup, sim,
+    double sim = secondsSince(t);
+    std::printf("completed: %llu cycles | setup %.1f s | compile %.1f s "
+                "| sim %.1f s (%.2f Mcycles/s)\n",
+                (unsigned long long)res.cycles, setup, compile, sim,
                 static_cast<double>(res.cycles) / sim / 1e6);
 }
 
@@ -110,9 +129,9 @@ main(int argc, char **argv)
 
     std::printf("=== Simulation-phase cost: dense+interp vs "
                 "activity+interp vs activity+specialized ===\n");
-    std::printf("%-14s | %10s | %8s | %9s %9s %9s | %7s %7s\n",
-                "benchmark", "cycles", "setup_s", "dense_s", "activ_s",
-                "spec_s", "act_x", "spec_x");
+    std::printf("%-14s | %10s | %8s %9s | %9s %9s %9s | %7s %7s\n",
+                "benchmark", "cycles", "setup_s", "compile_s", "dense_s",
+                "activ_s", "spec_s", "act_x", "spec_x");
 
     StatSet json_stats;
     double dense_total = 0, act_total = 0, spec_total = 0;
@@ -130,15 +149,17 @@ main(int argc, char **argv)
         dense_total += d.simSeconds;
         act_total += a.simSeconds;
         spec_total += s.simSeconds;
-        std::printf("%-14s | %10llu | %8.4f | %9.4f %9.4f %9.4f | "
+        std::printf("%-14s | %10llu | %8.4f %9.4f | %9.4f %9.4f %9.4f | "
                     "%6.2fx %6.2fx\n",
                     spec.name.c_str(), (unsigned long long)d.rec.cycles,
-                    s.setupSeconds, d.simSeconds, a.simSeconds,
-                    s.simSeconds, d.simSeconds / a.simSeconds,
+                    s.setupSeconds, s.compileSeconds, d.simSeconds,
+                    a.simSeconds, s.simSeconds, d.simSeconds / a.simSeconds,
                     d.simSeconds / s.simSeconds);
         if (!json_path.empty()) {
             json_stats.set(spec.name + ".wall_us.setup",
                            (uint64_t)(s.setupSeconds * 1e6));
+            json_stats.set(spec.name + ".wall_us.compile",
+                           (uint64_t)(s.compileSeconds * 1e6));
             json_stats.set(spec.name + ".wall_us.dense_interp",
                            (uint64_t)(d.simSeconds * 1e6));
             json_stats.set(spec.name + ".wall_us.activity_interp",
@@ -147,9 +168,9 @@ main(int argc, char **argv)
                            (uint64_t)(s.simSeconds * 1e6));
         }
     }
-    std::printf("%-14s | %10s | %8s | %9.4f %9.4f %9.4f | %6.2fx "
+    std::printf("%-14s | %10s | %8s %9s | %9.4f %9.4f %9.4f | %6.2fx "
                 "%6.2fx\n",
-                "total", "", "", dense_total, act_total, spec_total,
+                "total", "", "", "", dense_total, act_total, spec_total,
                 dense_total / act_total, dense_total / spec_total);
     bench::writeStatsJson(json_path, json_stats, "scheduler");
     if (paper)

@@ -63,6 +63,15 @@ mismatch(std::string what)
     return Status(StatusCode::kMismatch, std::move(what));
 }
 
+/** A word by value: its bits, as a signed integer and as a float
+ *  (nine digits, so two different floats never print alike). */
+std::string
+wordText(Word w)
+{
+    return strfmt("0x%08x (i32 %d, f32 %.9g)", w, static_cast<int32_t>(w),
+                  static_cast<double>(wordToFloat(w)));
+}
+
 /** The first differing element of two word sequences, or ok. */
 template <class Seq>
 Status
@@ -73,10 +82,9 @@ compareWords(const std::string &what, const Seq &want, const Seq &got)
                                want.size(), got.size()));
     for (size_t i = 0; i < want.size(); ++i) {
         if (want[i] != got[i])
-            return mismatch(strfmt("%s[%zu]: 0x%08x (%f) vs 0x%08x (%f)",
-                                   what.c_str(), i, want[i],
-                                   wordToFloat(want[i]), got[i],
-                                   wordToFloat(got[i])));
+            return mismatch(strfmt("%s[%zu]: %s vs %s", what.c_str(), i,
+                                   wordText(want[i]).c_str(),
+                                   wordText(got[i]).c_str()));
     }
     return Status();
 }

@@ -70,7 +70,10 @@ DramChannel::step(Cycles now, std::vector<DramReq> &completed)
     }
 
     Pending p = queue_[pick];
-    queue_.erase(queue_.begin() + static_cast<long>(pick));
+    if (pick == 0)
+        queue_.pop_front();
+    else
+        queue_.erase(queue_.begin() + static_cast<long>(pick));
 
     uint32_t bank = p.bank;
     int64_t row = p.row;
@@ -122,6 +125,15 @@ DramModel::step(Cycles now, std::vector<DramReq> &completed)
 {
     for (auto &ch : channels_)
         ch.step(now, completed);
+}
+
+Cycles
+DramModel::nextEvent(Cycles now) const
+{
+    Cycles next = kNeverCycle;
+    for (const auto &ch : channels_)
+        next = std::min(next, ch.nextEvent(now));
+    return next;
 }
 
 bool

@@ -12,6 +12,7 @@
 #ifndef PLAST_SIM_DRAM_HPP
 #define PLAST_SIM_DRAM_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "base/ring.hpp"
 #include "base/stateio.hpp"
 #include "base/types.hpp"
+#include "sim/simobject.hpp"
 
 namespace plast
 {
@@ -53,6 +55,17 @@ class DramChannel
     /** Schedule at most one command this cycle; deliver due responses
      *  into `completed`. */
     void step(Cycles now, std::vector<DramReq> &completed);
+    /** After step(now): the next cycle on which step() delivers a
+     *  response or may issue a command (kNeverCycle when idle). */
+    Cycles
+    nextEvent(Cycles now) const
+    {
+        Cycles next = responses_.empty() ? kNeverCycle
+                                         : responses_.front().readyAt;
+        if (!queue_.empty())
+            next = std::min(next, std::max(nextIssueAt_, now + 1));
+        return next;
+    }
 
     bool
     quiescent() const
@@ -135,9 +148,10 @@ class DramChannel
     Ring<Pending> responses_;
     Stats stats_;
     /** Earliest cycle the FR-FCFS scan could possibly issue (min bank
-     *  readyAt over the queue when every target bank was busy). Purely
-     *  an evaluation-skipping bound — 0 means "scan now" — so it is
-     *  not checkpointed; a restore conservatively rescans. */
+     *  readyAt over the queue when every target bank was busy), and so
+     *  the channel's next issue event. Purely an evaluation-skipping
+     *  bound — 0 means "scan now" — so it is not checkpointed; a
+     *  restore conservatively rescans. */
     Cycles nextIssueAt_ = 0;
 };
 
@@ -163,6 +177,8 @@ class DramModel
 
     void step(Cycles now, std::vector<DramReq> &completed);
     bool quiescent() const;
+    /** Earliest DramChannel::nextEvent over the channels. */
+    Cycles nextEvent(Cycles now) const;
 
     // --- Memory image -------------------------------------------------
     /** Ensure the image covers [0, bytes). */

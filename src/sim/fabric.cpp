@@ -302,7 +302,8 @@ Fabric::step()
         progress_ = false;
         for (SimUnit *u : units_)
             progress_ |= u->evaluate(now_) == Activity::kActive;
-        progress_ |= mem_.evaluate(now_) == Activity::kActive;
+        mem_.step(now_);
+        progress_ |= !mem_.quiescent();
         for (StreamBase *s : streams_)
             s->commit(now_);
         drainHostSinks();
@@ -338,11 +339,22 @@ Fabric::nextBusyCycle() const
     if (sched_.workPending())
         return now_;
     // Pending fault events bound a jump so injections land on their
-    // exact cycle.
+    // exact cycle (one due this cycle included).
     Cycles next = sched_.nextEventCycle();
     if (injector_)
-        next = std::min(next, injector_->nextDue(now_));
-    return next;
+        next = std::min(next, now_ ? injector_->nextDue(now_ - 1) : now_);
+    if (next == kNeverCycle)
+        return next;
+    // Nor does a jump pass a cycle on which dense ticking takes an
+    // auto-checkpoint (before its step) or scans for hangs or samples an
+    // epoch (after its step), so those land on the same cycles.
+    if (opts_.checkpointEvery)
+        next = std::min(next, nextCheckpointAt_);
+    if ((opts_.watchdogCycles || opts_.livelockCycles) && nextHangScanAt_)
+        next = std::min(next, nextHangScanAt_ - 1);
+    if (epochsOn_)
+        next = std::min(next, nextEpochAt_ - 1);
+    return std::max(next, now_);
 }
 
 /**
@@ -698,6 +710,9 @@ Fabric::classSums(std::array<uint64_t, kNumCycleClasses> &by,
         const CycleAcct &a = u->acct();
         for (size_t c = 0; c < kNumCycleClasses; ++c)
             by[c] += a.by[c] + a.sleptBy[c];
+        // A sleeping unit's cycles so far, as its next evaluation will
+        // attribute them: the sums match dense ticking's every cycle.
+        by[static_cast<size_t>(u->sleepClass())] += u->pendingSleep(now_);
     }
     dramBusy = 0;
     for (uint32_t c = 0; c < mem_.dram().numChannels(); ++c)

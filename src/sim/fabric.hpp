@@ -201,9 +201,10 @@ class Fabric
     {
         return const_cast<SimUnit *>(unit(ref));
     }
-    /** Activity mode: the next cycle on which anything can happen —
-     *  now() while work is pending, else the next stream arrival or
-     *  fault event; kNeverCycle when nothing ever will. */
+    /** Activity mode: the next cycle to simulate — now() while work is
+     *  pending, else the next stream arrival, memory event or fault
+     *  event, no later than the next checkpoint, hang-scan or epoch
+     *  duty; kNeverCycle when nothing ever will happen. */
     Cycles nextBusyCycle() const;
     void drainHostSinks();
 

@@ -160,16 +160,13 @@ AgSim::issueDense(Cycles now)
             classify(CycleClass::kDramWait);
             return false;
         }
-        DenseCmd cmd;
+        DenseCmd &cmd = dense_.push_slot();
         cmd.id = id;
         cmd.words = cfg_.wordsPerCmd;
+        cmd.received = 0;
+        cmd.pushed = 0;
         cmd.issuedAt = now;
-        if (!dataPool_.empty()) {
-            cmd.data = std::move(dataPool_.back());
-            dataPool_.pop_back();
-        }
         cmd.data.assign(cfg_.wordsPerCmd, 0);
-        dense_.push_back(std::move(cmd));
         stats_.wordsLoaded += cfg_.wordsPerCmd;
     }
     ++nextCmdId_;
@@ -288,7 +285,6 @@ AgSim::drainResponses(Cycles now)
             if (front.pushed >= front.words) {
                 traceAsync(trace_, traceTrack_, TraceName::kDramCmd,
                            front.issuedAt, now + 1, front.id);
-                dataPool_.push_back(std::move(front.data));
                 dense_.pop_front();
             }
         }
@@ -321,40 +317,46 @@ AgSim::finishRun(Cycles now)
     return true;
 }
 
+namespace
+{
+
+/** The in-flight command `cmdId` of `cmds` (ids are consecutive from
+ *  the front). */
+template <class Cmd>
+Cmd &
+commandFor(Ring<Cmd> &cmds, uint64_t cmdId, const char *what, uint32_t ag)
+{
+    const uint64_t at = cmds.empty() ? 0 : cmdId - cmds.front().id;
+    panic_if(at >= cmds.size() || cmds[at].id != cmdId,
+             "AG %u: %s for unknown command %llu", ag, what,
+             static_cast<unsigned long long>(cmdId));
+    return cmds[at];
+}
+
+} // namespace
+
 void
 AgSim::deliverWords(uint64_t cmdId, uint32_t wordOffset, const Word *data,
                     uint32_t count)
 {
-    // Commands are queued in id order (ids allocate monotonically and
-    // retire from the front), so the scan is a binary search.
-    auto it = std::lower_bound(
-        dense_.begin(), dense_.end(), cmdId,
-        [](const DenseCmd &cmd, uint64_t id) { return cmd.id < id; });
-    panic_if(it == dense_.end() || it->id != cmdId,
-             "AG %u: deliverWords for unknown command %llu", ref().index,
-             static_cast<unsigned long long>(cmdId));
-    DenseCmd &cmd = *it;
+    DenseCmd &cmd = commandFor(dense_, cmdId, "deliverWords", ref().index);
     panic_if(wordOffset + count > cmd.words,
              "AG %u: burst overflows command", ref().index);
     std::copy(data, data + count, cmd.data.begin() + wordOffset);
     cmd.received += count;
-    requestWake();
+    if (&cmd == &dense_.front() && cmd.received == cmd.words)
+        requestWake();
 }
 
 void
 AgSim::deliverLane(uint64_t cmdId, uint32_t lane, Word data)
 {
-    auto it = std::lower_bound(
-        sparse_.begin(), sparse_.end(), cmdId,
-        [](const SparseCmd &cmd, uint64_t id) { return cmd.id < id; });
-    panic_if(it == sparse_.end() || it->id != cmdId,
-             "AG %u: deliverLane for unknown command %llu", ref().index,
-             static_cast<unsigned long long>(cmdId));
-    SparseCmd &cmd = *it;
+    SparseCmd &cmd = commandFor(sparse_, cmdId, "deliverLane", ref().index);
     cmd.data.lane[lane] = data;
     panic_if(cmd.remaining == 0, "AG %u: extra lane delivery", ref().index);
     --cmd.remaining;
-    requestWake();
+    if (&cmd == &sparse_.front() && cmd.remaining == 0)
+        requestWake();
 }
 
 void
@@ -364,7 +366,8 @@ AgSim::ackWrite(uint64_t cmdId, uint32_t count)
     panic_if(outstandingWrites_ < count, "AG %u: spurious write ack",
              ref().index);
     outstandingWrites_ -= count;
-    requestWake();
+    if (outstandingWrites_ == 0)
+        requestWake();
 }
 
 // ====================================================================
@@ -416,13 +419,54 @@ MemSystem::freeBurst(uint32_t slot)
 }
 
 void
-MemSystem::park(CuState &c, AgSim *ag)
+MemSystem::addWaiter(CuState &c, AgSim *ag, uint32_t bursts)
 {
     // Dense ticking re-evaluates every AG each cycle anyway.
     if (!sched())
         return;
+    auto it = std::lower_bound(
+        c.waiting.begin(), c.waiting.end(), ag->ref().index,
+        [](const DenseWaiter &w, uint16_t i) { return w.ag->ref().index < i; });
+    if (it != c.waiting.end() && it->ag == ag)
+        it->bursts = bursts;
+    else
+        c.waiting.insert(it, DenseWaiter{ag, bursts});
+}
+
+void
+MemSystem::park(CuState &c, AgSim *ag)
+{
+    if (!sched())
+        return;
     if (std::find(c.parked.begin(), c.parked.end(), ag) == c.parked.end())
         c.parked.push_back(ag);
+}
+
+AgSim *
+MemSystem::nextWaiter(CuState &c)
+{
+    // Next cycle the port is free and `outstanding` holds until the
+    // first acceptance: dense ticking would retry every waiter in index
+    // order and admit the first whose bursts fit.
+    for (auto it = c.waiting.begin(); it != c.waiting.end();) {
+        if (it->ag->stuck())
+            it = c.waiting.erase(it); // never submits again
+        else if (c.outstanding + it->bursts <=
+                 params_.coalescerMaxOutstanding)
+            return it->ag;
+        else
+            ++it;
+    }
+    return nullptr;
+}
+
+void
+MemSystem::unitStuck()
+{
+    for (CuState &c : cus_) {
+        if (AgSim *ag = nextWaiter(c))
+            sched()->wakeNow(ag);
+    }
 }
 
 bool
@@ -434,11 +478,6 @@ MemSystem::submitDense(uint32_t cu, AgSim *ag, uint64_t cmdId,
     if (sched())
         sched()->memWork();
     CuState &c = cus_.at(cu);
-    if (c.acceptedThisCycle) {
-        // The port frees next cycle: retry then, as dense ticking does.
-        ag->requestWake();
-        return false;
-    }
     const Addr first_line = byteAddr / kBurstBytes;
     const Addr last_line = (byteAddr + words * 4 - 1) / kBurstBytes;
     const uint32_t n_bursts = static_cast<uint32_t>(last_line - first_line
@@ -447,9 +486,17 @@ MemSystem::submitDense(uint32_t cu, AgSim *ag, uint64_t cmdId,
              "dense command of %u bursts can never satisfy the "
              "outstanding budget (%u)",
              n_bursts, params_.coalescerMaxOutstanding);
-    if (c.outstanding + n_bursts > params_.coalescerMaxOutstanding) {
-        park(c, ag);
+    if (c.acceptedThisCycle ||
+        c.outstanding + n_bursts > params_.coalescerMaxOutstanding) {
+        addWaiter(c, ag, n_bursts);
         return false;
+    }
+    if (!c.waiting.empty()) {
+        auto it = std::find_if(
+            c.waiting.begin(), c.waiting.end(),
+            [ag](const DenseWaiter &w) { return w.ag == ag; });
+        if (it != c.waiting.end())
+            c.waiting.erase(it);
     }
     c.acceptedThisCycle = true;
     c.outstanding += n_bursts;
@@ -556,11 +603,9 @@ MemSystem::submitSparse(uint32_t cu, AgSim *ag, uint64_t cmdId,
 void
 MemSystem::step(Cycles now)
 {
-    for (auto &c : cus_)
-        c.acceptedThisCycle = false;
-
     // Each coalescing unit issues at most one burst per cycle.
     for (auto &c : cus_) {
+        c.acceptedThisCycle = false;
         if (c.issueQueue.empty())
             continue;
         uint32_t slot = c.issueQueue.front();
@@ -645,7 +690,7 @@ MemSystem::step(Cycles now)
         }
         panic_if(c.outstanding == 0, "coalescer outstanding underflow");
         --c.outstanding;
-        // Capacity freed: the AGs it refused try again next cycle.
+        // Capacity freed: the sparse AGs it refused try again next cycle.
         for (AgSim *ag : c.parked)
             ag->requestWake();
         c.parked.clear();
@@ -656,6 +701,13 @@ MemSystem::step(Cycles now)
         if (mit != c.mergeTable.end() && mit->second == slot)
             c.mergeTable.erase(mit);
         freeBurst(slot);
+    }
+
+    for (CuState &c : cus_) {
+        if (c.waiting.empty())
+            continue;
+        if (AgSim *ag = nextWaiter(c))
+            ag->requestWake();
     }
 
     // Outstanding-burst counter per coalescing unit, on change only.
@@ -669,6 +721,24 @@ MemSystem::step(Cycles now)
             }
         }
     }
+}
+
+Cycles
+MemSystem::nextEvent(Cycles now) const
+{
+    Cycles next = dram_.nextEvent(now);
+    for (const CuState &c : cus_) {
+        if (c.issueQueue.empty())
+            continue;
+        const Burst &b = slab_[c.issueQueue.front()];
+        if (b.notBefore > now)
+            next = std::min(next, b.notBefore);
+        else if (dram_.channel(dram_.channelOf(b.lineAddr)).canSubmit())
+            next = std::min(next, now + 1);
+        // Otherwise the channel's next issue frees a queue slot, and
+        // this unit can issue on the cycle after.
+    }
+    return next;
 }
 
 bool

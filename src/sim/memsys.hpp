@@ -10,7 +10,6 @@
 #ifndef PLAST_SIM_MEMSYS_HPP
 #define PLAST_SIM_MEMSYS_HPP
 
-#include <deque>
 #include <map>
 #include <vector>
 
@@ -65,7 +64,10 @@ class AgSim : public SimUnit
     void step(Cycles now) override;
     bool busy() const override { return state_ != State::kIdle; }
 
-    // Callbacks from the memory system.
+    // Callbacks from the memory system. Each wakes the AG only when the
+    // AG can act on it: a delivery that completes the front command (the
+    // only one drainResponses emits) or the ack of the last outstanding
+    // write (the only one the drain-out state waits for).
     void deliverWords(uint64_t cmdId, uint32_t wordOffset, const Word *data,
                       uint32_t count);
     void deliverLane(uint64_t cmdId, uint32_t lane, Word data);
@@ -175,8 +177,11 @@ class AgSim : public SimUnit
     ChainState chain_;
     uint32_t fill_ = 0;
     uint64_t nextCmdId_ = 1;
-    std::deque<DenseCmd> dense_;
-    std::deque<SparseCmd> sparse_;
+    /** In flight, in command-id order. Ids of one AG's loads are
+     *  consecutive, so a response finds its command at
+     *  `cmdId - front().id`; ring slots keep their data buffers. */
+    Ring<DenseCmd> dense_;
+    Ring<SparseCmd> sparse_;
     /** Lanes of the current sparse vector still awaiting acceptance. */
     uint32_t sparsePendingMask_ = 0;
     uint64_t sparsePendingId_ = 0;
@@ -198,8 +203,6 @@ class AgSim : public SimUnit
      *  invalidated at run start, on issue, and on restore. */
     bool trialValid_ = false;
     Addr trialByteAddr_ = 0;
-    /** Recycled DenseCmd::data buffers (host-side cache, no state). */
-    std::vector<std::vector<Word>> dataPool_;
 
     Cycles runStart_ = 0; ///< cycle the current run's tokens fired
     Stats stats_;
@@ -209,6 +212,12 @@ class AgSim : public SimUnit
  * The coalescing units (one per DRAM channel) plus the DRAM model. AGs
  * call in with commands; each coalescing unit accepts at most one AG
  * command per cycle and tracks outstanding bursts.
+ *
+ * Under the activity scheduler the memory phase runs only on a cycle
+ * with a submit or on its next event (nextEvent), and a refused AG
+ * sleeps until it could be accepted: a dense AG on its unit's waiting
+ * list until it is the lowest-index waiter whose bursts fit, a sparse
+ * AG until a burst on its unit retires.
  */
 class MemSystem : public SimObject
 {
@@ -219,7 +228,9 @@ class MemSystem : public SimObject
     const DramModel &dram() const { return dram_; }
 
     /** Dense command: `words` contiguous words at byteAddr. Returns
-     *  false when the channel's coalescing unit cannot accept. */
+     *  false when the channel's coalescing unit cannot accept: its port
+     *  took a command this cycle, or too few outstanding slots are
+     *  free. A refused AG joins the unit's waiting list. */
     bool submitDense(uint32_t cu, AgSim *ag, uint64_t cmdId, Addr byteAddr,
                      uint32_t words, bool write, const Word *data);
 
@@ -233,17 +244,23 @@ class MemSystem : public SimObject
                           const Vec &addrs, uint32_t lanes, bool write,
                           const Vec *data);
 
+    /** One memory phase: each coalescing unit issues at most one burst,
+     *  the channels schedule and respond, retired bursts wake their AGs
+     *  and each unit wakes the next dense waiter it would accept. */
     void step(Cycles now);
     bool quiescent() const;
+    /** After step(now): the first later cycle on which step() can change
+     *  anything without a new submit (a response due, a channel's next
+     *  issue, a coalescer issue the channel can take, the end of a retry
+     *  backoff); kNeverCycle exactly when quiescent, since every burst
+     *  in flight waits for one of these. */
+    Cycles nextEvent(Cycles now) const;
 
-    /** Activity adapter: the DRAM timing model is cycle-driven, so the
-     *  memory system stays active every cycle until fully quiescent. */
-    Activity
-    evaluate(Cycles now) override
-    {
-        step(now);
-        return quiescent() ? Activity::kBlocked : Activity::kActive;
-    }
+    /** A unit was hard-faulted at this cycle boundary: each coalescing
+     *  unit's next dense waiter evaluates on the coming cycle, since a
+     *  stuck AG no longer takes the port (it may have been the one
+     *  woken for it). */
+    void unitStuck();
 
     struct Stats
     {
@@ -310,6 +327,14 @@ class MemSystem : public SimObject
         Cycles notBefore = 0;  ///< backoff: earliest re-issue cycle
     };
 
+    /** A dense AG refused by its coalescing unit, and the bursts its
+     *  command needs. */
+    struct DenseWaiter
+    {
+        AgSim *ag;
+        uint32_t bursts;
+    };
+
     struct CuState
     {
         bool acceptedThisCycle = false;
@@ -317,15 +342,24 @@ class MemSystem : public SimObject
         /** coalescing cache: pending line -> burst slot */
         std::map<Addr, uint32_t> mergeTable;
         Ring<uint32_t> issueQueue;
-        /** AGs refused for outstanding budget or cache lines. Only a
-         *  burst retiring on this unit frees either, so they sleep
-         *  until then. Scheduler bookkeeping: never checkpointed. */
+        /** Dense AGs refused for the port or the outstanding budget, by
+         *  AG index. Dense ticking retries them all every cycle and
+         *  admits the first whose bursts fit, so each memory phase wakes
+         *  just that one; the rest sleep. An AG leaves on acceptance,
+         *  and a stuck one is dropped. */
+        std::vector<DenseWaiter> waiting;
+        /** Sparse AGs refused for outstanding budget or cache lines.
+         *  Only a burst retiring on this unit frees either, so they
+         *  sleep until then. */
         std::vector<AgSim *> parked;
+        // Both lists are scheduler bookkeeping: never checkpointed.
     };
 
     uint32_t allocBurst(uint32_t cu, Addr lineAddr, bool write);
     void freeBurst(uint32_t slot);
+    void addWaiter(CuState &c, AgSim *ag, uint32_t bursts);
     void park(CuState &c, AgSim *ag);
+    AgSim *nextWaiter(CuState &c);
 
     ArchParams params_;
     DramModel dram_;
@@ -359,9 +393,11 @@ class MemSystem : public SimObject
             io(ar, c.outstanding);
             io(ar, c.mergeTable);
             io(ar, c.issueQueue);
-            // A restore re-arms every unit; AGs still refused re-park.
-            if constexpr (!Ar::kSaving)
+            // A restore re-arms every unit; AGs still refused re-join.
+            if constexpr (!Ar::kSaving) {
+                c.waiting.clear();
                 c.parked.clear();
+            }
         }
         uint64_t slots = slab_.size();
         io(ar, slots);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/memsys.hpp"
 #include "sim/stream.hpp"
 
 namespace plast
@@ -18,7 +19,7 @@ Scheduler::addUnit(SimObject *u)
 }
 
 void
-Scheduler::addMem(SimObject *m)
+Scheduler::addMem(MemSystem *m)
 {
     m->sched_ = this;
     m->seq_ = nextSeq_++;
@@ -50,9 +51,31 @@ Scheduler::rearmAll()
         s->armedAt_ = kNeverCycle;
         streamDirty(s);
     }
-    // The memory phase polls itself back to quiescence.
-    memBusy_ = mem_ != nullptr;
-    memWork_ = false;
+    // The memory phase runs next cycle and re-derives its next event.
+    memWork_ = mem_ != nullptr;
+}
+
+bool
+Scheduler::bySeq(const SimObject *a, const SimObject *b)
+{
+    return a->seq_ < b->seq_;
+}
+
+void
+Scheduler::wakeNow(SimObject *u)
+{
+    if (u->inRun_)
+        return;
+    u->inRun_ = true;
+    run_.insert(std::upper_bound(run_.begin(), run_.end(), u, bySeq), u);
+}
+
+void
+Scheduler::unitStuck(SimObject *u)
+{
+    wakeNow(u);
+    if (mem_)
+        mem_->unitStuck();
 }
 
 void
@@ -102,12 +125,8 @@ Scheduler::applyWakes()
         }
     }
     wakePending_.clear();
-    if (added) {
-        std::sort(run_.begin(), run_.end(),
-                  [](const SimObject *a, const SimObject *b) {
-                      return a->seq_ < b->seq_;
-                  });
-    }
+    if (added)
+        std::sort(run_.begin(), run_.end(), bySeq);
 }
 
 void
@@ -146,13 +165,16 @@ Scheduler::runCycle(Cycles now)
     run_.resize(keep);
 
     // Phase 2: the memory system (coalescing units + DRAM timing) runs
-    // on submit cycles and then polls itself while non-quiescent.
-    if (mem_ && (memBusy_ || memWork_)) {
+    // on submit cycles and on its next event. On the cycles between,
+    // dense ticking's memory step changes nothing but still reports the
+    // non-quiescent memory as progress.
+    if (mem_ && (memWork_ || memNextAt_ <= now)) {
         memWork_ = false;
-        memBusy_ = (mem_->evaluate(now) == Activity::kActive);
-        if (memBusy_)
-            progress_ = true;
+        mem_->step(now);
+        memNextAt_ = mem_->nextEvent(now);
     }
+    if (memNextAt_ != kNeverCycle)
+        progress_ = true;
 
     // Phase 3: commit dirty streams; route wakes. Dirt created from
     // here on (e.g. host-sink pops) belongs to the next cycle.

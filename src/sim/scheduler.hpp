@@ -7,22 +7,24 @@
  *    sleeps until a stream attached to one of its ports delivers
  *    (consumer wake) or drains (producer wake), or the memory system
  *    wakes it directly. The memory system wakes an AG when a response
- *    or write ack reaches it; when its coalescing unit refused a
- *    command because the port already took one this cycle (retry next
- *    cycle, as under dense ticking); and, for a refusal on outstanding
- *    budget or cache lines, when a burst on that coalescing unit
- *    retires — nothing else frees that capacity, so the AG sleeps
- *    instead of polling;
+ *    completes its front command or acks its last outstanding write.
+ *    A dense AG its coalescing unit refused (port taken this cycle, or
+ *    too few outstanding slots) waits on that unit's list; each memory
+ *    phase wakes the lowest-index waiter whose bursts fit, the one
+ *    dense ticking admits next cycle. A sparse AG refused for the port
+ *    retries next cycle, and one refused for budget or cache lines
+ *    sleeps until a burst on its unit retires;
  *  - the memory system runs on cycles where an AG submitted a command
- *    and then polls itself while non-quiescent (DRAM timing is
- *    cycle-driven);
+ *    and on its own next event (a response due, a channel issue, a
+ *    coalescer issue, the end of a retry backoff); while it is not
+ *    quiescent every cycle still counts as progress;
  *  - streams commit only on cycles where traffic was staged or an
  *    in-flight element is due; each in-flight element schedules its
- *    own arrival cycle, so fully idle regions cost zero per-cycle
- *    work and can be skipped wholesale (fast-forward).
+ *    own arrival cycle, so regions where only arrivals and memory
+ *    events are pending can be skipped wholesale (fast-forward).
  *
  * Deadlock detection falls out of the design: an empty active set
- * (no runnable unit, quiet memory, no dirty stream, no pending
+ * (no runnable unit, no memory event, no dirty stream, no pending
  * arrival) while the root controller is incomplete IS the deadlock
  * condition — no windowed no-progress scan required.
  *
@@ -36,6 +38,7 @@
 #ifndef PLAST_SIM_SCHEDULER_HPP
 #define PLAST_SIM_SCHEDULER_HPP
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -45,6 +48,7 @@
 namespace plast
 {
 
+class MemSystem;
 class StreamBase;
 
 class Scheduler
@@ -54,8 +58,8 @@ class Scheduler
     /** Register a unit; starts awake. Registration order defines the
      *  deterministic evaluation order. */
     void addUnit(SimObject *u);
-    /** Register the memory-phase object (evaluated after all units). */
-    void addMem(SimObject *m);
+    /** Register the memory system (its phase runs after all units). */
+    void addMem(MemSystem *m);
     /** Register a routed stream (commit phase). */
     void addStream(StreamBase *s);
 
@@ -73,6 +77,12 @@ class Scheduler
         traceInstant(trace_, u->traceTrack(), TraceName::kWake,
                      curCycle_);
     }
+    /** Evaluate `u` on the coming cycle. Only between cycles. */
+    void wakeNow(SimObject *u);
+    /** `u` was hard-faulted at this cycle boundary: it evaluates on the
+     *  coming cycle, classifying it stuck as dense ticking does, and
+     *  the memory system re-picks its waiters without it. */
+    void unitStuck(SimObject *u);
     /** The memory phase must run this cycle (an AG submitted). */
     void memWork() { memWork_ = true; }
     /** Commit `s` at the next commit phase. */
@@ -84,20 +94,22 @@ class Scheduler
 
     // ---- queries -----------------------------------------------------
     /** True when the next cycle has work: an awake unit, a pending
-     *  wake, a dirty stream or memory work. Otherwise the clock can
-     *  jump to nextEventCycle(), and with no event scheduled nothing
-     *  can ever happen again without external input. */
+     *  wake, a dirty stream or forced memory work. Otherwise the clock
+     *  can jump to nextEventCycle(), and with no event scheduled
+     *  nothing can ever happen again without external input. */
     bool
     workPending() const
     {
         return !run_.empty() || !wakePending_.empty() || !dirty_.empty() ||
-               memBusy_ || memWork_;
+               memWork_;
     }
-    /** Earliest scheduled arrival commit (kNeverCycle when none). */
+    /** Earliest scheduled arrival commit or memory event (kNeverCycle
+     *  when none). */
     Cycles
     nextEventCycle() const
     {
-        return timers_.empty() ? kNeverCycle : timers_.front().first;
+        Cycles t = timers_.empty() ? kNeverCycle : timers_.front().first;
+        return std::min(t, memNextAt_);
     }
     /** Did the last runCycle see unit or memory activity? (The same
      *  progress bit dense ticking records from every unit's report.) */
@@ -128,6 +140,7 @@ class Scheduler
     }
 
   private:
+    static bool bySeq(const SimObject *a, const SimObject *b);
     void scheduleArrival(Cycles cycle, StreamBase *s);
     void applyWakes();
 
@@ -136,9 +149,11 @@ class Scheduler
     std::vector<SimObject *> wakePending_; ///< wakes for next cycle
     std::vector<SimObject *> allUnits_;    ///< every registered unit
     std::vector<StreamBase *> allStreams_; ///< every registered stream
-    SimObject *mem_ = nullptr;
-    bool memBusy_ = false; ///< memory phase polls while non-quiescent
+    MemSystem *mem_ = nullptr;
     bool memWork_ = false; ///< memory phase forced this cycle
+    /** The memory phase's next event; a memory system with one is not
+     *  quiescent, which counts as progress. */
+    Cycles memNextAt_ = kNeverCycle;
     std::vector<StreamBase *> dirty_;      ///< commit next commit phase
     std::vector<StreamBase *> commitRun_;  ///< scratch for runCycle
     /** Min-heap of pending arrival commits (cycle, stream). Entries

@@ -6,8 +6,9 @@
  * two-phase tick:
  *
  *   evaluate(now)  reads committed state, performs this cycle's work
- *                  and stages stream pushes/pops (units and the memory
- *                  system implement this phase);
+ *                  and stages stream pushes/pops (units implement this
+ *                  phase; the memory system runs its own step between
+ *                  the units and the commit, on its events);
  *   commit(now)    makes staged state visible to the next cycle
  *                  (streams implement this phase).
  *
@@ -74,8 +75,8 @@ class SimObject
 
     /** Ask the scheduler (when attached) to evaluate this object next
      *  cycle. No-op under dense ticking. Used by the memory system to
-     *  wake AGs on response delivery, port-busy retry, and freed
-     *  coalescer capacity. */
+     *  wake an AG on a response it can act on, on its turn at a
+     *  coalescing unit, and on freed coalescer capacity. */
     void requestWake();
 
     /** Attach the fabric's trace sink (null = tracing off). */

@@ -4,9 +4,18 @@
 
 #include "base/logging.hpp"
 #include "sim/fuexec.hpp"
+#include "sim/scheduler.hpp"
 
 namespace plast
 {
+
+void
+SimUnit::setStuck(bool s)
+{
+    stuck_ = s;
+    if (s && sched())
+        sched()->unitStuck(this);
+}
 
 bool
 tokensReady(const ControlCfg &ctrl, const UnitPorts &ports,

@@ -88,8 +88,7 @@ class SimUnit : public SimObject
     Activity
     evaluate(Cycles now) final
     {
-        if (lastEval_ != kNeverCycle && now > lastEval_ + 1) {
-            uint64_t gap = now - lastEval_ - 1;
+        if (uint64_t gap = pendingSleep(now)) {
             acct_.slept += gap;
             acct_.sleptBy[static_cast<size_t>(lastClass_)] += gap;
         }
@@ -119,9 +118,22 @@ class SimUnit : public SimObject
         return progress_ ? Activity::kActive : Activity::kBlocked;
     }
 
-    /** Hard-fault a unit: it stops evaluating its state machine. */
-    void setStuck(bool s) { stuck_ = s; }
+    /** Hard-fault a unit at a cycle boundary: it stops evaluating its
+     *  state machine from the coming cycle on. */
+    void setStuck(bool s);
     bool stuck() const { return stuck_; }
+
+    /** Cycles after the last evaluation, up to `now`, that the next
+     *  evaluation will attribute to sleepClass() (0 for a unit that
+     *  evaluated on cycle now - 1). */
+    uint64_t
+    pendingSleep(Cycles now) const
+    {
+        return lastEval_ == kNeverCycle || now <= lastEval_ + 1
+                   ? 0
+                   : now - lastEval_ - 1;
+    }
+    CycleClass sleepClass() const { return lastClass_; }
 
     /** Cycle of the most recent progress-making evaluation (0 before
      *  the first); the control watchdogs compare this against `now`. */

@@ -75,12 +75,18 @@ TEST(RunRecord, ComparisonsNameTheFirstDifference)
     };
     EXPECT_EQ(whole(oracle, fast), "");
 
+    // A differing word prints as bits, signed integer and float.
     Runner::Result got = fast;
     got.dram[out][5] ^= 1;
     EXPECT_EQ(checkOutputs(prog, oracle, got, "a vs b").message(),
               whole(oracle, got));
-    EXPECT_EQ(whole(oracle, got).rfind("a vs b dram 'out'[5]: ", 0), 0u)
-        << whole(oracle, got);
+    EXPECT_EQ(whole(oracle, got),
+              "a vs b dram 'out'[5]: 0x41700000 (i32 1097859072, f32 15) "
+              "vs 0x41700001 (i32 1097859073, f32 15.000001)");
+    got.dram[out][5] = 0x00007fe2;
+    EXPECT_EQ(whole(oracle, got),
+              "a vs b dram 'out'[5]: 0x41700000 (i32 1097859072, f32 15) "
+              "vs 0x00007fe2 (i32 32738, f32 4.58757091e-41)");
 
     got = fast;
     got.stats.add("mem.bursts");

@@ -1,13 +1,17 @@
 /** @file Activity-driven scheduler: whole-run parity of the
  *  production default (activity + specialized) against the dense +
  *  interpreter oracle on every benchmark, the same stop cycle at every
- *  max-cycle cap, AGs sleeping on coalescer capacity, fast-forward
- *  behavior, and exact deadlock detection (empty active set) on a
- *  stalled credit loop. */
+ *  max-cycle cap, AGs sleeping on coalescer capacity and on waiting
+ *  lists (hard-faulted ones too), checkpoints, epoch rows and watchdog
+ *  verdicts on dense mode's cycles despite fast-forward, and exact
+ *  deadlock detection (empty active set) on a stalled credit loop. */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
+#include <set>
+#include <sstream>
 
 #include "apps/apps.hpp"
 #include "base/logging.hpp"
@@ -345,16 +349,29 @@ TEST(SchedulerStats, StreamCountersAreWired)
 namespace
 {
 
+/** A CapacityCycleParity case names an app; this suffix runs it on one
+ *  DRAM channel, so every AG shares one coalescing unit and most
+ *  refusals are for its port. */
+const std::string kOneChannel = " on one channel";
+
+std::string
+appOf(const std::string &pressureCase)
+{
+    return pressureCase.substr(0, pressureCase.find(kOneChannel));
+}
+
 /** Two outstanding bursts and two coalescing-cache lines per unit:
  *  dense and sparse AGs alike are refused for capacity most cycles.
  *  DRAM ECC turns injected double-bit responses into retries. */
 ArchParams
-pressuredParams()
+pressuredParams(const std::string &pressureCase)
 {
     ArchParams p = ArchParams::plasticineFinal();
     p.coalescerMaxOutstanding = 2;
     p.coalescerCacheLines = 2;
     p.dram.ecc = true;
+    if (appOf(pressureCase) != pressureCase)
+        p.dram.channels = 1;
     return p;
 }
 
@@ -366,14 +383,15 @@ struct PressuredRun
     uint64_t agDramWaitSteps = 0, agDramWait = 0;
 };
 
-/** Run under pressuredParams(), checked against the reference
- *  evaluator, optionally with DRAM faults injected. */
+/** Run a pressure case, checked against the reference evaluator,
+ *  optionally with DRAM faults injected. */
 PressuredRun
-runPressured(const std::string &name, SimOptions opts,
+runPressured(const std::string &pressureCase, SimOptions opts,
              const resilience::FaultPlan *faults = nullptr)
 {
     setVerbose(false);
-    ArchParams params = pressuredParams();
+    const std::string name = appOf(pressureCase);
+    ArchParams params = pressuredParams(pressureCase);
     apps::AppInstance app = specByName(name).make(apps::Scale::kTiny);
     Runner r(std::move(app.prog), params, opts);
     app.load(r);
@@ -419,9 +437,11 @@ agStepped(const StatSet &stats)
 
 } // namespace
 
-/** Capacity refusals park the AG on its coalescing unit until a burst
- *  there retires, instead of re-polling every cycle. Parameter: an
- *  app with dense (InnerProduct) or sparse (SMDV) AGs. */
+/** Refused AGs sleep instead of re-polling every cycle: a dense AG on
+ *  its coalescing unit's waiting list until it is the lowest-index
+ *  waiter whose bursts fit, a sparse AG until a burst there retires.
+ *  Parameter: an app with dense (InnerProduct, TPC-H Q6) or sparse
+ *  (SMDV) AGs, and TPC-H Q6 with its eight dense AGs on one unit. */
 class CapacityCycleParity : public ::testing::TestWithParam<std::string>
 {
 };
@@ -430,7 +450,7 @@ TEST_P(CapacityCycleParity, SleepingAgsMatchDenseInterpBitExactly)
 {
     PressuredRun oracle = runPressured(GetParam(), denseOpts());
     PressuredRun fast = runPressured(GetParam(), SimOptions{});
-    expectSameRun(GetParam(), oracle.result, fast.result);
+    expectSameRun(appOf(GetParam()), oracle.result, fast.result);
 
     // Under dense ticking every AG steps every cycle; asleep AGs cost
     // nothing, so capacity waits must not be polled.
@@ -450,8 +470,8 @@ TEST_P(CapacityCycleParity, SleepingAgsMatchDenseInterpBitExactly)
 
 /** A mid-run snapshot holds live slab slots: it must restore into a
  *  fresh fabric and re-save to the identical tape, and rolling a
- *  running fabric back onto it (AGs parked, parked lists cleared by
- *  the restore) must finish bit-exactly. */
+ *  running fabric back onto it (AGs asleep on waiting and parked
+ *  lists, which the restore clears) must finish bit-exactly. */
 TEST_P(CapacityCycleParity, MidRunCheckpointRoundTrips)
 {
     setVerbose(false);
@@ -461,8 +481,9 @@ TEST_P(CapacityCycleParity, MidRunCheckpointRoundTrips)
     SimOptions so;
     so.checkpointEvery = std::max<Cycles>(1, total / 8);
     so.keepCheckpoints = 16;
-    apps::AppInstance app = specByName(GetParam()).make(apps::Scale::kTiny);
-    Runner r(app.prog, pressuredParams(), so);
+    apps::AppInstance app =
+        specByName(appOf(GetParam())).make(apps::Scale::kTiny);
+    Runner r(app.prog, pressuredParams(GetParam()), so);
     app.load(r);
     Runner::Result out;
     ASSERT_TRUE(r.tryRun(out).ok());
@@ -518,10 +539,229 @@ TEST_P(CapacityCycleParity, DramRetryReissuesThroughTheSlab)
     }
     PressuredRun oracle = runPressured(GetParam(), denseOpts(), &plan);
     PressuredRun fast = runPressured(GetParam(), SimOptions{}, &plan);
-    expectSameRun(GetParam(), oracle.result, fast.result);
+    expectSameRun(appOf(GetParam()), oracle.result, fast.result);
     EXPECT_EQ(oracle.dramRetries, fast.dramRetries);
     EXPECT_GE(fast.dramRetries, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(DenseAndSparseAgs, CapacityCycleParity,
-                         ::testing::Values("InnerProduct", "SMDV"));
+                         ::testing::Values("InnerProduct", "SMDV",
+                                           "TPC-H Query 6",
+                                           "TPC-H Query 6" + kOneChannel));
+
+namespace
+{
+
+/** The two fabrics' records at their common stop, DRAM read back. */
+Status
+sameMachine(const pir::Program &prog, const compiler::MapResult &map,
+            const Fabric &dense, const Fabric &activity, Cycles stop)
+{
+    auto record = [&](const Fabric &f) {
+        RunRecord rec = captureRun(f, prog, stop);
+        readBackDram(f, prog, map, rec);
+        return rec;
+    };
+    return checkWholeRun(prog, record(dense), record(activity),
+                         "dense+interp vs activity+specialized");
+}
+
+/** Hard-fault the AG with index `ag`, at this cycle boundary. */
+void
+stickAg(Fabric &f, uint32_t ag)
+{
+    const_cast<AgSim *>(f.agPtr(ag))->setStuck(true);
+}
+
+/** Where a probe run of TPC-H Q6 on one channel (its eight dense AGs
+ *  share one coalescing unit) refused and accepted each AG's
+ *  commands. */
+struct WaitProbe
+{
+    std::vector<std::set<Cycles>> refused, accepted;
+};
+
+/** Hard-fault one AG at the cycle boundary `choose(probe)` picks, in a
+ *  dense and an activity fabric, and check both reach the same state on
+ *  the cycle activity mode reports the deadlock the stuck AG causes. */
+void
+expectStuckWaiterParity(
+    const std::function<std::pair<uint32_t, Cycles>(const WaitProbe &)>
+        &choose)
+{
+    setVerbose(false);
+    const std::string pressureCase = "TPC-H Query 6" + kOneChannel;
+    apps::AppInstance app =
+        specByName(appOf(pressureCase)).make(apps::Scale::kTiny);
+    Runner r(app.prog, pressuredParams(pressureCase));
+    app.load(r);
+    ASSERT_TRUE(r.tryCompile().ok());
+    const compiler::MapResult &map = r.mapResult();
+
+    auto probe = loadedFabric(r, map, SimOptions{});
+    const size_t numAgs = map.fabric.ags.size();
+    WaitProbe seen{std::vector<std::set<Cycles>>(numAgs),
+                   std::vector<std::set<Cycles>>(numAgs)};
+    const auto wait = static_cast<size_t>(CycleClass::kDramWait);
+    for (Cycles cap = 1;; ++cap) {
+        std::vector<uint64_t> waits(numAgs, 0), cmds(numAgs, 0);
+        for (uint32_t i = 0; i < numAgs; ++i) {
+            if (const AgSim *ag = probe->agPtr(i)) {
+                waits[i] = ag->acct().by[wait];
+                cmds[i] = ag->stats().denseCmds;
+            }
+        }
+        RunResult rr = probe->runChecked(cap);
+        for (uint32_t i = 0; i < numAgs; ++i) {
+            const AgSim *ag = probe->agPtr(i);
+            if (ag && ag->acct().by[wait] > waits[i])
+                seen.refused[i].insert(cap - 1);
+            if (ag && ag->stats().denseCmds > cmds[i])
+                seen.accepted[i].insert(cap - 1);
+        }
+        if (rr.status.ok())
+            break;
+        ASSERT_EQ(rr.status.code(), StatusCode::kMaxCycles);
+    }
+    const auto [victim, at] = choose(seen);
+    ASSERT_NE(at, kNeverCycle) << "no such AG in the probe run";
+
+    auto dense = loadedFabric(r, map, denseOpts());
+    auto activity = loadedFabric(r, map, SimOptions{});
+    ASSERT_EQ(dense->runChecked(at).status.code(), StatusCode::kMaxCycles);
+    ASSERT_EQ(activity->runChecked(at).status.code(),
+              StatusCode::kMaxCycles);
+    stickAg(*dense, victim);
+    stickAg(*activity, victim);
+    // The run can no longer finish; activity mode sees the deadlock
+    // form, and the dense oracle must reach that cycle in the same
+    // state.
+    RunResult a = activity->runChecked(at + 100'000);
+    RunResult d = dense->runChecked(activity->now());
+    EXPECT_EQ(a.status.code(), StatusCode::kDeadlock) << a.status.message();
+    EXPECT_EQ(d.status.code(), StatusCode::kMaxCycles);
+    ASSERT_EQ(dense->now(), activity->now());
+    Status st = sameMachine(app.prog, map, *dense, *activity,
+                            activity->now());
+    EXPECT_TRUE(st.ok()) << "AG " << victim << " stuck at cycle " << at
+                         << ": " << st.message();
+}
+
+} // namespace
+
+/** An AG hard-faulted while it sleeps on its coalescing unit's waiting
+ *  list never takes the port again: when its bursts would fit, the
+ *  unit drops it and wakes the next waiter whose bursts fit, which
+ *  dense ticking admits on the same cycle. The victim was refused on
+ *  the cycle before and still has commands to issue. */
+TEST(WaitingListParity, StuckAgIsDroppedFromItsWaitingList)
+{
+    expectStuckWaiterParity([](const WaitProbe &p) {
+        for (uint32_t i = 0; i < p.refused.size(); ++i) {
+            for (Cycles c : p.refused[i]) {
+                if (c >= 64 && !p.accepted[i].count(c + 1) &&
+                    !p.accepted[i].empty() && c < *p.accepted[i].rbegin())
+                    return std::make_pair(i, c + 1);
+            }
+        }
+        return std::make_pair(0u, kNeverCycle);
+    });
+}
+
+/** The waiter the unit woke for the coming cycle is hard-faulted at
+ *  the cycle boundary: the unit re-picks at once, so the next waiter
+ *  whose bursts fit takes the port on that cycle, as under dense
+ *  ticking. */
+TEST(WaitingListParity, StuckPickHandsThePortToTheNextWaiter)
+{
+    expectStuckWaiterParity([](const WaitProbe &p) {
+        for (uint32_t i = 0; i < p.refused.size(); ++i) {
+            for (Cycles c : p.refused[i]) {
+                if (c >= 64 && p.accepted[i].count(c + 1))
+                    return std::make_pair(i, c + 1);
+            }
+        }
+        return std::make_pair(0u, kNeverCycle);
+    });
+}
+
+/** Activity mode jumps the clock over cycles where only arrivals and
+ *  memory events are pending, but never past a cycle on which dense
+ *  ticking takes an auto-checkpoint, samples an epoch or scans for a
+ *  hang. So both modes checkpoint on the same cycles, and each
+ *  checkpoint resumes to the same run; they write the same epoch
+ *  rows; and the watchdog reaches the same verdict on the same
+ *  cycle. */
+class DutyCycleParity : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(DutyCycleParity, CheckpointsEpochsAndWatchdogLandOnDenseCycles)
+{
+    setVerbose(false);
+    apps::AppInstance app = specByName(GetParam()).make(apps::Scale::kTiny);
+    Runner r(app.prog);
+    app.load(r);
+    ASSERT_TRUE(r.tryCompile().ok());
+    const compiler::MapResult &map = r.mapResult();
+
+    auto duties = [](SimOptions o) {
+        o.checkpointEvery = 389;
+        o.keepCheckpoints = 64;
+        o.trace.enabled = true;
+        o.trace.epochCycles = 61;
+        o.watchdogCycles = 2500;
+        return o;
+    };
+    auto dense = loadedFabric(r, map, duties(denseOpts()));
+    auto activity = loadedFabric(r, map, duties(SimOptions{}));
+    RunResult d = dense->runChecked();
+    RunResult a = activity->runChecked();
+    EXPECT_EQ(d.status.code(), a.status.code());
+    EXPECT_EQ(d.status.message(), a.status.message());
+    ASSERT_EQ(dense->now(), activity->now());
+
+    std::ostringstream denseCsv, activityCsv;
+    dense->writeUtilizationCsv(denseCsv);
+    activity->writeUtilizationCsv(activityCsv);
+    EXPECT_EQ(denseCsv.str(), activityCsv.str());
+
+    const auto &dcps = dense->autoCheckpoints();
+    const auto &acps = activity->autoCheckpoints();
+    ASSERT_EQ(dcps.size(), acps.size());
+    ASSERT_GT(dcps.size(), 1u);
+    for (size_t i = 0; i < dcps.size(); ++i) {
+        ASSERT_EQ(dcps[i].cycle, acps[i].cycle) << "checkpoint " << i;
+        // The tapes differ only in host tallies (a sleeping unit's
+        // ledger is settled when it next evaluates): resumed under the
+        // oracle, both finish as the same machine.
+        auto fromDense = std::make_unique<Fabric>(map.fabric, denseOpts());
+        auto fromActivity =
+            std::make_unique<Fabric>(map.fabric, denseOpts());
+        ASSERT_TRUE(fromDense->restoreCheckpoint(dcps[i]).ok());
+        ASSERT_TRUE(fromActivity->restoreCheckpoint(acps[i]).ok());
+        RunResult rd = fromDense->runChecked();
+        RunResult ra = fromActivity->runChecked();
+        ASSERT_TRUE(rd.status.ok()) << rd.status.message();
+        ASSERT_TRUE(ra.status.ok()) << ra.status.message();
+        ASSERT_EQ(rd.cycles, ra.cycles);
+        Status st = sameMachine(app.prog, map, *fromDense, *fromActivity,
+                                rd.cycles);
+        EXPECT_TRUE(st.ok()) << "checkpoint at cycle " << dcps[i].cycle
+                             << ": " << st.message();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBenchmarks, DutyCycleParity,
+    ::testing::Values("InnerProduct", "OuterProduct", "Black-Scholes",
+                      "TPC-H Query 6", "GEMM", "GDA", "LogReg", "SGD",
+                      "Kmeans", "CNN", "SMDV", "PageRank", "BFS"),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string n = info.param;
+        for (char &c : n) {
+            if (!isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return n;
+    });
