@@ -119,7 +119,9 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    std::string json_path = bench::statsJsonPath(argc, argv);
+    std::string json_path;
+    if (auto rc = bench::flags("bench_ablation", json_path).parse(argc, argv))
+        return *rc;
     StatSet json_stats;
 
     std::printf("=== ablation 1: scratchpad banking under conflicting "

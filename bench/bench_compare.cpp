@@ -6,18 +6,12 @@
  * from decoration into a contract — a PR that slows a gated metric
  * fails CI instead of silently rotting the perf trajectory.
  *
- *   bench_compare BASELINE.json CURRENT.json [options]
- *     --tol=F            relative slack, either way, for deterministic
- *                        counters (default 0: cycle counts and op
- *                        counters must match the baseline exactly)
- *     --time-tol=F       relative slack for wall-clock keys
- *                        (default 2.0: up to 3x slower still passes —
- *                        CI machines are noisy; catch order-of-
- *                        magnitude rot, not jitter)
- *     --time-slack-us=N  absolute wall-clock slack added on top
- *                        (default 50000: microsecond-scale phases are
- *                        pure noise)
- *     --verbose          print every compared key
+ *   bench_compare BASELINE.json CURRENT.json [options]   (--help)
+ *
+ * By default deterministic counters must match exactly (`--tol=0`)
+ * and wall-clock keys may grow 3x plus 50 ms (`--time-tol=2
+ * --time-slack-us=50000`): CI machines are noisy, so the gate catches
+ * order-of-magnitude rot, not jitter.
  *
  * Inputs are JSON objects; nested objects flatten with '.' (so run
  * manifests diff as naturally as flat bench stats). String/bool/null
@@ -43,6 +37,9 @@
 #include <map>
 #include <sstream>
 #include <string>
+
+#include "base/flags.hpp"
+#include "base/textio.hpp"
 
 namespace
 {
@@ -173,12 +170,8 @@ struct Parser
             ++pos;
         if (pos == start)
             return fail("expected value");
-        try {
-            out[prefix] = std::stod(text.substr(start, pos - start));
-        } catch (...) {
-            return fail("bad number");
-        }
-        return true;
+        std::string_view num(text.c_str() + start, pos - start);
+        return plast::parseNumber(num, out[prefix]) || fail("bad number");
     }
 
     bool
@@ -241,48 +234,39 @@ isTimeKey(const std::string &key)
            key.find("timings_us") != std::string::npos;
 }
 
-double
-flagValue(int argc, char **argv, const char *name, double dflt)
-{
-    size_t n = std::strlen(name);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], name, n) == 0 && argv[i][n] == '=')
-            return std::atof(argv[i] + n + 1);
-    }
-    return dflt;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 3) {
-        std::fprintf(stderr,
-                     "usage: bench_compare BASELINE.json CURRENT.json "
-                     "[--tol=F] [--time-tol=F] [--time-slack-us=N] "
-                     "[--verbose]\n");
-        return 2;
-    }
-    double tol = flagValue(argc, argv, "--tol", 0.0);
-    double timeTol = flagValue(argc, argv, "--time-tol", 2.0);
-    double timeSlackUs = flagValue(argc, argv, "--time-slack-us", 50000);
+    std::string basePath, curPath;
+    double tol = 0.0, timeTol = 2.0, timeSlackUs = 50000;
     bool verbose = false;
-    for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--verbose") == 0)
-            verbose = true;
-    }
+    plast::FlagSet flags("bench_compare",
+                         "BASELINE.json CURRENT.json [options]");
+    flags.arg("BASELINE.json", basePath, "baseline stats JSON")
+        .arg("CURRENT.json", curPath, "current stats JSON")
+        .real("tol", tol,
+              "relative slack, either way, for deterministic counters")
+        .real("time-tol", timeTol, "relative slack for wall-clock keys")
+        .real("time-slack-us", timeSlackUs,
+              "absolute wall-clock slack added on top")
+        .sw("verbose", verbose, "print every compared key");
+    if (auto rc = flags.parse(argc, argv))
+        return *rc;
 
     std::map<std::string, double> base, cur;
     std::string err;
-    if (!loadFlat(argv[1], base, err) || !loadFlat(argv[2], cur, err)) {
+    if (!loadFlat(basePath.c_str(), base, err) ||
+        !loadFlat(curPath.c_str(), cur, err)) {
         std::fprintf(stderr, "bench_compare: %s\n", err.c_str());
         return 2;
     }
     if (base.empty()) {
         // An empty baseline means the trajectory starts now: pass, so
         // the first CI run after committing a stub baseline succeeds.
-        std::printf("baseline %s is empty; nothing to gate\n", argv[1]);
+        std::printf("baseline %s is empty; nothing to gate\n",
+                    basePath.c_str());
         return 0;
     }
 

@@ -58,7 +58,9 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    std::string json_path = bench::statsJsonPath(argc, argv);
+    std::string json_path;
+    if (auto rc = bench::flags("bench_fig7", json_path).parse(argc, argv))
+        return *rc;
     StatSet json_stats;
     Tuner tuner(model::benchmarkLeaves(), model::AreaModel{});
 

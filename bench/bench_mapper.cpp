@@ -56,8 +56,11 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    bool tiny = bench::argPresent(argc, argv, "--tiny");
-    std::string json_path = bench::statsJsonPath(argc, argv);
+    bool tiny = false;
+    std::string json_path;
+    if (auto rc = bench::flags("bench_mapper", json_path, &tiny)
+                      .parse(argc, argv))
+        return *rc;
     apps::Scale scale = tiny ? apps::Scale::kTiny : apps::Scale::kDefault;
     ArchParams params = ArchParams::plasticineFinal();
     StatSet json_stats;

@@ -114,9 +114,13 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    bool tiny = bench::argPresent(argc, argv, "--tiny");
-    bool paper = bench::argPresent(argc, argv, "--paper");
-    std::string json_path = bench::statsJsonPath(argc, argv);
+    bool tiny = false, paper = false;
+    std::string json_path;
+    FlagSet flags = bench::flags("bench_scheduler", json_path, &tiny);
+    flags.sw("paper", paper,
+             "also run InnerProduct at the paper's dataset size");
+    if (auto rc = flags.parse(argc, argv))
+        return *rc;
     apps::Scale scale = tiny ? apps::Scale::kTiny : apps::Scale::kDefault;
 
     SimOptions dense; // the reference oracle: dense tick, interpreter

@@ -21,7 +21,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "base/logging.hpp"
@@ -36,20 +35,6 @@ using namespace plast;
 
 namespace
 {
-
-uint64_t
-flagOr(int argc, char **argv, const char *name, uint64_t dflt)
-{
-    std::string v = bench::argValue(argc, argv, name);
-    return v.empty() ? dflt : std::strtoull(v.c_str(), nullptr, 0);
-}
-
-double
-flagOrF(int argc, char **argv, const char *name, double dflt)
-{
-    std::string v = bench::argValue(argc, argv, name);
-    return v.empty() ? dflt : std::strtod(v.c_str(), nullptr);
-}
 
 struct Leg
 {
@@ -93,13 +78,25 @@ main(int argc, char **argv)
     HostProfiler::instance().setEnabled(false); // bench its own clock
 
     serve::TrafficOptions t;
-    t.seed = flagOr(argc, argv, "seed", 1);
-    t.uniques = flagOr(argc, argv, "uniques", 12);
-    t.jobs = flagOr(argc, argv, "jobs", 96);
-    uint32_t workers =
-        static_cast<uint32_t>(flagOr(argc, argv, "workers", 8));
-    double minSpeedup = flagOrF(argc, argv, "min-speedup", 0.0);
-    double minHitRate = flagOrF(argc, argv, "min-hit-rate", 0.0);
+    t.uniques = 12;
+    t.jobs = 96;
+    uint32_t workers = 8;
+    double minSpeedup = 0.0, minHitRate = 0.0;
+    std::string json_path;
+    FlagSet flags = bench::flags("bench_serve", json_path);
+    flags.num("seed", t.seed, "traffic duplication-pattern seed")
+        .num("uniques", t.uniques, "distinct job identities", size_t{1},
+             size_t{1'000'000})
+        .num("jobs", t.jobs, "total submissions", size_t{1},
+             size_t{10'000'000})
+        .num("workers", workers, "worker pool size of the last leg", 1u,
+             1024u)
+        .real("min-speedup", minSpeedup,
+              "fail below this speedup over serial (0 = off)")
+        .real("min-hit-rate", minHitRate,
+              "fail below this result-cache hit rate (0 = off)", 1);
+    if (auto rc = flags.parse(argc, argv))
+        return *rc;
 
     std::vector<serve::JobSpec> specs = serve::makeTraffic(t);
 
@@ -189,8 +186,7 @@ main(int argc, char **argv)
     stats.set("serve.cache.result.hits", res.hits);
     stats.set("serve.cache.result.misses", res.misses);
     stats.set("serve.cache.result.evictions", res.evictions);
-    bench::writeStatsJson(bench::statsJsonPath(argc, argv), stats,
-                          "serve");
+    bench::writeStatsJson(json_path, stats, "serve");
 
     bool failed = false;
     if (serial.ok != specs.size() || cached1.ok != specs.size() ||

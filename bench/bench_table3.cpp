@@ -18,7 +18,9 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    std::string json_path = bench::statsJsonPath(argc, argv);
+    std::string json_path;
+    if (auto rc = bench::flags("bench_table3", json_path).parse(argc, argv))
+        return *rc;
     StatSet json_stats;
     std::printf("=== Table 3: design space and selected parameters ===\n");
     std::printf("%-28s %-22s %s\n", "Component / parameter", "Range",

@@ -16,7 +16,9 @@ using namespace plast;
 int
 main(int argc, char **argv)
 {
-    std::string json_path = bench::statsJsonPath(argc, argv);
+    std::string json_path;
+    if (auto rc = bench::flags("bench_table5", json_path).parse(argc, argv))
+        return *rc;
     ArchParams params = ArchParams::plasticineFinal();
     model::AreaModel area;
     model::AreaModel::Breakdown b = area.chipBreakdown(params);

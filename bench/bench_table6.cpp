@@ -21,7 +21,9 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    std::string json_path = bench::statsJsonPath(argc, argv);
+    std::string json_path;
+    if (auto rc = bench::flags("bench_table6", json_path).parse(argc, argv))
+        return *rc;
     StatSet json_stats;
     ArchParams params = ArchParams::plasticineFinal();
     model::AreaModel area;

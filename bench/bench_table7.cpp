@@ -61,8 +61,11 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    bool tiny = bench::argPresent(argc, argv, "--tiny");
-    std::string json_path = bench::statsJsonPath(argc, argv);
+    bool tiny = false;
+    std::string json_path;
+    if (auto rc = bench::flags("bench_table7", json_path, &tiny)
+                      .parse(argc, argv))
+        return *rc;
     apps::Scale scale = tiny ? apps::Scale::kTiny : apps::Scale::kDefault;
     StatSet json_stats;
 

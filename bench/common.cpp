@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "base/logging.hpp"
@@ -10,31 +9,15 @@
 namespace plast::bench
 {
 
-std::string
-argValue(int argc, char **argv, const char *name)
+FlagSet
+flags(const char *driver, std::string &statsJson, bool *tiny)
 {
-    size_t n = std::strlen(name);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], name, n) == 0 && argv[i][n] == '=')
-            return argv[i] + n + 1;
-    }
-    return "";
-}
-
-bool
-argPresent(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    }
-    return false;
-}
-
-std::string
-statsJsonPath(int argc, char **argv)
-{
-    return argValue(argc, argv, "--stats-json");
+    FlagSet f(driver, "[options]");
+    f.str("stats-json", statsJson, "PATH",
+          "write the provenance-stamped stats JSON");
+    if (tiny)
+        f.sw("tiny", *tiny, "tiny-scale workloads (CI smoke)");
+    return f;
 }
 
 void

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared plumbing for the bench_* drivers: uniform flag parsing and
+ * Shared plumbing for the bench_* drivers: the common flag set and
  * the one provenance-stamped stats-JSON writer every driver emits
  * through (previously copy-pasted per driver). The output is the flat
  * key/value document bench_compare diffs and CI gates on:
@@ -24,6 +24,7 @@
 #include <string>
 
 #include "arch/params.hpp"
+#include "base/flags.hpp"
 #include "base/stats.hpp"
 
 namespace plast::bench
@@ -31,14 +32,10 @@ namespace plast::bench
 
 inline constexpr const char *kStatsSchema = "plast.bench-stats.v1";
 
-/** Value of a `--name=value` flag in argv, or "" when absent. */
-std::string argValue(int argc, char **argv, const char *name);
-
-/** True when `--name` appears in argv (exact match). */
-bool argPresent(int argc, char **argv, const char *name);
-
-/** The `--stats-json=PATH` flag every driver supports ("" = absent). */
-std::string statsJsonPath(int argc, char **argv);
+/** A driver's command line with the `--stats-json=PATH` flag every
+ *  driver takes, and `--tiny` when `tiny` is given, already declared. */
+FlagSet flags(const char *driver, std::string &statsJson,
+              bool *tiny = nullptr);
 
 /** Write the provenance-stamped stats JSON; no-op when `path` is
  *  empty, fatal when the file cannot be opened. Prints the path. */

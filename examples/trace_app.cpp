@@ -16,11 +16,11 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "apps/apps.hpp"
+#include "base/flags.hpp"
 #include "base/logging.hpp"
 #include "base/metrics.hpp"
 #include "base/profile.hpp"
@@ -29,100 +29,50 @@
 
 using namespace plast;
 
-namespace
-{
-
-void
-usage()
-{
-    std::printf(
-        "usage: trace_app <app> [options]\n"
-        "  --mode=activity|dense   simulation mode (default activity)\n"
-        "  --sim-mode=interp|specialized\n"
-        "                          datapath engine (default specialized)\n"
-        "  --scale=tiny|default    workload size (default tiny)\n"
-        "  --trace=<path>          write Chrome trace-event JSON\n"
-        "  --util-csv=<path>       write epoch utilization CSV\n"
-        "  --stats-json=<path>     write flat stats JSON\n"
-        "  --metrics=<path>        write Prometheus-style text exposition\n"
-        "  --manifest=<path>       write the per-run manifest JSON\n"
-        "  --epoch=<cycles>        utilization epoch length (default 1024)\n"
-        "  --report                print the bottleneck report\n"
-        "apps:");
-    for (const auto &spec : apps::allApps())
-        std::printf(" %s", spec.name.c_str());
-    std::printf("\n");
-}
-
-std::string
-flagValue(const char *arg, const char *name)
-{
-    size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=')
-        return arg + n + 1;
-    return "";
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     setVerbose(false);
-    if (argc < 2) {
-        usage();
-        return 1;
-    }
-
-    std::string app_name = argv[1];
+    const apps::AppSpec *spec = nullptr;
     std::string trace_path, csv_path, json_path, metrics_path,
         manifest_path;
     apps::Scale scale = apps::Scale::kTiny;
     SimOptions opts;
     bool report = false;
 
-    for (int i = 2; i < argc; ++i) {
-        const char *arg = argv[i];
-        std::string v;
-        if (!(v = flagValue(arg, "--mode")).empty()) {
-            opts.mode = v == "dense" ? SimOptions::Mode::kDense
-                                     : SimOptions::Mode::kActivity;
-        } else if (!(v = flagValue(arg, "--sim-mode")).empty()) {
-            opts.simMode = v == "interp" ? SimMode::kInterp
-                                         : SimMode::kSpecialized;
-        } else if (!(v = flagValue(arg, "--scale")).empty()) {
-            scale = v == "default" ? apps::Scale::kDefault
-                                   : apps::Scale::kTiny;
-        } else if (!(v = flagValue(arg, "--trace")).empty()) {
-            trace_path = v;
-        } else if (!(v = flagValue(arg, "--util-csv")).empty()) {
-            csv_path = v;
-        } else if (!(v = flagValue(arg, "--stats-json")).empty()) {
-            json_path = v;
-        } else if (!(v = flagValue(arg, "--metrics")).empty()) {
-            metrics_path = v;
-        } else if (!(v = flagValue(arg, "--manifest")).empty()) {
-            manifest_path = v;
-        } else if (!(v = flagValue(arg, "--epoch")).empty()) {
-            opts.trace.epochCycles = std::stoul(v);
-        } else if (std::strcmp(arg, "--report") == 0) {
-            report = true;
-        } else {
-            usage();
-            return 1;
-        }
-    }
-
-    const apps::AppSpec *spec = nullptr;
-    for (const auto &s : apps::allApps()) {
-        if (s.name == app_name)
-            spec = &s;
-    }
-    if (!spec) {
-        std::printf("unknown app '%s'\n", app_name.c_str());
-        usage();
-        return 1;
-    }
+    std::string appHelp = "benchmark:";
+    for (const auto &s : apps::allApps())
+        appHelp += " " + s.name;
+    FlagSet flags("trace_app", "<app> [options]");
+    flags.arg("app", appHelp.c_str(),
+              [&spec](const std::string &v) {
+                  spec = apps::findApp(v);
+                  return spec ? std::string()
+                              : "unknown benchmark '" + v + "'";
+              })
+        .word("mode", opts.mode,
+              {{"activity", SimOptions::Mode::kActivity},
+               {"dense", SimOptions::Mode::kDense}},
+              "simulation mode")
+        .word("sim-mode", opts.simMode,
+              {{"interp", SimMode::kInterp},
+               {"specialized", SimMode::kSpecialized}},
+              "datapath engine")
+        .word("scale", scale,
+              {{"tiny", apps::Scale::kTiny}, {"default", apps::Scale::kDefault}},
+              "workload size")
+        .str("trace", trace_path, "PATH", "write Chrome trace-event JSON")
+        .str("util-csv", csv_path, "PATH", "write epoch utilization CSV")
+        .str("stats-json", json_path, "PATH", "write flat stats JSON")
+        .str("metrics", metrics_path, "PATH",
+             "write Prometheus-style text exposition")
+        .str("manifest", manifest_path, "PATH",
+             "write the per-run manifest JSON")
+        .num("epoch", opts.trace.epochCycles,
+             "utilization epoch length in cycles (0 = no epochs)")
+        .sw("report", report, "print the bottleneck report");
+    if (auto rc = flags.parse(argc, argv))
+        return *rc;
 
     // Tracing is needed for the trace file, the utilization CSV and the
     // per-unit ledgers feeding the bottleneck report.

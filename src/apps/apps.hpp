@@ -17,6 +17,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pir/ir.hpp"
@@ -74,6 +75,9 @@ struct AppSpec
 
 /** All benchmarks in Table 4 / Table 7 order. */
 const std::vector<AppSpec> &allApps();
+
+/** The benchmark called `name` in allApps(), or null. */
+const AppSpec *findApp(std::string_view name);
 
 } // namespace plast::apps
 

@@ -27,4 +27,13 @@ allApps()
     return specs;
 }
 
+const AppSpec *
+findApp(std::string_view name)
+{
+    for (const AppSpec &spec : allApps())
+        if (spec.name == name)
+            return &spec;
+    return nullptr;
+}
+
 } // namespace plast::apps

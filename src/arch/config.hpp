@@ -66,10 +66,6 @@ struct Operand
     {
         return {OperandKind::kImm, 0, intToWord(v)};
     }
-    static Operand immFloat(float f)
-    {
-        return {OperandKind::kImm, 0, floatToWord(f)};
-    }
     static Operand laneId() { return {OperandKind::kLaneId, 0, 0}; }
 };
 

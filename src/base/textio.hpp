@@ -22,6 +22,8 @@
  *    walk (inline).
  *  - `ar.list(kw, vec)` is a `kw N` line followed by each element's
  *    own lines.
+ *  - `keyed(k, token)` glues `k=` to one token; `rest(s)` is the rest
+ *    of the line, spaces and all.
  *
  * Walks live in their structure's namespace: the archives reach a
  * nested structure's walk by argument-dependent lookup.
@@ -35,12 +37,14 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <cstdio>
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -76,17 +80,46 @@ struct Hash
     T &v;
 };
 
-/** A number spelled `key=value`. */
+/** `key=token`: a number, or a wrapper held by value. */
 template <class T>
 struct Keyed
 {
     const char *key;
-    T &v;
+    T v;
+};
+
+/** The rest of the line, verbatim. */
+template <class S>
+struct Rest
+{
+    S &s;
 };
 
 template <class T> Hex<T> hex(T &v) { return {v}; }
 template <class T> Hash<T> hash(T &v) { return {v}; }
-template <class T> Keyed<T> keyed(const char *k, T &v) { return {k, v}; }
+template <class T> Keyed<T> keyed(const char *k, T &&v) { return {k, v}; }
+template <class S> Rest<S> rest(S &s) { return {s}; }
+
+/** The one rule for numbers in text (formats, seed headers, job logs,
+ *  flags): all of `tok` is a T in `base` (a double: finite), with no
+ *  '+' or space, a '-' only where T is signed, and inside T's range. */
+template <class T>
+bool
+parseNumber(std::string_view tok, T &out, int base = 10)
+{
+    const char *last = tok.data() + tok.size();
+    T v{};
+    std::from_chars_result r;
+    if constexpr (std::is_floating_point_v<T>)
+        r = std::from_chars(tok.data(), last, v);
+    else
+        r = std::from_chars(tok.data(), last, v, base);
+    bool good = r.ec == std::errc() && r.ptr == last && !tok.empty() &&
+                std::isfinite(static_cast<long double>(v));
+    if (good)
+        out = v;
+    return good;
+}
 
 template <class T>
 constexpr bool kIsVector = false;
@@ -198,7 +231,16 @@ class TextWriter
     void
     put(const Keyed<T> &k)
     {
-        token() << k.key << '=' << k.v;
+        token() << k.key << '=';
+        atStart_ = true; // the value follows `=` with no space
+        put(k.v);
+    }
+
+    template <class S>
+    void
+    put(const Rest<S> &r)
+    {
+        token() << r.s;
     }
 
     std::ostream &os_;
@@ -262,6 +304,10 @@ class TextReader
     bool
     next()
     {
+        if (held_) {
+            held_ = false;
+            return ok();
+        }
         tok_.clear();
         if (!ok())
             return false;
@@ -283,30 +329,23 @@ class TextReader
         return false;
     }
 
-    /** Parse the whole token as a T (decimal, or hex for base 16). */
+    /** Parse the token from `first` as a T; a bool is 0 or 1. */
     template <class T>
     bool
     parse(const char *first, T &out, int base = 10)
     {
-        const char *last = tok_.data() + tok_.size();
-        auto r = std::from_chars(first, last, out, base);
-        if (r.ec != std::errc() || r.ptr != last || first == last) {
-            fail(strfmt("bad number '%s'", tok_.c_str()));
-            return false;
+        std::string_view tok(first, tok_.data() + tok_.size() - first);
+        bool good;
+        if constexpr (std::is_same_v<T, bool>) {
+            uint8_t b = 2;
+            good = parseNumber(tok, b, base) && b <= 1;
+            out = b == 1;
+        } else {
+            good = parseNumber(tok, out, base);
         }
-        return true;
-    }
-
-    /** A uint64, or a negative int64, narrowed to T like a C cast. */
-    template <class T>
-    bool
-    number(const char *first, T &out)
-    {
-        uint64_t u = 0;
-        int64_t i = 0;
-        bool ok = *first == '-' ? parse(first, i) : parse(first, u);
-        out = static_cast<T>(*first == '-' ? static_cast<uint64_t>(i) : u);
-        return ok;
+        if (!good)
+            fail(strfmt("bad number '%s'", tok_.c_str()));
+        return good;
     }
 
     void
@@ -327,7 +366,7 @@ class TextReader
     {
         if constexpr (std::is_enum_v<T>) {
             int64_t x = 0;
-            if (!next() || !number(tok_.data(), x))
+            if (!next() || !parse(tok_.data(), x))
                 return;
             if (x < 0 || x > static_cast<int64_t>(enumLast(T{})))
                 return fail(strfmt("value %lld out of range 0..%d",
@@ -336,7 +375,7 @@ class TextReader
             v = static_cast<T>(x);
         } else if constexpr (std::is_integral_v<T>) {
             if (next())
-                number(tok_.data(), v);
+                parse(tok_.data(), v);
         } else if constexpr (kIsVector<T>) {
             getAll(v);
         } else {
@@ -373,13 +412,11 @@ class TextReader
     void
     get(Hex<T> &h)
     {
-        uint64_t v = 0;
         if (!next())
             return;
         if (tok_.compare(0, 2, "0x") != 0)
             return fail(strfmt("expected 0x-hex, got '%s'", tok_.c_str()));
-        if (parse(tok_.data() + 2, v, 16))
-            h.v = static_cast<T>(v);
+        parse(tok_.data() + 2, h.v, 16);
     }
 
     template <class T>
@@ -398,15 +435,30 @@ class TextReader
             return;
         std::string key = std::string(k.key) + '=';
         if (tok_.compare(0, key.size(), key) != 0)
-            return fail(strfmt("expected '%s<n>', got '%s'", key.c_str(),
+            return fail(strfmt("expected '%s', got '%s'", key.c_str(),
                                tok_.c_str()));
-        number(tok_.data() + key.size(), k.v);
+        tok_.erase(0, key.size());
+        held_ = true; // the value is the rest of this token
+        after_ = k.key;
+        get(k.v);
+    }
+
+    template <class S>
+    void
+    get(Rest<S> &r)
+    {
+        if (!next())
+            return;
+        for (int c = buf_->sgetc(); c != EOF && c != '\n'; c = buf_->snextc())
+            tok_.push_back(static_cast<char>(c));
+        r.s = tok_;
     }
 
     std::streambuf *buf_;
     std::string tok_;
     std::string err_;
     const char *after_ = nullptr; ///< last keyword, for messages
+    bool held_ = false; ///< next() returns tok_ as it stands
 };
 
 } // namespace plast

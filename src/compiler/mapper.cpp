@@ -217,12 +217,10 @@ class Mapper
     std::vector<ControlBoxCfg> boxes_;
     std::vector<PortAlloc> pcuPorts_, pmuPorts_, agPorts_, boxPorts_;
     std::vector<ChannelCfg> chans_;
-    std::vector<ConstScalar> consts_;
     uint32_t hostArgOuts_ = 0;
     int rootBox_ = -1;
 
     std::map<NodeId, int> boxOf_;
-    std::map<NodeId, std::vector<int>> leafPcus_; ///< chunk -> pcu idx
 
     /** Vector-source consumer ports: (leaf, vecSourceIdx) ->
      *  [(pcu, vecIn port)] across chunks. */
@@ -234,7 +232,7 @@ class Mapper
         int pcu = -1;
         int port = -1;
     };
-    std::map<std::pair<NodeId, int>, EmitSrc> emitVec_, emitScal_;
+    std::map<std::pair<NodeId, int>, EmitSrc> emitVec_;
     /** Scalar sink registry: (node, sinkIdx) -> (pcu, scal out port). */
     std::map<std::pair<NodeId, int32_t>, EmitSrc> sinkScalar_;
 
@@ -260,8 +258,6 @@ class Mapper
     std::map<NodeId, std::vector<CtrlHandle>> storeAgs_;
     std::map<NodeId, CtrlHandle> lastPcu_;
 
-    /** PMU instance per (mem, reader node, reader vec source). */
-    std::map<std::tuple<MemId, NodeId, int32_t>, int> pmuOfReader_;
     /** Transfer-load / gather-dst data inputs: xfer -> (pmu, port). */
     std::map<NodeId, std::vector<std::pair<int, int>>> xferWritePorts_;
     /** Transfer-store / gather-addr source PMU per transfer. */
@@ -851,7 +847,6 @@ Mapper::createPcus()
                     static_cast<int>(e));
         }
 
-        std::vector<int> chunk_pcus;
         // (value -> producing chunk's out port) for forwarding.
         std::map<int32_t, std::pair<int, int>> fwd_src;
 
@@ -1046,7 +1041,6 @@ Mapper::createPcus()
                         cfg.scalOuts[port].srcReg =
                             static_cast<uint8_t>(reg_of.at(v));
                         cfg.scalOuts[port].cond = em.cond;
-                        emitScal_[{l, e}] = {pcu_idx, port};
                         sinkScalar_[{l, em.sinkIdx}] = {pcu_idx, port};
                     }
                 }
@@ -1070,7 +1064,6 @@ Mapper::createPcus()
                     cfg.scalOuts[port].enabled = true;
                     cfg.scalOuts[port].countOfVecOut =
                         static_cast<int8_t>(src->second.port);
-                    emitScal_[{l, static_cast<int>(e)}] = {pcu_idx, port};
                     sinkScalar_[{l, em.sinkIdx}] = {pcu_idx, port};
                 }
             }
@@ -1082,7 +1075,6 @@ Mapper::createPcus()
                             pa.so));
             }
 
-            chunk_pcus.push_back(pcu_idx);
             clusters_[l].triggers.push_back({ref, CtrlSel::kMain});
             // Only effect-bearing units report done (keeps the token
             // fan-in at parent boxes small); the final chunk carries
@@ -1092,7 +1084,6 @@ Mapper::createPcus()
                 lastPcu_[l] = {ref, CtrlSel::kMain};
             }
         }
-        leafPcus_[l] = chunk_pcus;
     }
 }
 
@@ -1477,9 +1468,6 @@ Mapper::createPmus()
                     {ref, sel});
                 allWriteHandles_[{mid, wd.node}].push_back({ref, sel});
             }
-
-            // Remember the PMU of transfer readers/writers for AG wiring.
-            pmuOfReader_[{mid, rd.node, rd.vecSource}] = pmu_idx;
         }
     }
 }
@@ -2267,7 +2255,6 @@ Mapper::placeAndRoute(FabricConfig &fab)
         fab.boxes[static_cast<size_t>(boxPhys[u])] = boxes_[u];
     fab.rootBox = boxPhys[static_cast<size_t>(rootBox_)];
     fab.hostArgOuts = hostArgOuts_;
-    fab.constants = consts_;
 
     auto remap = [&](UnitRef &u) {
         switch (u.cls) {
@@ -2395,6 +2382,26 @@ compileProgram(const Program &prog, const ArchParams &params,
                const UnitMask &mask, const CompileOptions &opts)
 {
     ScopedSpan compileSpan("compile");
+
+    // Architectures no compile can index fail before any analysis
+    // divides by the channel count or wraps a 16-bit UnitRef index.
+    uint64_t cols = uint64_t{params.gridCols} + 1;
+    uint64_t rows = uint64_t{params.gridRows} + 1;
+    std::string defect;
+    if (params.dram.channels == 0)
+        defect = "dram.channels: 0 channels leave the AGs no DRAM";
+    else if (cols > 65536 || rows > 65536 || cols * rows > 65536)
+        defect = strfmt("grid: %ux%u units need more than 65536 switches",
+                        params.gridCols, params.gridRows);
+    else if (params.numAgs > 65536)
+        defect = strfmt("numAgs: %u AGs overflow a 16-bit unit index",
+                        params.numAgs);
+    if (!defect.empty()) {
+        MapResult bad;
+        bad.report.error = defect;
+        bad.report.diag.binding = defect.substr(0, defect.find(':'));
+        return bad;
+    }
 
     // Capacity-spill loop: when a memory's N-buffer demand exceeds the
     // physical scratchpad, cap the metapipe depths that drive it (the

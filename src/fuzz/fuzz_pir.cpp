@@ -12,54 +12,14 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 
+#include "base/flags.hpp"
 #include "base/logging.hpp"
 #include "fuzz/harness.hpp"
 
 using namespace plast;
-
-namespace
-{
-
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: fuzz_pir [options]\n"
-        "  --seed=N          base seed for the run sequence (default 1)\n"
-        "  --runs=N          number of cases to execute (default 100)\n"
-        "  --time-budget=S   stop after S wall-clock seconds (0 = off)\n"
-        "  --replay=FILE     replay one .pir reproducer and exit\n"
-        "  --emit=SEED       print the seed's case as a .pir file and "
-        "exit\n"
-        "  --save-dir=DIR    write shrunk reproducers to DIR\n"
-        "  --inject[=N]      inject hardware faults: 1 = canned\n"
-        "                    reduction-stage opcode flip (default), 2 =\n"
-        "                    scratch/DRAM upsets from the fault library\n"
-        "                    (ECC off), 3 = datapath register upsets\n"
-        "  --oversize        pair programs with deliberately undersized\n"
-        "                    fabrics; assert every compile either yields\n"
-        "                    a structured diagnosis or (after capacity\n"
-        "                    spilling) validates bit-exactly\n"
-        "  --no-dense        skip the dense-scheduler parity re-run\n"
-        "  --no-shrink       keep failing programs unshrunk\n"
-        "  --quiet           suppress per-case progress\n");
-}
-
-bool
-parseU64(const char *s, uint64_t &out)
-{
-    char *end = nullptr;
-    out = std::strtoull(s, &end, 0);
-    return end && *end == '\0' && end != s;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -69,77 +29,31 @@ main(int argc, char **argv)
     opts.progress = true;
     std::string replay;
     uint64_t emitSeed = 0;
-    bool haveEmit = false;
+    FlagSet flags("fuzz_pir", "[options]");
+    flags.num("seed", opts.seed, "base seed for the run sequence")
+        .num("runs", opts.runs, "number of cases to execute")
+        .num("time-budget", opts.timeBudgetSec,
+             "stop after N wall-clock seconds (0 = off)")
+        .str("replay", replay, "FILE", "replay one .pir reproducer and exit")
+        .num("emit", emitSeed, "print the seed's case as a .pir file and exit")
+        .str("save-dir", opts.saveDir, "DIR", "write shrunk reproducers to DIR")
+        .num("inject", opts.inject,
+             "fault self-test: 1 = reduction opcode flip, 2 = scratch/DRAM "
+             "upsets (ECC off), 3 = datapath register upsets", 0u, 3u)
+        .implicit("1")
+        .sw("oversize", opts.oversize,
+            "undersized fabrics: every compile is diagnosed or validates")
+        .sw("no-dense", opts.checkDense, "skip the dense-scheduler parity re-run",
+            false)
+        .sw("no-shrink", opts.shrink, "keep failing programs unshrunk", false)
+        .sw("quiet", opts.progress, "suppress per-case progress", false);
+    if (auto rc = flags.parse(argc, argv))
+        return *rc;
+    // A pure time budget should not stop early on run count.
+    if (opts.timeBudgetSec > 0 && !flags.given("runs"))
+        opts.runs = UINT32_MAX;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&](const char *prefix) -> const char * {
-            size_t n = std::strlen(prefix);
-            return a.compare(0, n, prefix) == 0 ? a.c_str() + n
-                                                : nullptr;
-        };
-        uint64_t u = 0;
-        if (const char *v = val("--seed=")) {
-            if (!parseU64(v, opts.seed)) {
-                usage();
-                return 2;
-            }
-        } else if (const char *v = val("--runs=")) {
-            if (!parseU64(v, u)) {
-                usage();
-                return 2;
-            }
-            opts.runs = static_cast<uint32_t>(u);
-        } else if (const char *v = val("--time-budget=")) {
-            if (!parseU64(v, u)) {
-                usage();
-                return 2;
-            }
-            opts.timeBudgetSec = static_cast<uint32_t>(u);
-            // A pure time budget should not stop early on run count.
-            if (opts.timeBudgetSec > 0)
-                opts.runs = UINT32_MAX;
-        } else if (const char *v = val("--replay=")) {
-            replay = v;
-        } else if (a == "--replay" && i + 1 < argc) {
-            replay = argv[++i];
-        } else if (const char *v = val("--emit=")) {
-            if (!parseU64(v, u)) {
-                usage();
-                return 2;
-            }
-            emitSeed = u;
-            haveEmit = true;
-        } else if (const char *v = val("--save-dir=")) {
-            opts.saveDir = v;
-        } else if (a == "--inject") {
-            opts.inject = 1;
-        } else if (const char *v = val("--inject=")) {
-            if (!parseU64(v, u) || u > 3) {
-                usage();
-                return 2;
-            }
-            opts.inject = static_cast<uint32_t>(u);
-        } else if (a == "--oversize") {
-            opts.oversize = true;
-        } else if (a == "--no-dense") {
-            opts.checkDense = false;
-        } else if (a == "--no-shrink") {
-            opts.shrink = false;
-        } else if (a == "--quiet") {
-            opts.progress = false;
-        } else if (a == "--help" || a == "-h") {
-            usage();
-            return 0;
-        } else {
-            std::fprintf(stderr, "fuzz_pir: unknown option '%s'\n",
-                         a.c_str());
-            usage();
-            return 2;
-        }
-    }
-
-    if (haveEmit) {
+    if (flags.given("emit")) {
         // Corpus curation: dump a generated case to stdout so clean
         // seeds can be committed and replayed as regression tests.
         fuzz::FuzzCase c = opts.oversize

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "base/logging.hpp"
+#include "base/textio.hpp"
 #include "fuzz/shrink.hpp"
 #include "pir/serialize.hpp"
 #include "pir/validate.hpp"
@@ -170,28 +171,30 @@ readSeedFile(std::istream &is, FuzzCase &out, std::string *err)
         return fail("empty seed file");
     std::istringstream arch(line);
     ArchParams p = ArchParams::plasticineFinal();
-    if (!(arch >> tok) || tok != "arch" ||
-        !(arch >> p.gridCols >> p.gridRows >> p.pcu.stages >>
-          p.pcu.fifoDepth >> p.pmu.bankKilobytes >> p.dram.channels >>
-          p.dram.queueDepth >> p.vectorTracks >> p.scalarTracks >>
-          p.numAgs))
-        return fail("seed file must start with an 'arch' line");
     // Optional 11th field: the outstanding-burst budget. Seed files
     // written before it existed replay at the default of 64.
-    uint32_t budget = 0;
-    if (arch >> budget) {
-        if (budget == 0)
-            return fail("'arch' outstanding-burst budget must be >= 1");
-        p.coalescerMaxOutstanding = budget;
-    } else if (!arch.eof()) {
-        return fail("bad outstanding-burst budget in 'arch' line");
-    }
+    uint32_t *fields[] = {
+        &p.gridCols, &p.gridRows, &p.pcu.stages, &p.pcu.fifoDepth,
+        &p.pmu.bankKilobytes, &p.dram.channels, &p.dram.queueDepth,
+        &p.vectorTracks, &p.scalarTracks, &p.numAgs,
+        &p.coalescerMaxOutstanding};
+    size_t n = 0;
+    if (!(arch >> tok) || tok != "arch")
+        return fail("seed file must start with an 'arch' line");
+    for (; arch >> tok; ++n)
+        if (n == std::size(fields) || !parseNumber(tok, *fields[n]))
+            return fail("bad 'arch' field '" + tok + "'");
+    if (n < std::size(fields) - 1)
+        return fail("seed file must start with an 'arch' line");
+    if (p.coalescerMaxOutstanding == 0)
+        return fail("'arch' outstanding-burst budget must be >= 1");
     p.pmu.fifoDepth = p.pcu.fifoDepth;
     uint32_t inj = 0;
     if (!nextLine(line))
         return fail("expected 'inject' line after 'arch'");
     std::istringstream injs(line);
-    if (!(injs >> tok) || tok != "inject" || !(injs >> inj))
+    if (!(injs >> tok) || tok != "inject" || !(injs >> tok) ||
+        !parseNumber(tok, inj))
         return fail("expected 'inject' line after 'arch'");
     out.params = p;
     out.inject = inj;

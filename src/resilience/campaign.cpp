@@ -31,21 +31,15 @@ mixName(FaultMix m)
 CampaignResult
 runCampaign(const CampaignOptions &opts)
 {
-    const auto &all = apps::allApps();
     std::vector<const apps::AppSpec *> selected;
     if (opts.apps.empty()) {
-        for (const auto &spec : all)
+        for (const auto &spec : apps::allApps())
             selected.push_back(&spec);
-    } else {
-        for (const auto &name : opts.apps) {
-            const apps::AppSpec *found = nullptr;
-            for (const auto &spec : all) {
-                if (spec.name == name)
-                    found = &spec;
-            }
-            fatal_if(!found, "unknown app '%s'", name.c_str());
-            selected.push_back(found);
-        }
+    }
+    for (const auto &name : opts.apps) {
+        const apps::AppSpec *found = apps::findApp(name);
+        fatal_if(!found, "unknown app '%s'", name.c_str());
+        selected.push_back(found);
     }
 
     ArchParams params = ArchParams::plasticineFinal();

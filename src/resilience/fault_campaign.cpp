@@ -2,62 +2,29 @@
  * @file
  * Fault-injection campaign driver:
  *
- *   fault_campaign --rate 50 --apps all --runs 3 --out campaign.json
+ *   fault_campaign --rate=50 --apps=all --runs=3 --out=campaign.json
  *
  * sweeps seeded fault plans over the evaluation benchmarks, recovers
  * where the machinery allows, prints a per-class tally, and writes the
- * full JSON report. Exits nonzero iff any run ended in *unexplained*
- * silent data corruption (wrong output while only ECC-protected state
- * was upset and ECC was on) — the invariant CI enforces.
+ * full JSON report. Exits 1 iff any run ended in *unexplained* silent
+ * data corruption (wrong output while only ECC-protected state was
+ * upset and ECC was on) — the invariant CI enforces — and 2 on a
+ * usage error.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
+#include "apps/apps.hpp"
+#include "base/flags.hpp"
 #include "base/logging.hpp"
 #include "resilience/campaign.hpp"
 
 using namespace plast;
 using namespace plast::resilience;
-
-namespace
-{
-
-void
-usage()
-{
-    std::printf(
-        "usage: fault_campaign [options]\n"
-        "  --rate=<r>          fault events per million cycles "
-        "(default 50)\n"
-        "  --apps=<list>       'all' or comma-separated names "
-        "(default all)\n"
-        "  --runs=<n>          fault plans per app (default 3)\n"
-        "  --seed=<s>          base RNG seed (default 1)\n"
-        "  --ecc / --no-ecc    SECDED on scratchpads + DRAM "
-        "(default on)\n"
-        "  --kinds=<mix>       all | protected | datapath "
-        "(default all)\n"
-        "  --hard              allow a hard (stuck-unit) fault per "
-        "plan\n"
-        "  --max-cycles=<n>    per-attempt cycle cap (default derived)\n"
-        "  --out=<path>        write the JSON report (default stdout)\n");
-}
-
-std::string
-flagValue(const char *arg, const char *name)
-{
-    size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=')
-        return arg + n + 1;
-    return "";
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -65,47 +32,37 @@ main(int argc, char **argv)
     setVerbose(false);
     CampaignOptions opts;
     std::string out_path;
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        std::string v;
-        if (!(v = flagValue(arg, "--rate")).empty()) {
-            opts.rate = std::stod(v);
-        } else if (!(v = flagValue(arg, "--apps")).empty()) {
-            if (v != "all") {
-                std::stringstream ss(v);
-                std::string name;
-                while (std::getline(ss, name, ','))
-                    opts.apps.push_back(name);
-            }
-        } else if (!(v = flagValue(arg, "--runs")).empty()) {
-            opts.runsPerApp = std::stoul(v);
-        } else if (!(v = flagValue(arg, "--seed")).empty()) {
-            opts.seed = std::stoull(v);
-        } else if (std::strcmp(arg, "--ecc") == 0) {
-            opts.ecc = true;
-        } else if (std::strcmp(arg, "--no-ecc") == 0) {
-            opts.ecc = false;
-        } else if (!(v = flagValue(arg, "--kinds")).empty()) {
-            if (v == "all")
-                opts.mix = FaultMix::kAll;
-            else if (v == "protected")
-                opts.mix = FaultMix::kProtected;
-            else if (v == "datapath")
-                opts.mix = FaultMix::kDatapath;
-            else
-                fatal("unknown --kinds '%s'", v.c_str());
-        } else if (std::strcmp(arg, "--hard") == 0) {
-            opts.includeHard = true;
-        } else if (!(v = flagValue(arg, "--max-cycles")).empty()) {
-            opts.maxCycles = std::stoull(v);
-        } else if (!(v = flagValue(arg, "--out")).empty()) {
-            out_path = v;
-        } else {
-            usage();
-            return std::strcmp(arg, "--help") == 0 ? 0 : 1;
-        }
-    }
+    FlagSet flags("fault_campaign", "[options]");
+    flags.real("rate", opts.rate, "fault events per million cycles")
+        .value("apps", "all|NAME,...",
+               "'all' or comma-separated benchmark names (default all)",
+               [&opts](const std::string &v) {
+                   opts.apps.clear();
+                   std::stringstream ss(v == "all" ? "" : v);
+                   for (std::string name; std::getline(ss, name, ',');) {
+                       if (!apps::findApp(name))
+                           return "unknown benchmark '" + name + "'";
+                       opts.apps.push_back(name);
+                   }
+                   return std::string();
+               })
+        .num("runs", opts.runsPerApp, "fault plans per app")
+        .num("seed", opts.seed, "base RNG seed")
+        .sw("ecc", opts.ecc, "SECDED on scratchpads + DRAM (the default)")
+        .sw("no-ecc", opts.ecc, "SECDED off", false)
+        .word("kinds", opts.mix,
+              {{"all", FaultMix::kAll},
+               {"protected", FaultMix::kProtected},
+               {"datapath", FaultMix::kDatapath}},
+              "fault mix")
+        .sw("hard", opts.includeHard,
+            "allow a hard (stuck-unit) fault per plan")
+        .num("max-cycles", opts.maxCycles,
+             "per-attempt cycle cap (0 = derived per app)")
+        .str("out", out_path, "PATH",
+             "write the JSON report (default stdout)");
+    if (auto rc = flags.parse(argc, argv))
+        return *rc;
 
     CampaignResult result = runCampaign(opts);
 

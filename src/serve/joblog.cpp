@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "base/logging.hpp"
+#include "base/textio.hpp"
 
 namespace plast::serve
 {
@@ -26,6 +27,14 @@ nonDeterministicOutcome(const std::string &outcome)
            outcome == "cancelled" || outcome == "deadline-exceeded";
 }
 
+/** One token with no placeholder for the empty string. */
+template <class S>
+Name<S>
+word(S &s)
+{
+    return {s, ""};
+}
+
 std::string
 hex64(uint64_t v)
 {
@@ -33,6 +42,25 @@ hex64(uint64_t v)
     snprintf(buf, sizeof buf, "%016llx",
              static_cast<unsigned long long>(v));
     return buf;
+}
+
+/** A job line's one field list: `job`, then each field as
+ *  `key=value` in this order. src is free-form (app names contain
+ *  spaces), so it is last and runs to the end of the line. */
+template <class Ar, Is<JobLogEntry> E>
+void
+fields(Ar &ar, E &e)
+{
+    ar.line("job", keyed("id", e.id), keyed("seq", e.seq),
+            keyed("worker", e.worker), keyed("pir", hash(e.pirHash)),
+            keyed("arch", hash(e.archHash)),
+            keyed("inputs", hash(e.inputsHash)),
+            keyed("options", hash(e.optionsHash)),
+            keyed("chit", e.configHit), keyed("rhit", e.resultHit),
+            keyed("result", hash(e.resultHash)), keyed("cycles", e.cycles),
+            keyed("exe", e.executed), keyed("retries", e.retries),
+            keyed("outcome", word(e.outcome)),
+            keyed("src", rest(e.source)));
 }
 
 } // namespace
@@ -46,21 +74,13 @@ writeJobLogHeader(std::ostream &os)
 void
 writeJobLogLine(std::ostream &os, const JobResult &r)
 {
-    os << "job id=" << r.id << " seq=" << r.seq
-       << " worker=" << r.worker << " pir=" << hex64(r.pirHash)
-       << " arch=" << hex64(r.archHash)
-       << " inputs=" << hex64(r.inputsHash)
-       << " options=" << hex64(r.optionsHash)
-       << " chit=" << (r.configHit ? 1 : 0)
-       << " rhit=" << (r.resultHit ? 1 : 0) << " result="
-       << hex64(r.outcome ? r.outcome->resultHash : 0)
-       << " cycles=" << (r.outcome ? r.outcome->cycles : 0)
-       << " exe=" << (r.executed ? 1 : 0)
-       << " retries=" << r.retries << " outcome="
-       << (r.outcome ? r.outcome->outcome : "lost")
-       // src is free-form (app names contain spaces) so it is
-       // last: everything after "src=" to end of line.
-       << " src=" << r.source << "\n";
+    const JobOutcome *o = r.outcome.get();
+    JobLogEntry e{r.id, r.seq, r.worker, r.pirHash, r.archHash,
+                  r.inputsHash, r.optionsHash, r.configHit, r.resultHit,
+                  o ? o->resultHash : 0, o ? o->cycles : 0, r.executed,
+                  r.retries, o ? o->outcome : "lost", r.source};
+    TextWriter ar(os);
+    fields(ar, e);
 }
 
 void
@@ -88,77 +108,11 @@ parseJobLine(const std::string &line, size_t lineno, JobLogEntry &e,
              std::string &msg)
 {
     std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag != "job") {
-        msg = strfmt("line %zu: expected 'job', got '%s'", lineno,
-                     tag.c_str());
-        return false;
-    }
-    bool haveSrc = false;
-    std::string tok;
-    while (ls >> tok) {
-        size_t eq = tok.find('=');
-        if (eq == std::string::npos) {
-            msg = strfmt("line %zu: bad token '%s'", lineno,
-                         tok.c_str());
-            return false;
-        }
-        std::string key = tok.substr(0, eq);
-        std::string val = tok.substr(eq + 1);
-        if (key == "src") {
-            // Free-form remainder of the line.
-            std::string rest;
-            std::getline(ls, rest);
-            e.source = val + rest;
-            haveSrc = true;
-            break;
-        }
-        try {
-            if (key == "id")
-                e.id = std::stoull(val);
-            else if (key == "seq")
-                e.seq = std::stoull(val);
-            else if (key == "worker")
-                e.worker = static_cast<uint32_t>(std::stoul(val));
-            else if (key == "pir")
-                e.pirHash = std::stoull(val, nullptr, 16);
-            else if (key == "arch")
-                e.archHash = std::stoull(val, nullptr, 16);
-            else if (key == "inputs")
-                e.inputsHash = std::stoull(val, nullptr, 16);
-            else if (key == "options")
-                e.optionsHash = std::stoull(val, nullptr, 16);
-            else if (key == "chit")
-                e.configHit = val == "1";
-            else if (key == "rhit")
-                e.resultHit = val == "1";
-            else if (key == "result")
-                e.resultHash = std::stoull(val, nullptr, 16);
-            else if (key == "cycles")
-                e.cycles = std::stoull(val);
-            else if (key == "exe")
-                e.executed = val == "1";
-            else if (key == "retries")
-                e.retries = static_cast<uint32_t>(std::stoul(val));
-            else if (key == "outcome")
-                e.outcome = val;
-            else {
-                msg = strfmt("line %zu: unknown key '%s'", lineno,
-                             key.c_str());
-                return false;
-            }
-        } catch (const std::exception &) {
-            msg = strfmt("line %zu: bad value '%s' for '%s'", lineno,
-                         val.c_str(), key.c_str());
-            return false;
-        }
-    }
-    if (!haveSrc) {
-        msg = strfmt("line %zu: missing src=", lineno);
-        return false;
-    }
-    return true;
+    TextReader ar(ls);
+    fields(ar, e);
+    if (!ar.ok())
+        msg = strfmt("line %zu: %s", lineno, ar.error().c_str());
+    return ar.ok();
 }
 
 } // namespace

@@ -26,11 +26,10 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
+#include "base/flags.hpp"
 #include "base/logging.hpp"
 #include "base/metrics.hpp"
 #include "base/profile.hpp"
@@ -44,68 +43,6 @@ using namespace plast;
 
 namespace
 {
-
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: serve_app [options] [file.pir ...]\n"
-        "  --workers=N        worker pool size (default 4)\n"
-        "  --queue=N          bounded queue depth (default 64)\n"
-        "  --config-cache=N   config cache capacity (default 256)\n"
-        "  --result-cache=N   result cache capacity (default 256)\n"
-        "  --no-result-cache  always re-execute duplicate jobs\n"
-        "  --validate         run the reference evaluator on every\n"
-        "                     executed unfaulted job (mismatch = typed\n"
-        "                     outcome)\n"
-        "  --max-cycles=N     default per-job cycle budget\n"
-        "  --repeat=N         submit each .pir file N times (default 1)\n"
-        "  --traffic          generate seeded synthetic traffic from\n"
-        "                     the app suite instead of reading files\n"
-        "  --jobs=N           traffic: total submissions (default 64)\n"
-        "  --uniques=N        traffic: distinct identities (default 8)\n"
-        "  --seed=N           traffic: duplication-pattern seed\n"
-        "  --log=FILE         write the job log (replayable)\n"
-        "  --joblog-sync      stream the job log durably: append and\n"
-        "                     flush each record as it finishes, so a\n"
-        "                     killed daemon leaves a replayable prefix\n"
-        "  --replay=FILE      replay a job log serially against the\n"
-        "                     same traffic/files; exit 1 on divergence\n"
-        "  --metrics=FILE     write serve.* metrics as JSON\n"
-        "  --store-dir=DIR    persist compiled configs to DIR and\n"
-        "                     serve warm restarts from it (DESIGN.md\n"
-        "                     §17); unusable dirs degrade to\n"
-        "                     in-memory-only serving, never crash\n"
-        "  --store-max-mb=N   evict oldest store records past N MiB\n"
-        "                     (default unbounded)\n"
-        "  --store-no-sync    skip fsync on store publish (tests)\n"
-        "  --quiet            suppress the per-job report\n"
-        "robustness (DESIGN.md §16):\n"
-        "  --deadline-ms=N    default wall-clock budget per job\n"
-        "  --submit-wait-us=N bounded admission wait on a full queue,\n"
-        "                     then the job is shed (default 1000000)\n"
-        "  --breaker=N        consecutive compile failures that open\n"
-        "                     a tenant's circuit breaker\n"
-        "  --faults=K         traffic: inject a seeded fault plan\n"
-        "                     into every Kth job and run it under\n"
-        "                     checkpoint-rollback recovery\n"
-        "  --fault-rate=R     traffic: fault events per 1M cycles\n"
-        "  --fault-hard       traffic: include stuck-unit faults\n"
-        "  --deadline-sweep=a,b,c  traffic: per-job deadlines (ms),\n"
-        "                     assigned cyclically (0 = none)\n"
-        "  --tenants=N        traffic: spread jobs over N tenants\n"
-        "  --tolerate-failures  exit 0 when every job is typed and\n"
-        "                     counters match the log (failures ok)\n");
-}
-
-bool
-parseU64(const char *s, uint64_t &out)
-{
-    char *end = nullptr;
-    out = std::strtoull(s, &end, 0);
-    return end && *end == '\0' && end != s;
-}
 
 bool
 loadPirFile(const std::string &path, std::vector<serve::JobSpec> &out)
@@ -150,127 +87,65 @@ main(int argc, char **argv)
     std::string logPath, replayPath, metricsPath;
     std::vector<std::string> files;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&](const char *prefix) -> const char * {
-            size_t n = std::strlen(prefix);
-            return a.compare(0, n, prefix) == 0 ? a.c_str() + n
-                                                : nullptr;
-        };
-        uint64_t n = 0;
-        if (const char *v = val("--workers=")) {
-            if (!parseU64(v, n) || n == 0)
-                return usage(), 2;
-            sopts.workers = static_cast<uint32_t>(n);
-        } else if (const char *v2 = val("--queue=")) {
-            if (!parseU64(v2, n) || n == 0)
-                return usage(), 2;
-            sopts.queueDepth = n;
-        } else if (const char *v3 = val("--config-cache=")) {
-            if (!parseU64(v3, n))
-                return usage(), 2;
-            sopts.configCacheCapacity = n;
-        } else if (const char *v4 = val("--result-cache=")) {
-            if (!parseU64(v4, n))
-                return usage(), 2;
-            sopts.resultCacheCapacity = n;
-        } else if (a == "--no-result-cache") {
-            sopts.resultCache = false;
-        } else if (a == "--validate") {
-            sopts.validate = true;
-        } else if (const char *v5 = val("--max-cycles=")) {
-            if (!parseU64(v5, n) || n == 0)
-                return usage(), 2;
-            sopts.maxCycles = n;
-        } else if (const char *v6 = val("--repeat=")) {
-            if (!parseU64(v6, repeat) || repeat == 0)
-                return usage(), 2;
-        } else if (a == "--traffic") {
-            traffic = true;
-        } else if (const char *v7 = val("--jobs=")) {
-            if (!parseU64(v7, n) || n == 0)
-                return usage(), 2;
-            topts.jobs = n;
-        } else if (const char *v8 = val("--uniques=")) {
-            if (!parseU64(v8, n) || n == 0)
-                return usage(), 2;
-            topts.uniques = n;
-        } else if (const char *v9 = val("--seed=")) {
-            if (!parseU64(v9, topts.seed))
-                return usage(), 2;
-        } else if (const char *vd = val("--deadline-ms=")) {
-            if (!parseU64(vd, n) || n == 0)
-                return usage(), 2;
-            sopts.defaultDeadlineMs = n;
-        } else if (const char *vw = val("--submit-wait-us=")) {
-            if (!parseU64(vw, n))
-                return usage(), 2;
-            sopts.submitWaitUs = n;
-        } else if (const char *vb = val("--breaker=")) {
-            if (!parseU64(vb, n))
-                return usage(), 2;
-            sopts.breakerThreshold = static_cast<uint32_t>(n);
-        } else if (const char *vf = val("--faults=")) {
-            if (!parseU64(vf, n) || n == 0)
-                return usage(), 2;
-            topts.faultEvery = n;
-        } else if (const char *vfr = val("--fault-rate=")) {
-            char *end = nullptr;
-            topts.faultRate = std::strtod(vfr, &end);
-            if (!end || *end != '\0' || topts.faultRate <= 0)
-                return usage(), 2;
-        } else if (a == "--fault-hard") {
-            topts.includeHard = true;
-        } else if (const char *vds = val("--deadline-sweep=")) {
-            std::stringstream ss(vds);
-            std::string item;
-            while (std::getline(ss, item, ',')) {
-                // 0 is a legal sweep element: that job runs with no
-                // deadline (mixes budgeted and unbudgeted traffic).
-                if (!parseU64(item.c_str(), n))
-                    return usage(), 2;
-                topts.deadlineSweepMs.push_back(n);
-            }
-            if (topts.deadlineSweepMs.empty())
-                return usage(), 2;
-        } else if (const char *vt = val("--tenants=")) {
-            if (!parseU64(vt, n) || n == 0)
-                return usage(), 2;
-            topts.tenants = n;
-        } else if (a == "--tolerate-failures") {
-            tolerateFailures = true;
-        } else if (const char *v10 = val("--log=")) {
-            logPath = v10;
-        } else if (a == "--joblog-sync") {
-            joblogSync = true;
-        } else if (const char *vsd = val("--store-dir=")) {
-            sopts.storeDir = vsd;
-        } else if (const char *vsm = val("--store-max-mb=")) {
-            if (!parseU64(vsm, n) || n == 0)
-                return usage(), 2;
-            sopts.storeMaxBytes = n * (1ull << 20);
-        } else if (a == "--store-no-sync") {
-            sopts.storeSync = false;
-        } else if (const char *v11 = val("--replay=")) {
-            replayPath = v11;
-        } else if (const char *v12 = val("--metrics=")) {
-            metricsPath = v12;
-        } else if (a == "--quiet") {
-            quiet = true;
-        } else if (a == "--help" || a == "-h") {
-            return usage(), 0;
-        } else if (!a.empty() && a[0] == '-') {
-            std::fprintf(stderr, "serve_app: unknown option '%s'\n",
-                         a.c_str());
-            return usage(), 2;
-        } else {
-            files.push_back(a);
-        }
-    }
+    uint64_t storeMaxMb = 0;
+    FlagSet flags("serve_app", "[options] [file.pir ...]");
+    flags.args("file.pir", files, "seed-format programs to serve")
+        .num("workers", sopts.workers, "worker pool size", 1u, 1024u)
+        .num("queue", sopts.queueDepth, "bounded queue depth", size_t{1})
+        .num("config-cache", sopts.configCacheCapacity, "LRU capacity")
+        .num("result-cache", sopts.resultCacheCapacity, "LRU capacity")
+        .sw("no-result-cache", sopts.resultCache,
+            "always re-execute duplicate jobs", false)
+        .sw("validate", sopts.validate,
+            "reference-check every executed job without a fault plan")
+        .num("max-cycles", sopts.maxCycles, "default per-job cycle budget",
+             Cycles{1})
+        .num("repeat", repeat, "submit each file N times", uint64_t{1},
+             uint64_t{1'000'000})
+        .sw("traffic", traffic, "seeded synthetic traffic, not files")
+        .num("jobs", topts.jobs, "traffic: submissions", size_t{1},
+             size_t{10'000'000})
+        .num("uniques", topts.uniques, "traffic: distinct identities",
+             size_t{1}, size_t{1'000'000})
+        .num("seed", topts.seed, "traffic: duplication-pattern seed")
+        .str("log", logPath, "FILE", "write the replayable job log")
+        .sw("joblog-sync", joblogSync,
+            "append and flush each job log record as it finishes")
+        .str("replay", replayPath, "FILE",
+             "replay a job log serially; exit 1 on divergence")
+        .str("metrics", metricsPath, "FILE", "write serve.* metrics JSON")
+        .str("store-dir", sopts.storeDir, "DIR",
+             "persist compiled configs and serve warm restarts (§17)")
+        .num("store-max-mb", storeMaxMb,
+             "evict oldest store records past N MiB (0 = unbounded)",
+             uint64_t{1}, UINT64_MAX >> 20)
+        .sw("quiet", quiet, "suppress the per-job report")
+        .num("deadline-ms", sopts.defaultDeadlineMs,
+             "default wall-clock budget per job (0 = none)", uint64_t{1})
+        .num("submit-wait-us", sopts.submitWaitUs,
+             "admission wait on a full queue before shedding")
+        .num("breaker", sopts.breakerThreshold,
+             "compile failures that open a tenant's breaker (0 = off)")
+        .num("faults", topts.faultEvery,
+             "traffic: fault-inject every Nth job (0 = none)", size_t{1})
+        .real("fault-rate", topts.faultRate,
+              "traffic: fault events per 1M cycles",
+              std::numeric_limits<double>::infinity(), true)
+        .sw("fault-hard", topts.includeHard,
+            "traffic: include stuck-unit faults")
+        .nums("deadline-sweep", topts.deadlineSweepMs,
+              "traffic: per-job deadlines in ms, cyclic (0 = none)")
+        .num("tenants", topts.tenants, "traffic: tenants", size_t{1})
+        .sw("tolerate-failures", tolerateFailures,
+            "exit 0 when every job is typed and counters match the log");
+    if (auto rc = flags.parse(argc, argv))
+        return *rc;
+    sopts.storeMaxBytes = storeMaxMb << 20;
     if (!traffic && files.empty()) {
         std::fprintf(stderr,
                      "serve_app: need .pir files or --traffic\n");
-        return usage(), 2;
+        std::fputs(flags.usage().c_str(), stderr);
+        return 2;
     }
 
     // Assemble the job stream.

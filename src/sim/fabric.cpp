@@ -688,17 +688,6 @@ Fabric::restoreCheckpoint(const FabricCheckpoint &cp)
     return Status();
 }
 
-uint64_t
-Fabric::totalLaneOps() const
-{
-    uint64_t ops = 0;
-    for (const auto &u : pcus_) {
-        if (u)
-            ops += u->stats().laneOps;
-    }
-    return ops;
-}
-
 /** Current cumulative per-class cycle sums over all units, plus DRAM
  *  bus-busy cycles (the epoch sampler diffs successive calls). */
 void

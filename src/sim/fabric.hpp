@@ -186,9 +186,6 @@ class Fabric
     /** Epoch-sampled per-class utilization time-series as CSV. */
     void writeUtilizationCsv(std::ostream &os) const;
 
-    /** Total FU-lane operations executed by all PCUs (utilization). */
-    uint64_t totalLaneOps() const;
-
   private:
     template <class Sim, class Cfg, class Make>
     void buildUnits(std::vector<std::unique_ptr<Sim>> &owned,

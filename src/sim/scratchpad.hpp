@@ -76,13 +76,6 @@ class Scratchpad
     Vec fifoPop();
     size_t fifoSize() const { return fifo_.size(); }
 
-    /** Total data bytes this scratchpad is configured to hold. */
-    uint64_t
-    configuredBytes() const
-    {
-        return static_cast<uint64_t>(cfg_.numBufs) * cfg_.sizeWords * 4;
-    }
-
     // ---- SECDED ECC model & fault injection --------------------------
     //
     // Check bits are not stored; instead each upset is tracked in a
@@ -93,7 +86,6 @@ class Scratchpad
     // propagates into results (potential silent data corruption).
 
     void enableEcc(bool on) { ecc_ = on; }
-    bool eccEnabled() const { return ecc_; }
 
     /**
      * Flip `bits` adjacent bits (starting at `bitPos`, wrapping within

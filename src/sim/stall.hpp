@@ -89,15 +89,6 @@ struct CycleAcct
                sleptBy[static_cast<size_t>(c)];
     }
 
-    uint64_t
-    classifiedTotal() const
-    {
-        uint64_t t = 0;
-        for (size_t i = 0; i < kNumCycleClasses; ++i)
-            t += by[i] + sleptBy[i];
-        return t;
-    }
-
     template <class Ar>
     void
     serializeState(Ar &ar)

@@ -92,7 +92,6 @@ class StreamBase : public SimObject
     void bindHostSlot(int32_t slot) { hostSlot_ = slot; }
     SimObject *producer() const { return producer_; }
     SimObject *consumer() const { return consumer_; }
-    int32_t hostSlot() const { return hostSlot_; }
 
     virtual bool quiescent() const = 0;
     /** Receiver-FIFO elements currently poppable (diagnostics). */

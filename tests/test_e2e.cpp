@@ -21,16 +21,6 @@ runValidated(apps::AppInstance app,
     return r.runValidated();
 }
 
-const apps::AppSpec *
-findApp(const std::string &name)
-{
-    for (const auto &spec : apps::allApps()) {
-        if (spec.name == name)
-            return &spec;
-    }
-    return nullptr;
-}
-
 } // namespace
 
 class EndToEnd : public ::testing::TestWithParam<std::string>
@@ -39,7 +29,7 @@ class EndToEnd : public ::testing::TestWithParam<std::string>
 
 TEST_P(EndToEnd, FabricMatchesReferenceBitExactly)
 {
-    const apps::AppSpec *spec = findApp(GetParam());
+    const apps::AppSpec *spec = apps::findApp(GetParam());
     ASSERT_NE(spec, nullptr) << "unknown benchmark";
     Runner::Result res = runValidated(spec->make(apps::Scale::kTiny));
     EXPECT_GT(res.cycles, 0u);
@@ -51,7 +41,7 @@ TEST_P(EndToEnd, FabricMatchesReferenceBitExactly)
  *  its own address. */
 TEST_P(EndToEnd, MatchesReferenceAtTwoOutstandingBursts)
 {
-    const apps::AppSpec *spec = findApp(GetParam());
+    const apps::AppSpec *spec = apps::findApp(GetParam());
     ASSERT_NE(spec, nullptr) << "unknown benchmark";
     ArchParams params = ArchParams::plasticineFinal();
     params.coalescerMaxOutstanding = 2;
@@ -97,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(Factors, InnerProductPar,
  *  block. */
 TEST(EndToEndExtra, CnnMatchesReferenceAtDefaultScale)
 {
-    const apps::AppSpec *cnn = findApp("CNN");
+    const apps::AppSpec *cnn = apps::findApp("CNN");
     ASSERT_NE(cnn, nullptr);
     Runner::Result res = runValidated(cnn->make(apps::Scale::kDefault));
     EXPECT_GT(res.cycles, 0u);

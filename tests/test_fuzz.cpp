@@ -270,6 +270,35 @@ TEST(Fuzz, NonCombinerFoldOpIsInvalidNotAPanic)
     }
 }
 
+TEST(Fuzz, UnusableArchHeadersReplayTyped)
+{
+    // Seed headers the compiler cannot index (no DRAM channel, a grid
+    // past 16-bit unit indices) come back as typed verdicts naming the
+    // field, and a signed field fails to read; none may crash or hang.
+    std::ifstream f(PLAST_CORPUS_DIR "/clean_seed_3.pir");
+    ASSERT_TRUE(f) << "no corpus under " PLAST_CORPUS_DIR;
+    std::stringstream text;
+    text << f.rdbuf();
+    std::string t = text.str();
+    const std::string arch = "arch 16 8 8 16 8 4 16 4 6 16";
+    size_t at = t.find(arch);
+    ASSERT_NE(at, std::string::npos);
+    for (auto [header, expect] :
+         {std::pair{"arch 16 8 8 16 8 0 16 4 6 16", "dram.channels"},
+          {"arch 4000 4000 8 16 8 4 16 4 6 16", "grid"},
+          {"arch -1 8 8 16 8 4 16 4 6 16", "bad 'arch' field '-1'"}}) {
+        std::string path = ::testing::TempDir() + "arch_header.pir";
+        std::ofstream(path) << t.substr(0, at) + header +
+                                   t.substr(at + arch.size());
+        DiffResult d = replayFile(path);
+        EXPECT_FALSE(d.ok()) << header;
+        EXPECT_FALSE(d.mismatch()) << header << ": " << d.detail;
+        EXPECT_NE(d.detail.find(expect), std::string::npos)
+            << header << ": " << d.detail;
+        std::remove(path.c_str());
+    }
+}
+
 TEST(Fuzz, CorpusReplaysDeterministically)
 {
     setVerbose(false);

@@ -17,15 +17,13 @@ MapResult
 mapApp(const std::string &name)
 {
     setVerbose(false);
-    for (const auto &spec : apps::allApps()) {
-        if (spec.name == name) {
-            apps::AppInstance app = spec.make(apps::Scale::kTiny);
-            return compileProgram(app.prog,
-                                  ArchParams::plasticineFinal());
-        }
+    const apps::AppSpec *spec = apps::findApp(name);
+    if (!spec) {
+        ADD_FAILURE() << "unknown app " << name;
+        return {};
     }
-    ADD_FAILURE() << "unknown app " << name;
-    return {};
+    apps::AppInstance app = spec->make(apps::Scale::kTiny);
+    return compileProgram(app.prog, ArchParams::plasticineFinal());
 }
 
 } // namespace

@@ -30,11 +30,9 @@ namespace
 apps::AppInstance
 appByName(const std::string &name)
 {
-    for (const auto &s : apps::allApps()) {
-        if (s.name == name)
-            return s.make(apps::Scale::kTiny);
-    }
-    panic("no such app '%s'", name.c_str());
+    const apps::AppSpec *spec = apps::findApp(name);
+    panic_if(!spec, "no such app '%s'", name.c_str());
+    return spec->make(apps::Scale::kTiny);
 }
 
 ArchParams

@@ -339,6 +339,48 @@ TEST(DiagnosedErrors, TryCompileNamesTheBindingResource)
         << st.message();
 }
 
+TEST(DiagnosedErrors, UnindexableArchIsACompileErrorNamingTheField)
+{
+    // Architectures no compile can index come back typed, naming the
+    // field, before any analysis divides by or loops over them; the
+    // capacity diagnoses of other degenerate headers stay as they were.
+    setVerbose(false);
+    apps::AppInstance app = apps::makeGemm(apps::Scale::kTiny);
+    auto bindingOf = [&](auto edit) {
+        ArchParams p = ArchParams::plasticineFinal();
+        edit(p);
+        MapResult res = compileProgram(app.prog, p);
+        EXPECT_FALSE(res.report.ok);
+        EXPECT_EQ(res.report.error.compare(0, res.report.diag.binding.size(),
+                                           res.report.diag.binding),
+                  0)
+            << res.report.error;
+        return res.report.diag.binding;
+    };
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.dram.channels = 0; }),
+              "dram.channels");
+    EXPECT_EQ(bindingOf([](ArchParams &p) {
+                  p.gridCols = 4000;
+                  p.gridRows = 4000;
+              }),
+              "grid");
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.gridCols = UINT32_MAX; }),
+              "grid");
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.numAgs = 70000; }), "numAgs");
+
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.numAgs = 0; }), "ag");
+    EXPECT_EQ(bindingOf([](ArchParams &p) {
+                  p.vectorTracks = 0;
+                  p.scalarTracks = 0;
+                  p.controlTracks = 0;
+              }),
+              "routing");
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.pcu.stages = 0; }),
+              "pcu.pipeline");
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.pmu.bankKilobytes = 0; }),
+              "pmu.scratchpad");
+}
+
 // ---------------------------------------------------------------------
 // Placement restarts + diagnostics plumbing
 // ---------------------------------------------------------------------

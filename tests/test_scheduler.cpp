@@ -38,11 +38,9 @@ denseOpts()
 const apps::AppSpec &
 specByName(const std::string &name)
 {
-    for (const auto &spec : apps::allApps()) {
-        if (spec.name == name)
-            return spec;
-    }
-    panic("no such app '%s'", name.c_str());
+    const apps::AppSpec *spec = apps::findApp(name);
+    panic_if(!spec, "no such app '%s'", name.c_str());
+    return *spec;
 }
 
 /** A tiny-scale run of app `name` under `opts`, DRAM read back. */

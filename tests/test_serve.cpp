@@ -17,6 +17,7 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -545,6 +546,24 @@ TEST(ServeStress, FailedCompilesAreNegativelyCached)
     EXPECT_EQ(r3.outcome->outcome, "ok") << r3.outcome->detail;
 }
 
+TEST(ServeStress, ZeroDramChannelsIsATypedCompileError)
+{
+    // A wire job whose arch header has no DRAM channel used to take the
+    // daemon down with a divide by zero; it is a typed outcome.
+    apps::AppInstance inst = apps::makeInnerProduct(apps::Scale::kTiny);
+    JobSpec spec;
+    spec.source = "no-channels";
+    spec.prog = inst.prog;
+    spec.load = inst.load;
+    spec.params.dram.channels = 0;
+    Server server(ServeOptions{});
+    JobResult r = server.executeJob(spec);
+    ASSERT_NE(r.outcome, nullptr);
+    EXPECT_EQ(r.outcome->outcome, "compile-error");
+    EXPECT_NE(r.outcome->detail.find("dram.channels"), std::string::npos)
+        << r.outcome->detail;
+}
+
 TEST(ServeStress, EvictionUnderTinyCapacityStaysCorrect)
 {
     TrafficOptions t;
@@ -763,16 +782,62 @@ TEST(ServeJoblog, RejectsMalformedLogs)
     std::string err;
     std::istringstream noHeader("job id=1 src=x\n");
     EXPECT_FALSE(readJobLog(noHeader, log, &err));
+    // Every line carries the writer's 15 keys once each, in its order:
+    // an unknown key, a repeated key or a short line is corrupt.
     std::istringstream badKey(
         "plast.joblog.v2\njob id=1 wat=2 src=x\n");
     EXPECT_FALSE(readJobLog(badKey, log, &err));
-    EXPECT_NE(err.find("unknown key 'wat'"), std::string::npos) << err;
+    EXPECT_NE(err.find("expected 'seq=', got 'wat=2'"), std::string::npos)
+        << err;
     std::istringstream noSrc("plast.joblog.v2\njob id=1 seq=0\n");
     EXPECT_FALSE(readJobLog(noSrc, log, &err));
-    EXPECT_NE(err.find("missing src="), std::string::npos) << err;
+    EXPECT_NE(err.find("line 2: seq: unexpected end of input"),
+              std::string::npos)
+        << err;
     std::istringstream v1("plast.joblog.v1\njob id=1 seq=0 src=x\n");
     EXPECT_FALSE(readJobLog(v1, log, &err));
     EXPECT_NE(err.find("header"), std::string::npos) << err;
+
+    std::istringstream fewKeys("plast.joblog.v2\njob id=5 src=app:GEMM\n");
+    EXPECT_FALSE(readJobLog(fewKeys, log, &err));
+    EXPECT_NE(err.find("expected 'seq=', got 'src=app:GEMM'"),
+              std::string::npos)
+        << err;
+    std::istringstream twice(
+        "plast.joblog.v2\njob id=5 id=6 seq=1 chit=7 rhit=yes src=x\n");
+    EXPECT_FALSE(readJobLog(twice, log, &err));
+    EXPECT_NE(err.find("expected 'seq=', got 'id=6'"), std::string::npos)
+        << err;
+    std::istringstream signedSeq(
+        "plast.joblog.v2\njob id=5 seq=-1 worker=99999999999 src=x\n");
+    EXPECT_FALSE(readJobLog(signedSeq, log, &err));
+    EXPECT_NE(err.find("seq: bad number '-1'"), std::string::npos) << err;
+    EXPECT_TRUE(log.empty());
+
+    // One field at a time on a line the writer wrote: flags are 0/1
+    // and numbers unsigned and inside their field.
+    JobResult r;
+    r.id = 5;
+    r.seq = 1;
+    r.source = "app:GEMM/v0";
+    std::ostringstream good;
+    writeJobLogHeader(good);
+    writeJobLogLine(good, r);
+    std::istringstream goodIs(good.str());
+    ASSERT_TRUE(readJobLog(goodIs, log, &err)) << err;
+    for (auto [from, to] :
+         {std::pair{"seq=1 ", "seq=-1 "}, {"worker=0 ", "worker=99999999999 "},
+          {"chit=0 ", "chit=7 "}, {"rhit=0 ", "rhit=yes "},
+          {"exe=1 ", "exe=2 "}, {"retries=0 ", "retries=+1 "}}) {
+        std::string text = good.str();
+        size_t at = text.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        text.replace(at, std::strlen(from), to);
+        std::istringstream is(text);
+        std::vector<JobLogEntry> out;
+        EXPECT_FALSE(readJobLog(is, out, &err)) << to;
+        EXPECT_NE(err.find("bad number"), std::string::npos) << err;
+    }
 }
 
 TEST(ServeJoblog, TornFinalLineIsDroppedWithWarningNotError)

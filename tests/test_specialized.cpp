@@ -55,11 +55,9 @@ class SpecializedParity : public ::testing::TestWithParam<std::string>
     SetUp() override
     {
         setVerbose(false);
-        for (const auto &s : apps::allApps()) {
-            if (s.name == GetParam())
-                app = s.make(apps::Scale::kTiny);
-        }
-        ASSERT_FALSE(app.name.empty()) << "unknown benchmark";
+        const apps::AppSpec *spec = apps::findApp(GetParam());
+        ASSERT_NE(spec, nullptr) << "unknown benchmark";
+        app = spec->make(apps::Scale::kTiny);
     }
 
     apps::AppInstance app;

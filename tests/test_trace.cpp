@@ -211,12 +211,10 @@ struct AppRun
 const apps::AppSpec &
 appByName(const std::string &name)
 {
-    for (const auto &s : apps::allApps()) {
-        if (s.name == name)
-            return s;
-    }
-    ADD_FAILURE() << "unknown app " << name;
-    return apps::allApps()[0];
+    const apps::AppSpec *spec = apps::findApp(name);
+    if (!spec)
+        ADD_FAILURE() << "unknown app " << name;
+    return spec ? *spec : apps::allApps()[0];
 }
 
 AppRun
