@@ -14,6 +14,11 @@
  * BENCH_mapper.json with bench_compare (counters exactly,
  * `*compile_us` as wall-clock).
  *
+ * A third leg compiles every benchmark on 4-bank x 1 KB scratchpads,
+ * where tiles overflow their N-buffers and the compiler spills (caps
+ * metapipe depths) or rejects with `pmu.scratchpad`. Per app it
+ * reports the spill actions, `rejected`, routed hops and compile time.
+ *
  *   bench_mapper [--tiny] [--stats-json=PATH]
  */
 
@@ -140,6 +145,38 @@ main(int argc, char **argv)
             put("routedHops", nd.routedHops);
             put("routeRounds", rounds);
             put("placementAttempts", nd.diag.placementAttempts);
+        }
+    }
+    // Small scratchpads: N-buffer depths spill or the design is
+    // rejected, typed.
+    ArchParams smallPmu = params;
+    smallPmu.pmu.banks = 4;
+    smallPmu.pmu.bankKilobytes = 1;
+    std::printf("\n=== Capacity spilling at %u banks x %u KB ===\n",
+                smallPmu.pmu.banks, smallPmu.pmu.bankKilobytes);
+    std::printf("%-14s | %9s | %6s | %15s | %7s\n", "benchmark",
+                "negot_us", "spills", "rejected", "n_hops");
+    for (const auto &spec : apps::allApps()) {
+        apps::AppInstance app = spec.make(scale);
+        CompileSample n = timedCompile(app.prog, smallPmu);
+        const auto &nd = n.map.report;
+        if (!nd.ok && nd.diag.binding.empty()) {
+            std::printf("%s: untyped rejection: %s\n", app.name.c_str(),
+                        nd.error.c_str());
+            ++untyped;
+        }
+        std::printf("%-14s | %9.0f | %6zu | %15s | %7llu\n",
+                    app.name.c_str(), n.micros, nd.diag.spills.size(),
+                    nd.ok ? "-" : nd.diag.binding.c_str(),
+                    static_cast<unsigned long long>(nd.routedHops));
+        if (!json_path.empty()) {
+            auto put = [&](const std::string &k, uint64_t v) {
+                json_stats.set(app.name + ".pmu4x1k." + k, v);
+            };
+            put("compile_us", static_cast<uint64_t>(n.micros));
+            put("spills", nd.diag.spills.size());
+            put("rejected", nd.ok ? 0 : 1);
+            put("routedHops", nd.routedHops);
         }
     }
     bench::writeStatsJson(json_path, json_stats, "mapper", params);

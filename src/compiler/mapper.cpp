@@ -1,16 +1,16 @@
 #include "compiler/mapper.hpp"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <map>
 #include <set>
 #include <tuple>
 
-#include "arch/geometry.hpp"
 #include "base/logging.hpp"
 #include "base/profile.hpp"
-#include "base/rng.hpp"
-#include "compiler/router.hpp"
+#include "compiler/analysis.hpp"
+#include "compiler/place.hpp"
 #include "compiler/vleaf.hpp"
 
 namespace plast::compiler
@@ -20,10 +20,6 @@ using namespace pir;
 
 namespace
 {
-
-/** Rip-up-and-reroute rounds of the first placement attempt; each
- *  later attempt gets 8 more (cost backoff). */
-constexpr uint32_t kRouteRounds = 24;
 
 /** Per-unit port-allocation cursors. */
 struct PortAlloc
@@ -39,6 +35,10 @@ struct CtrlHandle
 {
     UnitRef unit;
     CtrlSel sel = CtrlSel::kMain;
+
+    auto key() const { return std::make_tuple(unit.cls, unit.index, sel); }
+    bool operator<(const CtrlHandle &o) const { return key() < o.key(); }
+    bool operator==(const CtrlHandle &o) const { return key() == o.key(); }
 };
 
 /** A pending scalar-input connection. */
@@ -61,66 +61,111 @@ struct Cluster
     std::vector<CtrlHandle> dones;
 };
 
-/** One capacity-spill request: shrink a memory's N-buffer depth (and
- *  the metapipe depths that drive it) so the buffers fit on-chip. */
-struct SpillReq
+UnitRef
+pcuAt(int index)
 {
-    uint32_t fromBufs = 0;
-    uint32_t toBufs = 0;
-    std::set<NodeId> nodes; ///< metapipe controllers to throttle
+    return {UnitClass::kPcu, static_cast<uint16_t>(index)};
+}
+
+UnitRef
+pmuAt(int index)
+{
+    return {UnitClass::kPmu, static_cast<uint16_t>(index)};
+}
+
+/** The value and scatter-address vector emissions of sink `s`, -1
+ *  where absent (gather-address emissions belong to no sink). */
+std::pair<int, int>
+sinkEmissions(const VirtualLeaf &vl, int32_t s)
+{
+    int val = -1, addr = -1;
+    for (size_t e = 0; e < vl.emissions.size(); ++e) {
+        const VEmission &em = vl.emissions[e];
+        if (em.sinkIdx == s && em.kind == VEmission::Kind::kVecOut)
+            (em.scatterAddrForSink >= 0 ? addr : val) = static_cast<int>(e);
+    }
+    return {val, addr};
+}
+
+/** An address-datapath stage: register `dst` = op(a, b, c). */
+StageCfg
+addrStage(FuOp op, Operand a, Operand b, uint8_t dst,
+          Operand c = Operand::none())
+{
+    StageCfg st;
+    st.op = op;
+    st.a = a;
+    st.b = b;
+    st.c = c;
+    st.dstReg = dst;
+    return st;
+}
+
+/** What construction hands place-and-route and the report. */
+struct Construction
+{
+    /** Logical config: units in construction order, channels between
+     *  logical unit refs. */
+    FabricConfig fabric;
+    std::vector<SpillAction> spills;
+    /** The first failure and the resource it names ("" when none). */
+    std::string error, binding;
 };
 
-class Mapper
+/**
+ * Construction (§3.6 steps 3–5): unit configurations for the analysed
+ * program, their data channels and the token / credit control graph.
+ * The members are the wiring state the steps share.
+ */
+class Codegen
 {
   public:
-    Mapper(const Program &prog, const ArchParams &params,
-           const UnitMask &mask, const CompileOptions &opts = {},
-           const std::map<NodeId, uint32_t> &depthCaps = {})
-        : prog_(prog), P_(params), geom_(params), mask_(mask),
-          opts_(opts), depthCaps_(depthCaps)
+    Codegen(const Program &prog, const Analysis &an,
+            const ArchParams &params)
+        : prog_(prog), an_(an), P_(params)
     {
+        fab_.params = params;
+        if (!an.error.empty())
+            fail(an.error, "pcu.pipeline");
     }
 
-    MapResult run();
-
-    /** Spill requests recorded by a failed run (empty when the design
-     *  is unspillable — the failure is then final). */
-    const std::map<MemId, SpillReq> &spillRequests() const
-    {
-        return spillReqs_;
-    }
+    /** Build every unit and channel; N-buffer depths are planned once
+     *  PCU construction succeeds. */
+    Construction run(bool allowSpill);
 
   private:
-    // ---- analysis ----------------------------------------------------
-    void analyze();
-    /** Total unit, port and scratchpad demand of the analysed program
-     *  against the architecture; infeasible when any check is over,
-     *  naming the first as the binding resource. */
-    CompileDiagnostics checkDemand() const;
-    std::vector<NodeId> ancestors(NodeId n) const;
-    NodeId lca(NodeId a, NodeId b) const;
-    int64_t ctrTrips(CtrId c) const;
-    int64_t runsPerIter(NodeId leaf, NodeId ancestor) const;
-    void memsTouched(NodeId n, std::set<MemId> &reads,
-                     std::set<MemId> &writes) const;
-
-    // ---- construction -------------------------------------------------
     void createPcus();
     void createPmus();
     void createAgs();
     void createBoxes();
     void wireScalars();
     void wireControl();
-    bool placeAndRoute(FabricConfig &fab);
 
     // helpers
+    int64_t ctrTrips(CtrId c) const;
+    int64_t runsPerIter(NodeId leaf, NodeId ancestor) const;
+    void memsTouched(NodeId n, std::set<MemId> &reads,
+                     std::set<MemId> &writes) const;
     ControlCfg &ctrlOf(const CtrlHandle &h);
-    PortAlloc &portsOf(const UnitRef &u);
+    PortAlloc &
+    portsOf(const UnitRef &u)
+    {
+        return ports_[static_cast<size_t>(u.cls)][u.index];
+    }
+    /** Port cursors for the next unit of class `cls`, and its ref. */
+    UnitRef
+    newPorts(UnitClass cls)
+    {
+        auto &ports = ports_[static_cast<size_t>(cls)];
+        ports.emplace_back();
+        return {cls, static_cast<uint16_t>(ports.size() - 1)};
+    }
     void connect(NetKind kind, UnitRef src, uint32_t sp, UnitRef dst,
                  uint32_t dp, uint32_t capacity = 16,
                  uint32_t initialTokens = 0);
-    uint32_t allocCtlIn(const UnitRef &u);
-    uint32_t allocCtlOut(const UnitRef &u);
+    /** A control channel on fresh ports: (out port, in port). */
+    std::pair<uint8_t, uint8_t> controlEdge(const UnitRef &from,
+                                            const UnitRef &to);
     void tokenEdge(const CtrlHandle &from, const CtrlHandle &to);
     /** Scalar port on `unit` fed by outer counter `c`. */
     uint32_t scalarForCtr(const UnitRef &unit, CtrId c);
@@ -143,82 +188,28 @@ class Mapper
     };
     LoadBlock loadBlock(const TransferDesc &x) const;
 
-    void fail(const std::string &msg)
+    /** Record the first failure, with the resource it binds on. */
+    void
+    fail(const std::string &msg, const char *resource = "compile")
     {
         if (ok_) {
             ok_ = false;
             error_ = msg;
+            binding_ = resource;
         }
-    }
-
-    /** fail() plus the binding-resource tag for the diagnostics. */
-    void failBinding(const std::string &resource, const std::string &msg)
-    {
-        if (ok_ && diag_.binding.empty())
-            diag_.binding = resource;
-        fail(msg);
-    }
-
-    /** Metapipe concurrency of an outer node, after any spill caps. */
-    uint32_t metapipeDepth(NodeId o) const
-    {
-        const Node &n = prog_.nodes[o];
-        uint32_t d = n.depthHint
-                         ? n.depthHint
-                         : static_cast<uint32_t>(n.children.size());
-        auto it = depthCaps_.find(o);
-        if (it != depthCaps_.end())
-            d = std::min(d, it->second);
-        return std::max(d, 1u);
     }
 
     // ---- inputs --------------------------------------------------------
     const Program &prog_;
-    ArchParams P_;
-    Geometry geom_;
-    UnitMask mask_; ///< faulted physical sites placement must avoid
-    CompileOptions opts_;
-    /** Spill state from earlier rounds: metapipe node -> depth cap. */
-    std::map<NodeId, uint32_t> depthCaps_;
+    const Analysis &an_;
+    const ArchParams &P_;
+    DepthPlan plan_;
 
     bool ok_ = true;
-    std::string error_;
-    CompileDiagnostics diag_;
-    std::map<MemId, SpillReq> spillReqs_;
-    /** Metapipe nodes whose depth drives each memory's N-buffering. */
-    std::map<MemId, std::set<NodeId>> nbufContrib_;
-
-    // ---- analysis results -----------------------------------------------
-    std::vector<NodeId> leaves_, xfers_, outers_;
-    std::map<NodeId, VirtualLeaf> vleaves_;
-    std::map<NodeId, PartitionResult> parts_;
-
-    struct ReaderDesc
-    {
-        enum class Kind { kLeafLoad, kXferStore, kGatherAddr } kind;
-        NodeId node;
-        int32_t vecSource = -1; ///< kLeafLoad: index into vleaf sources
-    };
-    struct WriterDesc
-    {
-        enum class Kind { kLeafSink, kXferLoad, kGatherDst } kind;
-        NodeId node;
-        int32_t sinkIdx = -1;
-    };
-    std::map<MemId, std::vector<ReaderDesc>> readers_;
-    std::map<MemId, std::vector<WriterDesc>> writers_;
-    std::map<MemId, uint32_t> nbuf_;
-    std::map<MemId, NodeId> rotNode_;
-
-    // ---- logical units ---------------------------------------------------
-    std::vector<PcuCfg> pcus_;
-    std::vector<PmuCfg> pmus_;
-    std::vector<AgCfg> ags_;
-    std::vector<ControlBoxCfg> boxes_;
-    std::vector<PortAlloc> pcuPorts_, pmuPorts_, agPorts_, boxPorts_;
-    std::vector<ChannelCfg> chans_;
-    uint32_t hostArgOuts_ = 0;
-    int rootBox_ = -1;
+    std::string error_, binding_;
+    FabricConfig fab_;
+    /** Port cursors per unit, indexed by UnitClass then logical index. */
+    std::array<std::vector<PortAlloc>, 4> ports_;
 
     std::map<NodeId, int> boxOf_;
 
@@ -242,7 +233,6 @@ class Mapper
     NodeId curConsumer_ = kNone;
     /** Box export ports: (ctr) -> (box, port). */
     std::map<CtrId, std::pair<int, int>> exports_;
-    std::map<CtrId, NodeId> ctrOwner_;
 
     std::map<NodeId, Cluster> clusters_;
 
@@ -262,38 +252,14 @@ class Mapper
     std::map<NodeId, std::vector<std::pair<int, int>>> xferWritePorts_;
     /** Transfer-store / gather-addr source PMU per transfer. */
     std::map<NodeId, int> xferReadPmu_;
-
-    MappingReport rep_;
-    std::vector<Addr> dramBase_;
 };
 
 // =====================================================================
-// Analysis
+// Shared helpers
 // =====================================================================
 
-std::vector<NodeId>
-Mapper::ancestors(NodeId n) const
-{
-    std::vector<NodeId> up;
-    for (NodeId a = n; a != kNone; a = prog_.nodes[a].parent)
-        up.push_back(a);
-    return up;
-}
-
-NodeId
-Mapper::lca(NodeId a, NodeId b) const
-{
-    std::vector<NodeId> ua = ancestors(a);
-    std::set<NodeId> sa(ua.begin(), ua.end());
-    for (NodeId x = b; x != kNone; x = prog_.nodes[x].parent) {
-        if (sa.count(x))
-            return x;
-    }
-    return prog_.root;
-}
-
 int64_t
-Mapper::ctrTrips(CtrId c) const
+Codegen::ctrTrips(CtrId c) const
 {
     const CtrDecl &cd = prog_.ctrs[c];
     int64_t bound;
@@ -310,7 +276,7 @@ Mapper::ctrTrips(CtrId c) const
 }
 
 int64_t
-Mapper::runsPerIter(NodeId leaf, NodeId ancestor) const
+Codegen::runsPerIter(NodeId leaf, NodeId ancestor) const
 {
     int64_t runs = 1;
     NodeId n = prog_.nodes[leaf].parent;
@@ -329,8 +295,8 @@ Mapper::runsPerIter(NodeId leaf, NodeId ancestor) const
 }
 
 void
-Mapper::memsTouched(NodeId id, std::set<MemId> &reads,
-                    std::set<MemId> &writes) const
+Codegen::memsTouched(NodeId id, std::set<MemId> &reads,
+                     std::set<MemId> &writes) const
 {
     const Node &n = prog_.nodes[id];
     switch (n.kind) {
@@ -392,283 +358,24 @@ Mapper::memsTouched(NodeId id, std::set<MemId> &reads,
     }
 }
 
-void
-Mapper::analyze()
-{
-    // DRAM base offsets (64 B aligned).
-    dramBase_.assign(prog_.mems.size(), 0);
-    Addr cursor = 0;
-    for (size_t m = 0; m < prog_.mems.size(); ++m) {
-        if (prog_.mems[m].kind != MemKind::kDram)
-            continue;
-        dramBase_[m] = cursor;
-        cursor += ((prog_.mems[m].sizeWords * 4 + kBurstBytes - 1) /
-                   kBurstBytes) *
-                  kBurstBytes;
-        // Guard band: stream AGs may over-read the final burst.
-        cursor += kBurstBytes;
-    }
-
-    // Node lists + counter owners.
-    std::function<void(NodeId)> walk = [&](NodeId id) {
-        const Node &n = prog_.nodes[id];
-        switch (n.kind) {
-          case NodeKind::kOuter:
-            outers_.push_back(id);
-            for (CtrId c : n.ctrs)
-                ctrOwner_[c] = id;
-            for (NodeId c : n.children)
-                walk(c);
-            return;
-          case NodeKind::kCompute:
-            leaves_.push_back(id);
-            return;
-          case NodeKind::kTransfer:
-            xfers_.push_back(id);
-            return;
-        }
-    };
-    walk(prog_.root);
-
-    // Lower + partition every compute leaf. A leaf whose lowering
-    // fails is left out of every count; a failed partition stays in
-    // parts_ for checkDemand to report.
-    for (NodeId l : leaves_) {
-        VirtualLeaf vl = lowerLeaf(prog_, l, P_.pcu.lanes);
-        if (!vl.error.empty()) {
-            failBinding("pcu.pipeline", vl.error);
-            continue;
-        }
-        parts_.emplace(l, partitionLeaf(vl, P_.pcu));
-        vleaves_.emplace(l, std::move(vl));
-    }
-
-    // Memory readers and writers, in controller-tree order.
-    for (NodeId l : leaves_) {
-        auto it = vleaves_.find(l);
-        if (it == vleaves_.end())
-            continue;
-        const VirtualLeaf &vl = it->second;
-        for (size_t v = 0; v < vl.vecSources.size(); ++v) {
-            const VecSource &src = vl.vecSources[v];
-            if (src.kind == VecSource::Kind::kDramStream)
-                continue;
-            MemId m = prog_.exprs[src.expr].mem;
-            readers_[m].push_back({ReaderDesc::Kind::kLeafLoad, l,
-                                   static_cast<int32_t>(v)});
-        }
-        const Node &n = prog_.nodes[l];
-        for (size_t s = 0; s < n.sinks.size(); ++s) {
-            const Sink &sk = n.sinks[s];
-            bool sram_write =
-                sk.kind == SinkKind::kStoreSram ||
-                sk.kind == SinkKind::kFlatMapSram ||
-                (sk.kind == SinkKind::kFold &&
-                 sk.dest == FoldDest::kSramAddr);
-            if (sram_write) {
-                writers_[sk.mem].push_back({WriterDesc::Kind::kLeafSink,
-                                            l, static_cast<int32_t>(s)});
-            }
-        }
-    }
-    for (NodeId t : xfers_) {
-        const TransferDesc &x = prog_.nodes[t].xfer;
-        if (x.sparse) {
-            readers_[x.addrMem].push_back(
-                {ReaderDesc::Kind::kGatherAddr, t, -1});
-            writers_[x.sram].push_back(
-                {WriterDesc::Kind::kGatherDst, t, -1});
-        } else if (x.load) {
-            writers_[x.sram].push_back(
-                {WriterDesc::Kind::kXferLoad, t, -1});
-        } else {
-            readers_[x.sram].push_back(
-                {ReaderDesc::Kind::kXferStore, t, -1});
-        }
-    }
-
-    // N-buffering and rotation level per SRAM memory.
-    for (size_t m = 0; m < prog_.mems.size(); ++m) {
-        if (prog_.mems[m].kind != MemKind::kSram)
-            continue;
-        MemId mid = static_cast<MemId>(m);
-        uint32_t nbuf = prog_.mems[m].nbufMin;
-        NodeId rot = kNone;
-        for (const WriterDesc &w : writers_[mid]) {
-            for (const ReaderDesc &r : readers_[mid]) {
-                NodeId l = lca(w.node, r.node);
-                if (rot == kNone ||
-                    ancestors(rot).size() > ancestors(l).size())
-                    rot = l;
-                const Node &ln = prog_.nodes[l];
-                if (ln.kind == NodeKind::kOuter &&
-                    ln.scheme == CtrlScheme::kMetapipe) {
-                    nbuf = std::max(nbuf, metapipeDepth(l));
-                    nbufContrib_[mid].insert(l);
-                }
-            }
-        }
-        if (rot == kNone)
-            rot = prog_.root;
-        nbuf_[mid] = std::max<uint32_t>(nbuf, 1);
-        rotNode_[mid] = rot;
-    }
-}
-
-CompileDiagnostics
-Mapper::checkDemand() const
-{
-    // The counts mirror unit construction: one PCU per partition
-    // chunk, one PMU per (memory, reader), one AG per transfer, DRAM
-    // stream and stream-out sink, one control box per outer controller.
-    CompileDiagnostics diag;
-    auto pushCheck = [&](const char *res, uint64_t demand,
-                         uint64_t capacity, const std::string &detail) {
-        ResourceCheck c;
-        c.resource = res;
-        c.demand = demand;
-        c.capacity = capacity;
-        c.over = demand > capacity;
-        c.detail = detail;
-        diag.checks.push_back(c);
-    };
-
-    uint64_t pcuDemand = 0, agDemand = xfers_.size();
-    uint32_t maxVi = 0, maxVo = 0, maxSi = 0, maxSo = 0;
-    for (NodeId l : leaves_) {
-        auto it = vleaves_.find(l);
-        if (it == vleaves_.end())
-            continue; // lowering failed; analyze() reported it
-        const VirtualLeaf &vl = it->second;
-        const PartitionResult &pr = parts_.at(l);
-        if (pr.ok) {
-            pcuDemand += pr.chunks.size();
-            for (const Chunk &ch : pr.chunks) {
-                maxVi = std::max(maxVi, ch.metrics.vectorIns);
-                maxVo = std::max(maxVo, ch.metrics.vectorOuts);
-                maxSi = std::max(maxSi, ch.metrics.scalarIns);
-                maxSo = std::max(maxSo, ch.metrics.scalarOuts);
-            }
-        } else {
-            ResourceCheck c;
-            c.resource = "pcu.pipeline";
-            c.over = true;
-            c.detail = strfmt("leaf '%s': %s", vl.name.c_str(),
-                              pr.error.c_str());
-            diag.checks.push_back(c);
-        }
-        for (const VecSource &src : vl.vecSources)
-            if (src.kind == VecSource::Kind::kDramStream)
-                ++agDemand;
-        for (const Sink &sk : prog_.nodes[l].sinks)
-            if (sk.kind == SinkKind::kStreamOut ||
-                sk.kind == SinkKind::kScatterOut)
-                ++agDemand;
-    }
-
-    // SRAM memories some unit reads or writes, in declaration order.
-    auto count = [](const auto &byMem, MemId m) -> uint64_t {
-        auto it = byMem.find(m);
-        return it == byMem.end() ? 0 : it->second.size();
-    };
-    std::vector<MemId> srams;
-    uint64_t pmuDemand = 0;
-    for (size_t m = 0; m < prog_.mems.size(); ++m) {
-        MemId mid = static_cast<MemId>(m);
-        uint64_t rds = count(readers_, mid), wrs = count(writers_, mid);
-        if (prog_.mems[m].kind != MemKind::kSram || (rds == 0 && wrs == 0))
-            continue;
-        srams.push_back(mid);
-        if (wrs > 2)
-            pushCheck("pmu.writePorts", wrs, 2,
-                      strfmt("memory '%s'", prog_.mems[m].name.c_str()));
-        pmuDemand += std::max<uint64_t>(rds, 1);
-    }
-
-    auto maskedCount = [](const std::vector<uint32_t> &masked,
-                          uint32_t capacity) {
-        uint32_t n = 0;
-        for (uint32_t m : masked)
-            n += m < capacity ? 1 : 0;
-        return n;
-    };
-    uint32_t maskedPcus = maskedCount(mask_.pcus, P_.numPcus());
-    uint32_t maskedPmus = maskedCount(mask_.pmus, P_.numPmus());
-    pushCheck("pcu", pcuDemand, P_.numPcus() - maskedPcus,
-              maskedPcus ? strfmt("%u masked as faulted", maskedPcus)
-                         : "");
-    pushCheck("pmu", pmuDemand, P_.numPmus() - maskedPmus,
-              maskedPmus ? strfmt("%u masked as faulted", maskedPmus)
-                         : "");
-    pushCheck("ag", agDemand, P_.numAgs, "");
-    pushCheck("box", outers_.size(),
-              static_cast<uint64_t>(P_.switchCols()) * P_.switchRows(),
-              "");
-    pushCheck("pcu.vectorIns", maxVi, P_.pcu.vectorIns, "");
-    pushCheck("pcu.vectorOuts", maxVo, P_.pcu.vectorOuts, "");
-    pushCheck("pcu.scalarIns", maxSi, P_.pcu.scalarIns, "");
-    pushCheck("pcu.scalarOuts", maxSo, P_.pcu.scalarOuts, "");
-
-    // Scratchpad bytes at the N-buffer floor: capacity spilling can
-    // shrink a memory down to nbufMin, so only a memory whose floor
-    // exceeds the physical scratchpad is infeasible here.
-    uint64_t worstWords = 0;
-    std::string worstMem;
-    bool scratchOver = false;
-    for (MemId mid : srams) {
-        const MemDecl &md = prog_.mems[mid];
-        uint64_t effective = md.mode == BankingMode::kDup
-                                 ? P_.pmu.totalWords() / P_.pmu.banks
-                                 : P_.pmu.totalWords();
-        uint32_t floorBufs = std::max<uint32_t>(md.nbufMin, 1);
-        uint64_t floorWords =
-            static_cast<uint64_t>(floorBufs) * md.sizeWords;
-        if (floorWords > effective) {
-            pushCheck("pmu.scratchpad", floorWords, effective,
-                      strfmt("memory '%s' (%u words x %u bufs min)",
-                             md.name.c_str(),
-                             static_cast<uint32_t>(md.sizeWords),
-                             floorBufs));
-            scratchOver = true;
-        } else if (floorWords > worstWords) {
-            worstWords = floorWords;
-            worstMem = md.name;
-        }
-    }
-    if (!scratchOver && worstWords > 0)
-        pushCheck("pmu.scratchpad", worstWords, P_.pmu.totalWords(),
-                  strfmt("largest memory '%s'", worstMem.c_str()));
-
-    for (const ResourceCheck &c : diag.checks) {
-        if (c.over && diag.binding.empty())
-            diag.binding = c.resource;
-    }
-    diag.feasible = diag.binding.empty();
-    return diag;
-}
-
-// =====================================================================
-// Shared helpers
-// =====================================================================
-
 ControlCfg &
-Mapper::ctrlOf(const CtrlHandle &h)
+Codegen::ctrlOf(const CtrlHandle &h)
 {
     switch (h.unit.cls) {
       case UnitClass::kPcu:
-        return pcus_[h.unit.index].ctrl;
+        return fab_.pcus[h.unit.index].ctrl;
       case UnitClass::kAg:
-        return ags_[h.unit.index].ctrl;
+        return fab_.ags[h.unit.index].ctrl;
       case UnitClass::kBox:
-        return boxes_[h.unit.index].ctrl;
+        return fab_.boxes[h.unit.index].ctrl;
       case UnitClass::kPmu:
         switch (h.sel) {
           case CtrlSel::kPmuWrite:
-            return pmus_[h.unit.index].write.ctrl;
+            return fab_.pmus[h.unit.index].write.ctrl;
           case CtrlSel::kPmuWrite2:
-            return pmus_[h.unit.index].write2.ctrl;
+            return fab_.pmus[h.unit.index].write2.ctrl;
           case CtrlSel::kPmuRead:
-            return pmus_[h.unit.index].read.ctrl;
+            return fab_.pmus[h.unit.index].read.ctrl;
           default:
             break;
         }
@@ -678,26 +385,9 @@ Mapper::ctrlOf(const CtrlHandle &h)
     }
 }
 
-PortAlloc &
-Mapper::portsOf(const UnitRef &u)
-{
-    switch (u.cls) {
-      case UnitClass::kPcu:
-        return pcuPorts_[u.index];
-      case UnitClass::kPmu:
-        return pmuPorts_[u.index];
-      case UnitClass::kAg:
-        return agPorts_[u.index];
-      case UnitClass::kBox:
-        return boxPorts_[u.index];
-      default:
-        panic("portsOf: bad unit class");
-    }
-}
-
 void
-Mapper::connect(NetKind kind, UnitRef src, uint32_t sp, UnitRef dst,
-                uint32_t dp, uint32_t capacity, uint32_t initialTokens)
+Codegen::connect(NetKind kind, UnitRef src, uint32_t sp, UnitRef dst,
+                 uint32_t dp, uint32_t capacity, uint32_t initialTokens)
 {
     ChannelCfg ch;
     ch.kind = kind;
@@ -706,63 +396,47 @@ Mapper::connect(NetKind kind, UnitRef src, uint32_t sp, UnitRef dst,
     ch.capacity = capacity;
     ch.initialTokens = initialTokens;
     ch.latency = 2; // refined by routing
-    chans_.push_back(ch);
+    fab_.channels.push_back(ch);
 }
 
-uint32_t
-Mapper::allocCtlIn(const UnitRef &u)
+std::pair<uint8_t, uint8_t>
+Codegen::controlEdge(const UnitRef &from, const UnitRef &to)
 {
-    return portsOf(u).ci++;
-}
-
-uint32_t
-Mapper::allocCtlOut(const UnitRef &u)
-{
-    return portsOf(u).co++;
+    auto op = static_cast<uint8_t>(portsOf(from).co++);
+    auto ip = static_cast<uint8_t>(portsOf(to).ci++);
+    connect(NetKind::kControl, from, op, to, ip, 32);
+    return {op, ip};
 }
 
 void
-Mapper::tokenEdge(const CtrlHandle &from, const CtrlHandle &to)
+Codegen::tokenEdge(const CtrlHandle &from, const CtrlHandle &to)
 {
-    uint32_t op = allocCtlOut(from.unit);
-    uint32_t ip = allocCtlIn(to.unit);
-    ctrlOf(from).doneOuts.push_back(static_cast<uint8_t>(op));
-    ctrlOf(to).tokenIns.push_back(static_cast<uint8_t>(ip));
-    connect(NetKind::kControl, from.unit, op, to.unit, ip, 32);
+    auto [op, ip] = controlEdge(from.unit, to.unit);
+    ctrlOf(from).doneOuts.push_back(op);
+    ctrlOf(to).tokenIns.push_back(ip);
 }
 
 uint32_t
-Mapper::scalarForCtr(const UnitRef &unit, CtrId c)
+Codegen::scalarForCtr(const UnitRef &unit, CtrId c)
 {
     uint32_t port = portsOf(unit).si++;
-    ScalarReq req;
-    req.unit = unit;
-    req.port = static_cast<uint8_t>(port);
-    req.isCtr = true;
-    req.ctr = c;
-    req.consumer = curConsumer_;
-    scalarReqs_.push_back(req);
+    scalarReqs_.push_back({unit, static_cast<uint8_t>(port), true, c, kNone,
+                           kNone, curConsumer_});
     return port;
 }
 
 uint32_t
-Mapper::scalarForSink(const UnitRef &unit, NodeId node, int32_t sink)
+Codegen::scalarForSink(const UnitRef &unit, NodeId node, int32_t sink)
 {
     uint32_t port = portsOf(unit).si++;
-    ScalarReq req;
-    req.unit = unit;
-    req.port = static_cast<uint8_t>(port);
-    req.isCtr = false;
-    req.sinkNode = node;
-    req.sinkIdx = sink;
-    req.consumer = curConsumer_;
-    scalarReqs_.push_back(req);
+    scalarReqs_.push_back({unit, static_cast<uint8_t>(port), false, kNone,
+                           node, sink, curConsumer_});
     return port;
 }
 
 ChainCfg
-Mapper::buildChain(const std::vector<CtrId> &ctrs, const UnitRef &unit,
-                   bool devectorize)
+Codegen::buildChain(const std::vector<CtrId> &ctrs, const UnitRef &unit,
+                    bool devectorize)
 {
     ChainCfg cfg;
     for (CtrId cid : ctrs) {
@@ -788,8 +462,8 @@ Mapper::buildChain(const std::vector<CtrId> &ctrs, const UnitRef &unit,
 }
 
 std::vector<StageCfg>
-Mapper::addrStages(ExprId expr, const std::vector<CtrId> &chainCtrs,
-                   const UnitRef &unit, uint8_t &reg)
+Codegen::addrStages(ExprId expr, const std::vector<CtrId> &chainCtrs,
+                    const UnitRef &unit, uint8_t &reg)
 {
     std::map<CtrId, int> ctr_level;
     for (size_t i = 0; i < chainCtrs.size(); ++i)
@@ -815,7 +489,7 @@ Mapper::addrStages(ExprId expr, const std::vector<CtrId> &chainCtrs,
     std::vector<StageCfg> stages =
         lowerScalarExpr(prog_, expr, ctr_level, scalar_port, reg, &err);
     if (!err.empty())
-        failBinding("pcu.pipeline", err);
+        fail(err, "pcu.pipeline");
     return stages;
 }
 
@@ -824,20 +498,13 @@ Mapper::addrStages(ExprId expr, const std::vector<CtrId> &chainCtrs,
 // =====================================================================
 
 void
-Mapper::createPcus()
+Codegen::createPcus()
 {
-    for (NodeId l : leaves_) {
+    for (NodeId l : an_.leaves) {
         curConsumer_ = l;
-        const VirtualLeaf &vl = vleaves_[l];
-        const PartitionResult &part = parts_[l];
-        std::vector<int32_t> last_use(vl.values.size(), -1);
-        for (size_t i = 0; i < vl.ops.size(); ++i) {
-            for (int32_t v :
-                 {vl.ops[i].a, vl.ops[i].b, vl.ops[i].c}) {
-                if (v >= 0)
-                    last_use[v] = static_cast<int32_t>(i);
-            }
-        }
+        const VirtualLeaf &vl = an_.vleaves.at(l);
+        const PartitionResult &part = an_.parts.at(l);
+        const std::vector<int32_t> last_use = computeLastUse(vl);
 
         // Emission lookup by defining value.
         std::map<int32_t, std::vector<int>> emits_by_value;
@@ -852,14 +519,13 @@ Mapper::createPcus()
 
         for (size_t c = 0; c < part.chunks.size(); ++c) {
             const Chunk &ch = part.chunks[c];
-            int pcu_idx = static_cast<int>(pcus_.size());
-            pcus_.emplace_back();
-            pcuPorts_.emplace_back();
-            PcuCfg &cfg = pcus_.back();
-            PortAlloc &pa = pcuPorts_.back();
+            int pcu_idx = static_cast<int>(fab_.pcus.size());
+            fab_.pcus.emplace_back();
+            const UnitRef ref = newPorts(UnitClass::kPcu);
+            PcuCfg &cfg = fab_.pcus.back();
+            PortAlloc &pa = portsOf(ref);
             cfg.used = true;
             cfg.name = strfmt("%s#%zu", vl.name.c_str(), c);
-            UnitRef ref{UnitClass::kPcu, static_cast<uint16_t>(pcu_idx)};
 
             // Chain (every chunk mirrors the leaf chain).
             cfg.chain = vl.chain;
@@ -918,9 +584,7 @@ Mapper::createPcus()
                 auto src = fwd_src.find(value);
                 panic_if(src == fwd_src.end(),
                          "forwarded value has no source");
-                connect(NetKind::kVector,
-                        {UnitClass::kPcu,
-                         static_cast<uint16_t>(src->second.first)},
+                connect(NetKind::kVector, pcuAt(src->second.first),
                         src->second.second, ref, port, P_.pcu.fifoDepth);
                 return port;
             };
@@ -1092,15 +756,15 @@ Mapper::createPcus()
 // =====================================================================
 
 void
-Mapper::createPmus()
+Codegen::createPmus()
 {
     for (size_t m = 0; m < prog_.mems.size(); ++m) {
         if (prog_.mems[m].kind != MemKind::kSram)
             continue;
         MemId mid = static_cast<MemId>(m);
         const MemDecl &md = prog_.mems[m];
-        std::vector<ReaderDesc> &rds = readers_[mid];
-        std::vector<WriterDesc> &wrs = writers_[mid];
+        std::vector<ReaderDesc> rds = an_.readers[mid];
+        const std::vector<WriterDesc> &wrs = an_.writers[mid];
         if (rds.empty() && wrs.empty())
             continue;
         panic_if(wrs.size() > 2, "memory '%s' has %zu writers",
@@ -1110,54 +774,31 @@ Mapper::createPmus()
             rds.push_back({ReaderDesc::Kind::kLeafLoad, kNone, -1});
         }
 
-        // Scratchpad capacity: the requested N-buffer depth may not fit
-        // the physical PMU (or the 8-bit config field). If a shallower
-        // depth would fit, record a spill request so the driver can cap
-        // the contributing metapipes and re-partition; otherwise the
-        // memory is simply too large and the failure is final.
-        uint64_t effective = md.mode == BankingMode::kDup
-                                 ? P_.pmu.totalWords() / P_.pmu.banks
-                                 : P_.pmu.totalWords();
-        uint64_t nbuf = nbuf_[mid];
-        if (md.sizeWords > 0 &&
-            (nbuf * md.sizeWords > effective || nbuf > 255)) {
-            uint64_t maxBufs =
-                std::min<uint64_t>(effective / md.sizeWords, 255);
-            uint32_t floorBufs = std::max<uint32_t>(md.nbufMin, 1);
-            bool spillable = opts_.allowSpill && maxBufs >= floorBufs &&
-                             maxBufs < nbuf &&
-                             !nbufContrib_[mid].empty();
-            if (spillable) {
-                SpillReq &req = spillReqs_[mid];
-                req.fromBufs = static_cast<uint32_t>(nbuf);
-                req.toBufs = static_cast<uint32_t>(maxBufs);
-                req.nodes = nbufContrib_[mid];
-            }
-            failBinding(
-                "pmu.scratchpad",
-                strfmt("memory '%s' needs %llu words (%llu bufs x %u), "
-                       "PMU scratchpad holds %llu",
-                       md.name.c_str(),
-                       static_cast<unsigned long long>(nbuf *
-                                                       md.sizeWords),
-                       static_cast<unsigned long long>(nbuf),
-                       static_cast<uint32_t>(md.sizeWords),
-                       static_cast<unsigned long long>(effective)));
+        // The depth plan spilled what it could; a memory that still
+        // does not fit the scratchpad fails here.
+        if (mid == plan_.overflow) {
+            const unsigned long long nbuf = plan_.nbuf[mid];
+            fail(strfmt("memory '%s' needs %llu words (%llu bufs x %u), "
+                        "PMU scratchpad holds %llu",
+                        md.name.c_str(), nbuf * md.sizeWords, nbuf,
+                        static_cast<uint32_t>(md.sizeWords),
+                        static_cast<unsigned long long>(
+                            scratchpadWords(md, P_.pmu))),
+                 "pmu.scratchpad");
             return;
         }
 
         for (const ReaderDesc &rd : rds) {
             curConsumer_ = rd.node;
-            int pmu_idx = static_cast<int>(pmus_.size());
-            pmus_.emplace_back();
-            pmuPorts_.emplace_back();
-            PmuCfg &cfg = pmus_.back();
+            int pmu_idx = static_cast<int>(fab_.pmus.size());
+            fab_.pmus.emplace_back();
+            const UnitRef ref = newPorts(UnitClass::kPmu);
+            PmuCfg &cfg = fab_.pmus.back();
             cfg.used = true;
             cfg.name = strfmt("%s@%d", md.name.c_str(), pmu_idx);
-            UnitRef ref{UnitClass::kPmu, static_cast<uint16_t>(pmu_idx)};
 
             cfg.scratch.mode = md.mode;
-            cfg.scratch.numBufs = static_cast<uint8_t>(nbuf_[mid]);
+            cfg.scratch.numBufs = static_cast<uint8_t>(plan_.nbuf[mid]);
             cfg.scratch.sizeWords = static_cast<uint32_t>(md.sizeWords);
 
             // ---- read port ------------------------------------------
@@ -1165,18 +806,19 @@ Mapper::createPmus()
                 PmuPortCfg &rp = cfg.read;
                 rp.enabled = true;
                 rp.dataVecOut = 0;
-                if (nbuf_[mid] > 1)
-                    rp.swapEvery = 1;
+                if (plan_.nbuf[mid] > 1) {
+                    int64_t se = runsPerIter(rd.node, an_.rotNode[mid]);
+                    rp.swapEvery = se < 0 ? 1 : static_cast<uint32_t>(se);
+                }
+                clusters_[rd.node].triggers.push_back(
+                    {ref, CtrlSel::kPmuRead});
+                readHandles_[{mid, rd.node}].push_back(
+                    {ref, CtrlSel::kPmuRead});
                 switch (rd.kind) {
                   case ReaderDesc::Kind::kLeafLoad: {
-                    const VirtualLeaf &vl = vleaves_[rd.node];
+                    const VirtualLeaf &vl = an_.vleaves.at(rd.node);
                     const VecSource &src = vl.vecSources[rd.vecSource];
                     rp.chain = buildChain(vl.ctrIds, ref);
-                    if (nbuf_[mid] > 1) {
-                        int64_t se = runsPerIter(rd.node, rotNode_[mid]);
-                        rp.swapEvery = se < 0 ? 1
-                                              : static_cast<uint32_t>(se);
-                    }
                     if (src.access == AccessClass::kGather) {
                         rp.addrVecIn =
                             static_cast<int8_t>(portsOf(ref).vi++);
@@ -1191,11 +833,8 @@ Mapper::createPmus()
                         int e_idx = static_cast<int>(
                             es - vl.emissions.begin());
                         EmitSrc esrc = emitVec_.at({rd.node, e_idx});
-                        connect(NetKind::kVector,
-                                {UnitClass::kPcu,
-                                 static_cast<uint16_t>(esrc.pcu)},
-                                esrc.port, ref,
-                                static_cast<uint32_t>(rp.addrVecIn),
+                        connect(NetKind::kVector, pcuAt(esrc.pcu), esrc.port,
+                                ref, static_cast<uint32_t>(rp.addrVecIn),
                                 P_.pcu.fifoDepth);
                     } else {
                         rp.vecLinear =
@@ -1209,15 +848,9 @@ Mapper::createPmus()
                     // Data to every consuming chunk.
                     for (auto [pcu, port] :
                          vecSrcPorts_[{rd.node, rd.vecSource}]) {
-                        connect(NetKind::kVector, ref, 0,
-                                {UnitClass::kPcu,
-                                 static_cast<uint16_t>(pcu)},
-                                port, P_.pcu.fifoDepth);
+                        connect(NetKind::kVector, ref, 0, pcuAt(pcu), port,
+                                P_.pcu.fifoDepth);
                     }
-                    clusters_[rd.node].triggers.push_back(
-                        {ref, CtrlSel::kPmuRead});
-                    readHandles_[{mid, rd.node}].push_back(
-                        {ref, CtrlSel::kPmuRead});
                     break;
                   }
                   case ReaderDesc::Kind::kXferStore:
@@ -1246,28 +879,13 @@ Mapper::createPmus()
                     }
                     rp.chain.ctrs = {rows, wordsc};
                     rp.vecLinear = true;
-                    StageCfg st;
-                    st.op = FuOp::kIMul;
-                    st.a = Operand::ctr(0);
-                    st.b = Operand::immInt(
-                        static_cast<int32_t>(stride));
-                    st.dstReg = 0;
-                    StageCfg st2;
-                    st2.op = FuOp::kIAdd;
-                    st2.a = Operand::reg(0);
-                    st2.b = Operand::ctr(1);
-                    st2.dstReg = 1;
-                    rp.addrStages = {st, st2};
+                    rp.addrStages = {
+                        addrStage(FuOp::kIMul, Operand::ctr(0),
+                                  Operand::immInt(static_cast<int32_t>(stride)),
+                                  0),
+                        addrStage(FuOp::kIAdd, Operand::reg(0),
+                                  Operand::ctr(1), 1)};
                     rp.addrReg = 1;
-                    if (nbuf_[mid] > 1) {
-                        int64_t se = runsPerIter(rd.node, rotNode_[mid]);
-                        rp.swapEvery = se < 0 ? 1
-                                              : static_cast<uint32_t>(se);
-                    }
-                    clusters_[rd.node].triggers.push_back(
-                        {ref, CtrlSel::kPmuRead});
-                    readHandles_[{mid, rd.node}].push_back(
-                        {ref, CtrlSel::kPmuRead});
                     // Data destination (the AG) is wired in createAgs.
                     xferReadPmu_[rd.node] = pmu_idx;
                     break;
@@ -1281,30 +899,20 @@ Mapper::createPmus()
                 curConsumer_ = wd.node;
                 PmuPortCfg &wp = (w == 0) ? cfg.write : cfg.write2;
                 wp.enabled = true;
-                uint32_t nbuf = nbuf_[mid];
+                uint32_t nbuf = plan_.nbuf[mid];
                 int64_t se = nbuf > 1 ? runsPerIter(wd.node,
-                                                    rotNode_[mid])
+                                                    an_.rotNode[mid])
                                       : 0;
                 // Later-declared writers in a read-before-write cycle
                 // start one buffer ahead (frontier ping-pong).
                 // Heuristic: second writer keeps buffer 0.
                 switch (wd.kind) {
                   case WriterDesc::Kind::kLeafSink: {
-                    const VirtualLeaf &vl = vleaves_[wd.node];
+                    const VirtualLeaf &vl = an_.vleaves.at(wd.node);
                     const Node &leaf = prog_.nodes[wd.node];
                     const Sink &sk = leaf.sinks[wd.sinkIdx];
                     // Find the value emission for this sink.
-                    int val_e = -1, addr_e = -1;
-                    for (size_t e = 0; e < vl.emissions.size(); ++e) {
-                        const VEmission &em = vl.emissions[e];
-                        if (em.sinkIdx != wd.sinkIdx ||
-                            em.kind != VEmission::Kind::kVecOut)
-                            continue;
-                        if (em.scatterAddrForSink >= 0)
-                            addr_e = static_cast<int>(e);
-                        else if (em.gatherVecSource < 0)
-                            val_e = static_cast<int>(e);
-                    }
+                    auto [val_e, addr_e] = sinkEmissions(vl, wd.sinkIdx);
                     panic_if(val_e < 0, "sink emission missing");
                     EmitSrc vsrc = emitVec_.at({wd.node, val_e});
                     wp.dataVecIn = static_cast<int8_t>(portsOf(ref).vi++);
@@ -1312,10 +920,8 @@ Mapper::createPmus()
                     if (sk.kind == SinkKind::kFlatMapSram)
                         cap = static_cast<uint32_t>(
                             md.sizeWords / P_.pcu.lanes + 4);
-                    connect(NetKind::kVector,
-                            {UnitClass::kPcu,
-                             static_cast<uint16_t>(vsrc.pcu)},
-                            vsrc.port, ref, wp.dataVecIn, cap);
+                    connect(NetKind::kVector, pcuAt(vsrc.pcu), vsrc.port,
+                            ref, wp.dataVecIn, cap);
 
                     if (sk.kind == SinkKind::kFlatMapSram) {
                         // Append-mode: one vectorized counter bounded
@@ -1332,11 +938,8 @@ Mapper::createPmus()
                         EmitSrc asrc = emitVec_.at({wd.node, addr_e});
                         wp.addrVecIn =
                             static_cast<int8_t>(portsOf(ref).vi++);
-                        connect(NetKind::kVector,
-                                {UnitClass::kPcu,
-                                 static_cast<uint16_t>(asrc.pcu)},
-                                asrc.port, ref, wp.addrVecIn,
-                                P_.pcu.fifoDepth);
+                        connect(NetKind::kVector, pcuAt(asrc.pcu), asrc.port,
+                                ref, wp.addrVecIn, P_.pcu.fifoDepth);
                         wp.chain = buildChain(vl.ctrIds, ref);
                         wp.accumulate = sk.accumulate;
                         wp.accumOp = sk.accumOp;
@@ -1392,15 +995,8 @@ Mapper::createPmus()
                     rows.max = x.rows;
                     wordsc.vectorized = true;
                     wp.vecLinear = true;
-                    StageCfg st;
-                    st.a = Operand::ctr(0);
-                    st.b = Operand::immInt(
+                    const Operand stride = Operand::immInt(
                         static_cast<int32_t>(x.sramRowStride));
-                    st.dstReg = 0;
-                    StageCfg st2;
-                    st2.op = FuOp::kIAdd;
-                    st2.a = Operand::reg(0);
-                    st2.dstReg = 1;
                     if (lb.block < lb.rowWords &&
                         lb.block % P_.pcu.lanes != 0) {
                         // The AG frames each block into its own
@@ -1412,16 +1008,19 @@ Mapper::createPmus()
                         blk.step = lb.block;
                         wordsc.max = lb.block;
                         wp.chain.ctrs = {rows, blk, wordsc};
-                        st.op = FuOp::kIMA;
-                        st.c = Operand::ctr(1);
-                        st2.b = Operand::ctr(2);
+                        wp.addrStages = {
+                            addrStage(FuOp::kIMA, Operand::ctr(0), stride, 0,
+                                      Operand::ctr(1)),
+                            addrStage(FuOp::kIAdd, Operand::reg(0),
+                                      Operand::ctr(2), 1)};
                     } else {
                         wordsc.max = lb.rowWords;
                         wp.chain.ctrs = {rows, wordsc};
-                        st.op = FuOp::kIMul;
-                        st2.b = Operand::ctr(1);
+                        wp.addrStages = {
+                            addrStage(FuOp::kIMul, Operand::ctr(0), stride, 0),
+                            addrStage(FuOp::kIAdd, Operand::reg(0),
+                                      Operand::ctr(1), 1)};
                     }
-                    wp.addrStages = {st, st2};
                     wp.addrReg = 1;
                     wp.dataVecIn =
                         static_cast<int8_t>(portsOf(ref).vi++);
@@ -1443,11 +1042,8 @@ Mapper::createPmus()
                     }
                     wp.chain.ctrs = {cc};
                     wp.vecLinear = true;
-                    StageCfg st;
-                    st.op = FuOp::kNop;
-                    st.a = Operand::ctr(0);
-                    st.dstReg = 0;
-                    wp.addrStages = {st};
+                    wp.addrStages = {addrStage(FuOp::kNop, Operand::ctr(0),
+                                               Operand::none(), 0)};
                     wp.addrReg = 0;
                     wp.dataVecIn =
                         static_cast<int8_t>(portsOf(ref).vi++);
@@ -1476,23 +1072,21 @@ Mapper::createPmus()
 // AG construction
 // =====================================================================
 
-Mapper::LoadBlock
-Mapper::loadBlock(const TransferDesc &x) const
+Codegen::LoadBlock
+Codegen::loadBlock(const TransferDesc &x) const
 {
     LoadBlock lb;
     lb.rowWords = x.rowWordsArg != kNone
                       ? wordToInt(prog_.args[x.rowWordsArg].value)
                       : x.rowWords;
     // A command may not exceed the coalescing unit's outstanding-burst
-    // budget. B words at any word offset span at most (B + 14) / 16 + 1
-    // bursts, so blocks of up to 16 * (budget - 1) + 1 words always
-    // fit; split long rows into the largest dividing block within that
-    // and 256.
+    // budget (at least 1: compileProgram rejects 0). B words at any
+    // word offset span at most (B + 14) / 16 + 1 bursts, so blocks of
+    // up to 16 * (budget - 1) + 1 words always fit; split long rows
+    // into the largest dividing block within that and 256.
     const int64_t burst_words = kBurstBytes / 4;
-    const int64_t max_block = std::max<int64_t>(
-        1, std::min<int64_t>(
-               256, burst_words * (int64_t{P_.coalescerMaxOutstanding} - 1) +
-                        1));
+    const int64_t max_block = std::min<int64_t>(
+        256, burst_words * (int64_t{P_.coalescerMaxOutstanding} - 1) + 1);
     lb.block = std::min<int64_t>(lb.rowWords, max_block);
     while (lb.block > 1 && lb.rowWords % lb.block)
         --lb.block;
@@ -1500,25 +1094,25 @@ Mapper::loadBlock(const TransferDesc &x) const
 }
 
 void
-Mapper::createAgs()
+Codegen::createAgs()
 {
     auto newAg = [&](const std::string &name) -> int {
-        int idx = static_cast<int>(ags_.size());
-        ags_.emplace_back();
-        agPorts_.emplace_back();
-        ags_.back().used = true;
-        ags_.back().name = name;
+        int idx = static_cast<int>(fab_.ags.size());
+        fab_.ags.emplace_back();
+        newPorts(UnitClass::kAg);
+        fab_.ags.back().used = true;
+        fab_.ags.back().name = name;
         return idx;
     };
 
     // ---- transfers ---------------------------------------------------
-    for (NodeId t : xfers_) {
+    for (NodeId t : an_.xfers) {
         curConsumer_ = t;
         const TransferDesc &x = prog_.nodes[t].xfer;
         int ag = newAg(prog_.nodes[t].name);
-        AgCfg &cfg = ags_[ag];
+        AgCfg &cfg = fab_.ags[ag];
         UnitRef ref{UnitClass::kAg, static_cast<uint16_t>(ag)};
-        cfg.base = dramBase_[x.dram];
+        cfg.base = an_.dramBase[x.dram];
 
         if (x.sparse) {
             cfg.mode = AgMode::kSparseLoad;
@@ -1531,17 +1125,13 @@ Mapper::createAgs()
                 cc.boundScale = x.countScale;
             }
             cfg.chain.ctrs = {cc};
-            cfg.addrVecIn = static_cast<int8_t>(agPorts_[ag].vi++);
+            cfg.addrVecIn = static_cast<int8_t>(portsOf(ref).vi++);
             cfg.dataVecOut = 0;
-            int src_pmu = xferReadPmu_.at(t);
-            connect(NetKind::kVector,
-                    {UnitClass::kPmu, static_cast<uint16_t>(src_pmu)}, 0,
-                    ref, cfg.addrVecIn, P_.pcu.fifoDepth);
-            for (auto [pmu, port] : xferWritePorts_[t]) {
-                connect(NetKind::kVector, ref, 0,
-                        {UnitClass::kPmu, static_cast<uint16_t>(pmu)},
-                        port, P_.pcu.fifoDepth);
-            }
+            connect(NetKind::kVector, pmuAt(xferReadPmu_.at(t)), 0, ref,
+                    cfg.addrVecIn, P_.pcu.fifoDepth);
+            for (auto [pmu, port] : xferWritePorts_[t])
+                connect(NetKind::kVector, ref, 0, pmuAt(pmu), port,
+                        P_.pcu.fifoDepth);
         } else if (x.load) {
             cfg.mode = AgMode::kDenseLoad;
             const LoadBlock lb = loadBlock(x);
@@ -1555,28 +1145,20 @@ Mapper::createAgs()
             uint8_t base_reg = 0;
             cfg.addrStages =
                 addrStages(x.base, {}, ref, base_reg);
-            uint8_t next = static_cast<uint8_t>(cfg.addrStages.size());
-            StageCfg mul;
-            mul.op = FuOp::kIMA;
-            mul.a = Operand::ctr(0);
-            mul.b = Operand::immInt(
-                static_cast<int32_t>(x.dramRowStride));
-            mul.c = Operand::ctr(1);
-            mul.dstReg = next;
-            StageCfg add;
-            add.op = FuOp::kIAdd;
-            add.a = Operand::reg(base_reg);
-            add.b = Operand::reg(next);
-            add.dstReg = static_cast<uint8_t>(next + 1);
-            cfg.addrStages.push_back(mul);
-            cfg.addrStages.push_back(add);
-            cfg.addrReg = add.dstReg;
+            const uint8_t next = static_cast<uint8_t>(cfg.addrStages.size());
+            cfg.addrReg = static_cast<uint8_t>(next + 1);
+            cfg.addrStages.push_back(addrStage(
+                FuOp::kIMA, Operand::ctr(0),
+                Operand::immInt(static_cast<int32_t>(x.dramRowStride)), next,
+                Operand::ctr(1)));
+            cfg.addrStages.push_back(addrStage(FuOp::kIAdd,
+                                               Operand::reg(base_reg),
+                                               Operand::reg(next),
+                                               cfg.addrReg));
             cfg.dataVecOut = 0;
-            for (auto [pmu, port] : xferWritePorts_[t]) {
-                connect(NetKind::kVector, ref, 0,
-                        {UnitClass::kPmu, static_cast<uint16_t>(pmu)},
-                        port, P_.pcu.fifoDepth);
-            }
+            for (auto [pmu, port] : xferWritePorts_[t])
+                connect(NetKind::kVector, ref, 0, pmuAt(pmu), port,
+                        P_.pcu.fifoDepth);
         } else {
             cfg.mode = AgMode::kDenseStore;
             CounterCfg rows, words;
@@ -1586,32 +1168,20 @@ Mapper::createAgs()
             cfg.chain.ctrs = {rows, words};
             uint8_t base_reg = 0;
             cfg.addrStages = addrStages(x.base, {}, ref, base_reg);
-            uint8_t next = static_cast<uint8_t>(cfg.addrStages.size());
-            StageCfg mul;
-            mul.op = FuOp::kIMul;
-            mul.a = Operand::ctr(0);
-            mul.b = Operand::immInt(
-                static_cast<int32_t>(x.dramRowStride));
-            mul.dstReg = next;
-            StageCfg add;
-            add.op = FuOp::kIAdd;
-            add.a = Operand::reg(base_reg);
-            add.b = Operand::reg(next);
-            add.dstReg = static_cast<uint8_t>(next + 1);
-            StageCfg add2;
-            add2.op = FuOp::kIAdd;
-            add2.a = Operand::reg(add.dstReg);
-            add2.b = Operand::ctr(1);
-            add2.dstReg = static_cast<uint8_t>(next + 2);
-            cfg.addrStages.push_back(mul);
-            cfg.addrStages.push_back(add);
-            cfg.addrStages.push_back(add2);
-            cfg.addrReg = add2.dstReg;
-            cfg.dataVecIn = static_cast<int8_t>(agPorts_[ag].vi++);
-            int src_pmu = xferReadPmu_.at(t);
-            connect(NetKind::kVector,
-                    {UnitClass::kPmu, static_cast<uint16_t>(src_pmu)}, 0,
-                    ref, cfg.dataVecIn, P_.pcu.fifoDepth);
+            const uint8_t next = static_cast<uint8_t>(cfg.addrStages.size());
+            cfg.addrReg = static_cast<uint8_t>(next + 2);
+            cfg.addrStages.push_back(addrStage(
+                FuOp::kIMul, Operand::ctr(0),
+                Operand::immInt(static_cast<int32_t>(x.dramRowStride)), next));
+            cfg.addrStages.push_back(
+                addrStage(FuOp::kIAdd, Operand::reg(base_reg),
+                          Operand::reg(next), static_cast<uint8_t>(next + 1)));
+            cfg.addrStages.push_back(
+                addrStage(FuOp::kIAdd, Operand::reg(next + 1),
+                          Operand::ctr(1), cfg.addrReg));
+            cfg.dataVecIn = static_cast<int8_t>(portsOf(ref).vi++);
+            connect(NetKind::kVector, pmuAt(xferReadPmu_.at(t)), 0, ref,
+                    cfg.dataVecIn, P_.pcu.fifoDepth);
         }
         clusters_[t].triggers.push_back({ref, CtrlSel::kMain});
         if (cfg.mode == AgMode::kDenseStore ||
@@ -1622,9 +1192,9 @@ Mapper::createAgs()
     }
 
     // ---- compute-leaf DRAM streams ------------------------------------
-    for (NodeId l : leaves_) {
+    for (NodeId l : an_.leaves) {
         curConsumer_ = l;
-        const VirtualLeaf &vl = vleaves_[l];
+        const VirtualLeaf &vl = an_.vleaves.at(l);
         const Node &leaf = prog_.nodes[l];
         for (size_t v = 0; v < vl.vecSources.size(); ++v) {
             const VecSource &src = vl.vecSources[v];
@@ -1633,21 +1203,18 @@ Mapper::createAgs()
             const StreamIn &si =
                 leaf.streamIns[prog_.exprs[src.expr].stream];
             int ag = newAg(strfmt("%s.str%zu", vl.name.c_str(), v));
-            AgCfg &cfg = ags_[ag];
+            AgCfg &cfg = fab_.ags[ag];
             UnitRef ref{UnitClass::kAg, static_cast<uint16_t>(ag)};
             cfg.mode = AgMode::kDenseLoad;
-            cfg.base = dramBase_[si.dram];
+            cfg.base = an_.dramBase[si.dram];
             cfg.chain = buildChain(vl.ctrIds, ref, /*devectorize=*/true);
             cfg.wordsPerCmd = P_.pcu.lanes;
             cfg.addrStages =
                 addrStages(si.addr, vl.ctrIds, ref, cfg.addrReg);
             cfg.dataVecOut = 0;
-            for (auto [pcu, port] :
-                 vecSrcPorts_[{l, static_cast<int>(v)}]) {
-                connect(NetKind::kVector, ref, 0,
-                        {UnitClass::kPcu, static_cast<uint16_t>(pcu)},
-                        port, P_.pcu.fifoDepth);
-            }
+            for (auto [pcu, port] : vecSrcPorts_[{l, static_cast<int>(v)}])
+                connect(NetKind::kVector, ref, 0, pcuAt(pcu), port,
+                        P_.pcu.fifoDepth);
             clusters_[l].triggers.push_back({ref, CtrlSel::kMain});
         }
 
@@ -1657,28 +1224,18 @@ Mapper::createAgs()
             if (sk.kind != SinkKind::kStreamOut &&
                 sk.kind != SinkKind::kScatterOut)
                 continue;
-            int val_e = -1, addr_e = -1;
-            for (size_t e = 0; e < vl.emissions.size(); ++e) {
-                const VEmission &em = vl.emissions[e];
-                if (em.sinkIdx != static_cast<int32_t>(s) ||
-                    em.kind != VEmission::Kind::kVecOut)
-                    continue;
-                if (em.scatterAddrForSink >= 0)
-                    addr_e = static_cast<int>(e);
-                else
-                    val_e = static_cast<int>(e);
-            }
+            auto [val_e, addr_e] =
+                sinkEmissions(vl, static_cast<int32_t>(s));
             panic_if(val_e < 0, "stream-out emission missing");
             int ag = newAg(strfmt("%s.out%zu", vl.name.c_str(), s));
-            AgCfg &cfg = ags_[ag];
+            AgCfg &cfg = fab_.ags[ag];
             UnitRef ref{UnitClass::kAg, static_cast<uint16_t>(ag)};
-            cfg.base = dramBase_[sk.dram];
+            cfg.base = an_.dramBase[sk.dram];
             cfg.chain = buildChain(vl.ctrIds, ref, /*devectorize=*/true);
             EmitSrc vsrc = emitVec_.at({l, val_e});
-            cfg.dataVecIn = static_cast<int8_t>(agPorts_[ag].vi++);
-            connect(NetKind::kVector,
-                    {UnitClass::kPcu, static_cast<uint16_t>(vsrc.pcu)},
-                    vsrc.port, ref, cfg.dataVecIn, P_.pcu.fifoDepth);
+            cfg.dataVecIn = static_cast<int8_t>(portsOf(ref).vi++);
+            connect(NetKind::kVector, pcuAt(vsrc.pcu), vsrc.port, ref,
+                    cfg.dataVecIn, P_.pcu.fifoDepth);
             if (sk.kind == SinkKind::kStreamOut) {
                 cfg.mode = AgMode::kDenseStore;
                 cfg.addrStages =
@@ -1687,11 +1244,9 @@ Mapper::createAgs()
                 cfg.mode = AgMode::kSparseStore;
                 panic_if(addr_e < 0, "scatter without address stream");
                 EmitSrc asrc = emitVec_.at({l, addr_e});
-                cfg.addrVecIn = static_cast<int8_t>(agPorts_[ag].vi++);
-                connect(NetKind::kVector,
-                        {UnitClass::kPcu,
-                         static_cast<uint16_t>(asrc.pcu)},
-                        asrc.port, ref, cfg.addrVecIn, P_.pcu.fifoDepth);
+                cfg.addrVecIn = static_cast<int8_t>(portsOf(ref).vi++);
+                connect(NetKind::kVector, pcuAt(asrc.pcu), asrc.port, ref,
+                        cfg.addrVecIn, P_.pcu.fifoDepth);
             }
             clusters_[l].triggers.push_back({ref, CtrlSel::kMain});
             clusters_[l].dones.push_back({ref, CtrlSel::kMain});
@@ -1705,27 +1260,27 @@ Mapper::createAgs()
 // =====================================================================
 
 void
-Mapper::createBoxes()
+Codegen::createBoxes()
 {
-    for (NodeId o : outers_) {
+    for (NodeId o : an_.outers) {
         curConsumer_ = o;
         const Node &n = prog_.nodes[o];
-        int idx = static_cast<int>(boxes_.size());
-        boxes_.emplace_back();
-        boxPorts_.emplace_back();
-        ControlBoxCfg &cfg = boxes_.back();
+        int idx = static_cast<int>(fab_.boxes.size());
+        fab_.boxes.emplace_back();
+        const UnitRef ref = newPorts(UnitClass::kBox);
+        ControlBoxCfg &cfg = fab_.boxes.back();
         cfg.used = true;
         cfg.name = n.name;
         cfg.scheme = n.scheme;
-        UnitRef ref{UnitClass::kBox, static_cast<uint16_t>(idx)};
         cfg.chain = buildChain(n.ctrs, ref);
         cfg.depth =
-            n.scheme == CtrlScheme::kMetapipe ? metapipeDepth(o) : 1;
+            n.scheme == CtrlScheme::kMetapipe ? plan_.metapipeDepth(prog_, o)
+                                             : 1;
         boxOf_[o] = idx;
         clusters_[o].triggers.push_back({ref, CtrlSel::kMain});
         clusters_[o].dones.push_back({ref, CtrlSel::kMain});
     }
-    rootBox_ = boxOf_.at(prog_.root);
+    fab_.rootBox = boxOf_.at(prog_.root);
 }
 
 // =====================================================================
@@ -1733,24 +1288,25 @@ Mapper::createBoxes()
 // =====================================================================
 
 void
-Mapper::wireScalars()
+Codegen::wireScalars()
 {
-    hostArgOuts_ = prog_.numArgOuts;
+    fab_.hostArgOuts = prog_.numArgOuts;
 
     for (const ScalarReq &req : scalarReqs_) {
         if (req.isCtr) {
-            auto own = ctrOwner_.find(req.ctr);
-            if (own == ctrOwner_.end()) {
+            auto own = an_.ctrOwner.find(req.ctr);
+            if (own == an_.ctrOwner.end()) {
                 fail(strfmt("counter '%s' referenced but not owned by "
                             "any controller",
                             prog_.ctrs[req.ctr].name.c_str()));
                 return;
             }
             int box = boxOf_.at(own->second);
+            const UnitRef bref{UnitClass::kBox, static_cast<uint16_t>(box)};
             auto ex = exports_.find(req.ctr);
             int port;
             if (ex == exports_.end()) {
-                port = static_cast<int>(boxPorts_[box].so++);
+                port = static_cast<int>(portsOf(bref).so++);
                 // Find the counter's level in the owner's chain.
                 const Node &on = prog_.nodes[own->second];
                 int lvl = -1;
@@ -1759,21 +1315,20 @@ Mapper::wireScalars()
                         lvl = static_cast<int>(i);
                 }
                 panic_if(lvl < 0, "export level lookup failed");
-                boxes_[box].exports.push_back(
+                fab_.boxes[box].exports.push_back(
                     {static_cast<uint8_t>(lvl),
                      static_cast<uint8_t>(port)});
                 exports_[req.ctr] = {box, port};
             } else {
                 port = ex->second.second;
             }
-            connect(NetKind::kScalar,
-                    {UnitClass::kBox, static_cast<uint16_t>(box)},
-                    static_cast<uint32_t>(port), req.unit, req.port, 32);
+            connect(NetKind::kScalar, bref, static_cast<uint32_t>(port),
+                    req.unit, req.port, 32);
             // The consumer may run several times per exported value.
             int64_t pe = req.consumer != kNone
                              ? runsPerIter(req.consumer, own->second)
                              : 1;
-            chans_.back().dstPopEvery =
+            fab_.channels.back().dstPopEvery =
                 pe > 0 ? static_cast<uint32_t>(pe) : 1;
         } else {
             auto src = sinkScalar_.find({req.sinkNode, req.sinkIdx});
@@ -1783,15 +1338,13 @@ Mapper::wireScalars()
                             req.sinkNode, req.sinkIdx));
                 return;
             }
-            connect(NetKind::kScalar,
-                    {UnitClass::kPcu,
-                     static_cast<uint16_t>(src->second.pcu)},
+            connect(NetKind::kScalar, pcuAt(src->second.pcu),
                     src->second.port, req.unit, req.port, 32);
         }
     }
 
     // Host argOut channels.
-    for (NodeId l : leaves_) {
+    for (NodeId l : an_.leaves) {
         const Node &leaf = prog_.nodes[l];
         for (size_t s = 0; s < leaf.sinks.size(); ++s) {
             const Sink &sk = leaf.sinks[s];
@@ -1810,12 +1363,9 @@ Mapper::wireScalars()
                             leaf.name.c_str(), s));
                 return;
             }
-            connect(NetKind::kScalar,
-                    {UnitClass::kPcu,
-                     static_cast<uint16_t>(src->second.pcu)},
-                    src->second.port,
-                    {UnitClass::kHost, 0}, static_cast<uint32_t>(slot),
-                    64);
+            connect(NetKind::kScalar, pcuAt(src->second.pcu),
+                    src->second.port, {UnitClass::kHost, 0},
+                    static_cast<uint32_t>(slot), 64);
         }
     }
 }
@@ -1825,9 +1375,9 @@ Mapper::wireScalars()
 // =====================================================================
 
 void
-Mapper::wireControl()
+Codegen::wireControl()
 {
-    for (NodeId o : outers_) {
+    for (NodeId o : an_.outers) {
         const Node &n = prog_.nodes[o];
         int box = boxOf_.at(o);
         UnitRef bref{UnitClass::kBox, static_cast<uint16_t>(box)};
@@ -1865,13 +1415,9 @@ Mapper::wireControl()
             // Heads get start tokens from the box.
             if (!has_pred[i]) {
                 for (const CtrlHandle &t : cl.triggers) {
-                    uint32_t op = allocCtlOut(bref);
-                    uint32_t ip = allocCtlIn(t.unit);
-                    boxes_[box].childStartOuts.push_back(
-                        static_cast<uint8_t>(op));
-                    ctrlOf(t).tokenIns.push_back(
-                        static_cast<uint8_t>(ip));
-                    connect(NetKind::kControl, bref, op, t.unit, ip, 32);
+                    auto [op, ip] = controlEdge(bref, t.unit);
+                    fab_.boxes[box].childStartOuts.push_back(op);
+                    ctrlOf(t).tokenIns.push_back(ip);
                 }
             }
             // Edges to dependent siblings: tokens come from the
@@ -1896,27 +1442,26 @@ Mapper::wireControl()
                         if (!reads[j].count(m) && !writes[j].count(m))
                             continue;
                         if (prog_.mems[m].kind == MemKind::kDram) {
-                            for (const CtrlHandle &h : storeAgs_[ci])
-                                dones.push_back(h);
+                            const auto &hs = storeAgs_[ci];
+                            dones.insert(dones.end(), hs.begin(), hs.end());
                             continue;
                         }
                         bool found_reader = false;
-                        for (const ReaderDesc &r : readers_[m]) {
+                        for (const ReaderDesc &r : an_.readers[m]) {
                             if (r.node == kNone ||
                                 !inSubtree(r.node, cjn))
                                 continue;
                             auto it = writeHandles_.find(
                                 {m, ci, r.node});
                             if (it != writeHandles_.end()) {
-                                for (const CtrlHandle &h : it->second)
-                                    dones.push_back(h);
+                                dones.insert(dones.end(), it->second.begin(),
+                                             it->second.end());
                                 found_reader = true;
                             }
                         }
                         if (!found_reader) {
-                            for (const CtrlHandle &h :
-                                 allWriteHandles_[{m, ci}])
-                                dones.push_back(h);
+                            const auto &hs = allWriteHandles_[{m, ci}];
+                            dones.insert(dones.end(), hs.begin(), hs.end());
                         }
                     }
                     // WAR: reads(i) overwritten by subtree(j).
@@ -1929,32 +1474,15 @@ Mapper::wireControl()
                                 dones.push_back(lp->second);
                             continue;
                         }
-                        for (const CtrlHandle &h :
-                             readHandles_[{m, ci}])
-                            dones.push_back(h);
+                        const auto &hs = readHandles_[{m, ci}];
+                        dones.insert(dones.end(), hs.begin(), hs.end());
                     }
                     if (dones.empty())
                         dones = cl.dones; // conservative fallback
                     // Deduplicate handles.
-                    std::sort(dones.begin(), dones.end(),
-                              [](const CtrlHandle &a,
-                                 const CtrlHandle &b) {
-                                  return std::make_tuple(
-                                             a.unit.cls, a.unit.index,
-                                             a.sel) <
-                                         std::make_tuple(b.unit.cls,
-                                                         b.unit.index,
-                                                         b.sel);
-                              });
-                    dones.erase(
-                        std::unique(
-                            dones.begin(), dones.end(),
-                            [](const CtrlHandle &a,
-                               const CtrlHandle &b) {
-                                return a.unit == b.unit &&
-                                       a.sel == b.sel;
-                            }),
-                        dones.end());
+                    std::sort(dones.begin(), dones.end());
+                    dones.erase(std::unique(dones.begin(), dones.end()),
+                                dones.end());
                 }
                 for (const CtrlHandle &d : dones) {
                     for (const CtrlHandle &t : cj.triggers)
@@ -1964,13 +1492,9 @@ Mapper::wireControl()
             // Tails report done to the box.
             if (!has_succ[i]) {
                 for (const CtrlHandle &d : cl.dones) {
-                    uint32_t op = allocCtlOut(d.unit);
-                    uint32_t ip = allocCtlIn(bref);
-                    ctrlOf(d).doneOuts.push_back(
-                        static_cast<uint8_t>(op));
-                    boxes_[box].childDoneIns.push_back(
-                        static_cast<uint8_t>(ip));
-                    connect(NetKind::kControl, d.unit, op, bref, ip, 32);
+                    auto [op, ip] = controlEdge(d.unit, bref);
+                    ctrlOf(d).doneOuts.push_back(op);
+                    fab_.boxes[box].childDoneIns.push_back(ip);
                 }
             }
         }
@@ -1978,401 +1502,62 @@ Mapper::wireControl()
 }
 
 // =====================================================================
-// Placement and routing
-// =====================================================================
 
-bool
-Mapper::placeAndRoute(FabricConfig &fab)
+Construction
+Codegen::run(bool allowSpill)
 {
-    // checkDemand() has proven that every unit has a site: the PCUs
-    // and PMUs fit the unmasked sites, the AGs their edge slots and
-    // the control boxes the switches.
-    panic_if(ags_.size() > P_.numAgs, "%zu AGs passed the demand check",
-             ags_.size());
-
-    // Adjacency from channels (logical unit pairs).
-    auto keyOf = [](const UnitRef &u) {
-        return std::make_pair(u.cls, u.index);
-    };
-    std::map<std::pair<UnitClass, uint16_t>,
-             std::vector<std::pair<UnitClass, uint16_t>>>
-        adj;
-    for (const ChannelCfg &ch : chans_) {
-        if (ch.dst.unit.cls == UnitClass::kHost)
-            continue;
-        adj[keyOf(ch.src.unit)].push_back(keyOf(ch.dst.unit));
-        adj[keyOf(ch.dst.unit)].push_back(keyOf(ch.src.unit));
-    }
-
-    // Physical assignment maps (logical -> physical index).
-    std::vector<int> pcuPhys(pcus_.size(), -1);
-    std::vector<int> pmuPhys(pmus_.size(), -1);
-    std::vector<int> agPhys(ags_.size(), -1);
-    std::vector<int> boxPhys(boxes_.size(), -1);
-
-    // AGs: fixed edge slots in order.
-    for (size_t a = 0; a < ags_.size(); ++a) {
-        agPhys[a] = static_cast<int>(a);
-        ags_[a].channel =
-            static_cast<uint8_t>(geom_.agChannel(static_cast<uint32_t>(a)));
-    }
-
-    auto placedSwitch =
-        [&](const std::pair<UnitClass, uint16_t> &u) -> SwitchCoord {
-        switch (u.first) {
-          case UnitClass::kPcu:
-            if (pcuPhys[u.second] >= 0)
-                return geom_.switchOf(UnitClass::kPcu,
-                                      pcuPhys[u.second]);
-            break;
-          case UnitClass::kPmu:
-            if (pmuPhys[u.second] >= 0)
-                return geom_.switchOf(UnitClass::kPmu,
-                                      pmuPhys[u.second]);
-            break;
-          case UnitClass::kAg:
-            return geom_.switchOf(UnitClass::kAg, agPhys[u.second]);
-          case UnitClass::kBox:
-            if (boxPhys[u.second] >= 0)
-                return geom_.switchOf(UnitClass::kBox,
-                                      boxPhys[u.second]);
-            break;
-          default:
-            break;
-        }
-        return {-1, -1};
-    };
-
-    // Placement-perturbation state for restart attempts: attempt 0 is
-    // noise-free; attempt k adds noise seeded with k to the site cost,
-    // growing with k so restarts explore progressively farther from
-    // the greedy optimum.
-    Rng rng(0);
-    uint64_t noiseMag = 0;
-
-    // Site -> switch per class, and each site's distance to the grid
-    // centre (central sites win when a unit is unconstrained).
-    const SwitchCoord centre{static_cast<int>(P_.gridCols / 2),
-                             static_cast<int>(P_.gridRows / 2)};
-    auto siteTable = [&](UnitClass cls, uint32_t capacity) {
-        std::vector<std::pair<SwitchCoord, uint32_t>> t(capacity);
-        for (uint32_t site = 0; site < capacity; ++site) {
-            SwitchCoord sc = geom_.switchOf(cls, site);
-            t[site] = {sc, Geometry::manhattan(sc, centre)};
-        }
-        return t;
-    };
-    const auto pcuSites = siteTable(UnitClass::kPcu, P_.numPcus());
-    const auto pmuSites = siteTable(UnitClass::kPmu, P_.numPmus());
-
-    auto greedyPlace = [&](UnitClass cls, size_t count,
-                           std::vector<int> &phys) {
-        const auto &sites =
-            cls == UnitClass::kPcu ? pcuSites : pmuSites;
-        const uint32_t capacity = static_cast<uint32_t>(sites.size());
-        std::vector<bool> taken(capacity, false);
-        // Faulted sites are permanently occupied (degraded re-mapping).
-        const std::vector<uint32_t> &masked =
-            cls == UnitClass::kPcu ? mask_.pcus : mask_.pmus;
-        for (uint32_t m : masked) {
-            if (m < capacity)
-                taken[m] = true;
-        }
-        std::vector<SwitchCoord> placedNbs;
-        for (size_t u = 0; u < count; ++u) {
-            std::pair<UnitClass, uint16_t> key{
-                cls, static_cast<uint16_t>(u)};
-            placedNbs.clear();
-            for (const auto &nb : adj[key]) {
-                SwitchCoord nc = placedSwitch(nb);
-                if (nc.col >= 0)
-                    placedNbs.push_back(nc);
-            }
-            int best = -1;
-            uint64_t best_cost = ~0ull;
-            for (uint32_t site = 0; site < capacity; ++site) {
-                if (taken[site])
-                    continue;
-                const auto &[sc, toCentre] = sites[site];
-                uint64_t cost = 0;
-                for (const SwitchCoord &nc : placedNbs)
-                    cost += Geometry::manhattan(sc, nc);
-                cost = cost * 64 + toCentre;
-                if (noiseMag)
-                    cost += rng.nextBounded(noiseMag);
-                if (cost < best_cost) {
-                    best_cost = cost;
-                    best = static_cast<int>(site);
-                }
-            }
-            panic_if(best < 0, "no free site for unit %zu", u);
-            phys[u] = best;
-            taken[static_cast<size_t>(best)] = true;
-        }
-    };
-
-    const int W = static_cast<int>(P_.switchCols());
-    const int H = static_cast<int>(P_.switchRows());
-    RouterGrid grid;
-    grid.cols = W;
-    grid.rows = H;
-    grid.vectorTracks = P_.vectorTracks;
-    grid.scalarTracks = P_.scalarTracks;
-    grid.controlTracks = P_.controlTracks;
-
-    // Unroutable placements are retried with perturbed placements and
-    // a growing round budget.
-    const uint32_t attempts = std::max(1u, opts_.maxPlacementAttempts);
-
-    std::vector<RouterNet> nets;
-    RouteOutcome outcome;
-    std::string lastFail;
-    for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-        rng = Rng(attempt);
-        noiseMag = static_cast<uint64_t>(attempt) * 96;
-        std::fill(pcuPhys.begin(), pcuPhys.end(), -1);
-        std::fill(pmuPhys.begin(), pmuPhys.end(), -1);
-        std::fill(boxPhys.begin(), boxPhys.end(), -1);
-
-        greedyPlace(UnitClass::kPcu, pcus_.size(), pcuPhys);
-        greedyPlace(UnitClass::kPmu, pmus_.size(), pmuPhys);
-
-        // Boxes: nearest free switch to the centroid of their neighbors.
-        std::set<int> box_sites;
-        for (size_t b = 0; b < boxes_.size(); ++b) {
-            std::pair<UnitClass, uint16_t> key{
-                UnitClass::kBox, static_cast<uint16_t>(b)};
-            int64_t sx = 0, sy = 0, cnt = 0;
-            for (const auto &nb : adj[key]) {
-                SwitchCoord nc = placedSwitch(nb);
-                if (nc.col >= 0) {
-                    sx += nc.col;
-                    sy += nc.row;
-                    ++cnt;
-                }
-            }
-            int cx = cnt ? static_cast<int>(sx / cnt)
-                         : static_cast<int>(P_.gridCols / 2);
-            int cy = cnt ? static_cast<int>(sy / cnt)
-                         : static_cast<int>(P_.gridRows / 2);
-            int best = -1;
-            int best_d = 1 << 30;
-            for (uint32_t r = 0; r < P_.switchRows(); ++r) {
-                for (uint32_t c = 0; c < P_.switchCols(); ++c) {
-                    int site =
-                        static_cast<int>(r * P_.switchCols() + c);
-                    if (box_sites.count(site))
-                        continue;
-                    int d = std::abs(static_cast<int>(c) - cx) +
-                            std::abs(static_cast<int>(r) - cy);
-                    if (d < best_d) {
-                        best_d = d;
-                        best = site;
-                    }
-                }
-            }
-            panic_if(best < 0, "no free switch for control box %zu", b);
-            boxPhys[b] = best;
-            box_sites.insert(best);
-        }
-
-        // Router nets from the logical channels. Multicast branches
-        // from one source port share routed tracks — a switch forks
-        // the bus instead of allocating a second track — so nets get a
-        // group id per (source unit, port, network kind).
-        std::map<std::tuple<UnitClass, uint16_t, uint8_t, int>,
-                 uint32_t>
-            groupIds;
-        nets.clear();
-        nets.reserve(chans_.size());
-        for (const ChannelCfg &ch : chans_) {
-            RouterNet net;
-            net.src = placedSwitch(keyOf(ch.src.unit));
-            net.dst = ch.dst.unit.cls == UnitClass::kHost
-                          ? SwitchCoord{0, 0}
-                          : placedSwitch(keyOf(ch.dst.unit));
-            net.kind = ch.kind;
-            auto gkey = std::make_tuple(ch.src.unit.cls,
-                                        ch.src.unit.index, ch.src.port,
-                                        static_cast<int>(ch.kind));
-            net.group = groupIds
-                            .try_emplace(gkey, static_cast<uint32_t>(
-                                                   groupIds.size()))
-                            .first->second;
-            nets.push_back(net);
-        }
-
-        RouterOptions ro;
-        ro.maxRounds = kRouteRounds + attempt * 8;
-        outcome = routeNets(nets, grid, ro);
-
-        RouteAttempt ra;
-        ra.placement = attempt;
-        ra.rounds = outcome.rounds;
-        ra.overusedLinks = outcome.overusedLinks;
-        ra.routedHops = outcome.totalHops;
-        ra.routed = outcome.routed;
-        ra.proof = outcome.proof;
-        diag_.attempts.push_back(ra);
-        diag_.placementAttempts = attempt + 1;
-
-        if (outcome.routed)
-            break;
-        if (!outcome.hotspots.empty())
-            diag_.hotspots = outcome.hotspots;
-        if (!outcome.proof.empty()) {
-            lastFail = "routing failed: proven unroutable: " +
-                       outcome.proof;
-        } else {
-            lastFail = strfmt("routing failed: %u links over capacity "
-                              "after %u rip-up rounds",
-                              outcome.overusedLinks, outcome.rounds);
-        }
-    }
-
-    if (!outcome.routed) {
-        failBinding("routing",
-                    attempts == 1
-                        ? lastFail
-                        : strfmt("%s (%u placement attempts)",
-                                 lastFail.c_str(), attempts));
-        return false;
-    }
-
-    // ---- assemble the fabric config -------------------------------
-    fab.params = P_;
-    fab.pcus.resize(P_.numPcus());
-    fab.pmus.resize(P_.numPmus());
-    fab.ags.resize(P_.numAgs);
-    fab.boxes.resize(P_.switchCols() * P_.switchRows());
-    for (size_t u = 0; u < pcus_.size(); ++u)
-        fab.pcus[static_cast<size_t>(pcuPhys[u])] = pcus_[u];
-    for (size_t u = 0; u < pmus_.size(); ++u)
-        fab.pmus[static_cast<size_t>(pmuPhys[u])] = pmus_[u];
-    for (size_t u = 0; u < ags_.size(); ++u)
-        fab.ags[static_cast<size_t>(agPhys[u])] = ags_[u];
-    for (size_t u = 0; u < boxes_.size(); ++u)
-        fab.boxes[static_cast<size_t>(boxPhys[u])] = boxes_[u];
-    fab.rootBox = boxPhys[static_cast<size_t>(rootBox_)];
-    fab.hostArgOuts = hostArgOuts_;
-
-    auto remap = [&](UnitRef &u) {
-        switch (u.cls) {
-          case UnitClass::kPcu:
-            u.index = static_cast<uint16_t>(pcuPhys[u.index]);
-            break;
-          case UnitClass::kPmu:
-            u.index = static_cast<uint16_t>(pmuPhys[u.index]);
-            break;
-          case UnitClass::kAg:
-            u.index = static_cast<uint16_t>(agPhys[u.index]);
-            break;
-          case UnitClass::kBox:
-            u.index = static_cast<uint16_t>(boxPhys[u.index]);
-            break;
-          case UnitClass::kHost:
-            break;
-        }
-    };
-    for (size_t i = 0; i < chans_.size(); ++i) {
-        ChannelCfg &ch = chans_[i];
-        remap(ch.src.unit);
-        if (ch.dst.unit.cls != UnitClass::kHost)
-            remap(ch.dst.unit);
-        ch.latency = nets[i].hops + 2;
-        rep_.routedHops += nets[i].hops;
-    }
-    fab.channels = chans_;
-
-    diag_.routeRounds = outcome.rounds;
-    diag_.routedHops = outcome.totalHops;
-    diag_.vectorTrackUtil = outcome.utilization(NetKind::kVector, grid);
-    diag_.scalarTrackUtil = outcome.utilization(NetKind::kScalar, grid);
-    diag_.controlTrackUtil =
-        outcome.utilization(NetKind::kControl, grid);
-    return true;
-}
-
-// =====================================================================
-
-MapResult
-Mapper::run()
-{
-    MapResult result;
-    {
-        ScopedSpan span("compile.partition");
-        analyze();
-    }
-    {
-        // Fast structured rejection: total demand vs capacity, before
-        // any codegen or placement work and with every check reported.
-        ScopedSpan span("compile.precheck");
-        CompileDiagnostics demand = checkDemand();
-        if (!demand.feasible) {
-            for (const ResourceCheck &c : demand.checks) {
-                if (c.over) {
-                    result.report.error = c.describe();
-                    break;
-                }
-            }
-            result.report.diag = std::move(demand);
-            return result;
-        }
-    }
-    {
-        ScopedSpan span("compile.codegen");
-        if (ok_)
-            createPcus();
-        if (ok_)
-            createPmus();
-        if (ok_)
-            createAgs();
-        if (ok_)
-            createBoxes();
-        if (ok_)
-            wireScalars();
-        if (ok_)
-            wireControl();
-    }
-
-    FabricConfig fab;
+    if (ok_)
+        createPcus();
     if (ok_) {
-        ScopedSpan span("compile.placeroute");
-        ok_ = placeAndRoute(fab);
+        plan_ = planDepths(prog_, an_, P_.pmu, allowSpill);
+        createPmus();
     }
+    if (ok_)
+        createAgs();
+    if (ok_)
+        createBoxes();
+    if (ok_)
+        wireScalars();
+    if (ok_)
+        wireControl();
+    return {std::move(fab_), std::move(plan_.spills), error_, binding_};
+}
 
-    rep_.ok = ok_;
-    rep_.error = error_;
-    diag_.feasible = ok_;
-    if (!ok_ && diag_.binding.empty())
-        diag_.binding = "compile";
-    rep_.diag = diag_;
-    rep_.pcusUsed = static_cast<uint32_t>(pcus_.size());
-    rep_.pmusUsed = static_cast<uint32_t>(pmus_.size());
-    rep_.agsUsed = static_cast<uint32_t>(ags_.size());
-    rep_.boxesUsed = static_cast<uint32_t>(boxes_.size());
-    rep_.channels = static_cast<uint32_t>(chans_.size());
-    for (const PcuCfg &p : pcus_) {
-        rep_.stagesUsed += static_cast<uint32_t>(p.stages.size());
-        rep_.fuActive +=
-            static_cast<uint32_t>(p.stages.size()) * P_.pcu.lanes;
-    }
-    for (NodeId l : leaves_) {
-        auto it = parts_.find(l);
-        if (it == parts_.end())
-            break; // a failed lowering counts only the leaves before it
-        for (const auto &ch : it->second.chunks)
-            rep_.regsUsed += ch.metrics.regs;
-    }
-    for (const PmuCfg &p : pmus_)
-        rep_.sramWordsUsed += static_cast<uint64_t>(
-                                  p.scratch.numBufs) *
-                              p.scratch.sizeWords;
-
-    result.fabric = std::move(fab);
-    result.report = rep_;
-    result.dramBase = dramBase_;
-    return result;
+/** The first field of `params` no compile can index or simulate, as
+ *  "field: why"; "" when every field is usable. */
+std::string
+archDefect(const ArchParams &params)
+{
+    uint64_t cols = uint64_t{params.gridCols} + 1;
+    uint64_t rows = uint64_t{params.gridRows} + 1;
+    const DramParams &dram = params.dram;
+    if (dram.channels == 0)
+        return "dram.channels: 0 channels leave the AGs no DRAM";
+    if (cols > 65536 || rows > 65536 || cols * rows > 65536)
+        return strfmt("grid: %ux%u units need more than 65536 switches",
+                      params.gridCols, params.gridRows);
+    if (params.numAgs > 65536)
+        return strfmt("numAgs: %u AGs overflow a 16-bit unit index",
+                      params.numAgs);
+    if (params.pcu.lanes == 0 || params.pcu.lanes > kMaxLanes)
+        return strfmt("pcu.lanes: %u lanes, a vector holds 1 to %u",
+                      params.pcu.lanes, kMaxLanes);
+    if (params.pmu.banks == 0)
+        return "pmu.banks: 0 banks hold no scratchpad words";
+    if (dram.queueDepth == 0)
+        return "dram.queueDepth: a 0-entry command queue admits no request";
+    if (dram.burstBytes == 0)
+        return "dram.burstBytes: 0-byte bursts carry no data";
+    if (dram.rowBytes < dram.burstBytes)
+        return strfmt("dram.rowBytes: a %u-byte row holds no %u-byte burst",
+                      dram.rowBytes, dram.burstBytes);
+    if (dram.banksPerChannel == 0)
+        return "dram.banksPerChannel: 0 banks hold no rows";
+    if (params.coalescerCacheLines == 0)
+        return "coalescerCacheLines: a 0-line cache merges no burst";
+    if (params.coalescerMaxOutstanding == 0)
+        return "coalescerMaxOutstanding: a 0-burst budget admits no command";
+    return "";
 }
 
 } // namespace
@@ -2382,63 +1567,81 @@ compileProgram(const Program &prog, const ArchParams &params,
                const UnitMask &mask, const CompileOptions &opts)
 {
     ScopedSpan compileSpan("compile");
+    MapResult result;
+    MappingReport &rep = result.report;
 
-    // Architectures no compile can index fail before any analysis
-    // divides by the channel count or wraps a 16-bit UnitRef index.
-    uint64_t cols = uint64_t{params.gridCols} + 1;
-    uint64_t rows = uint64_t{params.gridRows} + 1;
-    std::string defect;
-    if (params.dram.channels == 0)
-        defect = "dram.channels: 0 channels leave the AGs no DRAM";
-    else if (cols > 65536 || rows > 65536 || cols * rows > 65536)
-        defect = strfmt("grid: %ux%u units need more than 65536 switches",
-                        params.gridCols, params.gridRows);
-    else if (params.numAgs > 65536)
-        defect = strfmt("numAgs: %u AGs overflow a 16-bit unit index",
-                        params.numAgs);
+    // Architectures no compile can index or run fail before any
+    // analysis divides by or loops over the offending field.
+    std::string defect = archDefect(params);
     if (!defect.empty()) {
-        MapResult bad;
-        bad.report.error = defect;
-        bad.report.diag.binding = defect.substr(0, defect.find(':'));
-        return bad;
+        rep.error = defect;
+        rep.diag.binding = defect.substr(0, defect.find(':'));
+        return result;
     }
 
-    // Capacity-spill loop: when a memory's N-buffer demand exceeds the
-    // physical scratchpad, cap the metapipe depths that drive it (the
-    // matching throughput throttle) and re-run the partitioner with the
-    // caps applied, accumulating until the design fits or nothing
-    // shrinks any further.
-    constexpr uint32_t kMaxSpillRounds = 8;
-    std::map<NodeId, uint32_t> depthCaps;
-    std::vector<SpillAction> spills;
-    for (uint32_t round = 0;; ++round) {
-        Mapper m(prog, params, mask, opts, depthCaps);
-        MapResult result = m.run();
-        result.report.diag.spills = spills;
-        if (result.report.ok || round >= kMaxSpillRounds ||
-            m.spillRequests().empty())
-            return result;
-        bool changed = false;
-        for (const auto &[mid, req] : m.spillRequests()) {
-            for (NodeId nd : req.nodes) {
-                auto it = depthCaps.find(nd);
-                uint32_t cur =
-                    it == depthCaps.end() ? ~0u : it->second;
-                if (req.toBufs >= cur)
-                    continue;
-                depthCaps[nd] = req.toBufs;
-                changed = true;
-                SpillAction act;
-                act.memory = prog.mems[mid].name;
-                act.node = prog.nodes[nd].name;
-                act.fromBufs = req.fromBufs;
-                act.toBufs = req.toBufs;
-                spills.push_back(act);
-            }
-        }
-        if (!changed)
-            return result;
+    Analysis an;
+    {
+        ScopedSpan span("compile.partition");
+        an = analyzeProgram(prog, params);
     }
+    {
+        // Fast structured rejection: total demand vs capacity, before
+        // any codegen or placement work and with every check reported.
+        ScopedSpan span("compile.precheck");
+        CompileDiagnostics demand = checkDemand(prog, an, params, mask);
+        if (!demand.feasible) {
+            rep.error = std::find_if(demand.checks.begin(),
+                                     demand.checks.end(),
+                                     [](const ResourceCheck &c) {
+                                         return c.over;
+                                     })
+                            ->describe();
+            rep.diag = std::move(demand);
+            return result;
+        }
+    }
+    Construction built;
+    {
+        ScopedSpan span("compile.codegen");
+        built = Codegen(prog, an, params).run(opts.allowSpill);
+    }
+    if (built.error.empty()) {
+        ScopedSpan span("compile.placeroute");
+        built.error = placeAndRoute(built.fabric, mask,
+                                    opts.maxPlacementAttempts,
+                                    result.fabric, rep.diag);
+        built.binding = "routing";
+    }
+
+    rep.ok = built.error.empty();
+    rep.error = built.error;
+    rep.diag.feasible = rep.ok;
+    rep.diag.binding = rep.ok ? "" : built.binding;
+    rep.diag.spills = std::move(built.spills);
+    const FabricConfig &units = built.fabric;
+    rep.pcusUsed = static_cast<uint32_t>(units.pcus.size());
+    rep.pmusUsed = static_cast<uint32_t>(units.pmus.size());
+    rep.agsUsed = static_cast<uint32_t>(units.ags.size());
+    rep.boxesUsed = static_cast<uint32_t>(units.boxes.size());
+    rep.channels = static_cast<uint32_t>(units.channels.size());
+    rep.routedHops = rep.diag.routedHops;
+    for (const PcuCfg &p : units.pcus) {
+        rep.stagesUsed += static_cast<uint32_t>(p.stages.size());
+        rep.fuActive +=
+            static_cast<uint32_t>(p.stages.size()) * params.pcu.lanes;
+    }
+    for (NodeId l : an.leaves) {
+        auto it = an.parts.find(l);
+        if (it == an.parts.end())
+            break; // a failed lowering counts only the leaves before it
+        for (const auto &ch : it->second.chunks)
+            rep.regsUsed += ch.metrics.regs;
+    }
+    for (const PmuCfg &p : units.pmus)
+        rep.sramWordsUsed +=
+            static_cast<uint64_t>(p.scratch.numBufs) * p.scratch.sizeWords;
+    result.dramBase = std::move(an.dramBase);
+    return result;
 }
 
 std::string

@@ -1,20 +1,21 @@
 /**
  * @file
  * The compiler driver (§3.6): lowers a PIR program onto the Plasticine
- * fabric. Pipeline:
+ * fabric. Each pass runs once and hands the next an explicit result:
  *
- *   1. lower every compute leaf to a virtual PCU   (vleaf)
- *   2. partition virtual units into physical PCUs  (partition)
- *   3. plan memories: one PMU per (memory, reader), N-buffering and
- *      swap/clear cadence from the controller hierarchy
- *   4. check total unit, port and scratchpad demand against the
+ *   1. analysis (analysis.hpp): lower every compute leaf to a virtual
+ *      PCU (vleaf), partition it into physical PCUs (partition), lay
+ *      out DRAM and find each SRAM's readers, writers and N-buffering
+ *   2. check total unit, port and scratchpad demand against the
  *      architecture; an infeasible design stops here, every check
  *      reported and the binding resource named
- *   5. generate unit configurations, data channels and the token /
- *      credit control graph (control boxes in switches, §3.5)
- *   6. place units on the 16x8 grid and route every channel over the
- *      switch network with per-link track capacities; routed hop counts
- *      become channel latencies
+ *   3. construction (mapper.cpp): unit configurations, data channels
+ *      and the token / credit control graph (control boxes in switches,
+ *      §3.5) as a logical FabricConfig, with N-buffer depths from the
+ *      spill fixpoint (analysis.hpp)
+ *   4. place-and-route (place.hpp): units on the grid, every channel
+ *      routed over the switch network with per-link track capacities;
+ *      routed hop counts become channel latencies
  *
  * The result is a FabricConfig — the static "bitstream" the simulator
  * executes — plus a MappingReport with the utilization statistics the
@@ -47,8 +48,6 @@ struct UnitMask
 {
     std::vector<uint32_t> pcus; ///< physical PCU indices to avoid
     std::vector<uint32_t> pmus; ///< physical PMU indices to avoid
-
-    bool empty() const { return pcus.empty() && pmus.empty(); }
 };
 
 /**

@@ -8,10 +8,6 @@
 namespace plast::compiler
 {
 
-namespace
-{
-
-/** Last op index (global) that reads each value; -1 if never read. */
 std::vector<int32_t>
 computeLastUse(const VirtualLeaf &leaf)
 {
@@ -24,6 +20,9 @@ computeLastUse(const VirtualLeaf &leaf)
     }
     return last;
 }
+
+namespace
+{
 
 struct Analyzer
 {

@@ -51,6 +51,9 @@ struct PartitionResult
     }
 };
 
+/** Last op index that reads each value of `leaf`; -1 if never read. */
+std::vector<int32_t> computeLastUse(const VirtualLeaf &leaf);
+
 /** Partition one virtual leaf under the given PCU parameters. */
 PartitionResult partitionLeaf(const VirtualLeaf &leaf,
                               const PcuParams &params);

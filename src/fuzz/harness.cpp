@@ -186,8 +186,6 @@ readSeedFile(std::istream &is, FuzzCase &out, std::string *err)
             return fail("bad 'arch' field '" + tok + "'");
     if (n < std::size(fields) - 1)
         return fail("seed file must start with an 'arch' line");
-    if (p.coalescerMaxOutstanding == 0)
-        return fail("'arch' outstanding-burst budget must be >= 1");
     p.pmu.fifoDepth = p.pcu.fifoDepth;
     uint32_t inj = 0;
     if (!nextLine(line))

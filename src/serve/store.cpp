@@ -292,7 +292,7 @@ ConfigStore::open(StoreOptions opts, Status *why)
 
     store->recoveryScan();
 
-    if (store->mode_ == StoreMode::kReadWrite && store->opts_.writeBehind)
+    if (store->mode_ == StoreMode::kReadWrite)
         store->writer_ = std::thread([s = store.get()] { s->writerLoop(); });
     return store;
 }
@@ -539,10 +539,6 @@ ConfigStore::persist(uint64_t pirHash, uint64_t archHash,
         return;
     }
     PendingWrite w{pirHash, archHash, std::move(map)};
-    if (!opts_.writeBehind) {
-        publish(w);
-        return;
-    }
     std::lock_guard<std::mutex> lk(qmu_);
     if (closing_) {
         std::lock_guard<std::mutex> slk(mu_);
@@ -556,7 +552,7 @@ ConfigStore::persist(uint64_t pirHash, uint64_t archHash,
 void
 ConfigStore::flush()
 {
-    if (mode_ != StoreMode::kReadWrite || !opts_.writeBehind)
+    if (mode_ != StoreMode::kReadWrite)
         return;
     std::unique_lock<std::mutex> lk(qmu_);
     idle_.wait(lk, [this] { return queue_.empty() && inFlight_ == 0; });

@@ -15,6 +15,7 @@
 
 #include "base/logging.hpp"
 #include "base/rng.hpp"
+#include "compiler/mapper.hpp"
 #include "fuzz/diff.hpp"
 #include "fuzz/generator.hpp"
 #include "fuzz/harness.hpp"
@@ -158,12 +159,17 @@ TEST(Fuzz, SeedFileCarriesOutstandingBudget)
     EXPECT_EQ(back.params.coalescerMaxOutstanding, 64u);
     EXPECT_EQ(programToText(back.prog), programToText(c.prog));
 
-    // A malformed or zero budget is an error, not a silent default.
-    for (const char *bad : {" x", " 0"}) {
-        std::string t = text.substr(0, last) + bad + text.substr(eol);
-        std::istringstream bis(t);
-        EXPECT_FALSE(readSeedFile(bis, back, &err)) << bad;
-    }
+    // A malformed budget is a read error, not a silent default; a zero
+    // budget reads, and the compile rejects it naming the field.
+    std::string t = text.substr(0, last) + " x" + text.substr(eol);
+    std::istringstream bis(t);
+    EXPECT_FALSE(readSeedFile(bis, back, &err));
+    t = text.substr(0, last) + " 0" + text.substr(eol);
+    std::istringstream zis(t);
+    ASSERT_TRUE(readSeedFile(zis, back, &err)) << err;
+    compiler::MapResult res = compiler::compileProgram(back.prog, back.params);
+    EXPECT_FALSE(res.report.ok);
+    EXPECT_EQ(res.report.diag.binding, "coalescerMaxOutstanding");
 }
 
 TEST(Fuzz, SamplerReachesSmallBudgetsAndOffGridRows)
@@ -272,9 +278,10 @@ TEST(Fuzz, NonCombinerFoldOpIsInvalidNotAPanic)
 
 TEST(Fuzz, UnusableArchHeadersReplayTyped)
 {
-    // Seed headers the compiler cannot index (no DRAM channel, a grid
-    // past 16-bit unit indices) come back as typed verdicts naming the
-    // field, and a signed field fails to read; none may crash or hang.
+    // Seed headers the compiler cannot index or run (no DRAM channel, a
+    // grid past 16-bit unit indices, an empty DRAM command queue) come
+    // back as typed verdicts naming the field, and a signed field fails
+    // to read; none may crash or hang.
     std::ifstream f(PLAST_CORPUS_DIR "/clean_seed_3.pir");
     ASSERT_TRUE(f) << "no corpus under " PLAST_CORPUS_DIR;
     std::stringstream text;
@@ -286,6 +293,7 @@ TEST(Fuzz, UnusableArchHeadersReplayTyped)
     for (auto [header, expect] :
          {std::pair{"arch 16 8 8 16 8 0 16 4 6 16", "dram.channels"},
           {"arch 4000 4000 8 16 8 4 16 4 6 16", "grid"},
+         {"arch 16 8 8 16 8 4 0 4 6 16", "dram.queueDepth"},
           {"arch -1 8 8 16 8 4 16 4 6 16", "bad 'arch' field '-1'"}}) {
         std::string path = ::testing::TempDir() + "arch_header.pir";
         std::ofstream(path) << t.substr(0, at) + header +

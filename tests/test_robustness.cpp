@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "apps/apps.hpp"
+#include "base/profile.hpp"
 #include "compiler/mapper.hpp"
 #include "compiler/vleaf.hpp"
 #include "pir/builder.hpp"
@@ -106,6 +108,16 @@ smallScratchArch()
 {
     ArchParams p = ArchParams::plasticineFinal();
     p.pmu.bankKilobytes = 1; // 16 banks x 1 KB = 4096 words
+    return p;
+}
+
+/** 4 banks x 1 KB scratchpads: tiny GEMM's tiles overflow twice. */
+ArchParams
+tinyScratchArch()
+{
+    ArchParams p = ArchParams::plasticineFinal();
+    p.pmu.banks = 4;
+    p.pmu.bankKilobytes = 1;
     return p;
 }
 
@@ -262,6 +274,48 @@ TEST(Spill, SpilledDesignValidatesBitExact)
     EXPECT_EQ(out.argOuts.at(0).size(), 16u) << "one sum per tile";
 }
 
+TEST(Spill, TwoRoundsShrinkGemmTilesAndValidateBitExact)
+{
+    setVerbose(false);
+    apps::AppInstance app = apps::makeGemm(apps::Scale::kTiny);
+    Runner r(app.prog, tinyScratchArch());
+    app.load(r);
+    ASSERT_TRUE(r.tryCompile().ok()) << r.report().error;
+    std::vector<std::string> spills;
+    for (const SpillAction &sp : r.report().diag.spills)
+        spills.push_back(strfmt("%s/%s %u->%u", sp.memory.c_str(),
+                                sp.node.c_str(), sp.fromBufs, sp.toBufs));
+    EXPECT_EQ(spills, (std::vector<std::string>{"aTile/kTiles 4->2",
+                                                "bTile/kTiles 2->1"}));
+    Runner::Result out;
+    Status st = r.tryRunValidated(out);
+    EXPECT_TRUE(st.ok()) << st.toString();
+}
+
+TEST(Spill, SpilledCompileRunsEachPassOnce)
+{
+    // Spilling is a depth fixpoint over one analysis: a compile that
+    // spills twice still partitions, checks demand and generates
+    // units once.
+    setVerbose(false);
+    apps::AppInstance app = apps::makeGemm(apps::Scale::kTiny);
+    HostProfiler &prof = HostProfiler::instance();
+    prof.setEnabled(true);
+    const uint32_t tid = HostProfiler::currentTid();
+    const uint64_t since = prof.nowUs();
+    MapResult res = compileProgram(app.prog, tinyScratchArch());
+    ASSERT_TRUE(res.report.ok) << res.report.error;
+    ASSERT_EQ(res.report.diag.spills.size(), 2u);
+    std::map<std::string, int> spans;
+    for (const HostProfiler::Span &s : prof.spans())
+        if (s.tid == tid && s.beginUs >= since)
+            ++spans[s.name];
+    EXPECT_EQ(spans["compile.partition"], 1);
+    EXPECT_EQ(spans["compile.precheck"], 1);
+    EXPECT_EQ(spans["compile.codegen"], 1);
+    EXPECT_EQ(spans["compile.placeroute"], 1);
+}
+
 // ---------------------------------------------------------------------
 // Diagnosed front-end errors (formerly fatal aborts)
 // ---------------------------------------------------------------------
@@ -367,6 +421,28 @@ TEST(DiagnosedErrors, UnindexableArchIsACompileErrorNamingTheField)
     EXPECT_EQ(bindingOf([](ArchParams &p) { p.gridCols = UINT32_MAX; }),
               "grid");
     EXPECT_EQ(bindingOf([](ArchParams &p) { p.numAgs = 70000; }), "numAgs");
+    // Fields the compiler or simulator divides by, indexes with or
+    // waits on: each crashed or deadlocked a compile or a run before it
+    // was rejected here (zero PMU banks crashed BFS's compile).
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.dram.queueDepth = 0; }),
+              "dram.queueDepth");
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.coalescerCacheLines = 0; }),
+              "coalescerCacheLines");
+    EXPECT_EQ(
+        bindingOf([](ArchParams &p) { p.coalescerMaxOutstanding = 0; }),
+        "coalescerMaxOutstanding");
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.dram.burstBytes = 0; }),
+              "dram.burstBytes");
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.dram.banksPerChannel = 0; }),
+              "dram.banksPerChannel");
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.dram.rowBytes = 0; }),
+              "dram.rowBytes");
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.pcu.lanes = 0; }),
+              "pcu.lanes");
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.pmu.banks = 0; }),
+              "pmu.banks");
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.pcu.lanes = kMaxLanes * 2; }),
+              "pcu.lanes");
 
     EXPECT_EQ(bindingOf([](ArchParams &p) { p.numAgs = 0; }), "ag");
     EXPECT_EQ(bindingOf([](ArchParams &p) {

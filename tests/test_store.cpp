@@ -450,7 +450,8 @@ TEST(Store, UnusableDirectoryDegradesToDisabledTypedNoOps)
 namespace
 {
 
-/** Synchronous-publish store + one compiled config for fault tests. */
+/** A store + one compiled config for fault tests; persistOnce() waits
+ *  for the write-behind publish. */
 struct FaultRig
 {
     TempDir td;
@@ -468,7 +469,6 @@ struct FaultRig
         arch = hashArch(params);
         StoreOptions o;
         o.dir = td.sub("store");
-        o.writeBehind = false; // deterministic: persist() == publish()
         st = ConfigStore::open(o);
         EXPECT_EQ(st->mode(), StoreMode::kReadWrite);
     }
@@ -476,6 +476,7 @@ struct FaultRig
     {
         st->persist(pir, arch,
                     std::make_shared<compiler::MapResult>(mr));
+        st->flush();
     }
     std::string dir() const { return td.sub("store"); }
 };
@@ -580,13 +581,14 @@ TEST(Store, SizeCapEvictsOldestButNeverTheNewest)
 
     StoreOptions o;
     o.dir = td.sub("store");
-    o.writeBehind = false;
     // Roughly two records' worth: the third publish evicts the first.
     o.maxBytes = 2 * encodeRecord(makeStoredConfig(1, arch, mr)).size() +
                  64;
     auto st = ConfigStore::open(o);
-    for (uint64_t k = 1; k <= 3; ++k)
+    for (uint64_t k = 1; k <= 3; ++k) {
         st->persist(k, arch, std::make_shared<compiler::MapResult>(mr));
+        st->flush();
+    }
     StoreStats ss = st->stats();
     EXPECT_EQ(ss.writes, 3u);
     EXPECT_EQ(ss.evicted, 1u);
@@ -601,10 +603,10 @@ TEST(Store, SizeCapEvictsOldestButNeverTheNewest)
     // than thrashing an empty store.
     StoreOptions tiny;
     tiny.dir = td.sub("tiny");
-    tiny.writeBehind = false;
     tiny.maxBytes = 128;
     auto st2 = ConfigStore::open(tiny);
     st2->persist(7, arch, std::make_shared<compiler::MapResult>(mr));
+    st2->flush();
     EXPECT_EQ(st2->stats().records, 1u);
     EXPECT_TRUE(st2->load(7, arch, rec).ok());
 }
