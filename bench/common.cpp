@@ -28,14 +28,9 @@ writeStatsJson(const std::string &path, const StatSet &stats,
         return;
     std::ofstream os(path);
     fatal_if(!os, "cannot open %s", path.c_str());
-    os << "{\n";
-    os << "  \"meta.arch\": \"" << jsonEscape(params.describe())
-       << "\",\n";
-    os << "  \"meta.bench\": \"" << jsonEscape(benchName) << "\",\n";
-    os << "  \"meta.schema\": \"" << kStatsSchema << "\"";
-    for (const auto &[name, value] : stats.all())
-        os << ",\n  \"" << name << "\": " << value;
-    os << "\n}\n";
+    stats.writeJson(os, {{"meta.arch", params.describe()},
+                         {"meta.bench", benchName},
+                         {"meta.schema", kStatsSchema}});
     std::printf("stats: %s\n", path.c_str());
 }
 

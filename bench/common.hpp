@@ -37,8 +37,9 @@ inline constexpr const char *kStatsSchema = "plast.bench-stats.v1";
 FlagSet flags(const char *driver, std::string &statsJson,
               bool *tiny = nullptr);
 
-/** Write the provenance-stamped stats JSON; no-op when `path` is
- *  empty, fatal when the file cannot be opened. Prints the path. */
+/** Write the provenance-stamped stats JSON (StatSet::writeJson with
+ *  the meta.* strings first); no-op when `path` is empty, fatal when
+ *  the file cannot be opened. Prints the path. */
 void writeStatsJson(const std::string &path, const StatSet &stats,
                     const std::string &benchName,
                     const ArchParams &params = ArchParams::plasticineFinal());

@@ -22,8 +22,8 @@
 #include "apps/apps.hpp"
 #include "base/flags.hpp"
 #include "base/logging.hpp"
-#include "base/metrics.hpp"
 #include "base/profile.hpp"
+#include "base/stats.hpp"
 #include "runtime/bottleneck.hpp"
 #include "runtime/runner.hpp"
 
@@ -109,18 +109,18 @@ main(int argc, char **argv)
     if (!json_path.empty()) {
         std::ofstream os(json_path);
         fatal_if(!os, "cannot open %s", json_path.c_str());
-        res.stats.dumpJson(os);
+        res.stats.writeJson(os);
         std::printf("stats: %s\n", json_path.c_str());
     }
     if (!metrics_path.empty()) {
-        // The unified exposition: simulator counters plus host phase
-        // timings through one MetricRegistry, scrape-ready.
-        MetricRegistry reg;
+        // Simulator counters plus host phase timings in one registry,
+        // scrape-ready.
+        StatSet reg;
         for (const auto &[name, value] : res.stats.all())
-            reg.setCounter("sim." + name, value);
+            reg.set("sim." + name, value);
         for (const auto &[phase, us] :
              HostProfiler::instance().totalsUs())
-            reg.setCounter("host.phase_us." + phase, us);
+            reg.set("host.phase_us." + phase, us);
         std::ofstream os(metrics_path);
         fatal_if(!os, "cannot open %s", metrics_path.c_str());
         reg.writePrometheus(os);

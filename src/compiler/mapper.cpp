@@ -487,7 +487,7 @@ Codegen::addrStages(ExprId expr, const std::vector<CtrId> &chainCtrs,
     collect(expr);
     std::string err;
     std::vector<StageCfg> stages =
-        lowerScalarExpr(prog_, expr, ctr_level, scalar_port, reg, &err);
+        lowerScalarExpr(prog_, expr, ctr_level, scalar_port, reg, err);
     if (!err.empty())
         fail(err, "pcu.pipeline");
     return stages;
@@ -1063,6 +1063,17 @@ Codegen::createPmus()
                 writeHandles_[{mid, wd.node, rd.node}].push_back(
                     {ref, sel});
                 allWriteHandles_[{mid, wd.node}].push_back({ref, sel});
+            }
+
+            // Every port's address program runs on the PMU's scalar
+            // pipeline (the simulator refuses a longer one).
+            for (const PmuPortCfg *p : {&cfg.read, &cfg.write, &cfg.write2}) {
+                if (p->enabled && p->addrStages.size() > P_.pmu.stages)
+                    fail(strfmt("pmu.stages: PMU '%s': %zu address stages "
+                                "exceed the %u physical stages",
+                                cfg.name.c_str(), p->addrStages.size(),
+                                P_.pmu.stages),
+                         "pmu.stages");
             }
         }
     }

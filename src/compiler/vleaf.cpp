@@ -496,24 +496,21 @@ std::vector<StageCfg>
 lowerScalarExpr(const Program &prog, ExprId expr,
                 const std::map<CtrId, int> &ctrLevel,
                 const std::map<CtrId, int> &scalarPort, uint8_t &addrReg,
-                std::string *err)
+                std::string &err)
 {
     std::vector<StageCfg> stages;
     uint8_t nextReg = 0;
 
-    // Malformed user expressions become diagnosed errors when the
-    // caller provides `err`; without it they abort (internal callers
-    // that already validated their input).
+    // Malformed user expressions become diagnosed errors; the first
+    // one wins.
     auto bad = [&](const std::string &msg) {
-        if (!err)
-            fatal("%s", msg.c_str());
-        if (err->empty())
-            *err = msg;
+        if (err.empty())
+            err = msg;
     };
 
     // Recursive lowering returning an Operand.
     std::function<Operand(ExprId)> lower = [&](ExprId id) -> Operand {
-        if (err && !err->empty())
+        if (!err.empty())
             return Operand::none();
         const Expr &e = prog.exprs[id];
         switch (e.kind) {
@@ -560,7 +557,7 @@ lowerScalarExpr(const Program &prog, ExprId expr,
     };
 
     Operand root = lower(expr);
-    if (err && !err->empty()) {
+    if (!err.empty()) {
         stages.clear();
         addrReg = 0;
         return stages;

@@ -144,18 +144,15 @@ VirtualLeaf lowerLeaf(const pir::Program &prog, pir::NodeId leaf,
  * Lower a scalar address expression to PMU/AG datapath stages.
  * `ctrLevel` maps CtrId -> chain level of the port's own chain;
  * `scalarPort` maps CtrId (outer counters) -> scalar input port.
- * Returns the stages and sets `addrReg`.
- *
- * With `err` provided, malformed expressions (unmapped counters,
- * too-deep trees, non-address expr kinds) set *err and return empty
- * stages instead of aborting the process; with err == nullptr they
- * remain fatal (internal-invariant callers).
+ * Returns the stages and sets `addrReg`. A malformed expression
+ * (unmapped counter, too-deep tree, non-address expr kind) sets `err`
+ * and returns empty stages.
  */
 std::vector<StageCfg>
 lowerScalarExpr(const pir::Program &prog, pir::ExprId expr,
                 const std::map<pir::CtrId, int> &ctrLevel,
                 const std::map<pir::CtrId, int> &scalarPort,
-                uint8_t &addrReg, std::string *err = nullptr);
+                uint8_t &addrReg, std::string &err);
 
 } // namespace plast::compiler
 

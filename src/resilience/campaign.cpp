@@ -49,15 +49,6 @@ runCampaign(const CampaignOptions &opts)
     CampaignResult out;
     for (const apps::AppSpec *spec : selected) {
         apps::AppInstance inst = spec->make(apps::Scale::kTiny);
-
-        // Stage inputs once (apps load through a Runner) and compile to
-        // learn the placement the fault plans target.
-        Runner stage(inst.prog, params);
-        inst.load(stage);
-
-        ResilientRunner rr(inst.prog, params, opts.maxCycles);
-        rr.setInputs(stage.hostBuffers());
-
         auto record = [&](uint64_t seed, ResilienceReport rep) {
             CampaignRun run;
             run.app = inst.name;
@@ -71,16 +62,30 @@ runCampaign(const CampaignOptions &opts)
             out.runs.push_back(std::move(run));
         };
 
-        Status cst = stage.tryCompile();
-        Status gst = cst.ok() ? rr.runGolden() : cst;
-        if (!gst.ok()) {
-            // Record the failure once and move on: with no golden
-            // horizon there is nothing meaningful to inject into.
+        // Record a failure once and move on: with no golden horizon
+        // there is nothing meaningful to inject into.
+        auto failed = [&](const Status &st) {
             ResilienceReport rep;
             rep.cls = RunClass::kCompileError;
-            rep.finalStatus = gst;
-            rep.detail = gst.message();
+            rep.finalStatus = st;
+            rep.detail = st.message();
             record(opts.seed, std::move(rep));
+        };
+
+        // Stage inputs once (apps load through a Runner) and compile
+        // once: the fault plans target this placement, and the golden
+        // run and every unmasked attempt adopt it.
+        Runner stage(inst.prog, params);
+        inst.load(stage);
+        if (Status st = stage.tryCompile(); !st.ok()) {
+            failed(st);
+            continue;
+        }
+        ResilientRunner rr(inst.prog, params, stage.sharedMapResult(),
+                           opts.maxCycles);
+        rr.setInputs(stage.hostBuffers());
+        if (Status st = rr.runGolden(); !st.ok()) {
+            failed(st);
             continue;
         }
 

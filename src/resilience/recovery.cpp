@@ -40,10 +40,13 @@ constexpr uint32_t kMaxRecoveries = 4;
 
 } // namespace
 
-ResilientRunner::ResilientRunner(pir::Program prog, ArchParams params,
-                                 Cycles maxCycles)
-    : prog_(std::move(prog)), params_(params), maxCycles_(maxCycles)
+ResilientRunner::ResilientRunner(
+    pir::Program prog, ArchParams params,
+    std::shared_ptr<const compiler::MapResult> compiled, Cycles maxCycles)
+    : prog_(std::move(prog)), params_(params),
+      compiled_(std::move(compiled)), maxCycles_(maxCycles)
 {
+    panic_if(!compiled_, "ResilientRunner needs a compiled program");
 }
 
 void
@@ -56,6 +59,7 @@ Status
 ResilientRunner::runGolden()
 {
     Runner runner(prog_, params_);
+    runner.adoptCompiled(compiled_);
     runner.setHostBuffers(inputs_);
     if (cancel_)
         runner.setCancelToken(cancel_);
@@ -117,9 +121,7 @@ ResilientRunner::run(const FaultPlan &plan)
     if (!haveGolden_) {
         Status st = runGolden();
         if (!st.ok()) {
-            rep.cls = st.code() == StatusCode::kCompileError
-                          ? RunClass::kCompileError
-                          : RunClass::kDetectedUnrecoverable;
+            rep.cls = RunClass::kDetectedUnrecoverable;
             rep.finalStatus = st;
             rep.detail = "golden run failed: " + st.message();
             last_ = Runner::Result{};
@@ -129,9 +131,8 @@ ResilientRunner::run(const FaultPlan &plan)
     }
 
     FaultInjector injector(plan, params_.dram.ecc);
-    auto makeRunner = [&](const compiler::UnitMask &mask) {
+    auto makeRunner = [&] {
         auto r = std::make_unique<Runner>(prog_, params_, simOptions());
-        r->setUnitMask(mask);
         r->setHostBuffers(inputs_);
         r->setFaultInjector(&injector);
         if (cancel_)
@@ -139,19 +140,11 @@ ResilientRunner::run(const FaultPlan &plan)
         return r;
     };
 
-    std::unique_ptr<Runner> runner = makeRunner({});
-    Status st = runner->tryCompile();
-    if (!st.ok()) {
-        rep.cls = RunClass::kCompileError;
-        rep.finalStatus = st;
-        last_ = Runner::Result{};
-        runner->readBack(last_);
-        return rep;
-    }
-
+    std::unique_ptr<Runner> runner = makeRunner();
+    runner->adoptCompiled(compiled_);
     const Cycles cap = attemptCap();
     Runner::Result res;
-    st = runner->tryRun(res, cap);
+    Status st = runner->tryRun(res, cap);
 
     uint32_t attempts = 0;
     while (!st.ok()) {
@@ -190,7 +183,8 @@ ResilientRunner::run(const FaultPlan &plan)
                 strfmt("%s; re-mapping around %zu hard-faulted unit(s)\n",
                        st.message().c_str(), stuck.size());
             ++rep.remaps;
-            runner = makeRunner(mask);
+            runner = makeRunner();
+            runner->setUnitMask(std::move(mask));
             st = runner->tryCompile();
             if (!st.ok()) {
                 rep.detail += "degraded re-mapping infeasible: " +

@@ -76,10 +76,14 @@ struct ResilienceReport
 class ResilientRunner
 {
   public:
-    /** `maxCycles` caps each attempt; 0 derives ~50x the golden cycle
-     *  count. Checkpoint, watchdog and livelock windows always derive
-     *  from the golden run (recovery.cpp). */
+    /** `compiled` is the caller's frozen compile of (prog, params)
+     *  (Runner::sharedMapResult()): the golden run and every attempt
+     *  on the unmasked fabric adopt it, so only a degraded re-mapping
+     *  compiles. `maxCycles` caps each attempt; 0 derives ~50x the
+     *  golden cycle count. Checkpoint, watchdog and livelock windows
+     *  always derive from the golden run (recovery.cpp). */
     ResilientRunner(pir::Program prog, ArchParams params,
+                    std::shared_ptr<const compiler::MapResult> compiled,
                     Cycles maxCycles = 0);
 
     /** Input staging (before runGolden / run). */
@@ -114,6 +118,7 @@ class ResilientRunner
 
     pir::Program prog_;
     ArchParams params_;
+    std::shared_ptr<const compiler::MapResult> compiled_;
     Cycles maxCycles_;
     std::map<pir::MemId, std::vector<Word>> inputs_;
     const CancelToken *cancel_ = nullptr;

@@ -31,8 +31,8 @@
 
 #include "base/flags.hpp"
 #include "base/logging.hpp"
-#include "base/metrics.hpp"
 #include "base/profile.hpp"
+#include "base/stats.hpp"
 #include "fuzz/harness.hpp"
 #include "serve/joblog.hpp"
 #include "serve/server.hpp"
@@ -345,9 +345,9 @@ main(int argc, char **argv)
         }
     }
     if (!metricsPath.empty()) {
-        MetricRegistry reg;
+        StatSet reg;
         server.exportMetrics(reg);
-        reg.setCounter("serve.wall_us", wallUs);
+        reg.set("serve.wall_us", wallUs);
         std::ofstream os(metricsPath);
         if (!os) {
             std::fprintf(stderr, "serve_app: cannot write '%s'\n",

@@ -136,7 +136,6 @@ Server::Server(ServeOptions opts)
         StoreOptions so;
         so.dir = opts_.storeDir;
         so.maxBytes = opts_.storeMaxBytes;
-        so.syncPublish = opts_.storeSync;
         store_ = ConfigStore::open(std::move(so), &storeStatus_);
         if (!storeStatus_.ok())
             warn("config store '%s' degraded to %s: %s",
@@ -475,10 +474,11 @@ Server::computeResilient(Runner &runner, const JobSpec &job,
                          JobResult &rec, const CancelToken *cancel)
 {
     // The recovery orchestrator owns its own runners; this worker's
-    // runner only contributes the staged inputs and the compiled
-    // fabric config (for the fault plan).
-    // maxCycles 0 derives the cap from the golden run.
-    resilience::ResilientRunner rr(job.prog, job.params, job.maxCycles);
+    // runner contributes the staged inputs and its compile, which the
+    // golden run and every unmasked attempt adopt and the fault plan
+    // targets. maxCycles 0 derives the cap from the golden run.
+    resilience::ResilientRunner rr(job.prog, job.params,
+                                   runner.sharedMapResult(), job.maxCycles);
     rr.setInputs(runner.hostBuffers());
     if (cancel)
         rr.setCancelToken(cancel);
@@ -583,46 +583,45 @@ Server::executeJob(JobSpec job, uint32_t worker, const CancelToken *cancel)
 }
 
 void
-Server::exportMetrics(MetricRegistry &reg) const
+Server::exportMetrics(StatSet &reg) const
 {
-    reg.setCounter("serve.workers", opts_.workers);
-    reg.setCounter("serve.queue.capacity", queue_.capacity());
-    reg.setCounter("serve.queue.high_water", queueHighWater());
+    reg.set("serve.workers", opts_.workers);
+    reg.set("serve.queue.capacity", queue_.capacity());
+    reg.set("serve.queue.high_water", queueHighWater());
     reg.gauge("serve.queue.occupancy",
               static_cast<int64_t>(queue_.size()));
-    reg.setCounter("serve.jobs.submitted", queue_.pushed());
+    reg.set("serve.jobs.submitted", queue_.pushed());
 
     RobustnessCounters rc = robustness();
-    reg.setCounter("serve.jobs.shed", rc.shed);
-    reg.setCounter("serve.jobs.circuit_open", rc.circuitOpen);
-    reg.setCounter("serve.jobs.cancelled", rc.cancelled);
-    reg.setCounter("serve.jobs.deadline_misses", rc.deadlineMisses);
-    reg.setCounter("serve.retries.total", rc.retries);
+    reg.set("serve.jobs.shed", rc.shed);
+    reg.set("serve.jobs.circuit_open", rc.circuitOpen);
+    reg.set("serve.jobs.cancelled", rc.cancelled);
+    reg.set("serve.jobs.deadline_misses", rc.deadlineMisses);
+    reg.set("serve.retries.total", rc.retries);
 
     CacheStats cs = configCache_.stats();
-    reg.setCounter("serve.cache.config.hits", cs.hits);
-    reg.setCounter("serve.cache.config.misses", cs.misses);
-    reg.setCounter("serve.cache.config.evictions", cs.evictions);
-    reg.setCounter("serve.cache.config.size", cs.size);
+    reg.set("serve.cache.config.hits", cs.hits);
+    reg.set("serve.cache.config.misses", cs.misses);
+    reg.set("serve.cache.config.evictions", cs.evictions);
+    reg.set("serve.cache.config.size", cs.size);
     CacheStats rs = resultCache_.stats();
-    reg.setCounter("serve.cache.result.hits", rs.hits);
-    reg.setCounter("serve.cache.result.misses", rs.misses);
-    reg.setCounter("serve.cache.result.evictions", rs.evictions);
-    reg.setCounter("serve.cache.result.abandoned", rs.abandoned);
-    reg.setCounter("serve.cache.result.size", rs.size);
+    reg.set("serve.cache.result.hits", rs.hits);
+    reg.set("serve.cache.result.misses", rs.misses);
+    reg.set("serve.cache.result.evictions", rs.evictions);
+    reg.set("serve.cache.result.abandoned", rs.abandoned);
+    reg.set("serve.cache.result.size", rs.size);
 
     if (store_) {
         StoreStats ss = store_->stats();
-        reg.setCounter("serve.store.hits", ss.hits);
-        reg.setCounter("serve.store.misses", ss.misses);
-        reg.setCounter("serve.store.writes", ss.writes);
-        reg.setCounter("serve.store.write_failures", ss.writeFailures);
-        reg.setCounter("serve.store.corrupt_quarantined",
-                       ss.corruptQuarantined);
-        reg.setCounter("serve.store.evicted", ss.evicted);
-        reg.setCounter("serve.store.fallback", ss.fallback);
-        reg.setCounter("serve.store.records", ss.records);
-        reg.setCounter("serve.store.bytes", ss.bytes);
+        reg.set("serve.store.hits", ss.hits);
+        reg.set("serve.store.misses", ss.misses);
+        reg.set("serve.store.writes", ss.writes);
+        reg.set("serve.store.write_failures", ss.writeFailures);
+        reg.set("serve.store.corrupt_quarantined", ss.corruptQuarantined);
+        reg.set("serve.store.evicted", ss.evicted);
+        reg.set("serve.store.fallback", ss.fallback);
+        reg.set("serve.store.records", ss.records);
+        reg.set("serve.store.bytes", ss.bytes);
     }
 
     static const std::vector<uint64_t> kUsEdges = {
@@ -632,12 +631,12 @@ Server::exportMetrics(MetricRegistry &reg) const
     Histogram &exec = reg.histogram("serve.job.exec_us", kUsEdges);
 
     std::lock_guard<std::mutex> lk(resultsMu_);
-    reg.setCounter("serve.jobs.completed", results_.size());
+    reg.set("serve.jobs.completed", results_.size());
     uint64_t cycles = 0;
     uint64_t executed = 0;
     for (const JobResult &r : results_) {
-        reg.count("serve.outcome." +
-                  (r.outcome ? r.outcome->outcome : "lost"));
+        reg.add("serve.outcome." +
+                (r.outcome ? r.outcome->outcome : "lost"));
         wait.observe(static_cast<uint64_t>(r.waitUs));
         exec.observe(static_cast<uint64_t>(r.execUs));
         if (r.executed)
@@ -645,8 +644,8 @@ Server::exportMetrics(MetricRegistry &reg) const
         if (r.outcome)
             cycles += r.outcome->cycles;
     }
-    reg.setCounter("serve.jobs.executed", executed);
-    reg.setCounter("serve.cycles_total", cycles);
+    reg.set("serve.jobs.executed", executed);
+    reg.set("serve.cycles_total", cycles);
 }
 
 } // namespace plast::serve

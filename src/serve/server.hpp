@@ -56,7 +56,7 @@
 #include <thread>
 #include <vector>
 
-#include "base/metrics.hpp"
+#include "base/stats.hpp"
 #include "base/status.hpp"
 #include "compiler/mapper.hpp"
 #include "pir/ir.hpp"
@@ -192,9 +192,6 @@ struct ServeOptions
     /** Store size cap in bytes (0 = unbounded); oldest records are
      *  evicted past it. */
     uint64_t storeMaxBytes = 0;
-    /** fsync records and the directory on publish (tests may disable
-     *  to spare IO; the daemon keeps it on). */
-    bool storeSync = true;
 };
 
 /** A config-cache entry: the typed compile status plus the frozen
@@ -303,9 +300,9 @@ class Server
     };
     RobustnessCounters robustness() const;
 
-    /** Counters + latency histograms into the unified metric model
+    /** Counters + latency histograms into the metrics registry
      *  (serve.* namespace; see DESIGN.md §15). */
-    void exportMetrics(MetricRegistry &reg) const;
+    void exportMetrics(StatSet &reg) const;
 
     /**
      * Execute one job synchronously on the calling thread against this

@@ -660,7 +660,7 @@ ConfigStore::publish(const PendingWrite &w)
         ::close(fd);
         return false;
     }
-    bool syncOk = !opts_.syncPublish || ::fsync(fd) == 0;
+    bool syncOk = ::fsync(fd) == 0;
     if (f == StoreFault::kFailFsync) {
         syncOk = false;
         errno = EIO;
@@ -683,7 +683,7 @@ ConfigStore::publish(const PendingWrite &w)
     // Rename is atomic within the directory; the directory fsync makes
     // the *name* durable. A crash before it can lose the record but
     // never shows a torn one.
-    if (opts_.syncPublish && !fsyncDir(opts_.dir))
+    if (!fsyncDir(opts_.dir))
         warn("config store: directory fsync failed: %s",
              std::strerror(errno));
 

@@ -157,7 +157,6 @@ struct StoreOptions
 {
     std::string dir;
     uint64_t maxBytes = 0; ///< 0 = unbounded; else evict oldest
-    bool syncPublish = true; ///< fsync temp file + directory
 };
 
 struct StoreStats

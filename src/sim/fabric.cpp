@@ -362,7 +362,7 @@ Fabric::nextBusyCycle() const
  * cycle, in that activity mode skips cycles on which nothing can
  * happen (every skipped cycle is a no-op under dense ticking), and in
  * how a deadlock is recognised: activity mode the cycle the active set
- * empties, dense mode after `deadlockWindow` cycles without progress.
+ * empties, dense mode after kDeadlockWindow cycles without progress.
  */
 RunResult
 Fabric::runChecked(Cycles maxCycles)
@@ -419,13 +419,13 @@ Fabric::runChecked(Cycles maxCycles)
             return stop(c);
         if (Status hang = scanHangs(*root); !hang.ok())
             return stop(hang);
-        if (dense && now_ - last_progress > opts_.deadlockWindow &&
+        if (dense && now_ - last_progress > kDeadlockWindow &&
             (!injector_ || injector_->nextDue(now_) == kNeverCycle)) {
             return stop(Status(
                 StatusCode::kDeadlock,
                 strfmt("fabric deadlock: no progress for %u cycles at "
                        "cycle %llu",
-                       opts_.deadlockWindow,
+                       kDeadlockWindow,
                        static_cast<unsigned long long>(now_))));
         }
         if (now_ >= maxCycles)

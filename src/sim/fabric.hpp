@@ -35,6 +35,11 @@ namespace resilience
 class FaultInjector;
 }
 
+/** Dense mode only: runChecked reports a deadlock after this many
+ *  cycles without progress. (Activity mode detects deadlock exactly:
+ *  empty active set.) */
+inline constexpr uint32_t kDeadlockWindow = 50'000;
+
 /** Simulation-loop options (mode and window tuning). */
 struct SimOptions
 {
@@ -50,9 +55,6 @@ struct SimOptions
      *  name explicitly. Orthogonal to `mode`; every combination is
      *  bit-exact with every other. */
     SimMode simMode = SimMode::kSpecialized;
-    /** Dense mode only: fatal after this many cycles without progress.
-     *  (Activity mode detects deadlock exactly: empty active set.) */
-    uint32_t deadlockWindow = 50'000;
     /** Event tracing and utilization sampling (off by default). */
     TraceOptions trace;
 
@@ -110,7 +112,7 @@ class Fabric
      * reaches maxCycles. Everything that stops a run early comes back
      * as a typed Status: a deadlock (in activity mode the cycle the
      * active set empties with the root incomplete, in dense mode after
-     * `deadlockWindow` cycles without progress), watchdog/livelock
+     * kDeadlockWindow cycles without progress), watchdog/livelock
      * trips, ECC-uncorrectable latches and the cap. Cycle maxCycles is
      * never simulated: both modes stop with kMaxCycles at now() ==
      * maxCycles (or at once when the clock is already there) in the

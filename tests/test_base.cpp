@@ -39,26 +39,15 @@ TEST(StatSet, AddAndGet)
     EXPECT_FALSE(s.has("a.y"));
 }
 
-TEST(StatSet, SumPrefixOnlyMatchesPrefix)
-{
-    StatSet s;
-    s.set("pcu00.laneOps", 10);
-    s.set("pcu01.laneOps", 20);
-    s.set("pmu00.reads", 100);
-    EXPECT_EQ(s.sumPrefix("pcu"), 30u);
-    EXPECT_EQ(s.sumPrefix("pmu"), 100u);
-    EXPECT_EQ(s.sumPrefix("ag"), 0u);
-}
-
 TEST(StatSet, DumpContainsEveryCounter)
 {
     StatSet s;
     s.set("alpha", 1);
     s.set("beta", 2);
     std::ostringstream os;
-    s.dump(os);
-    EXPECT_NE(os.str().find("alpha = 1"), std::string::npos);
-    EXPECT_NE(os.str().find("beta = 2"), std::string::npos);
+    s.writeJson(os);
+    EXPECT_NE(os.str().find("\"alpha\": 1"), std::string::npos);
+    EXPECT_NE(os.str().find("\"beta\": 2"), std::string::npos);
 }
 
 TEST(Rng, DeterministicAcrossInstances)

@@ -189,7 +189,7 @@ TEST(Resilience, HardPcuFaultRemapsOnInnerProduct)
     app.load(stage);
     ASSERT_TRUE(stage.tryCompile().ok());
 
-    ResilientRunner rr(app.prog, params);
+    ResilientRunner rr(app.prog, params, stage.sharedMapResult());
     rr.setInputs(stage.hostBuffers());
     ASSERT_TRUE(rr.runGolden().ok());
 
@@ -215,7 +215,7 @@ TEST(Resilience, HardPcuFaultRemapsOnGemm)
     app.load(stage);
     ASSERT_TRUE(stage.tryCompile().ok());
 
-    ResilientRunner rr(app.prog, params);
+    ResilientRunner rr(app.prog, params, stage.sharedMapResult());
     rr.setInputs(stage.hostBuffers());
     ASSERT_TRUE(rr.runGolden().ok());
 
@@ -243,7 +243,7 @@ TEST(Resilience, UncorrectableUpsetRollsBackToCheckpoint)
     app.load(stage);
     ASSERT_TRUE(stage.tryCompile().ok());
 
-    ResilientRunner rr(app.prog, params);
+    ResilientRunner rr(app.prog, params, stage.sharedMapResult());
     rr.setInputs(stage.hostBuffers());
     ASSERT_TRUE(rr.runGolden().ok());
 
@@ -289,7 +289,7 @@ TEST(Resilience, DroppedControlTokenIsNeverSilent)
     app.load(stage);
     ASSERT_TRUE(stage.tryCompile().ok());
 
-    ResilientRunner rr(app.prog, params);
+    ResilientRunner rr(app.prog, params, stage.sharedMapResult());
     rr.setInputs(stage.hostBuffers());
     ASSERT_TRUE(rr.runGolden().ok());
     const Cycles h = rr.goldenCycles();
@@ -328,7 +328,6 @@ TEST(Resilience, WatchdogTripsOnFrozenUnit)
     ArchParams params = eccParams(true);
     SimOptions so;
     so.mode = SimOptions::Mode::kDense;
-    so.deadlockWindow = 50'000;
     so.watchdogCycles = 1'000;
     Runner r(app.prog, params, so);
     app.load(r);
@@ -356,7 +355,6 @@ TEST(Resilience, LivelockTripsWhenRootStopsProgressing)
     ArchParams params = eccParams(true);
     SimOptions so;
     so.mode = SimOptions::Mode::kDense;
-    so.deadlockWindow = 50'000;
     so.livelockCycles = 1'500;
     Runner r(app.prog, params, so);
     app.load(r);

@@ -348,7 +348,7 @@ TEST(DiagnosedErrors, ScalarExprUnmappedCounter)
     ExprId e = b.ctrE(c);
     uint8_t reg = 0;
     std::string err;
-    lowerScalarExpr(b.program(), e, {}, {}, reg, &err);
+    lowerScalarExpr(b.program(), e, {}, {}, reg, err);
     EXPECT_NE(err.find("unmapped counter 'outer'"), std::string::npos)
         << err;
 }
@@ -361,7 +361,7 @@ TEST(DiagnosedErrors, ScalarExprTooDeep)
         e = b.iadd(e, b.immI(1));
     uint8_t reg = 0;
     std::string err;
-    lowerScalarExpr(b.program(), e, {}, {}, reg, &err);
+    lowerScalarExpr(b.program(), e, {}, {}, reg, err);
     EXPECT_NE(err.find("too deep"), std::string::npos) << err;
 }
 
@@ -372,7 +372,7 @@ TEST(DiagnosedErrors, ScalarExprNonAddressKind)
     ExprId e = b.load(m, b.immI(0));
     uint8_t reg = 0;
     std::string err;
-    lowerScalarExpr(b.program(), e, {}, {}, reg, &err);
+    lowerScalarExpr(b.program(), e, {}, {}, reg, err);
     EXPECT_NE(err.find("may only use counters"), std::string::npos)
         << err;
 }
@@ -453,6 +453,8 @@ TEST(DiagnosedErrors, UnindexableArchIsACompileErrorNamingTheField)
               "routing");
     EXPECT_EQ(bindingOf([](ArchParams &p) { p.pcu.stages = 0; }),
               "pcu.pipeline");
+    EXPECT_EQ(bindingOf([](ArchParams &p) { p.pmu.stages = 0; }),
+              "pmu.stages");
     EXPECT_EQ(bindingOf([](ArchParams &p) { p.pmu.bankKilobytes = 0; }),
               "pmu.scratchpad");
 }

@@ -306,21 +306,22 @@ TEST(SchedulerDeath, DeadlockFiresWithoutWaitingForWindow)
     EXPECT_EQ(rr.status.message(),
               strfmt("fabric deadlock: empty active set at cycle %llu",
                      static_cast<unsigned long long>(f.now())));
-    EXPECT_LT(f.now(), SimOptions{}.deadlockWindow);
+    EXPECT_LT(f.now(), kDeadlockWindow);
     expectStartTokenHeld(f);
 }
 
-/** Dense mode keeps the windowed scan, now constructor-configurable. */
-TEST(SchedulerDeath, DenseWindowIsConfigurable)
+/** Dense mode keeps the windowed scan: it waits out the fixed window
+ *  and names it in the message. */
+TEST(SchedulerDeath, DenseModeWaitsOutTheFixedWindow)
 {
-    SimOptions opts = denseOpts();
-    opts.deadlockWindow = 200;
-    Fabric f(creditLoopDesign(), opts);
+    Fabric f(creditLoopDesign(), denseOpts());
     RunResult rr = f.runChecked(10'000'000);
     EXPECT_EQ(rr.status.code(), StatusCode::kDeadlock);
-    EXPECT_NE(rr.status.message().find("no progress for 200 cycles"),
+    EXPECT_NE(rr.status.message().find(
+                  strfmt("no progress for %u cycles", kDeadlockWindow)),
               std::string::npos)
         << rr.status.message();
+    EXPECT_GT(f.now(), kDeadlockWindow);
     expectStartTokenHeld(f);
 }
 
@@ -339,7 +340,14 @@ TEST(SchedulerStats, StreamCountersAreWired)
               res.stats.get("net.control.pops"))
         << "all tokens consumed";
     EXPECT_GT(res.stats.get("net.vector.pushes"), 0u);
-    EXPECT_GT(res.stats.sumPrefix("stream."), 0u);
+    uint64_t streamPushes = 0;
+    for (const auto &[name, value] : res.stats.all()) {
+        if (name.starts_with("stream.") && name.ends_with(".pushes"))
+            streamPushes += value;
+    }
+    EXPECT_EQ(streamPushes, res.stats.get("net.scalar.pushes") +
+                                res.stats.get("net.vector.pushes") +
+                                res.stats.get("net.control.pushes"));
 }
 
 // ---- AGs sleeping on coalescer capacity -------------------------------

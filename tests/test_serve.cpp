@@ -1024,14 +1024,13 @@ TEST(ServeServer, ExportsServeMetricsNamespace)
         server.submit(std::move(s));
     server.drain();
 
-    MetricRegistry reg;
+    StatSet reg;
     server.exportMetrics(reg);
-    EXPECT_EQ(reg.counterValue("serve.jobs.completed"), t.jobs);
-    EXPECT_EQ(reg.counterValue("serve.jobs.submitted"), t.jobs);
-    EXPECT_EQ(reg.counterValue("serve.workers"), 2u);
-    EXPECT_EQ(reg.counterValue("serve.cache.result.hits"),
-              t.jobs - t.uniques);
-    EXPECT_EQ(reg.counterValue("serve.outcome.ok"), t.jobs);
+    EXPECT_EQ(reg.get("serve.jobs.completed"), t.jobs);
+    EXPECT_EQ(reg.get("serve.jobs.submitted"), t.jobs);
+    EXPECT_EQ(reg.get("serve.workers"), 2u);
+    EXPECT_EQ(reg.get("serve.cache.result.hits"), t.jobs - t.uniques);
+    EXPECT_EQ(reg.get("serve.outcome.ok"), t.jobs);
     const Histogram *h = reg.findHistogram("serve.job.exec_us");
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->count(), t.jobs);
@@ -1369,10 +1368,10 @@ TEST(ServeDeadline, QueuedExpiryIsTypedAndHealthyJobsAreExact)
     // The worker that skipped the dead job is alive and exact.
     expectMatchesBaseline(rh, base);
     EXPECT_EQ(server.robustness().deadlineMisses, 1u);
-    MetricRegistry reg;
+    StatSet reg;
     server.exportMetrics(reg);
-    EXPECT_EQ(reg.counterValue("serve.jobs.deadline_misses"), 1u);
-    EXPECT_EQ(reg.counterValue("serve.jobs.executed"), 1u);
+    EXPECT_EQ(reg.get("serve.jobs.deadline_misses"), 1u);
+    EXPECT_EQ(reg.get("serve.jobs.executed"), 1u);
 }
 
 // ---- robustness: admission control ----------------------------------
@@ -1410,10 +1409,10 @@ TEST(ServeShed, FullQueueShedsTypedInsteadOfBlocking)
         EXPECT_EQ(r.outcome->outcome, r.id == id1 ? "ok" : "shed")
             << "job " << r.id;
     }
-    MetricRegistry reg;
+    StatSet reg;
     server.exportMetrics(reg);
-    EXPECT_EQ(reg.counterValue("serve.jobs.shed"), 2u);
-    EXPECT_EQ(reg.counterValue("serve.jobs.executed"), 1u);
+    EXPECT_EQ(reg.get("serve.jobs.shed"), 2u);
+    EXPECT_EQ(reg.get("serve.jobs.executed"), 1u);
 }
 
 TEST(ServeBreaker, OpensAfterRepeatedCompileFailuresThenProbes)
@@ -1540,6 +1539,44 @@ TEST(ServeRetry, TransientFaultsRetryCleanViaOneShotEvents)
         << "a re-run after the one-shot fault fired must run clean";
     EXPECT_GT(byOutcome["silent-corruption"], 0)
         << "this traffic corrupts outputs; the golden check must say so";
+}
+
+TEST(ServeResilient, FaultedJobOnAConfigHitCompilesNothing)
+{
+    // The recovery orchestrator adopts the worker's compile for its
+    // golden run and every unmasked attempt. Without hard faults there
+    // is no degraded re-mapping, so a faulted job whose config is
+    // already cached records no compile span at all.
+    TrafficOptions t;
+    t.uniques = 1;
+    t.jobs = 2;
+    t.faultEvery = 1;
+    t.faultRate = 20'000;
+    std::vector<JobSpec> specs = makeTraffic(t);
+    ASSERT_EQ(specs.size(), 2u);
+
+    Server server(ServeOptions{});
+    HostProfiler &prof = HostProfiler::instance();
+    prof.clear();
+    auto compileSpans = [&](JobSpec spec, bool &configHit) {
+        const uint64_t since = prof.nowUs();
+        JobResult r = server.executeJob(std::move(spec));
+        EXPECT_NE(r.outcome, nullptr);
+        configHit = r.configHit;
+        size_t n = 0;
+        for (const HostProfiler::Span &sp : prof.spans()) {
+            if (sp.tid == HostProfiler::currentTid() &&
+                sp.beginUs >= since &&
+                std::string(sp.name).find("compile") != std::string::npos)
+                ++n;
+        }
+        return n;
+    };
+    bool hit = true;
+    EXPECT_GT(compileSpans(specs[0], hit), 0u) << "the miss compiles";
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(compileSpans(specs[1], hit), 0u);
+    EXPECT_TRUE(hit);
 }
 
 TEST(ServeResilient, EveryJobFinishesTypedUnderFaultTraffic)

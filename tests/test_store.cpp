@@ -622,7 +622,6 @@ TEST(StoreServe, WarmRestartServesBitIdenticalWithZeroRecompiles)
     ServeOptions sopts;
     sopts.workers = 4;
     sopts.storeDir = td.sub("store");
-    sopts.storeSync = false; // keep the test fast; fsync is the CI job
 
     std::map<std::string, uint64_t> coldHashes;
     {
@@ -672,7 +671,6 @@ TEST(StoreServe, CorruptRecordIsQuarantinedRecompiledAndRepaired)
     ServeOptions sopts;
     sopts.workers = 2;
     sopts.storeDir = td.sub("store");
-    sopts.storeSync = false;
 
     std::map<std::string, uint64_t> coldHashes;
     {

@@ -1,4 +1,4 @@
-/** @file Unified telemetry: MetricRegistry semantics (histogram
+/** @file Unified telemetry: metrics-registry semantics (histogram
  *  bucket edges, counter wrap, expositions), host-phase profiling
  *  spans and the merged Perfetto timeline, and RunManifest schema
  *  stability. */
@@ -13,8 +13,8 @@
 
 #include "apps/apps.hpp"
 #include "base/logging.hpp"
-#include "base/metrics.hpp"
 #include "base/profile.hpp"
+#include "base/stats.hpp"
 #include "base/trace.hpp"
 #include "runtime/manifest.hpp"
 #include "runtime/runner.hpp"
@@ -79,28 +79,28 @@ TEST(Histogram, CumulativeCountsAreMonotone)
     EXPECT_EQ(h.count(), 6u);       // + overflow (5)
 }
 
-// ---- MetricRegistry -------------------------------------------------
+// ---- StatSet --------------------------------------------------------
 
-TEST(MetricRegistry, CounterIncrementsWrapModulo64)
+TEST(StatSet, CounterIncrementsWrapModulo64)
 {
-    MetricRegistry reg;
-    reg.setCounter("c", ~0ull);
-    reg.count("c", 2); // wraps: 2^64 - 1 + 2 == 1 (mod 2^64)
-    EXPECT_EQ(reg.counterValue("c"), 1u);
+    StatSet reg;
+    reg.set("c", ~0ull);
+    reg.add("c", 2); // wraps: 2^64 - 1 + 2 == 1 (mod 2^64)
+    EXPECT_EQ(reg.get("c"), 1u);
 }
 
-TEST(MetricRegistry, GaugeLastWriteWins)
+TEST(StatSet, GaugeLastWriteWins)
 {
-    MetricRegistry reg;
+    StatSet reg;
     reg.gauge("g", 5);
     reg.gauge("g", -3);
     EXPECT_EQ(reg.gaugeValue("g"), -3);
     EXPECT_EQ(reg.gaugeValue("missing"), 0);
 }
 
-TEST(MetricRegistry, HistogramGetOrCreateIsStable)
+TEST(StatSet, HistogramGetOrCreateIsStable)
 {
-    MetricRegistry reg;
+    StatSet reg;
     Histogram &a = reg.histogram("h", {1, 2});
     a.observe(1);
     Histogram &b = reg.histogram("h", {1, 2});
@@ -109,10 +109,10 @@ TEST(MetricRegistry, HistogramGetOrCreateIsStable)
     EXPECT_EQ(reg.findHistogram("nope"), nullptr);
 }
 
-TEST(MetricRegistry, JsonExpositionGolden)
+TEST(StatSet, JsonExpositionGolden)
 {
-    MetricRegistry reg;
-    reg.count("b.counter", 3);
+    StatSet reg;
+    reg.add("b.counter", 3);
     reg.gauge("a.gauge", -2);
     Histogram &h = reg.histogram("lat", {10, 20});
     h.observe(5);
@@ -131,10 +131,27 @@ TEST(MetricRegistry, JsonExpositionGolden)
                         "}\n");
 }
 
-TEST(MetricRegistry, PrometheusExpositionGolden)
+TEST(StatSet, JsonMetaStringsComeFirstThenSortedMetrics)
 {
-    MetricRegistry reg;
-    reg.count("compile.route.rounds", 4);
+    // The bench files' provenance strings lead, in the order given,
+    // even where a metric key sorts before "meta." ("BFS" < "meta").
+    StatSet reg;
+    reg.set("zeta", 2);
+    reg.set("BFS.hops", 7);
+    std::ostringstream os;
+    reg.writeJson(os, {{"meta.bench", "b\"q"}, {"meta.arch", "a"}});
+    EXPECT_EQ(os.str(), "{\n"
+                        "  \"meta.bench\": \"b\\\"q\",\n"
+                        "  \"meta.arch\": \"a\",\n"
+                        "  \"BFS.hops\": 7,\n"
+                        "  \"zeta\": 2\n"
+                        "}\n");
+}
+
+TEST(StatSet, PrometheusExpositionGolden)
+{
+    StatSet reg;
+    reg.add("compile.route.rounds", 4);
     reg.gauge("fabric.pcus", 64);
     Histogram &h = reg.histogram("span.us", {10});
     h.observe(3);
@@ -153,7 +170,7 @@ TEST(MetricRegistry, PrometheusExpositionGolden)
               "plast_span_us_count 2\n");
 }
 
-TEST(MetricRegistry, ServeStoreCountersAreExposedInBothFormats)
+TEST(StatSet, ServeStoreCountersAreExposedInBothFormats)
 {
     // The persistent-store counters (DESIGN.md §17) ride the same
     // registry as every other serve.* metric: one warm-restart pair
@@ -169,9 +186,8 @@ TEST(MetricRegistry, ServeStoreCountersAreExposedInBothFormats)
     serve::ServeOptions o;
     o.workers = 2;
     o.storeDir = std::string(dir) + "/store";
-    o.storeSync = false;
 
-    auto runOnce = [&](MetricRegistry &reg) {
+    auto runOnce = [&](StatSet &reg) {
         serve::Server server(o);
         server.start();
         for (serve::JobSpec &s : serve::makeTraffic(t))
@@ -179,20 +195,20 @@ TEST(MetricRegistry, ServeStoreCountersAreExposedInBothFormats)
         server.drain();
         server.exportMetrics(reg);
     };
-    MetricRegistry cold, warm;
+    StatSet cold, warm;
     runOnce(cold);
     runOnce(warm);
 
-    EXPECT_EQ(cold.counterValue("serve.store.writes"), t.uniques);
-    EXPECT_EQ(cold.counterValue("serve.store.hits"), 0u);
-    EXPECT_EQ(warm.counterValue("serve.store.hits"), t.uniques);
-    EXPECT_EQ(warm.counterValue("serve.store.misses"), 0u);
+    EXPECT_EQ(cold.get("serve.store.writes"), t.uniques);
+    EXPECT_EQ(cold.get("serve.store.hits"), 0u);
+    EXPECT_EQ(warm.get("serve.store.hits"), t.uniques);
+    EXPECT_EQ(warm.get("serve.store.misses"), 0u);
     for (const char *key :
          {"serve.store.hits", "serve.store.misses", "serve.store.writes",
           "serve.store.write_failures", "serve.store.corrupt_quarantined",
           "serve.store.evicted", "serve.store.fallback",
           "serve.store.records", "serve.store.bytes"})
-        EXPECT_TRUE(warm.hasCounter(key)) << key;
+        EXPECT_TRUE(warm.has(key)) << key;
 
     std::ostringstream js, prom;
     warm.writeJson(js);
@@ -209,10 +225,10 @@ TEST(MetricRegistry, ServeStoreCountersAreExposedInBothFormats)
     std::filesystem::remove_all(dir, ec);
 }
 
-TEST(MetricRegistry, ClearEmptiesEverything)
+TEST(StatSet, ClearEmptiesEverything)
 {
-    MetricRegistry reg;
-    reg.count("c");
+    StatSet reg;
+    reg.add("c");
     reg.gauge("g", 1);
     reg.histogram("h", {1}).observe(1);
     reg.clear();

@@ -422,7 +422,7 @@ TEST(Stats, DumpJsonWellFormed)
     AppRun run =
         runTraced("InnerProduct", SimOptions::Mode::kActivity, false);
     std::ostringstream os;
-    run.stats.dumpJson(os);
+    run.stats.writeJson(os);
     EXPECT_TRUE(jsonWellFormed(os.str())) << os.str();
     EXPECT_NE(os.str().find("\"cycles\""), std::string::npos);
 }
