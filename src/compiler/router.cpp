@@ -1,8 +1,10 @@
 #include "compiler/router.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <map>
+#include <tuple>
 
 #include "base/logging.hpp"
 
@@ -296,11 +298,11 @@ routeNets(std::vector<RouterNet> &nets, const RouterGrid &grid,
         return static_cast<size_t>(c.row * W + c.col);
     };
 
-    // Dijkstra scratch, reused across terminals, groups and rounds.
-    // The heap pops in (cost, node) order; entries are distinct, so
-    // the pop sequence does not depend on how the heap is laid out.
+    // A* scratch, reused across terminals, groups and rounds. The heap
+    // pops in (g + h, g, node) order; entries are distinct, so the pop
+    // sequence does not depend on how the heap is laid out.
     constexpr uint64_t kInf = ~0ull;
-    using QE = std::pair<uint64_t, size_t>; // (cost, node)
+    using QE = std::tuple<uint64_t, uint64_t, size_t>; // (g + h, g, node)
     const std::greater<QE> later;
     std::vector<QE> heap;
     std::vector<uint64_t> dist(numNodes);
@@ -337,22 +339,35 @@ routeNets(std::vector<RouterNet> &nets, const RouterGrid &grid,
                     continue;
                 }
 
-                // Dijkstra from the whole tree: seeding each tree node
-                // at cost depth*base makes a terminal's final cost its
-                // hop count from the source, so uncongested routes are
-                // source-shortest.
+                // A* from the whole tree toward the terminal. Seeding
+                // each tree node at cost depth*base makes a terminal's
+                // final cost its hop count from the source, so
+                // uncongested routes are source-shortest. Every link
+                // costs at least kBaseCost, so base x Manhattan distance
+                // is consistent and every optimal predecessor of a node
+                // pops before it; keeping the smaller (g, node) one on
+                // equal cost (never displacing a seed) then returns the
+                // paths and hop counts of a (cost, node)-ordered
+                // Dijkstra.
+                auto toDst = [&](int c, int r) {
+                    return kBaseCost *
+                           static_cast<uint64_t>(std::abs(c - net.dst.col) +
+                                                 std::abs(r - net.dst.row));
+                };
                 std::fill(dist.begin(), dist.end(), kInf);
                 std::fill(prevLink.begin(), prevLink.end(), -1);
                 heap.clear();
                 for (size_t v : tree) {
                     dist[v] = static_cast<uint64_t>(depth[v]) * kBaseCost;
                     hopCnt[v] = static_cast<uint32_t>(depth[v]);
-                    heap.push_back({dist[v], v});
+                    uint64_t h = toDst(static_cast<int>(v) % W,
+                                       static_cast<int>(v) / W);
+                    heap.push_back({dist[v] + h, dist[v], v});
                 }
                 std::make_heap(heap.begin(), heap.end(), later);
                 while (!heap.empty()) {
                     std::pop_heap(heap.begin(), heap.end(), later);
-                    auto [cost, v] = heap.back();
+                    auto [fcost, cost, v] = heap.back();
                     heap.pop_back();
                     if (cost != dist[v])
                         continue;
@@ -379,13 +394,22 @@ routeNets(std::vector<RouterNet> &nets, const RouterGrid &grid,
                                     hist[k][link] +
                                 presFac * over;
                         }
-                        if (cost + c < dist[nb]) {
-                            dist[nb] = cost + c;
-                            hopCnt[nb] = hopCnt[v] + 1;
-                            prevLink[nb] = static_cast<int32_t>(link);
-                            heap.push_back({dist[nb], nb});
+                        const uint64_t ng = cost + c;
+                        bool take = ng < dist[nb];
+                        if (take) {
+                            dist[nb] = ng;
+                            heap.push_back({ng + toDst(nc, nr), ng, nb});
                             std::push_heap(heap.begin(), heap.end(),
                                            later);
+                        } else if (ng == dist[nb] && prevLink[nb] >= 0) {
+                            size_t pv =
+                                static_cast<size_t>(prevLink[nb]) / 4;
+                            take = std::pair(cost, v) <
+                                   std::pair(dist[pv], pv);
+                        }
+                        if (take) {
+                            hopCnt[nb] = hopCnt[v] + 1;
+                            prevLink[nb] = static_cast<int32_t>(link);
                         }
                     }
                 }

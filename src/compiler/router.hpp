@@ -17,6 +17,12 @@
  * Multicast: nets carrying the same `group` id fan out from one source
  * port, so a switch forks the bus instead of spending extra tracks —
  * they are routed as one Steiner-ish tree whose links count once.
+ *
+ * Each terminal joins its group's tree through an A* search from the
+ * whole tree toward the terminal (Manhattan heuristic, (g + h, g, node)
+ * pop order, equal costs resolved toward the smaller (g, node)
+ * predecessor), which returns exactly the paths of a (cost, node)-
+ * ordered Dijkstra search (DESIGN.md §12).
  */
 
 #ifndef PLAST_COMPILER_ROUTER_HPP

@@ -157,15 +157,17 @@ genStreamFold(Builder &b, NodeId root, Rng &rng, int k)
 // loadTile -> elementwise compute through an SRAM -> storeTile, under a
 // sequential or metapipelined tile loop (SMDV/GEMM shape). Exercises
 // the dense AG path, double buffering and vector-linear PMU access.
+// `tileScale` multiplies the whole vectors of a row tile.
 void
-genTileMap(Builder &b, NodeId root, Rng &rng, int k)
+genTileMap(Builder &b, NodeId root, Rng &rng, int k, uint32_t tileScale)
 {
     const bool isFloat = rng.nextBounded(2) == 0;
     // Rows off the 16-lane grid end in a partial vector and, under a
     // small outstanding-burst budget, load as blocks that are not a
     // multiple of the lane count.
     static const int64_t rowTail[] = {0, 2, 9};
-    const int64_t rt = 16 * (2 + static_cast<int64_t>(rng.nextBounded(3))) +
+    const int64_t rt = 16 * int64_t{tileScale} *
+                           (2 + static_cast<int64_t>(rng.nextBounded(3))) +
                        pick(rng, rowTail);
     const int64_t nT = 1 + static_cast<int64_t>(rng.nextBounded(3));
     const int64_t n = rt * nT;
@@ -351,7 +353,7 @@ sampleTightArch(Rng &rng)
 }
 
 pir::Program
-generateProgram(Rng &rng)
+generateProgram(Rng &rng, uint32_t tileScale)
 {
     Builder b("fuzz");
     NodeId root = b.outer("root", CtrlScheme::kSequential, {}, kNone);
@@ -362,7 +364,7 @@ generateProgram(Rng &rng)
             genStreamFold(b, root, rng, k);
             break;
           case 1:
-            genTileMap(b, root, rng, k);
+            genTileMap(b, root, rng, k, tileScale);
             break;
           case 2:
             genSramChain(b, root, rng, k);

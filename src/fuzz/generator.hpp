@@ -45,9 +45,10 @@ ArchParams sampleTightArch(Rng &rng);
  * shrinker can drop whole kernels at once. DRAM input buffers follow
  * the fill-by-name convention of fuzz::fillInputs ('f...' = floats,
  * 'i...' = small non-negative ints, 'o...' = zeroed outputs), so a
- * serialized program alone is a complete reproducer.
+ * serialized program alone is a complete reproducer. A tiled map's
+ * row tile is 2-4 vectors times `tileScale`, plus 0, 2 or 9 words.
  */
-pir::Program generateProgram(Rng &rng);
+pir::Program generateProgram(Rng &rng, uint32_t tileScale = 1);
 
 } // namespace plast::fuzz
 

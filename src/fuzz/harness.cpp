@@ -61,10 +61,16 @@ reduceStageFault()
 FuzzCase
 oversizeCaseForSeed(uint64_t caseSeed)
 {
+    // The tight scratchpads hold 4,096 or 8,192 words (16 banks of 1 or
+    // 2 KB). Tiles of 96-192 vectors make a metapipelined tiled map's
+    // three N-buffers overflow them while one or two buffers still fit,
+    // so some cases map only by capacity spilling and some are
+    // diagnosed at the nbufMin floor.
+    constexpr uint32_t kTileScale = 48;
     Rng rng(caseSeed);
     FuzzCase c;
     c.params = sampleTightArch(rng);
-    c.prog = generateProgram(rng);
+    c.prog = generateProgram(rng, kTileScale);
     c.expectDiagnosed = true;
     return c;
 }

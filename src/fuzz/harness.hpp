@@ -44,8 +44,8 @@ struct FuzzCase
 /** Deterministically derive the case for one seed. */
 FuzzCase caseForSeed(uint64_t caseSeed, uint32_t inject = 0);
 
-/** Derive an oversize case: a normal program paired with a
- *  deliberately undersized fabric (sampleTightArch). */
+/** Derive an oversize case: a program with large row tiles paired
+ *  with a deliberately undersized fabric (sampleTightArch). */
 FuzzCase oversizeCaseForSeed(uint64_t caseSeed);
 
 /** Run the oversize oracle on one case (see

@@ -205,6 +205,25 @@ TEST(Fuzz, SoakFindsNoMismatches)
     EXPECT_GE(st.okRuns, 30u);
 }
 
+TEST(Fuzz, OversizeCasesSpillAndValidate)
+{
+    // Oversize cases pair row tiles of 96-192 vectors with scratchpads
+    // of 16 banks x 1 or 2 KB: a metapipelined tiled map's three
+    // N-buffers overflow, and the case maps by capacity spilling when
+    // its nbufMin floor fits and is diagnosed when it does not. A
+    // spilled design must validate bit-exactly.
+    setVerbose(false);
+    uint32_t spilled = 0, floorDiagnosed = 0;
+    for (uint64_t s = 1; s <= 200; ++s) {
+        DiffResult d = runOversizeCase(oversizeCaseForSeed(s));
+        EXPECT_TRUE(d.ok()) << "seed " << s << ": " << d.detail;
+        spilled += d.detail.rfind("spilled", 0) == 0;
+        floorDiagnosed += d.detail == "diagnosed (pmu.scratchpad)";
+    }
+    EXPECT_GE(spilled, 1u);
+    EXPECT_GE(floorDiagnosed, 1u);
+}
+
 TEST(Fuzz, InjectedFaultIsCaughtAndShrinks)
 {
     setVerbose(false);

@@ -13,6 +13,7 @@
 #include "base/rng.hpp"
 #include "compiler/mapper.hpp"
 #include "compiler/router.hpp"
+#include "runtime/manifest.hpp"
 
 using namespace plast;
 using namespace plast::compiler;
@@ -347,6 +348,86 @@ TEST(Router, DeterministicAcrossRuns)
     EXPECT_EQ(oa.totalHops, ob.totalHops);
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i].hops, b[i].hops) << "net " << i;
+}
+
+TEST(Router, SeededInstancesMatchRecordedRoutes)
+{
+    // Golden pin on the router's exact output. Seeded meshes from 2x2
+    // to 17x9 with 0-3 tracks per kind carry 1-80 nets in multicast
+    // groups (terminals on the source switch and repeated terminals
+    // included), dense enough that some need rip-up, some exhaust a
+    // 1-3 round budget and some are proven unroutable. Every net's
+    // hops and each outcome's rounds, overuse, hops, hotspots, proof
+    // and link load fold into one digest, that of routing every
+    // terminal with a (cost, node)-ordered Dijkstra search: any changed
+    // path changes it.
+    Rng rng(0x90a1d);
+    std::string record;
+    uint32_t ripUp = 0, exhausted = 0, proven = 0;
+    for (int inst = 0; inst < 500; ++inst) {
+        RouterGrid grid;
+        grid.cols = 2 + static_cast<int>(rng.nextBounded(16));
+        grid.rows = 2 + static_cast<int>(rng.nextBounded(8));
+        grid.vectorTracks = static_cast<uint32_t>(rng.nextBounded(4));
+        grid.scalarTracks = static_cast<uint32_t>(rng.nextBounded(4));
+        grid.controlTracks = static_cast<uint32_t>(rng.nextBounded(4));
+        auto at = [&] {
+            return SwitchCoord{
+                static_cast<int>(rng.nextBounded(grid.cols)),
+                static_cast<int>(rng.nextBounded(grid.rows))};
+        };
+        const uint32_t budget =
+            rng.nextBounded(4) == 0
+                ? 1 + static_cast<uint32_t>(rng.nextBounded(3))
+                : 24;
+        const uint32_t numNets =
+            1 + static_cast<uint32_t>(rng.nextBounded(80));
+        std::vector<RouterNet> nets;
+        for (uint32_t g = 0; nets.size() < numNets; ++g) {
+            // A kind without tracks only fans out on its own switch.
+            const NetKind kind = static_cast<NetKind>(rng.nextBounded(3));
+            const bool local = grid.trackCap(kind) == 0;
+            const SwitchCoord src = at();
+            const uint32_t terminals =
+                1 + static_cast<uint32_t>(rng.nextBounded(4));
+            for (uint32_t t = 0; t < terminals && nets.size() < numNets;
+                 ++t) {
+                SwitchCoord dst = local || rng.nextBounded(8) == 0 ? src
+                                                                   : at();
+                if (t > 0 && rng.nextBounded(8) == 0)
+                    dst = nets.back().dst;
+                nets.push_back({src, dst, kind, g});
+            }
+        }
+        // Interleave the groups' nets.
+        for (size_t i = nets.size(); i > 1; --i)
+            std::swap(nets[i - 1], nets[rng.nextBounded(i)]);
+
+        RouteOutcome out = route(nets, grid, budget);
+        ripUp += out.routed && out.rounds >= 2;
+        exhausted += !out.routed && out.rounds == budget;
+        proven += out.rounds == 0;
+        record += strfmt("%d %dx%d r%u o%u t%llu l%llu,%llu,%llu |", inst,
+                         grid.cols, grid.rows, out.rounds,
+                         out.overusedLinks,
+                         static_cast<unsigned long long>(out.totalHops),
+                         static_cast<unsigned long long>(out.linkLoad[0]),
+                         static_cast<unsigned long long>(out.linkLoad[1]),
+                         static_cast<unsigned long long>(out.linkLoad[2]));
+        for (const RouterNet &n : nets)
+            record += strfmt(" %u", n.hops);
+        for (const CongestionHotspot &h : out.hotspots)
+            record += strfmt(" (%d,%d)-(%d,%d)k%d:%u/%u", h.fromCol,
+                             h.fromRow, h.toCol, h.toRow,
+                             static_cast<int>(h.kind), h.demand,
+                             h.capacity);
+        record += " " + out.proof + "\n";
+    }
+    EXPECT_GE(ripUp, 20u);
+    EXPECT_GE(exhausted, 20u);
+    EXPECT_GE(proven, 20u);
+    EXPECT_EQ(fnv1a64(record), 0x847975bd953ea6d8ull)
+        << record.size() << " bytes";
 }
 
 TEST(Router, NegotiatedNeverWorseThanGreedyOnBenchmarks)
