@@ -189,11 +189,10 @@ fields(Ar &ar, P &p)
     auto &m = p.pmu;
     ar.line("pmu_params", m.banks, m.bankKilobytes, m.stages,
             m.regsPerStage, m.scalarIns, m.scalarOuts, m.vectorIns,
-            m.vectorOuts, m.counters, m.fifoDepth, m.ecc);
+            m.vectorOuts, m.ecc);
     auto &d = p.dram;
-    ar.line("dram_params", d.channels, d.burstBytes, d.banksPerChannel,
-            d.rowBytes, d.tRcd, d.tCas, d.tRp, d.tRas, d.tBurst,
-            d.queueDepth, d.ecc);
+    ar.line("dram_params", d.channels, d.banksPerChannel, d.rowBytes,
+            d.tRcd, d.tCas, d.tRp, d.tRas, d.tBurst, d.queueDepth, d.ecc);
 }
 
 /** `kw total used`, then `unitKw index` and the unit's fields for each
@@ -238,7 +237,7 @@ template <class Ar, Is<FabricConfig> C>
 void
 fields(Ar &ar, C &cfg)
 {
-    ar.version("fabriccfg", 1);
+    ar.version("fabriccfg", 2);
     fields(ar, cfg.params);
     ar.line("rootbox", cfg.rootBox);
     ar.line("hostargouts", cfg.hostArgOuts);
@@ -264,6 +263,18 @@ configFields(TextReader &ar, FabricConfig &cfg)
 }
 
 void
+paramsFields(TextWriter &ar, const ArchParams &params)
+{
+    fields(ar, params);
+}
+
+void
+paramsFields(TextReader &ar, ArchParams &params)
+{
+    fields(ar, params);
+}
+
+void
 writeConfig(std::ostream &os, const FabricConfig &cfg)
 {
     TextWriter ar(os);
@@ -275,6 +286,15 @@ configToText(const FabricConfig &cfg)
 {
     std::ostringstream os;
     writeConfig(os, cfg);
+    return os.str();
+}
+
+std::string
+archParamsText(const ArchParams &params)
+{
+    std::ostringstream os;
+    TextWriter ar(os);
+    fields(ar, params);
     return os.str();
 }
 

@@ -6,7 +6,8 @@
  * fixpoint (property-tested over the compiled benchmarks), so saved
  * configurations can be diffed, archived and reloaded exactly. One
  * field walk per structure (base/textio.hpp) drives both directions;
- * configToText's bytes are the configHash input.
+ * configToText's bytes are the configHash input, and the ArchParams
+ * walk is the one text form of the machine (archParamsText).
  */
 
 #ifndef PLAST_ARCH_CFGIO_HPP
@@ -29,15 +30,22 @@ void writeConfig(std::ostream &os, const FabricConfig &cfg);
 /** Convenience: writeConfig into a string. */
 std::string configToText(const FabricConfig &cfg);
 
+/** The params lines of a .pcfg (`params`, `pcu_params`, `pmu_params`,
+ *  `dram_params`): every ArchParams field, and the pre-image of
+ *  RunManifest::archHash and serve::hashArch. */
+std::string archParamsText(const ArchParams &params);
+
 /** Parse a .pcfg document. Returns true on success; on failure
  *  returns false and, when `err` is non-null, stores a diagnostic. */
 bool readConfig(std::istream &is, FabricConfig &out,
                 std::string *err = nullptr);
 
-/** The .pcfg field walk itself, for formats that embed a config
- *  (serve store records). */
+/** The .pcfg field walks themselves, for formats that embed a config
+ *  (serve store records) or its params lines (fuzz seed files). */
 void configFields(TextWriter &ar, const FabricConfig &cfg);
 void configFields(TextReader &ar, FabricConfig &cfg);
+void paramsFields(TextWriter &ar, const ArchParams &params);
+void paramsFields(TextReader &ar, ArchParams &params);
 
 } // namespace plast
 

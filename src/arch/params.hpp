@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <string>
 
+#include "base/types.hpp"
+
 namespace plast
 {
 
@@ -26,7 +28,9 @@ struct PcuParams
     uint32_t vectorIns = 3;     ///< vector inputs (swept 1-10)
     uint32_t vectorOuts = 3;    ///< vector outputs (swept 1-6)
     uint32_t counters = 4;      ///< counter-chain depth
-    uint32_t fifoDepth = 16;    ///< input FIFO depth (words / vectors)
+    /** Vector input FIFO depth of every unit: the compiler sizes the
+     *  vector inputs of PCUs, PMUs and AGs by it. */
+    uint32_t fifoDepth = 16;
 };
 
 /** Parameters of a Pattern Memory Unit. */
@@ -40,8 +44,6 @@ struct PmuParams
     uint32_t scalarOuts = 0;    ///< PMUs never use scalar outputs (§3.7)
     uint32_t vectorIns = 3;
     uint32_t vectorOuts = 1;
-    uint32_t counters = 4;
-    uint32_t fifoDepth = 16;
     /** SECDED ECC on the scratchpad banks: single-bit upsets are
      *  corrected (and scrubbed) on read, double-bit upsets are detected
      *  as uncorrectable. Costs 7 check bits per 32-bit word (39/32 SRAM
@@ -52,11 +54,11 @@ struct PmuParams
     uint32_t totalWords() const { return totalBytes() / 4; }
 };
 
-/** DRAM system parameters: 4x DDR3-1600 (51.2 GB/s peak, §4.2). */
+/** DRAM system parameters: 4x DDR3-1600 (51.2 GB/s peak, §4.2). A
+ *  burst is always kBurstBytes (one 16-word vector). */
 struct DramParams
 {
     uint32_t channels = 4;
-    uint32_t burstBytes = 64;       ///< one burst = one 16-word vector
     uint32_t banksPerChannel = 8;
     uint32_t rowBytes = 8192;       ///< row-buffer size per bank
     // Timing in 1 GHz fabric cycles (DDR3-1600: ~13.75 ns CL/RCD/RP).
@@ -73,7 +75,7 @@ struct DramParams
     double
     peakBytesPerCycle() const
     {
-        return static_cast<double>(channels * burstBytes) / tBurst;
+        return static_cast<double>(channels * kBurstBytes) / tBurst;
     }
 };
 

@@ -1557,11 +1557,9 @@ archDefect(const ArchParams &params)
         return "pmu.banks: 0 banks hold no scratchpad words";
     if (dram.queueDepth == 0)
         return "dram.queueDepth: a 0-entry command queue admits no request";
-    if (dram.burstBytes == 0)
-        return "dram.burstBytes: 0-byte bursts carry no data";
-    if (dram.rowBytes < dram.burstBytes)
+    if (dram.rowBytes < kBurstBytes)
         return strfmt("dram.rowBytes: a %u-byte row holds no %u-byte burst",
-                      dram.rowBytes, dram.burstBytes);
+                      dram.rowBytes, kBurstBytes);
     if (dram.banksPerChannel == 0)
         return "dram.banksPerChannel: 0 banks hold no rows";
     if (params.coalescerCacheLines == 0)

@@ -315,7 +315,6 @@ sampleArch(Rng &rng)
     p.gridRows = pick(rng, rows);
     p.pcu.stages = pick(rng, stages);
     p.pcu.fifoDepth = pick(rng, fifo);
-    p.pmu.fifoDepth = p.pcu.fifoDepth;
     p.pmu.bankKilobytes = pick(rng, bankKb);
     p.dram.channels = pick(rng, chans);
     p.dram.queueDepth = pick(rng, qd);
@@ -342,7 +341,6 @@ sampleTightArch(Rng &rng)
     p.gridRows = pick(rng, rows);
     p.pcu.stages = pick(rng, stages);
     p.pcu.fifoDepth = 8;
-    p.pmu.fifoDepth = 8;
     p.pmu.bankKilobytes = pick(rng, bankKb);
     p.dram.channels = pick(rng, chans);
     p.dram.queueDepth = 8;

@@ -3,8 +3,8 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
+#include "arch/cfgio.hpp"
 #include "base/logging.hpp"
 #include "base/textio.hpp"
 #include "fuzz/shrink.hpp"
@@ -135,97 +135,39 @@ runCase(const FuzzCase &c, bool checkDense)
     return diffRun(c.prog, c.params, d);
 }
 
+/** The seed file's one field walk: the .pcfg params lines, the fault
+ *  mode, the oversize flag, then the .pir program. */
+template <class Ar, Is<FuzzCase> C>
+void
+fields(Ar &ar, C &c)
+{
+    ar.note("# fuzz_pir reproducer (replay with: fuzz_pir --replay <file>)\n");
+    paramsFields(ar, c.params);
+    ar.line("inject", c.inject);
+    ar.line("diagnosed", c.expectDiagnosed);
+    programFields(ar, c.prog);
+}
+
 void
 writeSeedFile(std::ostream &os, const FuzzCase &c)
 {
-    const ArchParams &p = c.params;
-    os << "# fuzz_pir reproducer (replay with: fuzz_pir --replay <file>)\n";
-    os << "arch " << p.gridCols << ' ' << p.gridRows << ' '
-       << p.pcu.stages << ' ' << p.pcu.fifoDepth << ' '
-       << p.pmu.bankKilobytes << ' ' << p.dram.channels << ' '
-       << p.dram.queueDepth << ' ' << p.vectorTracks << ' '
-       << p.scalarTracks << ' ' << p.numAgs << ' '
-       << p.coalescerMaxOutstanding << '\n';
-    os << "inject " << c.inject << '\n';
-    if (c.expectDiagnosed)
-        os << "expect diagnosed\n";
-    writeProgram(os, c.prog);
+    TextWriter ar(os);
+    fields(ar, c);
 }
 
 bool
 readSeedFile(std::istream &is, FuzzCase &out, std::string *err)
 {
-    auto fail = [&](const std::string &msg) {
+    TextReader ar(is);
+    FuzzCase c;
+    fields(ar, c);
+    if (!ar.ok()) {
         if (err)
-            *err = msg;
+            *err = ar.error();
         return false;
-    };
-    // The header is line-oriented; '#' lines are comments.
-    auto nextLine = [&](std::string &out) -> bool {
-        std::string line;
-        while (std::getline(is, line)) {
-            size_t p = line.find_first_not_of(" \t\r");
-            if (p == std::string::npos || line[p] == '#')
-                continue;
-            out = line;
-            return true;
-        }
-        return false;
-    };
-    std::string line, tok;
-    if (!nextLine(line))
-        return fail("empty seed file");
-    std::istringstream arch(line);
-    ArchParams p = ArchParams::plasticineFinal();
-    // Optional 11th field: the outstanding-burst budget. Seed files
-    // written before it existed replay at the default of 64.
-    uint32_t *fields[] = {
-        &p.gridCols, &p.gridRows, &p.pcu.stages, &p.pcu.fifoDepth,
-        &p.pmu.bankKilobytes, &p.dram.channels, &p.dram.queueDepth,
-        &p.vectorTracks, &p.scalarTracks, &p.numAgs,
-        &p.coalescerMaxOutstanding};
-    size_t n = 0;
-    if (!(arch >> tok) || tok != "arch")
-        return fail("seed file must start with an 'arch' line");
-    for (; arch >> tok; ++n)
-        if (n == std::size(fields) || !parseNumber(tok, *fields[n]))
-            return fail("bad 'arch' field '" + tok + "'");
-    if (n < std::size(fields) - 1)
-        return fail("seed file must start with an 'arch' line");
-    p.pmu.fifoDepth = p.pcu.fifoDepth;
-    uint32_t inj = 0;
-    if (!nextLine(line))
-        return fail("expected 'inject' line after 'arch'");
-    std::istringstream injs(line);
-    if (!(injs >> tok) || tok != "inject" || !(injs >> tok) ||
-        !parseNumber(tok, inj))
-        return fail("expected 'inject' line after 'arch'");
-    out.params = p;
-    out.inject = inj;
-    // Optional 'expect diagnosed' line (oversize reproducers). Peek
-    // manually so the program header line is left for readProgram.
-    out.expectDiagnosed = false;
-    std::streampos pos = is.tellg();
-    std::string probe;
-    while (std::getline(is, probe)) {
-        size_t pch = probe.find_first_not_of(" \t\r");
-        if (pch == std::string::npos || probe[pch] == '#') {
-            pos = is.tellg();
-            continue;
-        }
-        std::istringstream ex(probe);
-        std::string what;
-        if ((ex >> tok) && tok == "expect") {
-            if (!(ex >> what) || what != "diagnosed")
-                return fail("unknown 'expect' directive");
-            out.expectDiagnosed = true;
-        } else {
-            is.clear();
-            is.seekg(pos);
-        }
-        break;
     }
-    return readProgram(is, out.prog, err);
+    out = std::move(c);
+    return true;
 }
 
 DiffResult

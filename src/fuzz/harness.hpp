@@ -2,7 +2,7 @@
  * @file
  * The fuzzing harness: drives seeded generate -> diff -> shrink
  * cycles, persists failing cases as standalone .pir seed files (the
- * sampled architecture travels in the file header, inputs are
+ * sampled architecture travels in the file's params lines, inputs are
  * reconstructed by the fill-by-name convention), and replays seed
  * files deterministically — the corpus under tests/corpus runs as
  * ordinary ctest cases through replayFile.
@@ -33,7 +33,7 @@ struct FuzzCase
      *  off, so they surface as output corruption), 3 = seeded datapath
      *  upsets (PCU pipeline registers + scratch words). */
     uint32_t inject = 0;
-    /** Oversize case (the seed file's `expect diagnosed` line): the
+    /** Oversize case (the seed file's `diagnosed` line): the
      *  design likely exceeds the fabric; the oracle is "tryCompile
      *  returns a clean structured diagnosis, or the compile (possibly
      *  after capacity spilling) passes validated execution" — never a
@@ -66,11 +66,10 @@ DiffResult runCase(const FuzzCase &c, bool checkDense = true);
 
 // ---- seed files -----------------------------------------------------
 
-/** Seed-file header: `arch <cols> <rows> <pcu stages> <fifo depth>
- *  <bank KB> <dram channels> <queue depth> <vector tracks> <scalar
- *  tracks> <AGs> [<outstanding-burst budget>]` (an absent budget reads
- *  as 64), then `inject <mode>`, an optional `expect diagnosed`, and
- *  the program text. */
+/** A seed file is one field walk: the .pcfg params lines (every
+ *  ArchParams field, as archParamsText writes them), `inject <mode>`,
+ *  `diagnosed <0|1>`, then the .pir program. The reader fails with a
+ *  message naming the last keyword it read. */
 void writeSeedFile(std::ostream &os, const FuzzCase &c);
 bool readSeedFile(std::istream &is, FuzzCase &out,
                   std::string *err = nullptr);

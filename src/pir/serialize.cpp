@@ -146,6 +146,18 @@ fields(Ar &ar, P &prog)
 }
 
 void
+programFields(TextWriter &ar, const Program &prog)
+{
+    fields(ar, prog);
+}
+
+void
+programFields(TextReader &ar, Program &prog)
+{
+    fields(ar, prog);
+}
+
+void
 writeProgram(std::ostream &os, const Program &prog)
 {
     TextWriter ar(os);

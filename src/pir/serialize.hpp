@@ -22,6 +22,12 @@
 
 #include "pir/ir.hpp"
 
+namespace plast
+{
+class TextWriter;
+class TextReader;
+} // namespace plast
+
 namespace plast::pir
 {
 
@@ -38,6 +44,11 @@ std::string programToText(const Program &prog);
  * pir::validateProgram first (the fuzz replay path does).
  */
 bool readProgram(std::istream &is, Program &out, std::string *err = nullptr);
+
+/** The .pir field walk itself, for formats that embed a program (fuzz
+ *  seed files). */
+void programFields(TextWriter &ar, const Program &prog);
+void programFields(TextReader &ar, Program &prog);
 
 } // namespace plast::pir
 

@@ -163,7 +163,7 @@ FaultPlan::random(uint64_t seed, double eventsPerMillionCycles, Cycles horizon,
           case FaultKind::kDramResponse:
             e.bits = rng.nextFloat() < 0.85 ? 1 : 2;
             e.bit = static_cast<uint32_t>(
-                rng.nextBounded(8 * cfg.params.dram.burstBytes));
+                rng.nextBounded(8 * kBurstBytes));
             break;
           default:
             continue;

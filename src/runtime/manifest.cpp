@@ -8,61 +8,9 @@ namespace plast
 uint64_t
 fnv1a64(const std::string &text)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-std::string
-archParamsText(const ArchParams &p)
-{
-    std::string out;
-    auto kv = [&out](const char *k, uint64_t v) {
-        out += strfmt("%s %llu\n", k, (unsigned long long)v);
-    };
-    kv("grid.cols", p.gridCols);
-    kv("grid.rows", p.gridRows);
-    kv("pcu.lanes", p.pcu.lanes);
-    kv("pcu.stages", p.pcu.stages);
-    kv("pcu.regsPerStage", p.pcu.regsPerStage);
-    kv("pcu.scalarIns", p.pcu.scalarIns);
-    kv("pcu.scalarOuts", p.pcu.scalarOuts);
-    kv("pcu.vectorIns", p.pcu.vectorIns);
-    kv("pcu.vectorOuts", p.pcu.vectorOuts);
-    kv("pcu.counters", p.pcu.counters);
-    kv("pcu.fifoDepth", p.pcu.fifoDepth);
-    kv("pmu.banks", p.pmu.banks);
-    kv("pmu.bankKilobytes", p.pmu.bankKilobytes);
-    kv("pmu.stages", p.pmu.stages);
-    kv("pmu.regsPerStage", p.pmu.regsPerStage);
-    kv("pmu.scalarIns", p.pmu.scalarIns);
-    kv("pmu.scalarOuts", p.pmu.scalarOuts);
-    kv("pmu.vectorIns", p.pmu.vectorIns);
-    kv("pmu.vectorOuts", p.pmu.vectorOuts);
-    kv("pmu.counters", p.pmu.counters);
-    kv("pmu.fifoDepth", p.pmu.fifoDepth);
-    kv("pmu.ecc", p.pmu.ecc ? 1 : 0);
-    kv("dram.channels", p.dram.channels);
-    kv("dram.burstBytes", p.dram.burstBytes);
-    kv("dram.banksPerChannel", p.dram.banksPerChannel);
-    kv("dram.rowBytes", p.dram.rowBytes);
-    kv("dram.tRcd", p.dram.tRcd);
-    kv("dram.tCas", p.dram.tCas);
-    kv("dram.tRp", p.dram.tRp);
-    kv("dram.tRas", p.dram.tRas);
-    kv("dram.tBurst", p.dram.tBurst);
-    kv("dram.queueDepth", p.dram.queueDepth);
-    kv("dram.ecc", p.dram.ecc ? 1 : 0);
-    kv("numAgs", p.numAgs);
-    kv("coalescerCacheLines", p.coalescerCacheLines);
-    kv("coalescerMaxOutstanding", p.coalescerMaxOutstanding);
-    kv("vectorTracks", p.vectorTracks);
-    kv("scalarTracks", p.scalarTracks);
-    kv("controlTracks", p.controlTracks);
-    return out;
+    Fnv1a f;
+    f.bytes(text);
+    return f.h;
 }
 
 namespace

@@ -14,10 +14,10 @@
  * tests/test_telemetry.cpp); add new keys, never reorder or rename.
  *
  * Hashes use FNV-1a over canonical text serializations (pir/serialize
- * for programs, arch/cfgio for configs, archParamsText for params) so
- * they are stable across platforms and standard-library versions —
- * unlike std::hash, which the checkpoint guard can use because
- * checkpoints never cross processes.
+ * for programs, arch/cfgio for configs and for params) so they are
+ * stable across platforms and standard-library versions — unlike
+ * std::hash, which the checkpoint guard can use because checkpoints
+ * never cross processes.
  */
 
 #ifndef PLAST_RUNTIME_MANIFEST_HPP
@@ -27,19 +27,52 @@
 #include <map>
 #include <ostream>
 #include <string>
-
-#include "arch/params.hpp"
+#include <string_view>
 
 namespace plast
 {
 
+/** Incremental FNV-1a 64 over mixed fields: raw bytes, little-endian
+ *  words and terminated strings fold into one running hash, so text
+ *  hashes and binary hashes share one hash family. */
+struct Fnv1a
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    byte(uint8_t b)
+    {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    void
+    bytes(std::string_view s)
+    {
+        for (unsigned char c : s)
+            byte(c);
+    }
+    void
+    u32(uint32_t v)
+    {
+        for (int i = 0; i < 4; ++i)
+            byte(static_cast<uint8_t>(v >> (8 * i)));
+    }
+    void
+    u64(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<uint8_t>(v >> (8 * i)));
+    }
+    void
+    str(std::string_view s)
+    {
+        bytes(s);
+        byte(0); // terminator: "ab"+"c" != "a"+"bc"
+    }
+};
+
 /** FNV-1a 64-bit over bytes; platform-stable (unlike std::hash). */
 uint64_t fnv1a64(const std::string &text);
-
-/** Every ArchParams field in a fixed line-oriented text form (the
- *  hashing pre-image for RunManifest::archHash; also a readable dump —
- *  describe() is for humans and omits fields). */
-std::string archParamsText(const ArchParams &params);
 
 struct RunManifest
 {
@@ -48,7 +81,7 @@ struct RunManifest
     // ---- identity ----------------------------------------------------
     std::string program;     ///< PIR program name
     uint64_t pirHash = 0;    ///< fnv1a64(programToText(prog))
-    uint64_t archHash = 0;   ///< fnv1a64(archParamsText(params))
+    uint64_t archHash = 0;   ///< fnv1a64(archParamsText(params)) (arch/cfgio)
     uint64_t configHash = 0; ///< fnv1a64(configToText(mapped)); 0 until compiled
     uint64_t seed = 0;       ///< caller-supplied (fuzz / campaign); 0 = none
     std::string schedMode;   ///< "activity" | "dense"

@@ -1,9 +1,10 @@
 /**
  * @file
  * The compile-and-serve daemon CLI: feed .pir programs (the fuzzer's
- * seed-file wire format: arch header + inject line + program text) or
- * seeded synthetic traffic through the multi-tenant server and report
- * throughput, cache effectiveness and per-job outcomes.
+ * seed-file wire format: the .pcfg params lines, the inject and
+ * diagnosed lines, then the program text) or seeded synthetic traffic
+ * through the multi-tenant server and report throughput, cache
+ * effectiveness and per-job outcomes.
  *
  *   serve_app --traffic --jobs=96 --uniques=12 --workers=8
  *   serve_app --workers=4 --repeat=8 tests/corpus/seed.pir ...
@@ -16,9 +17,9 @@
  * rollback orchestrator and is checked against its fault-free golden
  * run; --deadline-sweep subjects submissions to a cycle of wall-clock
  * budgets; and --tolerate-failures flips the exit criterion from
- * "every job ok" to "every job finished with a typed outcome and the
- * robustness counters match the job log" — the overload-safety proof,
- * not the happy-path proof.
+ * "every job ok" to "every job finished with a typed outcome and every
+ * submission has its record" — the overload-safety proof, not the
+ * happy-path proof.
  *
  * Exit status: 0 = every job ok and (for --replay) the replay
  * matched; 1 = some job failed or the replay diverged; 2 = usage or
@@ -137,7 +138,7 @@ main(int argc, char **argv)
               "traffic: per-job deadlines in ms, cyclic (0 = none)")
         .num("tenants", topts.tenants, "traffic: tenants", size_t{1})
         .sw("tolerate-failures", tolerateFailures,
-            "exit 0 when every job is typed and counters match the log");
+            "exit 0 when every job is typed and every submission logged");
     if (auto rc = flags.parse(argc, argv))
         return *rc;
     sopts.storeMaxBytes = storeMaxMb << 20;
@@ -229,23 +230,12 @@ main(int argc, char **argv)
     std::vector<serve::JobResult> results = server.results();
     size_t failed = 0;
     size_t untyped = 0;
-    uint64_t logShed = 0, logCircuit = 0, logCancelled = 0,
-             logDeadline = 0, logRetries = 0;
     for (const serve::JobResult &r : results) {
         const std::string oc = r.outcome ? r.outcome->outcome : "lost";
         if (oc == "lost")
             ++untyped;
         if (oc != "ok")
             ++failed;
-        if (oc == "shed")
-            ++logShed;
-        else if (oc == "circuit-open")
-            ++logCircuit;
-        else if (oc == "cancelled")
-            ++logCancelled;
-        else if (oc == "deadline-exceeded")
-            ++logDeadline;
-        logRetries += r.retries;
         if (!quiet) {
             std::printf(
                 "job %4llu %-28s %-16s cycles=%-10llu %s%s%s r%u w%u\n",
@@ -297,24 +287,18 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(ss.bytes));
     }
 
-    // Robustness accounting: the server's live counters must agree
-    // with the job log record for record — any divergence means a job
-    // was double-counted or lost.
+    // Robustness accounting: the counters are tallied from the job
+    // records themselves, and every submission must have one.
     serve::Server::RobustnessCounters rc = server.robustness();
-    bool countersMatch =
-        rc.shed == logShed && rc.circuitOpen == logCircuit &&
-        rc.cancelled == logCancelled && rc.deadlineMisses == logDeadline &&
-        rc.retries == logRetries;
     bool allAccounted = results.size() == specs.size();
     std::printf("robustness: %llu shed, %llu circuit-open, %llu "
                 "cancelled, %llu deadline-exceeded, %llu retries "
-                "(counters %s log; %zu/%zu jobs accounted)\n",
+                "(%zu/%zu jobs accounted)\n",
                 static_cast<unsigned long long>(rc.shed),
                 static_cast<unsigned long long>(rc.circuitOpen),
                 static_cast<unsigned long long>(rc.cancelled),
                 static_cast<unsigned long long>(rc.deadlineMisses),
                 static_cast<unsigned long long>(rc.retries),
-                countersMatch ? "match" : "DIVERGE from",
                 results.size(), specs.size());
 
     // A job log or metrics file the caller can't trust is worse than
@@ -364,9 +348,8 @@ main(int argc, char **argv)
     }
     if (tolerateFailures) {
         // Overload-safety criterion: every submission finished with a
-        // typed terminal outcome (never hung, never lost) and the
-        // counters reconcile with the log exactly.
-        return untyped == 0 && allAccounted && countersMatch ? 0 : 1;
+        // typed terminal outcome (never hung, never lost).
+        return untyped == 0 && allAccounted ? 0 : 1;
     }
     return failed == 0 ? 0 : 1;
 }

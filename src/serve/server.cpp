@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "arch/cfgio.hpp"
 #include "base/logging.hpp"
 #include "base/profile.hpp"
 #include "fuzz/diff.hpp"
@@ -14,45 +15,6 @@
 
 namespace plast::serve
 {
-
-namespace
-{
-
-/** Incremental FNV-1a 64 over mixed binary fields (same constants as
- *  the string fnv1a64 in runtime/manifest.cpp, so text hashes and
- *  binary hashes share one hash family). */
-struct Fnv
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-
-    void
-    byte(uint8_t b)
-    {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    }
-    void
-    u32(uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            byte(static_cast<uint8_t>(v >> (8 * i)));
-    }
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            byte(static_cast<uint8_t>(v >> (8 * i)));
-    }
-    void
-    str(const std::string &s)
-    {
-        for (unsigned char c : s)
-            byte(c);
-        byte(0); // terminator: "ab"+"c" != "a"+"bc"
-    }
-};
-
-} // namespace
 
 uint64_t
 hashProgram(const pir::Program &prog)
@@ -69,7 +31,7 @@ hashArch(const ArchParams &params)
 uint64_t
 hashInputs(const std::map<pir::MemId, std::vector<Word>> &bufs)
 {
-    Fnv f;
+    Fnv1a f;
     for (const auto &[mid, data] : bufs) {
         f.u32(static_cast<uint32_t>(mid));
         f.u64(data.size());
@@ -82,7 +44,7 @@ hashInputs(const std::map<pir::MemId, std::vector<Word>> &bufs)
 uint64_t
 hashOptions(const ServeOptions &opts, Cycles jobMaxCycles)
 {
-    Fnv f;
+    Fnv1a f;
     f.str(opts.simOpts.mode == SimOptions::Mode::kDense ? "dense"
                                                         : "activity");
     f.str(simModeName(opts.simOpts.simMode));
@@ -97,7 +59,7 @@ hashOptions(const ServeOptions &opts, const JobSpec &job)
     uint64_t base = hashOptions(opts, job.maxCycles);
     if (job.faultSeed == 0)
         return base; // plain jobs keep the hash recorded logs carry
-    Fnv f;
+    Fnv1a f;
     f.u64(base);
     f.u64(job.faultSeed);
     f.u64(static_cast<uint64_t>(job.faultRate * 1000.0));
@@ -109,7 +71,7 @@ hashOptions(const ServeOptions &opts, const JobSpec &job)
 uint64_t
 hashOutcome(const JobOutcome &out)
 {
-    Fnv f;
+    Fnv1a f;
     f.str(out.outcome);
     f.u64(out.cycles);
     f.u64(out.argOuts.size());
@@ -307,39 +269,45 @@ Server::finishJob(JobResult rec)
         std::lock_guard<std::mutex> lk(tokensMu_);
         tokens_.erase(rec.id);
     }
-    const std::string oc = rec.outcome ? rec.outcome->outcome : "lost";
-    if (oc == statusCodeName(StatusCode::kShed))
-        shed_.fetch_add(1, std::memory_order_relaxed);
-    else if (oc == statusCodeName(StatusCode::kCircuitOpen))
-        circuitOpen_.fetch_add(1, std::memory_order_relaxed);
-    else if (oc == statusCodeName(StatusCode::kCancelled))
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
-    else if (oc == statusCodeName(StatusCode::kDeadlineExceeded))
-        deadlineMisses_.fetch_add(1, std::memory_order_relaxed);
-    retries_.fetch_add(rec.retries, std::memory_order_relaxed);
-
     // Only executed jobs teach the breaker — rejections observing
     // themselves would feed back.
-    if (rec.executed && opts_.breakerThreshold)
+    if (rec.executed && opts_.breakerThreshold) {
+        const std::string oc = rec.outcome ? rec.outcome->outcome : "lost";
         breakerObserve(
             rec.tenant,
             oc == statusCodeName(StatusCode::kCompileError) ||
                 oc == statusCodeName(StatusCode::kValidationError));
+    }
     std::lock_guard<std::mutex> lk(resultsMu_);
     if (resultHook_)
         resultHook_(rec);
     results_.push_back(std::move(rec));
 }
 
+namespace
+{
+
+/** Tally one record into the robustness counters. */
+void
+tally(Server::RobustnessCounters &c, const JobResult &r)
+{
+    const std::string oc = r.outcome ? r.outcome->outcome : "lost";
+    c.shed += oc == statusCodeName(StatusCode::kShed);
+    c.circuitOpen += oc == statusCodeName(StatusCode::kCircuitOpen);
+    c.cancelled += oc == statusCodeName(StatusCode::kCancelled);
+    c.deadlineMisses += oc == statusCodeName(StatusCode::kDeadlineExceeded);
+    c.retries += r.retries;
+}
+
+} // namespace
+
 Server::RobustnessCounters
 Server::robustness() const
 {
     RobustnessCounters c;
-    c.shed = shed_.load(std::memory_order_relaxed);
-    c.circuitOpen = circuitOpen_.load(std::memory_order_relaxed);
-    c.cancelled = cancelled_.load(std::memory_order_relaxed);
-    c.deadlineMisses = deadlineMisses_.load(std::memory_order_relaxed);
-    c.retries = retries_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lk(resultsMu_);
+    for (const JobResult &r : results_)
+        tally(c, r);
     return c;
 }
 
@@ -350,8 +318,7 @@ Server::breakerRejects(const std::string &tenant)
     Breaker &b = breakers_[tenant];
     if (!b.open)
         return false;
-    if (opts_.breakerProbeEvery &&
-        ++b.rejectedSinceProbe >= opts_.breakerProbeEvery) {
+    if (++b.rejectedSinceProbe >= kBreakerProbeEvery) {
         b.rejectedSinceProbe = 0;
         return false; // admit as a probe
     }
@@ -592,13 +559,6 @@ Server::exportMetrics(StatSet &reg) const
               static_cast<int64_t>(queue_.size()));
     reg.set("serve.jobs.submitted", queue_.pushed());
 
-    RobustnessCounters rc = robustness();
-    reg.set("serve.jobs.shed", rc.shed);
-    reg.set("serve.jobs.circuit_open", rc.circuitOpen);
-    reg.set("serve.jobs.cancelled", rc.cancelled);
-    reg.set("serve.jobs.deadline_misses", rc.deadlineMisses);
-    reg.set("serve.retries.total", rc.retries);
-
     CacheStats cs = configCache_.stats();
     reg.set("serve.cache.config.hits", cs.hits);
     reg.set("serve.cache.config.misses", cs.misses);
@@ -634,6 +594,7 @@ Server::exportMetrics(StatSet &reg) const
     reg.set("serve.jobs.completed", results_.size());
     uint64_t cycles = 0;
     uint64_t executed = 0;
+    RobustnessCounters rc;
     for (const JobResult &r : results_) {
         reg.add("serve.outcome." +
                 (r.outcome ? r.outcome->outcome : "lost"));
@@ -643,9 +604,15 @@ Server::exportMetrics(StatSet &reg) const
             ++executed;
         if (r.outcome)
             cycles += r.outcome->cycles;
+        tally(rc, r);
     }
     reg.set("serve.jobs.executed", executed);
     reg.set("serve.cycles_total", cycles);
+    reg.set("serve.jobs.shed", rc.shed);
+    reg.set("serve.jobs.circuit_open", rc.circuitOpen);
+    reg.set("serve.jobs.cancelled", rc.cancelled);
+    reg.set("serve.jobs.deadline_misses", rc.deadlineMisses);
+    reg.set("serve.retries.total", rc.retries);
 }
 
 } // namespace plast::serve

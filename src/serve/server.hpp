@@ -177,9 +177,6 @@ struct ServeOptions
     /** Consecutive compile failures that open a tenant's circuit
      *  breaker (0 = breaker off). */
     uint32_t breakerThreshold = 0;
-    /** Every Nth submission from an open-breaker tenant is admitted as
-     *  a probe; a healthy compile closes the breaker. */
-    uint32_t breakerProbeEvery = 8;
 
     // ---- persistent config store (DESIGN.md §17) ---------------------
     /** Directory for the crash-safe compiled-config store; empty
@@ -288,8 +285,12 @@ class Server
         resultHook_ = std::move(hook);
     }
 
-    /** Robustness counters, updated at the same instant each record is
-     *  written — they match the job log exactly by construction. */
+    /** Every Nth submission from an open-breaker tenant is admitted as
+     *  a probe; a healthy compile closes the breaker. */
+    static constexpr uint32_t kBreakerProbeEvery = 8;
+
+    /** Robustness counters, tallied from the finished records — the
+     *  job log is the only ledger. */
     struct RobustnessCounters
     {
         uint64_t shed = 0;           ///< records with outcome "shed"
@@ -335,8 +336,8 @@ class Server
     JobResult rejectionRecord(const JobSpec &spec, StatusCode code,
                               const std::string &why);
     /** Single choke point every record passes through: unregisters the
-     *  cancel token, updates the robustness counters, feeds the circuit
-     *  breaker, then appends to results_. */
+     *  cancel token, feeds the circuit breaker, then appends to
+     *  results_. */
     void finishJob(JobResult rec);
     bool breakerRejects(const std::string &tenant);
     void breakerObserve(const std::string &tenant, bool compileFailed);
@@ -371,12 +372,6 @@ class Server
      *  from (and sorting after) every real cache seq. */
     static constexpr uint64_t kAuxSeqBase = 1ull << 62;
     std::atomic<uint64_t> auxSeq_{0};
-
-    std::atomic<uint64_t> shed_{0};
-    std::atomic<uint64_t> circuitOpen_{0};
-    std::atomic<uint64_t> cancelled_{0};
-    std::atomic<uint64_t> deadlineMisses_{0};
-    std::atomic<uint64_t> retries_{0};
 
     mutable std::mutex resultsMu_;
     std::vector<JobResult> results_;

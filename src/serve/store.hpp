@@ -86,11 +86,13 @@ struct StoredConfig
 struct RecordHeader
 {
     static constexpr char kMagic[9] = "PLASTCC\n"; ///< 8 bytes on disk
-    static constexpr uint32_t kVersion = 1;
+    /** v2: the embedded config is `fabriccfg 2` and the content
+     *  address hashes the .pcfg params walk. */
+    static constexpr uint32_t kVersion = 2;
     static constexpr size_t kSize = 8 + 4 + 4 + 8 + 8; ///< 32 bytes
 
     uint32_t version = kVersion;
-    uint32_t flags = 0; ///< reserved, must be zero in v1
+    uint32_t flags = 0; ///< reserved, must be zero
     uint64_t payloadLen = 0;
     uint64_t checksum = 0; ///< fnv1a64 over the payload bytes
 };

@@ -26,8 +26,8 @@ DramChannel::rowOf(Addr lineAddr, uint32_t &bank, int64_t &row) const
 {
     // Strip the channel-interleave bits: line index local to this
     // channel, then split into rows of rowBytes striped across banks.
-    Addr local = lineAddr / (params_.burstBytes * params_.channels);
-    Addr lines_per_row = params_.rowBytes / params_.burstBytes;
+    Addr local = lineAddr / (kBurstBytes * params_.channels);
+    Addr lines_per_row = params_.rowBytes / kBurstBytes;
     bank = static_cast<uint32_t>((local / lines_per_row) %
                                  params_.banksPerChannel);
     row = static_cast<int64_t>(local /

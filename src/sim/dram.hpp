@@ -168,7 +168,7 @@ class DramModel
     uint32_t
     channelOf(Addr lineAddr) const
     {
-        return static_cast<uint32_t>((lineAddr / params_.burstBytes) %
+        return static_cast<uint32_t>((lineAddr / kBurstBytes) %
                                      params_.channels);
     }
     DramChannel &channel(uint32_t i) { return channels_[i]; }

@@ -19,7 +19,7 @@ TEST(Dram, SequentialStreamApproachesPeak)
     while (done.size() < 64 && now < 100000) {
         if (ch.canSubmit()) {
             ch.submit({addr, false, tag++}, now);
-            addr += p.burstBytes * p.channels; // stay on this channel
+            addr += kBurstBytes * p.channels; // stay on this channel
         }
         ch.step(now++, done);
     }
@@ -40,7 +40,7 @@ TEST(Dram, RandomRowsMuchSlowerThanSequential)
     for (uint64_t i = 0; i < 32; ++i) {
         while (!seq.canSubmit())
             seq.step(now++, done);
-        seq.submit({i * p.burstBytes * p.channels, false, tag++}, now);
+        seq.submit({i * kBurstBytes * p.channels, false, tag++}, now);
     }
     while (done.size() < 32 && now < 1'000'000)
         seq.step(now++, done);
@@ -68,9 +68,9 @@ TEST(Dram, ChannelInterleavesAtBurstGranularity)
     DramModel m(p);
     std::set<uint32_t> seen;
     for (Addr line = 0; line < 8; ++line)
-        seen.insert(m.channelOf(line * p.burstBytes));
+        seen.insert(m.channelOf(line * kBurstBytes));
     EXPECT_EQ(seen.size(), p.channels);
-    EXPECT_EQ(m.channelOf(0), m.channelOf(p.burstBytes * p.channels));
+    EXPECT_EQ(m.channelOf(0), m.channelOf(kBurstBytes * p.channels));
 }
 
 TEST(Dram, QueueBoundRespected)
@@ -147,7 +147,7 @@ TEST_P(ChannelSweep, ThroughputScalesWithChannels)
             DramChannel &ch = m.channel(m.channelOf(addr));
             if (ch.canSubmit()) {
                 ch.submit({addr, false, tag++}, now);
-                addr += p.burstBytes;
+                addr += kBurstBytes;
             }
         }
         m.step(now++, done);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/cfgio.hpp"
 #include "base/logging.hpp"
 #include "base/rng.hpp"
 #include "compiler/mapper.hpp"
@@ -79,7 +81,6 @@ TEST(Fuzz, GeneratedProgramsValidate)
         EXPECT_LE(c.params.gridCols, 16u);
         EXPECT_GE(c.params.pcu.stages, 6u);
         EXPECT_EQ(c.params.pcu.lanes, 16u);
-        EXPECT_EQ(c.params.pmu.fifoDepth, c.params.pcu.fifoDepth);
     }
 }
 
@@ -112,25 +113,30 @@ TEST(Fuzz, SerializeRoundTripIsFixpoint)
 
 TEST(Fuzz, SeedFileRoundTrip)
 {
-    FuzzCase c = caseForSeed(9, /*inject=*/true);
-    std::ostringstream os;
-    writeSeedFile(os, c);
-    std::istringstream is(os.str());
-    FuzzCase back;
-    std::string err;
-    ASSERT_TRUE(readSeedFile(is, back, &err)) << err;
-    EXPECT_TRUE(back.inject);
-    EXPECT_EQ(back.params.gridCols, c.params.gridCols);
-    EXPECT_EQ(back.params.gridRows, c.params.gridRows);
-    EXPECT_EQ(back.params.pcu.stages, c.params.pcu.stages);
-    EXPECT_EQ(back.params.pcu.fifoDepth, c.params.pcu.fifoDepth);
-    EXPECT_EQ(back.params.pmu.bankKilobytes, c.params.pmu.bankKilobytes);
-    EXPECT_EQ(back.params.dram.channels, c.params.dram.channels);
-    EXPECT_EQ(back.params.vectorTracks, c.params.vectorTracks);
-    EXPECT_EQ(back.params.numAgs, c.params.numAgs);
-    EXPECT_EQ(back.params.coalescerMaxOutstanding,
-              c.params.coalescerMaxOutstanding);
-    EXPECT_EQ(programToText(back.prog), programToText(c.prog));
+    // The whole case comes back: every ArchParams field, the program,
+    // the fault mode and the oversize flag. Nothing is simulated.
+    auto roundTrip = [](const FuzzCase &c, const std::string &what) {
+        std::ostringstream os;
+        writeSeedFile(os, c);
+        std::istringstream is(os.str());
+        FuzzCase back;
+        std::string err;
+        ASSERT_TRUE(readSeedFile(is, back, &err)) << what << ": " << err;
+        EXPECT_EQ(archParamsText(back.params), archParamsText(c.params))
+            << what;
+        EXPECT_EQ(programToText(back.prog), programToText(c.prog)) << what;
+        EXPECT_EQ(back.inject, c.inject) << what;
+        EXPECT_EQ(back.expectDiagnosed, c.expectDiagnosed) << what;
+    };
+    for (uint64_t s = 1; s <= 300; ++s) {
+        for (uint32_t inject = 0; inject <= 3; ++inject)
+            roundTrip(caseForSeed(s, inject),
+                      strfmt("seed %llu inject %u",
+                             static_cast<unsigned long long>(s), inject));
+        roundTrip(oversizeCaseForSeed(s),
+                  strfmt("oversize seed %llu",
+                         static_cast<unsigned long long>(s)));
+    }
 }
 
 TEST(Fuzz, SeedFileCarriesOutstandingBudget)
@@ -147,24 +153,20 @@ TEST(Fuzz, SeedFileCarriesOutstandingBudget)
     ASSERT_TRUE(readSeedFile(is, back, &err)) << err;
     EXPECT_EQ(back.params.coalescerMaxOutstanding, 3u);
 
-    // Without the 11th field (every seed written before the fuzzer
-    // varied the budget) the file replays at the default of 64.
-    size_t arch = text.find("\narch ");
-    ASSERT_NE(arch, std::string::npos);
-    size_t eol = text.find('\n', arch + 1);
-    size_t last = text.rfind(' ', eol);
-    std::string legacy = text.substr(0, last) + text.substr(eol);
-    std::istringstream lis(legacy);
-    ASSERT_TRUE(readSeedFile(lis, back, &err)) << err;
-    EXPECT_EQ(back.params.coalescerMaxOutstanding, 64u);
-    EXPECT_EQ(programToText(back.prog), programToText(c.prog));
-
-    // A malformed budget is a read error, not a silent default; a zero
+    // The budget is the params line's fifth field. A malformed budget
+    // is a read error naming the line, not a silent default; a zero
     // budget reads, and the compile rejects it naming the field.
-    std::string t = text.substr(0, last) + " x" + text.substr(eol);
+    size_t at = text.find("\nparams ");
+    ASSERT_NE(at, std::string::npos);
+    for (int field = 0; field < 5; ++field)
+        at = text.find(' ', at) + 1;
+    size_t len = text.find(' ', at) - at;
+    ASSERT_EQ(text.substr(at, len), "3");
+    std::string t = text.substr(0, at) + "x" + text.substr(at + len);
     std::istringstream bis(t);
     EXPECT_FALSE(readSeedFile(bis, back, &err));
-    t = text.substr(0, last) + " 0" + text.substr(eol);
+    EXPECT_EQ(err, "params: bad number 'x'");
+    t = text.substr(0, at) + "0" + text.substr(at + len);
     std::istringstream zis(t);
     ASSERT_TRUE(readSeedFile(zis, back, &err)) << err;
     compiler::MapResult res = compiler::compileProgram(back.prog, back.params);
@@ -297,26 +299,38 @@ TEST(Fuzz, NonCombinerFoldOpIsInvalidNotAPanic)
 
 TEST(Fuzz, UnusableArchHeadersReplayTyped)
 {
-    // Seed headers the compiler cannot index or run (no DRAM channel, a
+    // Params lines the compiler cannot index or run (no DRAM channel, a
     // grid past 16-bit unit indices, an empty DRAM command queue) come
-    // back as typed verdicts naming the field, and a signed field fails
-    // to read; none may crash or hang.
+    // back as typed verdicts naming the field, and a signed field or
+    // the old positional `arch` header fails to read; none may crash
+    // or hang.
     std::ifstream f(PLAST_CORPUS_DIR "/clean_seed_3.pir");
     ASSERT_TRUE(f) << "no corpus under " PLAST_CORPUS_DIR;
     std::stringstream text;
     text << f.rdbuf();
     std::string t = text.str();
-    const std::string arch = "arch 16 8 8 16 8 4 16 4 6 16";
-    size_t at = t.find(arch);
+    const std::string params = "params 16 8 16 32 64 4 6 32\n"
+                               "pcu_params 16 8 6 6 5 3 3 4 16\n"
+                               "pmu_params 16 8 4 6 4 0 3 1 0\n"
+                               "dram_params 4 8 8192 14 14 14 35 5 16 0\n";
+    size_t at = t.find(params);
     ASSERT_NE(at, std::string::npos);
+    auto with = [&](const char *line, const char *by) {
+        std::string p = params;
+        p.replace(p.find(line), std::strlen(line), by);
+        return p;
+    };
     for (auto [header, expect] :
-         {std::pair{"arch 16 8 8 16 8 0 16 4 6 16", "dram.channels"},
-          {"arch 4000 4000 8 16 8 4 16 4 6 16", "grid"},
-         {"arch 16 8 8 16 8 4 0 4 6 16", "dram.queueDepth"},
-          {"arch -1 8 8 16 8 4 16 4 6 16", "bad 'arch' field '-1'"}}) {
+         {std::pair{with("dram_params 4 ", "dram_params 0 "),
+                    std::string("dram.channels")},
+          {with("params 16 8 ", "params 4000 4000 "), "grid"},
+          {with(" 5 16 0\n", " 5 0 0\n"), "dram.queueDepth"},
+          {with("params 16 ", "params -1 "), "params: bad number '-1'"},
+          {std::string("arch 16 8 8 16 8 4 16 4 6 16\n"),
+           "expected 'params', got 'arch'"}}) {
         std::string path = ::testing::TempDir() + "arch_header.pir";
         std::ofstream(path) << t.substr(0, at) + header +
-                                   t.substr(at + arch.size());
+                                   t.substr(at + params.size());
         DiffResult d = replayFile(path);
         EXPECT_FALSE(d.ok()) << header;
         EXPECT_FALSE(d.mismatch()) << header << ": " << d.detail;
@@ -338,10 +352,24 @@ TEST(Fuzz, CorpusReplaysDeterministically)
     ASSERT_FALSE(files.empty()) << "no corpus under " PLAST_CORPUS_DIR;
 
     for (const std::string &f : files) {
-        std::ifstream is(f);
+        std::ifstream in(f);
+        std::stringstream text;
+        text << in.rdbuf();
+        std::istringstream is(text.str());
         FuzzCase c;
         std::string err;
         ASSERT_TRUE(readSeedFile(is, c, &err)) << f << ": " << err;
+        // Read -> write is a byte fixpoint: past its leading '#' notes
+        // (a shrunk seed's mismatch detail, a curator's comment), the
+        // file is exactly what writeSeedFile writes for it.
+        std::ostringstream os;
+        writeSeedFile(os, c);
+        const std::string file = text.str(), written = os.str();
+        size_t notes = file.size() - std::min(file.size(), written.size());
+        EXPECT_EQ(file.substr(notes), written) << f;
+        std::istringstream ns(file.substr(0, notes));
+        for (std::string line; std::getline(ns, line);)
+            EXPECT_EQ(line.rfind('#', 0), 0u) << f << ": " << line;
         DiffResult a = replayFile(f);
         DiffResult b = replayFile(f);
         // Bit-for-bit deterministic outcome...

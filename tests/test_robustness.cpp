@@ -431,8 +431,6 @@ TEST(DiagnosedErrors, UnindexableArchIsACompileErrorNamingTheField)
     EXPECT_EQ(
         bindingOf([](ArchParams &p) { p.coalescerMaxOutstanding = 0; }),
         "coalescerMaxOutstanding");
-    EXPECT_EQ(bindingOf([](ArchParams &p) { p.dram.burstBytes = 0; }),
-              "dram.burstBytes");
     EXPECT_EQ(bindingOf([](ArchParams &p) { p.dram.banksPerChannel = 0; }),
               "dram.banksPerChannel");
     EXPECT_EQ(bindingOf([](ArchParams &p) { p.dram.rowBytes = 0; }),

@@ -24,6 +24,7 @@
 #include <sstream>
 #include <thread>
 
+#include "arch/cfgio.hpp"
 #include "base/profile.hpp"
 #include "fuzz/diff.hpp"
 #include "fuzz/harness.hpp"
@@ -255,15 +256,6 @@ TEST(ServeCache, AccessLogRecordsSequenceAndHits)
 }
 
 // ---- content addressing ---------------------------------------------
-
-TEST(ServeHash, Fnv1a64GoldenVectors)
-{
-    // Published FNV-1a 64 test vectors: if these move, every cache
-    // address and manifest hash in the repo moves with them.
-    EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
-    EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
-    EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
-}
 
 TEST(ServeHash, CacheAddressEqualsManifestHashes)
 {
@@ -548,8 +540,8 @@ TEST(ServeStress, FailedCompilesAreNegativelyCached)
 
 TEST(ServeStress, ZeroDramChannelsIsATypedCompileError)
 {
-    // A wire job whose arch header has no DRAM channel used to take the
-    // daemon down with a divide by zero; it is a typed outcome.
+    // A wire job whose params lines have no DRAM channel used to take
+    // the daemon down with a divide by zero; it is a typed outcome.
     apps::AppInstance inst = apps::makeInnerProduct(apps::Scale::kTiny);
     JobSpec spec;
     spec.source = "no-channels";
@@ -1442,7 +1434,6 @@ TEST(ServeBreaker, OpensAfterRepeatedCompileFailuresThenProbes)
     o.workers = 1;
     o.resultCache = false;
     o.breakerThreshold = 2;
-    o.breakerProbeEvery = 3;
     Server server(o);
     server.start();
     auto submitAndWait = [&](JobSpec s, size_t expectTotal) {
@@ -1450,26 +1441,25 @@ TEST(ServeBreaker, OpensAfterRepeatedCompileFailuresThenProbes)
         while (server.results().size() < expectTotal)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
     };
-    bad.source = "bad-1";
-    submitAndWait(bad, 1);
-    bad.source = "bad-2";
-    submitAndWait(bad, 2); // 2 consecutive failures: breaker opens
-    bad.source = "bad-3";
-    submitAndWait(bad, 3); // fast-failed (no execution)
-    bad.source = "bad-4";
-    submitAndWait(bad, 4); // fast-failed
-    bad.source = "bad-5";
-    submitAndWait(bad, 5); // 3rd rejection candidate = admitted probe
+    // bad-1 and bad-2 fail to compile and open the breaker; the next
+    // kBreakerProbeEvery - 1 are fast-failed without execution, and
+    // the kBreakerProbeEvery-th rejection candidate is admitted as a
+    // probe.
+    const uint32_t probe = 2 + Server::kBreakerProbeEvery;
+    for (uint32_t i = 1; i <= probe; ++i) {
+        bad.source = strfmt("bad-%u", i);
+        submitAndWait(bad, i);
+    }
 
     // An innocent tenant is never affected.
     JobSpec good = tinyAppSpec("good");
     good.tenant = "quiet";
-    submitAndWait(std::move(good), 6);
+    submitAndWait(std::move(good), probe + 1);
     server.drain();
 
     std::vector<JobResult> rs = server.results();
-    ASSERT_EQ(rs.size(), 6u);
-    auto outcomeOf = [&](const char *src) -> std::string {
+    ASSERT_EQ(rs.size(), probe + 1);
+    auto outcomeOf = [&](const std::string &src) -> std::string {
         for (const JobResult &r : rs)
             if (r.source == src)
                 return r.outcome ? r.outcome->outcome : "lost";
@@ -1477,13 +1467,14 @@ TEST(ServeBreaker, OpensAfterRepeatedCompileFailuresThenProbes)
     };
     EXPECT_EQ(outcomeOf("bad-1"), "compile-error");
     EXPECT_EQ(outcomeOf("bad-2"), "compile-error");
-    EXPECT_EQ(outcomeOf("bad-3"), "circuit-open");
-    EXPECT_EQ(outcomeOf("bad-4"), "circuit-open");
-    EXPECT_EQ(outcomeOf("bad-5"), "compile-error")
+    for (uint32_t i = 3; i < probe; ++i)
+        EXPECT_EQ(outcomeOf(strfmt("bad-%u", i)), "circuit-open") << i;
+    EXPECT_EQ(outcomeOf(strfmt("bad-%u", probe)), "compile-error")
         << "every Nth submission must probe the breaker";
     EXPECT_EQ(outcomeOf("good"), "ok")
         << "breakers are per-tenant";
-    EXPECT_EQ(server.robustness().circuitOpen, 2u);
+    EXPECT_EQ(server.robustness().circuitOpen,
+              Server::kBreakerProbeEvery - 1);
 }
 
 // ---- robustness: faulted jobs under the recovery orchestrator -------

@@ -209,16 +209,18 @@ TEST(StoreCodec, VersionSkewAndReservedFlagsAreRejected)
     apps::AppInstance inst = apps::makeInnerProduct(apps::Scale::kTiny);
     std::string bytes = encodeRecord(storedFor(inst, params));
 
-    std::string v2 = bytes;
-    v2[8] = 2; // version field, little-endian low byte
+    // A record of the previous version (v1: the hand-listed arch hash
+    // and `fabriccfg 1`); the version field's little-endian low byte.
+    std::string old = bytes;
+    old[8] = static_cast<char>(RecordHeader::kVersion - 1);
     StoredConfig out;
-    Status st = decodeRecord(v2, out);
+    Status st = decodeRecord(old, out);
     EXPECT_EQ(st.code(), StatusCode::kCorrupt);
     EXPECT_NE(st.toString().find("version"), std::string::npos)
         << st.toString();
 
     std::string flagged = bytes;
-    flagged[12] = 1; // reserved flags must be zero in v1
+    flagged[12] = 1; // reserved flags must be zero
     st = decodeRecord(flagged, out);
     EXPECT_EQ(st.code(), StatusCode::kCorrupt);
 }
