@@ -62,8 +62,8 @@ gatherCycles(BankingMode mode)
             ++pushed;
         }
         pmu.step(now);
-        addrs.tick(now);
-        out.tick(now);
+        addrs.commit(now);
+        out.commit(now);
         while (out.canPop()) {
             out.pop();
             ++popped;

@@ -1,20 +1,19 @@
 /**
  * @file
  * Host-side cost of the simulation core: runs every Table 4 benchmark
- * end to end under three engine combinations — dense tick +
- * interpreter, activity scheduling + interpreter, and activity
- * scheduling + specialized execution plans — and reports the
- * wall-clock speedups of the *simulation phase* (input staging and
- * compile with place & route are engine-independent and timed in
- * columns of their own). All combinations simulate the same machine — outputs,
- * cycles, counters and cycle ledgers (checkWholeRun, enforced here
- * fatally and by the test suite); the activity win
- * comes from not ticking blocked units, and the specialization win
- * from flat pre-resolved stage plans, monomorphic vectorized kernels
- * and elided dead machinery (DESIGN.md §13).
+ * end to end under the two engines — the oracle (dense tick over the
+ * interpreter) and production (activity scheduling over specialized
+ * execution plans) — and reports the wall-clock speedup of the
+ * *simulation phase* (input staging and compile with place & route
+ * are engine-independent and timed in columns of their own). Both
+ * simulate the same machine — outputs, cycles, counters and cycle
+ * ledgers (checkWholeRun, enforced here fatally and by the test
+ * suite); the win comes from not ticking blocked units, flat
+ * pre-resolved stage plans, monomorphic vectorized kernels and elided
+ * dead machinery (DESIGN.md §13).
  *
  * `--paper` additionally runs InnerProduct at the paper's dataset size
- * (768 M elements, Table 7) under the specialized engine — the run the
+ * (768 M elements, Table 7) under the production engine — the run the
  * interpretive simulator could not complete in reasonable wall-clock.
  */
 
@@ -31,7 +30,7 @@ using namespace plast;
 namespace
 {
 
-struct ModeRun
+struct EngineRun
 {
     double setupSeconds = 0;   ///< build the program, stage its inputs
     double compileSeconds = 0; ///< compile + place-and-route
@@ -58,11 +57,11 @@ compileOrDie(Runner &runner)
     fatal_if(!st.ok(), "%s", st.message().c_str());
 }
 
-ModeRun
+EngineRun
 timeApp(const apps::AppSpec &spec, apps::Scale scale, SimOptions opts,
         StatSet *statsOut = nullptr)
 {
-    ModeRun out;
+    EngineRun out;
     auto t = std::chrono::steady_clock::now();
     apps::AppInstance app = spec.make(scale);
     Runner runner(std::move(app.prog), ArchParams::plasticineFinal(),
@@ -88,14 +87,11 @@ void
 runPaperScaleInnerProduct()
 {
     std::printf("\n=== Paper-scale InnerProduct (768 M elements, "
-                "Table 7) — activity + specialized ===\n");
+                "Table 7) — production engine ===\n");
     auto t = std::chrono::steady_clock::now();
     apps::AppInstance app =
         apps::makeInnerProduct(apps::Scale::kPaper);
-    SimOptions opts;
-    opts.simMode = SimMode::kSpecialized;
-    Runner runner(std::move(app.prog), ArchParams::plasticineFinal(),
-                  opts);
+    Runner runner(std::move(app.prog), ArchParams::plasticineFinal());
     app.load(runner);
     double setup = secondsSince(t);
     compileOrDie(runner);
@@ -123,42 +119,31 @@ main(int argc, char **argv)
         return *rc;
     apps::Scale scale = tiny ? apps::Scale::kTiny : apps::Scale::kDefault;
 
-    SimOptions dense; // the reference oracle: dense tick, interpreter
-    dense.mode = SimOptions::Mode::kDense;
-    dense.simMode = SimMode::kInterp;
-    SimOptions activity;
-    activity.simMode = SimMode::kInterp;
-    SimOptions specialized; // the production default
-    specialized.simMode = SimMode::kSpecialized;
+    SimOptions oracle;
+    oracle.engine = Engine::kOracle;
 
-    std::printf("=== Simulation-phase cost: dense+interp vs "
-                "activity+interp vs activity+specialized ===\n");
-    std::printf("%-14s | %10s | %8s %9s | %9s %9s %9s | %7s %7s\n",
-                "benchmark", "cycles", "setup_s", "compile_s", "dense_s",
-                "activ_s", "spec_s", "act_x", "spec_x");
+    std::printf("=== Simulation-phase cost: oracle (dense+interp) vs "
+                "production (activity+specialized) ===\n");
+    std::printf("%-14s | %10s | %8s %9s | %9s %9s | %7s\n", "benchmark",
+                "cycles", "setup_s", "compile_s", "dense_s", "spec_s",
+                "spec_x");
 
     StatSet json_stats;
-    double dense_total = 0, act_total = 0, spec_total = 0;
+    double dense_total = 0, spec_total = 0;
     for (const auto &spec : apps::allApps()) {
-        ModeRun d = timeApp(spec, scale, dense);
-        ModeRun a = timeApp(spec, scale, activity);
-        ModeRun s = timeApp(spec, scale, specialized,
-                            json_path.empty() ? nullptr : &json_stats);
-        for (const Status &st :
-             {checkWholeRun(d.prog, d.rec, a.rec,
-                            spec.name + " dense vs activity"),
-              checkWholeRun(d.prog, a.rec, s.rec,
-                            spec.name + " interp vs specialized")})
-            fatal_if(!st.ok(), "%s", st.message().c_str());
+        EngineRun d = timeApp(spec, scale, oracle);
+        EngineRun s = timeApp(spec, scale, SimOptions{},
+                              json_path.empty() ? nullptr : &json_stats);
+        Status st = checkWholeRun(d.prog, d.rec, s.rec,
+                                  spec.name + " oracle vs production");
+        fatal_if(!st.ok(), "%s", st.message().c_str());
         dense_total += d.simSeconds;
-        act_total += a.simSeconds;
         spec_total += s.simSeconds;
-        std::printf("%-14s | %10llu | %8.4f %9.4f | %9.4f %9.4f %9.4f | "
-                    "%6.2fx %6.2fx\n",
+        std::printf("%-14s | %10llu | %8.4f %9.4f | %9.4f %9.4f | "
+                    "%6.2fx\n",
                     spec.name.c_str(), (unsigned long long)d.rec.cycles,
                     s.setupSeconds, s.compileSeconds, d.simSeconds,
-                    a.simSeconds, s.simSeconds, d.simSeconds / a.simSeconds,
-                    d.simSeconds / s.simSeconds);
+                    s.simSeconds, d.simSeconds / s.simSeconds);
         if (!json_path.empty()) {
             json_stats.set(spec.name + ".wall_us.setup",
                            (uint64_t)(s.setupSeconds * 1e6));
@@ -166,16 +151,13 @@ main(int argc, char **argv)
                            (uint64_t)(s.compileSeconds * 1e6));
             json_stats.set(spec.name + ".wall_us.dense_interp",
                            (uint64_t)(d.simSeconds * 1e6));
-            json_stats.set(spec.name + ".wall_us.activity_interp",
-                           (uint64_t)(a.simSeconds * 1e6));
             json_stats.set(spec.name + ".wall_us.activity_specialized",
                            (uint64_t)(s.simSeconds * 1e6));
         }
     }
-    std::printf("%-14s | %10s | %8s %9s | %9.4f %9.4f %9.4f | %6.2fx "
-                "%6.2fx\n",
-                "total", "", "", "", dense_total, act_total, spec_total,
-                dense_total / act_total, dense_total / spec_total);
+    std::printf("%-14s | %10s | %8s %9s | %9.4f %9.4f | %6.2fx\n",
+                "total", "", "", "", dense_total, spec_total,
+                dense_total / spec_total);
     bench::writeStatsJson(json_path, json_stats, "scheduler");
     if (paper)
         runPaperScaleInnerProduct();

@@ -50,14 +50,10 @@ main(int argc, char **argv)
                   return spec ? std::string()
                               : "unknown benchmark '" + v + "'";
               })
-        .word("mode", opts.mode,
-              {{"activity", SimOptions::Mode::kActivity},
-               {"dense", SimOptions::Mode::kDense}},
-              "simulation mode")
-        .word("sim-mode", opts.simMode,
-              {{"interp", SimMode::kInterp},
-               {"specialized", SimMode::kSpecialized}},
-              "datapath engine")
+        .word("engine", opts.engine,
+              {{"production", Engine::kProduction},
+               {"oracle", Engine::kOracle}},
+              "simulation engine")
         .word("scale", scale,
               {{"tiny", apps::Scale::kTiny}, {"default", apps::Scale::kDefault}},
               "workload size")
@@ -86,9 +82,7 @@ main(int argc, char **argv)
     std::printf("%s: %llu cycles (%s mode, %s datapath)\n",
                 app.name.c_str(),
                 static_cast<unsigned long long>(res.cycles),
-                opts.mode == SimOptions::Mode::kDense ? "dense"
-                                                      : "activity",
-                simModeName(opts.simMode));
+                schedulerName(opts.engine), datapathName(opts.engine));
 
     const Fabric *fab = runner.fabric();
     if (!trace_path.empty()) {

@@ -110,8 +110,8 @@ diffRun(const Program &prog, const ArchParams &params,
         std::make_shared<const compiler::MapResult>(std::move(probe));
 
     // Fault-library injection: one plan, targeted at the mapped config;
-    // every scheduler mode gets a fresh injector over the same plan so
-    // the upsets land on identical cycles in both modes.
+    // each engine gets a fresh injector over the same plan so the
+    // upsets land on identical cycles under both.
     resilience::FaultPlan plan;
     if (opts.injectMode >= 2) {
         // Fuzz programs finish in a few hundred cycles, so the plan
@@ -126,8 +126,8 @@ diffRun(const Program &prog, const ArchParams &params,
             /*includeHard=*/false);
     }
 
-    // One leg: the shared compile under one engine combination, run to
-    // completion or to whatever stopped it, DRAM read back.
+    // One leg: the shared compile under one engine, run to completion
+    // or to whatever stopped it, DRAM read back.
     struct Leg
     {
         std::unique_ptr<resilience::FaultInjector> injector;
@@ -135,10 +135,9 @@ diffRun(const Program &prog, const ArchParams &params,
         Status status;
         Runner::Result rec;
     };
-    auto runLeg = [&](SimOptions::Mode mode, SimMode simMode) {
+    auto runLeg = [&](Engine engine) {
         SimOptions so;
-        so.mode = mode;
-        so.simMode = simMode;
+        so.engine = engine;
         Leg leg;
         leg.runner = std::make_unique<Runner>(prog, params, so);
         leg.runner->adoptCompiled(compiled);
@@ -158,53 +157,38 @@ diffRun(const Program &prog, const ArchParams &params,
         return out;
     };
 
-    // 1. Reference vs fabric: the activity-mode interpreter run must
-    //    complete with the evaluator's argOut streams and DRAM images;
-    //    then the cycle-ledger invariant on its fabric.
-    Leg activity = runLeg(SimOptions::Mode::kActivity, SimMode::kInterp);
-    out.cycles = activity.rec.cycles;
-    if (!activity.status.ok())
+    // 1. Reference vs fabric: the production run must complete with
+    //    the evaluator's argOut streams and DRAM images; then the
+    //    cycle-ledger invariant on its fabric.
+    Leg production = runLeg(Engine::kProduction);
+    out.cycles = production.rec.cycles;
+    if (!production.status.ok())
         return mismatch("ref vs fabric: fabric stopped: " +
-                        activity.status.message());
+                        production.status.message());
     if (Status st = checkOutputs(
-            prog, recordOf(activity.runner->runReference(), prog),
-            activity.rec, "ref vs fabric");
+            prog, recordOf(production.runner->runReference(), prog),
+            production.rec, "ref vs fabric");
         !st.ok())
         return mismatch(st.message());
-    if (auto e = checkLedger(*activity.runner->fabric()); !e.empty())
+    if (auto e = checkLedger(*production.runner->fabric()); !e.empty())
         return mismatch(e);
 
-    // 2. Re-runs stop as that run did and simulate the same machine:
-    //    outputs, cycles, counters and cycle ledgers (checkWholeRun,
-    //    with dense ticking as the ledger oracle).
-    auto parity = [&](const char *legs, const Leg &oracle,
-                      const Leg &fast) -> std::string {
-        if (oracle.status.code() != fast.status.code())
-            return strfmt("%s: stopped as %s vs %s", legs,
-                          statusCodeName(oracle.status.code()),
-                          statusCodeName(fast.status.code()));
-        Status st = checkWholeRun(prog, oracle.rec, fast.rec, legs);
-        return st.ok() ? std::string() : st.message();
-    };
-    // Scheduler mode: dense evaluation of every unit every cycle.
-    if (opts.checkDense) {
-        Leg dense = runLeg(SimOptions::Mode::kDense, SimMode::kInterp);
-        if (auto d = parity("scheduler parity: dense vs activity", dense,
-                            activity);
-            !d.empty())
-            return mismatch(d);
-        if (auto e = checkLedger(*dense.runner->fabric()); !e.empty())
-            return mismatch("dense " + e);
-    }
-    // Datapath: the specialized execution plans.
-    Leg specialized =
-        runLeg(SimOptions::Mode::kActivity, SimMode::kSpecialized);
-    if (auto d = parity("datapath parity: interp vs specialized", activity,
-                        specialized);
-        !d.empty())
-        return mismatch(d);
-    if (auto e = checkLedger(*specialized.runner->fabric()); !e.empty())
-        return mismatch("specialized " + e);
+    // 2. The oracle stops as that run did and simulates the same
+    //    machine: outputs, cycles, counters and cycle ledgers
+    //    (checkWholeRun, with dense ticking as the ledger oracle).
+    if (!opts.checkDense)
+        return out;
+    Leg oracle = runLeg(Engine::kOracle);
+    const char *legs = "engine parity: oracle vs production";
+    if (oracle.status.code() != production.status.code())
+        return mismatch(strfmt("%s: stopped as %s vs %s", legs,
+                               statusCodeName(oracle.status.code()),
+                               statusCodeName(production.status.code())));
+    if (Status st = checkWholeRun(prog, oracle.rec, production.rec, legs);
+        !st.ok())
+        return mismatch(st.message());
+    if (auto e = checkLedger(*oracle.runner->fabric()); !e.empty())
+        return mismatch("oracle " + e);
     return out;
 }
 

@@ -43,7 +43,7 @@ main(int argc, char **argv)
         .implicit("1")
         .sw("oversize", opts.oversize,
             "undersized fabrics: every compile is diagnosed or validates")
-        .sw("no-dense", opts.checkDense, "skip the dense-scheduler parity re-run",
+        .sw("no-dense", opts.checkDense, "skip the oracle-engine parity re-run",
             false)
         .sw("no-shrink", opts.shrink, "keep failing programs unshrunk", false)
         .sw("quiet", opts.progress, "suppress per-case progress", false);

@@ -243,11 +243,17 @@ fuzz(const FuzzOptions &opts)
         ++stats.mismatches;
         stats.details.push_back(d.detail);
         FuzzCase minimal = c;
+        // The note is the saved program's own mismatch: the shrinker
+        // returns the last candidate that failed.
+        std::string detail = d.detail;
         if (opts.shrink) {
             auto stillFails = [&](const Program &cand) {
                 FuzzCase probe{cand, c.params, c.inject,
                                c.expectDiagnosed};
-                return runCase(probe, opts.checkDense).mismatch();
+                DiffResult r = runCase(probe, opts.checkDense);
+                if (r.mismatch())
+                    detail = r.detail;
+                return r.mismatch();
             };
             ShrinkResult sr = shrinkProgram(c.prog, stillFails);
             minimal.prog = sr.prog;
@@ -263,7 +269,7 @@ fuzz(const FuzzOptions &opts)
                        static_cast<unsigned long long>(caseSeed));
             std::ofstream os(path);
             if (os) {
-                os << "# detail: " << d.detail << '\n';
+                os << "# detail: " << detail << '\n';
                 writeSeedFile(os, minimal);
                 stats.savedFiles.push_back(path);
             } else {

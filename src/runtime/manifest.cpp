@@ -5,14 +5,6 @@
 namespace plast
 {
 
-uint64_t
-fnv1a64(const std::string &text)
-{
-    Fnv1a f;
-    f.bytes(text);
-    return f.h;
-}
-
 namespace
 {
 

@@ -13,11 +13,9 @@
  * receipt a job returns. Key order is fixed (tested by a golden in
  * tests/test_telemetry.cpp); add new keys, never reorder or rename.
  *
- * Hashes use FNV-1a over canonical text serializations (pir/serialize
- * for programs, arch/cfgio for configs and for params) so they are
- * stable across platforms and standard-library versions — unlike
- * std::hash, which the checkpoint guard can use because checkpoints
- * never cross processes.
+ * Hashes use FNV-1a (base/hash.hpp) over canonical text serializations
+ * (pir/serialize for programs, arch/cfgio for configs and params), so
+ * they are stable across platforms and standard-library versions.
  */
 
 #ifndef PLAST_RUNTIME_MANIFEST_HPP
@@ -27,52 +25,11 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <string_view>
+
+#include "base/hash.hpp"
 
 namespace plast
 {
-
-/** Incremental FNV-1a 64 over mixed fields: raw bytes, little-endian
- *  words and terminated strings fold into one running hash, so text
- *  hashes and binary hashes share one hash family. */
-struct Fnv1a
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-
-    void
-    byte(uint8_t b)
-    {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    }
-    void
-    bytes(std::string_view s)
-    {
-        for (unsigned char c : s)
-            byte(c);
-    }
-    void
-    u32(uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            byte(static_cast<uint8_t>(v >> (8 * i)));
-    }
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            byte(static_cast<uint8_t>(v >> (8 * i)));
-    }
-    void
-    str(std::string_view s)
-    {
-        bytes(s);
-        byte(0); // terminator: "ab"+"c" != "a"+"bc"
-    }
-};
-
-/** FNV-1a 64-bit over bytes; platform-stable (unlike std::hash). */
-uint64_t fnv1a64(const std::string &text);
 
 struct RunManifest
 {

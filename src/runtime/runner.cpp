@@ -223,10 +223,8 @@ Runner::buildManifest(const Result &res, Status st) const
     m.program = prog_.name;
     m.pirHash = fnv1a64(pir::programToText(prog_));
     m.archHash = fnv1a64(archParamsText(params_));
-    m.schedMode = simOpts_.mode == SimOptions::Mode::kDense
-                      ? "dense"
-                      : "activity";
-    m.simMode = simModeName(simOpts_.simMode);
+    m.schedMode = schedulerName(simOpts_.engine);
+    m.simMode = datapathName(simOpts_.engine);
     m.arch = params_.describe();
     m.compiled = compiled_;
     if (compiled_)

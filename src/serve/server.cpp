@@ -45,9 +45,8 @@ uint64_t
 hashOptions(const ServeOptions &opts, Cycles jobMaxCycles)
 {
     Fnv1a f;
-    f.str(opts.simOpts.mode == SimOptions::Mode::kDense ? "dense"
-                                                        : "activity");
-    f.str(simModeName(opts.simOpts.simMode));
+    f.str(schedulerName(opts.simOpts.engine));
+    f.str(datapathName(opts.simOpts.engine));
     f.u64(jobMaxCycles ? jobMaxCycles : opts.maxCycles);
     f.byte(opts.validate ? 1 : 0);
     return f.h;

@@ -213,8 +213,8 @@ uint64_t hashArch(const ArchParams &params);
 /** FNV-1a over the staged host input buffers (MemId + words, in id
  *  order). */
 uint64_t hashInputs(const std::map<pir::MemId, std::vector<Word>> &bufs);
-/** FNV-1a over the execution options that shape a result: scheduler
- *  mode, sim mode, cycle budget, validate flag. */
+/** FNV-1a over the execution options that shape a result: engine
+ *  (scheduler and datapath names), cycle budget, validate flag. */
 uint64_t hashOptions(const ServeOptions &opts, Cycles jobMaxCycles);
 /** Job-aware overload: additionally folds the job's fault-plan
  *  parameters (a faulted execution is a different execution).

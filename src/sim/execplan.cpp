@@ -9,13 +9,15 @@ namespace plast
 {
 
 const char *
-simModeName(SimMode mode)
+schedulerName(Engine engine)
 {
-    switch (mode) {
-      case SimMode::kInterp: return "interp";
-      case SimMode::kSpecialized: return "specialized";
-    }
-    return "?";
+    return engine == Engine::kOracle ? "dense" : "activity";
+}
+
+const char *
+datapathName(Engine engine)
+{
+    return engine == Engine::kOracle ? "interp" : "specialized";
 }
 
 namespace

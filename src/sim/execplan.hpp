@@ -11,9 +11,10 @@
  * The plan is semantics-preserving by construction: every kernel is an
  * instantiation of mapKernel<OP>, whose body is the same inline
  * fuApply the interpreter's fuExec wraps, and operand resolution
- * mirrors PcuSim::operandValue exactly. Parity with SimMode::kInterp
- * is enforced bit-exactly (outputs, DRAM, cycle counts, checkpoint
- * tapes) by tests/test_specialized.cpp and the differential fuzzer.
+ * mirrors PcuSim::operandValue exactly. Parity with the oracle's
+ * interpreter is enforced bit-exactly (outputs, DRAM, cycle counts,
+ * checkpoint tapes) by the engine-parity suites and the differential
+ * fuzzer.
  */
 
 #ifndef PLAST_SIM_EXECPLAN_HPP
@@ -29,16 +30,18 @@
 namespace plast
 {
 
-/** Which execution engine the fabric's datapaths run on. Orthogonal to
- *  SimOptions::Mode (the host scheduling axis): either engine runs
- *  under either scheduler, and all four combinations are bit-exact. */
-enum class SimMode : uint8_t
+/** The simulator's one engine choice (SimOptions::engine); the two
+ *  simulate the same machine bit-exactly. */
+enum class Engine : uint8_t
 {
-    kInterp,      ///< re-interpret StageCfg per lane (reference)
-    kSpecialized, ///< run pre-lowered ExecPlans (fast path)
+    kOracle,     ///< dense ticking, StageCfg re-interpreted per lane
+    kProduction, ///< activity scheduling over pre-lowered ExecPlans
 };
 
-const char *simModeName(SimMode mode);
+/** The names manifests and option hashes give an engine's scheduler
+ *  ("dense" | "activity") and datapath ("interp" | "specialized"). */
+const char *schedulerName(Engine engine);
+const char *datapathName(Engine engine);
 
 /**
  * Monomorphic lane kernel for one kMap stage: dst[l] = OP(a,b,c) over

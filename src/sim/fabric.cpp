@@ -1,9 +1,9 @@
 #include "sim/fabric.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "arch/cfgio.hpp"
+#include "base/hash.hpp"
 #include "base/logging.hpp"
 #include "base/profile.hpp"
 #include "resilience/fault.hpp"
@@ -31,23 +31,22 @@ Fabric::Fabric(const FabricConfig &cfg, SimOptions opts)
                  cfg_.rootBox >= static_cast<int>(cfg_.boxes.size()),
              "fabric config has no root controller");
 
-    // Specialized-mode unit construction lowers the config into flat
+    // Production-engine unit construction lowers the config into flat
     // execution plans (sim/execplan.hpp); account that host work to
     // its own phase so plan-build cost is visible next to sim time.
-    ScopedSpan buildSpan(opts_.simMode == SimMode::kSpecialized
-                             ? "sim.plan-build"
-                             : "sim.build-units");
+    const Engine engine = opts_.engine;
+    ScopedSpan buildSpan(engine == Engine::kProduction ? "sim.plan-build"
+                                                       : "sim.build-units");
 
     const ArchParams &ap = cfg_.params;
-    const SimMode sm = opts_.simMode;
     buildUnits(pcus_, cfg_.pcus, [&](uint32_t i, const PcuCfg &c) {
-        return std::make_unique<PcuSim>(ap, i, c, sm);
+        return std::make_unique<PcuSim>(ap, i, c, engine);
     });
     buildUnits(pmus_, cfg_.pmus, [&](uint32_t i, const PmuCfg &c) {
-        return std::make_unique<PmuSim>(ap, i, c, sm);
+        return std::make_unique<PmuSim>(ap, i, c, engine);
     });
     buildUnits(ags_, cfg_.ags, [&](uint32_t i, const AgCfg &c) {
-        return std::make_unique<AgSim>(ap, i, c, mem_, sm);
+        return std::make_unique<AgSim>(ap, i, c, mem_, engine);
     });
     buildUnits(boxes_, cfg_.boxes, [&](uint32_t i, const ControlBoxCfg &c) {
         return std::make_unique<CtrlBoxSim>(ap, i, c);
@@ -62,11 +61,6 @@ Fabric::Fabric(const FabricConfig &cfg, SimOptions opts)
                 u->scratch().enableEcc(true);
         }
     }
-
-    // Checkpoints are only exchangeable between fabrics built from the
-    // identical configuration (same placement, same routes); hash the
-    // canonical text form as the compatibility guard.
-    cfgHash_ = std::hash<std::string>{}(configToText(cfg_));
 
     buildChannels();
 
@@ -86,7 +80,7 @@ Fabric::Fabric(const FabricConfig &cfg, SimOptions opts)
         p.constVal = cs.value;
     }
 
-    if (opts_.mode == SimOptions::Mode::kActivity)
+    if (engine == Engine::kProduction)
         registerSimObjects();
 
     setupTrace();
@@ -159,7 +153,7 @@ Fabric::setupTrace()
 
 /** Attach everything to the scheduler: units in dense order, so
  *  order-sensitive races (two AGs submitting to one coalescing unit in
- *  the same cycle) resolve identically in both modes. */
+ *  the same cycle) resolve identically under both engines. */
 void
 Fabric::registerSimObjects()
 {
@@ -293,10 +287,10 @@ Fabric::step()
 {
     // Fault events land at the cycle boundary, before any unit
     // evaluates, so an injected flip is visible to every reader of this
-    // cycle in both modes (dense/activity parity).
+    // cycle under both engines (oracle/production parity).
     if (injector_)
         applyDueFaults();
-    if (opts_.mode == SimOptions::Mode::kDense) {
+    if (opts_.engine == Engine::kOracle) {
         // Tick every unit, the memory system and every stream; record
         // the progress bit the scheduler computes from the same reports.
         progress_ = false;
@@ -358,11 +352,11 @@ Fabric::nextBusyCycle() const
 }
 
 /**
- * The one run loop. The two modes differ only in how step() advances a
- * cycle, in that activity mode skips cycles on which nothing can
- * happen (every skipped cycle is a no-op under dense ticking), and in
- * how a deadlock is recognised: activity mode the cycle the active set
- * empties, dense mode after kDeadlockWindow cycles without progress.
+ * The one run loop. The two engines differ only in how step() advances
+ * a cycle, in that production skips cycles on which nothing can happen
+ * (every skipped cycle is a no-op under dense ticking), and in how a
+ * deadlock is recognised: production the cycle the active set empties,
+ * the oracle after kDeadlockWindow cycles without progress.
  */
 RunResult
 Fabric::runChecked(Cycles maxCycles)
@@ -370,7 +364,7 @@ Fabric::runChecked(Cycles maxCycles)
     ScopedSpan span("sim.run");
     CtrlBoxSim *root = boxes_.at(cfg_.rootBox).get();
     fatal_if(!root, "root controller not instantiated");
-    const bool dense = opts_.mode == SimOptions::Mode::kDense;
+    const bool dense = opts_.engine == Engine::kOracle;
     auto stop = [this](Status st) {
         return RunResult{std::move(st), now_, kNeverCycle};
     };
@@ -435,7 +429,7 @@ Fabric::runChecked(Cycles maxCycles)
     // Drain in-flight writes and host-bound scalars: step (no skipping)
     // until nothing has moved for a full window, which covers the
     // longest routed channel, so the final cycle count is the same in
-    // both modes. Idle drain cycles are O(1) under activity.
+    // both engines. Idle drain cycles are O(1) under production.
     Cycles quiet_since = now_;
     while (now_ - quiet_since < kDrainQuietWindow &&
            now_ - done_at < kDrainMaxCycles) {
@@ -521,7 +515,7 @@ Fabric::applyDueFaults()
             // The mutation bypasses commit(), so route the wakes it
             // would have produced: a drop frees producer space, a dup
             // gives the consumer a poppable token.
-            if (did && opts_.mode == SimOptions::Mode::kActivity) {
+            if (did && opts_.engine == Engine::kProduction) {
                 if (s->producer())
                     sched_.wakeUnit(s->producer());
                 if (s->consumer())
@@ -635,13 +629,23 @@ Fabric::heldStreams() const
     return held;
 }
 
+/** Checkpoints are only exchangeable between fabrics built from the
+ *  identical configuration (same placement, same routes). */
+uint64_t
+Fabric::cfgHash()
+{
+    if (!cfgHash_)
+        cfgHash_ = fnv1a64(configToText(cfg_));
+    return cfgHash_;
+}
+
 FabricCheckpoint
 Fabric::saveCheckpoint()
 {
     ScopedSpan span("sim.checkpoint");
     FabricCheckpoint cp;
     cp.cycle = now_;
-    cp.cfgHash = cfgHash_;
+    cp.cfgHash = cfgHash();
     StateWriter w;
     serializeFabricState(w);
     cp.tape = w.takeTape();
@@ -652,7 +656,7 @@ Status
 Fabric::restoreCheckpoint(const FabricCheckpoint &cp)
 {
     ScopedSpan span("sim.restore");
-    if (cp.cfgHash != cfgHash_) {
+    if (cp.cfgHash != cfgHash()) {
         return Status(StatusCode::kInvalidArgument,
                       "checkpoint was taken from a differently "
                       "configured fabric");
@@ -683,7 +687,7 @@ Fabric::restoreCheckpoint(const FabricCheckpoint &cp)
     nextHangScanAt_ = 0;
     lastRootIters_ = 0;
     lastRootProgressAt_ = now_;
-    if (opts_.mode == SimOptions::Mode::kActivity)
+    if (opts_.engine == Engine::kProduction)
         sched_.rearmAll();
     return Status();
 }

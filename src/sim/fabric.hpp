@@ -35,26 +35,18 @@ namespace resilience
 class FaultInjector;
 }
 
-/** Dense mode only: runChecked reports a deadlock after this many
- *  cycles without progress. (Activity mode detects deadlock exactly:
+/** Oracle only: runChecked reports a deadlock after this many cycles
+ *  without progress. (The production engine detects deadlock exactly:
  *  empty active set.) */
 inline constexpr uint32_t kDeadlockWindow = 50'000;
 
-/** Simulation-loop options (mode and window tuning). */
+/** Simulation-loop options (engine and window tuning). */
 struct SimOptions
 {
-    enum class Mode
-    {
-        kActivity, ///< event-assisted scheduling (default)
-        kDense,    ///< tick every unit and stream each cycle
-    };
-    Mode mode = Mode::kActivity;
-    /** Datapath engine (sim/execplan.hpp): run the pre-lowered
-     *  execution plans (default), or re-interpret the config per lane —
-     *  kInterp is the reference oracle tests, the fuzzer and bench legs
-     *  name explicitly. Orthogonal to `mode`; every combination is
-     *  bit-exact with every other. */
-    SimMode simMode = SimMode::kSpecialized;
+    /** Production (activity scheduling over the specialized plans) or
+     *  the oracle (dense ticking over the interpreter) that tests, the
+     *  fuzzer and bench legs name explicitly; see sim/execplan.hpp. */
+    Engine engine = Engine::kProduction;
     /** Event tracing and utilization sampling (off by default). */
     TraceOptions trace;
 
@@ -110,18 +102,18 @@ class Fabric
     /**
      * Run until the root controller completes (plus drain) or the clock
      * reaches maxCycles. Everything that stops a run early comes back
-     * as a typed Status: a deadlock (in activity mode the cycle the
-     * active set empties with the root incomplete, in dense mode after
-     * kDeadlockWindow cycles without progress), watchdog/livelock
+     * as a typed Status: a deadlock (in the production engine the cycle
+     * the active set empties with the root incomplete, in the oracle
+     * after kDeadlockWindow cycles without progress), watchdog/livelock
      * trips, ECC-uncorrectable latches and the cap. Cycle maxCycles is
-     * never simulated: both modes stop with kMaxCycles at now() ==
+     * never simulated: both engines stop with kMaxCycles at now() ==
      * maxCycles (or at once when the clock is already there) in the
      * same state. analyzeDeadlock (runtime/bottleneck.hpp) explains a
      * run that stopped.
      */
     RunResult runChecked(Cycles maxCycles = 500'000'000);
 
-    /** Step a single cycle (tests drive this directly). Both modes
+    /** Step a single cycle (tests drive this directly). Both engines
      *  produce bit-identical per-cycle architectural state. */
     void step();
 
@@ -200,7 +192,7 @@ class Fabric
     {
         return const_cast<SimUnit *>(unit(ref));
     }
-    /** Activity mode: the next cycle to simulate — now() while work is
+    /** Production: the next cycle to simulate — now() while work is
      *  pending, else the next stream arrival, memory event or fault
      *  event, no later than the next checkpoint, hang-scan or epoch
      *  duty; kNeverCycle when nothing ever will happen. */
@@ -208,6 +200,7 @@ class Fabric
     void drainHostSinks();
 
     // ---- resilience internals ----------------------------------------
+    uint64_t cfgHash(); ///< checkpoint guard: fnv1a64 of the config text
     void applyDueFaults();
     void maybeAutoCheckpoint();
     /** Periodic watchdog / livelock scan; non-ok on a tripped timer. */
@@ -316,7 +309,7 @@ class Fabric
                    uint64_t &dramBusy) const;
 
     // ---- resilience state --------------------------------------------
-    uint64_t cfgHash_ = 0; ///< hash of the config text (checkpoint guard)
+    uint64_t cfgHash_ = 0; ///< cfgHash()'s memo; 0 until first needed
     resilience::FaultInjector *injector_ = nullptr;
     const CancelToken *cancel_ = nullptr;
     Cycles nextCancelCheckAt_ = 0;
@@ -328,7 +321,7 @@ class Fabric
 
     Cycles now_ = 0;
     /** Did the last step() see a unit report kActive or a busy memory
-     *  system? (Dense and activity stepping record the same bit.) */
+     *  system? (Dense ticking and the scheduler record the same bit.) */
     bool progress_ = false;
 };
 

@@ -13,10 +13,10 @@ namespace plast
 // ====================================================================
 
 AgSim::AgSim(const ArchParams &params, uint32_t index, const AgCfg &cfg,
-             MemSystem &mem, SimMode mode)
+             MemSystem &mem, Engine engine)
     : SimUnit({UnitClass::kAg, static_cast<uint16_t>(index)}, cfg.name),
       params_(params), cfg_(cfg), lanes_(params.pcu.lanes), mem_(mem),
-      mode_(mode)
+      engine_(engine)
 {
     // AG datapaths mirror the PMU scalar datapath (§3.4).
     ports.size(params.pmu.scalarIns, 2, 32, 1, 1, 32);
@@ -119,11 +119,11 @@ AgSim::issueDense(Cycles now)
 
     // Compute the command address from a copy of the chain; commit the
     // advance only if the coalescing unit accepts the command. The
-    // specialized engine memoizes the trial: between a rejection and
+    // production engine memoizes the trial: between a rejection and
     // the retry nothing the address depends on (chain position,
     // run-constant scalars) can change, so re-submits skip the stage
-    // interpretation. The interpreter re-evaluates every attempt.
-    if (mode_ != SimMode::kSpecialized || !trialValid_) {
+    // interpretation. The oracle re-evaluates every attempt.
+    if (engine_ != Engine::kProduction || !trialValid_) {
         trialChain_.copyRunStateFrom(chain_);
         Wavefront &wf = wfScratch_;
         trialChain_.issueInto(wf);

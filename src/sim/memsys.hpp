@@ -59,7 +59,7 @@ class AgSim : public SimUnit
 {
   public:
     AgSim(const ArchParams &params, uint32_t index, const AgCfg &cfg,
-          MemSystem &mem, SimMode mode = SimMode::kInterp);
+          MemSystem &mem, Engine engine = Engine::kOracle);
 
     void step(Cycles now) override;
     bool busy() const override { return state_ != State::kIdle; }
@@ -170,7 +170,7 @@ class AgSim : public SimUnit
     AgCfg cfg_;
     uint32_t lanes_;
     MemSystem &mem_;
-    SimMode mode_;
+    Engine engine_;
 
     State state_ = State::kIdle;
     bool selfStarted_ = false;
@@ -195,10 +195,10 @@ class AgSim : public SimUnit
      *  capacity; re-derived every attempt, never checkpointed. */
     ChainState trialChain_;
     Wavefront wfScratch_;
-    /** Specialized-engine memo: a dense command's address depends only
+    /** Production-engine memo: a dense command's address depends only
      *  on the chain position and run-constant scalars, so a command
      *  rejected by the coalescer re-submits the cached address instead
-     *  of re-interpreting the stage program every polling cycle.
+     *  of re-interpreting the stage program on its retry.
      *  trialChain_ keeps the matching advanced chain state. Derived —
      *  invalidated at run start, on issue, and on restore. */
     bool trialValid_ = false;

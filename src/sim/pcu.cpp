@@ -22,10 +22,10 @@ constexpr auto kLaneIdLanes = [] {
 } // namespace
 
 PcuSim::PcuSim(const ArchParams &params, uint32_t index, const PcuCfg &cfg,
-               SimMode mode)
+               Engine engine)
     : SimUnit({UnitClass::kPcu, static_cast<uint16_t>(index)}, cfg.name),
       params_(params), cfg_(cfg),
-      lanes_(params.pcu.lanes), mode_(mode), plan_(buildPcuPlan(cfg))
+      lanes_(params.pcu.lanes), engine_(engine), plan_(buildPcuPlan(cfg))
 {
     fatal_if(cfg_.stages.empty(), "PCU %u configured with no stages",
              index);
@@ -274,7 +274,7 @@ PcuSim::operandLanes(const Operand &op, const Wavefront &wf,
 void
 PcuSim::applyStage(size_t idx, Wavefront &wf)
 {
-    if (mode_ == SimMode::kSpecialized) {
+    if (engine_ == Engine::kProduction) {
         applyStagePlanned(idx, wf);
         return;
     }

@@ -9,10 +9,10 @@
  *
  * Construction lowers the PcuCfg into a PcuExecPlan (execplan.hpp);
  * evaluate() is thereby split into plan-build (once) and plan-execute
- * (per cycle). Under SimMode::kSpecialized the per-cycle path runs the
- * plan's monomorphic kernels over contiguous lane arrays; kInterp
+ * (per cycle). Under Engine::kProduction the per-cycle path runs the
+ * plan's monomorphic kernels over contiguous lane arrays; kOracle
  * keeps the reference per-lane interpretation of the raw StageCfg.
- * Both modes share the plan's liveness sets (which output ports to
+ * Both engines share the plan's liveness sets (which output ports to
  * scan, which registers to reset) and the pooled wavefront slots that
  * replace per-issue std::optional<Wavefront> copies.
  */
@@ -35,7 +35,7 @@ class PcuSim : public SimUnit
 {
   public:
     PcuSim(const ArchParams &params, uint32_t index, const PcuCfg &cfg,
-           SimMode mode = SimMode::kInterp);
+           Engine engine = Engine::kOracle);
 
     void step(Cycles now) override;
     bool busy() const override { return state_ != State::kIdle; }
@@ -114,7 +114,7 @@ class PcuSim : public SimUnit
     ArchParams params_;
     PcuCfg cfg_;
     uint32_t lanes_;
-    SimMode mode_;
+    Engine engine_;
     PcuExecPlan plan_;
 
     State state_ = State::kIdle;

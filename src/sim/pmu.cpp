@@ -10,9 +10,9 @@ namespace plast
 {
 
 PmuSim::PmuSim(const ArchParams &params, uint32_t index, const PmuCfg &cfg,
-               SimMode mode)
+               Engine engine)
     : SimUnit({UnitClass::kPmu, static_cast<uint16_t>(index)}, cfg.name),
-      params_(params), cfg_(cfg), lanes_(params.pcu.lanes), mode_(mode)
+      params_(params), cfg_(cfg), lanes_(params.pcu.lanes), engine_(engine)
 {
     ports.size(params.pmu.scalarIns, params.pmu.vectorIns, 64,
                params.pmu.scalarOuts, params.pmu.vectorOuts, 64);
@@ -139,7 +139,7 @@ PmuSim::stepPort(Port &port, Cycles now)
             port.state = Port::State::kIdle;
             return true;
         }
-        if (mode_ == SimMode::kSpecialized && port.plan.fastAccess)
+        if (engine_ == Engine::kProduction && port.plan.fastAccess)
             return portAccessPlanned(port);
         return portAccess(port);
       }

@@ -26,7 +26,7 @@ class PmuSim : public SimUnit
 {
   public:
     PmuSim(const ArchParams &params, uint32_t index, const PmuCfg &cfg,
-           SimMode mode = SimMode::kInterp);
+           Engine engine = Engine::kOracle);
 
     void step(Cycles now) override;
     bool busy() const override;
@@ -130,7 +130,7 @@ class PmuSim : public SimUnit
     ArchParams params_;
     PmuCfg cfg_;
     uint32_t lanes_;
-    SimMode mode_;
+    Engine engine_;
 
     Scratchpad scratch_;
     Port write_, write2_, read_;

@@ -227,9 +227,6 @@ class Stream : public StreamBase
         return res;
     }
 
-    /** Dense-tick compatibility: commit unconditionally. */
-    void tick(Cycles now) { commit(now); }
-
     bool
     quiescent() const override
     {

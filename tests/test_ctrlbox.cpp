@@ -43,9 +43,9 @@ struct BoxHarness
     {
         for (int i = 0; i < n; ++i) {
             box->step(now);
-            start->tick(now);
-            childDone->tick(now);
-            exportStream->tick(now);
+            start->commit(now);
+            childDone->commit(now);
+            exportStream->commit(now);
             ++now;
         }
     }

@@ -192,7 +192,7 @@ TEST(Fuzz, SamplerReachesSmallBudgetsAndOffGridRows)
 TEST(Fuzz, SoakFindsNoMismatches)
 {
     // A bounded differential soak: evaluator vs fabric (both
-    // schedulers), cycle ledger checked on every unit of every run.
+    // engines), cycle ledger checked on every unit of every run.
     setVerbose(false);
     FuzzOptions o;
     o.seed = 1;
@@ -266,6 +266,33 @@ TEST(Fuzz, InjectionSweepDetectsFaults)
     o.shrink = false;
     FuzzStats st = plast::fuzz::fuzz(o);
     EXPECT_GE(st.mismatches, 1u);
+}
+
+TEST(Fuzz, SavedReproducersReplayToTheirNote)
+{
+    // A saved reproducer holds the shrunk program, so its note must be
+    // that program's mismatch, not the unshrunk case's.
+    setVerbose(false);
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) / "fuzz_saved";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    FuzzOptions o;
+    o.seed = 1;
+    o.runs = 4;
+    o.inject = 1;
+    o.saveDir = dir.string();
+    FuzzStats st = plast::fuzz::fuzz(o);
+    ASSERT_GE(st.savedFiles.size(), 2u);
+    for (const std::string &f : st.savedFiles) {
+        std::ifstream in(f);
+        std::string note;
+        ASSERT_TRUE(std::getline(in, note)) << f;
+        DiffResult d = replayFile(f);
+        EXPECT_TRUE(d.mismatch()) << f << ": " << d.detail;
+        EXPECT_EQ(note, "# detail: " + d.detail) << f;
+    }
+    fs::remove_all(dir);
 }
 
 TEST(Fuzz, NonCombinerFoldOpIsInvalidNotAPanic)
@@ -378,11 +405,15 @@ TEST(Fuzz, CorpusReplaysDeterministically)
         EXPECT_EQ(a.detail, b.detail) << f;
         EXPECT_EQ(a.cycles, b.cycles) << f;
         // ...matching the recorded expectation: injected seeds are
-        // regression witnesses (must still fail), clean seeds must run
-        // mismatch-free.
-        if (c.inject)
+        // regression witnesses (must still fail, with the mismatch
+        // their note records), clean seeds must run mismatch-free.
+        if (c.inject) {
             EXPECT_TRUE(a.mismatch()) << f << ": " << a.detail;
-        else
+            EXPECT_EQ(file.substr(0, file.find('\n')),
+                      "# detail: " + a.detail)
+                << f;
+        } else {
             EXPECT_TRUE(a.ok()) << f << ": " << a.detail;
+        }
     }
 }

@@ -43,11 +43,11 @@ struct AgHarness
         ag->step(now);
         mem.step(now);
         if (out)
-            out->tick(now);
+            out->commit(now);
         if (addrIn)
-            addrIn->tick(now);
+            addrIn->commit(now);
         if (dataIn)
-            dataIn->tick(now);
+            dataIn->commit(now);
         ++now;
     }
 };
@@ -198,7 +198,7 @@ TEST(MemSys, ScatterWritesMaskedLanes)
     data->push(vals);
     for (int c = 0; c < 500; ++c) {
         h.step();
-        data->tick(h.now - 1);
+        data->commit(h.now - 1);
     }
     for (uint32_t l = 0; l < 16; ++l) {
         Word w = h.mem.dram().readWord((100 + l * 3) * 4);
@@ -238,7 +238,7 @@ TEST(MemSys, OutstandingLimitThrottlesButCompletes)
     for (int c = 0; c < 20000 && vecs < 32; ++c) {
         ag.step(now);
         mem.step(now);
-        out.tick(now);
+        out.commit(now);
         ++now;
         while (out.canPop()) {
             out.pop();
@@ -289,8 +289,8 @@ TEST(MemSys, TinyCoalescingCacheStillCompletesGathers)
     while (got.size() < 2 && now < 200000) {
         ag.step(now);
         mem.step(now);
-        addrs.tick(now);
-        out.tick(now);
+        addrs.commit(now);
+        out.commit(now);
         ++now;
         while (out.canPop()) {
             got.push_back(out.front());

@@ -22,12 +22,12 @@ struct PcuHarness
     Cycles now = 0;
 
     explicit PcuHarness(PcuCfg cfg, uint32_t outCapacity = 64,
-                        SimMode simMode = SimMode::kInterp)
+                        Engine engine = Engine::kOracle)
     {
         cfg.used = true;
         cfg.vecOuts.resize(params.pcu.vectorOuts);
         cfg.scalOuts.resize(params.pcu.scalarOuts);
-        pcu = std::make_unique<PcuSim>(params, 0, cfg, simMode);
+        pcu = std::make_unique<PcuSim>(params, 0, cfg, engine);
         (void)outCapacity;
     }
 
@@ -62,15 +62,15 @@ struct PcuHarness
         for (int i = 0; i < cycles; ++i) {
             pcu->evaluate(now);
             for (auto &s : vecOuts)
-                s->tick(now);
+                s->commit(now);
             for (auto &s : vecIns)
-                s->tick(now);
+                s->commit(now);
             for (auto &s : scalOuts)
-                s->tick(now);
+                s->commit(now);
             if (token)
-                token->tick(now);
+                token->commit(now);
             if (done)
-                done->tick(now);
+                done->commit(now);
             ++now;
         }
     }
@@ -411,17 +411,17 @@ reduceSumCfg(int64_t n)
 } // namespace
 
 /** Cross-lane reduce trees at non-power-of-two active lane counts, in
- *  both datapath engines: tail wavefronts with 1..15 valid lanes must
+ *  both engines' datapaths: tail wavefronts with 1..15 valid lanes must
  *  not pull stale or pool-recycled junk into the tree. */
 class ReduceTails
-    : public ::testing::TestWithParam<std::tuple<SimMode, int64_t>>
+    : public ::testing::TestWithParam<std::tuple<Engine, int64_t>>
 {
 };
 
 TEST_P(ReduceTails, PartialWavefrontSumsExactly)
 {
-    auto [simMode, n] = GetParam();
-    PcuHarness h(reduceSumCfg(n), 64, simMode);
+    auto [engine, n] = GetParam();
+    PcuHarness h(reduceSumCfg(n), 64, engine);
     ScalarStream *out = h.bindScalOut(0);
     h.step(static_cast<int>(n) + 50);
     ASSERT_TRUE(out->canPop());
@@ -432,12 +432,12 @@ TEST_P(ReduceTails, PartialWavefrontSumsExactly)
 
 INSTANTIATE_TEST_SUITE_P(
     BothEngines, ReduceTails,
-    ::testing::Combine(::testing::Values(SimMode::kInterp,
-                                         SimMode::kSpecialized),
+    ::testing::Combine(::testing::Values(Engine::kOracle,
+                                         Engine::kProduction),
                        ::testing::Values<int64_t>(1, 3, 7, 15, 17, 23,
                                                   31, 33, 100)),
-    [](const ::testing::TestParamInfo<std::tuple<SimMode, int64_t>>
+    [](const ::testing::TestParamInfo<std::tuple<Engine, int64_t>>
            &info) {
-        return std::string(simModeName(std::get<0>(info.param))) + "_" +
+        return std::string(datapathName(std::get<0>(info.param))) + "_" +
                std::to_string(std::get<1>(info.param));
     });

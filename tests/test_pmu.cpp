@@ -65,14 +65,14 @@ struct PmuHarness
         for (int i = 0; i < cycles; ++i) {
             pmu->step(now);
             for (auto &s : ins)
-                s->tick(now);
-            out->tick(now);
+                s->commit(now);
+            out->commit(now);
             if (wr2rd)
-                wr2rd->tick(now);
+                wr2rd->commit(now);
             if (wtok)
-                wtok->tick(now);
+                wtok->commit(now);
             for (auto &s : scalIns)
-                s->tick(now);
+                s->commit(now);
             ++now;
         }
     }

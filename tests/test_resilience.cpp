@@ -327,7 +327,7 @@ TEST(Resilience, WatchdogTripsOnFrozenUnit)
     apps::AppInstance app = appByName("InnerProduct");
     ArchParams params = eccParams(true);
     SimOptions so;
-    so.mode = SimOptions::Mode::kDense;
+    so.engine = Engine::kOracle;
     so.watchdogCycles = 1'000;
     Runner r(app.prog, params, so);
     app.load(r);
@@ -354,7 +354,7 @@ TEST(Resilience, LivelockTripsWhenRootStopsProgressing)
     apps::AppInstance app = appByName("InnerProduct");
     ArchParams params = eccParams(true);
     SimOptions so;
-    so.mode = SimOptions::Mode::kDense;
+    so.engine = Engine::kOracle;
     so.livelockCycles = 1'500;
     Runner r(app.prog, params, so);
     app.load(r);
@@ -541,22 +541,23 @@ INSTANTIATE_TEST_SUITE_P(ThreeApps, CheckpointRestore,
                          ::testing::Values("InnerProduct", "GEMM",
                                            "Kmeans"));
 
-// ---- satellite: checkpoints cross the datapath-engine boundary ------
+// ---- checkpoints cross the engine boundary --------------------------
 
 /** The checkpoint tape encodes only architectural state — execution
- *  plans (sim/execplan.hpp) are derived from the config at fabric
- *  construction — so a snapshot saved under either datapath engine
- *  restores into a fabric running the other engine and resumes bit-
- *  and cycle-exactly. Parameter: (engine that saves, engine that
- *  resumes). */
+ *  plans (sim/execplan.hpp) and the production engine's scheduler
+ *  bookkeeping are derived at fabric construction or re-armed on
+ *  restore — so a snapshot saved under either engine restores into a
+ *  fabric running the other and resumes bit- and cycle-exactly.
+ *  Parameter: (engine that saves, engine that resumes); each is named
+ *  by its datapath, as manifests name it. */
 class CrossEngineCheckpoint
-    : public ::testing::TestWithParam<std::pair<SimMode, SimMode>>
+    : public ::testing::TestWithParam<std::pair<Engine, Engine>>
 {
 };
 
 TEST_P(CrossEngineCheckpoint, SnapshotRestoresAcrossEngines)
 {
-    auto [saveMode, resumeMode] = GetParam();
+    auto [saveEngine, resumeEngine] = GetParam();
     setVerbose(false);
     apps::AppInstance app = appByName("GEMM");
     ArchParams params = eccParams(true);
@@ -567,7 +568,7 @@ TEST_P(CrossEngineCheckpoint, SnapshotRestoresAcrossEngines)
     ASSERT_TRUE(probe.tryRun(ref).ok());
 
     SimOptions save;
-    save.simMode = saveMode;
+    save.engine = saveEngine;
     save.checkpointEvery = std::max<Cycles>(1, ref.cycles / 4);
     save.keepCheckpoints = 8;
     Runner r(app.prog, params, save);
@@ -584,7 +585,7 @@ TEST_P(CrossEngineCheckpoint, SnapshotRestoresAcrossEngines)
     ASSERT_GT(cp.cycle, 0u);
 
     SimOptions resume;
-    resume.simMode = resumeMode;
+    resume.engine = resumeEngine;
     Fabric fresh(r.mapResult().fabric, resume);
     ASSERT_TRUE(fresh.restoreCheckpoint(cp).ok());
     RunResult rr = fresh.runChecked();
@@ -602,13 +603,12 @@ TEST_P(CrossEngineCheckpoint, SnapshotRestoresAcrossEngines)
 INSTANTIATE_TEST_SUITE_P(
     AllPairs, CrossEngineCheckpoint,
     ::testing::Values(
-        std::make_pair(SimMode::kInterp, SimMode::kSpecialized),
-        std::make_pair(SimMode::kSpecialized, SimMode::kInterp),
-        std::make_pair(SimMode::kSpecialized, SimMode::kSpecialized)),
-    [](const ::testing::TestParamInfo<std::pair<SimMode, SimMode>>
-           &info) {
-        return std::string(simModeName(info.param.first)) + "_to_" +
-               std::string(simModeName(info.param.second));
+        std::make_pair(Engine::kOracle, Engine::kProduction),
+        std::make_pair(Engine::kProduction, Engine::kOracle),
+        std::make_pair(Engine::kProduction, Engine::kProduction)),
+    [](const ::testing::TestParamInfo<std::pair<Engine, Engine>> &info) {
+        return std::string(datapathName(info.param.first)) + "_to_" +
+               std::string(datapathName(info.param.second));
     });
 
 // ---- report classification helpers ----------------------------------

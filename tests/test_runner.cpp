@@ -67,8 +67,7 @@ TEST(RunRecord, ComparisonsNameTheFirstDifference)
         return res;
     };
     SimOptions dense;
-    dense.mode = SimOptions::Mode::kDense;
-    dense.simMode = SimMode::kInterp;
+    dense.engine = Engine::kOracle;
     const Runner::Result oracle = run(dense), fast = run(SimOptions{});
     auto whole = [&](const Runner::Result &want, const Runner::Result &got) {
         return checkWholeRun(prog, want, got, "a vs b").message();
@@ -219,7 +218,7 @@ TEST(ShiftNetwork, SlidesValuesAcrossLanes)
     Cycles now = 0;
     while (!out.canPop() && now < 100) {
         pcu.step(now);
-        out.tick(now);
+        out.commit(now);
         ++now;
     }
     ASSERT_TRUE(out.canPop());

@@ -30,8 +30,7 @@ SimOptions
 denseOpts()
 {
     SimOptions o;
-    o.mode = SimOptions::Mode::kDense;
-    o.simMode = SimMode::kInterp;
+    o.engine = Engine::kOracle;
     return o;
 }
 

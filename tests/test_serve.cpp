@@ -331,9 +331,12 @@ TEST(ServeHash, OptionsHashSeparatesBudgetAndValidate)
     ServeOptions v = o;
     v.validate = true;
     EXPECT_NE(base, hashOptions(v, 0));
+    // Each engine hashes as its scheduler and datapath names: recorded
+    // job logs and result-cache keys carry these exact values.
+    EXPECT_EQ(base, 0x85e3b24d73aed7a6ull);
     ServeOptions d = o;
-    d.simOpts.mode = SimOptions::Mode::kDense;
-    EXPECT_NE(base, hashOptions(d, 0));
+    d.simOpts.engine = Engine::kOracle;
+    EXPECT_EQ(hashOptions(d, 0), 0x90e90300bb363341ull);
 }
 
 TEST(ServeHash, InputsHashCoversEveryWord)

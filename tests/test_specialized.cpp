@@ -1,9 +1,8 @@
-/** @file Specialized datapath engine (sim/execplan.hpp): whole-run
- *  parity against the interpreter on every benchmark — cycles, argOut
- *  streams, DRAM images, counters and cycle ledgers — plus
+/** @file Specialized datapath plans (sim/execplan.hpp): the production
+ *  engine validates against the reference evaluator, plus
  *  plan-construction invariants (dead-port elision, kernel coverage,
- *  PMU address lowering and its port coverage) and the interaction
- *  with the dense scheduler. */
+ *  PMU address lowering and its port coverage). Whole-run parity with
+ *  the oracle on every benchmark is CycleParity (test_scheduler.cpp). */
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,7 @@
 
 #include "apps/apps.hpp"
 #include "base/rng.hpp"
-#include "runtime/record.hpp"
+#include "runtime/runner.hpp"
 #include "sim/execplan.hpp"
 #include "sim/fabric.hpp"
 #include "sim/unitcommon.hpp"
@@ -19,100 +18,13 @@
 
 using namespace plast;
 
-namespace
-{
-
-SimOptions
-withEngine(SimMode simMode,
-           SimOptions::Mode mode = SimOptions::Mode::kActivity)
-{
-    SimOptions o;
-    o.mode = mode;
-    o.simMode = simMode;
-    return o;
-}
-
-/** A tiny-scale run under `opts`, DRAM read back. */
-Runner::Result
-runApp(const apps::AppInstance &app, SimOptions opts)
-{
-    Runner r(app.prog, ArchParams::plasticineFinal(), opts);
-    app.load(r);
-    Runner::Result res = r.run();
-    r.readBack(res);
-    return res;
-}
-
-} // namespace
-
-/** Interp and specialized engines must simulate the same machine on
- *  every benchmark (checkWholeRun): specialization may only change
- *  host wall-clock. */
-class SpecializedParity : public ::testing::TestWithParam<std::string>
-{
-  protected:
-    void
-    SetUp() override
-    {
-        setVerbose(false);
-        const apps::AppSpec *spec = apps::findApp(GetParam());
-        ASSERT_NE(spec, nullptr) << "unknown benchmark";
-        app = spec->make(apps::Scale::kTiny);
-    }
-
-    apps::AppInstance app;
-};
-
-TEST_P(SpecializedParity, MatchesInterpBitExactly)
-{
-    Runner::Result interp = runApp(app, withEngine(SimMode::kInterp));
-    Runner::Result specd = runApp(app, withEngine(SimMode::kSpecialized));
-    Status st =
-        checkWholeRun(app.prog, interp, specd, "interp vs specialized");
-    EXPECT_TRUE(st.ok()) << st.message();
-    // One scheduler: the host's step and sleep tallies agree as well.
-    for (const auto &[key, value] : interp.stats.all()) {
-        if (key.find(".cycles.stepped") != std::string::npos ||
-            key.find(".cycles.asleep") != std::string::npos) {
-            EXPECT_EQ(value, specd.stats.get(key)) << key;
-        }
-    }
-}
-
-/** The engine axis is orthogonal to the scheduler axis: specialized
- *  under the dense scheduler matches interp under activity. */
-TEST_P(SpecializedParity, DenseSpecializedMatchesActivityInterp)
-{
-    Runner::Result interp = runApp(app, withEngine(SimMode::kInterp));
-    Runner::Result specd = runApp(
-        app, withEngine(SimMode::kSpecialized, SimOptions::Mode::kDense));
-    Status st = checkWholeRun(app.prog, specd, interp,
-                              "dense+specialized vs activity+interp");
-    EXPECT_TRUE(st.ok()) << st.message();
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllBenchmarks, SpecializedParity,
-    ::testing::Values("InnerProduct", "OuterProduct", "Black-Scholes",
-                      "TPC-H Query 6", "GEMM", "GDA", "LogReg", "SGD",
-                      "Kmeans", "CNN", "SMDV", "PageRank", "BFS"),
-    [](const ::testing::TestParamInfo<std::string> &info) {
-        std::string n = info.param;
-        for (char &c : n) {
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        }
-        return n;
-    });
-
 /** The specialized fabric still validates bit-exactly against the
  *  golden reference evaluator end to end. */
 TEST(Specialized, ValidatedAgainstReference)
 {
     setVerbose(false);
     apps::AppInstance app = apps::makeInnerProduct(apps::Scale::kTiny);
-    Runner r(std::move(app.prog), ArchParams::plasticineFinal(),
-             withEngine(SimMode::kSpecialized));
+    Runner r(std::move(app.prog), ArchParams::plasticineFinal());
     app.load(r);
     Runner::Result res = r.runValidated();
     EXPECT_GT(res.cycles, 0u);

@@ -18,7 +18,7 @@ TEST(Stream, LatencyDelaysArrival)
     Cycles now = 0;
     s.push(42);
     for (int i = 0; i < 3; ++i) {
-        s.tick(now++);
+        s.commit(now++);
         if (i < 2) {
             EXPECT_FALSE(s.canPop()) << "arrived early at tick " << i;
         }
@@ -42,7 +42,7 @@ TEST(Stream, SustainsOneElementPerCycle)
             s.pop();
             ++popped;
         }
-        s.tick(now++);
+        s.commit(now++);
     }
     EXPECT_GE(popped, 95) << "stream throughput below ~1/cycle";
 }
@@ -57,7 +57,7 @@ TEST(Stream, BackpressureWhenNotDrained)
             s.push(1);
             ++accepted;
         }
-        s.tick(now++);
+        s.commit(now++);
     }
     // latency(1) + capacity(2) elements fit; no more.
     EXPECT_EQ(accepted, 3);
@@ -76,8 +76,8 @@ TEST(Stream, TwoPhase_PopCountsBeforeCommit)
     Cycles now = 0;
     s.push(1);
     s.push(2);
-    s.tick(now++);
-    s.tick(now++);
+    s.commit(now++);
+    s.commit(now++);
     ASSERT_TRUE(s.canPop());
     s.pop();
     // The staged pop hides the first element immediately.
@@ -105,10 +105,10 @@ TEST(Stream, QuiescentTracksContents)
     EXPECT_FALSE(s.quiescent());
     Cycles now = 0;
     for (int i = 0; i < 4; ++i)
-        s.tick(now++);
+        s.commit(now++);
     EXPECT_FALSE(s.quiescent()); // still queued at receiver
     s.pop();
-    s.tick(now++);
+    s.commit(now++);
     EXPECT_TRUE(s.quiescent());
 }
 
@@ -123,7 +123,7 @@ TEST(Stream, VectorPayloadIntact)
     v.clearValid(7);
     s.push(v);
     Cycles now = 0;
-    s.tick(now++);
+    s.commit(now++);
     ASSERT_TRUE(s.canPop());
     const Vec &got = s.front();
     EXPECT_EQ(got.mask, v.mask);
@@ -151,7 +151,7 @@ TEST_P(StreamParams, FifoOrderPreserved)
             s.pop();
             ++next_pop;
         }
-        s.tick(now++);
+        s.commit(now++);
     }
     EXPECT_LE(next_pop, next_push);
     EXPECT_GT(next_pop, 0u);
@@ -181,7 +181,7 @@ fillFifoAndPipeline(ScalarStream &s, Cycles &now)
 {
     for (Word v = 1; v <= 5; ++v) {
         s.push(v);
-        s.tick(now++);
+        s.commit(now++);
     }
 }
 
@@ -195,7 +195,7 @@ drain(ScalarStream &s, Cycles &now)
             got.emplace_back(now, s.front());
             s.pop();
         }
-        s.tick(now++);
+        s.commit(now++);
     }
     return got;
 }
@@ -234,7 +234,7 @@ TEST(StreamContract, InjectDropLosesTheDeliveredHead)
     EXPECT_EQ(s.front(), 2u);
     // The freed FIFO slot takes the stalled in-flight head at the next
     // commit, one cycle past its arrival.
-    s.tick(now++);
+    s.commit(now++);
     EXPECT_EQ(s.available(), 2u);
     EXPECT_EQ(s.stats().fullStallCycles, 1u);
     auto got = drain(s, now);
@@ -248,19 +248,19 @@ TEST(StreamContract, InjectDropTakesTheOldestInFlightWhenFifoIsEmpty)
     ScalarStream s("f", 3, 2);
     Cycles now = 0;
     s.push(1);
-    s.tick(now++);
+    s.commit(now++);
     s.push(2);
-    s.tick(now++);
+    s.commit(now++);
     ASSERT_FALSE(s.canPop());
     ASSERT_TRUE(s.injectDrop());
     // 2 still arrives on its own schedule (pushed at 1, latency 3).
-    s.tick(now++); // commit 2
+    s.commit(now++); // commit 2
     EXPECT_FALSE(s.canPop());
-    s.tick(now++); // commit 3: arrival 4 <= 4
+    s.commit(now++); // commit 3: arrival 4 <= 4
     ASSERT_TRUE(s.canPop());
     EXPECT_EQ(s.front(), 2u);
     s.pop();
-    s.tick(now++);
+    s.commit(now++);
     EXPECT_TRUE(s.quiescent());
     EXPECT_FALSE(s.injectDrop()) << "nothing left to lose";
 }
@@ -271,7 +271,7 @@ TEST(StreamContract, InjectDuplicateReplaysHeadIntoFifoWithRoom)
     Cycles now = 0;
     for (Word v = 1; v <= 3; ++v) {
         s.push(v);
-        s.tick(now++);
+        s.commit(now++);
     }
     // FIFO {1}, in flight {2, 3}.
     ASSERT_EQ(s.available(), 1u);
@@ -317,14 +317,14 @@ TEST(StreamContract, StagedTrafficCountsTowardBackpressure)
     s.push(3);
     EXPECT_FALSE(s.canPush()) << "latency 2 + capacity 1";
     Cycles now = 0;
-    s.tick(now++);
+    s.commit(now++);
     EXPECT_FALSE(s.canPush());
-    s.tick(now++); // 1 delivered; 2 and 3 stall behind it
+    s.commit(now++); // 1 delivered; 2 and 3 stall behind it
     ASSERT_TRUE(s.canPop());
     // A staged pop frees its slot only at commit.
     s.pop();
     EXPECT_FALSE(s.canPush());
-    s.tick(now++);
+    s.commit(now++);
     EXPECT_TRUE(s.canPush());
     EXPECT_EQ(s.front(), 2u);
     EXPECT_EQ(s.stats().pushes, 3u);

@@ -366,6 +366,30 @@ TEST(RunManifest, SerializationIsByteStableAndOrdered)
     EXPECT_FALSE(m.metrics.empty());
 }
 
+TEST(RunManifest, NamesEachEngineByItsSchedulerAndDatapath)
+{
+    setVerbose(false);
+    apps::AppInstance app = apps::allApps()[0].make(apps::Scale::kTiny);
+    auto json = [&](Engine engine) {
+        SimOptions so;
+        so.engine = engine;
+        Runner r(app.prog, ArchParams::plasticineFinal(), so);
+        std::ostringstream os;
+        r.buildManifest({}).writeJson(os);
+        return os.str();
+    };
+    const std::string production = json(Engine::kProduction);
+    const std::string oracle = json(Engine::kOracle);
+    EXPECT_NE(production.find("\"sched_mode\": \"activity\",\n"
+                              "  \"sim_mode\": \"specialized\",\n"),
+              std::string::npos)
+        << production;
+    EXPECT_NE(oracle.find("\"sched_mode\": \"dense\",\n"
+                          "  \"sim_mode\": \"interp\",\n"),
+              std::string::npos)
+        << oracle;
+}
+
 TEST(RunManifest, HashesAreContentAddresses)
 {
     setVerbose(false);

@@ -218,14 +218,13 @@ appByName(const std::string &name)
 }
 
 AppRun
-runTraced(const std::string &name, SimOptions::Mode mode,
-          bool tracing = true)
+runTraced(const std::string &name, Engine engine, bool tracing = true)
 {
     setVerbose(false);
     const apps::AppSpec &spec = appByName(name);
     apps::AppInstance app = spec.make(apps::Scale::kTiny);
     SimOptions opts;
-    opts.mode = mode;
+    opts.engine = engine;
     opts.trace.enabled = tracing;
     Runner runner(app.prog, ArchParams::plasticineFinal(), opts);
     app.load(runner);
@@ -358,15 +357,15 @@ class TracedApp : public ::testing::TestWithParam<const char *>
 
 TEST_P(TracedApp, AccountingInvariantActivityMode)
 {
-    AppRun run = runTraced(GetParam(), SimOptions::Mode::kActivity);
+    AppRun run = runTraced(GetParam(), Engine::kProduction);
     checkAccounting(run, std::string(GetParam()) + "/activity");
 }
 
 TEST_P(TracedApp, AccountingInvariantDenseMode)
 {
-    AppRun run = runTraced(GetParam(), SimOptions::Mode::kDense);
+    AppRun run = runTraced(GetParam(), Engine::kOracle);
     checkAccounting(run, std::string(GetParam()) + "/dense");
-    // Dense mode evaluates every unit every cycle: nothing sleeps.
+    // The oracle evaluates every unit every cycle: nothing sleeps.
     for (const auto &[label, a] : run.accts) {
         EXPECT_EQ(a.slept, 0u) << label;
         EXPECT_EQ(a.stepped, run.simCycles) << label;
@@ -375,7 +374,7 @@ TEST_P(TracedApp, AccountingInvariantDenseMode)
 
 TEST_P(TracedApp, TraceJsonAndSpans)
 {
-    AppRun run = runTraced(GetParam(), SimOptions::Mode::kActivity);
+    AppRun run = runTraced(GetParam(), Engine::kProduction);
     EXPECT_TRUE(jsonWellFormed(run.traceJson)) << GetParam();
     EXPECT_FALSE(run.events.empty());
     EXPECT_GT(countOccurrences(run.traceJson, "\"ph\":\"X\""), 0u)
@@ -387,16 +386,16 @@ TEST_P(TracedApp, TraceJsonAndSpans)
 
 TEST_P(TracedApp, TracingDoesNotPerturbCycles)
 {
-    AppRun off = runTraced(GetParam(), SimOptions::Mode::kActivity,
+    AppRun off = runTraced(GetParam(), Engine::kProduction,
                            /*tracing=*/false);
-    AppRun on = runTraced(GetParam(), SimOptions::Mode::kActivity,
-                          /*tracing=*/true);
+    AppRun on =
+        runTraced(GetParam(), Engine::kProduction, /*tracing=*/true);
     EXPECT_EQ(off.cycles, on.cycles) << GetParam();
 }
 
 TEST_P(TracedApp, UtilizationCsvAndReport)
 {
-    AppRun run = runTraced(GetParam(), SimOptions::Mode::kActivity);
+    AppRun run = runTraced(GetParam(), Engine::kProduction);
     ASSERT_FALSE(run.utilCsv.empty());
     EXPECT_EQ(run.utilCsv.rfind("cycle,active,", 0), 0u)
         << "CSV header first";
@@ -419,8 +418,7 @@ INSTANTIATE_TEST_SUITE_P(Apps, TracedApp,
 
 TEST(Stats, DumpJsonWellFormed)
 {
-    AppRun run =
-        runTraced("InnerProduct", SimOptions::Mode::kActivity, false);
+    AppRun run = runTraced("InnerProduct", Engine::kProduction, false);
     std::ostringstream os;
     run.stats.writeJson(os);
     EXPECT_TRUE(jsonWellFormed(os.str())) << os.str();

@@ -106,6 +106,6 @@ TEST(UnitCommon, PopEveryDelaysScalarConsumption)
     EXPECT_EQ(port.front(), 11u);
     port.pop();
     Cycles now = 0;
-    s.tick(now);
+    s.commit(now);
     EXPECT_EQ(port.front(), 22u);
 }
