@@ -1,6 +1,7 @@
 #include "sim/pmu.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "base/logging.hpp"
@@ -321,8 +322,11 @@ PmuSim::portAccessPlanned(Port &port)
         }
     }
 
-    Wavefront &wf = port.wfScratch;
-    port.chain.issueInto(wf);
+    // The address reads only counter values and the lane mask: no
+    // wavefront, no first/last flags. Levels past the chain's depth
+    // read 0, as in a fresh wavefront.
+    std::array<int64_t, kMaxCtrs> ctr{};
+    uint32_t access_mask = port.chain.issueCounters(ctr);
 
     if (!port.runConstsValid) {
         port.plan.addr.evalSlots(port.runConsts, [&](Word idx) {
@@ -332,9 +336,8 @@ PmuSim::portAccessPlanned(Port &port)
     }
     Word base = port.runConsts[port.plan.addr.baseSlot];
     for (const auto &[level, slot] : port.plan.addr.terms)
-        base += port.runConsts[slot] * static_cast<Word>(wf.ctr[level]);
+        base += port.runConsts[slot] * static_cast<Word>(ctr[level]);
 
-    uint32_t access_mask = wf.mask;
     const uint32_t buf = port.bufIdx;
 
     if (port.isWrite) {

@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/memsys.hpp"
 #include "sim/stream.hpp"
@@ -44,7 +45,9 @@ Scheduler::rearmAll()
     for (SimObject *u : run_)
         u->inRun_ = true;
     dirty_.clear();
-    timers_.clear();
+    for (std::vector<Timer> &bucket : wheel_)
+        bucket.clear();
+    wheelBits_ = 0;
     for (StreamBase *s : allStreams_)
     {
         s->inDirty_ = false;
@@ -87,27 +90,61 @@ Scheduler::streamDirty(StreamBase *s)
     dirty_.push_back(s);
 }
 
-namespace
-{
-struct TimerAfter
-{
-    bool
-    operator()(const std::pair<Cycles, StreamBase *> &a,
-               const std::pair<Cycles, StreamBase *> &b) const
-    {
-        return a.first > b.first;
-    }
-};
-} // namespace
-
 void
 Scheduler::scheduleArrival(Cycles cycle, StreamBase *s)
 {
     if (s->armedAt_ == cycle)
         return;
     s->armedAt_ = cycle;
-    timers_.emplace_back(cycle, s);
-    std::push_heap(timers_.begin(), timers_.end(), TimerAfter{});
+    const auto b = static_cast<uint32_t>(cycle % kWheelSize);
+    wheel_[b].push_back({cycle, s});
+    wheelBits_ |= uint64_t{1} << b;
+}
+
+/** Fire this cycle's bucket in scheduling order; an entry a whole turn
+ *  or more ahead stays behind for its own cycle. */
+void
+Scheduler::fireTimers(Cycles now)
+{
+    const auto b = static_cast<uint32_t>(now % kWheelSize);
+    if (!((wheelBits_ >> b) & 1))
+        return;
+    std::vector<Timer> &bucket = wheel_[b];
+    size_t keep = 0;
+    for (size_t i = 0; i < bucket.size(); ++i) {
+        const Timer t = bucket[i];
+        if (t.cycle > now) {
+            bucket[keep++] = t;
+            continue;
+        }
+        if (t.stream->armedAt_ == t.cycle)
+            t.stream->armedAt_ = kNeverCycle;
+        streamDirty(t.stream);
+    }
+    bucket.resize(keep);
+    if (keep == 0)
+        wheelBits_ &= ~(uint64_t{1} << b);
+}
+
+/** Exact earliest timer. Every pending timer is due after curCycle_, so
+ *  walking the non-empty buckets from the next cycle's, the first entry
+ *  due within this turn is the earliest; entries a turn or more ahead
+ *  decide only when no bucket holds one. */
+Cycles
+Scheduler::nextTimer() const
+{
+    const Cycles from = curCycle_ + 1;
+    const int start = static_cast<int>(from % kWheelSize);
+    Cycles far = kNeverCycle;
+    for (uint64_t bits = std::rotr(wheelBits_, start); bits; bits &= bits - 1) {
+        const Cycles at = from + std::countr_zero(bits);
+        for (const Timer &t : wheel_[at % kWheelSize]) {
+            if (t.cycle == at)
+                return at;
+            far = std::min(far, t.cycle);
+        }
+    }
+    return far;
 }
 
 void
@@ -135,14 +172,7 @@ Scheduler::runCycle(Cycles now)
     curCycle_ = now;
 
     // Due arrival timers feed this cycle's commit phase.
-    while (!timers_.empty() && timers_.front().first <= now) {
-        std::pop_heap(timers_.begin(), timers_.end(), TimerAfter{});
-        auto [cycle, s] = timers_.back();
-        timers_.pop_back();
-        if (s->armedAt_ == cycle)
-            s->armedAt_ = kNeverCycle;
-        streamDirty(s);
-    }
+    fireTimers(now);
 
     // Phase 1: evaluate awake units in deterministic order. A unit is
     // dropped from the active set the moment it reports kBlocked; wake

@@ -20,8 +20,12 @@
  *    quiescent every cycle still counts as progress;
  *  - streams commit only on cycles where traffic was staged or an
  *    in-flight element is due; each in-flight element schedules its
- *    own arrival cycle, so regions where only arrivals and memory
- *    events are pending can be skipped wholesale (fast-forward).
+ *    own arrival cycle on a timing wheel, so regions where only
+ *    arrivals and memory events are pending can be skipped wholesale
+ *    (fast-forward). Timers due on one cycle fire in the order they
+ *    were scheduled; that order reaches only the trace, as wakes are
+ *    applied in registration order and host sinks drain in a fixed
+ *    order.
  *
  * Deadlock detection falls out of the design: an empty active set
  * (no runnable unit, no memory event, no dirty stream, no pending
@@ -39,7 +43,8 @@
 #define PLAST_SIM_SCHEDULER_HPP
 
 #include <algorithm>
-#include <utility>
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "base/trace.hpp"
@@ -108,8 +113,7 @@ class Scheduler
     Cycles
     nextEventCycle() const
     {
-        Cycles t = timers_.empty() ? kNeverCycle : timers_.front().first;
-        return std::min(t, memNextAt_);
+        return std::min(nextTimer(), memNextAt_);
     }
     /** Did the last runCycle see unit or memory activity? (The same
      *  progress bit dense ticking records from every unit's report.) */
@@ -121,12 +125,13 @@ class Scheduler
     }
     /**
      * Re-arm everything after a checkpoint restore or a fault
-     * injection: every unit re-enters the active set and every stream
-     * is queued for commit (re-arming its own arrival timer). Waking a
-     * unit that is architecturally blocked is a no-op by construction
-     * (it evaluates once, reports kBlocked and sleeps again), so this
-     * is always safe — it trades a few evaluations for not having to
-     * checkpoint the scheduler's transient bookkeeping at all.
+     * injection: every unit re-enters the active set, the timing wheel
+     * empties, and every stream is queued for commit (re-arming its own
+     * arrival timer). Waking a unit that is architecturally blocked is
+     * a no-op by construction (it evaluates once, reports kBlocked and
+     * sleeps again), so this is always safe — it trades a few
+     * evaluations for not having to checkpoint the scheduler's
+     * transient bookkeeping at all.
      */
     void rearmAll();
 
@@ -142,6 +147,8 @@ class Scheduler
   private:
     static bool bySeq(const SimObject *a, const SimObject *b);
     void scheduleArrival(Cycles cycle, StreamBase *s);
+    void fireTimers(Cycles now);
+    Cycles nextTimer() const;
     void applyWakes();
 
     uint32_t nextSeq_ = 0;
@@ -156,17 +163,31 @@ class Scheduler
     Cycles memNextAt_ = kNeverCycle;
     std::vector<StreamBase *> dirty_;      ///< commit next commit phase
     std::vector<StreamBase *> commitRun_;  ///< scratch for runCycle
-    /** Min-heap of pending arrival commits (cycle, stream). Entries
-     *  are lazily invalidated: a stream re-armed to a different cycle
-     *  leaves its old entry behind, which fires as a harmless no-op
-     *  commit — exactly the semantics the old per-cycle map had. */
-    std::vector<std::pair<Cycles, StreamBase *>> timers_;
+    /** A pending arrival commit. */
+    struct Timer
+    {
+        Cycles cycle;
+        StreamBase *stream;
+    };
+    /** Wheel turn, in cycles: one bit of wheelBits_ per bucket. Routed
+     *  stream latencies are far shorter; a longer timer waits in its
+     *  bucket for as many turns as it needs. */
+    static constexpr uint32_t kWheelSize = 64;
+    /** Pending arrival commits on a timing wheel: bucket `c %
+     *  kWheelSize` holds the timers for cycle c, and for c plus whole
+     *  turns, in the order they were scheduled. Entries are lazily
+     *  invalidated: a stream re-armed to a different cycle leaves its
+     *  old entry behind, which fires as a harmless no-op commit. */
+    std::array<std::vector<Timer>, kWheelSize> wheel_;
+    uint64_t wheelBits_ = 0; ///< bit b set: wheel_[b] is non-empty
     std::vector<StreamBase *> deliveredHost_;
     bool progress_ = false;
 
     TraceSink *trace_ = nullptr;
     uint16_t traceTrack_ = 0;
-    Cycles curCycle_ = 0;       ///< timestamp for wake instants
+    /** The cycle runCycle last ran: wake instants' timestamp, and every
+     *  pending timer is due after it. */
+    Cycles curCycle_ = 0;
     size_t lastActiveSet_ = ~size_t{0};
 };
 

@@ -118,6 +118,14 @@ class ChainState
      */
     void issueInto(Wavefront &wf);
 
+    /**
+     * Counters-only issue for callers that read no flags (planned PMU
+     * ports): write the counter values into the first depth() entries
+     * of `ctr`, advance exactly as issueInto does, and return the lane
+     * mask issueInto would have set.
+     */
+    uint32_t issueCounters(std::array<int64_t, kMaxCtrs> &ctr);
+
     /** Copy another identically-configured chain's run position without
      *  touching configuration. Reuses vector capacity, so the AG's
      *  speculative trial-issue does not allocate per attempt. */

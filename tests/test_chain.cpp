@@ -1,7 +1,10 @@
-/** @file Counter-chain runtime: trips, vectorized masking, and the
- *  first/last boundary flags — verified against naive enumeration. */
+/** @file Counter-chain runtime: trips, vectorized masking, the
+ *  first/last boundary flags and the counters-only issue — verified
+ *  against naive enumeration. */
 
 #include <gtest/gtest.h>
+
+#include <array>
 
 #include "base/rng.hpp"
 #include "sim/wavefront.hpp"
@@ -133,49 +136,74 @@ TEST(Chain, NonUnitStep)
     EXPECT_EQ(seen, (std::vector<int64_t>{4, 7, 10, 13, 16, 19}));
 }
 
-/** Property: wavefront count and per-level boundary flags agree with
- *  direct enumeration for random chains. */
+/** Property: wavefront count, lane masks and per-level boundary flags
+ *  agree with direct enumeration for random chains, and a second,
+ *  identically configured chain issuing counters-only (the planned PMU
+ *  path) sees the same counter values and lane mask on every issue. */
 class RandomChains : public ::testing::TestWithParam<uint64_t>
 {
 };
 
 TEST_P(RandomChains, MatchesNaiveEnumeration)
 {
+    constexpr uint32_t kLanes = 16;
     Rng rng(GetParam());
     ChainCfg cfg;
     size_t depth = 1 + rng.nextBounded(3);
-    std::vector<int64_t> bounds;
-    int64_t expect = 1;
+    std::vector<int64_t> bounds, trips;
     for (size_t i = 0; i < depth; ++i) {
-        int64_t max = 1 + static_cast<int64_t>(rng.nextBounded(9));
+        int64_t max = 1 + static_cast<int64_t>(rng.nextBounded(64));
+        int64_t step = 1 + static_cast<int64_t>(rng.nextBounded(3));
         bool vec = (i == depth - 1) && (rng.nextBounded(2) == 0);
-        cfg.ctrs.push_back({0, 1, max, vec, -1, 1});
+        cfg.ctrs.push_back({0, step, max, vec, -1, 1});
         bounds.push_back(max);
-        expect *= vec ? (max + 15) / 16 : max;
+        int64_t per = vec ? step * kLanes : step;
+        trips.push_back((max + per - 1) / per);
     }
-    ChainState cs;
-    cs.configure(cfg, 16);
+    int64_t expect = 1;
+    for (int64_t t : trips)
+        expect *= t;
+    const CounterCfg &inner = cfg.ctrs.back();
+    ChainState cs, counters;
+    cs.configure(cfg, kLanes);
+    counters.configure(cfg, kLanes);
     cs.reset(bounds);
+    counters.reset(bounds);
     int64_t n = 0;
-    int innermost_firsts = 0;
+    int64_t innermost_firsts = 0;
     while (!cs.done()) {
         Wavefront wf;
         cs.issueInto(wf);
         ++n;
         innermost_firsts +=
             wf.firstAtLevel(static_cast<uint8_t>(depth - 1));
-        ASSERT_LT(n, 10000);
+        // Lane l is valid while the innermost counter's l-th value is
+        // inside its bound; a non-vectorized chain fills every lane.
+        uint32_t naive = 0;
+        for (uint32_t l = 0; l < kLanes; ++l) {
+            int64_t v = wf.ctr[depth - 1] +
+                        (inner.vectorized ? l * inner.step : 0);
+            if (v < inner.max)
+                naive |= 1u << l;
+        }
+        EXPECT_EQ(wf.mask, naive) << "issue " << n;
+        ASSERT_FALSE(counters.done()) << "issue " << n;
+        std::array<int64_t, kMaxCtrs> ctr{};
+        EXPECT_EQ(counters.issueCounters(ctr), wf.mask) << "issue " << n;
+        EXPECT_EQ(ctr, wf.ctr) << "issue " << n;
+        ASSERT_LE(n, expect);
     }
     EXPECT_EQ(n, expect);
+    EXPECT_TRUE(counters.done());
     // The innermost level restarts once per enclosing iteration.
-    int64_t outer = 1;
-    for (size_t i = 0; i + 1 < depth; ++i)
-        outer *= bounds[i];
-    EXPECT_EQ(innermost_firsts, outer);
+    EXPECT_EQ(innermost_firsts, expect / trips.back());
 }
 
+// Among seeds 1-48 the vectorized chains issue full and partial masks,
+// and land on both sides of the full-mask edge: left == 15 * step
+// (seed 22) and one more (seed 43).
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomChains,
-                         ::testing::Range<uint64_t>(1, 25));
+                         ::testing::Range<uint64_t>(1, 49));
 
 TEST(Chain, BoundScaleMultipliesDynamicBound)
 {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -19,6 +20,8 @@
 #include "runtime/bottleneck.hpp"
 #include "runtime/record.hpp"
 #include "sim/fabric.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/stream.hpp"
 
 using namespace plast;
 
@@ -347,6 +350,147 @@ TEST(SchedulerStats, StreamCountersAreWired)
     EXPECT_EQ(streamPushes, res.stats.get("net.scalar.pushes") +
                                 res.stats.get("net.vector.pushes") +
                                 res.stats.get("net.control.pushes"));
+}
+
+// ---- arrival timers on the timing wheel --------------------------------
+
+namespace
+{
+
+/** A bare scheduler over registered streams: no units, no memory
+ *  system. step() runs one cycle; jump() advances the way Fabric's run
+ *  loop does, to the next cycle with work or the next timer. */
+struct BareStreams
+{
+    Scheduler sched;
+    std::vector<std::unique_ptr<Stream<Word>>> streams;
+    Cycles now = 0;
+
+    Stream<Word> &
+    add(uint32_t latency)
+    {
+        streams.push_back(std::make_unique<Stream<Word>>(
+            "s" + std::to_string(streams.size()), latency, 4));
+        sched.addStream(streams.back().get());
+        return *streams.back();
+    }
+    void
+    step()
+    {
+        sched.runCycle(now);
+        ++now;
+    }
+    void
+    jump()
+    {
+        if (!sched.workPending())
+            now = sched.nextEventCycle();
+        step();
+    }
+};
+
+} // namespace
+
+/** A timer longer than the wheel's turn waits in its bucket through
+ *  the bucket's earlier passes: the element lands exactly `latency`
+ *  cycles after its push, and nextEventCycle() reports that arrival,
+ *  not a pass of its bucket, even behind a nearer timer. */
+TEST(SchedulerWheel, LongLatencyArrivesAfterWholeTurns)
+{
+    BareStreams b;
+    Stream<Word> &far = b.add(150);
+    Stream<Word> &near = b.add(30);
+    far.push(7);
+    near.push(8);
+    b.step(); // cycle 0 stamps arrivals 150 and 30
+    while (b.now < 150) {
+        ASSERT_FALSE(b.sched.workPending()) << "cycle " << b.now;
+        EXPECT_EQ(b.sched.nextEventCycle(), b.now < 30 ? 29u : 149u)
+            << "cycle " << b.now;
+        EXPECT_EQ(near.canPop(), b.now >= 30) << "cycle " << b.now;
+        EXPECT_FALSE(far.canPop()) << "cycle " << b.now;
+        b.step();
+    }
+    ASSERT_TRUE(far.canPop());
+    EXPECT_EQ(far.front(), 7u);
+    EXPECT_EQ(b.sched.nextEventCycle(), kNeverCycle);
+
+    // The same two arrivals, reached by clock jumps: each lands on its
+    // own cycle, never on a pass of the long timer's bucket.
+    BareStreams j;
+    Stream<Word> &jfar = j.add(150);
+    Stream<Word> &jnear = j.add(30);
+    jfar.push(7);
+    jnear.push(8);
+    j.step();
+    std::vector<Cycles> landed;
+    while (!jfar.canPop()) {
+        j.jump();
+        landed.push_back(j.now - 1);
+    }
+    EXPECT_EQ(landed, (std::vector<Cycles>{29, 149}));
+    EXPECT_TRUE(jnear.canPop());
+}
+
+/** Timers due on one cycle share a bucket and all fire on it, whether
+ *  they were scheduled on the same cycle or not. */
+TEST(SchedulerWheel, SameCycleArrivalsAllCommit)
+{
+    BareStreams b;
+    Stream<Word> &x = b.add(5);
+    Stream<Word> &y = b.add(5);
+    Stream<Word> &z = b.add(3);
+    x.push(1);
+    y.push(2);
+    b.step();
+    b.step();
+    z.push(3); // pushed on cycle 2, due with x and y on cycle 5
+    while (b.now < 5) {
+        EXPECT_FALSE(x.canPop() || y.canPop() || z.canPop())
+            << "cycle " << b.now;
+        b.jump();
+    }
+    EXPECT_EQ(b.now, 5u);
+    EXPECT_TRUE(x.canPop());
+    EXPECT_TRUE(y.canPop());
+    EXPECT_TRUE(z.canPop());
+    EXPECT_EQ(b.sched.nextEventCycle(), kNeverCycle);
+}
+
+/** A timer entry that no longer matches its stream's armed cycle is
+ *  left behind and fires as a no-op commit; rearmAll() empties the
+ *  wheel, so it leaves none. Both runs drop the first of two in-flight
+ *  elements, which re-arms the stream from cycle 4 to cycle 5. */
+TEST(SchedulerWheel, LeftBehindEntriesFireAsNoOps)
+{
+    for (bool rearm : {false, true}) {
+        BareStreams b;
+        Stream<Word> &s = b.add(5);
+        s.push(1);
+        b.step(); // arrival on cycle 5: timer on cycle 4
+        s.push(2);
+        b.step(); // arrival on cycle 6
+        ASSERT_TRUE(s.injectDrop()); // the first element, in flight
+        if (rearm)
+            b.sched.rearmAll();
+        else
+            b.sched.streamDirty(&s);
+        b.step(); // cycle 2 arms the timer for cycle 5
+        EXPECT_EQ(b.sched.nextEventCycle(), rearm ? 5u : 4u)
+            << "rearm " << rearm;
+        if (!rearm) {
+            b.jump(); // cycle 4: the left-behind entry delivers nothing
+            EXPECT_EQ(b.now, 5u);
+            EXPECT_FALSE(s.canPop());
+            EXPECT_EQ(b.sched.nextEventCycle(), 5u);
+        }
+        b.jump();
+        EXPECT_EQ(b.now, 6u) << "rearm " << rearm;
+        ASSERT_TRUE(s.canPop());
+        EXPECT_EQ(s.front(), 2u);
+        EXPECT_EQ(s.available(), 1u);
+        EXPECT_EQ(b.sched.nextEventCycle(), kNeverCycle);
+    }
 }
 
 // ---- AGs sleeping on coalescer capacity -------------------------------
