@@ -2,10 +2,12 @@
  * @file
  * Cost of the resilience machinery: per-app checkpoint save/restore
  * throughput (the word tape captures the full architectural state,
- * DRAM image included), the end-to-end slowdown of running with a
- * periodic checkpoint ring enabled, and the analytical area/power
- * overhead of SECDED ECC on scratchpads and DRAM (39/32 on SRAM
- * capacity, 72/64 on the DRAM interface, plus encoder/decoder logic).
+ * DRAM image included), the end-to-end slowdown of a fault-free run
+ * under the recovery orchestrator (its checkpoint ring and stall
+ * checks, each taken at a cycle-cap stop), and the analytical
+ * area/power overhead of SECDED ECC on scratchpads and DRAM (39/32 on
+ * SRAM capacity, 72/64 on the DRAM interface, plus encoder/decoder
+ * logic).
  */
 
 #include <chrono>
@@ -17,6 +19,7 @@
 #include "common.hpp"
 #include "model/area.hpp"
 #include "model/power.hpp"
+#include "resilience/recovery.hpp"
 
 using namespace plast;
 
@@ -54,10 +57,13 @@ main(int argc, char **argv)
 
     constexpr int kReps = 20;
     for (const auto &spec : apps::allApps()) {
-        // Baseline run (also the fabric we snapshot).
+        // Baseline run (also the fabric we snapshot), compiled first so
+        // that both timed legs simulate only.
         apps::AppInstance app = spec.make(scale);
         Runner r(app.prog, params);
         app.load(r);
+        fatal_if(!r.tryCompile().ok(), "%s: compile failed",
+                 spec.name.c_str());
         auto t0 = std::chrono::steady_clock::now();
         Runner::Result res = r.run();
         double base_s = secondsSince(t0);
@@ -74,19 +80,21 @@ main(int argc, char **argv)
                      "restore failed");
         double restore_s = secondsSince(t0) / kReps;
 
-        // Same app with a live checkpoint ring (every 1/10 of the run).
-        apps::AppInstance app2 = spec.make(scale);
-        SimOptions so;
-        so.checkpointEvery = std::max<Cycles>(1, res.cycles / 10);
-        so.keepCheckpoints = 4;
-        Runner r2(app2.prog, params, so);
-        app2.load(r2);
+        // Same app and compile under the recovery orchestrator with no
+        // faults planned.
+        resilience::ResilientRunner rr(app.prog, params,
+                                       r.sharedMapResult());
+        rr.setInputs(r.hostBuffers());
+        fatal_if(!rr.runGolden().ok(), "%s: golden run failed",
+                 spec.name.c_str());
         t0 = std::chrono::steady_clock::now();
-        Runner::Result res2 = r2.run();
+        resilience::ResilienceReport rep = rr.run(resilience::FaultPlan{});
         double ckpt_s = secondsSince(t0);
-        fatal_if(res2.cycles != res.cycles,
-                 "%s: checkpointing perturbed the run (%llu vs %llu)",
-                 spec.name.c_str(), (unsigned long long)res2.cycles,
+        fatal_if(!rep.finalStatus.ok() || rep.cycles != res.cycles,
+                 "%s: the orchestrator perturbed the run (%s, %llu vs "
+                 "%llu)",
+                 spec.name.c_str(), rep.finalStatus.toString().c_str(),
+                 (unsigned long long)rep.cycles,
                  (unsigned long long)res.cycles);
 
         double words = static_cast<double>(cp.tape.size());

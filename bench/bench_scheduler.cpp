@@ -10,16 +10,20 @@
  * ledgers (checkWholeRun, enforced here fatally and by the test
  * suite); the win comes from not ticking blocked units, flat
  * pre-resolved stage plans, monomorphic vectorized kernels and elided
- * dead machinery (DESIGN.md §13).
+ * dead machinery (DESIGN.md §13). Each leg runs kRepeats times per
+ * app, alternating the two, and every time column and key is the
+ * median, so one slow run on a shared host does not move it.
  *
  * `--paper` additionally runs InnerProduct at the paper's dataset size
  * (768 M elements, Table 7) under the production engine — the run the
  * interpretive simulator could not complete in reasonable wall-clock.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "apps/apps.hpp"
 #include "base/logging.hpp"
@@ -29,6 +33,9 @@ using namespace plast;
 
 namespace
 {
+
+/** Timed runs of each leg per app. */
+constexpr int kRepeats = 5;
 
 struct EngineRun
 {
@@ -58,8 +65,7 @@ compileOrDie(Runner &runner)
 }
 
 EngineRun
-timeApp(const apps::AppSpec &spec, apps::Scale scale, SimOptions opts,
-        StatSet *statsOut = nullptr)
+timeApp(const apps::AppSpec &spec, apps::Scale scale, SimOptions opts)
 {
     EngineRun out;
     auto t = std::chrono::steady_clock::now();
@@ -72,15 +78,21 @@ timeApp(const apps::AppSpec &spec, apps::Scale scale, SimOptions opts,
     out.compileSeconds = secondsSince(t);
     Runner::Result res = runner.run();
     out.simSeconds = secondsSince(t);
-
-    if (statsOut) {
-        for (const auto &[name, value] : res.stats.all())
-            statsOut->set(spec.name + "." + name, value);
-    }
     runner.readBack(res);
     out.prog = runner.program();
     out.rec = std::move(res);
     return out;
+}
+
+/** The median of one phase's time over a leg's runs. */
+double
+median(const std::vector<EngineRun> &runs, double EngineRun::*phase)
+{
+    std::vector<double> v;
+    for (const EngineRun &r : runs)
+        v.push_back(r.*phase);
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
 }
 
 void
@@ -123,7 +135,8 @@ main(int argc, char **argv)
     oracle.engine = Engine::kOracle;
 
     std::printf("=== Simulation-phase cost: oracle (dense+interp) vs "
-                "production (activity+specialized) ===\n");
+                "production (activity+specialized), median of %d ===\n",
+                kRepeats);
     std::printf("%-14s | %10s | %8s %9s | %9s %9s | %7s\n", "benchmark",
                 "cycles", "setup_s", "compile_s", "dense_s", "spec_s",
                 "spec_x");
@@ -131,28 +144,35 @@ main(int argc, char **argv)
     StatSet json_stats;
     double dense_total = 0, spec_total = 0;
     for (const auto &spec : apps::allApps()) {
-        EngineRun d = timeApp(spec, scale, oracle);
-        EngineRun s = timeApp(spec, scale, SimOptions{},
-                              json_path.empty() ? nullptr : &json_stats);
-        Status st = checkWholeRun(d.prog, d.rec, s.rec,
-                                  spec.name + " oracle vs production");
-        fatal_if(!st.ok(), "%s", st.message().c_str());
-        dense_total += d.simSeconds;
-        spec_total += s.simSeconds;
+        std::vector<EngineRun> d, s;
+        for (int i = 0; i < kRepeats; ++i) {
+            d.push_back(timeApp(spec, scale, oracle));
+            s.push_back(timeApp(spec, scale, SimOptions{}));
+            Status st = checkWholeRun(d[i].prog, d[i].rec, s[i].rec,
+                                      spec.name + " oracle vs production");
+            fatal_if(!st.ok(), "%s", st.message().c_str());
+        }
+        const double setup = median(s, &EngineRun::setupSeconds);
+        const double compile = median(s, &EngineRun::compileSeconds);
+        const double dense = median(d, &EngineRun::simSeconds);
+        const double production = median(s, &EngineRun::simSeconds);
+        dense_total += dense;
+        spec_total += production;
         std::printf("%-14s | %10llu | %8.4f %9.4f | %9.4f %9.4f | "
                     "%6.2fx\n",
-                    spec.name.c_str(), (unsigned long long)d.rec.cycles,
-                    s.setupSeconds, s.compileSeconds, d.simSeconds,
-                    s.simSeconds, d.simSeconds / s.simSeconds);
+                    spec.name.c_str(), (unsigned long long)d[0].rec.cycles,
+                    setup, compile, dense, production, dense / production);
         if (!json_path.empty()) {
+            for (const auto &[name, value] : s[0].rec.stats.all())
+                json_stats.set(spec.name + "." + name, value);
             json_stats.set(spec.name + ".wall_us.setup",
-                           (uint64_t)(s.setupSeconds * 1e6));
+                           (uint64_t)(setup * 1e6));
             json_stats.set(spec.name + ".wall_us.compile",
-                           (uint64_t)(s.compileSeconds * 1e6));
+                           (uint64_t)(compile * 1e6));
             json_stats.set(spec.name + ".wall_us.dense_interp",
-                           (uint64_t)(d.simSeconds * 1e6));
+                           (uint64_t)(dense * 1e6));
             json_stats.set(spec.name + ".wall_us.activity_specialized",
-                           (uint64_t)(s.simSeconds * 1e6));
+                           (uint64_t)(production * 1e6));
         }
     }
     std::printf("%-14s | %10s | %8s %9s | %9.4f %9.4f | %6.2fx\n",

@@ -24,10 +24,10 @@ enum class StatusCode
     kOk = 0,
     kCompileError,     ///< placement/routing/validation rejected the program
     kValidationError,  ///< fabric output mismatched the reference evaluator
-    kDeadlock,         ///< no unit made progress (empty active set)
-    kLivelock,         ///< units busy but the root controller never advances
-    kWatchdog,         ///< a control watchdog timer expired
+    kDeadlock,         ///< no progress (empty active set, or a stall)
     kUncorrectable,    ///< ECC detected a multi-bit error it cannot fix
+    kAddressFault,     ///< a scratchpad or DRAM access fell outside
+                       ///< its buffer or the image
     kMaxCycles,        ///< cycle budget exhausted before completion
     kMismatch,         ///< generic result divergence (fuzz oracle)
     kInvalidArgument,  ///< caller misuse (bad CLI flag, bad checkpoint)
@@ -52,9 +52,8 @@ statusCodeName(StatusCode code)
     case StatusCode::kCompileError: return "compile-error";
     case StatusCode::kValidationError: return "validation-error";
     case StatusCode::kDeadlock: return "deadlock";
-    case StatusCode::kLivelock: return "livelock";
-    case StatusCode::kWatchdog: return "watchdog";
     case StatusCode::kUncorrectable: return "uncorrectable";
+    case StatusCode::kAddressFault: return "address-fault";
     case StatusCode::kMaxCycles: return "max-cycles";
     case StatusCode::kMismatch: return "mismatch";
     case StatusCode::kInvalidArgument: return "invalid-argument";

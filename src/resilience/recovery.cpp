@@ -1,6 +1,7 @@
 #include "resilience/recovery.hpp"
 
 #include <algorithm>
+#include <deque>
 
 #include "base/logging.hpp"
 
@@ -33,10 +34,30 @@ namespace
 {
 
 /** Snapshots kept for rollback. */
-constexpr uint32_t kKeepCheckpoints = 4;
+constexpr size_t kKeepCheckpoints = 4;
 /** Recovery attempts (rollbacks + restarts + remaps) before giving up
  *  with detected-unrecoverable. */
 constexpr uint32_t kMaxRecoveries = 4;
+
+/** A hang when some busy unit has made no progress for more than
+ *  `window` cycles. (The fabric reports a deadlock only once no planned
+ *  fault event that could still change its state is left.) */
+Status
+checkStalls(const Fabric &fab, Cycles window)
+{
+    for (const SimUnit *u : fab.units()) {
+        const Cycles idle = fab.now() - u->lastProgressAt();
+        if (u->busy() && idle > window)
+            return Status(StatusCode::kDeadlock,
+                          strfmt("stall: unit %s made no progress for "
+                                 "%llu cycles (cycle %llu)",
+                                 u->name().c_str(),
+                                 static_cast<unsigned long long>(idle),
+                                 static_cast<unsigned long long>(
+                                     fab.now())));
+    }
+    return Status();
+}
 
 } // namespace
 
@@ -71,20 +92,6 @@ ResilientRunner::runGolden()
     golden_ = std::move(res);
     haveGolden_ = true;
     return st;
-}
-
-SimOptions
-ResilientRunner::simOptions() const
-{
-    // Thresholds scale with the fault-free horizon: a watchdog shorter
-    // than a legitimate memory-bound stall would trip on healthy runs,
-    // and a checkpoint interval near the horizon never builds a ring.
-    SimOptions so;
-    so.checkpointEvery = std::max<Cycles>(1'000, golden_.cycles / 5);
-    so.keepCheckpoints = kKeepCheckpoints;
-    so.watchdogCycles = std::max<Cycles>(20'000, 2 * golden_.cycles);
-    so.livelockCycles = std::max<Cycles>(40'000, 4 * golden_.cycles);
-    return so;
 }
 
 Cycles
@@ -132,7 +139,7 @@ ResilientRunner::run(const FaultPlan &plan)
 
     FaultInjector injector(plan, params_.dram.ecc);
     auto makeRunner = [&] {
-        auto r = std::make_unique<Runner>(prog_, params_, simOptions());
+        auto r = std::make_unique<Runner>(prog_, params_);
         r->setHostBuffers(inputs_);
         r->setFaultInjector(&injector);
         if (cancel_)
@@ -143,8 +150,57 @@ ResilientRunner::run(const FaultPlan &plan)
     std::unique_ptr<Runner> runner = makeRunner();
     runner->adoptCompiled(compiled_);
     const Cycles cap = attemptCap();
+    // Both windows scale with the fault-free horizon: an interval near
+    // it would never build a ring, and a stall window shorter than a
+    // legitimate memory-bound wait would flag healthy runs.
+    const Cycles every = std::max<Cycles>(1'000, golden_.cycles / 5);
+    const Cycles stallWindow = std::max<Cycles>(20'000, 2 * golden_.cycles);
+    std::deque<FabricCheckpoint> ring;
+    Cycles nextCheckpoint = 0;
+    Cycles nextStallCheck = 0;
     Runner::Result res;
-    Status st = runner->tryRun(res, cap);
+
+    // Run the fabric to completion, a typed stop or the attempt cap,
+    // stopping at each checkpoint cycle to snapshot it (before that
+    // cycle is stepped) and every eighth of the stall window to check
+    // for stalls (after the cycle before it is).
+    auto advance = [&]() {
+        Fabric &fab = *runner->mutableFabric();
+        for (;;) {
+            if (fab.now() >= nextCheckpoint) {
+                ring.push_back(fab.saveCheckpoint());
+                if (ring.size() > kKeepCheckpoints)
+                    ring.pop_front();
+                nextCheckpoint = fab.now() + every;
+            }
+            RunResult rr = fab.runChecked(
+                std::min({nextCheckpoint, nextStallCheck, cap}));
+            if (rr.status.code() != StatusCode::kMaxCycles)
+                return rr;
+            if (fab.now() >= nextStallCheck) {
+                if (Status st = checkStalls(fab, stallWindow); !st.ok())
+                    return RunResult{st, fab.now()};
+                nextStallCheck = fab.now() + stallWindow / 8;
+            }
+            if (fab.now() >= cap)
+                return rr;
+        }
+    };
+    // A fresh attempt: build the fabric, stopped at cycle 0, and run it
+    // (the first stall check follows the first step).
+    auto attempt = [&]() {
+        ring.clear();
+        nextCheckpoint = 0;
+        nextStallCheck = 1;
+        Status st = runner->tryRun(res, 0);
+        if (st.code() != StatusCode::kMaxCycles)
+            return st; // cancelled before the first cycle
+        RunResult rr = advance();
+        res = captureRun(*runner->fabric(), prog_, rr.cycles);
+        return rr.status;
+    };
+
+    Status st = attempt();
 
     uint32_t attempts = 0;
     while (!st.ok()) {
@@ -161,9 +217,9 @@ ResilientRunner::run(const FaultPlan &plan)
             break;
         }
 
+        // A deadlock, a stall, or kMaxCycles (advance() returns it only
+        // at the attempt cap).
         const bool hang = st.code() == StatusCode::kDeadlock ||
-                          st.code() == StatusCode::kWatchdog ||
-                          st.code() == StatusCode::kLivelock ||
                           st.code() == StatusCode::kMaxCycles;
         auto stuck = injector.firedStuck();
 
@@ -191,26 +247,27 @@ ResilientRunner::run(const FaultPlan &plan)
                               st.message() + "\n";
                 break;
             }
-            st = runner->tryRun(res, cap);
+            st = attempt();
             continue;
         }
 
-        if (st.code() == StatusCode::kUncorrectable || hang) {
+        if (st.code() == StatusCode::kUncorrectable ||
+            st.code() == StatusCode::kAddressFault || hang) {
             Fabric *fab = runner->mutableFabric();
             // Roll back to the newest checkpoint that predates the
             // damage. For an ECC latch that is the recorded corruption
-            // cycle; for a hang blamed on transient token loss it is
-            // the earliest fired event.
+            // cycle; for a hang blamed on transient token loss, or an
+            // access a corrupted index sent out of range, it is the
+            // earliest fired event.
             Cycles bad = st.code() == StatusCode::kUncorrectable
                              ? fab->eccCorruptedAt()
                              : injector.earliestFiredCycle();
-            const FabricCheckpoint *pick = nullptr;
-            for (const auto &cp : fab->autoCheckpoints()) {
-                if (cp.cycle <= bad && (!pick || cp.cycle > pick->cycle))
-                    pick = &cp;
-            }
-            if (pick) {
-                FabricCheckpoint cp = *pick; // restore prunes the ring
+            // Later snapshots hold the damage; after a rollback they
+            // belong to the abandoned timeline.
+            while (!ring.empty() && ring.back().cycle > bad)
+                ring.pop_back();
+            if (!ring.empty()) {
+                const FabricCheckpoint &cp = ring.back();
                 Status rst = fab->restoreCheckpoint(cp);
                 if (!rst.ok()) {
                     rep.detail +=
@@ -224,7 +281,10 @@ ResilientRunner::run(const FaultPlan &plan)
                     st.message().c_str(),
                     static_cast<unsigned long long>(cp.cycle));
                 ++rep.rollbacks;
-                RunResult rr = fab->runChecked(cap);
+                // The restored snapshot stays the ring's newest.
+                nextCheckpoint = cp.cycle + every;
+                nextStallCheck = cp.cycle + 1;
+                RunResult rr = advance();
                 st = rr.status;
                 if (st.ok())
                     res = captureRun(*fab, prog_, rr.cycles);
@@ -237,7 +297,7 @@ ResilientRunner::run(const FaultPlan &plan)
                                          "the corruption point — "
                                          "restarting\n";
             ++rep.restarts;
-            st = runner->tryRun(res, cap);
+            st = attempt();
             continue;
         }
 

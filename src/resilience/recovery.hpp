@@ -3,10 +3,11 @@
  * The recovery orchestrator: runs an application under a fault plan
  * and drives every resilience mechanism in concert — ECC correction
  * happens inside the fabric, while this layer reacts to *detected*
- * failures (uncorrectable ECC latches, deadlocks, watchdog/livelock
- * trips) with checkpoint rollback, full restart, or degraded
- * re-place-and-route around hard-faulted units. Each run is classified
- * against a fault-free golden execution of the same inputs:
+ * failures (uncorrectable ECC latches, address faults, deadlocks,
+ * stalled units, attempts capped out) with checkpoint rollback, full
+ * restart, or degraded re-place-and-route around hard-faulted units.
+ * Each run is classified against a fault-free golden execution of the
+ * same inputs:
  *
  *   clean      no fault event fired at all
  *   masked     faults fired but the output is exact with no machinery
@@ -16,10 +17,12 @@
  *   detected-unrecoverable   detected, but the recovery budget ran out
  *   silent-corruption        completed with wrong output (SDC)
  *
- * A rollback re-executes from the newest checkpoint at or before the
- * corruption cycle; fault events are one-shot, so the replayed region
- * runs fault-free and re-execution converges. Checkpoints are bound to
- * a placement, so a re-mapping onto a degraded fabric restarts from
+ * It snapshots each attempt, and checks it for stalled units, where a
+ * runChecked capped at the next such cycle stops. A rollback
+ * re-executes from the newest checkpoint at or before the corruption
+ * cycle; fault events are one-shot, so the replayed region runs
+ * fault-free and re-execution converges. Checkpoints are bound to a
+ * placement, so a re-mapping onto a degraded fabric restarts from
  * cycle 0 with freshly staged inputs (documented in DESIGN.md).
  */
 
@@ -80,7 +83,7 @@ class ResilientRunner
      *  (Runner::sharedMapResult()): the golden run and every attempt
      *  on the unmasked fabric adopt it, so only a degraded re-mapping
      *  compiles. `maxCycles` caps each attempt; 0 derives ~50x the
-     *  golden cycle count. Checkpoint, watchdog and livelock windows
+     *  golden cycle count. The checkpoint interval and the stall window
      *  always derive from the golden run (recovery.cpp). */
     ResilientRunner(pir::Program prog, ArchParams params,
                     std::shared_ptr<const compiler::MapResult> compiled,
@@ -97,8 +100,8 @@ class ResilientRunner
     void setCancelToken(const CancelToken *tok) { cancel_ = tok; }
 
     /** Fault-free reference execution: records the golden run (its
-     *  outputs, and the cycle horizon the recovery thresholds derive
-     *  from). */
+     *  outputs, and the cycle horizon the checkpoint interval, the
+     *  stall window and the attempt cap derive from). */
     Status runGolden();
     Cycles goldenCycles() const { return golden_.cycles; }
 
@@ -111,7 +114,6 @@ class ResilientRunner
     const Runner::Result &lastRun() const { return last_; }
 
   private:
-    SimOptions simOptions() const;
     Cycles attemptCap() const;
     void harvestCounters(ResilienceReport &rep, const Runner &runner,
                          const FaultInjector &inj) const;

@@ -49,8 +49,8 @@ struct BottleneckReport
 BottleneckReport analyzeBottlenecks(const Fabric &fabric);
 
 /**
- * Post-mortem for a hung fabric (runChecked returned kDeadlock,
- * kWatchdog or kLivelock): the full bottleneck ledger plus the wait
+ * Post-mortem for a hung fabric (runChecked returned kDeadlock or
+ * stopped at a cap): the full bottleneck ledger plus the wait
  * structure at the point of death — which units were mid-work and for
  * how long they had made no progress, which units were frozen by a
  * hard fault, and which streams still held undelivered tokens.

@@ -24,6 +24,23 @@ captureRun(const Fabric &fab, const Program &prog, Cycles cycles)
 }
 
 void
+loadDram(Fabric &fab, const Program &prog, const compiler::MapResult &map,
+         const std::map<MemId, std::vector<Word>> &host)
+{
+    Addr extent = 0;
+    for (size_t m = 0; m < prog.mems.size(); ++m) {
+        if (prog.mems[m].kind == MemKind::kDram)
+            extent = std::max(extent, map.dramBase[m] +
+                                          prog.mems[m].sizeWords * 4 + 64);
+    }
+    fab.dram().reserve(extent);
+    for (const auto &[mid, data] : host) {
+        for (size_t w = 0; w < data.size(); ++w)
+            fab.dram().writeWord(map.dramBase[mid] + w * 4, data[w]);
+    }
+}
+
+void
 readBackDram(const Fabric &fab, const Program &prog,
              const compiler::MapResult &map, RunRecord &rec)
 {

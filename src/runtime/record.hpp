@@ -12,12 +12,14 @@
 #define PLAST_RUNTIME_RECORD_HPP
 
 #include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "base/stats.hpp"
 #include "base/status.hpp"
 #include "base/types.hpp"
+#include "pir/ir.hpp"
 
 namespace plast
 {
@@ -31,7 +33,6 @@ struct MapResult;
 
 namespace pir
 {
-struct Program;
 class Evaluator;
 } // namespace pir
 
@@ -49,6 +50,13 @@ struct RunRecord
 /** Counters and argOuts of a run whose loop stopped at `cycles`. */
 RunRecord captureRun(const Fabric &fab, const pir::Program &prog,
                      Cycles cycles);
+
+/** Size the fabric's DRAM image to the compile's layout (each DRAM
+ *  buffer plus a burst of slack; a run never grows it) and load the
+ *  staged host buffers. */
+void loadDram(Fabric &fab, const pir::Program &prog,
+              const compiler::MapResult &map,
+              const std::map<pir::MemId, std::vector<Word>> &host);
 
 /** Fill `rec.dram` from the fabric's DRAM at the compile's layout. */
 void readBackDram(const Fabric &fab, const pir::Program &prog,

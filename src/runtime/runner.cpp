@@ -108,22 +108,7 @@ Runner::buildFabric()
         fabric_->armFaults(injector_);
     if (cancel_)
         fabric_->setCancelToken(cancel_);
-
-    // Load the DRAM image.
-    Addr max_extent = 0;
-    for (size_t m = 0; m < prog_.mems.size(); ++m) {
-        if (prog_.mems[m].kind != MemKind::kDram)
-            continue;
-        max_extent =
-            std::max(max_extent, map.dramBase[m] +
-                                     prog_.mems[m].sizeWords * 4 + 64);
-    }
-    fabric_->dram().reserve(max_extent);
-    for (auto &[mid, data] : host_) {
-        Addr base = map.dramBase[mid];
-        for (size_t w = 0; w < data.size(); ++w)
-            fabric_->dram().writeWord(base + w * 4, data[w]);
-    }
+    loadDram(*fabric_, prog_, map, host_);
 }
 
 Runner::Result
@@ -133,9 +118,7 @@ Runner::run(Cycles maxCycles)
     Status st = tryRun(res, maxCycles);
     if (!st.ok()) {
         std::string why = st.message();
-        if (st.code() == StatusCode::kDeadlock ||
-            st.code() == StatusCode::kWatchdog ||
-            st.code() == StatusCode::kLivelock)
+        if (st.code() == StatusCode::kDeadlock)
             why += "\n" + analyzeDeadlock(*fabric_).render();
         fatal("%s", why.c_str());
     }

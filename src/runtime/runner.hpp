@@ -52,8 +52,9 @@ class Runner
     // The fatal APIs above remain for tests and tools where dying with
     // a message is the right behavior; the try* family returns a typed
     // Status instead so callers (fault campaigns, fuzzers, recovery)
-    // can observe compile errors, deadlocks, watchdog/livelock trips,
-    // uncorrectable ECC errors and validation mismatches as data.
+    // can observe compile errors, deadlocks, address faults,
+    // uncorrectable ECC errors, cancels, caps and validation mismatches
+    // as data.
 
     /** Compile (once); kCompileError instead of fatal on failure. */
     Status tryCompile();

@@ -425,8 +425,6 @@ Server::computeOutcome(Runner &runner, const JobSpec &job, JobResult &rec,
     // which units were mid-flight and what the blocking verdict is.
     if (runner.fabric() && !st.ok() &&
         (isAbortOutcome(out->outcome) ||
-         st.code() == StatusCode::kWatchdog ||
-         st.code() == StatusCode::kLivelock ||
          st.code() == StatusCode::kDeadlock)) {
         DeadlockReport dr = analyzeDeadlock(*runner.fabric());
         out->detail += "\npost-mortem: " + dr.verdict;
@@ -471,7 +469,7 @@ Server::computeResilient(Runner &runner, const JobSpec &job,
       case resilience::RunClass::kCompileError:
       case resilience::RunClass::kDetectedUnrecoverable:
         // Keep the typed status (cancelled, deadline-exceeded,
-        // watchdog, ...) so abort outcomes stay recognizable.
+        // deadlock, ...) so abort outcomes stay recognizable.
         out->outcome = statusCodeName(rep.finalStatus.code());
         break;
     }

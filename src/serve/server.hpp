@@ -24,8 +24,8 @@
  * hit flags and a result hash over argOuts + DRAM image — and the
  * ordered log of those records replays deterministically
  * (serve/joblog.hpp). Failures never kill the daemon: compile errors,
- * deadlocks, watchdog trips and validation mismatches come back as
- * typed outcomes (the PR 4/5 never-fail stack is the foundation).
+ * deadlocks, stalls, address faults and validation mismatches come
+ * back as typed outcomes (the runtime's never-fail Status paths).
  *
  * Robustness layer (DESIGN.md §16): every job is bounded, cancellable
  * and recoverable. Submission passes admission control — a per-tenant

@@ -54,13 +54,15 @@ Fabric::Fabric(const FabricConfig &cfg, SimOptions opts)
     argOuts_.resize(cfg_.hostArgOuts);
 
     // SECDED ECC on the scratchpads is an architecture parameter, not a
-    // per-PMU choice: enable it fabric-wide when configured.
-    if (cfg_.params.pmu.ecc) {
-        for (auto &u : pmus_) {
-            if (u)
-                u->scratch().enableEcc(true);
+    // per-PMU choice. Out-of-range scratchpad and DRAM accesses latch
+    // the run's address fault instead of panicking or growing the image.
+    for (auto &u : pmus_) {
+        if (u) {
+            u->scratch().enableEcc(cfg_.params.pmu.ecc);
+            u->scratch().bindAddressFault(&addrFault_);
         }
     }
+    mem_.bindAddressFault(&addrFault_);
 
     buildChannels();
 
@@ -339,13 +341,8 @@ Fabric::nextBusyCycle() const
         next = std::min(next, now_ ? injector_->nextDue(now_ - 1) : now_);
     if (next == kNeverCycle)
         return next;
-    // Nor does a jump pass a cycle on which dense ticking takes an
-    // auto-checkpoint (before its step) or scans for hangs or samples an
-    // epoch (after its step), so those land on the same cycles.
-    if (opts_.checkpointEvery)
-        next = std::min(next, nextCheckpointAt_);
-    if ((opts_.watchdogCycles || opts_.livelockCycles) && nextHangScanAt_)
-        next = std::min(next, nextHangScanAt_ - 1);
+    // Nor does a jump pass a cycle after whose step dense ticking
+    // samples an epoch, so the rows land on the same cycles.
     if (epochsOn_)
         next = std::min(next, nextEpochAt_ - 1);
     return std::max(next, now_);
@@ -365,8 +362,13 @@ Fabric::runChecked(Cycles maxCycles)
     CtrlBoxSim *root = boxes_.at(cfg_.rootBox).get();
     fatal_if(!root, "root controller not instantiated");
     const bool dense = opts_.engine == Engine::kOracle;
-    auto stop = [this](Status st) {
-        return RunResult{std::move(st), now_, kNeverCycle};
+    auto stop = [this](Status st) { return RunResult{std::move(st), now_}; };
+    // The latched access happened in the step just taken.
+    auto addressFault = [&] {
+        return stop(Status(StatusCode::kAddressFault,
+                           strfmt("address fault: %s (cycle %llu)",
+                                  addrFault_.c_str(),
+                                  static_cast<unsigned long long>(now_ - 1))));
     };
     auto capped = [&] {
         return stop(Status(StatusCode::kMaxCycles,
@@ -379,7 +381,6 @@ Fabric::runChecked(Cycles maxCycles)
         return stop(c);
     if (root->runsCompleted() == 0 && now_ >= maxCycles)
         return capped();
-    Cycles last_progress = now_;
     while (root->runsCompleted() == 0) {
         if (!dense) {
             // Nothing can ever happen again: the deadlock is reported
@@ -400,20 +401,18 @@ Fabric::runChecked(Cycles maxCycles)
             }
             now_ = next;
         }
-        maybeAutoCheckpoint();
         step();
         if (progress_)
-            last_progress = now_;
+            lastProgressAt_ = now_;
+        if (!addrFault_.empty())
+            return addressFault();
         if (injector_) {
-            Status ecc = checkUncorrectable();
-            if (!ecc.ok())
-                return {ecc, now_, eccCorruptedAt()};
+            if (Status ecc = checkUncorrectable(); !ecc.ok())
+                return stop(ecc);
         }
         if (Status c = checkCancel(); !c.ok())
             return stop(c);
-        if (Status hang = scanHangs(*root); !hang.ok())
-            return stop(hang);
-        if (dense && now_ - last_progress > kDeadlockWindow &&
+        if (dense && now_ - lastProgressAt_ > kDeadlockWindow &&
             (!injector_ || injector_->nextDue(now_) == kNeverCycle)) {
             return stop(Status(
                 StatusCode::kDeadlock,
@@ -436,8 +435,10 @@ Fabric::runChecked(Cycles maxCycles)
         step();
         if (progress_)
             quiet_since = now_;
+        if (!addrFault_.empty())
+            return addressFault();
     }
-    return {Status(), done_at, kNeverCycle};
+    return {Status(), done_at};
 }
 
 const std::deque<Word> &
@@ -447,7 +448,7 @@ Fabric::argOut(uint32_t slot) const
 }
 
 // --------------------------------------------------------------------
-// Resilience: fault delivery, hang detection, checkpoint/restore
+// Resilience: fault delivery, ECC detection, checkpoint/restore
 // --------------------------------------------------------------------
 
 void
@@ -538,62 +539,6 @@ Fabric::applyDueFaults()
     }
 }
 
-void
-Fabric::maybeAutoCheckpoint()
-{
-    if (opts_.checkpointEvery == 0 || now_ < nextCheckpointAt_)
-        return;
-    ckptRing_.push_back(saveCheckpoint());
-    while (ckptRing_.size() > std::max<uint32_t>(1, opts_.keepCheckpoints))
-        ckptRing_.pop_front();
-    nextCheckpointAt_ = now_ + opts_.checkpointEvery;
-}
-
-Status
-Fabric::scanHangs(const CtrlBoxSim &root)
-{
-    if (opts_.watchdogCycles == 0 && opts_.livelockCycles == 0)
-        return Status();
-    if (now_ < nextHangScanAt_)
-        return Status();
-    Cycles window = kNeverCycle;
-    if (opts_.watchdogCycles)
-        window = std::min(window, opts_.watchdogCycles);
-    if (opts_.livelockCycles)
-        window = std::min(window, opts_.livelockCycles);
-    nextHangScanAt_ = now_ + std::max<Cycles>(64, window / 8);
-
-    for (const SimUnit *u : units_) {
-        if (opts_.watchdogCycles && u->busy() &&
-            now_ - u->lastProgressAt() > opts_.watchdogCycles)
-            return Status(
-                StatusCode::kWatchdog,
-                strfmt("watchdog: unit %s made no progress for %llu "
-                       "cycles (cycle %llu)",
-                       u->name().c_str(),
-                       static_cast<unsigned long long>(
-                           now_ - u->lastProgressAt()),
-                       static_cast<unsigned long long>(now_)));
-    }
-    if (opts_.livelockCycles) {
-        uint64_t iters = root.stats().iterations + root.stats().runs;
-        if (iters != lastRootIters_) {
-            lastRootIters_ = iters;
-            lastRootProgressAt_ = now_;
-        } else if (now_ - lastRootProgressAt_ > opts_.livelockCycles) {
-            return Status(
-                StatusCode::kLivelock,
-                strfmt("livelock: root controller stuck at %llu "
-                       "iterations for %llu cycles (cycle %llu)",
-                       static_cast<unsigned long long>(iters),
-                       static_cast<unsigned long long>(
-                           now_ - lastRootProgressAt_),
-                       static_cast<unsigned long long>(now_)));
-        }
-    }
-    return Status();
-}
-
 Cycles
 Fabric::eccCorruptedAt() const
 {
@@ -678,15 +623,8 @@ Fabric::restoreCheckpoint(const FabricCheckpoint &cp)
         if (u)
             u->scratch().clearEccError();
     }
-    // Checkpoints "newer" than the restore point are from an abandoned
-    // timeline; drop them and re-anchor the periodic snapshot clock.
-    while (!ckptRing_.empty() && ckptRing_.back().cycle > cp.cycle)
-        ckptRing_.pop_back();
-    if (opts_.checkpointEvery)
-        nextCheckpointAt_ = now_ + opts_.checkpointEvery;
-    nextHangScanAt_ = 0;
-    lastRootIters_ = 0;
-    lastRootProgressAt_ = now_;
+    addrFault_.clear();
+    lastProgressAt_ = now_;
     if (opts_.engine == Engine::kProduction)
         sched_.rearmAll();
     return Status();

@@ -40,7 +40,8 @@ class FaultInjector;
  *  empty active set.) */
 inline constexpr uint32_t kDeadlockWindow = 50'000;
 
-/** Simulation-loop options (engine and window tuning). */
+/** Simulation-loop options: the engine and tracing. A run stops at a
+ *  chosen cycle through runChecked's cap, never through an option. */
 struct SimOptions
 {
     /** Production (activity scheduling over the specialized plans) or
@@ -49,22 +50,6 @@ struct SimOptions
     Engine engine = Engine::kProduction;
     /** Event tracing and utilization sampling (off by default). */
     TraceOptions trace;
-
-    // ---- resilience knobs (all off by default) -----------------------
-    /** Periodic checkpoint interval during runChecked (0 = off). The
-     *  fabric keeps a ring of `keepCheckpoints` snapshots for rollback. */
-    Cycles checkpointEvery = 0;
-    /** Checkpoints retained in the rollback ring. */
-    uint32_t keepCheckpoints = 2;
-    /** Watchdog: runChecked reports kWatchdog when some busy unit has
-     *  made no progress for this many cycles (0 = off). Catches hangs
-     *  that still have background activity (e.g. a credit loop spinning
-     *  while a stuck unit starves its consumers). */
-    Cycles watchdogCycles = 0;
-    /** Livelock: runChecked reports kLivelock when the root controller
-     *  completes no iteration for this many cycles while the fabric is
-     *  still active (0 = off). */
-    Cycles livelockCycles = 0;
 };
 
 /**
@@ -86,15 +71,15 @@ struct RunResult
 {
     Status status;    ///< ok, or why the run stopped early
     Cycles cycles = 0; ///< completion cycle (valid when status.ok())
-    /** Earliest known corruption cycle when status is kUncorrectable
-     *  (rollback must restart at or before this point). */
-    Cycles corruptedAt = kNeverCycle;
 };
 
 class Fabric
 {
   public:
     explicit Fabric(const FabricConfig &cfg, SimOptions opts = {});
+    // Units point into the fabric (the memory system, the latch).
+    Fabric(const Fabric &) = delete;
+    Fabric &operator=(const Fabric &) = delete;
 
     /** DRAM image access for the host runtime (load inputs / results). */
     DramModel &dram() { return mem_.dram(); }
@@ -104,12 +89,14 @@ class Fabric
      * reaches maxCycles. Everything that stops a run early comes back
      * as a typed Status: a deadlock (in the production engine the cycle
      * the active set empties with the root incomplete, in the oracle
-     * after kDeadlockWindow cycles without progress), watchdog/livelock
-     * trips, ECC-uncorrectable latches and the cap. Cycle maxCycles is
-     * never simulated: both engines stop with kMaxCycles at now() ==
-     * maxCycles (or at once when the clock is already there) in the
-     * same state. analyzeDeadlock (runtime/bottleneck.hpp) explains a
-     * run that stopped.
+     * after kDeadlockWindow cycles without progress), an access outside
+     * a scratchpad buffer or the DRAM image (kAddressFault), an ECC-
+     * uncorrectable latch, a cancel or deadline poll and the cap. Cycle
+     * maxCycles is never simulated: both engines stop with kMaxCycles
+     * at now() == maxCycles (or at once when the clock is already
+     * there) in the same state, so the cap is the one way to stop at a
+     * chosen cycle (to take a checkpoint there, say). analyzeDeadlock
+     * (runtime/bottleneck.hpp) explains a run that stopped.
      */
     RunResult runChecked(Cycles maxCycles = 500'000'000);
 
@@ -119,19 +106,12 @@ class Fabric
 
     // ---- resilience --------------------------------------------------
     /** Snapshot the complete architectural state. Only legal at a cycle
-     *  boundary (between step() calls), which is the only place the
-     *  run loops call it. */
+     *  boundary: between step() calls, or where runChecked stopped. */
     FabricCheckpoint saveCheckpoint();
     /** Restore a snapshot taken from an identically configured fabric.
-     *  Rolls the clock back to cp.cycle, drops ring checkpoints that
-     *  are now in the future, and re-arms the scheduler. */
+     *  Rolls the clock back to cp.cycle, clears the ECC and address-
+     *  fault latches and re-arms the scheduler. */
     Status restoreCheckpoint(const FabricCheckpoint &cp);
-    /** The rollback ring filled by runChecked when
-     *  SimOptions::checkpointEvery is set (oldest first). */
-    const std::deque<FabricCheckpoint> &autoCheckpoints() const
-    {
-        return ckptRing_;
-    }
     /** Attach (or detach with nullptr) a fault injector: clock-
      *  triggered events are applied at cycle boundaries, DRAM events
      *  through the memory system's fault hook. */
@@ -194,22 +174,19 @@ class Fabric
     }
     /** Production: the next cycle to simulate — now() while work is
      *  pending, else the next stream arrival, memory event or fault
-     *  event, no later than the next checkpoint, hang-scan or epoch
-     *  duty; kNeverCycle when nothing ever will happen. */
+     *  event, no later than the next epoch sample; kNeverCycle when
+     *  nothing ever will happen. */
     Cycles nextBusyCycle() const;
     void drainHostSinks();
 
     // ---- resilience internals ----------------------------------------
     uint64_t cfgHash(); ///< checkpoint guard: fnv1a64 of the config text
     void applyDueFaults();
-    void maybeAutoCheckpoint();
-    /** Periodic watchdog / livelock scan; non-ok on a tripped timer. */
-    Status scanHangs(const CtrlBoxSim &root);
     /** Periodic cancel-token poll; non-ok the window after the token
      *  fires (kCancelled) or its deadline passes (kDeadlineExceeded). */
     Status checkCancel();
     /** Non-ok when some PMU scratchpad latched an uncorrectable ECC
-     *  error (fills RunResult::corruptedAt). */
+     *  error. */
     Status checkUncorrectable() const;
 
     /**
@@ -310,16 +287,17 @@ class Fabric
 
     // ---- resilience state --------------------------------------------
     uint64_t cfgHash_ = 0; ///< cfgHash()'s memo; 0 until first needed
+    /** The run's first out-of-range access, empty when none; off the
+     *  tape, so a restore clears it. */
+    std::string addrFault_;
     resilience::FaultInjector *injector_ = nullptr;
     const CancelToken *cancel_ = nullptr;
     Cycles nextCancelCheckAt_ = 0;
-    std::deque<FabricCheckpoint> ckptRing_;
-    Cycles nextCheckpointAt_ = 0;
-    Cycles nextHangScanAt_ = 0;
-    uint64_t lastRootIters_ = 0;     ///< livelock: last observed progress
-    Cycles lastRootProgressAt_ = 0;
 
     Cycles now_ = 0;
+    /** The oracle's deadlock window runs from here: runChecked's last
+     *  cycle with progress, over all calls since a restore. */
+    Cycles lastProgressAt_ = 0;
     /** Did the last step() see a unit report kActive or a busy memory
      *  system? (Dense ticking and the scheduler record the same bit.) */
     bool progress_ = false;

@@ -491,6 +491,9 @@ MemSystem::submitDense(uint32_t cu, AgSim *ag, uint64_t cmdId,
         addWaiter(c, ag, n_bursts);
         return false;
     }
+    if (pastImage(write ? "dense store" : "dense load", byteAddr,
+                  byteAddr + static_cast<Addr>(words) * 4))
+        return false;
     if (!c.waiting.empty()) {
         auto it = std::find_if(
             c.waiting.begin(), c.waiting.end(),
@@ -502,7 +505,6 @@ MemSystem::submitDense(uint32_t cu, AgSim *ag, uint64_t cmdId,
     c.outstanding += n_bursts;
     ++stats_.denseCmds;
 
-    dram_.reserve(byteAddr + static_cast<Addr>(words) * 4);
     if (write) {
         for (uint32_t w = 0; w < words; ++w)
             dram_.writeWord(byteAddr + static_cast<Addr>(w) * 4, data[w]);
@@ -527,6 +529,20 @@ MemSystem::submitDense(uint32_t cu, AgSim *ag, uint64_t cmdId,
         slab_[slot].waiters.push_back(w);
         c.issueQueue.push_back(slot);
     }
+    return true;
+}
+
+bool
+MemSystem::pastImage(const char *what, Addr byteAddr, Addr end)
+{
+    if (end <= dram_.sizeBytes())
+        return false;
+    latchAddressFault(addrFault_,
+                      strfmt("%s at byte %llu past the DRAM image (%llu "
+                             "bytes)",
+                             what, static_cast<unsigned long long>(byteAddr),
+                             static_cast<unsigned long long>(
+                                 dram_.sizeBytes())));
     return true;
 }
 
@@ -563,7 +579,9 @@ MemSystem::submitSparse(uint32_t cu, AgSim *ag, uint64_t cmdId,
             continue; // this lane waits for a free cache entry
         }
 
-        dram_.reserve(line + kBurstBytes);
+        if (pastImage(write ? "scatter" : "gather", byte_addr,
+                      line + kBurstBytes))
+            continue;
         if (write) {
             dram_.writeWord(byte_addr, data->lane[l]);
             stats_.bytesWritten += 4;

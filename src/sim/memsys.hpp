@@ -230,7 +230,8 @@ class MemSystem : public SimObject
     /** Dense command: `words` contiguous words at byteAddr. Returns
      *  false when the channel's coalescing unit cannot accept: its port
      *  took a command this cycle, or too few outstanding slots are
-     *  free. A refused AG joins the unit's waiting list. */
+     *  free. A refused AG joins the unit's waiting list. An accepted
+     *  command past the DRAM image is an address fault, and dropped. */
     bool submitDense(uint32_t cu, AgSim *ag, uint64_t cmdId, Addr byteAddr,
                      uint32_t words, bool write, const Word *data);
 
@@ -239,6 +240,7 @@ class MemSystem : public SimObject
      * May accept only a subset of the requested lanes when the
      * coalescing cache is full; returns the accepted-lane mask (the AG
      * retries the remainder once the coalescing unit frees capacity).
+     * A lane past the DRAM image is an address fault, never accepted.
      */
     uint32_t submitSparse(uint32_t cu, AgSim *ag, uint64_t cmdId,
                           const Vec &addrs, uint32_t lanes, bool write,
@@ -289,6 +291,8 @@ class MemSystem : public SimObject
 
     /** Install (or clear) the DRAM response fault model. */
     void setFaultHook(MemFaultHook *hook) { faultHook_ = hook; }
+    /** Latch accesses past the DRAM image here instead of panicking. */
+    void bindAddressFault(std::string *latch) { addrFault_ = latch; }
 
     /** One trace track per coalescing unit (burst intervals plus the
      *  outstanding-burst counter live there). */
@@ -355,6 +359,8 @@ class MemSystem : public SimObject
         // Both lists are scheduler bookkeeping: never checkpointed.
     };
 
+    /** Latch an address fault when [byteAddr, end) passes the image. */
+    bool pastImage(const char *what, Addr byteAddr, Addr end);
     uint32_t allocBurst(uint32_t cu, Addr lineAddr, bool write);
     void freeBurst(uint32_t slot);
     void addWaiter(CuState &c, AgSim *ag, uint32_t bursts);
@@ -374,6 +380,7 @@ class MemSystem : public SimObject
     std::vector<uint32_t> lastOutstanding_;
     Stats stats_;
     MemFaultHook *faultHook_ = nullptr;
+    std::string *addrFault_ = nullptr;
 
   public:
     /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/logging.hpp"
+#include "sim/simobject.hpp"
 
 namespace plast
 {
@@ -33,10 +34,10 @@ Word
 Scratchpad::read(uint32_t buf, uint32_t addr) const
 {
     addr = wrap(addr);
-    panic_if(buf >= cfg_.numBufs, "scratchpad buf %u out of range", buf);
-    panic_if(addr >= cfg_.sizeWords,
-             "scratchpad read addr %u out of range (%u words)", addr,
-             cfg_.sizeWords);
+    if (buf >= cfg_.numBufs || addr >= cfg_.sizeWords) {
+        outOfRange("read", buf, addr);
+        return 0;
+    }
     size_t flat = static_cast<size_t>(buf) * cfg_.sizeWords + addr;
     if (ecc_ && !poison_.empty())
     {
@@ -67,15 +68,24 @@ void
 Scratchpad::write(uint32_t buf, uint32_t addr, Word w)
 {
     addr = wrap(addr);
-    panic_if(buf >= cfg_.numBufs, "scratchpad buf %u out of range", buf);
-    panic_if(addr >= cfg_.sizeWords,
-             "scratchpad write addr %u out of range (%u words)", addr,
-             cfg_.sizeWords);
+    if (buf >= cfg_.numBufs || addr >= cfg_.sizeWords) {
+        outOfRange("write", buf, addr);
+        return;
+    }
     size_t flat = static_cast<size_t>(buf) * cfg_.sizeWords + addr;
     // A write regenerates the check bits, clearing any pending upset.
     if (!poison_.empty())
         poison_.erase(static_cast<uint32_t>(flat));
     data_[flat] = w;
+}
+
+void
+Scratchpad::outOfRange(const char *op, uint32_t buf, uint32_t addr) const
+{
+    latchAddressFault(
+        addrFault_,
+        strfmt("scratchpad %s buf %u addr %u out of range (%u x %u words)",
+               op, buf, addr, cfg_.numBufs, cfg_.sizeWords));
 }
 
 bool

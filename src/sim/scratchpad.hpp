@@ -10,6 +10,7 @@
 #define PLAST_SIM_SCRATCHPAD_HPP
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "arch/config.hpp"
@@ -30,9 +31,13 @@ class Scratchpad
     uint32_t sizeWords() const { return cfg_.sizeWords; }
     BankingMode mode() const { return cfg_.mode; }
 
-    /** Word read/write within buffer `buf`. Line-buffer mode wraps. */
+    /** Word read/write within buffer `buf`. Line-buffer mode wraps. An
+     *  access outside the buffers is an address fault and is dropped
+     *  (a read returns 0). */
     Word read(uint32_t buf, uint32_t addr) const;
     void write(uint32_t buf, uint32_t addr, Word w);
+    /** Latch out-of-range accesses here instead of panicking. */
+    void bindAddressFault(std::string *latch) { addrFault_ = latch; }
 
     /**
      * Cycles a vector access with the given per-lane word addresses
@@ -149,6 +154,8 @@ class Scratchpad
         return &data_[static_cast<size_t>(buf) * cfg_.sizeWords + addr];
     }
 
+    void outOfRange(const char *op, uint32_t buf, uint32_t addr) const;
+
     uint32_t
     wrap(uint32_t addr) const
     {
@@ -184,6 +191,7 @@ class Scratchpad
     mutable Cycles corruptedAt_ = ~Cycles{0};
     // Per-call workspace for conflictCycles(): reused, never state.
     mutable std::vector<uint32_t> perBankScratch_;
+    std::string *addrFault_ = nullptr;
 };
 
 } // namespace plast

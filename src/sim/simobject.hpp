@@ -24,7 +24,9 @@
 #define PLAST_SIM_SIMOBJECT_HPP
 
 #include <cstdint>
+#include <string>
 
+#include "base/logging.hpp"
 #include "base/trace.hpp"
 #include "base/types.hpp"
 
@@ -35,6 +37,18 @@ class Scheduler;
 
 /** Sentinel cycle value: "no pending event". */
 inline constexpr Cycles kNeverCycle = ~Cycles{0};
+
+/** Record an access outside a scratchpad buffer or the DRAM image in
+ *  the fabric's address-fault `latch` (kept: the first one); the caller
+ *  drops the access and runChecked stops with kAddressFault after the
+ *  step. With no latch bound (a unit test's component) it panics. */
+inline void
+latchAddressFault(std::string *latch, const std::string &what)
+{
+    panic_if(!latch, "%s", what.c_str());
+    if (latch->empty())
+        *latch = what;
+}
 
 enum class Activity : uint8_t
 {

@@ -99,7 +99,8 @@ class SimUnit : public SimObject
         if (stuck_) {
             // Hard-faulted unit: architecturally frozen. Inputs pile up
             // behind it and downstream consumers starve, which is what
-            // the watchdog / deadlock detectors then observe.
+            // the deadlock detection and the recovery orchestrator's
+            // stall check then observe.
             progress_ = false;
             ++acct_.stepped;
             ++acct_.by[static_cast<size_t>(CycleClass::kIdle)];
@@ -136,7 +137,8 @@ class SimUnit : public SimObject
     CycleClass sleepClass() const { return lastClass_; }
 
     /** Cycle of the most recent progress-making evaluation (0 before
-     *  the first); the control watchdogs compare this against `now`. */
+     *  the first); the recovery orchestrator's stall check and deadlock
+     *  post-mortems compare this against `now`. */
     Cycles lastProgressAt() const { return lastProgressAt_; }
 
     /**

@@ -111,6 +111,7 @@ TEST(MemSys, DenseStoreWritesImage)
     cfg.dataVecIn = 0;
     AgHarness h(cfg);
 
+    h.mem.dram().reserve(48 * 4);
     for (int i = 0; i < 3; ++i) {
         Vec v;
         for (uint32_t l = 0; l < 16; ++l) {
@@ -124,6 +125,45 @@ TEST(MemSys, DenseStoreWritesImage)
     for (uint32_t w = 0; w < 48; ++w)
         EXPECT_EQ(h.mem.dram().readWord(w * 4), 1000 + w);
     EXPECT_EQ(h.mem.stats().bytesWritten, 48u * 4);
+}
+
+/** A dense command past the DRAM image latches the bound address fault
+ *  and is dropped: the image keeps its size, where it used to grow to
+ *  fit the command. */
+TEST(MemSys, DenseStorePastImageLatchesAddressFault)
+{
+    AgCfg cfg;
+    cfg.mode = AgMode::kDenseStore;
+    CounterCfg rows;
+    rows.step = 16;
+    rows.max = 48;
+    cfg.chain.ctrs = {rows};
+    StageCfg st;
+    st.op = FuOp::kNop;
+    st.a = Operand::ctr(0);
+    st.dstReg = 0;
+    cfg.addrStages = {st};
+    cfg.addrReg = 0;
+    cfg.dataVecIn = 0;
+    AgHarness h(cfg);
+    std::string fault;
+    h.mem.bindAddressFault(&fault);
+
+    h.mem.dram().reserve(32 * 4); // the first two of three commands
+    for (int i = 0; i < 3; ++i) {
+        Vec v;
+        for (uint32_t l = 0; l < 16; ++l) {
+            v.lane[l] = 1000 + i * 16 + l;
+            v.setValid(l);
+        }
+        h.dataIn->push(v);
+    }
+    for (int c = 0; c < 500 && fault.empty(); ++c)
+        h.step();
+    EXPECT_EQ(fault, "dense store at byte 128 past the DRAM image (128 "
+                     "bytes)");
+    EXPECT_EQ(h.mem.dram().sizeBytes(), 128u);
+    EXPECT_EQ(h.mem.stats().bytesWritten, 32u * 4);
 }
 
 TEST(MemSys, GatherMergesSameLineLanes)

@@ -1,6 +1,7 @@
 /** @file Fault-injection & resilience subsystem: ECC correction on
  *  every benchmark, rollback from uncorrectable upsets, degraded
- *  re-mapping around hard faults, watchdog/livelock detection,
+ *  re-mapping around hard faults, the orchestrator's stall check,
+ *  typed address-fault stops,
  *  checkpoint round trips, non-fatal Status paths and the campaign
  *  driver's no-unexplained-SDC invariant. */
 
@@ -319,60 +320,50 @@ TEST(Resilience, DroppedControlTokenIsNeverSilent)
         << "no dropped token ever required detect-and-recover";
 }
 
-// ---- watchdog and livelock detectors --------------------------------
-
+/** A frozen PCU hangs the fabric, but a planned event far past the run
+ *  keeps the fabric from reporting the deadlock until that event is
+ *  due. The orchestrator's stall check, run at its cap stops, catches
+ *  the frozen unit one stall window in instead, and the re-mapped run
+ *  completes before the late event fires. (The name is kept from when
+ *  a watchdog in the fabric did this.) */
 TEST(Resilience, WatchdogTripsOnFrozenUnit)
 {
     setVerbose(false);
     apps::AppInstance app = appByName("InnerProduct");
     ArchParams params = eccParams(true);
-    SimOptions so;
-    so.engine = Engine::kOracle;
-    so.watchdogCycles = 1'000;
-    Runner r(app.prog, params, so);
-    app.load(r);
-    ASSERT_TRUE(r.tryCompile().ok());
+    Runner stage(app.prog, params);
+    app.load(stage);
+    ASSERT_TRUE(stage.tryCompile().ok());
+
+    ResilientRunner rr(app.prog, params, stage.sharedMapResult());
+    rr.setInputs(stage.hostBuffers());
+    ASSERT_TRUE(rr.runGolden().ok());
+    ASSERT_LT(rr.goldenCycles(), 10'000u); // a 20,000-cycle window
 
     FaultPlan plan;
-    FaultEvent e;
-    e.kind = FaultKind::kPcuStuck;
-    e.cycle = 100;
-    e.unit = firstUsedPcu(r.mapResult().fabric);
-    plan.events.push_back(e);
-    FaultInjector inj(plan, true);
-    r.setFaultInjector(&inj);
+    FaultEvent stuck;
+    stuck.kind = FaultKind::kPcuStuck;
+    stuck.cycle = 100;
+    stuck.unit = firstUsedPcu(stage.mapResult().fabric);
+    FaultEvent late;
+    late.kind = FaultKind::kPcuRegFlip;
+    late.cycle = 90'000;
+    late.unit = stuck.unit;
+    plan.events = {stuck, late};
 
-    Runner::Result out;
-    Status st = r.tryRun(out);
-    EXPECT_EQ(st.code(), StatusCode::kWatchdog) << st.message();
-    EXPECT_NE(st.message().find("watchdog"), std::string::npos);
-}
-
-TEST(Resilience, LivelockTripsWhenRootStopsProgressing)
-{
-    setVerbose(false);
-    apps::AppInstance app = appByName("InnerProduct");
-    ArchParams params = eccParams(true);
-    SimOptions so;
-    so.engine = Engine::kOracle;
-    so.livelockCycles = 1'500;
-    Runner r(app.prog, params, so);
-    app.load(r);
-    ASSERT_TRUE(r.tryCompile().ok());
-
-    FaultPlan plan;
-    FaultEvent e;
-    e.kind = FaultKind::kPcuStuck;
-    e.cycle = 100;
-    e.unit = firstUsedPcu(r.mapResult().fabric);
-    plan.events.push_back(e);
-    FaultInjector inj(plan, true);
-    r.setFaultInjector(&inj);
-
-    Runner::Result out;
-    Status st = r.tryRun(out);
-    EXPECT_EQ(st.code(), StatusCode::kLivelock) << st.message();
-    EXPECT_NE(st.message().find("livelock"), std::string::npos);
+    ResilienceReport rep = rr.run(plan);
+    EXPECT_EQ(rep.cls, RunClass::kRecovered) << rep.detail;
+    EXPECT_TRUE(rep.finalStatus.ok()) << rep.finalStatus.message();
+    EXPECT_EQ(rep.remaps, 1u) << rep.detail;
+    EXPECT_EQ(rep.eventsFired, 1u) << rep.detail;
+    // Caught one window past the hang, long before the late event.
+    const size_t at = rep.detail.find("stall: unit");
+    ASSERT_NE(at, std::string::npos) << rep.detail;
+    const size_t c = rep.detail.find("(cycle ", at);
+    ASSERT_NE(c, std::string::npos) << rep.detail;
+    const Cycles caught = std::stoull(rep.detail.substr(c + 7));
+    EXPECT_GT(caught, 20'000u) << rep.detail;
+    EXPECT_LT(caught, 30'000u) << rep.detail;
 }
 
 // ---- deadlock post-mortem (BottleneckReport extension) --------------
@@ -433,7 +424,7 @@ TEST(Resilience, StatusReplacesFatalPaths)
             << st.message();
     }
 
-    // Deadlock as data: a frozen PCU with no watchdog configured.
+    // Deadlock as data: a frozen PCU empties the active set.
     {
         Runner r(app.prog, params);
         app.load(r);
@@ -461,6 +452,133 @@ TEST(Resilience, StatusReplacesFatalPaths)
         Status st = r.tryRun(out, /*maxCycles=*/10);
         EXPECT_EQ(st.code(), StatusCode::kMaxCycles);
     }
+}
+
+// ---- address faults: a corrupted index ends the attempt typed --------
+
+namespace
+{
+
+/** Status of one run of `app` under `plan` with `engine`; `stop` gets
+ *  the completion or stop cycle, `image` the final DRAM image size. */
+Status
+runUnderPlan(apps::AppInstance &app, const ArchParams &params,
+             const FaultPlan &plan, Engine engine, Cycles &stop,
+             Addr &image)
+{
+    SimOptions so;
+    so.engine = engine;
+    Runner r(app.prog, params, so);
+    app.load(r);
+    FaultInjector inj(plan, params.dram.ecc);
+    r.setFaultInjector(&inj);
+    Runner::Result out;
+    Status st = r.tryRun(out);
+    stop = out.cycles;
+    image = r.fabric() ? r.fabric()->mem().dram().sizeBytes() : 0;
+    return st;
+}
+
+/** Both engines stop `app` under `plan` with the same kAddressFault on
+ *  the same cycle, right after the step of the access and before a
+ *  clean run completes, the DRAM image no larger than a clean run's;
+ *  the recovery orchestrator then rolls back past the upset and
+ *  finishes exact. `what` names the access in the status message. */
+void
+expectTypedAddressFault(apps::AppInstance &app, const ArchParams &params,
+                        const FaultPlan &plan, const std::string &what)
+{
+    Cycles cleanStop, oracleStop, productionStop;
+    Addr cleanImage, oracleImage, productionImage;
+    ASSERT_TRUE(runUnderPlan(app, params, FaultPlan{}, Engine::kProduction,
+                             cleanStop, cleanImage)
+                    .ok());
+    Status oracle = runUnderPlan(app, params, plan, Engine::kOracle,
+                                 oracleStop, oracleImage);
+    Status production = runUnderPlan(app, params, plan,
+                                     Engine::kProduction, productionStop,
+                                     productionImage);
+    EXPECT_EQ(oracle.code(), StatusCode::kAddressFault) << oracle.toString();
+    EXPECT_EQ(production.code(), StatusCode::kAddressFault)
+        << production.toString();
+    EXPECT_NE(production.message().find(what), std::string::npos)
+        << production.message();
+    EXPECT_EQ(oracle.message(), production.message());
+    EXPECT_EQ(oracleStop, productionStop);
+    EXPECT_LT(productionStop, cleanStop);
+    EXPECT_NE(production.message().find(
+                  "(cycle " + std::to_string(productionStop - 1) + ")"),
+              std::string::npos)
+        << production.message();
+    EXPECT_EQ(oracleImage, cleanImage);
+    EXPECT_EQ(productionImage, cleanImage);
+
+    Runner stage(app.prog, params);
+    app.load(stage);
+    ASSERT_TRUE(stage.tryCompile().ok());
+    ResilientRunner rr(app.prog, params, stage.sharedMapResult());
+    rr.setInputs(stage.hostBuffers());
+    ResilienceReport rep = rr.run(plan);
+    EXPECT_TRUE(rep.finalStatus.ok()) << rep.finalStatus.toString();
+    EXPECT_EQ(rep.cls, RunClass::kRecovered) << rep.detail;
+    EXPECT_GE(rep.rollbacks + rep.restarts, 1u);
+    EXPECT_NE(rep.detail.find("address fault: " + what), std::string::npos)
+        << rep.detail;
+}
+
+} // namespace
+
+/** With DRAM ECC off, one upset in a burst of SMDV's column indices
+ *  sends a gather far past the DRAM image, which used to grow the image
+ *  to the corrupted address. */
+TEST(Resilience, CorruptedGatherIndexStopsTypedOnBothEngines)
+{
+    setVerbose(false);
+    apps::AppInstance app = appByName("SMDV");
+    FaultPlan plan;
+    FaultEvent e;
+    e.kind = FaultKind::kDramResponse;
+    e.cycle = 327;
+    e.bits = 1;
+    e.bit = 109;
+    plan.events.push_back(e);
+    expectTypedAddressFault(app, eccParams(false), plan, "gather");
+}
+
+/** With scratchpad ECC off, a flipped bit in a Kmeans scratchpad word
+ *  that later serves as an index reads another scratchpad out of range,
+ *  which used to panic. The victim PMU is searched for, so the test
+ *  does not pin a placement. */
+TEST(Resilience, CorruptedScratchpadIndexStopsTypedOnBothEngines)
+{
+    setVerbose(false);
+    apps::AppInstance app = appByName("Kmeans");
+    ArchParams params = eccParams(false);
+    Runner probe(app.prog, params);
+    app.load(probe);
+    Runner::Result ref;
+    ASSERT_TRUE(probe.tryRun(ref).ok());
+    const FabricConfig &cfg = probe.mapResult().fabric;
+
+    for (uint32_t u = 0; u < cfg.pmus.size(); ++u) {
+        if (!cfg.pmus[u].used)
+            continue;
+        FaultPlan plan;
+        FaultEvent e;
+        e.kind = FaultKind::kPmuScratchFlip;
+        e.cycle = ref.cycles / 8;
+        e.unit = u;
+        e.bit = 30;
+        plan.events.push_back(e);
+        Cycles stop;
+        Addr image;
+        if (runUnderPlan(app, params, plan, Engine::kProduction, stop, image)
+                .code() != StatusCode::kAddressFault)
+            continue;
+        expectTypedAddressFault(app, params, plan, "scratchpad read");
+        return;
+    }
+    FAIL() << "no scratchpad upset drove a Kmeans index out of range";
 }
 
 // ---- degraded placement ---------------------------------------------
@@ -500,26 +618,23 @@ TEST_P(CheckpointRestore, MidRunSnapshotResumesBitAndCycleExact)
     Runner::Result ref;
     ASSERT_TRUE(probe.tryRun(ref).ok());
 
-    SimOptions so;
-    so.checkpointEvery = std::max<Cycles>(1, ref.cycles / 4);
-    so.keepCheckpoints = 8;
-    Runner r(app.prog, params, so);
+    // Stop at a cap halfway through, snapshot there, then run out.
+    Runner r(app.prog, params);
     app.load(r);
     Runner::Result out;
-    ASSERT_TRUE(r.tryRun(out).ok());
-    EXPECT_EQ(out.cycles, ref.cycles)
-        << "checkpointing must not perturb execution";
-
+    ASSERT_EQ(r.tryRun(out, ref.cycles / 2).code(), StatusCode::kMaxCycles);
     Fabric *orig = r.mutableFabric();
-    const auto &ring = orig->autoCheckpoints();
-    ASSERT_GE(ring.size(), 2u);
-    FabricCheckpoint cp = ring[ring.size() / 2];
+    FabricCheckpoint cp = orig->saveCheckpoint();
+    ASSERT_EQ(cp.cycle, ref.cycles / 2);
     ASSERT_GT(cp.cycle, 0u);
-    ASSERT_LT(cp.cycle, ref.cycles);
+    RunResult done = orig->runChecked();
+    ASSERT_TRUE(done.status.ok()) << done.status.message();
+    EXPECT_EQ(done.cycles, ref.cycles)
+        << "stopping to checkpoint must not perturb execution";
 
     // The tape carries the whole architectural state including the
     // DRAM image, so a fresh fabric needs no input staging at all.
-    Fabric fresh(r.mapResult().fabric, so);
+    Fabric fresh(r.mapResult().fabric);
     ASSERT_TRUE(fresh.restoreCheckpoint(cp).ok());
     RunResult rr = fresh.runChecked();
     ASSERT_TRUE(rr.status.ok()) << rr.status.message();
@@ -569,20 +684,17 @@ TEST_P(CrossEngineCheckpoint, SnapshotRestoresAcrossEngines)
 
     SimOptions save;
     save.engine = saveEngine;
-    save.checkpointEvery = std::max<Cycles>(1, ref.cycles / 4);
-    save.keepCheckpoints = 8;
     Runner r(app.prog, params, save);
     app.load(r);
     Runner::Result out;
-    ASSERT_TRUE(r.tryRun(out).ok());
-    EXPECT_EQ(out.cycles, ref.cycles)
-        << "engine choice must not perturb execution";
-
+    ASSERT_EQ(r.tryRun(out, ref.cycles / 2).code(), StatusCode::kMaxCycles);
     Fabric *orig = r.mutableFabric();
-    const auto &ring = orig->autoCheckpoints();
-    ASSERT_GE(ring.size(), 2u);
-    FabricCheckpoint cp = ring[ring.size() / 2];
+    FabricCheckpoint cp = orig->saveCheckpoint();
     ASSERT_GT(cp.cycle, 0u);
+    RunResult done = orig->runChecked();
+    ASSERT_TRUE(done.status.ok()) << done.status.message();
+    EXPECT_EQ(done.cycles, ref.cycles)
+        << "engine choice must not perturb execution";
 
     SimOptions resume;
     resume.engine = resumeEngine;

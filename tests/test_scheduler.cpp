@@ -2,9 +2,10 @@
  *  production default (activity + specialized) against the dense +
  *  interpreter oracle on every benchmark, the same stop cycle at every
  *  max-cycle cap, AGs sleeping on coalescer capacity and on waiting
- *  lists (hard-faulted ones too), checkpoints, epoch rows and watchdog
- *  verdicts on dense mode's cycles despite fast-forward, and exact
- *  deadlock detection (empty active set) on a stalled credit loop. */
+ *  lists (hard-faulted ones too), checkpoints, epoch rows and the
+ *  stall check's inputs on dense mode's cycles despite fast-forward,
+ *  and exact deadlock detection (empty active set) on a stalled credit
+ *  loop. */
 
 #include <gtest/gtest.h>
 
@@ -110,18 +111,7 @@ loadedFabric(const Runner &r, const compiler::MapResult &map,
              SimOptions opts)
 {
     auto f = std::make_unique<Fabric>(map.fabric, opts);
-    const pir::Program &prog = r.program();
-    Addr extent = 0;
-    for (size_t m = 0; m < prog.mems.size(); ++m) {
-        if (prog.mems[m].kind == pir::MemKind::kDram)
-            extent = std::max(extent, map.dramBase[m] +
-                                          prog.mems[m].sizeWords * 4 + 64);
-    }
-    f->dram().reserve(extent);
-    for (const auto &[mid, data] : r.hostBuffers()) {
-        for (size_t w = 0; w < data.size(); ++w)
-            f->dram().writeWord(map.dramBase[mid] + w * 4, data[w]);
-    }
+    loadDram(*f, r.program(), map, r.hostBuffers());
     return f;
 }
 
@@ -325,6 +315,27 @@ TEST(SchedulerDeath, DenseModeWaitsOutTheFixedWindow)
         << rr.status.message();
     EXPECT_GT(f.now(), kDeadlockWindow);
     expectStartTokenHeld(f);
+}
+
+/** The window counts from the last progress, not from the call: run in
+ *  cap legs far shorter than the window, the oracle still reports the
+ *  deadlock, on the cycle and with the message of a single call. */
+TEST(SchedulerDeath, DenseWindowSpansCapLegs)
+{
+    Fabric once(creditLoopDesign(), denseOpts());
+    RunResult whole = once.runChecked(10'000'000);
+    ASSERT_EQ(whole.status.code(), StatusCode::kDeadlock);
+
+    Fabric legs(creditLoopDesign(), denseOpts());
+    RunResult rr;
+    for (Cycles cap = 389; cap < 10'000'000; cap += 389) {
+        rr = legs.runChecked(cap);
+        if (rr.status.code() != StatusCode::kMaxCycles)
+            break;
+    }
+    EXPECT_EQ(rr.status.code(), StatusCode::kDeadlock);
+    EXPECT_EQ(rr.status.message(), whole.status.message());
+    EXPECT_EQ(legs.now(), once.now());
 }
 
 /** Stream statistics are live (not the dead counters they replace):
@@ -627,32 +638,27 @@ TEST_P(CapacityCycleParity, MidRunCheckpointRoundTrips)
     Cycles total = runPressured(GetParam(), SimOptions{}).result.cycles;
     ASSERT_GT(total, 0u);
 
-    SimOptions so;
-    so.checkpointEvery = std::max<Cycles>(1, total / 8);
-    so.keepCheckpoints = 16;
     apps::AppInstance app =
         specByName(appOf(GetParam())).make(apps::Scale::kTiny);
-    Runner r(app.prog, pressuredParams(GetParam()), so);
+    Runner r(app.prog, pressuredParams(GetParam()));
     app.load(r);
     Runner::Result out;
-    ASSERT_TRUE(r.tryRun(out).ok());
+    Status st = r.tryRun(out, 0);
     Fabric *orig = r.mutableFabric();
 
-    // The first snapshot past the midpoint that has bursts in flight.
+    // Stop at a cap every eighth of the run; snapshot the first stop
+    // past the midpoint that has bursts in flight.
     std::optional<FabricCheckpoint> cp;
-    for (const FabricCheckpoint &c : orig->autoCheckpoints()) {
-        if (c.cycle < total / 2)
-            continue;
-        Fabric probe(r.mapResult().fabric, so);
-        ASSERT_TRUE(probe.restoreCheckpoint(c).ok());
-        if (!probe.mem().quiescent()) {
-            cp = c;
-            break;
-        }
+    while (st.code() == StatusCode::kMaxCycles) {
+        if (!cp && orig->now() >= total / 2 && !orig->mem().quiescent())
+            cp = orig->saveCheckpoint();
+        st = orig->runChecked(orig->now() + std::max<Cycles>(1, total / 8))
+                 .status;
     }
+    ASSERT_TRUE(st.ok()) << st.message();
     ASSERT_TRUE(cp.has_value()) << "no mid-run snapshot with live bursts";
 
-    Fabric fresh(r.mapResult().fabric, so);
+    Fabric fresh(r.mapResult().fabric);
     ASSERT_TRUE(fresh.restoreCheckpoint(*cp).ok());
     EXPECT_EQ(fresh.saveCheckpoint().tape, cp->tape)
         << "the slab must re-save to the tape it was restored from";
@@ -835,12 +841,12 @@ TEST(WaitingListParity, StuckPickHandsThePortToTheNextWaiter)
 }
 
 /** Activity mode jumps the clock over cycles where only arrivals and
- *  memory events are pending, but never past a cycle on which dense
- *  ticking takes an auto-checkpoint, samples an epoch or scans for a
- *  hang. So both modes checkpoint on the same cycles, and each
- *  checkpoint resumes to the same run; they write the same epoch
- *  rows; and the watchdog reaches the same verdict on the same
- *  cycle. */
+ *  memory events are pending, but never past a cycle after whose step
+ *  dense ticking samples an epoch, and a jump that reaches a cap stops
+ *  there. So both modes write the same epoch rows, checkpoints saved
+ *  at the same runChecked(cap) stops each resume to the same run, and
+ *  at every stop each unit's busy() and lastProgressAt(), all the
+ *  recovery orchestrator's stall check reads, are the same. */
 class DutyCycleParity : public ::testing::TestWithParam<std::string>
 {
 };
@@ -854,30 +860,42 @@ TEST_P(DutyCycleParity, CheckpointsEpochsAndWatchdogLandOnDenseCycles)
     ASSERT_TRUE(r.tryCompile().ok());
     const compiler::MapResult &map = r.mapResult();
 
-    auto duties = [](SimOptions o) {
-        o.checkpointEvery = 389;
-        o.keepCheckpoints = 64;
+    auto epochs = [](SimOptions o) {
         o.trace.enabled = true;
         o.trace.epochCycles = 61;
-        o.watchdogCycles = 2500;
         return o;
     };
-    auto dense = loadedFabric(r, map, duties(denseOpts()));
-    auto activity = loadedFabric(r, map, duties(SimOptions{}));
-    RunResult d = dense->runChecked();
-    RunResult a = activity->runChecked();
-    EXPECT_EQ(d.status.code(), a.status.code());
-    EXPECT_EQ(d.status.message(), a.status.message());
-    ASSERT_EQ(dense->now(), activity->now());
+    auto dense = loadedFabric(r, map, epochs(denseOpts()));
+    auto activity = loadedFabric(r, map, epochs(SimOptions{}));
+    // Stop both every 389 cycles and snapshot each stop.
+    std::vector<FabricCheckpoint> dcps, acps;
+    RunResult d, a;
+    for (Cycles cap = 0;; cap += 389) {
+        d = dense->runChecked(cap);
+        a = activity->runChecked(cap);
+        ASSERT_EQ(d.status.code(), a.status.code()) << "cap " << cap;
+        ASSERT_EQ(dense->now(), activity->now()) << "cap " << cap;
+        if (d.status.code() != StatusCode::kMaxCycles)
+            break;
+        for (size_t u = 0; u < dense->units().size(); ++u) {
+            const SimUnit *du = dense->units()[u];
+            const SimUnit *au = activity->units()[u];
+            ASSERT_EQ(du->busy(), au->busy())
+                << du->name() << " at cap " << cap;
+            ASSERT_EQ(du->lastProgressAt(), au->lastProgressAt())
+                << du->name() << " at cap " << cap;
+        }
+        dcps.push_back(dense->saveCheckpoint());
+        acps.push_back(activity->saveCheckpoint());
+    }
+    ASSERT_TRUE(d.status.ok()) << d.status.message();
+    ASSERT_EQ(d.cycles, a.cycles);
 
     std::ostringstream denseCsv, activityCsv;
     dense->writeUtilizationCsv(denseCsv);
     activity->writeUtilizationCsv(activityCsv);
     EXPECT_EQ(denseCsv.str(), activityCsv.str());
 
-    const auto &dcps = dense->autoCheckpoints();
-    const auto &acps = activity->autoCheckpoints();
-    ASSERT_EQ(dcps.size(), acps.size());
     ASSERT_GT(dcps.size(), 1u);
     for (size_t i = 0; i < dcps.size(); ++i) {
         ASSERT_EQ(dcps[i].cycle, acps[i].cycle) << "checkpoint " << i;

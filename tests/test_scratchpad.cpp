@@ -37,6 +37,25 @@ TEST(Scratchpad, ReadBackWhatWasWritten)
         EXPECT_EQ(sp.read(0, a), a * 3);
 }
 
+/** Bound to a fabric's address-fault latch, an out-of-range access is
+ *  recorded and dropped instead of panicking; the first one is kept. */
+TEST(Scratchpad, OutOfRangeAccessLatchesWhenBound)
+{
+    Scratchpad sp = make(BankingMode::kStrided, 16);
+    std::string fault;
+    sp.bindAddressFault(&fault);
+    sp.write(0, 3, 77);
+    sp.write(0, 19, 5);
+    EXPECT_EQ(fault, "scratchpad write buf 0 addr 19 out of range (1 x 16 "
+                     "words)");
+    EXPECT_EQ(sp.read(0, 16), 0u);
+    EXPECT_EQ(fault, "scratchpad write buf 0 addr 19 out of range (1 x 16 "
+                     "words)");
+    EXPECT_EQ(sp.read(0, 3), 77u);
+    for (uint32_t a = 0; a < 16; ++a)
+        EXPECT_EQ(sp.read(0, a), a == 3 ? 77u : 0u);
+}
+
 TEST(Scratchpad, BuffersAreDisjoint)
 {
     Scratchpad sp = make(BankingMode::kStrided, 256, 4);

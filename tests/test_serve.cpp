@@ -1618,10 +1618,9 @@ TEST(ServeResilient, EveryJobFinishesTypedUnderFaultTraffic)
             EXPECT_TRUE(r.outcome->outcome == "ok" ||
                         r.outcome->outcome == "recovered" ||
                         r.outcome->outcome == "silent-corruption" ||
-                        r.outcome->outcome == "watchdog" ||
-                        r.outcome->outcome == "livelock" ||
                         r.outcome->outcome == "deadlock" ||
                         r.outcome->outcome == "uncorrectable" ||
+                        r.outcome->outcome == "address-fault" ||
                         r.outcome->outcome == "max-cycles")
                 << r.source << ": " << r.outcome->outcome;
         }
