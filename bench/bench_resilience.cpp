@@ -3,8 +3,8 @@
  * Cost of the resilience machinery: per-app checkpoint save/restore
  * throughput (the word tape captures the full architectural state,
  * DRAM image included), the end-to-end slowdown of a fault-free run
- * under the recovery orchestrator (its checkpoint ring and stall
- * checks, each taken at a cycle-cap stop), and the analytical
+ * under the recovery orchestrator (its checkpoint ring, each snapshot
+ * taken at a cycle-cap stop), and the analytical
  * area/power overhead of SECDED ECC on scratchpads and DRAM (39/32 on
  * SRAM capacity, 72/64 on the DRAM interface, plus encoder/decoder
  * logic).

@@ -81,8 +81,7 @@ runCampaign(const CampaignOptions &opts)
             failed(st);
             continue;
         }
-        ResilientRunner rr(inst.prog, params, stage.sharedMapResult(),
-                           opts.maxCycles);
+        ResilientRunner rr(inst.prog, params, stage.sharedMapResult());
         rr.setInputs(stage.hostBuffers());
         if (Status st = rr.runGolden(); !st.ok()) {
             failed(st);

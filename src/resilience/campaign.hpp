@@ -30,7 +30,6 @@ struct CampaignOptions
     FaultMix mix = FaultMix::kAll;
     /** Benchmark names (apps::allApps subset); empty = all 13. */
     std::vector<std::string> apps;
-    Cycles maxCycles = 0; ///< per attempt; 0 = derived per app
 };
 
 struct CampaignRun

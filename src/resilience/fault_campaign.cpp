@@ -57,8 +57,6 @@ main(int argc, char **argv)
               "fault mix")
         .sw("hard", opts.includeHard,
             "allow a hard (stuck-unit) fault per plan")
-        .num("max-cycles", opts.maxCycles,
-             "per-attempt cycle cap (0 = derived per app)")
         .str("out", out_path, "PATH",
              "write the JSON report (default stdout)");
     if (auto rc = flags.parse(argc, argv))

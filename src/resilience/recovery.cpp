@@ -39,33 +39,13 @@ constexpr size_t kKeepCheckpoints = 4;
  *  with detected-unrecoverable. */
 constexpr uint32_t kMaxRecoveries = 4;
 
-/** A hang when some busy unit has made no progress for more than
- *  `window` cycles. (The fabric reports a deadlock only once no planned
- *  fault event that could still change its state is left.) */
-Status
-checkStalls(const Fabric &fab, Cycles window)
-{
-    for (const SimUnit *u : fab.units()) {
-        const Cycles idle = fab.now() - u->lastProgressAt();
-        if (u->busy() && idle > window)
-            return Status(StatusCode::kDeadlock,
-                          strfmt("stall: unit %s made no progress for "
-                                 "%llu cycles (cycle %llu)",
-                                 u->name().c_str(),
-                                 static_cast<unsigned long long>(idle),
-                                 static_cast<unsigned long long>(
-                                     fab.now())));
-    }
-    return Status();
-}
-
 } // namespace
 
 ResilientRunner::ResilientRunner(
     pir::Program prog, ArchParams params,
-    std::shared_ptr<const compiler::MapResult> compiled, Cycles maxCycles)
+    std::shared_ptr<const compiler::MapResult> compiled)
     : prog_(std::move(prog)), params_(params),
-      compiled_(std::move(compiled)), maxCycles_(maxCycles)
+      compiled_(std::move(compiled))
 {
     panic_if(!compiled_, "ResilientRunner needs a compiled program");
 }
@@ -85,20 +65,12 @@ ResilientRunner::runGolden()
     if (cancel_)
         runner.setCancelToken(cancel_);
     Runner::Result res;
-    Status st = runner.tryRun(res);
-    if (!st.ok())
-        return st;
-    runner.readBack(res);
-    golden_ = std::move(res);
-    haveGolden_ = true;
-    return st;
-}
-
-Cycles
-ResilientRunner::attemptCap() const
-{
-    return maxCycles_ ? maxCycles_
-                      : std::max<Cycles>(1'000'000, 50 * golden_.cycles);
+    goldenStatus_ = runner.tryRun(res);
+    if (goldenStatus_->ok()) {
+        runner.readBack(res);
+        golden_ = std::move(res);
+    }
+    return *goldenStatus_;
 }
 
 void
@@ -125,16 +97,14 @@ ResilientRunner::run(const FaultPlan &plan)
     ResilienceReport rep;
     rep.eventsPlanned = static_cast<uint32_t>(plan.events.size());
 
-    if (!haveGolden_) {
-        Status st = runGolden();
-        if (!st.ok()) {
-            rep.cls = RunClass::kDetectedUnrecoverable;
-            rep.finalStatus = st;
-            rep.detail = "golden run failed: " + st.message();
-            last_ = Runner::Result{};
-            last_.dram.resize(prog_.mems.size()); // no attempt ran
-            return rep;
-        }
+    if (Status st = goldenStatus_ ? *goldenStatus_ : runGolden();
+        !st.ok()) {
+        rep.cls = RunClass::kDetectedUnrecoverable;
+        rep.finalStatus = st;
+        rep.detail = "golden run failed: " + st.message();
+        last_ = Runner::Result{};
+        last_.dram.resize(prog_.mems.size()); // no attempt ran
+        return rep;
     }
 
     FaultInjector injector(plan, params_.dram.ecc);
@@ -149,21 +119,18 @@ ResilientRunner::run(const FaultPlan &plan)
 
     std::unique_ptr<Runner> runner = makeRunner();
     runner->adoptCompiled(compiled_);
-    const Cycles cap = attemptCap();
-    // Both windows scale with the fault-free horizon: an interval near
-    // it would never build a ring, and a stall window shorter than a
-    // legitimate memory-bound wait would flag healthy runs.
+    // Both scale with the fault-free horizon: the cap bounds a hang
+    // that is not a deadlock, and an interval near the horizon would
+    // never build a ring.
+    const Cycles cap = std::max<Cycles>(1'000'000, 50 * golden_.cycles);
     const Cycles every = std::max<Cycles>(1'000, golden_.cycles / 5);
-    const Cycles stallWindow = std::max<Cycles>(20'000, 2 * golden_.cycles);
     std::deque<FabricCheckpoint> ring;
     Cycles nextCheckpoint = 0;
-    Cycles nextStallCheck = 0;
     Runner::Result res;
 
     // Run the fabric to completion, a typed stop or the attempt cap,
-    // stopping at each checkpoint cycle to snapshot it (before that
-    // cycle is stepped) and every eighth of the stall window to check
-    // for stalls (after the cycle before it is).
+    // stopping at each checkpoint cycle to snapshot it before that
+    // cycle is stepped.
     auto advance = [&]() {
         Fabric &fab = *runner->mutableFabric();
         for (;;) {
@@ -173,25 +140,16 @@ ResilientRunner::run(const FaultPlan &plan)
                     ring.pop_front();
                 nextCheckpoint = fab.now() + every;
             }
-            RunResult rr = fab.runChecked(
-                std::min({nextCheckpoint, nextStallCheck, cap}));
-            if (rr.status.code() != StatusCode::kMaxCycles)
-                return rr;
-            if (fab.now() >= nextStallCheck) {
-                if (Status st = checkStalls(fab, stallWindow); !st.ok())
-                    return RunResult{st, fab.now()};
-                nextStallCheck = fab.now() + stallWindow / 8;
-            }
-            if (fab.now() >= cap)
+            RunResult rr = fab.runChecked(std::min(nextCheckpoint, cap));
+            if (rr.status.code() != StatusCode::kMaxCycles ||
+                fab.now() >= cap)
                 return rr;
         }
     };
-    // A fresh attempt: build the fabric, stopped at cycle 0, and run it
-    // (the first stall check follows the first step).
+    // A fresh attempt: build the fabric, stopped at cycle 0, and run it.
     auto attempt = [&]() {
         ring.clear();
         nextCheckpoint = 0;
-        nextStallCheck = 1;
         Status st = runner->tryRun(res, 0);
         if (st.code() != StatusCode::kMaxCycles)
             return st; // cancelled before the first cycle
@@ -217,8 +175,8 @@ ResilientRunner::run(const FaultPlan &plan)
             break;
         }
 
-        // A deadlock, a stall, or kMaxCycles (advance() returns it only
-        // at the attempt cap).
+        // A deadlock, or kMaxCycles (advance() returns it only at the
+        // attempt cap).
         const bool hang = st.code() == StatusCode::kDeadlock ||
                           st.code() == StatusCode::kMaxCycles;
         auto stuck = injector.firedStuck();
@@ -283,7 +241,6 @@ ResilientRunner::run(const FaultPlan &plan)
                 ++rep.rollbacks;
                 // The restored snapshot stays the ring's newest.
                 nextCheckpoint = cp.cycle + every;
-                nextStallCheck = cp.cycle + 1;
                 RunResult rr = advance();
                 st = rr.status;
                 if (st.ok())

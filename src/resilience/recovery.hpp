@@ -4,8 +4,8 @@
  * and drives every resilience mechanism in concert — ECC correction
  * happens inside the fabric, while this layer reacts to *detected*
  * failures (uncorrectable ECC latches, address faults, deadlocks,
- * stalled units, attempts capped out) with checkpoint rollback, full
- * restart, or degraded re-place-and-route around hard-faulted units.
+ * attempts capped out) with checkpoint rollback, full restart, or
+ * degraded re-place-and-route around hard-faulted units.
  * Each run is classified against a fault-free golden execution of the
  * same inputs:
  *
@@ -17,8 +17,8 @@
  *   detected-unrecoverable   detected, but the recovery budget ran out
  *   silent-corruption        completed with wrong output (SDC)
  *
- * It snapshots each attempt, and checks it for stalled units, where a
- * runChecked capped at the next such cycle stops. A rollback
+ * Each attempt runs in runChecked legs capped at the next checkpoint
+ * or the attempt cap, and is snapshotted where a leg stops. A rollback
  * re-executes from the newest checkpoint at or before the corruption
  * cycle; fault events are one-shot, so the replayed region runs
  * fault-free and re-execution converges. Checkpoints are bound to a
@@ -31,6 +31,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,12 +83,11 @@ class ResilientRunner
     /** `compiled` is the caller's frozen compile of (prog, params)
      *  (Runner::sharedMapResult()): the golden run and every attempt
      *  on the unmasked fabric adopt it, so only a degraded re-mapping
-     *  compiles. `maxCycles` caps each attempt; 0 derives ~50x the
-     *  golden cycle count. The checkpoint interval and the stall window
-     *  always derive from the golden run (recovery.cpp). */
+     *  compiles. The checkpoint interval and the attempt cap,
+     *  max(1M, 50x), derive from the golden cycle count
+     *  (recovery.cpp). */
     ResilientRunner(pir::Program prog, ArchParams params,
-                    std::shared_ptr<const compiler::MapResult> compiled,
-                    Cycles maxCycles = 0);
+                    std::shared_ptr<const compiler::MapResult> compiled);
 
     /** Input staging (before runGolden / run). */
     void setInputs(std::map<pir::MemId, std::vector<Word>> bufs);
@@ -100,8 +100,10 @@ class ResilientRunner
     void setCancelToken(const CancelToken *tok) { cancel_ = tok; }
 
     /** Fault-free reference execution: records the golden run (its
-     *  outputs, and the cycle horizon the checkpoint interval, the
-     *  stall window and the attempt cap derive from). */
+     *  outputs, and the cycle horizon fault plans span and the
+     *  checkpoint interval and the attempt cap derive from). run()
+     *  calls it when nothing has; a failed golden run is not repeated,
+     *  and every run() reports it. */
     Status runGolden();
     Cycles goldenCycles() const { return golden_.cycles; }
 
@@ -114,19 +116,17 @@ class ResilientRunner
     const Runner::Result &lastRun() const { return last_; }
 
   private:
-    Cycles attemptCap() const;
     void harvestCounters(ResilienceReport &rep, const Runner &runner,
                          const FaultInjector &inj) const;
 
     pir::Program prog_;
     ArchParams params_;
     std::shared_ptr<const compiler::MapResult> compiled_;
-    Cycles maxCycles_;
     std::map<pir::MemId, std::vector<Word>> inputs_;
     const CancelToken *cancel_ = nullptr;
 
     Runner::Result golden_;
-    bool haveGolden_ = false;
+    std::optional<Status> goldenStatus_; ///< unset until runGolden()
     Runner::Result last_;
 };
 

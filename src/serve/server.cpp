@@ -62,7 +62,6 @@ hashOptions(const ServeOptions &opts, const JobSpec &job)
     f.u64(base);
     f.u64(job.faultSeed);
     f.u64(static_cast<uint64_t>(job.faultRate * 1000.0));
-    f.u64(job.faultHorizon);
     f.byte(job.faultHard ? 1 : 0);
     return f.h;
 }
@@ -440,15 +439,19 @@ Server::computeResilient(Runner &runner, const JobSpec &job,
     // The recovery orchestrator owns its own runners; this worker's
     // runner contributes the staged inputs and its compile, which the
     // golden run and every unmasked attempt adopt and the fault plan
-    // targets. maxCycles 0 derives the cap from the golden run.
+    // targets. The plan spans the golden run, as a campaign's does, so
+    // a hang the faults cause is reported the cycle it forms. A failed
+    // golden run leaves goldenCycles() at 0, hence an empty plan, and
+    // run() reports that failure without running it again.
     resilience::ResilientRunner rr(job.prog, job.params,
-                                   runner.sharedMapResult(), job.maxCycles);
+                                   runner.sharedMapResult());
     rr.setInputs(runner.hostBuffers());
     if (cancel)
         rr.setCancelToken(cancel);
+    (void)rr.runGolden();
 
     resilience::FaultPlan plan = resilience::FaultPlan::random(
-        job.faultSeed, job.faultRate, job.faultHorizon,
+        job.faultSeed, job.faultRate, rr.goldenCycles(),
         runner.mapResult().fabric, resilience::FaultMix::kAll,
         job.faultHard);
     resilience::ResilienceReport rep = rr.run(plan);

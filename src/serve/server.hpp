@@ -24,8 +24,8 @@
  * hit flags and a result hash over argOuts + DRAM image — and the
  * ordered log of those records replays deterministically
  * (serve/joblog.hpp). Failures never kill the daemon: compile errors,
- * deadlocks, stalls, address faults and validation mismatches come
- * back as typed outcomes (the runtime's never-fail Status paths).
+ * deadlocks, address faults and validation mismatches come back as
+ * typed outcomes (the runtime's never-fail Status paths).
  *
  * Robustness layer (DESIGN.md §16): every job is bounded, cancellable
  * and recoverable. Submission passes admission control — a per-tenant
@@ -87,8 +87,10 @@ struct JobSpec
      *  jobs parsed from .pir files use. Must be deterministic — the
      *  staged image is part of the result-cache content address. */
     std::function<void(Runner &)> load;
-    /** Per-job cycle budget (0 = the server default). Part of the
-     *  result-cache options hash. */
+    /** Per-job cycle budget of a plain job (0 = the server default).
+     *  Part of the result-cache options hash, faulted or not; a faulted
+     *  job's attempts are bounded by the recovery orchestrator's own
+     *  cap instead. */
     Cycles maxCycles = 0;
 
     // ---- robustness knobs (DESIGN.md §16) ----------------------------
@@ -99,12 +101,12 @@ struct JobSpec
      *  a job is abandoned, never what it computes. */
     uint64_t deadlineMs = 0;
     /** Fault-injection campaign: a non-zero seed arms a seeded random
-     *  fault plan over the compiled fabric and runs the job under the
-     *  recovery orchestrator. Part of the options hash — a faulted
-     *  execution is a different execution. */
+     *  fault plan over the compiled fabric, spanning the job's golden
+     *  (fault-free) run, and runs the job under the recovery
+     *  orchestrator. Part of the options hash — a faulted execution is
+     *  a different execution. */
     uint64_t faultSeed = 0;
     double faultRate = 200.0; ///< events per million cycles
-    Cycles faultHorizon = 100'000;
     bool faultHard = false; ///< include stuck-unit (hard) faults
 };
 
@@ -217,7 +219,9 @@ uint64_t hashInputs(const std::map<pir::MemId, std::vector<Word>> &bufs);
  *  (scheduler and datapath names), cycle budget, validate flag. */
 uint64_t hashOptions(const ServeOptions &opts, Cycles jobMaxCycles);
 /** Job-aware overload: additionally folds the job's fault-plan
- *  parameters (a faulted execution is a different execution).
+ *  parameters, seed, rate and hard flag (a faulted execution is a
+ *  different execution; the plan's horizon is the golden run, which
+ *  the rest of the key already fixes).
  *  Bit-identical to the base overload for plain jobs, so recorded logs
  *  stay addressable. Deadlines are deliberately NOT hashed — see
  *  JobSpec::deadlineMs. */

@@ -421,7 +421,9 @@ Fabric::runChecked(Cycles maxCycles)
                        kDeadlockWindow,
                        static_cast<unsigned long long>(now_))));
         }
-        if (now_ >= maxCycles)
+        // A root that completes on the step reaching the cap wins: the
+        // run drains in this call.
+        if (now_ >= maxCycles && root->runsCompleted() == 0)
             return capped();
     }
     Cycles done_at = now_;

@@ -95,7 +95,9 @@ class Fabric
      * maxCycles is never simulated: both engines stop with kMaxCycles
      * at now() == maxCycles (or at once when the clock is already
      * there) in the same state, so the cap is the one way to stop at a
-     * chosen cycle (to take a checkpoint there, say). analyzeDeadlock
+     * chosen cycle (to take a checkpoint there, say). A root that
+     * completes on the step reaching the cap completes: the call
+     * drains and reports cycles == maxCycles. analyzeDeadlock
      * (runtime/bottleneck.hpp) explains a run that stopped.
      */
     RunResult runChecked(Cycles maxCycles = 500'000'000);

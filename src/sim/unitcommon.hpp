@@ -98,9 +98,8 @@ class SimUnit : public SimObject
         classForced_ = false;
         if (stuck_) {
             // Hard-faulted unit: architecturally frozen. Inputs pile up
-            // behind it and downstream consumers starve, which is what
-            // the deadlock detection and the recovery orchestrator's
-            // stall check then observe.
+            // behind it and downstream consumers starve until the
+            // active set empties, which deadlock detection reports.
             progress_ = false;
             ++acct_.stepped;
             ++acct_.by[static_cast<size_t>(CycleClass::kIdle)];
@@ -137,8 +136,7 @@ class SimUnit : public SimObject
     CycleClass sleepClass() const { return lastClass_; }
 
     /** Cycle of the most recent progress-making evaluation (0 before
-     *  the first); the recovery orchestrator's stall check and deadlock
-     *  post-mortems compare this against `now`. */
+     *  the first); deadlock post-mortems compare this against `now`. */
     Cycles lastProgressAt() const { return lastProgressAt_; }
 
     /**

@@ -1,9 +1,8 @@
 /** @file Fault-injection & resilience subsystem: ECC correction on
  *  every benchmark, rollback from uncorrectable upsets, degraded
- *  re-mapping around hard faults, the orchestrator's stall check,
- *  typed address-fault stops,
- *  checkpoint round trips, non-fatal Status paths and the campaign
- *  driver's no-unexplained-SDC invariant. */
+ *  re-mapping around hard faults, deadlock post-mortems, typed
+ *  address-fault stops, checkpoint round trips, non-fatal Status paths
+ *  and the campaign driver's no-unexplained-SDC invariant. */
 
 #include <gtest/gtest.h>
 
@@ -318,52 +317,6 @@ TEST(Resilience, DroppedControlTokenIsNeverSilent)
     }
     EXPECT_TRUE(recovered)
         << "no dropped token ever required detect-and-recover";
-}
-
-/** A frozen PCU hangs the fabric, but a planned event far past the run
- *  keeps the fabric from reporting the deadlock until that event is
- *  due. The orchestrator's stall check, run at its cap stops, catches
- *  the frozen unit one stall window in instead, and the re-mapped run
- *  completes before the late event fires. (The name is kept from when
- *  a watchdog in the fabric did this.) */
-TEST(Resilience, WatchdogTripsOnFrozenUnit)
-{
-    setVerbose(false);
-    apps::AppInstance app = appByName("InnerProduct");
-    ArchParams params = eccParams(true);
-    Runner stage(app.prog, params);
-    app.load(stage);
-    ASSERT_TRUE(stage.tryCompile().ok());
-
-    ResilientRunner rr(app.prog, params, stage.sharedMapResult());
-    rr.setInputs(stage.hostBuffers());
-    ASSERT_TRUE(rr.runGolden().ok());
-    ASSERT_LT(rr.goldenCycles(), 10'000u); // a 20,000-cycle window
-
-    FaultPlan plan;
-    FaultEvent stuck;
-    stuck.kind = FaultKind::kPcuStuck;
-    stuck.cycle = 100;
-    stuck.unit = firstUsedPcu(stage.mapResult().fabric);
-    FaultEvent late;
-    late.kind = FaultKind::kPcuRegFlip;
-    late.cycle = 90'000;
-    late.unit = stuck.unit;
-    plan.events = {stuck, late};
-
-    ResilienceReport rep = rr.run(plan);
-    EXPECT_EQ(rep.cls, RunClass::kRecovered) << rep.detail;
-    EXPECT_TRUE(rep.finalStatus.ok()) << rep.finalStatus.message();
-    EXPECT_EQ(rep.remaps, 1u) << rep.detail;
-    EXPECT_EQ(rep.eventsFired, 1u) << rep.detail;
-    // Caught one window past the hang, long before the late event.
-    const size_t at = rep.detail.find("stall: unit");
-    ASSERT_NE(at, std::string::npos) << rep.detail;
-    const size_t c = rep.detail.find("(cycle ", at);
-    ASSERT_NE(c, std::string::npos) << rep.detail;
-    const Cycles caught = std::stoull(rep.detail.substr(c + 7));
-    EXPECT_GT(caught, 20'000u) << rep.detail;
-    EXPECT_LT(caught, 30'000u) << rep.detail;
 }
 
 // ---- deadlock post-mortem (BottleneckReport extension) --------------

@@ -3,9 +3,9 @@
  *  interpreter oracle on every benchmark, the same stop cycle at every
  *  max-cycle cap, AGs sleeping on coalescer capacity and on waiting
  *  lists (hard-faulted ones too), checkpoints, epoch rows and the
- *  stall check's inputs on dense mode's cycles despite fast-forward,
- *  and exact deadlock detection (empty active set) on a stalled credit
- *  loop. */
+ *  deadlock post-mortem's inputs on dense mode's cycles despite
+ *  fast-forward, and exact deadlock detection (empty active set) on a
+ *  stalled credit loop. */
 
 #include <gtest/gtest.h>
 
@@ -122,7 +122,9 @@ loadedFabric(const Runner &r, const compiler::MapResult &map,
  *  from one compile, advance with runChecked(cap) for cap = 1, 2, 3, …
  *  and must report the same status and clock at every stop — a clock
  *  jump that reaches the cap stops there instead of simulating it —
- *  then simulate the same machine (checkWholeRun). */
+ *  then simulate the same machine (checkWholeRun). The root completes
+ *  on the step that reaches some cap, and that call completes the run
+ *  rather than stopping at the cap. */
 class RunLoopParity : public ::testing::TestWithParam<std::string>
 {
 };
@@ -144,8 +146,10 @@ TEST_P(RunLoopParity, EveryCapStopsBothSchedulersOnTheSameCycle)
         a = activity->runChecked(cap);
         ASSERT_EQ(d.status.code(), a.status.code()) << "cap " << cap;
         ASSERT_EQ(dense->now(), activity->now()) << "cap " << cap;
-        if (d.status.ok())
+        if (d.status.ok()) {
+            ASSERT_EQ(d.cycles, cap);
             break;
+        }
         ASSERT_EQ(d.status.code(), StatusCode::kMaxCycles) << "cap " << cap;
         ASSERT_EQ(dense->now(), cap);
     }
@@ -845,8 +849,9 @@ TEST(WaitingListParity, StuckPickHandsThePortToTheNextWaiter)
  *  dense ticking samples an epoch, and a jump that reaches a cap stops
  *  there. So both modes write the same epoch rows, checkpoints saved
  *  at the same runChecked(cap) stops each resume to the same run, and
- *  at every stop each unit's busy() and lastProgressAt(), all the
- *  recovery orchestrator's stall check reads, are the same. */
+ *  at every stop each unit's busy() and lastProgressAt(), what deadlock
+ *  post-mortems read (runtime/bottleneck.cpp), are the same. (The name
+ *  is kept from when the fabric had a watchdog that read them.) */
 class DutyCycleParity : public ::testing::TestWithParam<std::string>
 {
 };

@@ -1573,6 +1573,100 @@ TEST(ServeResilient, FaultedJobOnAConfigHitCompilesNothing)
     EXPECT_TRUE(hit);
 }
 
+TEST(ServeResilient, FaultedHangsAreDeadlocksWithinTheRun)
+{
+    // A faulted job's plan spans its golden run, so a fabric the faults
+    // hang has no planned event left to wait for: the production engine
+    // reports the deadlock the cycle it forms, well inside twice the
+    // fault-free run, and nothing else reports a hang.
+    TrafficOptions t;
+    t.seed = 1;
+    t.uniques = 8;
+    t.jobs = 16;
+    t.faultEvery = 1; // every job faulted, distinct seeds
+    t.faultRate = 20'000;
+    t.includeHard = true;
+    std::vector<JobSpec> specs = makeTraffic(t);
+
+    ServeOptions o;
+    std::map<std::string, Cycles> faultFree;
+    auto identity = [](const std::string &source) {
+        return source.substr(0, source.rfind("/f"));
+    };
+    for (const JobSpec &s : specs) {
+        ASSERT_NE(s.faultSeed, 0u);
+        if (faultFree.count(identity(s.source)) == 0)
+            faultFree[identity(s.source)] = runSerialBaseline(s, o).cycles;
+    }
+
+    const std::string deadlock = "fabric deadlock: empty active set at cycle ";
+    Server server(o);
+    size_t hung = 0;
+    for (JobSpec &s : specs) {
+        const Cycles golden = faultFree.at(identity(s.source));
+        JobResult r = server.executeJob(std::move(s));
+        ASSERT_NE(r.outcome, nullptr);
+        bool hang = false;
+        std::istringstream lines(r.outcome->detail);
+        for (std::string line; std::getline(lines, line);) {
+            if (line.find("deadlock") == std::string::npos &&
+                line.find("stall") == std::string::npos &&
+                line.find("max cycles") == std::string::npos)
+                continue;
+            hang = true;
+            ASSERT_EQ(line.rfind(deadlock, 0), 0u) << r.source << ": " << line;
+            const Cycles at = std::stoull(line.substr(deadlock.size()));
+            EXPECT_LT(at, 2 * golden) << r.source << ": " << line;
+        }
+        hung += hang ? 1 : 0;
+    }
+    EXPECT_GT(hung, 0u) << "this traffic must hang some faulted job";
+}
+
+TEST(ServeResilient, FailedGoldenRunIsReportedOnce)
+{
+    // A faulted job whose golden run fails (cancelled before its first
+    // cycle) has no run to plan faults over. Its record is that
+    // failure, as before the plan spanned the golden run, and the
+    // golden run is not repeated to produce it.
+    TrafficOptions t;
+    t.uniques = 1;
+    t.jobs = 1;
+    t.faultEvery = 1;
+    t.faultRate = 20'000;
+    t.includeHard = true;
+    std::vector<JobSpec> specs = makeTraffic(t);
+    ASSERT_EQ(specs.size(), 1u);
+    JobOutcome expect;
+    expect.outcome = "cancelled";
+    const std::string why = "run cancelled cooperatively at cycle 0";
+    expect.detail = why + "\ngolden run failed: " + why;
+    expect.dram.resize(specs[0].prog.mems.size()); // no attempt ran
+
+    Server server(ServeOptions{});
+    CancelToken cancel;
+    cancel.requestCancel();
+    HostProfiler &prof = HostProfiler::instance();
+    prof.clear();
+    const uint64_t since = prof.nowUs();
+    JobResult r = server.executeJob(std::move(specs[0]), 0, &cancel);
+    ASSERT_NE(r.outcome, nullptr);
+    size_t runs = 0;
+    for (const HostProfiler::Span &sp : prof.spans()) {
+        if (sp.tid == HostProfiler::currentTid() && sp.beginUs >= since &&
+            std::string(sp.name) == "sim.run")
+            ++runs;
+    }
+    EXPECT_EQ(runs, 1u);
+    EXPECT_EQ(r.outcome->outcome, expect.outcome);
+    EXPECT_EQ(r.outcome->detail, expect.detail);
+    EXPECT_EQ(r.outcome->cycles, 0u);
+    EXPECT_TRUE(r.outcome->argOuts.empty());
+    EXPECT_EQ(r.outcome->dram, expect.dram);
+    EXPECT_EQ(r.outcome->resultHash, hashOutcome(expect));
+    EXPECT_EQ(r.retries, 0u);
+}
+
 TEST(ServeResilient, EveryJobFinishesTypedUnderFaultTraffic)
 {
     TrafficOptions t;
