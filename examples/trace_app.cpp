@@ -70,10 +70,9 @@ main(int argc, char **argv)
     if (auto rc = flags.parse(argc, argv))
         return *rc;
 
-    // Tracing is needed for the trace file, the utilization CSV and the
-    // per-unit ledgers feeding the bottleneck report.
-    opts.trace.enabled =
-        !trace_path.empty() || !csv_path.empty() || report;
+    // Tracing is needed for the trace file and the utilization CSV; the
+    // per-unit ledgers behind the bottleneck report are always kept.
+    opts.trace.enabled = !trace_path.empty() || !csv_path.empty();
 
     apps::AppInstance app = spec->make(scale);
     Runner runner(app.prog, ArchParams::plasticineFinal(), opts);

@@ -45,37 +45,21 @@ fillInputs(Runner &r, const Program &prog)
 namespace
 {
 
-/** Per-unit cycle accounting: every evaluated cycle classified, every
- *  slept cycle attributed, and nothing exceeds the fabric clock. */
+/** Per-unit cycle accounting: each unit's settled ledger classifies
+ *  every cycle of the fabric clock exactly once. */
 std::string
 checkLedger(const Fabric &fab)
 {
     const Cycles total = fab.now();
     for (const SimUnit *u : fab.units()) {
-        const std::string label = u->ref().describe() + " ledger";
-        const CycleAcct &a = u->acct();
-        uint64_t by_sum = 0, slept_sum = 0;
-        for (size_t c = 0; c < kNumCycleClasses; ++c) {
-            by_sum += a.by[c];
-            slept_sum += a.sleptBy[c];
-        }
-        if (by_sum != a.stepped)
-            return strfmt("%s: classified %llu != stepped %llu",
-                          label.c_str(),
-                          static_cast<unsigned long long>(by_sum),
-                          static_cast<unsigned long long>(a.stepped));
-        if (slept_sum != a.slept)
-            return strfmt("%s: attributed-sleep %llu != slept %llu",
-                          label.c_str(),
-                          static_cast<unsigned long long>(slept_sum),
-                          static_cast<unsigned long long>(a.slept));
-        if (a.stepped + a.slept > total)
-            return strfmt(
-                "%s: stepped %llu + slept %llu exceeds clock %llu",
-                label.c_str(),
-                static_cast<unsigned long long>(a.stepped),
-                static_cast<unsigned long long>(a.slept),
-                static_cast<unsigned long long>(total));
+        uint64_t sum = 0;
+        for (uint64_t v : u->ledger(total).by)
+            sum += v;
+        if (sum != total)
+            return strfmt("%s ledger: classified %llu != clock %llu",
+                          u->ref().describe().c_str(),
+                          static_cast<unsigned long long>(sum),
+                          static_cast<unsigned long long>(total));
     }
     return {};
 }
@@ -175,7 +159,7 @@ diffRun(const Program &prog, const ArchParams &params,
 
     // 2. The oracle stops as that run did and simulates the same
     //    machine: outputs, cycles, counters and cycle ledgers
-    //    (checkWholeRun, with dense ticking as the ledger oracle).
+    //    (checkWholeRun).
     if (!opts.checkDense)
         return out;
     Leg oracle = runLeg(Engine::kOracle);

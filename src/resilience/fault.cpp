@@ -92,6 +92,9 @@ FaultPlan
 FaultPlan::random(uint64_t seed, double eventsPerMillionCycles, Cycles horizon,
                   const FabricConfig &cfg, FaultMix mix, bool includeHard)
 {
+    panic_if(!(eventsPerMillionCycles <= kMaxEventsPerMillionCycles),
+             "fault rate %g exceeds one event per cycle",
+             eventsPerMillionCycles);
     FaultPlan plan;
     if (horizon == 0 || eventsPerMillionCycles <= 0.0)
         return plan;

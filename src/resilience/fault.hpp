@@ -88,10 +88,15 @@ enum class FaultMix : uint8_t
     kDatapath,  ///< PCU reg flips and scratch flips only (never hangs)
 };
 
+/** The highest fault rate a random plan takes: one event per cycle.
+ *  The command-line rate flags are bounded by it. */
+inline constexpr double kMaxEventsPerMillionCycles = 1e6;
+
 /**
  * A seeded, sorted schedule of fault events. `random()` draws the
- * event count from `eventsPerMillionCycles * horizon`, then targets
- * each event at used units of `cfg` uniformly.
+ * event count from `eventsPerMillionCycles * horizon` (the rate at most
+ * kMaxEventsPerMillionCycles), then targets each event at used units
+ * of `cfg` uniformly.
  */
 struct FaultPlan
 {

@@ -33,7 +33,8 @@ main(int argc, char **argv)
     CampaignOptions opts;
     std::string out_path;
     FlagSet flags("fault_campaign", "[options]");
-    flags.real("rate", opts.rate, "fault events per million cycles")
+    flags.real("rate", opts.rate, "fault events per million cycles",
+               kMaxEventsPerMillionCycles)
         .value("apps", "all|NAME,...",
                "'all' or comma-separated benchmark names (default all)",
                [&opts](const std::string &v) {

@@ -32,7 +32,7 @@ dominantOf(const CycleAcct &a)
     size_t best = 0;
     uint64_t best_v = 0;
     for (size_t c = 0; c < kNumCycleClasses; ++c) {
-        uint64_t v = a.by[c] + a.sleptBy[c];
+        uint64_t v = a.by[c];
         if (v > best_v) {
             best_v = v;
             best = c;
@@ -49,9 +49,9 @@ loadOf(const Fabric &f, const UnitRef &r)
     const SimUnit *u = f.unit(r);
     if (!u)
         return 0;
-    const CycleAcct &a = u->acct();
-    return a.active() + a.blocked(CycleClass::kDramWait) +
-           a.blocked(CycleClass::kBankConflict);
+    const CycleAcct a = u->ledger(f.now());
+    return a.of(CycleClass::kActive) + a.of(CycleClass::kDramWait) +
+           a.of(CycleClass::kBankConflict);
 }
 
 bool
@@ -101,9 +101,7 @@ analyzeBottlenecks(const Fabric &fabric)
         BottleneckReport::UnitRow row;
         row.ref = u->ref();
         row.label = describe(*u);
-        row.acct = u->acct();
-        uint64_t accounted = row.acct.stepped + row.acct.slept;
-        row.asleep = rep.cycles > accounted ? rep.cycles - accounted : 0;
+        row.acct = u->ledger(rep.cycles);
         row.dominant = dominantOf(row.acct);
         rep.units.push_back(std::move(row));
     }
@@ -113,17 +111,8 @@ analyzeBottlenecks(const Fabric &fabric)
     const SimUnit *root = fabric.unit(cur);
     if (!root)
         return rep;
-    uint64_t root_non_active = 0;
-    {
-        const CycleAcct &a = root->acct();
-        for (size_t c = 0; c < kNumCycleClasses; ++c) {
-            if (static_cast<CycleClass>(c) != CycleClass::kActive)
-                root_non_active += a.by[c] + a.sleptBy[c];
-        }
-        uint64_t accounted = a.stepped + a.slept;
-        root_non_active +=
-            rep.cycles > accounted ? rep.cycles - accounted : 0;
-    }
+    const uint64_t root_non_active =
+        rep.cycles - root->ledger(rep.cycles).of(CycleClass::kActive);
     uint64_t root_dominant_blocked = 0;
 
     std::set<uint64_t> visited;
@@ -136,9 +125,9 @@ analyzeBottlenecks(const Fabric &fabric)
             rep.critical = strfmt("cyclic wait through %s", label.c_str());
             break;
         }
-        const CycleAcct &a = u->acct();
+        const CycleAcct a = u->ledger(rep.cycles);
         CycleClass dom = dominantOf(a);
-        uint64_t dom_cycles = a.blocked(dom);
+        uint64_t dom_cycles = a.of(dom);
         rep.blamePath.push_back(
             strfmt("%s: dominant %s, %llu cycles (%.0f%% of run)",
                    label.c_str(), cycleClassName(dom),
@@ -153,7 +142,8 @@ analyzeBottlenecks(const Fabric &fabric)
             rep.critical = strfmt(
                 "compute-bound at %s (active %.0f%% of cycles; %.0f%% "
                 "of root-controller stall follows this path)",
-                label.c_str(), pctOf(a.active(), rep.cycles), root_share);
+                label.c_str(), pctOf(a.of(CycleClass::kActive), rep.cycles),
+                root_share);
             break;
         }
         if (dom == CycleClass::kDramWait) {
@@ -311,14 +301,12 @@ BottleneckReport::render() const
     for (size_t c = 1; c < kNumCycleClasses; ++c)
         out += strfmt(" %7.7s",
                       cycleClassName(static_cast<CycleClass>(c)));
-    out += strfmt(" %7s\n", "asleep%");
+    out += "\n";
     for (const UnitRow &r : units) {
         out += strfmt("  %-28s", r.label.c_str());
-        for (size_t c = 0; c < kNumCycleClasses; ++c) {
-            uint64_t v = r.acct.by[c] + r.acct.sleptBy[c];
+        for (uint64_t v : r.acct.by)
             out += strfmt(" %6.1f%%", pctOf(v, cycles));
-        }
-        out += strfmt(" %6.1f%%\n", pctOf(r.asleep, cycles));
+        out += "\n";
     }
     out += "Blame path:\n";
     for (size_t i = 0; i < blamePath.size(); ++i)

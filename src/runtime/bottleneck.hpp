@@ -1,7 +1,7 @@
 /**
  * @file
  * Post-run bottleneck analysis: aggregates the per-unit cycle-class
- * ledgers (SimUnit::acct()) over the mapped dataflow graph and walks
+ * ledgers (SimUnit::ledger()) over the mapped dataflow graph and walks
  * blame along producer->consumer channels from the root controller to
  * the resource that actually gates the application — a saturated DRAM
  * channel, a conflicted scratchpad, or a compute-bound pipeline.
@@ -22,13 +22,13 @@ namespace plast
 
 struct BottleneckReport
 {
-    /** One analyzed unit: its ledger plus the dominant cycle class. */
+    /** One analyzed unit: its settled ledger plus the dominant cycle
+     *  class. */
     struct UnitRow
     {
         UnitRef ref;
         std::string label;    ///< "pcu03 (dot.mul)"
         CycleAcct acct;
-        uint64_t asleep = 0;  ///< unattributed tail cycles
         CycleClass dominant = CycleClass::kIdle;
     };
 

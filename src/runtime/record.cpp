@@ -149,57 +149,27 @@ checkWholeRun(const Program &prog, const RunRecord &oracle,
                                legs.c_str(), ull(oracle.cycles),
                                ull(got.cycles)));
 
-    auto traced = [](const std::string &key) {
-        return key.rfind("trace.", 0) == 0;
+    // Host work: how many cycles each unit evaluated, and the trace
+    // ring's own counts.
+    auto host = [](const std::string &key) {
+        return key.starts_with("trace.") ||
+               key.ends_with(".cycles.stepped");
     };
     for (const auto &[key, have] : got.stats.all()) {
-        if (!traced(key) && !oracle.stats.has(key))
+        if (!host(key) && !oracle.stats.has(key))
             return mismatch(strfmt("%s counter %s: absent vs %llu",
                                    legs.c_str(), key.c_str(), ull(have)));
     }
-    // Per unit: how far its ledger falls short of the oracle's, and in
-    // how many classes.
-    struct Gap
-    {
-        uint64_t cycles = 0;
-        int classes = 0;
-    };
-    std::map<std::string, Gap> gaps;
     for (const auto &[key, want] : oracle.stats.all()) {
-        if (traced(key))
+        if (host(key))
             continue;
         if (!got.stats.has(key))
             return mismatch(strfmt("%s counter %s: %llu vs absent",
                                    legs.c_str(), key.c_str(), ull(want)));
-        const uint64_t have = got.stats.get(key);
-        const size_t at = key.find(".cycles.");
-        if (at == std::string::npos) {
-            if (want != have)
-                return mismatch(strfmt("%s counter %s: %llu vs %llu",
-                                       legs.c_str(), key.c_str(),
-                                       ull(want), ull(have)));
-            continue;
-        }
-        const std::string cls = key.substr(at + 8);
-        if (cls == "stepped" || cls == "asleep")
-            continue; // host tallies
-        if (have > want)
-            return mismatch(strfmt("%s ledger %s: %llu vs %llu",
+        if (const uint64_t have = got.stats.get(key); want != have)
+            return mismatch(strfmt("%s counter %s: %llu vs %llu",
                                    legs.c_str(), key.c_str(), ull(want),
                                    ull(have)));
-        Gap &g = gaps[key.substr(0, at)];
-        g.cycles += want - have;
-        g.classes += want != have;
-    }
-    for (const auto &[unit, g] : gaps) {
-        const uint64_t tail = oracle.stats.get(unit + ".cycles.asleep");
-        const uint64_t gotTail = got.stats.get(unit + ".cycles.asleep");
-        if (g.classes > 1 || gotTail < tail || g.cycles != gotTail - tail)
-            return mismatch(strfmt(
-                "%s ledger %s: %llu cycles short in %d class(es), "
-                "unattributed tail %llu vs %llu",
-                legs.c_str(), unit.c_str(), ull(g.cycles), g.classes,
-                ull(tail), ull(gotTail)));
     }
     return Status();
 }

@@ -2,10 +2,11 @@
  * @file
  * The record of a finished run, and the two ways two records agree.
  * Checking a fabric against the reference evaluator (recordOf) or a
- * fault-free golden run is checkOutputs; checking one engine or
- * scheduler against another is checkWholeRun. Both return a typed
- * kMismatch naming the first difference, scanning argOuts by slot and
- * then DRAM by MemId.
+ * fault-free golden run is checkOutputs; checking one engine against
+ * the other is checkWholeRun, which adds the cycles and every counter
+ * but the host's, cycle ledgers included, each compared with ==. Both
+ * return a typed kMismatch naming the first difference, scanning
+ * argOuts by slot and then DRAM by MemId.
  */
 
 #ifndef PLAST_RUNTIME_RECORD_HPP
@@ -71,16 +72,10 @@ Status checkOutputs(const pir::Program &prog, const RunRecord &want,
                     const RunRecord &got, const std::string &legs);
 
 /**
- * Two engines or schedulers simulated the same machine: the outputs,
- * the completion and post-drain cycles and every counter agree, except
- * the host's step and sleep tallies (`<unit>.cycles.stepped`,
- * `<unit>.cycles.asleep`) and `trace.*`. Per-unit ledgers follow the
- * tail rule: dense ticking classifies every cycle, while activity
- * scheduling attributes a sleep when the unit next evaluates and
- * leaves the run's last sleep unattributed. So each
- * `<unit>.cycles.<class>` matches, except that one class per unit may
- * fall short in `got` by exactly its extra unattributed tail; `oracle`
- * is the dense run when the schedulers differ.
+ * Two engines simulated the same machine: the outputs, the completion
+ * and post-drain cycles and every counter are equal, per-unit cycle
+ * ledgers (`<unit>.cycles.<class>`) included, except the host work
+ * each engine did: `<unit>.cycles.stepped` and `trace.*`.
  */
 Status checkWholeRun(const pir::Program &prog, const RunRecord &oracle,
                      const RunRecord &got, const std::string &legs);

@@ -35,6 +35,7 @@
 #include "base/profile.hpp"
 #include "base/stats.hpp"
 #include "fuzz/harness.hpp"
+#include "resilience/fault.hpp"
 #include "serve/joblog.hpp"
 #include "serve/server.hpp"
 #include "serve/store.hpp"
@@ -131,7 +132,7 @@ main(int argc, char **argv)
              "traffic: fault-inject every Nth job (0 = none)", size_t{1})
         .real("fault-rate", topts.faultRate,
               "traffic: fault events per 1M cycles",
-              std::numeric_limits<double>::infinity(), true)
+              resilience::kMaxEventsPerMillionCycles, true)
         .sw("fault-hard", topts.includeHard,
             "traffic: include stuck-unit faults")
         .nums("deadline-sweep", topts.deadlineSweepMs,

@@ -594,7 +594,7 @@ Fabric::saveCheckpoint()
     cp.cycle = now_;
     cp.cfgHash = cfgHash();
     StateWriter w;
-    serializeFabricState(w);
+    serializeFabricState(w, now_);
     cp.tape = w.takeTape();
     return cp;
 }
@@ -609,7 +609,7 @@ Fabric::restoreCheckpoint(const FabricCheckpoint &cp)
                       "configured fabric");
     }
     StateReader r(cp.tape);
-    serializeFabricState(r);
+    serializeFabricState(r, cp.cycle);
     if (r.failed() || !r.exhausted()) {
         return Status(StatusCode::kInternal,
                       strfmt("checkpoint tape mismatch (%s at word %zu "
@@ -632,20 +632,18 @@ Fabric::restoreCheckpoint(const FabricCheckpoint &cp)
     return Status();
 }
 
-/** Current cumulative per-class cycle sums over all units, plus DRAM
- *  bus-busy cycles (the epoch sampler diffs successive calls). */
+/** Current cumulative per-class cycle sums over all units' settled
+ *  ledgers, plus DRAM bus-busy cycles (the epoch sampler diffs
+ *  successive calls). */
 void
 Fabric::classSums(std::array<uint64_t, kNumCycleClasses> &by,
                   uint64_t &dramBusy) const
 {
     by.fill(0);
     for (const SimUnit *u : units_) {
-        const CycleAcct &a = u->acct();
+        const CycleAcct a = u->ledger(now_);
         for (size_t c = 0; c < kNumCycleClasses; ++c)
-            by[c] += a.by[c] + a.sleptBy[c];
-        // A sleeping unit's cycles so far, as its next evaluation will
-        // attribute them: the sums match dense ticking's every cycle.
-        by[static_cast<size_t>(u->sleepClass())] += u->pendingSleep(now_);
+            by[c] += a.by[c];
     }
     dramBusy = 0;
     for (uint32_t c = 0; c < mem_.dram().numChannels(); ++c)
@@ -715,22 +713,18 @@ Fabric::writeUtilizationCsv(std::ostream &os) const
 void
 Fabric::dumpStats(StatSet &out) const
 {
-    // Per-unit cycle-class accounting. `cycles.<class>` counts both
-    // evaluated and attributed-asleep cycles; `asleep` is the
-    // never-reattributed tail, so that over the full run
-    //     sum(cycles.*) + asleep == cycles.
+    // Per-unit cycle-class accounting, settled to the clock, so that
+    //     sum(cycles.<class>) == cycles;
+    // `cycles.stepped` is the host's evaluation count.
     auto acct_stats = [&out, this](const std::string &p,
                                    const SimUnit &u) {
-        const CycleAcct &a = u.acct();
+        const CycleAcct a = u.ledger(now_);
         for (size_t c = 0; c < kNumCycleClasses; ++c) {
             out.set(p + "cycles." +
                         cycleClassName(static_cast<CycleClass>(c)),
-                    a.by[c] + a.sleptBy[c]);
+                    a.by[c]);
         }
-        out.set(p + "cycles.stepped", a.stepped);
-        uint64_t accounted = a.stepped + a.slept;
-        out.set(p + "cycles.asleep",
-                now_ > accounted ? now_ - accounted : 0);
+        out.set(p + "cycles.stepped", a.stepped());
     };
 
     for (size_t i = 0; i < pcus_.size(); ++i) {

@@ -192,16 +192,18 @@ class Fabric
     Status checkUncorrectable() const;
 
     /**
-     * The complete architectural state, visited in a fixed order:
-     * units in registration (= dense tick) order, then the memory
-     * system, then every stream, then host-visible argOuts. The
-     * scheduler's transient bookkeeping is deliberately excluded —
-     * restoreCheckpoint() re-arms it wholesale (Scheduler::rearmAll).
+     * The complete architectural state at cycle `now`, visited in a
+     * fixed order: units in registration (= dense tick) order, their
+     * cycle ledgers settled to `now`, then the memory system, then
+     * every stream, then host-visible argOuts. Host work is excluded:
+     * the scheduler's transient bookkeeping (restoreCheckpoint()
+     * re-arms it wholesale, Scheduler::rearmAll) and the units' step
+     * counts, so both engines write the same tape at the same cycle.
      * Tracing/epoch observability state is not checkpointed either.
      */
     template <class Ar>
     void
-    serializeFabricState(Ar &ar)
+    serializeFabricState(Ar &ar, Cycles now)
     {
         for (auto &u : pcus_) {
             if (u)
@@ -219,6 +221,8 @@ class Fabric
             if (u)
                 u->serializeState(ar);
         }
+        for (SimUnit *u : units_)
+            u->serializeLedger(ar, now);
         auto agIndexOf = [this](const AgSim *ag) -> uint64_t {
             for (size_t i = 0; i < ags_.size(); ++i) {
                 if (ags_[i].get() == ag)

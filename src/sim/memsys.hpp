@@ -73,7 +73,7 @@ class AgSim : public SimUnit
     void deliverLane(uint64_t cmdId, uint32_t lane, Word data);
     void ackWrite(uint64_t cmdId, uint32_t count);
 
-    /** Work counters; cycle accounting lives in SimUnit::acct(). */
+    /** Work counters; cycle accounting lives in SimUnit::ledger(). */
     struct Stats
     {
         uint64_t runs = 0;

@@ -40,7 +40,7 @@ class PcuSim : public SimUnit
     void step(Cycles now) override;
     bool busy() const override { return state_ != State::kIdle; }
 
-    /** Work counters; cycle accounting lives in SimUnit::acct(). */
+    /** Work counters; cycle accounting lives in SimUnit::ledger(). */
     struct Stats
     {
         uint64_t runs = 0;

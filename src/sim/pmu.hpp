@@ -31,7 +31,7 @@ class PmuSim : public SimUnit
     void step(Cycles now) override;
     bool busy() const override;
 
-    /** Work counters; cycle accounting lives in SimUnit::acct(). */
+    /** Work counters; cycle accounting lives in SimUnit::ledger(). */
     struct Stats
     {
         uint64_t writeRuns = 0, readRuns = 0;

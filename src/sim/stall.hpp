@@ -1,14 +1,15 @@
 /**
  * @file
- * The stall-attribution taxonomy: every cycle a unit is stepped is
- * classified into exactly one CycleClass, and cycles a unit spends
- * asleep under the activity scheduler are attributed to the class that
- * put it to sleep. The per-unit invariant (test-enforced)
+ * The stall-attribution taxonomy: every cycle of every unit lands in
+ * exactly one CycleClass. A cycle the unit evaluates is classified by
+ * that evaluation; a cycle it sleeps through under the activity
+ * scheduler belongs to the class that put it to sleep. Read settled to
+ * the fabric clock (SimUnit::ledger), each unit's ledger obeys
  *
- *     active + sum(stall reasons) + idle + asleep == totalCycles
+ *     sum(cycles.<class>) == cycles
  *
- * makes every non-active cycle of every unit explainable, which is
- * what the bottleneck report aggregates along dataflow edges.
+ * and is the same, class for class, under both engines (test-enforced),
+ * which is what the bottleneck report aggregates along dataflow edges.
  */
 
 #ifndef PLAST_SIM_STALL_HPP
@@ -61,42 +62,28 @@ cycleClassName(CycleClass c)
 }
 
 /**
- * Per-unit cycle ledger. `by` counts evaluated cycles by class;
- * `sleptBy` counts scheduler-asleep cycles, attributed to the class
- * that last blocked the unit before it slept (under dense ticking it
- * stays zero). Cycles asleep at end of run with no later evaluation
- * remain unattributed and surface as the `asleep` stat:
- * asleep = totalCycles - stepped - slept.
+ * Per-unit cycle ledger. `by` counts the unit's cycles by class,
+ * evaluated or slept: architectural, so it goes on the checkpoint tape
+ * and both engines agree on it. `steppedBy` counts evaluate() calls by
+ * the class they classified: host work, which depends on the engine
+ * (dense ticking evaluates every cycle, the activity scheduler only
+ * the cycles a unit is awake) and stays off the tape.
  */
 struct CycleAcct
 {
-    uint64_t stepped = 0; ///< evaluate() invocations
-    uint64_t slept = 0;   ///< attributed asleep cycles (== sum sleptBy)
     std::array<uint64_t, kNumCycleClasses> by{};
-    std::array<uint64_t, kNumCycleClasses> sleptBy{};
+    std::array<uint64_t, kNumCycleClasses> steppedBy{};
 
+    uint64_t of(CycleClass c) const { return by[static_cast<size_t>(c)]; }
+
+    /** evaluate() invocations. */
     uint64_t
-    active() const
+    stepped() const
     {
-        return by[static_cast<size_t>(CycleClass::kActive)];
-    }
-
-    /** Evaluated + attributed-asleep cycles of one class. */
-    uint64_t
-    blocked(CycleClass c) const
-    {
-        return by[static_cast<size_t>(c)] +
-               sleptBy[static_cast<size_t>(c)];
-    }
-
-    template <class Ar>
-    void
-    serializeState(Ar &ar)
-    {
-        io(ar, stepped);
-        io(ar, slept);
-        io(ar, by);
-        io(ar, sleptBy);
+        uint64_t n = 0;
+        for (uint64_t v : steppedBy)
+            n += v;
+        return n;
     }
 };
 

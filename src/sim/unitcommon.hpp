@@ -74,9 +74,21 @@ class SimUnit : public SimObject
     /** Mid-run (diagnostics and deadlock dumps). */
     virtual bool busy() const = 0;
 
-    /** Per-cycle stall-attribution ledger (see stall.hpp). Updated only
-     *  through evaluate(); driving step() directly bypasses it. */
-    const CycleAcct &acct() const { return acct_; }
+    /**
+     * The unit's cycle ledger (stall.hpp) settled to `now`: the cycles
+     * it has slept since its last evaluation go to the class that put
+     * it to sleep, as its next evaluation would attribute them, so
+     * `sum(by) == now` under either engine. Every reader of the ledger
+     * reads it through here. Updated only through evaluate(); driving
+     * step() directly bypasses it.
+     */
+    CycleAcct
+    ledger(Cycles now) const
+    {
+        CycleAcct a = acct_;
+        a.by[static_cast<size_t>(lastClass_)] += now - settledTo_;
+        return a;
+    }
 
     /**
      * The accounting tick around step(): cycles the scheduler skipped
@@ -88,11 +100,8 @@ class SimUnit : public SimObject
     Activity
     evaluate(Cycles now) final
     {
-        if (uint64_t gap = pendingSleep(now)) {
-            acct_.slept += gap;
-            acct_.sleptBy[static_cast<size_t>(lastClass_)] += gap;
-        }
-        lastEval_ = now;
+        acct_.by[static_cast<size_t>(lastClass_)] += now - settledTo_;
+        settledTo_ = now + 1;
         class_ = CycleClass::kIdle;
         classSet_ = false;
         classForced_ = false;
@@ -101,18 +110,14 @@ class SimUnit : public SimObject
             // behind it and downstream consumers starve until the
             // active set empties, which deadlock detection reports.
             progress_ = false;
-            ++acct_.stepped;
-            ++acct_.by[static_cast<size_t>(CycleClass::kIdle)];
-            lastClass_ = CycleClass::kIdle;
-            return Activity::kBlocked;
+        } else {
+            step(now);
         }
-        step(now);
-        ++acct_.stepped;
-        CycleClass c = classForced_ ? class_
-                       : progress_ ? CycleClass::kActive
-                                   : class_;
-        ++acct_.by[static_cast<size_t>(c)];
-        lastClass_ = c;
+        lastClass_ = classForced_ ? class_
+                     : progress_  ? CycleClass::kActive
+                                  : class_;
+        ++acct_.by[static_cast<size_t>(lastClass_)];
+        ++acct_.steppedBy[static_cast<size_t>(lastClass_)];
         if (progress_)
             lastProgressAt_ = now;
         return progress_ ? Activity::kActive : Activity::kBlocked;
@@ -123,26 +128,15 @@ class SimUnit : public SimObject
     void setStuck(bool s);
     bool stuck() const { return stuck_; }
 
-    /** Cycles after the last evaluation, up to `now`, that the next
-     *  evaluation will attribute to sleepClass() (0 for a unit that
-     *  evaluated on cycle now - 1). */
-    uint64_t
-    pendingSleep(Cycles now) const
-    {
-        return lastEval_ == kNeverCycle || now <= lastEval_ + 1
-                   ? 0
-                   : now - lastEval_ - 1;
-    }
-    CycleClass sleepClass() const { return lastClass_; }
-
     /** Cycle of the most recent progress-making evaluation (0 before
      *  the first); deadlock post-mortems compare this against `now`. */
     Cycles lastProgressAt() const { return lastProgressAt_; }
 
     /**
-     * Checkpoint the state shared by every unit class: the input-port
-     * pop phases and the accounting ledger. Derived classes call this
-     * from their serializeState() before their own fields.
+     * Checkpoint the state shared by every unit class but the ledger:
+     * the input-port pop phases and the last evaluation's progress.
+     * Derived classes call this from their serializeState() before
+     * their own fields.
      */
     template <class Ar>
     void
@@ -150,11 +144,25 @@ class SimUnit : public SimObject
     {
         for (ScalarInPort &p : ports.scalIn)
             io(ar, p.popCount);
-        io(ar, acct_);
-        io(ar, lastEval_);
-        io(ar, lastClass_);
         io(ar, progress_);
         io(ar, lastProgressAt_);
+    }
+
+    /**
+     * Checkpoint the ledger at cycle `now`: it goes on the tape settled
+     * to `now`, so both engines write the same words, and a restored
+     * ledger covers cycles [0, now). The host's step counts stay off
+     * the tape.
+     */
+    template <class Ar>
+    void
+    serializeLedger(Ar &ar, Cycles now)
+    {
+        if constexpr (Ar::kSaving)
+            acct_ = ledger(now);
+        io(ar, acct_.by);
+        io(ar, lastClass_);
+        settledTo_ = now;
     }
 
   protected:
@@ -186,7 +194,9 @@ class SimUnit : public SimObject
     UnitRef ref_;
     std::string name_;
     CycleAcct acct_;
-    Cycles lastEval_ = kNeverCycle;
+    /** acct_.by covers cycles [0, settledTo_); the rest so far belongs
+     *  to lastClass_. */
+    Cycles settledTo_ = 0;
     CycleClass lastClass_ = CycleClass::kIdle;
     CycleClass class_ = CycleClass::kIdle;
     bool classSet_ = false;

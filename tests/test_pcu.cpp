@@ -302,7 +302,8 @@ TEST(Pcu, StallsWhenOutputBlocked)
     PcuHarness h(cfg);
     VectorStream *out = h.bindVecOut(0, /*capacity=*/2);
     h.step(50); // no one pops
-    EXPECT_GT(h.pcu->acct().blocked(CycleClass::kOutputBackpressure), 10u);
+    EXPECT_GT(h.pcu->ledger(h.now).of(CycleClass::kOutputBackpressure),
+              10u);
     // Drain and confirm everything still arrives in order.
     std::vector<Word> got;
     for (int c = 0; c < 400 && got.size() < 160; ++c) {
@@ -344,7 +345,7 @@ TEST(Pcu, VectorInputConsumedPerWavefront)
     VectorStream *out = h.bindVecOut(0);
 
     h.step(10);
-    EXPECT_GT(h.pcu->acct().blocked(CycleClass::kInputStarved), 0u)
+    EXPECT_GT(h.pcu->ledger(h.now).of(CycleClass::kInputStarved), 0u)
         << "waits for data";
     for (int i = 0; i < 2; ++i) {
         Vec v;

@@ -355,6 +355,23 @@ TEST(Resilience, DeadlockReportBlamesFrozenUnit)
     EXPECT_NE(text.find("[STUCK]"), std::string::npos);
 }
 
+// ---- fault rates: at most one event per cycle ----------------------
+
+/** A plan's expected event count is a rate times a horizon, held in 32
+ *  bits: rates up to one event per cycle are drawn, and a larger one
+ *  is refused rather than converted out of range (the command-line
+ *  rate flags stop it first, with exit code 2). */
+TEST(FaultPlanDeath, RateAboveOneEventPerCycleIsRefused)
+{
+    FabricConfig cfg; // no units: only the DRAM upsets of a plan land
+    FaultPlan plan = FaultPlan::random(1, kMaxEventsPerMillionCycles, 100,
+                                       cfg, FaultMix::kProtected);
+    EXPECT_FALSE(plan.empty());
+    EXPECT_LE(plan.events.size(), 100u);
+    EXPECT_DEATH(FaultPlan::random(1, 1e300, 100, cfg),
+                 "exceeds one event per cycle");
+}
+
 // ---- non-fatal Status paths -----------------------------------------
 
 TEST(Resilience, StatusReplacesFatalPaths)
@@ -593,16 +610,8 @@ TEST_P(CheckpointRestore, MidRunSnapshotResumesBitAndCycleExact)
     ASSERT_TRUE(rr.status.ok()) << rr.status.message();
     EXPECT_EQ(fresh.now(), orig->now());
 
-    for (uint32_t s = 0; s < app.prog.numArgOuts; ++s)
-        EXPECT_EQ(fresh.argOut(s), orig->argOut(s)) << "argOut " << s;
-    // Whole DRAM image, bit for bit. (The raw state tapes are not
-    // compared: restoreCheckpoint re-arms the scheduler wholesale, so
-    // the observability ledgers count a few awake-but-idle steps where
-    // the original run slept — architectural state is unaffected.)
-    ASSERT_EQ(fresh.dram().sizeBytes(), orig->dram().sizeBytes());
-    for (Addr a = 0; a < orig->dram().sizeBytes(); a += sizeof(Word))
-        ASSERT_EQ(fresh.dram().readWord(a), orig->dram().readWord(a))
-            << "DRAM word at byte " << a;
+    // The whole final state, DRAM image and cycle ledgers included.
+    EXPECT_EQ(fresh.saveCheckpoint().tape, orig->saveCheckpoint().tape);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreeApps, CheckpointRestore,
@@ -612,12 +621,13 @@ INSTANTIATE_TEST_SUITE_P(ThreeApps, CheckpointRestore,
 // ---- checkpoints cross the engine boundary --------------------------
 
 /** The checkpoint tape encodes only architectural state — execution
- *  plans (sim/execplan.hpp) and the production engine's scheduler
- *  bookkeeping are derived at fabric construction or re-armed on
- *  restore — so a snapshot saved under either engine restores into a
- *  fabric running the other and resumes bit- and cycle-exactly.
- *  Parameter: (engine that saves, engine that resumes); each is named
- *  by its datapath, as manifests name it. */
+ *  plans (sim/execplan.hpp), the production engine's scheduler
+ *  bookkeeping and the units' step counts are derived at fabric
+ *  construction, re-armed on restore or left off — so both engines
+ *  save the same tape at the same cycle, and a snapshot saved under
+ *  either restores into a fabric running the other and resumes bit-
+ *  and cycle-exactly. Parameter: (engine that saves, engine that
+ *  resumes); each is named by its datapath, as manifests name it. */
 class CrossEngineCheckpoint
     : public ::testing::TestWithParam<std::pair<Engine, Engine>>
 {
@@ -651,6 +661,14 @@ TEST_P(CrossEngineCheckpoint, SnapshotRestoresAcrossEngines)
 
     SimOptions resume;
     resume.engine = resumeEngine;
+    Runner other(app.prog, params, resume);
+    app.load(other);
+    Runner::Result otherOut;
+    ASSERT_EQ(other.tryRun(otherOut, cp.cycle).code(),
+              StatusCode::kMaxCycles);
+    EXPECT_EQ(other.mutableFabric()->saveCheckpoint().tape, cp.tape)
+        << "both engines save the same tape at the same cycle";
+
     Fabric fresh(r.mapResult().fabric, resume);
     ASSERT_TRUE(fresh.restoreCheckpoint(cp).ok());
     RunResult rr = fresh.runChecked();

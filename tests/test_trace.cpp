@@ -248,31 +248,26 @@ runTraced(const std::string &name, Engine engine, bool tracing = true)
     }
     // Unused fabric slots have no sim object; collect only live units.
     for (const SimUnit *u : fab->units())
-        out.accts.emplace_back(u->ref().describe(), u->acct());
+        out.accts.emplace_back(u->ref().describe(), u->ledger(fab->now()));
     EXPECT_FALSE(out.accts.empty());
     return out;
 }
 
-/** active + every stall class + idle + asleep must tile totalCycles. */
+/** Each unit's settled ledger classifies every cycle of the fabric
+ *  clock exactly once, and counts each evaluated cycle in its class. */
 void
 checkAccounting(const AppRun &run, const std::string &ctx)
 {
     for (const auto &[label, a] : run.accts) {
-        uint64_t by_sum = 0, slept_sum = 0;
+        uint64_t sum = 0;
         for (size_t c = 0; c < kNumCycleClasses; ++c) {
-            by_sum += a.by[c];
-            slept_sum += a.sleptBy[c];
+            sum += a.by[c];
+            EXPECT_LE(a.steppedBy[c], a.by[c])
+                << ctx << " " << label << " "
+                << cycleClassName(static_cast<CycleClass>(c));
         }
-        EXPECT_EQ(by_sum, a.stepped)
-            << ctx << " " << label << ": every evaluated cycle classified";
-        EXPECT_EQ(slept_sum, a.slept)
-            << ctx << " " << label << ": every slept cycle attributed";
-        ASSERT_LE(a.stepped + a.slept, run.simCycles)
-            << ctx << " " << label;
-        uint64_t asleep = run.simCycles - a.stepped - a.slept;
-        EXPECT_EQ(by_sum + slept_sum + asleep, run.simCycles)
-            << ctx << " " << label
-            << ": active + stalls + idle + asleep == total";
+        EXPECT_EQ(sum, run.simCycles)
+            << ctx << " " << label << ": active + stalls + idle == total";
     }
 }
 
@@ -366,10 +361,8 @@ TEST_P(TracedApp, AccountingInvariantDenseMode)
     AppRun run = runTraced(GetParam(), Engine::kOracle);
     checkAccounting(run, std::string(GetParam()) + "/dense");
     // The oracle evaluates every unit every cycle: nothing sleeps.
-    for (const auto &[label, a] : run.accts) {
-        EXPECT_EQ(a.slept, 0u) << label;
-        EXPECT_EQ(a.stepped, run.simCycles) << label;
-    }
+    for (const auto &[label, a] : run.accts)
+        EXPECT_EQ(a.steppedBy, a.by) << label;
 }
 
 TEST_P(TracedApp, TraceJsonAndSpans)
